@@ -17,7 +17,7 @@
 //! Log volume is the device truth — sequential log pages appended.
 //!
 //! Every run ends with a crash; the media must restart byte-identically
-//! under the serial and the parallel (4-worker) engines.
+//! across worker counts (1 and 4).
 //!
 //! Results go to `BENCH_adaptive.json`. Acceptance (checked by
 //! `--validate` on non-smoke files): on every workload adaptive is
@@ -114,8 +114,8 @@ fn server_cfg(scheme: &str, smoke: bool) -> ServerConfig {
     ServerConfig::new(flavor).with_pool_mb(pool).with_volume_pages(volume).with_log_mb(log)
 }
 
-/// Crash the server, then require the serial and the 4-worker parallel
-/// restart to recover byte-identical media.
+/// Crash the server, then require the 1-worker and the 4-worker restart
+/// to recover byte-identical media.
 fn assert_restart_equivalence(server: Server, scheme: &str, smoke: bool, run: &str) {
     let parts = server.crash();
     let (data, log) = (image(&parts.data_media), image(&parts.log_media));
@@ -130,7 +130,7 @@ fn assert_restart_equivalence(server: Server, scheme: &str, smoke: bool, run: &s
         let p = restarted.crash();
         images.push((image(&p.data_media), image(&p.log_media)));
     }
-    assert_eq!(images[0], images[1], "{run}: parallel restart diverged from serial");
+    assert_eq!(images[0], images[1], "{run}: restart diverged across worker counts");
 }
 
 /// One (workload, scheme) run: warm up, measure, model the demands,

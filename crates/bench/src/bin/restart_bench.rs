@@ -1,19 +1,19 @@
 //! Restart (crash-recovery) wall-clock benchmark: how long does the
-//! server take to come back after a crash, and how much does the parallel
-//! restart engine (`RestartConfig::redo_workers`) buy?
+//! server take to come back after a crash, and how does that scale with
+//! the restart engine's worker pool (`RestartConfig::redo_workers`)?
 //!
 //! For each recovery scheme (PD-ESM, PD-REDO, WPL): bulk-load a scaled
 //! OO7 database, run committed T2 update traversals until the log holds a
 //! target volume of recovery work, crash (dropping every piece of
 //! volatile state), then repeatedly restart from the same frozen media
 //! images with `redo_workers` ∈ {1, 2, 4, 8}, timing each restart
-//! end-to-end with a wall clock. `redo_workers = 1` runs the original
-//! serial recovery code, so the `workers_1` row *is* the pre-existing
-//! baseline, measured in the same binary.
+//! end-to-end with a wall clock. Every row runs the same engine —
+//! reader, router, N workers — so the rows of one scheme are a scaling
+//! curve over the pool size, not a comparison of implementations.
 //!
-//! Every restart's per-phase work counts are asserted identical to the
-//! serial run — the speedup must come with identical recovery (the full
-//! bit-equivalence check lives in `tests/restart_equivalence.rs`).
+//! Every restart's per-phase work counts are asserted identical across
+//! worker counts — the pool size must never change what recovery does
+//! (the full bit-equivalence check lives in `tests/restart_equivalence.rs`).
 //!
 //! Results are written to `BENCH_restart.json` in the same shape as
 //! `BENCH_micro.json` (see EXPERIMENTS.md).
@@ -35,7 +35,7 @@ use quickstore::{Store, SystemConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Worker counts timed for every scheme. 1 is the serial engine.
+/// Worker-pool sizes timed for every scheme.
 const WORKER_COUNTS: &[usize] = &[1, 2, 4, 8];
 
 /// OO7 scaled for restart benchmarking: one module, big enough that T2
@@ -284,12 +284,9 @@ fn main() {
             medians.push((workers, median));
             results.push(BenchResult { name: rname, median_ns: median, min_ns: min, max_ns: max });
         }
-        let base = medians.iter().find(|&&(w, _)| w == 1).unwrap().1;
-        for &(w, m) in &medians {
-            if w != 1 {
-                println!("   workers_{w} vs workers_1: {:.2}x", base / m);
-            }
-        }
+        let curve: Vec<String> =
+            medians.iter().map(|&(w, m)| format!("{w}: {:.2}", m / medians[0].1)).collect();
+        println!("   median relative to workers_{}: {}", medians[0].0, curve.join("  "));
     }
     let json = render_json(&results, smoke);
     std::fs::write("BENCH_restart.json", &json).expect("write BENCH_restart.json");

@@ -8,9 +8,9 @@
 //!   records *before* the pages they describe (the log-before-page rule).
 //! * The server manages a circular log (via `qs-wal`), hierarchical
 //!   page/record locks ([`lock::LockManager`]), a STEAL/NO-FORCE buffer
-//!   pool, and restart
-//!   recovery — ARIES-style for the ESM/REDO flavors ([`aries`]),
-//!   backward-scan reconstruction for whole-page logging ([`wpl`]).
+//!   pool, and restart recovery ([`restart`]) — ARIES-style analysis /
+//!   redo / undo for the log-replaying flavors, table reconstruction for
+//!   whole-page logging ([`wpl`]).
 //! * Three server flavors ([`RecoveryFlavor`]) correspond to the paper's
 //!   underlying recovery strategies: `EsmAries` (log records + dirty pages
 //!   shipped), `RedoAtServer` (log records only; server applies redo), and
@@ -26,14 +26,13 @@
 //! small dedicated locks for the transaction/WPL/dirty-page tables — see
 //! the module docs on [`server`] and DESIGN.md for the locking protocol.
 
-pub mod aries;
 pub mod buffer;
 pub mod client;
 pub mod flusher;
 pub mod gate;
 pub mod lock;
 pub mod net;
-pub mod restart_par;
+pub mod restart;
 pub mod runtime;
 pub mod server;
 pub mod shard;

@@ -36,8 +36,7 @@
 //!
 //! A simulated crash ([`Server::crash`]) consumes the server and returns
 //! only the stable media; [`Server::restart`] rebuilds a consistent server
-//! from them, running the flavor-appropriate restart algorithm
-//! ([`crate::aries::restart`] or the WPL backward scan in [`Server::wpl_restart`]).
+//! from them with the restart engine in [`crate::restart`].
 
 use crate::flusher::{FlusherConfig, FlusherHandle, FlusherMsg, SnapshotPool};
 use crate::gate::VolumeGate;
@@ -139,11 +138,10 @@ pub struct ServerConfig {
 
 /// Restart-engine configuration.
 ///
-/// `redo_workers = 1` (the default) runs the original serial restart
-/// algorithms verbatim; any higher count runs the streamed,
-/// page-partitioned engine in [`crate::restart_par`], which recovers a
+/// `redo_workers` only sizes the worker pool of the one streamed,
+/// page-partitioned engine in [`crate::restart`], which recovers a
 /// byte-identical volume image and reports identical phase counts for any
-/// worker count (`tests/restart_equivalence.rs` pins this).
+/// worker count and chunk size (`tests/restart_equivalence.rs` pins this).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestartConfig {
     /// Worker threads for ARIES redo and the WPL image scan.
@@ -466,21 +464,7 @@ impl Server {
             restart_report: Mutex::new(None),
             cfg,
         };
-        // One worker runs the original serial algorithms verbatim (the
-        // bit-exact baseline); more run the streamed parallel engine.
-        let workers = server.cfg.restart.redo_workers.max(1);
-        let phases = match (server.cfg.flavor, workers) {
-            (RecoveryFlavor::Wpl, 1) => server.wpl_restart()?,
-            (RecoveryFlavor::Wpl, _) => crate::restart_par::wpl_restart(&server, workers)?,
-            (RecoveryFlavor::RedoLogical, 1) => crate::aries::rlog_restart(&server)?,
-            (RecoveryFlavor::RedoLogical, _) => crate::restart_par::rlog_restart(&server, workers)?,
-            (RecoveryFlavor::Adaptive, 1) => crate::aries::adaptive_restart(&server)?,
-            (RecoveryFlavor::Adaptive, _) => {
-                crate::restart_par::adaptive_restart(&server, workers)?
-            }
-            (_, 1) => crate::aries::restart(&server)?,
-            (_, _) => crate::restart_par::aries_restart(&server, workers)?,
-        };
+        let phases = crate::restart::run(&server)?;
         // Price the raw phase counts on the same hardware the tracer's
         // clock uses (the paper's testbed when no clock is installed).
         let default_hw = HardwareModel::paper_1995();
@@ -539,7 +523,7 @@ impl Server {
     /// pool shards (ascending), WPL table, DPT, volume — and run `f` over
     /// the resulting whole-server view. This is the quiesced world the
     /// pre-decomposition `Mutex<Inner>` provided implicitly; checkpoint,
-    /// reclaim, abort/undo, and both restart algorithms run under it.
+    /// reclaim, abort/undo, and restart run under it.
     pub(crate) fn with_quiesced<R>(&self, f: impl FnOnce(&mut InnerView<'_>) -> R) -> R {
         let mut txns = self.txns.lock(&self.tracer);
         let mut shards = self.pool.lock_all(&self.tracer);
@@ -687,7 +671,7 @@ impl Server {
     }
 
     /// Apply one deferred op to a page image and stamp the pageLSN — the
-    /// logical twin of [`crate::aries::apply_redo`].
+    /// commit-time twin of what the restart redo workers do to a frame.
     fn apply_pending_op(page: &mut Page, pid: PageId, op: &PendingOp) -> QsResult<()> {
         match op {
             PendingOp::Logical { slot, offset, after, lsn, .. } => {
@@ -1975,93 +1959,6 @@ impl Server {
     /// Current log occupancy in bytes.
     pub fn log_used_bytes(&self) -> usize {
         self.log.wal().used_bytes()
-    }
-
-    // ---------------------------------------------------------------------
-    // WPL restart (§3.4.3)
-    // ---------------------------------------------------------------------
-
-    /// Reconstruct the WPL table after a crash: one backward pass from the
-    /// end of the (durable) log to the most recent checkpoint, building the
-    /// committed-transactions list (CTL) and inserting WPL entries for
-    /// pages whose writers committed; then merge the checkpoint's entries.
-    ///
-    /// Returns raw (unpriced) per-phase work counts for the restart report.
-    fn wpl_restart(&self) -> QsResult<Vec<PhaseStat>> {
-        let mut scan = PhaseStat { name: "backward_scan", ..PhaseStat::default() };
-        let mut rebuild = PhaseStat { name: "table_rebuild", ..PhaseStat::default() };
-        self.with_quiesced(|view| -> QsResult<()> {
-            let end = view.log.durable_lsn();
-            let ck = view.log.checkpoint_lsn();
-            let stop = if ck.is_null() { view.log.start_lsn() } else { ck };
-
-            let mut ctl: std::collections::HashSet<TxnId> = std::collections::HashSet::new();
-            let mut claimed: std::collections::HashSet<PageId> = std::collections::HashSet::new();
-            let mut max_txn = TxnId::INVALID;
-            let mut max_page: Option<u32> = None;
-            let mut checkpoint_body: Option<CheckpointBody> = None;
-
-            scan.pages_read = (end.0.saturating_sub(stop.0)).div_ceil(PAGE_SIZE as u64);
-            let mut at = end;
-            while at > stop {
-                let (rec, start) = view.log.read_record_ending_at(at)?;
-                self.meter.log_pages_read.fetch_add(1, Ordering::Relaxed);
-                scan.records += 1;
-                match &rec {
-                    LogRecord::Commit { txn, .. } => {
-                        ctl.insert(*txn);
-                    }
-                    LogRecord::WholePage { txn, page, .. } => {
-                        if ctl.contains(txn) && claimed.insert(*page) {
-                            // Newest committed image for this page (backward
-                            // scan sees newest first).
-                            view.wpl.insert_restored(*page, start, *txn);
-                        }
-                        max_page = Some(max_page.unwrap_or(0).max(page.0 + 1));
-                    }
-                    LogRecord::Checkpoint { body } | LogRecord::BeginCheckpoint { body } => {
-                        // Backward scan: the last overwrite wins, i.e. the
-                        // oldest in-range record — the restart anchor. An
-                        // orphaned begin (crash before its end record) sits
-                        // later than the anchor and is harmlessly replaced.
-                        checkpoint_body = Some(body.clone());
-                    }
-                    _ => {}
-                }
-                let t = rec.txn();
-                if t != TxnId::INVALID && (max_txn == TxnId::INVALID || t.0 > max_txn.0) {
-                    max_txn = t;
-                }
-                at = start;
-            }
-            // The checkpoint record sits exactly at `stop` when one exists.
-            if !ck.is_null() && checkpoint_body.is_none() {
-                match view.log.read_record(ck)?.0 {
-                    LogRecord::Checkpoint { body } | LogRecord::BeginCheckpoint { body } => {
-                        self.meter.log_pages_read.fetch_add(1, Ordering::Relaxed);
-                        rebuild.pages_read += 1;
-                        checkpoint_body = Some(body);
-                    }
-                    _ => {}
-                }
-            }
-            if let Some(body) = checkpoint_body {
-                for e in &body.wpl_entries {
-                    if (e.committed || ctl.contains(&e.txn)) && claimed.insert(e.page) {
-                        view.wpl.insert_restored(e.page, e.lsn, e.txn);
-                    }
-                    rebuild.records += 1;
-                    max_page = Some(max_page.unwrap_or(0).max(e.page.0 + 1));
-                }
-                view.volume.ensure_allocated(body.allocated_pages as usize)?;
-            }
-            if let Some(mp) = max_page {
-                view.volume.ensure_allocated(mp as usize)?;
-            }
-            *view.txns = TxnTable::resuming_after(max_txn);
-            Ok(())
-        })?;
-        Ok(vec![scan, rebuild])
     }
 }
 

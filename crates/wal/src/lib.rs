@@ -11,13 +11,13 @@
 //!
 //! * [`log`] — a circular, append-only log manager over a stable medium
 //!   (the paper's dedicated Sun0424 log disk), with an in-memory tail
-//!   buffer, explicit force (WAL discipline), forward and backward scans,
-//!   and space reclamation via `truncate_to`.
+//!   buffer, explicit force (WAL discipline), forward scans, and space
+//!   reclamation via `truncate_to`.
 //!
 //! Plus [`group`] — a leader/follower [`GroupCommitter`] that coalesces
 //! concurrent commit forces into one disk sync per batch — and [`stream`]
 //! — the chunked log scanner, bounded-channel chunk producer, and undo
-//! log-page cache that feed the parallel restart engine.
+//! log-page cache that feed the restart engine.
 
 pub mod group;
 pub mod log;

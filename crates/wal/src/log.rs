@@ -353,34 +353,6 @@ impl LogManager {
         Ok((LogRecord::decode(&bytes)?, next))
     }
 
-    /// Read the record that *ends* at `end` (backward scan step). Returns
-    /// the record and its starting LSN.
-    pub fn read_record_ending_at(&self, end: Lsn) -> QsResult<(LogRecord, Lsn)> {
-        let st = self.state.lock();
-        if end <= st.start || end > st.tail {
-            return Err(QsError::LogCorrupt {
-                detail: format!("backward read at {end} outside log window"),
-            });
-        }
-        let trailer_lsn = Lsn(end.0 - 4);
-        let len = if trailer_lsn >= st.durable {
-            let at = (trailer_lsn.0 - st.durable.0) as usize;
-            u32::from_le_bytes(st.buffer[at..at + 4].try_into().unwrap()) as usize
-        } else {
-            let mut b = [0u8; 4];
-            self.read_body(trailer_lsn, &mut b)?;
-            u32::from_le_bytes(b) as usize
-        };
-        drop(st);
-        if len < 8 || (len as u64) > end.0 {
-            return Err(QsError::LogCorrupt { detail: format!("implausible trailer {len}") });
-        }
-        let start = Lsn(end.0 - len as u64);
-        let (rec, next) = self.read_record(start)?;
-        debug_assert_eq!(next, end);
-        Ok((rec, start))
-    }
-
     /// Copy the raw encoded bytes of the span `[from, from + buf.len())`
     /// out of the log, splicing the durable body and the volatile tail
     /// buffer as needed. One lock acquisition regardless of span size —
@@ -689,21 +661,6 @@ mod tests {
         lm.force(lm.tail_lsn()).unwrap();
         lm.truncate_to(l1).unwrap();
         lm.append(&rec).unwrap();
-    }
-
-    #[test]
-    fn backward_read() {
-        let (_m, lm) = fresh(1 << 16);
-        let l1 = lm.append(&update(1, 5, 1)).unwrap();
-        let l2 = lm.append(&update(1, 6, 2)).unwrap();
-        let end = lm.tail_lsn();
-        let (rec2, s2) = lm.read_record_ending_at(end).unwrap();
-        assert_eq!(s2, l2);
-        assert_eq!(rec2.page(), Some(PageId(6)));
-        let (rec1, s1) = lm.read_record_ending_at(s2).unwrap();
-        assert_eq!(s1, l1);
-        assert_eq!(rec1.page(), Some(PageId(5)));
-        assert!(lm.read_record_ending_at(s1).is_err()); // hit the start
     }
 
     #[test]

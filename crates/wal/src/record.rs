@@ -9,8 +9,8 @@
 //! +------+-------+----+------+---------+-------------+----------+
 //! ```
 //!
-//! * `len` appears both first and last (the trailer enables the backward
-//!   scan that WPL restart performs, §3.4.3).
+//! * `len` appears both first and last (the paper's WPL restart scans
+//!   backward, §3.4.3; here the trailer echo is the torn-frame check).
 //! * `cksum` is FNV-1a over `bytes[8..len-4]`; decode rejects corruption.
 //! * The record is padded so `len == LOG_HEADER_SIZE + variable payload`,
 //!   making our log-space accounting identical to the paper's

@@ -56,9 +56,12 @@ echo "== clippy (whole workspace), warnings are errors =="
 cargo clippy -q --offline --workspace -- -D warnings
 
 echo "== concurrency tests under a deadlock watchdog =="
-# The multi-client / group-commit / shard-independence / parallel-restart
-# tests exercise the decomposed server's locking across real threads; a
-# lock-order bug shows up as a hang, not a failure. `timeout` turns a
+# The multi-client / group-commit / shard-independence tests exercise the
+# decomposed server's locking across real threads, and restart_equivalence
+# the restart engine's reader -> router -> worker channels (committed-model
+# oracle, pinned phase counts, byte-identity across 1/2/4/8 workers and
+# odd chunk sizes, corrupt frames failing loudly); a lock-order or
+# channel-hangup bug shows up as a hang, not a failure. `timeout` turns a
 # hang into a hard FAIL. The runtime_* suites add the reactor: admission
 # sheds, park/resume lock waits, and direct-vs-reactor equivalence; the
 # lock_property suite drives seeded random histories through the
@@ -70,8 +73,8 @@ echo "== concurrency tests under a deadlock watchdog =="
 # all six schemes, and reactor clients hammering hot pages while the
 # background flusher checkpoints in a loop (zero maintenance sheds).
 # adaptive_equivalence crashes a seeded mixed-scheme workload at several
-# commit points and requires the serial and parallel (1/2/4-worker)
-# restarts of the interleaved PD/SD/WPL/RLOG log to be byte-identical.
+# commit points and requires the 1/2/4-worker restarts of the interleaved
+# PD/SD/WPL/RLOG log to be byte-identical and to match a never-crashed twin.
 for t in multi_client group_commit shard_independence restart_equivalence \
          runtime_admission runtime_equivalence lock_property \
          record_granularity ckpt_fuzzy ckpt_concurrent \
@@ -140,8 +143,8 @@ rm -rf "$ckpt_dir"
 
 echo "== adaptive benchmark smoke run =="
 # Per-transaction scheme election vs every fixed scheme on three
-# workloads, each run ending in a crash with serial-vs-parallel restart
-# equivalence asserted; --validate asserts the JSON covers every
+# workloads, each run ending in a crash with restart equivalence across
+# worker counts asserted; --validate asserts the JSON covers every
 # workload × scheme (the 1.05×/1.3× acceptance bars are skipped for
 # smoke files).
 adaptive_dir=$(mktemp -d)
@@ -149,5 +152,15 @@ adaptive_dir=$(mktemp -d)
 cargo run --release --offline -p qs-bench --bin adaptive_bench -- \
     --validate "$adaptive_dir/BENCH_adaptive.json"
 rm -rf "$adaptive_dir"
+
+echo "== repo benchmark: crash_restart smoke =="
+# The standalone benchmark crate's own checks on a small crash image: (a)
+# recovered digest equals the last acknowledged commit, (b) the loser's
+# writes are absent, (c) quiesced media identical across worker counts,
+# (d) restart phase counts identical across restarts. The exit code is
+# the check, so a restart change that breaks what BENCHMARK.json measures
+# fails here, before the driver runs it.
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload crash_restart --smoke > /dev/null
 
 echo "== verify: all green =="

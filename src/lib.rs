@@ -10,7 +10,7 @@
 //! * [`storage`] — slotted pages, volumes, stable media (`qs-storage`).
 //! * [`wal`] — log records + circular log manager (`qs-wal`).
 //! * [`esm`] — the EXODUS Storage Manager substrate: client/server page
-//!   shipping, buffer pools, locks, ARIES & WPL restart (`qs-esm`).
+//!   shipping, buffer pools, locks, the restart engine (`qs-esm`).
 //! * [`vmem`] — the software MMU (`qs-vmem`).
 //! * [`core`] — QuickStore itself: descriptor table, recovery buffer,
 //!   diffing, and the six recovery schemes (`quickstore`).

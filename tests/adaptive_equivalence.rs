@@ -3,10 +3,10 @@
 //! recovery scheme per transaction, so the crashed log interleaves
 //! physical Update records, whole-page images, and logical after-only
 //! records — all tagged by per-transaction TxnScheme marks. Restart of
-//! that mixed log must be deterministic: the serial engine and the
-//! parallel engine (workers 1/2/4) must recover byte-identical media,
-//! and every committed value must survive regardless of which scheme
-//! its transaction elected.
+//! that mixed log must be deterministic: the restart engine must recover
+//! byte-identical media across worker counts (1/2/4), and every
+//! committed value must survive regardless of which scheme its
+//! transaction elected.
 
 use qs_repro::core::{Store, SystemConfig};
 use qs_repro::esm::{ClientConn, Server, ServerConfig, StableParts};
@@ -173,9 +173,9 @@ fn restart_observed(data: &[u8], log: &[u8], oids: &[Oid], workers: usize) -> Ob
 }
 
 /// The tentpole equivalence claim: crash the mixed-scheme workload after
-/// every k-th commit (several crash points per seed), restart serially,
-/// then with 2 and 4 redo workers — all three recoveries must be
-/// byte-identical, with no transaction left active.
+/// every k-th commit (several crash points per seed), restart with 1, 2
+/// and 4 redo workers — all three recoveries must be byte-identical,
+/// with no transaction left active.
 #[test]
 fn adaptive_mixed_log_restart_is_bit_equivalent() {
     let cfg = SystemConfig::adaptive().with_memory(1.0, 0.25);
@@ -193,7 +193,7 @@ fn adaptive_mixed_log_restart_is_bit_equivalent() {
             let got = restart_observed(&data, &log, &oids, workers);
             assert_eq!(
                 got, baseline,
-                "seed {seed:#x} commits={commits}: workers={workers} diverged from serial"
+                "seed {seed:#x} commits={commits}: workers={workers} diverged from one worker"
             );
         }
     }
@@ -242,8 +242,8 @@ fn adaptive_recovers_exactly_the_committed_state() {
         .collect();
     drop(server);
 
-    // Crashed twin of the same workload, recovered serially and in
-    // parallel: every committed value must match the ground truth.
+    // Crashed twin of the same workload, recovered with one and with four
+    // workers: every committed value must match the ground truth.
     let (data, log, oids2) = crashed_images(&cfg, seed, commits);
     assert_eq!(oids, oids2, "scenario divergence");
     for workers in [1, 4] {

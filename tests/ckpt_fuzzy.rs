@@ -5,7 +5,7 @@
 //! six schemes, a crash after fuzzy checkpoints must recover exactly
 //! the state the quiesced-checkpoint oracle recovers: same committed
 //! values, same undone/skipped losers, and the fuzzy media must restart
-//! bit-identically under the serial and the parallel engines.
+//! bit-identically across redo worker counts.
 
 use qs_repro::core::{Store, SystemConfig};
 use qs_repro::esm::{ClientConn, RecoveryFlavor, Server, ServerConfig, StableParts};
@@ -177,8 +177,8 @@ fn restart_observed(
 
 /// For every scheme: the fuzzy-checkpoint crash recovers the same logical
 /// state as the quiesced-checkpoint oracle (committed values identical,
-/// loser gone), and the fuzzy media restart identically under serial and
-/// parallel engines. The media images themselves differ between the two
+/// loser gone), and the fuzzy media restart identically across worker
+/// counts. The media images themselves differ between the two
 /// protocols (different checkpoint records), so the comparison is on
 /// recovered state, not raw bytes.
 #[test]
@@ -200,8 +200,8 @@ fn fuzzy_checkpoint_recovers_like_the_quiesced_oracle() {
         );
         assert_eq!(fuzzy.active_txns, 0, "{name}: loser survived fuzzy recovery");
 
-        // Serial vs parallel restart of the *same* fuzzy media must be
-        // bit-identical, begin/end anchoring included.
+        // Restarts of the *same* fuzzy media must be bit-identical across
+        // worker counts, begin/end anchoring included.
         for workers in [2, 4, 8] {
             let got = restart_observed(&fdata, &flog, &foids, server_cfg(&cfg, true), workers);
             assert_eq!(got, fuzzy, "{name}: workers={workers} diverged on fuzzy media");
