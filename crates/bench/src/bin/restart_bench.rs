@@ -16,20 +16,26 @@
 //! (the full bit-equivalence check lives in `tests/restart_equivalence.rs`).
 //!
 //! Results are written to `BENCH_restart.json` in the same shape as
-//! `BENCH_micro.json` (see EXPERIMENTS.md).
+//! `BENCH_micro.json`, each row extended with `stages`: the median
+//! restart's per-stage wall accounting from `RestartReport::wall` — per
+//! scan the busy and blocked time of reader, router and every worker,
+//! plus merge, undo and closing-checkpoint time (see EXPERIMENTS.md).
 //!
 //! Flags:
 //!   --smoke            tiny log target and fewer iterations: exercises
 //!                      the harness and JSON output only, the numbers are
 //!                      not meaningful
 //!   --validate <path>  parse a previously written BENCH_restart.json and
-//!                      assert it covers every scheme × worker count;
-//!                      exits non-zero on malformed or incomplete files
+//!                      assert it covers every scheme × worker count, that
+//!                      every row carries the stage fields, and that no
+//!                      scan reports more busy time than its threads had
+//!                      wall time; exits non-zero otherwise
 
 use qs_esm::{ClientConn, Server, ServerConfig, StableParts};
 use qs_oo7::{generate, t2, Oo7Params, T2Mode};
 use qs_sim::{JsonWriter, Meter};
 use qs_storage::{MemDisk, StableMedia};
+use qs_trace::RestartWall;
 use qs_types::ClientId;
 use quickstore::{Store, SystemConfig};
 use std::sync::Arc;
@@ -118,9 +124,14 @@ fn build_crash_image(
 /// reads, data writes) — the counts-identical assertion's unit.
 type PhaseCounts = (String, u64, u64, u64, u64);
 
-/// One timed restart: wall-clock nanoseconds plus the restart report's
-/// raw work counts (for the counts-identical assertion).
-fn timed_restart(img: &CrashImage, scfg: &ServerConfig, workers: usize) -> (f64, Vec<PhaseCounts>) {
+/// One timed restart: wall-clock nanoseconds, the restart report's raw
+/// work counts (for the counts-identical assertion) and its per-stage
+/// wall accounting.
+fn timed_restart(
+    img: &CrashImage,
+    scfg: &ServerConfig,
+    workers: usize,
+) -> (f64, Vec<PhaseCounts>, RestartWall) {
     let parts = StableParts {
         data_media: disk_from(&img.data),
         log_media: disk_from(&img.log),
@@ -136,7 +147,7 @@ fn timed_restart(img: &CrashImage, scfg: &ServerConfig, workers: usize) -> (f64,
         .iter()
         .map(|p| (p.name.to_string(), p.records, p.pages_read, p.data_reads, p.data_writes))
         .collect();
-    (ns, counts)
+    (ns, counts, report.wall)
 }
 
 struct BenchResult {
@@ -144,6 +155,8 @@ struct BenchResult {
     median_ns: f64,
     min_ns: f64,
     max_ns: f64,
+    /// Stage accounting of the median restart.
+    stages: RestartWall,
 }
 
 fn ns(v: f64) -> String {
@@ -165,6 +178,10 @@ fn render_json(results: &[BenchResult], smoke: bool) -> String {
         .field_str("build", if cfg!(debug_assertions) { "debug" } else { "release" })
         .key("smoke")
         .bool(smoke)
+        // The rows are a curve over thread counts: say how many cores the
+        // threads had.
+        .key("host_cores")
+        .usize(std::thread::available_parallelism().map_or(0, |n| n.get()))
         .key("results")
         .begin_array();
     for r in results {
@@ -173,7 +190,9 @@ fn render_json(results: &[BenchResult], smoke: bool) -> String {
             .field_f64("median_ns", r.median_ns)
             .field_f64("min_ns", r.min_ns)
             .field_f64("max_ns", r.max_ns)
-            .end_object();
+            .key("stages");
+        r.stages.write_json(&mut w);
+        w.end_object();
     }
     w.end_array().end_object();
     w.finish()
@@ -210,11 +229,65 @@ fn validate(path: &str) -> Result<(), String> {
     let names = expected_names();
     let missing: Vec<&String> =
         names.iter().filter(|name| !text.contains(&format!("\"name\":\"{name}\""))).collect();
-    if missing.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("{path}: missing benchmark results: {missing:?}"))
+    if !missing.is_empty() {
+        return Err(format!("{path}: missing benchmark results: {missing:?}"));
     }
+    // Rows are flat up to `stages`, so each row is the text between two
+    // `"name":` keys.
+    for row in text.split("\"name\":").skip(1) {
+        let name = row.split('"').nth(1).unwrap_or("?");
+        check_stages(row).map_err(|e| format!("{path}: {name}: {e}"))?;
+    }
+    Ok(())
+}
+
+/// The numbers after every occurrence of `"key":` in `text`, each either
+/// a scalar or a flat array.
+fn numbers_after(text: &str, key: &str) -> Result<Vec<Vec<u64>>, String> {
+    text.split(&format!("\"{key}\":"))
+        .skip(1)
+        .map(|rest| {
+            let list = match rest.strip_prefix('[') {
+                Some(array) => array.split(']').next(),
+                None => rest.split([',', '}']).next(),
+            };
+            list.unwrap_or("")
+                .split(',')
+                .map(|n| n.trim().parse::<u64>().map_err(|_| format!("unparseable {key}")))
+                .collect()
+        })
+        .collect()
+}
+
+/// One row's stage fields: present, one busy and one blocked number per
+/// thread (reader, router, at least one worker), and per scan no more
+/// busy time than its threads had wall time.
+fn check_stages(row: &str) -> Result<(), String> {
+    for key in ["undo_ns", "checkpoint_ns"] {
+        if numbers_after(row, key)?.len() != 1 {
+            return Err(format!("no {key} field"));
+        }
+    }
+    let walls = numbers_after(row, "wall_ns")?;
+    let busy = numbers_after(row, "busy_ns")?;
+    let blocked = numbers_after(row, "blocked_ns")?;
+    let merges = numbers_after(row, "merge_ns")?;
+    if walls.is_empty() || [busy.len(), blocked.len(), merges.len()] != [walls.len(); 3] {
+        return Err("missing or unbalanced per-scan stage fields".into());
+    }
+    for (i, wall) in walls.iter().enumerate() {
+        let (wall, threads) = (wall[0], busy[i].len() as u64);
+        if threads < 3 || blocked[i].len() as u64 != threads {
+            return Err(format!("scan {i}: want reader, router and workers, got {threads} stages"));
+        }
+        let sum: u64 = busy[i].iter().sum::<u64>() + merges[i][0];
+        if sum > wall * threads {
+            return Err(format!(
+                "scan {i}: busy {sum} ns exceeds wall {wall} ns x {threads} threads"
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn main() {
@@ -259,9 +332,9 @@ fn main() {
         let mut medians: Vec<(usize, f64)> = Vec::new();
         for &workers in WORKER_COUNTS {
             let _ = timed_restart(&img, &scfg, workers); // warmup
-            let mut samples: Vec<f64> = Vec::with_capacity(iters);
+            let mut samples: Vec<(f64, RestartWall)> = Vec::with_capacity(iters);
             for _ in 0..iters {
-                let (t, counts) = timed_restart(&img, &scfg, workers);
+                let (t, counts, stages) = timed_restart(&img, &scfg, workers);
                 match &baseline_counts {
                     None => baseline_counts = Some(counts),
                     Some(base) => assert_eq!(
@@ -269,11 +342,11 @@ fn main() {
                         "{name}: workers={workers} changed the restart phase counts"
                     ),
                 }
-                samples.push(t);
+                samples.push((t, stages));
             }
-            samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let median = samples[samples.len() / 2];
-            let (min, max) = (samples[0], samples[samples.len() - 1]);
+            samples.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+            let (min, max) = (samples[0].0, samples[samples.len() - 1].0);
+            let (median, stages) = samples.swap_remove(samples.len() / 2);
             let rname = format!("restart/{name}/workers_{workers}");
             println!(
                 "{rname:<36} median {:>12}  min {:>12}  max {:>12}",
@@ -281,8 +354,15 @@ fn main() {
                 ns(min),
                 ns(max)
             );
+            print!("{}", stages.render_text());
             medians.push((workers, median));
-            results.push(BenchResult { name: rname, median_ns: median, min_ns: min, max_ns: max });
+            results.push(BenchResult {
+                name: rname,
+                median_ns: median,
+                min_ns: min,
+                max_ns: max,
+                stages,
+            });
         }
         let curve: Vec<String> =
             medians.iter().map(|&(w, m)| format!("{w}: {:.2}", m / medians[0].1)).collect();

@@ -142,9 +142,11 @@ pub struct ServerConfig {
 /// page-partitioned engine in [`crate::restart`], which recovers a
 /// byte-identical volume image and reports identical phase counts for any
 /// worker count and chunk size (`tests/restart_equivalence.rs` pins this).
+/// Every scan of that engine uses the pool: the name is historical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestartConfig {
-    /// Worker threads for ARIES redo and the WPL image scan.
+    /// Worker threads of each restart scan: ARIES analysis (checksums and
+    /// dirty-page table shards), ARIES redo, and the WPL image scan.
     pub redo_workers: usize,
     /// Bytes per streamed log read (clamped up to at least one frame).
     pub chunk_bytes: usize,
@@ -464,7 +466,7 @@ impl Server {
             restart_report: Mutex::new(None),
             cfg,
         };
-        let phases = crate::restart::run(&server)?;
+        let (phases, wall) = crate::restart::run(&server)?;
         // Price the raw phase counts on the same hardware the tracer's
         // clock uses (the paper's testbed when no clock is installed).
         let default_hw = HardwareModel::paper_1995();
@@ -473,7 +475,7 @@ impl Server {
         for p in &phases {
             server.tracer.event(TraceCat::Restart, p.name, p.records, p.pages_read);
         }
-        let report = RestartReport { flavor: server.cfg.flavor.name(), phases, flight };
+        let report = RestartReport { flavor: server.cfg.flavor.name(), phases, flight, wall };
         *server.restart_report.lock() = Some(report);
         Ok(server)
     }

@@ -33,7 +33,9 @@ pub mod tracer;
 pub use clock::SimClock;
 pub use event::{TraceCat, TraceEvent};
 pub use hist::{HistSummary, LogHistogram};
-pub use restart::{FlightRecording, PhaseStat, RestartReport};
+pub use restart::{
+    FlightRecording, PhaseStat, RestartReport, RestartWall, ScanWall, StageClock, StageWall,
+};
 pub use sink::{NullSink, RingSink, TraceSink};
 pub use tlock::{TracedGuard, TracedMutex};
 pub use tracer::Tracer;

@@ -6,6 +6,7 @@
 
 use crate::event::TraceEvent;
 use qs_sim::{HardwareModel, JsonWriter};
+use std::time::Instant;
 
 /// One restart phase: raw work counts plus their priced simulated time.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -57,6 +58,144 @@ impl PhaseStat {
     }
 }
 
+/// Host wall-clock time of one restart pipeline thread, split by what it
+/// was doing: working, or parked on a channel (or on the join).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageWall {
+    pub busy_ns: u64,
+    pub blocked_ns: u64,
+}
+
+/// Stopwatch behind a [`StageWall`]: each call charges the time since
+/// the previous one. Meant to be read per chunk or batch, never per
+/// record.
+pub struct StageClock {
+    wall: StageWall,
+    mark: Instant,
+}
+
+impl StageClock {
+    pub fn start() -> StageClock {
+        StageClock { wall: StageWall::default(), mark: Instant::now() }
+    }
+
+    fn lap(&mut self) -> u64 {
+        let now = Instant::now();
+        let ns = now.duration_since(self.mark).as_nanos() as u64;
+        self.mark = now;
+        ns
+    }
+
+    /// Charge the time since the last call as work.
+    pub fn busy(&mut self) {
+        self.wall.busy_ns += self.lap();
+    }
+
+    /// Charge the time since the last call as waiting.
+    pub fn blocked(&mut self) {
+        self.wall.blocked_ns += self.lap();
+    }
+
+    pub fn wall(&self) -> StageWall {
+        self.wall
+    }
+}
+
+/// Wall-clock accounting of one streamed scan (reader → router → workers
+/// → merge) of the restart engine.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ScanWall {
+    pub name: &'static str,
+    /// From spawning the pipeline to the end of the merge.
+    pub wall_ns: u64,
+    pub reader: StageWall,
+    /// The restart thread while it routes frames and awaits the join.
+    pub router: StageWall,
+    /// One entry per worker, in worker-index order.
+    pub workers: Vec<StageWall>,
+    /// The restart thread's work after the join (shard merge, page
+    /// install, table rebuild).
+    pub merge_ns: u64,
+}
+
+impl ScanWall {
+    /// Close the scan: the restart thread's post-join merge began at
+    /// `merge_started` and ends now.
+    pub fn end_merge(&mut self, merge_started: Instant) {
+        self.merge_ns = merge_started.elapsed().as_nanos() as u64;
+        self.wall_ns += self.merge_ns;
+    }
+}
+
+/// Where a restart's host wall-clock time went. Kept apart from
+/// [`PhaseStat`]: wall time differs run to run, so it never enters the
+/// priced phases or anything [`RestartReport::write_json`] emits.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RestartWall {
+    pub scans: Vec<ScanWall>,
+    pub undo_ns: u64,
+    pub checkpoint_ns: u64,
+}
+
+impl RestartWall {
+    /// Append the accounting as a JSON object under way in `w`. Stage
+    /// arrays hold one number per thread: reader, router, then workers.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("scans");
+        w.begin_array();
+        for s in &self.scans {
+            let stages = || [s.reader, s.router].into_iter().chain(s.workers.iter().copied());
+            w.begin_object();
+            w.field_str("scan", s.name);
+            w.field_u64("wall_ns", s.wall_ns);
+            w.key("busy_ns");
+            w.begin_array();
+            for st in stages() {
+                w.u64(st.busy_ns);
+            }
+            w.end_array();
+            w.key("blocked_ns");
+            w.begin_array();
+            for st in stages() {
+                w.u64(st.blocked_ns);
+            }
+            w.end_array();
+            w.field_u64("merge_ns", s.merge_ns);
+            w.end_object();
+        }
+        w.end_array();
+        w.field_u64("undo_ns", self.undo_ns);
+        w.field_u64("checkpoint_ns", self.checkpoint_ns);
+        w.end_object();
+    }
+
+    /// One line per scan plus the epilogue, in milliseconds.
+    pub fn render_text(&self) -> String {
+        let ms = |ns: u64| ns as f64 / 1e6;
+        let stage = |st: &StageWall| format!("{:.1}/{:.1}", ms(st.busy_ns), ms(st.blocked_ns));
+        let mut out = String::new();
+        for s in &self.scans {
+            let workers: Vec<String> = s.workers.iter().map(stage).collect();
+            out.push_str(&format!(
+                "  {:<14} wall {:>7.1} ms  busy/blocked: reader {}  router {}  workers [{}]  merge {:.1}\n",
+                s.name,
+                ms(s.wall_ns),
+                stage(&s.reader),
+                stage(&s.router),
+                workers.join(" "),
+                ms(s.merge_ns)
+            ));
+        }
+        out.push_str(&format!(
+            "  undo {:.1} ms  closing checkpoint {:.1} ms\n",
+            ms(self.undo_ns),
+            ms(self.checkpoint_ns)
+        ));
+        out
+    }
+}
+
 /// What a restarting server reports: which algorithm ran, the per-phase
 /// breakdown, and the flight recording recovered from the crash.
 #[derive(Debug, Clone, Default)]
@@ -66,6 +205,8 @@ pub struct RestartReport {
     pub phases: Vec<PhaseStat>,
     /// What the crashed server was doing when it died (may be empty).
     pub flight: FlightRecording,
+    /// Host wall-clock stage accounting; not part of the JSON report.
+    pub wall: RestartWall,
 }
 
 impl RestartReport {
@@ -195,6 +336,7 @@ mod tests {
                     b: 0,
                 }],
             },
+            wall: RestartWall::default(),
         }
     }
 

@@ -97,6 +97,16 @@ impl Condvar {
         guard.0 = Some(self.0.wait(inner).unwrap_or_else(PoisonError::into_inner));
     }
 
+    /// [`Condvar::wait`] that also returns once `timeout` has passed.
+    /// Callers re-check their condition either way, so which of the two
+    /// ended the wait is not reported.
+    pub fn wait_timeout<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: std::time::Duration) {
+        let inner = guard.0.take().expect("guard present");
+        let (inner, _) =
+            self.0.wait_timeout(inner, timeout).unwrap_or_else(PoisonError::into_inner);
+        guard.0 = Some(inner);
+    }
+
     pub fn notify_one(&self) {
         self.0.notify_one();
     }
@@ -169,5 +179,20 @@ mod tests {
         *lock.lock() = true;
         cv.notify_all();
         h.join().unwrap();
+    }
+
+    #[test]
+    fn condvar_wait_timeout_returns_unnotified_with_the_lock_held() {
+        let (lock, cv) = (Mutex::new(1), Condvar::new());
+        let mut g = lock.lock();
+        let t0 = std::time::Instant::now();
+        cv.wait_timeout(&mut g, Duration::from_millis(5));
+        // Spurious wake-ups may cut the wait short; the guard must be
+        // usable regardless.
+        assert!(t0.elapsed() < Duration::from_secs(5));
+        *g += 1;
+        assert!(lock.try_lock().is_none(), "guard still holds the lock");
+        drop(g);
+        assert_eq!(*lock.lock(), 2);
     }
 }

@@ -28,5 +28,7 @@ pub mod writer;
 pub use group::{GroupCommitter, GroupOutcome};
 pub use log::{ForceStats, LogManager, LogPressure};
 pub use record::{CheckpointBody, LogRecord, SchemeCode, WplCheckpointEntry};
-pub use stream::{stream_chunks, ChunkedScanner, FrameChunk, FrameRef, LogReadCache};
+pub use stream::{
+    stream_chunks, stream_chunks_timed, ChunkedScanner, FrameChunk, FrameRef, LogReadCache,
+};
 pub use writer::RecordWriter;

@@ -17,11 +17,13 @@
 
 use crate::log::LogManager;
 use crate::record::{LogRecord, PREFIX, TRAILER};
+use qs_trace::{StageClock, StageWall};
 use qs_types::{Lsn, QsError, QsResult, PAGE_SIZE};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 
 /// One encoded record within a [`FrameChunk`]'s buffer.
 #[derive(Debug, Clone, Copy)]
@@ -141,23 +143,39 @@ pub fn stream_chunks<'scope, 'env>(
     chunk_bytes: usize,
     depth: usize,
 ) -> Receiver<QsResult<FrameChunk>> {
+    stream_chunks_timed(scope, log, from, end, chunk_bytes, depth).0
+}
+
+/// [`stream_chunks`], also handing back the reader thread: joining it
+/// (after the receiver is dropped or drained) yields the reader's wall
+/// time, busy reading and splitting chunks vs blocked on the full channel.
+pub fn stream_chunks_timed<'scope, 'env>(
+    scope: &'scope std::thread::Scope<'scope, 'env>,
+    log: &'env LogManager,
+    from: Lsn,
+    end: Lsn,
+    chunk_bytes: usize,
+    depth: usize,
+) -> (Receiver<QsResult<FrameChunk>>, ScopedJoinHandle<'scope, StageWall>) {
     let (tx, rx) = sync_channel(depth.max(1));
     let mut scanner = ChunkedScanner::new(log, from, end, chunk_bytes);
-    scope.spawn(move || loop {
-        match scanner.next_chunk() {
-            Ok(Some(chunk)) => {
-                if tx.send(Ok(chunk)).is_err() {
-                    break; // receiver gone: consumer stopped early
-                }
-            }
-            Ok(None) => break,
-            Err(e) => {
-                tx.send(Err(e)).ok();
+    let reader = scope.spawn(move || {
+        let mut clock = StageClock::start();
+        loop {
+            let next = scanner.next_chunk().transpose();
+            clock.busy();
+            let Some(item) = next else { break };
+            let more = item.is_ok();
+            // A failed send means the consumer stopped early.
+            let delivered = tx.send(item).is_ok();
+            clock.blocked();
+            if !(more && delivered) {
                 break;
             }
         }
+        clock.wall()
     });
-    rx
+    (rx, reader)
 }
 
 /// A cached whole log page (see [`LogReadCache`]).

@@ -60,9 +60,10 @@ echo "== concurrency tests under a deadlock watchdog =="
 # decomposed server's locking across real threads, and restart_equivalence
 # the restart engine's reader -> router -> worker channels (committed-model
 # oracle, pinned phase counts, byte-identity across 1/2/4/8 workers and
-# odd chunk sizes, corrupt frames failing loudly); a lock-order or
-# channel-hangup bug shows up as a hang, not a failure. `timeout` turns a
-# hang into a hard FAIL. The runtime_* suites add the reactor: admission
+# odd chunk sizes, corrupt frames failing loudly — whichever thread
+# verifies them, incl. the redo-verified frames below the anchor); a
+# lock-order or channel-hangup bug shows up as a hang, not a failure.
+# `timeout` turns a hang into a hard FAIL. The runtime_* suites add the reactor: admission
 # sheds, park/resume lock waits, and direct-vs-reactor equivalence; the
 # lock_property suite drives seeded random histories through the
 # granularity hierarchy (flat-manager oracle, slot independence, mixed
@@ -85,6 +86,14 @@ for t in multi_client group_commit shard_independence restart_equivalence \
         exit 1
     fi
 done
+
+# The sharded analysis pass's own unit tests (crates/esm/src/restart.rs:
+# analyze vs the serial reference at 1/2/4/8 workers and one-record
+# chunks) drive the same channels.
+if ! timeout 120 cargo test -q --offline -p qs-esm --lib restart::; then
+    echo "FAIL: qs-esm restart:: unit tests did not finish within 120s or failed"
+    exit 1
+fi
 
 echo "== RedoLogical (PD-RLOG) crash/restart smoke =="
 # The sixth scheme's full cycle — generate, committed traversals, crash,
@@ -113,7 +122,9 @@ rm -rf "$micro_dir"
 echo "== restart benchmark smoke run =="
 # Crashes a small OO7 workload and restarts it at every worker count with
 # the phase-count cross-check enabled; --validate asserts the JSON covers
-# every scheme × worker count.
+# every scheme × worker count, that every row carries the per-stage wall
+# accounting (reader, router, each worker, merge, undo, checkpoint), and
+# that no scan reports more busy time than wall × threads.
 restart_dir=$(mktemp -d)
 (cd "$restart_dir" && "$OLDPWD/target/release/restart_bench" --smoke > /dev/null)
 cargo run --release --offline -p qs-bench --bin restart_bench -- \

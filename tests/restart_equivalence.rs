@@ -12,7 +12,7 @@
 //! be byte-identical: the pool size is never an observable.
 
 use qs_repro::core::{Store, SystemConfig};
-use qs_repro::esm::{ClientConn, RecoveryFlavor, Server, ServerConfig, StableParts};
+use qs_repro::esm::{ClientConn, RecoveryFlavor, Server, ServerConfig, ShardedPool, StableParts};
 use qs_repro::sim::Meter;
 use qs_repro::storage::{MemDisk, Page, StableMedia};
 use qs_repro::types::{ClientId, Lsn, Oid, QsError, PAGE_SIZE};
@@ -352,11 +352,15 @@ fn crash_between_begin_and_end_checkpoint_falls_back() {
 
 /// A crash with *no* checkpoint and with whole-page records in the ARIES
 /// log (freshly allocated pages): eight committed transactions, each
-/// rewriting every object and allocating one more.
-fn crashed_without_checkpoint(cfg: &SystemConfig) -> (Vec<u8>, Vec<u8>, Vec<Oid>, Vec<Vec<u8>>) {
+/// rewriting every object (one per page, `pages` of them) and allocating
+/// one more.
+fn crashed_without_checkpoint(
+    cfg: &SystemConfig,
+    pages: usize,
+) -> (Vec<u8>, Vec<u8>, Vec<Oid>, Vec<Vec<u8>>) {
     let meter = Meter::new();
     let server = Arc::new(Server::format(server_cfg(cfg), Arc::clone(&meter)).unwrap());
-    let pids = server.bulk_allocate(4).unwrap();
+    let pids = server.bulk_allocate(pages).unwrap();
     let mut oids = Vec::new();
     for &pid in &pids {
         let mut p = Page::new();
@@ -396,7 +400,7 @@ fn restart_without_checkpoint_recovers_the_committed_model() {
     ] {
         let cfg = cfg.with_memory(1.0, 0.25);
         let name = cfg.name();
-        let (data, log, oids, model) = crashed_without_checkpoint(&cfg);
+        let (data, log, oids, model) = crashed_without_checkpoint(&cfg, 4);
 
         let scfg = server_cfg(&cfg);
         let baseline = restart_observed(&data, &log, &oids, scfg.clone(), 1, None);
@@ -409,51 +413,164 @@ fn restart_without_checkpoint_recovers_the_committed_model() {
     }
 }
 
+/// Restart the given crashed media with `workers` workers and require
+/// that it fails with `LogCorrupt` — not a panic, not a recovery.
+fn assert_restart_reports_corruption(
+    data: &[u8],
+    log: &[u8],
+    scfg: ServerConfig,
+    workers: usize,
+    what: &str,
+) {
+    let parts =
+        StableParts { data_media: disk_from(data), log_media: disk_from(log), flight: None };
+    match Server::restart(parts, scfg.with_redo_workers(workers), Meter::new()) {
+        Err(QsError::LogCorrupt { .. }) => {}
+        Err(e) => panic!("{what}, workers={workers}: wrong error {e:?}"),
+        Ok(_) => panic!("{what}, workers={workers}: corruption went unnoticed"),
+    }
+}
+
+/// Media offset of byte `at(frame length)` of the last frame of `log`
+/// that `want` accepts: its physical position in the circular log body
+/// behind the header page.
+fn byte_of_last(
+    log: &[u8],
+    want: impl Fn(&LogRecord) -> bool,
+    at: impl Fn(usize) -> usize,
+) -> usize {
+    let lm = LogManager::open(disk_from(log)).unwrap();
+    let (lsn, rec) = lm
+        .scan_forward(lm.start_lsn())
+        .map(|item| item.unwrap())
+        .filter(|(_, rec)| want(rec))
+        .last()
+        .expect("scenario logs such a frame");
+    PAGE_SIZE + (lsn.0 as usize + at(rec.encoded_len())) % lm.body_capacity()
+}
+
+/// Offset of the tag byte within a frame (after the length prefix and
+/// the checksum).
+const TAG_AT: usize = 8;
+
 /// Verify-once is the only checksum policy, so it must hold at every
-/// worker count: a frame restart *uses* is checksummed before use. Flip
-/// one byte inside (a) a small `Update` frame in the analysis window,
-/// (b) a whole-page frame that redo applies, (c) the WPL image that wins
-/// its page — restart must fail with `LogCorrupt`, never recover silently.
+/// worker count and for every thread that verifies: a frame restart
+/// *uses* is checksummed before its result is used. Corrupt one byte of
+/// (a) a small `Update` frame in the analysis window, (b) one owned by the
+/// *last* analysis worker, whose error has to come back through the join,
+/// (c) a whole-page frame that redo applies, (d) the WPL image that wins
+/// its page, (e, f) a `Commit` frame and a `TxnScheme` mark, which only
+/// the analysis router reads, (g) the tag of a `Commit` frame so that the
+/// page-less record poses as a page-bearing one (a CLR) and is routed to
+/// a worker — restart must fail with `LogCorrupt`, never recover silently.
 #[test]
 fn corrupt_frame_fails_restart_loudly() {
-    // Media offset of a mid-frame byte (body, under the checksum) of the
-    // last frame `want` accepts: its physical position in the circular
-    // log body behind the header page.
-    let mid_of_last = |log: &[u8], want: fn(&LogRecord) -> bool| -> usize {
-        let lm = LogManager::open(disk_from(log)).unwrap();
-        let (lsn, rec) = lm
-            .scan_forward(lm.start_lsn())
-            .map(|item| item.unwrap())
-            .filter(|(_, rec)| want(rec))
-            .last()
-            .expect("scenario logs such a frame");
-        PAGE_SIZE + (lsn.0 as usize + rec.encoded_len() / 2) % lm.body_capacity()
+    type Want = fn(&LogRecord, usize) -> bool;
+    #[derive(Clone, Copy)]
+    enum Hit {
+        /// A mid-frame byte, under the checksum.
+        Middle,
+        /// Bit 1 of the tag byte: Commit (4) becomes CLR (6).
+        Tag,
+    }
+    // The workers partition pages with the sharded pool's hash.
+    let on_last_worker: Want = |r, workers| {
+        matches!(r, LogRecord::Update { page, .. }
+            if ShardedPool::new(workers, workers).shard_of(*page) == workers - 1)
     };
-    let is_update: fn(&LogRecord) -> bool = |r| matches!(r, LogRecord::Update { .. });
-    let is_image: fn(&LogRecord) -> bool = |r| matches!(r, LogRecord::WholePage { .. });
-    for (cfg, what, want) in [
-        (SystemConfig::pd_esm(), "Update frame", is_update),
-        (SystemConfig::pd_esm(), "redone whole-page frame", is_image),
+    let is_update: Want = |r, _| matches!(r, LogRecord::Update { .. });
+    let is_image: Want = |r, _| matches!(r, LogRecord::WholePage { .. });
+    let is_commit: Want = |r, _| matches!(r, LogRecord::Commit { .. });
+    let is_mark: Want = |r, _| matches!(r, LogRecord::TxnScheme { .. });
+    for (cfg, what, want, hit) in [
+        (SystemConfig::pd_esm(), "Update frame", is_update, Hit::Middle),
+        (SystemConfig::pd_esm(), "Update frame of the last worker", on_last_worker, Hit::Middle),
+        (SystemConfig::pd_esm(), "redone whole-page frame", is_image, Hit::Middle),
         // Every transaction committed, so the log's last image is the
         // newest committed image of its page.
-        (SystemConfig::wpl(), "winning WPL image", is_image),
+        (SystemConfig::wpl(), "winning WPL image", is_image, Hit::Middle),
+        // A commit frame has no body: its middle is the header's txn id.
+        (SystemConfig::adaptive(), "Commit frame", is_commit, Hit::Middle),
+        (SystemConfig::adaptive(), "TxnScheme mark", is_mark, Hit::Middle),
+        (SystemConfig::pd_esm(), "Commit tag posing as a CLR", is_commit, Hit::Tag),
     ] {
         let cfg = cfg.with_memory(1.0, 0.25);
-        let (data, mut log, _, _) = crashed_without_checkpoint(&cfg);
-        let at = mid_of_last(&log, want);
-        log[at] ^= 0x40;
-        for workers in [1, 2] {
-            let parts = StableParts {
-                data_media: disk_from(&data),
-                log_media: disk_from(&log),
-                flight: None,
+        // Twelve pages: every worker of four owns some `Update` frame.
+        let (data, log, _, _) = crashed_without_checkpoint(&cfg, 12);
+        for workers in [1, 2, 4] {
+            let (at, flip): (fn(usize) -> usize, u8) = match hit {
+                Hit::Middle => (|len| len / 2, 0x40),
+                Hit::Tag => (|_| TAG_AT, 0x02),
             };
-            let scfg = server_cfg(&cfg).with_redo_workers(workers);
-            match Server::restart(parts, scfg, Meter::new()) {
-                Err(QsError::LogCorrupt { .. }) => {}
-                Err(e) => panic!("{what}, workers={workers}: wrong error {e:?}"),
-                Ok(_) => panic!("{what}, workers={workers}: corruption went unnoticed"),
-            }
+            let mut bad = log.clone();
+            bad[byte_of_last(&log, |r| want(r, workers), at)] ^= flip;
+            assert_restart_reports_corruption(&data, &bad, server_cfg(&cfg), workers, what);
         }
+    }
+}
+
+/// The verify-once hole below the anchor. Analysis verifies
+/// `[anchor, end)` only, but a fuzzy checkpoint's body lists the recLSN of
+/// a page whose records were shipped early — before the begin record —
+/// while the page itself was still at the client, so the drain could not
+/// flush it and redo starts *below* the anchor. The transaction then
+/// ships the page and commits, so nothing but redo ever reads those early
+/// `Update` frames: redo must verify them itself before applying them.
+#[test]
+fn corrupt_update_frame_below_the_anchor_fails_restart_loudly() {
+    let cfg = SystemConfig::pd_esm().with_memory(1.0, 0.25);
+    let scfg = server_cfg(&cfg).with_background_flusher(true);
+    let server = Server::format(scfg.clone(), Meter::new()).unwrap();
+    let pid = server.bulk_allocate(1).unwrap()[0];
+    let mut page = Page::new();
+    let slot = page.insert(pid, &[0u8; 100]).unwrap();
+    server.bulk_write(pid, &page).unwrap();
+    server.bulk_sync().unwrap();
+
+    let txn = server.begin();
+    server.lock_page(txn, pid, qs_repro::esm::LockMode::X).unwrap();
+    let early = LogRecord::Update {
+        txn,
+        prev: Lsn::NULL,
+        page: pid,
+        slot,
+        offset: 0,
+        before: vec![0u8; 20],
+        after: vec![0xA5; 20],
+    };
+    server.receive_log_records(txn, vec![early]).unwrap();
+    // A complete fuzzy checkpoint: its body carries the page's recLSN,
+    // its drain finds no page to flush.
+    server.checkpoint().unwrap();
+    page.object_mut(pid, slot).unwrap()[..20].copy_from_slice(&[0xA5; 20]);
+    server.receive_dirty_page(txn, pid, page).unwrap();
+    server.commit(txn).unwrap();
+    let parts = server.crash();
+    let (data, log) = (image(&parts.data_media), image(&parts.log_media));
+
+    // The scenario is the one described: the anchor is above the frame,
+    // and an intact log redoes it.
+    let lm = LogManager::open(disk_from(&log)).unwrap();
+    let (early_lsn, _) = lm
+        .scan_forward(lm.start_lsn())
+        .map(|item| item.unwrap())
+        .find(|(_, r)| matches!(r, LogRecord::Update { .. }))
+        .unwrap();
+    assert!(early_lsn < lm.checkpoint_lsn(), "the Update frame must precede the anchor");
+    let intact = restart_observed(&data, &log, &[Oid::new(pid, slot)], scfg.clone(), 1, None);
+    assert_eq!(intact.values[0][..20], [0xA5; 20], "redo applies the early frame");
+    assert_eq!(intact.phases[1], ("redo", 1, 1, 1, 0));
+
+    let mut log = log;
+    let at = byte_of_last(&log, |r| matches!(r, LogRecord::Update { .. }), |len| len - 10);
+    log[at] ^= 0x40;
+    for workers in [1, 2] {
+        assert_restart_reports_corruption(
+            &data,
+            &log,
+            scfg.clone(),
+            workers,
+            "Update frame below the anchor",
+        );
     }
 }
