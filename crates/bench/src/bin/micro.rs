@@ -19,6 +19,7 @@
 //!                      exits non-zero on malformed or incomplete files
 
 use qs_esm::{BufferPool, ClientConn, LockManager, LockMode, Server, ServerConfig};
+use qs_oo7::{generate, t1, Oo7Params};
 use qs_sim::{JsonWriter, Meter};
 use qs_storage::{MemDisk, Page, StableMedia};
 use qs_types::{ClientId, Lsn, Oid, PageId, TxnId, LOG_HEADER_SIZE, PAGE_SIZE};
@@ -45,6 +46,10 @@ const EXPECTED_NAMES: &[&str] = &[
     "avl/insert_remove_cycle",
     "buffer_pool/hit_get",
     "buffer_pool/miss_insert_evict",
+    "store/read_hit",
+    "store/view_hit",
+    "store/write_hit",
+    "oo7/t1_visit",
     "wal/append_update_record",
     "wal/encode_decode_round_trip",
     "lock_manager/uncontended_x_lock_release",
@@ -80,7 +85,13 @@ impl Harness {
     /// Run `f` `iters_per_batch` times per batch, `self.batches` batches,
     /// after one warmup batch; record and print median/min/max ns per
     /// iteration.
-    fn bench<F: FnMut()>(&mut self, name: &str, iters_per_batch: u64, mut f: F) {
+    fn bench<F: FnMut()>(&mut self, name: &str, iters_per_batch: u64, f: F) {
+        self.bench_units(name, iters_per_batch, 1, f);
+    }
+
+    /// Like [`Harness::bench`] for an `f` that does `units` units of work
+    /// per call (a whole traversal, say): times are reported per unit.
+    fn bench_units<F: FnMut()>(&mut self, name: &str, iters_per_batch: u64, units: u64, mut f: F) {
         let iters = (iters_per_batch / self.iter_shrink).max(1);
         for _ in 0..iters {
             f(); // warmup
@@ -91,7 +102,7 @@ impl Harness {
                 for _ in 0..iters {
                     f();
                 }
-                t0.elapsed().as_nanos() as f64 / iters as f64
+                t0.elapsed().as_nanos() as f64 / (iters * units) as f64
             })
             .collect();
         per_iter_ns.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -244,6 +255,70 @@ fn bench_buffer_pool(h: &mut Harness) {
     });
 }
 
+/// Bulk-load 64 pages of 32 zeroed 128-byte objects; returns their ids.
+fn bulk_load_objects(server: &Server) -> Vec<Oid> {
+    let mut oids = Vec::new();
+    for pid in server.bulk_allocate(64).unwrap() {
+        let mut p = Page::new();
+        for _ in 0..32 {
+            oids.push(Oid::new(pid, p.insert(pid, &[0u8; 128]).unwrap()));
+        }
+        server.bulk_write(pid, &p).unwrap();
+    }
+    server.bulk_sync().unwrap();
+    oids
+}
+
+/// The client access path on a warm cache (DESIGN.md "client access
+/// path"): what one object access that does not fault costs through
+/// `Store` — a copying read, an in-place view, an in-place write to an
+/// already write-enabled page — and what one OO7 T1 object visit costs
+/// end to end (meter tick, translation, reference extraction, visited set).
+fn bench_access_path(h: &mut Harness) {
+    println!("-- client access path (warm cache, no faults) --");
+    let cfg = SystemConfig::pd_esm().with_memory(2.0, 0.5);
+    let meter = Meter::new();
+    let server_cfg =
+        ServerConfig::new(cfg.flavor).with_pool_mb(4.0).with_volume_pages(2048).with_log_mb(64.0);
+    let server = Arc::new(Server::format(server_cfg, Arc::clone(&meter)).unwrap());
+    let oids = bulk_load_objects(&server);
+    let db = generate(&server, &Oo7Params::tiny(), 11).unwrap();
+    let client = ClientConn::new(ClientId(0), server, cfg.client_pool_pages(), Arc::clone(&meter));
+    let mut store = Store::new(client, cfg).unwrap();
+
+    // One open transaction that has already read-faulted and write-faulted
+    // every page, so the timed accesses take no fault.
+    store.begin().unwrap();
+    for &oid in &oids {
+        store.write(oid, 0, &[1u8; 8]).unwrap();
+    }
+    let (mut i, n) = (0usize, oids.len());
+    let mut next = move || {
+        i = (i + 7) % n;
+        i
+    };
+    h.bench("store/read_hit", 200_000, || {
+        black_box(store.read(oids[next()]).unwrap());
+    });
+    h.bench("store/view_hit", 200_000, || {
+        black_box(store.with_object(oids[next()], |b| b[0]).unwrap());
+    });
+    h.bench("store/write_hit", 200_000, || {
+        let k = next();
+        store.write(oids[k], 8, &[k as u8; 8]).unwrap();
+    });
+    store.commit().unwrap();
+
+    store.begin().unwrap();
+    let before = meter.snapshot().visits;
+    t1(&mut store, &db.modules[0]).unwrap(); // faults the module in
+    let visits = meter.snapshot().visits - before;
+    h.bench_units("oo7/t1_visit", 2_000, visits, || {
+        black_box(t1(&mut store, &db.modules[0]).unwrap());
+    });
+    store.commit().unwrap();
+}
+
 fn bench_log(h: &mut Harness) {
     println!("-- wal --");
     let media: Arc<dyn StableMedia> = Arc::new(MemDisk::new(LogManager::required_bytes(64 << 20)));
@@ -309,16 +384,7 @@ fn bench_update_paths(h: &mut Harness) {
             )
             .unwrap(),
         );
-        let pids = server.bulk_allocate(64).unwrap();
-        let mut oids = Vec::new();
-        for &pid in &pids {
-            let mut p = Page::new();
-            for _ in 0..32 {
-                oids.push(Oid::new(pid, p.insert(pid, &[0u8; 128]).unwrap()));
-            }
-            server.bulk_write(pid, &p).unwrap();
-        }
-        server.bulk_sync().unwrap();
+        let oids = bulk_load_objects(&server);
         let client = ClientConn::new(ClientId(0), server, cfg.client_pool_pages(), meter);
         let mut store = Store::new(client, cfg).unwrap();
         h.bench(&format!("update_path/txn_64pages_2048_updates/{name}"), 3, || {
@@ -406,6 +472,7 @@ fn main() {
     bench_diff(&mut h);
     bench_avl(&mut h);
     bench_buffer_pool(&mut h);
+    bench_access_path(&mut h);
     bench_log(&mut h);
     bench_locks(&mut h);
     bench_update_paths(&mut h);

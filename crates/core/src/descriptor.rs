@@ -13,8 +13,7 @@
 //! the same frame.
 
 use crate::avl::AvlMap;
-use qs_types::{FrameId, PageId, QsError, QsResult, VAddr, PAGE_SIZE};
-use std::collections::HashMap;
+use qs_types::{FrameId, IdMap, PageId, QsError, QsResult, VAddr, PAGE_SIZE};
 
 /// Status of one mapped page (Figure 1's page-descriptor entry).
 #[derive(Debug, Clone)]
@@ -65,7 +64,7 @@ impl PageDescriptor {
 /// The descriptor table: page → descriptor plus the AVL index by address.
 #[derive(Debug, Default)]
 pub struct DescriptorTable {
-    by_page: HashMap<PageId, PageDescriptor>,
+    by_page: IdMap<PageId, PageDescriptor>,
     by_vaddr: AvlMap<u64, PageId>,
 }
 
@@ -113,9 +112,9 @@ impl DescriptorTable {
         })
     }
 
-    /// Iterate all descriptors (commit-time reset).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut PageDescriptor> {
-        self.by_page.values_mut()
+    /// Iterate all descriptors, in no particular order (invariant checks).
+    pub fn iter(&self) -> impl Iterator<Item = &PageDescriptor> {
+        self.by_page.values()
     }
 
     /// AVL height (diagnostics: must stay logarithmic in mapped pages).

@@ -3,12 +3,14 @@
 //! algorithm, and the ESM client.
 //!
 //! An application reads persistent objects "by dereferencing standard
-//! virtual memory pointers": here [`Store::read`] / [`Store::read_at`]
-//! check the access against the MMU and, on a fault, run the QuickStore
-//! fault handler (fetch + map on a mapping fault; enable recovery on a
-//! write-protection fault — §3.2.1's sequence: descriptor search in the
-//! AVL table, page copy into the recovery buffer, exclusive lock, enable
-//! write access).
+//! virtual memory pointers": here [`Store::with_object`] / [`Store::read`] /
+//! [`Store::read_at`] translate the object id once, check the access
+//! against the MMU and, on a fault, run the QuickStore fault handler (fetch
+//! and map on a mapping fault; enable recovery on a write-protection fault
+//! — §3.2.1's sequence: descriptor search in the AVL table, page copy into
+//! the recovery buffer, exclusive lock, enable write access). An access
+//! that does not fault costs one descriptor lookup, one pool lookup and the
+//! protection check (DESIGN.md "client access path").
 //!
 //! Updates take one of two routes, matching the paper's two detection
 //! strategies:
@@ -29,16 +31,15 @@ use crate::config::{LogGeneration, SystemConfig};
 use crate::descriptor::DescriptorTable;
 use crate::diff;
 use crate::recovery_buffer::{Copied, RecoveryBuffer};
-use qs_esm::{ClientConn, RecoveryFlavor};
+use qs_esm::{ClientConn, PoolSlot, RecoveryFlavor};
 use qs_sim::Meter;
 use qs_storage::Page;
 use qs_trace::{TraceCat, Tracer};
 use qs_types::{
-    FrameId, Lsn, Oid, PageId, QsError, QsResult, TxnId, VAddr, LOG_HEADER_SIZE, PAGE_SIZE,
+    IdSet, Lsn, Oid, PageId, QsError, QsResult, TxnId, VAddr, LOG_HEADER_SIZE, PAGE_SIZE,
 };
 use qs_vmem::{AccessFault, Mmu, Prot};
 use qs_wal::{RecordWriter, SchemeCode};
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -55,10 +56,6 @@ struct CommitScratch {
     ranges: Vec<(usize, usize)>,
     /// Encoded log records for the page being flushed.
     enc: Vec<u8>,
-    /// Reusable page snapshot: `flush_records_for` needs the page content
-    /// while the client connection is mutably borrowed, so commit and
-    /// overflow copy into this instead of cloning the cached page.
-    snapshot: Option<Box<Page>>,
 }
 
 /// Diff regions computed by the adaptive pricing pass, kept for the
@@ -93,6 +90,38 @@ impl PricedDiffs {
     }
 }
 
+/// Which bytes of an object an access covers.
+#[derive(Clone, Copy)]
+enum Span {
+    /// The whole object (its length comes from the slot directory).
+    Object,
+    /// `len` bytes starting `offset` bytes into the object.
+    Bytes { offset: usize, len: usize },
+}
+
+/// An access that passed translation and the protection check: where its
+/// bytes are, and the cached page holding them.
+struct Hit<'a> {
+    /// Virtual address of the first byte accessed.
+    va: VAddr,
+    /// Offset of that byte within the page.
+    start: usize,
+    len: usize,
+    slot: PoolSlot<'a>,
+}
+
+impl<'a> Hit<'a> {
+    fn bytes(&self) -> &[u8] {
+        &self.slot.page().bytes()[self.start..self.start + self.len]
+    }
+
+    /// The bytes for an in-place store: the page becomes dirty and
+    /// most-recently used.
+    fn bytes_mut(self) -> &'a mut [u8] {
+        &mut self.slot.update().bytes_mut()[self.start..self.start + self.len]
+    }
+}
+
 /// A QuickStore client store.
 pub struct Store {
     cfg: SystemConfig,
@@ -102,7 +131,11 @@ pub struct Store {
     rbuf: RecoveryBuffer,
     /// Pages created by the current transaction (flushed as whole-page
     /// images, the way ESM logs new pages).
-    created: HashSet<PageId>,
+    created: IdSet<PageId>,
+    /// Pages mapped (faulted in or created) by the current transaction —
+    /// the only descriptors and frames a commit or abort has to reset. A
+    /// page evicted and re-fetched appears twice; the reset is idempotent.
+    touched: Vec<PageId>,
     /// Allocation cursor: the created page new objects go to.
     alloc_cursor: Option<PageId>,
     scratch: CommitScratch,
@@ -139,34 +172,13 @@ impl Store {
             mmu,
             table: DescriptorTable::new(),
             rbuf,
-            created: HashSet::new(),
+            created: IdSet::default(),
+            touched: Vec::new(),
             alloc_cursor: None,
             scratch: CommitScratch::default(),
             elector,
             priced: PricedDiffs::default(),
         })
-    }
-
-    /// Snapshot a cached page into the reusable scratch page and run
-    /// `flush_records_for` against it (the page content must outlive a
-    /// mutable borrow of the client connection).
-    fn flush_records_for_cached(&mut self, pid: PageId) -> QsResult<()> {
-        if self.cfg.log_gen == LogGeneration::WholePage {
-            return Ok(()); // no client log records, ever — skip the snapshot
-        }
-        let mut snap = self.scratch.snapshot.take().unwrap_or_else(|| Box::new(Page::new()));
-        match self.client.peek(pid) {
-            Some(page) => snap.bytes_mut().copy_from_slice(page.bytes()),
-            None => {
-                self.scratch.snapshot = Some(snap);
-                return Err(QsError::Protocol {
-                    detail: format!("recovery copy of {pid} outlived its cached page"),
-                });
-            }
-        }
-        let res = self.flush_records_for(pid, &snap);
-        self.scratch.snapshot = Some(snap);
-        res
     }
 
     pub fn tracer(&self) -> &Arc<Tracer> {
@@ -309,7 +321,7 @@ impl Store {
         self.ensure_elected(&dirty, None)?;
         let diff_t0 = tracer.now_secs();
         for &pid in &dirty {
-            self.flush_records_for_cached(pid)?;
+            self.flush_records_for(pid, None)?;
         }
         tracer.record_secs("commit_diff", tracer.now_secs() - diff_t0);
         for &pid in &dirty {
@@ -323,12 +335,18 @@ impl Store {
         Ok(())
     }
 
-    /// Abort: discard local dirty state and roll back at the server.
+    /// Abort: discard local uncommitted state and roll back at the server.
     pub fn abort(&mut self) -> QsResult<()> {
-        // Dirty pages are dropped by the client; unmap their frames.
-        for pid in self.client.dirty_pages() {
-            if let Some(d) = self.table.get(pid) {
+        // Every page this transaction X-locked may hold uncommitted bytes:
+        // unmap it and drop it from the cache. Going by the lock rather
+        // than the pool's dirty bit matters for a page that was evicted
+        // mid-transaction (shipped to the server) and fetched back — clean
+        // in the pool, yet the image the server is about to undo.
+        for &pid in &self.touched {
+            let d = self.table.get(pid).expect("touched pages are bound");
+            if d.x_locked {
                 self.mmu.protect(d.frame, Prot::None)?;
+                self.client.discard(pid);
             }
         }
         self.client.abort()?;
@@ -343,18 +361,45 @@ impl Store {
         self.rbuf.clear();
         self.created.clear();
         self.alloc_cursor = None;
-        let mut to_reprotect = Vec::new();
-        for d in self.table.iter_mut() {
+        for pid in self.touched.drain(..) {
+            // Every frame mapped this transaction drops to no-access: with
+            // locks released, the next transaction's first touch of each
+            // page must fault so it can re-acquire a lock (cached pages,
+            // uncached locks). Pages not touched are already in that state.
+            let d = self.table.get_mut(pid).expect("touched pages are bound");
             d.end_txn();
-            to_reprotect.push((d.page, d.frame));
+            self.mmu.protect(d.frame, Prot::None)?;
         }
-        for (_pid, frame) in to_reprotect {
-            // Every frame drops to no-access: with locks released, the
-            // next transaction's first touch of each page must fault so it
-            // can re-acquire a lock (cached pages, uncached locks).
-            self.mmu.protect(frame, Prot::None)?;
-        }
+        debug_assert_eq!(self.invariant_violation(), None);
         Ok(())
+    }
+
+    /// Check the translation invariants the access path relies on
+    /// (DESIGN.md "client access path"); `None` when they hold.
+    ///
+    /// * A frame with any access (`Prot::Read` / `ReadWrite`) maps a page
+    ///   that is cached *and* S-locked by the running transaction — so the
+    ///   protection check alone decides whether an access may touch bytes.
+    /// * Outside a transaction every frame is `Prot::None` and no
+    ///   descriptor carries a lock or recovery flag.
+    fn invariant_violation(&self) -> Option<String> {
+        let in_txn = self.client.in_txn();
+        for d in self.table.iter() {
+            let prot = self.mmu.prot(d.frame);
+            if prot != Prot::None && !(self.client.cached(d.page) && d.s_locked) {
+                return Some(format!(
+                    "{} is {prot:?} but cached={} s_locked={}",
+                    d.page,
+                    self.client.cached(d.page),
+                    d.s_locked
+                ));
+            }
+            let flagged = d.s_locked || d.x_locked || d.recovery_enabled || d.created_this_txn;
+            if !in_txn && (prot != Prot::None || flagged) {
+                return Some(format!("{} keeps {prot:?} / {d:?} outside a transaction", d.page));
+            }
+        }
+        None
     }
 
     /// Re-divide client memory between the buffer pool and the recovery
@@ -385,56 +430,48 @@ impl Store {
         Ok(())
     }
 
+    /// Drop every cached page (cold-cache runs). Only legal between
+    /// transactions, when every cached page is clean and every frame is
+    /// already unmapped — the next access to any page takes a mapping fault.
+    pub fn flush_cache(&mut self) -> QsResult<()> {
+        if self.client.in_txn() {
+            return Err(QsError::Protocol {
+                detail: "the client cache can only be dropped between transactions".into(),
+            });
+        }
+        self.client.flush_cache();
+        Ok(())
+    }
+
     // ---------------------------------------------------------------------
     // Mapping and the fault handler
     // ---------------------------------------------------------------------
 
-    /// The virtual address of an object's first byte, mapping its page in
-    /// if necessary — i.e. what a swizzled pointer to the object holds.
-    pub fn resolve(&mut self, oid: Oid) -> QsResult<VAddr> {
-        let frame = self.ensure_mapped(oid.page)?;
-        let page = self.client.peek(oid.page).expect("just mapped");
-        let (off, _len) = page.object_offset(oid.page, oid.slot)?;
-        Ok(VAddr::new(frame, off))
-    }
-
-    /// Object length (schema lookup in a real system).
-    pub fn object_len(&mut self, oid: Oid) -> QsResult<usize> {
-        self.ensure_mapped(oid.page)?;
-        let page = self.client.peek(oid.page).expect("just mapped");
-        Ok(page.object_offset(oid.page, oid.slot)?.1)
-    }
-
-    /// Ensure `pid` is resident and mapped; returns its frame. This is the
-    /// *mapping fault* path: LRU room is made (evictions run the paging
-    /// branch of the recovery machinery), the page is fetched with a shared
-    /// lock, and the frame becomes readable.
-    fn ensure_mapped(&mut self, pid: PageId) -> QsResult<FrameId> {
-        if let Some(d) = self.table.get(pid) {
-            let frame = d.frame;
-            if self.client.cached(pid) {
-                if !d.s_locked {
-                    // First touch this transaction: the frame was left
-                    // unprotected at the last commit (locks are not cached
-                    // across transactions), so the access faults, the page
-                    // is S-locked at the server, and the frame becomes
-                    // readable again.
-                    self.meter().read_faults.fetch_add(1, Ordering::Relaxed);
-                    self.client.s_lock(pid)?;
-                    self.mmu.protect(frame, Prot::Read)?;
-                    self.table.get_mut(pid).expect("descriptor").s_locked = true;
-                }
-                return Ok(frame);
-            }
-        }
-        // Mapping fault.
+    /// The *mapping fault* handler: `pid`'s frame admits no access, so the
+    /// dereference faulted. Either the page is still cached from an earlier
+    /// transaction (locks are not cached, §3.1: S-lock it at the server and
+    /// re-protect the frame) or it is not resident: LRU room is made
+    /// (evictions run the paging branch of the recovery machinery), the
+    /// page is fetched with a shared lock, and the frame becomes readable.
+    fn map_fault(&mut self, pid: PageId) -> QsResult<()> {
         self.meter().read_faults.fetch_add(1, Ordering::Relaxed);
+        let bound = self.table.get(pid).map(|d| (d.frame, d.s_locked));
+        if let Some((frame, s_locked)) = bound.filter(|_| self.client.cached(pid)) {
+            // First touch this transaction: the frame was left unprotected
+            // at the last commit, so the access faulted; lock, then map.
+            debug_assert!(!s_locked, "{pid} cached and locked yet unmapped");
+            self.client.s_lock(pid)?;
+            self.mmu.protect(frame, Prot::Read)?;
+            self.table.get_mut(pid).expect("descriptor").s_locked = true;
+            self.touched.push(pid);
+            return Ok(());
+        }
         while let Some(ev) = self.client.ensure_room() {
             self.on_client_eviction(ev)?;
         }
         self.client.fetch_page(pid, qs_esm::LockMode::S)?;
-        let frame = match self.table.get(pid) {
-            Some(d) => d.frame,
+        let frame = match bound {
+            Some((frame, _)) => frame,
             None => {
                 let f = self.mmu.alloc_frame();
                 self.table.bind(pid, f);
@@ -442,12 +479,12 @@ impl Store {
             }
         };
         self.mmu.protect(frame, Prot::Read)?;
-        if let Some(d) = self.table.get_mut(pid) {
-            // Residency was lost; recovery state starts over for this page.
-            d.recovery_enabled = false;
-            d.s_locked = true; // the fetch acquired the lock at the server
-        }
-        Ok(frame)
+        let d = self.table.get_mut(pid).expect("descriptor");
+        // Residency was lost; recovery state starts over for this page.
+        d.recovery_enabled = false;
+        d.s_locked = true; // the fetch acquired the lock at the server
+        self.touched.push(pid);
+        Ok(())
     }
 
     /// A page left the client buffer pool. If dirty, this is the paper's
@@ -465,7 +502,7 @@ impl Store {
             // is already dirty), and sticks for the rest of the transaction.
             let dirty = self.client.dirty_pages();
             self.ensure_elected(&dirty, Some((pid, &ev.page)))?;
-            self.flush_records_for(pid, &ev.page)?;
+            self.flush_records_for(pid, Some(&ev.page))?;
             self.client.ship_dirty_page(pid, ev.page)?;
             if let Some(d) = self.table.get_mut(pid) {
                 // Lock stays held (strict 2PL) but recovery must be
@@ -484,12 +521,12 @@ impl Store {
     /// exclusive lock if needed, and enable write access on the frame.
     fn write_fault(&mut self, va: VAddr) -> QsResult<()> {
         self.meter().write_faults.fetch_add(1, Ordering::Relaxed);
-        let (pid, frame) = {
+        let (pid, frame, x_locked) = {
             let d = self.table.lookup_vaddr(va)?;
-            (d.page, d.frame)
+            (d.page, d.frame, d.x_locked)
         };
         // Exclusive lock, if not already held this transaction.
-        if !self.table.get(pid).expect("descriptor").x_locked {
+        if !x_locked {
             self.client.x_lock(pid)?;
             let d = self.table.get_mut(pid).expect("descriptor");
             d.x_locked = true;
@@ -543,7 +580,7 @@ impl Store {
         self.ensure_elected(&dirty, None)?;
         for pid in victims {
             self.tracer().event(TraceCat::RbufEvict, "overflow", pid.0 as u64, need as u64);
-            self.flush_records_for_cached(pid)?;
+            self.flush_records_for(pid, None)?;
             // The page stays dirty and updatable: recovery remains enabled
             // (write access is already on); future updates will be captured
             // by a *fresh* copy on the next fault? No — write access is
@@ -566,73 +603,101 @@ impl Store {
     // Object access
     // ---------------------------------------------------------------------
 
-    fn object_va(&mut self, oid: Oid, offset: usize, len: usize) -> QsResult<(VAddr, usize)> {
-        let frame = self.ensure_mapped(oid.page)?;
-        let page = self.client.peek(oid.page).expect("mapped");
-        let (obj_off, obj_len) = page.object_offset(oid.page, oid.slot)?;
-        // checked_add: `offset + len` near usize::MAX must be rejected, not
-        // wrap around (release) or abort (debug) before the range check.
-        if offset.checked_add(len).is_none_or(|end| end > obj_len) {
-            return Err(QsError::Protocol {
-                detail: format!(
-                    "access [{offset}, {offset}+{len}) past end of {oid:?} ({obj_len} bytes)"
-                ),
-            });
+    /// The one translation step every object access goes through, and the
+    /// one fault loop. On the path that does not fault it costs one
+    /// descriptor lookup (`oid.page` → frame), the protection gate, one
+    /// pool lookup (→ the cached page), the slot-directory read and the
+    /// MMU check of the exact byte range; `hit` then gets the bytes.
+    ///
+    /// The gate reads the frame's protection instead of asking "is the
+    /// page cached, is it locked": a frame with any access maps a page
+    /// that is cached and S-locked ([`Store::invariant_violation`]), so
+    /// nothing else needs looking up. A frame with no access — never
+    /// bound, evicted, or left unmapped by the last commit or abort — takes
+    /// the mapping fault; a write to a read-only frame takes the
+    /// write-protection fault; either handler runs and the access restarts,
+    /// as a faulting instruction would.
+    fn access<R>(
+        &mut self,
+        oid: Oid,
+        span: Span,
+        write: bool,
+        hit: impl FnOnce(Hit<'_>) -> R,
+    ) -> QsResult<R> {
+        let pid = oid.page;
+        loop {
+            let frame = self.table.get(pid).map(|d| d.frame);
+            let Some(frame) = frame.filter(|&f| self.mmu.prot(f) != Prot::None) else {
+                self.map_fault(pid)?;
+                continue;
+            };
+            let slot = self.client.slot(pid).ok_or_else(|| QsError::Protocol {
+                detail: format!("{pid} is mapped but not resident"),
+            })?;
+            let (obj_off, obj_len) = slot.page().object_offset(pid, oid.slot)?;
+            let (offset, len) = match span {
+                Span::Object => (0, obj_len),
+                Span::Bytes { offset, len } => (offset, len),
+            };
+            // checked_add: `offset + len` near usize::MAX must be rejected,
+            // not wrap around (release) or abort (debug) before the range
+            // check.
+            if offset.checked_add(len).is_none_or(|end| end > obj_len) {
+                return Err(QsError::Protocol {
+                    detail: format!(
+                        "access [{offset}, {offset}+{len}) past end of {oid:?} ({obj_len} bytes)"
+                    ),
+                });
+            }
+            let start = obj_off + offset;
+            let va = VAddr::new(frame, start);
+            let checked = if write {
+                self.mmu.check_write(va, len)?
+            } else {
+                self.mmu.check_read(va, len)?
+            };
+            match checked {
+                Ok(_) => return Ok(hit(Hit { va, start, len, slot })),
+                Err(AccessFault::WriteProtected(_)) => self.write_fault(va)?,
+                Err(AccessFault::Unmapped(_)) => self.map_fault(pid)?,
+            }
         }
-        Ok((VAddr::new(frame, obj_off + offset), obj_off))
+    }
+
+    /// The virtual address of an object's first byte, mapping its page in
+    /// if necessary — i.e. what a swizzled pointer to the object holds.
+    pub fn resolve(&mut self, oid: Oid) -> QsResult<VAddr> {
+        self.access(oid, Span::Object, false, |hit| hit.va)
+    }
+
+    /// Object length (schema lookup in a real system).
+    pub fn object_len(&mut self, oid: Oid) -> QsResult<usize> {
+        self.access(oid, Span::Object, false, |hit| hit.len)
+    }
+
+    /// Dereference an object: `f` sees its bytes where they sit in the
+    /// mapped page — no copy. The borrow ends with `f`, so take out what
+    /// the next access needs (references, field values) before making it.
+    pub fn with_object<R>(&mut self, oid: Oid, f: impl FnOnce(&[u8]) -> R) -> QsResult<R> {
+        self.access(oid, Span::Object, false, |hit| f(hit.bytes()))
+    }
+
+    /// Read a whole object into a fresh buffer.
+    pub fn read(&mut self, oid: Oid) -> QsResult<Vec<u8>> {
+        self.with_object(oid, <[u8]>::to_vec)
     }
 
     /// Read `len` bytes of an object at `offset` (a pointer dereference).
     pub fn read_at(&mut self, oid: Oid, offset: usize, len: usize) -> QsResult<Vec<u8>> {
-        let (va, _) = self.object_va(oid, offset, len)?;
-        loop {
-            match self.mmu.check_read(va, len)? {
-                Ok(_) => break,
-                Err(AccessFault::Unmapped(_)) => {
-                    self.ensure_mapped(oid.page)?;
-                }
-                Err(AccessFault::WriteProtected(_)) => unreachable!("reads never write-fault"),
-            }
-        }
-        let page = self.client.peek(oid.page).expect("mapped");
-        let (obj_off, obj_len) = page.object_offset(oid.page, oid.slot)?;
-        // Re-validated after the fault loop: never slice out of range.
-        if offset.checked_add(len).is_none_or(|end| end > obj_len) {
-            return Err(QsError::Protocol {
-                detail: format!(
-                    "read [{offset}, {offset}+{len}) past end of {oid:?} ({obj_len} bytes)"
-                ),
-            });
-        }
-        Ok(page.bytes()[obj_off + offset..obj_off + offset + len].to_vec())
-    }
-
-    /// Read a whole object.
-    pub fn read(&mut self, oid: Oid) -> QsResult<Vec<u8>> {
-        let len = self.object_len(oid)?;
-        self.read_at(oid, 0, len)
+        self.access(oid, Span::Bytes { offset, len }, false, |hit| hit.bytes().to_vec())
     }
 
     /// Raw in-place update through the mapped frame (PD / WPL / REDO): the
     /// first store to a protected page triggers the write fault.
     pub fn write(&mut self, oid: Oid, offset: usize, data: &[u8]) -> QsResult<()> {
-        let (va, _) = self.object_va(oid, offset, data.len())?;
-        loop {
-            match self.mmu.check_write(va, data.len())? {
-                Ok(_) => break,
-                Err(AccessFault::Unmapped(_)) => {
-                    self.ensure_mapped(oid.page)?;
-                }
-                Err(AccessFault::WriteProtected(_)) => self.write_fault(va)?,
-            }
-        }
-        let page = self
-            .client
-            .page_mut(oid.page)
-            .ok_or(QsError::Protocol { detail: format!("page {} not resident", oid.page) })?;
-        let obj = page.object_mut(oid.page, oid.slot)?;
-        obj[offset..offset + data.len()].copy_from_slice(data);
-        self.client.mark_dirty(oid.page);
+        self.access(oid, Span::Bytes { offset, len: data.len() }, true, |hit| {
+            hit.bytes_mut().copy_from_slice(data)
+        })?;
         self.meter().updates.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -646,14 +711,15 @@ impl Store {
         let block = self.cfg.log_gen.block_size().ok_or(QsError::Protocol {
             detail: format!("Store::update under {} (hardware scheme)", self.cfg.name()),
         })?;
-        let (va, obj_off) = self.object_va(oid, offset, data.len())?;
+        let span = Span::Bytes { offset, len: data.len() };
+        let (va, start) = self.access(oid, span, false, |hit| (hit.va, hit.start))?;
         self.meter().update_fn_calls.fetch_add(1, Ordering::Relaxed);
-        let pid = {
+        let (pid, x_locked) = {
             let d = self.table.lookup_vaddr(va)?;
-            d.page
+            (d.page, d.x_locked)
         };
         debug_assert_eq!(pid, oid.page);
-        if !self.table.get(pid).expect("descriptor").x_locked {
+        if !x_locked {
             self.client.x_lock(pid)?;
             let d = self.table.get_mut(pid).expect("descriptor");
             d.x_locked = true;
@@ -662,7 +728,6 @@ impl Store {
         // Copy every touched, not-yet-copied block (cheap index arithmetic
         // on the faulting address, as the paper stresses).
         if !self.created.contains(&pid) {
-            let start = obj_off + offset;
             let end = start + data.len();
             let first = (start / block) as u16;
             let last = ((end - 1) / block) as u16;
@@ -681,10 +746,8 @@ impl Store {
             }
         }
         self.table.get_mut(pid).expect("descriptor").recovery_enabled = true;
-        let page = self.client.page_mut(pid).expect("mapped");
-        let obj = page.object_mut(oid.page, oid.slot)?;
-        obj[offset..offset + data.len()].copy_from_slice(data);
-        self.client.mark_dirty(pid);
+        let page = self.client.slot(pid).expect("mapped").update();
+        page.bytes_mut()[start..start + data.len()].copy_from_slice(data);
         self.meter().updates.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -708,12 +771,9 @@ impl Store {
     /// this transaction (flushed as whole-page images at commit).
     pub fn allocate(&mut self, data: &[u8]) -> QsResult<Oid> {
         if let Some(pid) = self.alloc_cursor {
-            let fits =
-                self.client.peek(pid).map(|p| p.free_space() >= data.len() + 8).unwrap_or(false);
-            if fits {
-                let page = self.client.page_mut(pid).expect("cursor page resident");
-                let slot = page.insert(pid, data)?;
-                self.client.mark_dirty(pid);
+            let room = self.client.slot(pid).filter(|s| s.page().free_space() >= data.len() + 8);
+            if let Some(cursor) = room {
+                let slot = cursor.update().insert(pid, data)?;
                 self.meter().updates.fetch_add(1, Ordering::Relaxed);
                 return Ok(Oid::new(pid, slot));
             }
@@ -740,6 +800,7 @@ impl Store {
         d.s_locked = true;
         d.recovery_enabled = true;
         d.created_this_txn = true;
+        self.touched.push(pid);
         self.created.insert(pid);
         self.alloc_cursor = Some(pid);
         self.meter().updates.fetch_add(1, Ordering::Relaxed);
@@ -751,14 +812,15 @@ impl Store {
     // ---------------------------------------------------------------------
 
     /// Generate and queue log records describing all captured updates to
-    /// `pid`, then release its recovery-buffer space. `current` is the
-    /// page's updated content.
+    /// `pid`, then release its recovery-buffer space. `evicted` is the
+    /// page's updated content when it has just left the client pool;
+    /// otherwise the page is diffed where it sits in the pool.
     ///
     /// The records are serialized straight into the reused scratch buffer
     /// (`qs_wal::RecordWriter` over borrowed before/after slices) and
     /// handed to the client as encoded bytes — after warm-up, no heap
     /// allocation happens per record.
-    fn flush_records_for(&mut self, pid: PageId, current: &Page) -> QsResult<()> {
+    fn flush_records_for(&mut self, pid: PageId, evicted: Option<&Page>) -> QsResult<()> {
         if self.cfg.log_gen == LogGeneration::WholePage {
             return Ok(()); // no client log records, ever
         }
@@ -767,6 +829,61 @@ impl Store {
         // scheme; `None` under the fixed schemes (and for the rare adaptive
         // transaction whose write set priced to nothing).
         let elected = if self.cfg.adaptive_scheme { self.client.elected_scheme() } else { None };
+        let current = match evicted {
+            Some(page) => page,
+            None => self.client.peek(pid).ok_or_else(|| QsError::Protocol {
+                detail: format!("recovery copy of {pid} outlived its cached page"),
+            })?,
+        };
+        let queue = RecordGen {
+            cfg: &self.cfg,
+            rbuf: &mut self.rbuf,
+            created: &mut self.created,
+            alloc_cursor: &mut self.alloc_cursor,
+            scratch: &mut self.scratch,
+            priced: &self.priced,
+            sd_block: self.elector.as_ref().map_or(SystemConfig::DEFAULT_BLOCK, |e| e.block),
+            meter: self.client.meter(),
+            tracer: self.client.tracer(),
+        }
+        .encode(txn, elected, pid, current)?;
+        if queue {
+            self.client.add_encoded_records(pid, &self.scratch.enc)
+        } else {
+            // Nothing to log; declare the page logged to satisfy the
+            // log-before-page ordering rule.
+            self.client.note_page_logged(pid)
+        }
+    }
+}
+
+/// The [`Store`] fields log-record generation works on, borrowed apart from
+/// the client connection so the page being flushed can be read in place in
+/// the client's pool while its records are encoded.
+struct RecordGen<'a> {
+    cfg: &'a SystemConfig,
+    rbuf: &'a mut RecoveryBuffer,
+    created: &'a mut IdSet<PageId>,
+    alloc_cursor: &'a mut Option<PageId>,
+    scratch: &'a mut CommitScratch,
+    priced: &'a PricedDiffs,
+    /// Block size an `Sd`-elected adaptive transaction rounds spans out to.
+    sd_block: usize,
+    meter: &'a Meter,
+    tracer: &'a Tracer,
+}
+
+impl RecordGen<'_> {
+    /// Encode `pid`'s log records into `scratch.enc` from its captured
+    /// before-image and `current`, releasing the before-image. Returns
+    /// whether there are records to queue (`false`: the page needs none).
+    fn encode(
+        &mut self,
+        txn: TxnId,
+        elected: Option<SchemeCode>,
+        pid: PageId,
+        current: &Page,
+    ) -> QsResult<bool> {
         // RLOG ships REDO-only logical records: same slot/offset/after
         // image as a physical update, no before image. An Rlog-elected
         // adaptive transaction emits the identical format.
@@ -777,12 +894,11 @@ impl Store {
             // Newly created page: whole-page image (ESM's own policy).
             let mut w = RecordWriter::new(&mut self.scratch.enc);
             w.whole_page(txn, Lsn::NULL, pid, current.bytes());
-            self.client.add_encoded_records(pid, &self.scratch.enc)?;
             self.created.remove(&pid);
-            if self.alloc_cursor == Some(pid) {
-                self.alloc_cursor = None;
+            if *self.alloc_cursor == Some(pid) {
+                *self.alloc_cursor = None;
             }
-            return Ok(());
+            return Ok(true);
         }
         if elected == Some(SchemeCode::Wpl) {
             // WPL election: one whole-page image record carries the page;
@@ -793,15 +909,14 @@ impl Store {
             }
             let mut w = RecordWriter::new(&mut self.scratch.enc);
             w.whole_page(txn, Lsn::NULL, pid, current.bytes());
-            return self.client.add_encoded_records(pid, &self.scratch.enc);
+            return Ok(true);
         }
         let Some(mut copied) = self.rbuf.remove(pid) else {
             // Dirty with no before-image: nothing was captured, so nothing
-            // to log (e.g. WPL-style marking never reaches here). Declare
-            // the page logged to satisfy the ordering rule.
-            return self.client.note_page_logged(pid);
+            // to log (e.g. WPL-style marking never reaches here).
+            return Ok(false);
         };
-        let sd_block = self.elector.as_ref().map_or(SystemConfig::DEFAULT_BLOCK, |e| e.block);
+        let sd_block = self.sd_block;
         let nrecords = match (&mut copied, self.cfg.log_gen) {
             (Copied::Full(old), _) => {
                 // An adaptive pricing pass in this same event already
@@ -809,7 +924,7 @@ impl Store {
                 // landed in between). Otherwise diff now.
                 let cached = self.priced.lookup(pid);
                 if cached.is_none() {
-                    self.meter()
+                    self.meter
                         .bytes_diffed
                         .fetch_add(current.live_bytes() as u64, Ordering::Relaxed);
                 }
@@ -867,7 +982,7 @@ impl Store {
                 // Diff only the copied block ranges — every modified byte
                 // lies inside one (blocks are copied before they are
                 // written), and the ranges come sorted off the bitmap.
-                self.meter()
+                self.meter
                     .bytes_diffed
                     .fetch_add((bc.block_size() * bc.count()) as u64, Ordering::Relaxed);
                 self.scratch.ranges.clear();
@@ -964,16 +1079,11 @@ impl Store {
             }
         };
         self.rbuf.recycle(copied);
-        let tracer = self.client.tracer();
-        if tracer.is_enabled() {
-            tracer.record("diff_record_bytes_per_page", self.scratch.enc.len() as u64);
-            tracer.event(TraceCat::Diff, "page", pid.0 as u64, nrecords as u64);
+        if self.tracer.is_enabled() {
+            self.tracer.record("diff_record_bytes_per_page", self.scratch.enc.len() as u64);
+            self.tracer.event(TraceCat::Diff, "page", pid.0 as u64, nrecords as u64);
         }
-        if nrecords == 0 {
-            self.client.note_page_logged(pid)
-        } else {
-            self.client.add_encoded_records(pid, &self.scratch.enc)
-        }
+        Ok(nrecords != 0)
     }
 }
 
@@ -1037,3 +1147,6 @@ fn emit_update(
         w.update(txn, Lsn::NULL, pid, slot, offset, before, after);
     }
 }
+
+#[cfg(test)]
+mod tests;

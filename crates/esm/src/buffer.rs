@@ -11,8 +11,7 @@
 //! WAL — all policy that lives above the pool.
 
 use qs_storage::Page;
-use qs_types::{PageId, QsError, QsResult};
-use std::collections::HashMap;
+use qs_types::{IdMap, PageId, QsError, QsResult};
 
 /// Doubly-linked LRU list over a slab of nodes; O(1) touch/insert/remove.
 #[derive(Debug, Default)]
@@ -67,6 +66,9 @@ impl LruList {
     }
 
     fn touch(&mut self, idx: usize) -> usize {
+        if self.head == Some(idx) {
+            return idx; // already most-recently used
+        }
         let page = self.nodes[idx].page;
         self.unlink(idx);
         self.push_front(page)
@@ -102,10 +104,34 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
+/// A cached page found by one lookup ([`BufferPool::slot`]): inspect it,
+/// then either drop the handle (a peek — recency untouched) or commit to an
+/// in-place update with [`PoolSlot::update`]. This is what lets an object
+/// access validate its range against the page *before* the access counts
+/// as a use, without looking the page up a second time.
+pub struct PoolSlot<'a> {
+    frame: &'a mut Frame,
+    lru: &'a mut LruList,
+}
+
+impl<'a> PoolSlot<'a> {
+    pub fn page(&self) -> &Page {
+        &self.frame.page
+    }
+
+    /// The page for an in-place update: refreshes its recency and marks it
+    /// dirty, exactly as [`BufferPool::get_mut`] + [`BufferPool::mark_dirty`].
+    pub fn update(self) -> &'a mut Page {
+        self.frame.lru_idx = self.lru.touch(self.frame.lru_idx);
+        self.frame.dirty = true;
+        &mut self.frame.page
+    }
+}
+
 /// Fixed-capacity page cache with LRU replacement.
 pub struct BufferPool {
     capacity: usize,
-    frames: HashMap<PageId, Frame>,
+    frames: IdMap<PageId, Frame>,
     lru: LruList,
     evictions: u64,
 }
@@ -116,7 +142,7 @@ impl BufferPool {
         assert!(capacity > 0, "buffer pool must hold at least one page");
         BufferPool {
             capacity,
-            frames: HashMap::with_capacity(capacity),
+            frames: IdMap::with_capacity_and_hasher(capacity, Default::default()),
             lru: LruList::default(),
             evictions: 0,
         }
@@ -145,26 +171,25 @@ impl BufferPool {
 
     /// Borrow a cached page, refreshing its recency.
     pub fn get(&mut self, pid: PageId) -> Option<&Page> {
-        match self.frames.get_mut(&pid) {
-            Some(f) => {
-                f.lru_idx = self.lru.touch(f.lru_idx);
-                Some(&self.frames[&pid].page)
-            }
-            None => None,
-        }
+        let f = self.frames.get_mut(&pid)?;
+        f.lru_idx = self.lru.touch(f.lru_idx);
+        Some(&f.page)
     }
 
     /// Borrow a cached page mutably (does not set the dirty bit — callers
     /// mark dirtiness explicitly, because "dirty" means *must be recovered*,
     /// not merely *was touched*).
     pub fn get_mut(&mut self, pid: PageId) -> Option<&mut Page> {
-        match self.frames.get_mut(&pid) {
-            Some(f) => {
-                f.lru_idx = self.lru.touch(f.lru_idx);
-                Some(&mut self.frames.get_mut(&pid).unwrap().page)
-            }
-            None => None,
-        }
+        let f = self.frames.get_mut(&pid)?;
+        f.lru_idx = self.lru.touch(f.lru_idx);
+        Some(&mut f.page)
+    }
+
+    /// Look a cached page up once, without touching recency (see
+    /// [`PoolSlot`]).
+    pub fn slot(&mut self, pid: PageId) -> Option<PoolSlot<'_>> {
+        let frame = self.frames.get_mut(&pid)?;
+        Some(PoolSlot { frame, lru: &mut self.lru })
     }
 
     /// Peek without touching recency (used by diff/ship passes that must
@@ -378,6 +403,23 @@ mod tests {
         bp.peek(PageId(1)); // 1 stays LRU
         let ev = bp.insert(PageId(3), page_with(3), false).unwrap().unwrap();
         assert_eq!(ev.page_id, PageId(1));
+    }
+
+    #[test]
+    fn slot_peeks_until_updated() {
+        let mut bp = BufferPool::new(2);
+        bp.insert(PageId(1), page_with(1), false).unwrap();
+        bp.insert(PageId(2), page_with(2), false).unwrap();
+        assert!(bp.slot(PageId(9)).is_none());
+        // Looking and dropping the handle is a peek: 1 stays LRU and clean.
+        assert_eq!(bp.slot(PageId(1)).unwrap().page().object(PageId(0), 0).unwrap(), &[1u8; 16]);
+        assert!(!bp.is_dirty(PageId(1)));
+        assert_eq!(bp.lru_victim(), Some(PageId(1)));
+        // Updating through it is get_mut + mark_dirty: 1 becomes MRU, dirty.
+        bp.slot(PageId(1)).unwrap().update().object_mut(PageId(0), 0).unwrap().fill(7);
+        assert!(bp.is_dirty(PageId(1)));
+        assert_eq!(bp.lru_victim(), Some(PageId(2)));
+        assert_eq!(bp.peek(PageId(1)).unwrap().object(PageId(0), 0).unwrap(), &[7u8; 16]);
     }
 
     #[test]

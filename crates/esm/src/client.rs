@@ -12,7 +12,7 @@
 //! the caller ([`ClientConn::ensure_room`]) because the recovery scheme
 //! must act *before* a dirty page can leave client memory.
 
-use crate::buffer::{BufferPool, Evicted};
+use crate::buffer::{BufferPool, Evicted, PoolSlot};
 use crate::lock::{LockMode, Resource};
 use crate::net;
 use crate::runtime::{ClientPort, Reactor, Request, Response};
@@ -183,6 +183,12 @@ impl ClientConn {
 
     pub fn peek(&self, pid: PageId) -> Option<&Page> {
         self.pool.peek(pid)
+    }
+
+    /// One lookup of a cached page that can end as a peek or as an in-place
+    /// update (see [`PoolSlot`]) — the QuickStore object-access path.
+    pub fn slot(&mut self, pid: PageId) -> Option<PoolSlot<'_>> {
+        self.pool.slot(pid)
     }
 
     pub fn mark_dirty(&mut self, pid: PageId) {
@@ -592,6 +598,12 @@ impl ClientConn {
         self.pages_logged.clear();
         self.scheme = None;
         Ok(())
+    }
+
+    /// Drop one cached page without shipping it (its content is
+    /// uncommitted and the transaction is aborting).
+    pub fn discard(&mut self, pid: PageId) {
+        self.pool.remove(pid);
     }
 
     /// Resize the client buffer pool between transactions (the adaptive

@@ -40,7 +40,7 @@ pub mod tower;
 pub mod txn;
 pub mod wpl;
 
-pub use buffer::{BufferPool, Evicted};
+pub use buffer::{BufferPool, Evicted, PoolSlot};
 pub use client::ClientConn;
 pub use flusher::FlusherConfig;
 pub use gate::VolumeGate;

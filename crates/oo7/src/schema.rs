@@ -30,6 +30,14 @@ pub fn get_ref(buf: &[u8], at: usize) -> Oid {
     Oid { page, slot }
 }
 
+/// Three consecutive object references starting at `at` — the fan-out of
+/// every reference array the traversals follow (sub-assemblies, composite
+/// parts, outgoing connections). An array, so following them allocates
+/// nothing.
+pub fn get_refs3(buf: &[u8], at: usize) -> [Oid; 3] {
+    [0, 1, 2].map(|i| get_ref(buf, at + i * REF_SIZE))
+}
+
 pub fn put_u32(buf: &mut [u8], at: usize, v: u32) {
     buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
 }
@@ -72,20 +80,19 @@ pub mod atomic {
         b
     }
 
-    pub fn to_conns(buf: &[u8], n: usize) -> Vec<Oid> {
-        (0..n).map(|i| get_ref(buf, OFF_TO + i * REF_SIZE)).collect()
+    pub fn to_conns(buf: &[u8]) -> [Oid; 3] {
+        get_refs3(buf, OFF_TO)
     }
 
     pub fn xy(buf: &[u8]) -> (u32, u32) {
         (get_u32(buf, OFF_X), get_u32(buf, OFF_Y))
     }
 
-    /// The 8-byte little-endian image of incremented (x, y).
-    pub fn incremented_xy(buf: &[u8]) -> [u8; 8] {
-        let (x, y) = xy(buf);
+    /// The 8-byte little-endian image of (x, y), as stored at [`OFF_X`].
+    pub fn xy_image(x: u32, y: u32) -> [u8; 8] {
         let mut out = [0u8; 8];
-        out[0..4].copy_from_slice(&x.wrapping_add(1).to_le_bytes());
-        out[4..8].copy_from_slice(&y.wrapping_add(1).to_le_bytes());
+        out[0..4].copy_from_slice(&x.to_le_bytes());
+        out[4..8].copy_from_slice(&y.to_le_bytes());
         out
     }
 }
@@ -175,12 +182,12 @@ pub mod assembly {
         get_u32(buf, OFF_KIND) == 1
     }
 
-    pub fn subs(buf: &[u8], n: usize) -> Vec<Oid> {
-        (0..n).map(|i| get_ref(buf, OFF_SUB + i * REF_SIZE)).collect()
+    pub fn subs(buf: &[u8]) -> [Oid; 3] {
+        get_refs3(buf, OFF_SUB)
     }
 
-    pub fn comps(buf: &[u8], n: usize) -> Vec<Oid> {
-        (0..n).map(|i| get_ref(buf, OFF_COMP + i * REF_SIZE)).collect()
+    pub fn comps(buf: &[u8]) -> [Oid; 3] {
+        get_refs3(buf, OFF_COMP)
     }
 }
 
@@ -218,10 +225,10 @@ mod tests {
         assert_eq!(a.len(), atomic::SIZE);
         assert_eq!(get_u32(&a, atomic::OFF_ID), 7);
         assert_eq!(atomic::xy(&a), (7, 8));
-        assert_eq!(atomic::to_conns(&a, 3), to);
-        let inc = atomic::incremented_xy(&a);
-        assert_eq!(u32::from_le_bytes(inc[0..4].try_into().unwrap()), 8);
-        assert_eq!(u32::from_le_bytes(inc[4..8].try_into().unwrap()), 9);
+        assert_eq!(atomic::to_conns(&a)[..], to[..]);
+        let mut b = a.clone();
+        b[atomic::OFF_X..atomic::OFF_X + 8].copy_from_slice(&atomic::xy_image(8, 9));
+        assert_eq!(atomic::xy(&b), (8, 9));
     }
 
     #[test]
@@ -235,10 +242,10 @@ mod tests {
     fn assembly_kinds() {
         let base = assembly::build(1, false, Oid::NULL, &[], &[Oid::new(PageId(5), 0)]);
         assert!(!assembly::is_complex(&base));
-        assert_eq!(assembly::comps(&base, 1)[0], Oid::new(PageId(5), 0));
+        assert_eq!(assembly::comps(&base)[0], Oid::new(PageId(5), 0));
         let complex = assembly::build(2, true, Oid::NULL, &[Oid::new(PageId(9), 3)], &[]);
         assert!(assembly::is_complex(&complex));
-        assert_eq!(assembly::subs(&complex, 1)[0], Oid::new(PageId(9), 3));
+        assert_eq!(assembly::subs(&complex)[0], Oid::new(PageId(9), 3));
     }
 
     #[test]

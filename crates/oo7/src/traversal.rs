@@ -19,9 +19,8 @@
 
 use crate::gen::ModuleHandle;
 use crate::schema::{assembly, atomic, composite, connection};
-use qs_types::{Oid, QsResult};
+use qs_types::{IdSet, Oid, QsResult};
 use quickstore::Store;
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 
 /// Which T2 variant to run.
@@ -56,88 +55,86 @@ pub fn t2(store: &mut Store, module: &ModuleHandle, mode: T2Mode) -> QsResult<u6
 }
 
 fn traverse(store: &mut Store, module: &ModuleHandle, mode: Option<T2Mode>) -> QsResult<u64> {
-    let mut count = 0u64;
-    visit_assembly(store, module.root_assembly, mode, &mut count)?;
-    Ok(count)
+    let mut walk = Walk { store, mode, count: 0, seen: IdSet::default(), stack: Vec::new() };
+    walk.assembly(module.root_assembly)?;
+    Ok(walk.count)
 }
 
-fn visit_assembly(
-    store: &mut Store,
-    oid: Oid,
+/// One traversal in progress. Objects are dereferenced in place
+/// ([`Store::with_object`]): a visit copies out only the references and
+/// fields it follows, and the per-composite search state is reused, so a
+/// visit that does not fault allocates nothing.
+struct Walk<'a> {
+    store: &'a mut Store,
     mode: Option<T2Mode>,
-    count: &mut u64,
-) -> QsResult<()> {
-    store.meter().visits.fetch_add(1, Ordering::Relaxed);
-    let bytes = store.read(oid)?;
-    if assembly::is_complex(&bytes) {
-        for sub in assembly::subs(&bytes, 3) {
-            visit_assembly(store, sub, mode, count)?;
-        }
-    } else {
-        for comp in assembly::comps(&bytes, 3) {
-            visit_composite(store, comp, mode, count)?;
-        }
+    /// Atomic parts visited (T1) or update operations performed (T2).
+    count: u64,
+    /// Atomic parts reached in the current composite part's graph.
+    seen: IdSet<Oid>,
+    /// Atomic parts reached but not yet visited.
+    stack: Vec<Oid>,
+}
+
+impl Walk<'_> {
+    fn visit<R>(&mut self, oid: Oid, f: impl FnOnce(&[u8]) -> R) -> QsResult<R> {
+        self.store.meter().visits.fetch_add(1, Ordering::Relaxed);
+        self.store.with_object(oid, f)
     }
-    Ok(())
-}
 
-fn visit_composite(
-    store: &mut Store,
-    comp: Oid,
-    mode: Option<T2Mode>,
-    count: &mut u64,
-) -> QsResult<()> {
-    store.meter().visits.fetch_add(1, Ordering::Relaxed);
-    let bytes = store.read(comp)?;
-    let root = composite::root_part(&bytes);
-    // Depth-first search of the atomic graph, per composite-part visit.
-    let mut seen: HashSet<Oid> = HashSet::new();
-    let mut stack = vec![root];
-    seen.insert(root);
-    let mut first = true;
-    while let Some(part) = stack.pop() {
-        store.meter().visits.fetch_add(1, Ordering::Relaxed);
-        let abytes = store.read(part)?;
-        match mode {
-            Some(T2Mode::A) if first => update_xy(store, part, &abytes, 1, count)?,
-            Some(T2Mode::B) => update_xy(store, part, &abytes, 1, count)?,
-            Some(T2Mode::C) => update_xy(store, part, &abytes, 4, count)?,
-            _ => {
-                if mode.is_none() {
-                    *count += 1; // T1 counts visits
+    fn assembly(&mut self, oid: Oid) -> QsResult<()> {
+        let (complex, children) = self.visit(oid, |b| {
+            let complex = assembly::is_complex(b);
+            (complex, if complex { assembly::subs(b) } else { assembly::comps(b) })
+        })?;
+        for child in children {
+            if complex {
+                self.assembly(child)?;
+            } else {
+                self.composite(child)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn composite(&mut self, comp: Oid) -> QsResult<()> {
+        let root = self.visit(comp, composite::root_part)?;
+        // Depth-first search of the atomic graph, per composite-part visit.
+        self.seen.clear();
+        self.stack.clear();
+        self.seen.insert(root);
+        self.stack.push(root);
+        let mut first = true;
+        while let Some(part) = self.stack.pop() {
+            let (xy, conns) = self.visit(part, |b| (atomic::xy(b), atomic::to_conns(b)))?;
+            match self.mode {
+                Some(T2Mode::A) if first => self.update_xy(part, xy, 1)?,
+                Some(T2Mode::B) => self.update_xy(part, xy, 1)?,
+                Some(T2Mode::C) => self.update_xy(part, xy, 4)?,
+                Some(T2Mode::A) => {}
+                None => self.count += 1, // T1 counts visits
+            }
+            first = false;
+            for conn in conns {
+                let target = self.visit(conn, connection::to_atomic)?;
+                if self.seen.insert(target) {
+                    self.stack.push(target);
                 }
             }
         }
-        first = false;
-        for conn in atomic::to_conns(&abytes, 3) {
-            store.meter().visits.fetch_add(1, Ordering::Relaxed);
-            let cbytes = store.read(conn)?;
-            let target = connection::to_atomic(&cbytes);
-            if seen.insert(target) {
-                stack.push(target);
-            }
-        }
+        Ok(())
     }
-    Ok(())
-}
 
-/// Increment (x, y) `times` times — each a separate in-place 8-byte write,
-/// re-reading the current value as real application code would.
-fn update_xy(
-    store: &mut Store,
-    part: Oid,
-    first_image: &[u8],
-    times: usize,
-    count: &mut u64,
-) -> QsResult<()> {
-    let mut image = first_image.to_vec();
-    for _ in 0..times {
-        let new_xy = atomic::incremented_xy(&image);
-        store.modify(part, atomic::OFF_X, &new_xy)?;
-        image[atomic::OFF_X..atomic::OFF_X + 8].copy_from_slice(&new_xy);
-        *count += 1;
+    /// Increment (x, y) `times` times — each a separate in-place 8-byte
+    /// write of the value the previous one left.
+    fn update_xy(&mut self, part: Oid, (mut x, mut y): (u32, u32), times: usize) -> QsResult<()> {
+        for _ in 0..times {
+            x = x.wrapping_add(1);
+            y = y.wrapping_add(1);
+            self.store.modify(part, atomic::OFF_X, &atomic::xy_image(x, y))?;
+            self.count += 1;
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -5,10 +5,12 @@
 //! the vocabulary spoken by every other crate in the workspace.
 
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod sync;
 
 pub use error::{QsError, QsResult};
+pub use hash::{IdMap, IdSet};
 pub use ids::{ClientId, FrameId, Lsn, Oid, PageId, TxnId, VAddr};
 
 /// Size of a database page and of a virtual-memory frame, in bytes.
