@@ -1,5 +1,5 @@
 //! One driver per table/figure of the paper. Each returns the rendered
-//! text (the binaries print it; `all_figures` also appends to
+//! text (the binaries print it; `figures` also writes to
 //! `results/`).
 //!
 //! Environment:

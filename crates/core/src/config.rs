@@ -182,7 +182,8 @@ impl SystemConfig {
 
     /// Validate scheme/flavor compatibility.
     pub fn validate(&self) -> QsResult<()> {
-        if self.adaptive_scheme != (self.flavor == RecoveryFlavor::Adaptive) {
+        let facts = self.flavor.facts();
+        if self.adaptive_scheme != facts.txn_scheme {
             return Err(QsError::Config {
                 detail: format!(
                     "adaptive_scheme={} requires the adaptive server flavor (got {:?})",
@@ -199,9 +200,10 @@ impl SystemConfig {
                 ),
             });
         }
+        // Whole-page generation produces no log records; every other
+        // generation needs a flavor whose clients ship them.
         let whole = self.log_gen == LogGeneration::WholePage;
-        let wpl = self.flavor == RecoveryFlavor::Wpl;
-        if whole != wpl {
+        if whole == facts.ships_records {
             return Err(QsError::Config {
                 detail: format!(
                     "log generation {:?} incompatible with server flavor {:?}",

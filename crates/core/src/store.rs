@@ -31,7 +31,7 @@ use crate::config::{LogGeneration, SystemConfig};
 use crate::descriptor::DescriptorTable;
 use crate::diff;
 use crate::recovery_buffer::{Copied, RecoveryBuffer};
-use qs_esm::{ClientConn, PoolSlot, RecoveryFlavor};
+use qs_esm::{ClientConn, PoolSlot};
 use qs_sim::Meter;
 use qs_storage::Page;
 use qs_trace::{TraceCat, Tracer};
@@ -884,11 +884,11 @@ impl RecordGen<'_> {
         pid: PageId,
         current: &Page,
     ) -> QsResult<bool> {
-        // RLOG ships REDO-only logical records: same slot/offset/after
-        // image as a physical update, no before image. An Rlog-elected
-        // adaptive transaction emits the identical format.
-        let logical =
-            self.cfg.flavor == RecoveryFlavor::RedoLogical || elected == Some(SchemeCode::Rlog);
+        // Where a physical update is not legal (RLOG) the client ships
+        // REDO-only logical records: same slot/offset/after image, no
+        // before image. An Rlog-elected adaptive transaction emits the
+        // identical format.
+        let logical = !self.cfg.flavor.facts().physical_update || elected == Some(SchemeCode::Rlog);
         self.scratch.enc.clear();
         if self.created.contains(&pid) {
             // Newly created page: whole-page image (ESM's own policy).

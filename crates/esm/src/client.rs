@@ -15,8 +15,9 @@
 use crate::buffer::{BufferPool, Evicted, PoolSlot};
 use crate::lock::{LockMode, Resource};
 use crate::net;
+use crate::protocol::{Protocol, RecoveryFlavor};
 use crate::runtime::{ClientPort, Reactor, Request, Response};
-use crate::server::{RecoveryFlavor, Server};
+use crate::server::Server;
 use qs_sim::Meter;
 use qs_storage::Page;
 use qs_trace::{TraceCat, Tracer};
@@ -106,21 +107,8 @@ impl ClientConn {
         pool_pages: usize,
         meter: Arc<Meter>,
     ) -> Self {
-        let server = Arc::clone(reactor.server());
-        let tracer = Arc::clone(server.tracer());
-        ClientConn {
-            id,
-            server,
-            pool: BufferPool::new(pool_pages),
-            meter,
-            txn: None,
-            log_buf: Vec::new(),
-            pages_logged: HashSet::new(),
-            scheme: None,
-            last_pressure: LogPressure::default(),
-            tracer,
-            wire: Wire::Reactor(reactor.connect(id)),
-        }
+        let wire = Wire::Reactor(reactor.connect(id));
+        ClientConn { wire, ..Self::new(id, Arc::clone(reactor.server()), pool_pages, meter) }
     }
 
     pub fn server(&self) -> &Arc<Server> {
@@ -332,7 +320,7 @@ impl ClientConn {
     /// Ships full pages of records as the buffer fills.
     pub fn add_encoded_records(&mut self, pid: PageId, batch: &[u8]) -> QsResult<()> {
         let txn = self.txn()?;
-        if self.flavor() == RecoveryFlavor::Wpl {
+        if !self.server.facts().ships_records {
             return Err(QsError::Protocol { detail: "WPL generates no client log records".into() });
         }
         self.pages_logged.insert(pid);
@@ -360,10 +348,7 @@ impl ClientConn {
     /// convenience over [`ClientConn::add_encoded_records`]; tests and
     /// non-hot-path callers).
     pub fn add_log_records(&mut self, pid: PageId, records: Vec<LogRecord>) -> QsResult<()> {
-        let mut enc = Vec::new();
-        for r in &records {
-            enc.extend_from_slice(&r.encode());
-        }
+        let enc: Vec<u8> = records.iter().flat_map(LogRecord::encode).collect();
         self.add_encoded_records(pid, &enc)
     }
 
@@ -375,7 +360,7 @@ impl ClientConn {
     /// before any records have been generated or declared.
     pub fn elect_scheme(&mut self, scheme: SchemeCode) -> QsResult<()> {
         let txn = self.txn()?;
-        if self.flavor() != RecoveryFlavor::Adaptive {
+        if !self.server.facts().txn_scheme {
             return Err(QsError::Protocol {
                 detail: "scheme election is only legal under the adaptive flavor".into(),
             });
@@ -403,10 +388,13 @@ impl ClientConn {
         self.scheme
     }
 
-    /// Whether the running transaction elected a *logical* (deferred-apply)
-    /// scheme; such transactions never ship dirty pages.
-    fn elected_logical(&self) -> bool {
-        self.scheme.map(|s| s.is_logical()).unwrap_or(false)
+    /// Whether the running transaction's dirty pages travel to the server:
+    /// the flavor ships pages at all, and this transaction's protocol is
+    /// not no-steal. Where they stay home, the log records carry everything
+    /// (applied on receipt under REDO, at commit under no-steal).
+    fn ships_pages(&self) -> bool {
+        let facts = self.server.facts();
+        facts.ships_pages && facts.protocol(self.scheme) != Protocol::NoSteal
     }
 
     /// The log-pressure signal piggybacked on the most recent commit
@@ -483,44 +471,20 @@ impl ClientConn {
 
     // -- dirty-page shipping -------------------------------------------------
 
-    /// Ship a dirty page to the server (or drop it, under REDO). The page's
-    /// log records must already have been generated and queued/shipped;
-    /// this flushes the log buffer first so the ordering rule holds.
+    /// Ship a dirty page to the server (or keep it home, where pages do
+    /// not travel). The page's log records must already have been
+    /// generated and queued/shipped; this flushes the log buffer first so
+    /// the ordering rule holds.
     pub fn ship_dirty_page(&mut self, pid: PageId, page: Page) -> QsResult<()> {
         let txn = self.txn()?;
-        match self.flavor() {
-            RecoveryFlavor::RedoAtServer | RecoveryFlavor::RedoLogical => {
-                // Log records carry everything; the page itself stays home.
-                self.flush_log()?;
-                Ok(())
-            }
-            RecoveryFlavor::EsmAries => {
-                self.flush_log()?;
-                net::page_upload(&self.meter);
-                self.meter.dirty_pages_shipped.fetch_add(1, Ordering::Relaxed);
-                self.tracer.event(TraceCat::Ship, "dirty_page", txn.0, pid.0 as u64);
-                self.ship_page_remote(txn, pid, page)
-            }
-            RecoveryFlavor::Wpl => {
-                net::page_upload(&self.meter);
-                self.meter.dirty_pages_shipped.fetch_add(1, Ordering::Relaxed);
-                self.tracer.event(TraceCat::Ship, "dirty_page", txn.0, pid.0 as u64);
-                self.ship_page_remote(txn, pid, page)
-            }
-            RecoveryFlavor::Adaptive => {
-                // Physical elections follow the ESM protocol (log, then ship
-                // the page); logical elections leave the page home — the
-                // records carry everything and apply at commit.
-                self.flush_log()?;
-                if self.elected_logical() {
-                    return Ok(());
-                }
-                net::page_upload(&self.meter);
-                self.meter.dirty_pages_shipped.fetch_add(1, Ordering::Relaxed);
-                self.tracer.event(TraceCat::Ship, "dirty_page", txn.0, pid.0 as u64);
-                self.ship_page_remote(txn, pid, page)
-            }
+        self.flush_log()?;
+        if !self.ships_pages() {
+            return Ok(());
         }
+        net::page_upload(&self.meter);
+        self.meter.dirty_pages_shipped.fetch_add(1, Ordering::Relaxed);
+        self.tracer.event(TraceCat::Ship, "dirty_page", txn.0, pid.0 as u64);
+        self.ship_page_remote(txn, pid, page)
     }
 
     fn ship_page_remote(&self, txn: TxnId, pid: PageId, page: Page) -> QsResult<()> {
@@ -553,9 +517,7 @@ impl ClientConn {
     pub fn finish_commit(&mut self) -> QsResult<()> {
         let txn = self.txn()?;
         self.flush_log()?;
-        let deferred =
-            matches!(self.flavor(), RecoveryFlavor::RedoAtServer | RecoveryFlavor::RedoLogical)
-                || (self.flavor() == RecoveryFlavor::Adaptive && self.elected_logical());
+        let deferred = !self.ships_pages();
         debug_assert!(
             self.pool.dirty_pages().is_empty() || deferred,
             "dirty pages remain at commit"

@@ -11,10 +11,15 @@
 //!   pool, and restart recovery ([`restart`]) — ARIES-style analysis /
 //!   redo / undo for the log-replaying flavors, table reconstruction for
 //!   whole-page logging ([`wpl`]).
-//! * Three server flavors ([`RecoveryFlavor`]) correspond to the paper's
-//!   underlying recovery strategies: `EsmAries` (log records + dirty pages
-//!   shipped), `RedoAtServer` (log records only; server applies redo), and
-//!   `Wpl` (dirty pages only; whole-page logging at the server).
+//! * Five server flavors ([`RecoveryFlavor`]): the paper's three
+//!   underlying recovery strategies — `EsmAries` (log records + dirty pages
+//!   shipped), `RedoAtServer` (log records only; server applies redo),
+//!   `Wpl` (dirty pages only; whole-page logging at the server) — plus
+//!   `RedoLogical` (logical records, no-steal, REDO-only restart) and
+//!   `Adaptive` (the format elected per transaction). A flavor is a client
+//!   record format over one of two-and-a-half server [`Protocol`]s —
+//!   steal + WAL + CLR undo, no-steal deferred apply, WPL's page log —
+//!   and [`protocol`] is the only module that turns one into behaviour.
 //!
 //! Everything the server keeps in ordinary memory is volatile: a simulated
 //! crash ([`server::Server::crash`]) drops the struct and keeps only the
@@ -32,6 +37,7 @@ pub mod flusher;
 pub mod gate;
 pub mod lock;
 pub mod net;
+pub mod protocol;
 pub mod restart;
 pub mod runtime;
 pub mod server;
@@ -45,7 +51,8 @@ pub use client::ClientConn;
 pub use flusher::FlusherConfig;
 pub use gate::VolumeGate;
 pub use lock::{AsyncLockOutcome, LockEvents, LockManager, LockMode, Resource};
+pub use protocol::{FlavorFacts, Protocol, RecoveryFlavor};
 pub use runtime::{ClientPort, Reactor, Request, Response, RuntimeConfig, RuntimeStats};
-pub use server::{RecoveryFlavor, RestartConfig, Server, ServerConfig, StableParts};
+pub use server::{RestartConfig, Server, ServerConfig, StableParts};
 pub use shard::ShardedPool;
 pub use tower::LogTower;

@@ -45,7 +45,9 @@
 //! everything downstream are byte-identical for any worker count and any
 //! chunk size (`tests/restart_equivalence.rs`).
 
-use crate::server::{InnerView, RecoveryFlavor, RestartConfig, Server};
+use crate::protocol::Holds;
+use crate::server::pages::apply_after_image;
+use crate::server::{InnerView, RestartConfig, Server};
 use crate::shard::shard_index;
 use crate::txn::TxnTable;
 use qs_storage::{Page, Volume};
@@ -68,31 +70,13 @@ use std::time::Instant;
 /// at a few chunks per stage.
 const DEPTH: usize = 4;
 
-/// Which transaction protocols a flavor's log can hold.
-#[derive(Clone, Copy)]
-struct Holds {
-    /// Steal + WAL + CLR undo: the report carries an undo phase.
-    physical: bool,
-    /// No-steal deferred apply: committed work may precede the checkpoint
-    /// (fuzzy checkpoints do not list it), so analysis scans the whole
-    /// retained log — the truncation rule `keep = min(checkpoint, min
-    /// active first-LSN, min DPT recLSN)` guarantees it covers everything
-    /// unapplied — instead of starting at the checkpoint anchor.
-    logical: bool,
-}
-
 /// Run restart recovery on a freshly opened volume and log. Returns raw
 /// (unpriced) per-phase work counts for the restart report, and where
 /// the host's wall-clock time went.
 pub(crate) fn run(server: &Server) -> QsResult<(Vec<PhaseStat>, RestartWall)> {
     let mut wall = RestartWall::default();
-    let holds = match server.flavor() {
-        RecoveryFlavor::Wpl => return Ok((wpl_restart(server, &mut wall)?, wall)),
-        RecoveryFlavor::EsmAries | RecoveryFlavor::RedoAtServer => {
-            Holds { physical: true, logical: false }
-        }
-        RecoveryFlavor::RedoLogical => Holds { physical: false, logical: true },
-        RecoveryFlavor::Adaptive => Holds { physical: true, logical: true },
+    let Some(holds) = server.facts().restart else {
+        return Ok((wpl_restart(server, &mut wall)?, wall));
     };
     let cfg = server.config().restart;
     let mut ph_analysis = phase("analysis");
@@ -562,7 +546,7 @@ fn redo(
         // Restart pools are sized like production pools; eviction during
         // redo writes through (WAL is satisfied: everything is in the
         // durable log already).
-        if let Some(ev) = view.pool.insert(pid, page, true)? {
+        if let Some(ev) = view.pool.shard(pid).insert(pid, page, true)? {
             if ev.dirty {
                 view.volume.write_page(ev.page_id, &ev.page)?;
                 ph.data_writes += 1;
@@ -633,20 +617,10 @@ fn redo_worker(
                 continue; // effect already on disk image
             }
             stats.records += 1;
-            if record::frame_tag(bytes) == tag::WHOLE_PAGE {
+            if record::frame_tag(bytes) == tag::WHOLE_PAGE || r.lsn < scan_from {
                 record::frame_verify(bytes)?;
-                *page = Page::from_bytes(record::frame_whole_page_image(bytes)?)?;
-            } else {
-                if r.lsn < scan_from {
-                    record::frame_verify(bytes)?;
-                }
-                if let Some((slot, offset, after)) = record::frame_redo_slice(bytes)? {
-                    let obj = page.object_mut(pid, slot)?;
-                    let off = offset as usize;
-                    obj[off..off + after.len()].copy_from_slice(after);
-                }
             }
-            page.set_lsn(r.lsn);
+            apply_after_image(page, pid, bytes, r.lsn)?;
         }
     }
     Ok((stats, resident))
@@ -680,8 +654,7 @@ fn undo_and_finish(
     for (txn, last) in losers {
         server.with_quiesced(|view| -> QsResult<()> {
             ph.records += server.undo_chain(view, txn, last, &mut cache)?;
-            let prev = view.txns.get(txn)?.last_lsn;
-            view.log.append(&LogRecord::Abort { txn, prev })?;
+            Server::append_abort(view, txn)?;
             view.txns.remove(txn);
             Ok(())
         })?;

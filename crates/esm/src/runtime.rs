@@ -284,10 +284,12 @@ impl Shared {
         }
     }
 
-    /// Deliver the reply for an admitted request and release its slot.
+    /// Release an admitted request's slot and deliver its reply — in that
+    /// order: a client that has its reply in hand must find its own slot
+    /// free, or its next submission can be shed against itself.
     fn finish(&self, client: ClientId, resp: Response) {
-        self.post(client, resp);
         self.inflight.fetch_sub(1, Ordering::AcqRel);
+        self.post(client, resp);
     }
 
     /// Deliver a reply without touching the admission budget (sheds, and
@@ -481,15 +483,7 @@ fn committer_loop(shared: Arc<Shared>, rx: Receiver<CommitJob>) {
                 // Maintenance is the committer's job now, once per batch —
                 // never billed to (or blocking) a victim client's commit.
                 // With the flusher enabled this only enqueues a wakeup.
-                // There is no client to surface a failure to; trace it.
-                if shared.server.maybe_maintain().is_err() {
-                    shared.server.tracer().event(
-                        qs_trace::TraceCat::Checkpoint,
-                        "committer_maintain_error",
-                        0,
-                        0,
-                    );
-                }
+                shared.server.background_maintenance(shared.server.maybe_maintain());
             }
             Err(e) => {
                 let msg = format!("commit force failed: {e}");

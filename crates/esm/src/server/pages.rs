@@ -1,0 +1,201 @@
+//! Page service. Every path that needs a page resident — a client fetch,
+//! redo-at-server, the no-steal commit-time apply, undo — goes through
+//! [`Server::fault_in`], the one place a page is read from the volume into
+//! the pool and a dirty victim is stolen; every path that lays a shipped
+//! after-image onto a page — those and the restart redo workers — through
+//! [`apply_after_image`].
+
+use super::Server;
+use crate::buffer::{BufferPool, Evicted};
+use crate::protocol::Protocol;
+use qs_storage::{Page, Volume};
+use qs_types::{Lsn, PageId, QsError, QsResult, TxnId};
+use qs_wal::record::{self, tag};
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+
+/// How a fault reaches the data disk and the dirty-page table: hot paths
+/// take each lock for one statement ([`OnDemand`]); quiesced callers
+/// already hold both guards ([`Held`]).
+pub(super) trait DiskTables {
+    fn read_page(&mut self, pid: PageId) -> QsResult<Page>;
+    fn write_page(&mut self, pid: PageId, page: &Page) -> QsResult<()>;
+    /// `pid` was written home: drop its dirty-page table entry.
+    fn forget_dirty(&mut self, pid: PageId);
+}
+
+pub(super) struct OnDemand<'a>(pub(super) &'a Server);
+
+impl DiskTables for OnDemand<'_> {
+    fn read_page(&mut self, pid: PageId) -> QsResult<Page> {
+        self.0.volume.lock(&self.0.tracer).read_page(pid)
+    }
+
+    fn write_page(&mut self, pid: PageId, page: &Page) -> QsResult<()> {
+        self.0.volume.lock(&self.0.tracer).write_page(pid, page)
+    }
+
+    fn forget_dirty(&mut self, pid: PageId) {
+        self.0.dpt.lock(&self.0.tracer).remove(&pid);
+    }
+}
+
+pub(super) struct Held<'a> {
+    pub(super) volume: &'a Volume,
+    pub(super) dpt: &'a mut HashMap<PageId, Lsn>,
+}
+
+impl DiskTables for Held<'_> {
+    fn read_page(&mut self, pid: PageId) -> QsResult<Page> {
+        self.volume.read_page(pid)
+    }
+
+    fn write_page(&mut self, pid: PageId, page: &Page) -> QsResult<()> {
+        self.volume.write_page(pid, page)
+    }
+
+    fn forget_dirty(&mut self, pid: PageId) {
+        self.dpt.remove(&pid);
+    }
+}
+
+/// Lay one shipped record's after-image onto `page` — a slot range for an
+/// update, CLR or logical update, the whole image for a whole-page record,
+/// nothing for any other tag — and stamp `lsn` as the pageLSN.
+#[inline]
+pub(crate) fn apply_after_image(
+    page: &mut Page,
+    pid: PageId,
+    frame: &[u8],
+    lsn: Lsn,
+) -> QsResult<()> {
+    if record::frame_tag(frame) == tag::WHOLE_PAGE {
+        *page = Page::from_bytes(record::frame_whole_page_image(frame)?)?;
+    } else if let Some((slot, offset, after)) = record::frame_redo_slice(frame)? {
+        let off = offset as usize;
+        let obj = page.object_mut(pid, slot)?;
+        let range = obj.get_mut(off..off + after.len()).ok_or_else(|| QsError::RecoveryFailed {
+            detail: format!("redo range past object end on {pid}"),
+        })?;
+        range.copy_from_slice(after);
+    }
+    page.set_lsn(lsn);
+    Ok(())
+}
+
+impl Server {
+    /// Make `pid` resident in `pool`, the shard that owns it (the caller
+    /// holds its lock): on a miss fill it — with `logged`, the image the
+    /// WPL table pointed a `PageLog` reader at, else from the volume — and
+    /// steal the victim the insert pushed out. Holding the shard across the
+    /// miss-fill-evict sequence blocks whole-pool maintenance (which needs
+    /// every shard), so the WPL entry and the log region it points at
+    /// cannot be reclaimed mid-read, and the evicted victim — same shard by
+    /// construction — cannot be re-read from the volume before its
+    /// write-back lands.
+    pub(super) fn fault_in(
+        &self,
+        pool: &mut BufferPool,
+        disk: &mut impl DiskTables,
+        pid: PageId,
+        logged: Option<Page>,
+    ) -> QsResult<()> {
+        if pool.contains(pid) {
+            return Ok(());
+        }
+        self.meter.server_pool_misses.fetch_add(1, Ordering::Relaxed);
+        let page = match logged {
+            Some(page) => page,
+            None => {
+                self.meter.data_reads.fetch_add(1, Ordering::Relaxed);
+                disk.read_page(pid)?
+            }
+        };
+        let evicted = pool.insert(pid, page, false)?;
+        self.steal(disk, evicted)
+    }
+
+    /// STEAL handling for the frame an insert pushed out, if it did and
+    /// the frame is dirty: WAL — force the log up to the page's LSN — then
+    /// write it home. Under `PageLog` the image is already in the log
+    /// (appended on receipt) and the permanent location must NOT be
+    /// overwritten before commit: drop the copy, re-reads go to the log.
+    pub(super) fn steal(&self, disk: &mut impl DiskTables, ev: Option<Evicted>) -> QsResult<()> {
+        let Some(ev) = ev.filter(|ev| ev.dirty && !self.page_log()) else {
+            return Ok(());
+        };
+        let stats = self.log.wal().force(ev.page.lsn())?;
+        self.meter_force(stats);
+        disk.write_page(ev.page_id, &ev.page)?;
+        self.meter.data_writes.fetch_add(1, Ordering::Relaxed);
+        disk.forget_dirty(ev.page_id);
+        Ok(())
+    }
+
+    /// The shared read path: pool → (WPL table → log) → volume, holding
+    /// only `pid`'s shard lock. The only path that can meet a logged image:
+    /// a `PageLog` server never redoes, defers or undoes.
+    pub(super) fn read_page(&self, reader: Option<TxnId>, pid: PageId) -> QsResult<Page> {
+        let mut pool = self.pool.lock(pid, &self.tracer);
+        let logged = if self.page_log() && !pool.contains(pid) {
+            self.wpl_logged_image(reader, pid)?
+        } else {
+            None
+        };
+        self.fault_in(&mut pool, &mut OnDemand(self), pid, logged)?;
+        Ok(pool.get(pid).expect("resident after fault_in").clone())
+    }
+
+    /// Serve a page to a client. The caller must already hold a lock
+    /// (QuickStore acquires S on read-fault, X on write-fault).
+    pub fn fetch_page(&self, txn: TxnId, pid: PageId) -> QsResult<Page> {
+        let protocol = self.txns.lock(&self.tracer).active_mut(txn)?.protocol;
+        let mut page = self.read_page(Some(txn), pid)?;
+        if protocol == Protocol::NoSteal {
+            // The pool copy is committed-only, so a transaction re-fetching
+            // a page it already updated (client-side eviction) would see
+            // stale bytes. Overlay its own deferred ops onto the served
+            // copy; the pool copy stays clean.
+            self.overlay_pending(txn, pid, &mut page)?;
+        }
+        Ok(page)
+    }
+
+    /// Lay shipped after-images, in log order, onto the server's copy of
+    /// `pid` under its shard lock (faulting it in — the disk read that is
+    /// redo-at-server's Achilles heel, §3.5), mark it dirty, and enter it
+    /// in the DPT at the first image's LSN.
+    pub(super) fn redo_onto_pool<'a>(
+        &self,
+        pid: PageId,
+        images: impl IntoIterator<Item = (&'a [u8], Lsn)>,
+    ) -> QsResult<()> {
+        let mut pool = self.pool.lock(pid, &self.tracer);
+        self.fault_in(&mut pool, &mut OnDemand(self), pid, None)?;
+        let page = pool.get_mut(pid).expect("resident after fault_in");
+        let mut rec_lsn = None;
+        for (frame, lsn) in images {
+            apply_after_image(page, pid, frame, lsn)?;
+            self.meter.redo_applies.fetch_add(1, Ordering::Relaxed);
+            rec_lsn.get_or_insert(lsn);
+        }
+        pool.mark_dirty(pid);
+        drop(pool);
+        if let Some(lsn) = rec_lsn {
+            self.dpt.lock(&self.tracer).entry(pid).or_insert(lsn);
+        }
+        Ok(())
+    }
+
+    pub(super) fn meter_force(&self, stats: qs_wal::log::ForceStats) {
+        if stats.wrote {
+            self.meter.log_pages_written.fetch_add(stats.pages_written, Ordering::Relaxed);
+            self.meter.log_forces.fetch_add(1, Ordering::Relaxed);
+        } else {
+            // The log was already durable past the requested LSN: no I/O,
+            // no latency — but the request still happened. Count it so the
+            // force rate and the no-op rate are both observable.
+            self.meter.log_forces_noop.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}

@@ -1,0 +1,478 @@
+//! Transaction lifecycle: begin, locks, receiving log records and dirty
+//! pages, the no-steal pending map, commit, abort and undo. Each entry
+//! point reads the transaction's [`Protocol`] from its `TxnState` and does
+//! that protocol's one thing; nothing here knows which flavor produced it.
+
+use super::pages::{apply_after_image, Held, OnDemand};
+use super::{InnerView, Server};
+use crate::lock::{AsyncLockOutcome, LockManager, LockMode, Resource};
+use crate::protocol::Protocol;
+use crate::txn::TxnStatus;
+use qs_storage::Page;
+use qs_trace::TraceCat;
+use qs_types::{Lsn, PageId, QsError, QsResult, TxnId};
+use qs_wal::record::{self, tag};
+use qs_wal::{LogPressure, LogRecord};
+use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
+
+/// One deferred operation of an uncommitted `NoSteal` transaction: the
+/// shipped frame of a slot-level logical after-image (`UpdateLogical`) or
+/// of a whole-page image (newly created pages, §3.6 treatment), and where
+/// it sits in the log. Stashed at receive time and applied to the pool
+/// only after the commit force, so the pool (and therefore the volume)
+/// only ever holds committed data.
+pub(super) struct PendingOp {
+    page: PageId,
+    frame: Vec<u8>,
+    lsn: Lsn,
+}
+
+fn protocol_error(detail: &str) -> QsError {
+    QsError::Protocol { detail: detail.into() }
+}
+
+impl Server {
+    pub fn begin(&self) -> TxnId {
+        self.txns.lock(&self.tracer).begin(self.facts.base)
+    }
+
+    /// Acquire a page lock on behalf of `txn` (the paper's "obtains an
+    /// exclusive lock on the page from ESM"). Blocking; deadlocks abort the
+    /// requester with `LockConflict`.
+    pub fn lock_page(&self, txn: TxnId, pid: PageId, mode: LockMode) -> QsResult<()> {
+        self.lock_resource(txn, Resource::Page(pid), mode)
+    }
+
+    /// Acquire a lock on any [`Resource`] — a whole page or one record. A
+    /// record lock first takes the intention mode on its page (two-step;
+    /// both steps block and both feed the waits-for graph). Lock-wait
+    /// trace events carry [`Resource::trace_code`], so record-level waits
+    /// are attributable to their slot.
+    pub fn lock_resource(&self, txn: TxnId, res: Resource, mode: LockMode) -> QsResult<()> {
+        let waited = self.locks.lock_resource(txn, res, mode)?;
+        if waited {
+            self.tracer.event(TraceCat::LockWait, "granted", txn.0, res.trace_code());
+        }
+        self.meter.locks_acquired.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Non-blocking variant of [`Server::lock_resource`] for reactor
+    /// workers: either the lock is granted now (metered exactly like a
+    /// no-wait `lock_resource`) or the request parks and the grant arrives
+    /// later via the [`crate::lock::LockEvents`] sink — the worker thread
+    /// never blocks. Queue-time deadlocks surface as `Err(LockConflict)`.
+    pub(crate) fn lock_resource_async(
+        &self,
+        txn: TxnId,
+        res: Resource,
+        mode: LockMode,
+    ) -> QsResult<AsyncLockOutcome> {
+        let outcome = self.locks.lock_resource_async(txn, res, mode)?;
+        if outcome == AsyncLockOutcome::Granted {
+            self.meter.locks_acquired.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(outcome)
+    }
+
+    /// Meter a parked async lock request whose grant just arrived — the
+    /// same trace event and counter bump a blocking `lock_resource`
+    /// performs when its wait ends.
+    pub(crate) fn note_async_lock_granted(&self, txn: TxnId, res: Resource) {
+        self.tracer.event(TraceCat::LockWait, "granted", txn.0, res.trace_code());
+        self.meter.locks_acquired.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The lock manager, for the reactor to install its grant sink.
+    pub(crate) fn locks(&self) -> &LockManager {
+        &self.locks
+    }
+
+    /// Allocate a page inside a transaction (logged, recoverable).
+    pub fn allocate_page(&self, txn: TxnId) -> QsResult<PageId> {
+        let pid = self.volume.lock(&self.tracer).allocate()?;
+        let mut txns = self.txns.lock(&self.tracer);
+        let prev = txns.active_mut(txn)?.last_lsn;
+        let lsn = self.log.wal().append(&LogRecord::PageAlloc { txn, prev, page: pid })?;
+        txns.active_mut(txn)?.note_logged(lsn);
+        drop(txns);
+        self.locks.lock(txn, Resource::Page(pid), LockMode::X)?;
+        self.meter.locks_acquired.fetch_add(1, Ordering::Relaxed);
+        Ok(pid)
+    }
+
+    /// Struct-level convenience over [`Server::receive_log_bytes`] (tests
+    /// and the bench driver): encode, then ship the bytes.
+    pub fn receive_log_records(&self, txn: TxnId, records: Vec<LogRecord>) -> QsResult<()> {
+        let batch: Vec<u8> = records.iter().flat_map(LogRecord::encode).collect();
+        self.receive_log_bytes(txn, &batch)
+    }
+
+    /// Receive a batch of client-generated, already-encoded log records
+    /// (built by `qs_wal::RecordWriter`). The client cannot know its
+    /// transaction's backward chain, so `prev` is patched *in place* on
+    /// append ([`qs_wal::LogManager::append_rechained`]) — the hot path
+    /// never decodes or re-encodes a record. What happens to a page-bearing
+    /// record next is its transaction's protocol: `Steal` enters the page
+    /// in the DPT (and, under redo-at-server, applies the after-image to
+    /// the server's copy at once, §3.5); `NoSteal` stashes it until commit.
+    pub fn receive_log_bytes(&self, txn: TxnId, batch: &[u8]) -> QsResult<()> {
+        if !self.facts.ships_records {
+            return Err(protocol_error("WPL clients do not generate log records"));
+        }
+        self.txns.lock(&self.tracer).active_mut(txn)?;
+        let mut at = 0usize;
+        while at < batch.len() {
+            let len = record::frame_len(&batch[at..])?;
+            let frame = &batch[at..at + len];
+            let t = record::frame_tag(frame);
+            if record::frame_txn(frame) != txn {
+                return Err(QsError::Protocol {
+                    detail: format!("record for {} shipped by {txn}", record::frame_txn(frame)),
+                });
+            }
+            if t == tag::UPDATE && !self.facts.physical_update {
+                return Err(protocol_error(
+                    "RLOG clients ship logical records, not physical before/after images",
+                ));
+            }
+            if t == tag::TXN_SCHEME && !self.facts.txn_scheme {
+                return Err(protocol_error(
+                    "TxnScheme records are only legal under the adaptive flavor",
+                ));
+            }
+            // The txn-table lock is held across the append so the chain
+            // stays consistent under concurrency. Only the tags a client
+            // generates get the transaction's backward chain; any other
+            // keeps the prev it was shipped with.
+            let mut txns = self.txns.lock(&self.tracer);
+            let state = txns.active_mut(txn)?;
+            let prev = match t {
+                tag::UPDATE..=tag::PAGE_ALLOC | tag::UPDATE_LOGICAL | tag::TXN_SCHEME => {
+                    state.last_lsn
+                }
+                _ => record::frame_prev(frame),
+            };
+            let lsn = self.log.wal().append_rechained(frame, prev)?;
+            state.note_logged(lsn);
+            if let Some(scheme) = record::frame_scheme(frame) {
+                // The mark governs how every later record of this chain is
+                // processed.
+                state.protocol = self.facts.protocol(Some(scheme));
+            } else if let Some(pid) = record::frame_page(frame) {
+                state.log_shipped.insert(pid);
+                let protocol = state.protocol;
+                drop(txns);
+                match protocol {
+                    // The DPT is untouched until the op lands in the pool
+                    // at commit.
+                    Protocol::NoSteal => self.stash_pending(txn, pid, frame, lsn),
+                    Protocol::Steal => {
+                        self.dpt.lock(&self.tracer).entry(pid).or_insert(lsn);
+                        if self.facts.redo_on_receive {
+                            self.redo_onto_pool(pid, [(frame, lsn)])?;
+                        }
+                    }
+                    Protocol::PageLog => unreachable!("PageLog flavors ship no records"),
+                }
+            }
+            at += len;
+        }
+        Ok(())
+    }
+
+    /// Stash one received record of a `NoSteal` transaction as a deferred
+    /// op. Nothing touches the pool or the DPT here — that happens after
+    /// the commit force in [`Server::apply_pending_committed`]. Only
+    /// logical updates and whole-page images carry deferred work
+    /// (`PageAlloc`: the volume allocation already happened in
+    /// `allocate_page`).
+    fn stash_pending(&self, txn: TxnId, page: PageId, frame: &[u8], lsn: Lsn) {
+        if matches!(record::frame_tag(frame), tag::UPDATE_LOGICAL | tag::WHOLE_PAGE) {
+            let op = PendingOp { page, frame: frame.to_vec(), lsn };
+            self.pending.lock(&self.tracer).entry(txn).or_default().push(op);
+        }
+    }
+
+    /// Re-apply `txn`'s own pending (deferred, uncommitted) operations on
+    /// `pid` to a served page copy.
+    pub(super) fn overlay_pending(&self, txn: TxnId, pid: PageId, page: &mut Page) -> QsResult<()> {
+        let pending = self.pending.lock(&self.tracer);
+        let Some(ops) = pending.get(&txn) else { return Ok(()) };
+        for op in ops.iter().filter(|op| op.page == pid) {
+            apply_after_image(page, pid, &op.frame, op.lsn)?;
+        }
+        Ok(())
+    }
+
+    /// Post-force half of a `NoSteal` commit: move the transaction's
+    /// deferred ops into the pool. WAL holds (the commit force just made
+    /// every op durable) and no-steal holds (the ops were invisible until
+    /// now, and from here on they are committed data). Pages are applied
+    /// in ascending page-id order so pool state is deterministic.
+    fn apply_pending_committed(&self, txn: TxnId) -> QsResult<()> {
+        let ops = self.pending.lock(&self.tracer).remove(&txn).unwrap_or_default();
+        let mut by_page: BTreeMap<PageId, Vec<PendingOp>> = BTreeMap::new();
+        for op in ops {
+            by_page.entry(op.page).or_default().push(op);
+        }
+        for (pid, ops) in by_page {
+            self.redo_onto_pool(pid, ops.iter().map(|op| (&op.frame[..], op.lsn)))?;
+        }
+        Ok(())
+    }
+
+    /// Client declares that all log records it will generate for `pid` in
+    /// this transaction have been shipped (possibly zero). Enforcement hook
+    /// for the log-before-page rule.
+    pub fn note_page_logged(&self, txn: TxnId, pid: PageId) -> QsResult<()> {
+        self.txns.lock(&self.tracer).active_mut(txn)?.log_shipped.insert(pid);
+        Ok(())
+    }
+
+    /// Receive a dirty page from a client.
+    pub fn receive_dirty_page(&self, txn: TxnId, pid: PageId, mut page: Page) -> QsResult<()> {
+        let mut txns = self.txns.lock(&self.tracer);
+        let state = txns.active_mut(txn)?;
+        if !self.facts.ships_pages {
+            return Err(protocol_error("clients of this flavor do not ship dirty pages"));
+        }
+        match state.protocol {
+            // Its updates live only in the pending map until commit.
+            Protocol::NoSteal => {
+                return Err(protocol_error("no-steal transactions do not ship dirty pages"));
+            }
+            Protocol::PageLog => {
+                drop(txns);
+                return self.wpl_receive_page(txn, pid, page);
+            }
+            Protocol::Steal => {
+                // Log-before-page rule (§3.1): the server must never cache
+                // a page for which it lacks the update log records.
+                if !state.log_shipped.contains(&pid) {
+                    return Err(QsError::LogBeforePageViolation(pid));
+                }
+                page.set_lsn(state.last_lsn);
+            }
+        }
+        drop(txns);
+        let rec_lsn = self.log.wal().tail_lsn();
+        let mut pool = self.pool.lock(pid, &self.tracer);
+        let evicted = pool.insert(pid, page, true)?;
+        self.dpt.lock(&self.tracer).entry(pid).or_insert(rec_lsn);
+        self.steal(&mut OnDemand(self), evicted)
+    }
+
+    /// Commit: force the log (records + commit record; under `PageLog`
+    /// this forces the page images too), do the protocol's post-force
+    /// work, release locks. NO-FORCE: data pages are *not* written to the
+    /// volume here.
+    ///
+    /// The txn-table lock is released across the force so concurrent
+    /// committers can append their own commit records while this one's
+    /// batch syncs — that window is what group commit batches over.
+    ///
+    /// Returns the server's current [`LogPressure`], piggybacked on the
+    /// commit acknowledgement so adaptive clients can weight their next
+    /// scheme election without an extra round trip.
+    pub fn commit(&self, txn: TxnId) -> QsResult<LogPressure> {
+        let lsn = self.commit_append(txn)?;
+        let stats = self.log.commit_force(lsn, &self.tracer)?;
+        self.meter_force(stats);
+        let pressure = self.commit_finish(txn)?;
+        // Watermark maintenance rides on the committing client only on
+        // the direct path (the reactor's committer triggers it once per
+        // batch instead). The commit is durable and acknowledged whatever
+        // maintenance does: its failure is not this transaction's.
+        self.background_maintenance(self.maybe_maintain());
+        Ok(pressure)
+    }
+
+    /// First half of [`Server::commit`]: append the commit record and
+    /// return its LSN. The force and the post-force bookkeeping are left to
+    /// the caller so the reactor's committer can batch one force over many
+    /// appended commit records.
+    pub(crate) fn commit_append(&self, txn: TxnId) -> QsResult<Lsn> {
+        let mut txns = self.txns.lock(&self.tracer);
+        let prev = txns.active_mut(txn)?.last_lsn;
+        let lsn = self.log.wal().append(&LogRecord::Commit { txn, prev })?;
+        // Flip to Committed under the same lock as the append. Checkpoint
+        // snapshots (which also hold the txn-table lock across their own
+        // record append) list only *active* transactions, so a transaction
+        // is excluded exactly when its commit record precedes the
+        // checkpoint record — otherwise a checkpoint landing between this
+        // append and `commit_finish` would snapshot the transaction as
+        // active, restart's forward scan (from the checkpoint) would never
+        // see the earlier commit, and undo would roll back committed work.
+        txns.get_mut(txn)?.status = TxnStatus::Committed;
+        Ok(lsn)
+    }
+
+    /// Force the log through `max_lsn` on behalf of a batch of `batch`
+    /// appended commit records and meter it the way `batch` sequential
+    /// direct commits would have: one real force (or one no-op if the tail
+    /// is already durable) plus `batch - 1` no-op forces for the riders.
+    /// That keeps `log_forces + log_forces_noop == commits` — the same
+    /// invariant the group-commit leader/follower path maintains.
+    pub(crate) fn commit_force_batch(&self, max_lsn: Lsn, batch: usize) -> QsResult<()> {
+        let stats = self.log.commit_force(max_lsn, &self.tracer)?;
+        self.meter_force(stats);
+        for _ in 1..batch {
+            self.meter.log_forces_noop.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
+    /// Second half of [`Server::commit`]: everything after the force.
+    /// Returns the post-commit [`LogPressure`] for the reply piggyback.
+    pub(crate) fn commit_finish(&self, txn: TxnId) -> QsResult<LogPressure> {
+        let mut txns = self.txns.lock(&self.tracer);
+        // `get_mut`, not `active_mut`: `commit_append` already flipped the
+        // status to Committed.
+        let state = txns.get_mut(txn)?;
+        match state.protocol {
+            Protocol::Steal => {}
+            Protocol::NoSteal => {
+                // The force just made every deferred op durable; apply them
+                // now, before the transaction leaves the table. The pending
+                // lock is never nested inside the txn-table lock.
+                drop(txns);
+                self.apply_pending_committed(txn)?;
+                txns = self.txns.lock(&self.tracer);
+            }
+            Protocol::PageLog => {
+                let logged = std::mem::take(&mut state.wpl_images);
+                self.wpl.lock(&self.tracer).on_commit(txn, &logged);
+            }
+        }
+        txns.remove(txn);
+        drop(txns);
+        self.locks.release_all(txn);
+        self.meter.commits.fetch_add(1, Ordering::Relaxed);
+        Ok(self.log_pressure())
+    }
+
+    /// The server-side log-pressure signal piggybacked on commit replies:
+    /// `fill` is the log's distance past the low watermark toward the high
+    /// (truncation-anchor distance), `queue` is commit forces in flight
+    /// over [`LogPressure::QUEUE_SATURATION`]. Both clamp to `[0, 1]`.
+    pub fn log_pressure(&self) -> LogPressure {
+        let used = self.log.wal().used_bytes() as f64;
+        let cap = self.log.wal().body_capacity() as f64;
+        let low = self.cfg.log_low_watermark;
+        let high = self.cfg.log_high_watermark;
+        let span = (high - low).max(f64::EPSILON);
+        let fill = (used / cap - low) / span;
+        let queue = self.log.forces_in_flight() as f64 / LogPressure::QUEUE_SATURATION as f64;
+        LogPressure::new(fill, queue)
+    }
+
+    /// Abort. `Steal`: ARIES-style undo with CLRs, then an abort record.
+    /// `NoSteal`: the deferred ops were never applied anywhere — dropping
+    /// them IS the rollback; close the chain with an abort record, no undo,
+    /// no CLRs. `PageLog`: forget the transaction's logged images and drop
+    /// its cached pages (§3.4.2: "abort … by simply ignoring, from then on,
+    /// any of its updated values"). Undo reads and rewrites pages across
+    /// subsystems, so the whole abort runs quiesced.
+    pub fn abort(&self, txn: TxnId) -> QsResult<()> {
+        let protocol = self.txns.lock(&self.tracer).active_mut(txn)?.protocol;
+        if protocol == Protocol::NoSteal {
+            // Taken before quiescing: the pending lock is never nested
+            // inside the subsystem locks.
+            self.pending.lock(&self.tracer).remove(&txn);
+        }
+        self.with_quiesced(|view| -> QsResult<()> {
+            let state = view.txns.active_mut(txn)?;
+            match protocol {
+                Protocol::PageLog => {
+                    view.wpl.on_abort(txn);
+                    for pid in std::mem::take(&mut state.wpl_images) {
+                        view.pool.shard(pid).remove(pid);
+                    }
+                }
+                Protocol::NoSteal => Self::append_abort(view, txn)?,
+                Protocol::Steal => {
+                    let last = state.last_lsn;
+                    let mut cache = qs_wal::LogReadCache::default();
+                    self.undo_chain(view, txn, last, &mut cache)?;
+                    Self::append_abort(view, txn)?;
+                }
+            }
+            view.txns.remove(txn);
+            Ok(())
+        })?;
+        self.locks.release_all(txn);
+        Ok(())
+    }
+
+    /// Close `txn`'s chain with an abort record.
+    pub(crate) fn append_abort(view: &mut InnerView<'_>, txn: TxnId) -> QsResult<()> {
+        let prev = view.txns.get(txn)?.last_lsn;
+        view.log.append(&LogRecord::Abort { txn, prev })?;
+        Ok(())
+    }
+
+    /// Walk a transaction's backward chain applying before-images, writing
+    /// CLRs. Used by abort and by restart undo. Returns the number of
+    /// update records undone (restart-report input). Chain reads go through
+    /// `cache`, a log-page cache: the backward walk revisits the same log
+    /// pages constantly, and the cache turns those into one log-disk fetch
+    /// per distinct page (its hit counter also feeds the restart report).
+    pub(crate) fn undo_chain(
+        &self,
+        view: &mut InnerView<'_>,
+        txn: TxnId,
+        from: Lsn,
+        cache: &mut qs_wal::LogReadCache,
+    ) -> QsResult<u64> {
+        let mut undone = 0u64;
+        let mut at = from;
+        while !at.is_null() {
+            let (rec, _) = cache.read_record(view.log, at)?;
+            match rec {
+                LogRecord::Update { page: pid, slot, offset, before, prev, .. } => {
+                    let mut disk = Held { volume: view.volume, dpt: &mut *view.dpt };
+                    self.fault_in(view.pool.shard(pid), &mut disk, pid, None)?;
+                    let clr_lsn_guess = view.log.tail_lsn();
+                    let pool = view.pool.shard(pid);
+                    let page = pool.get_mut(pid).expect("resident");
+                    let obj = page.object_mut(pid, slot)?;
+                    let off = offset as usize;
+                    obj[off..off + before.len()].copy_from_slice(&before);
+                    page.set_lsn(clr_lsn_guess);
+                    pool.mark_dirty(pid);
+                    let t_prev = view.txns.get(txn)?.last_lsn;
+                    let clr = LogRecord::Clr {
+                        txn,
+                        prev: t_prev,
+                        page: pid,
+                        slot,
+                        offset,
+                        after: before.clone(),
+                        undo_next: prev,
+                    };
+                    let lsn = view.log.append(&clr)?;
+                    view.txns.active_mut(txn)?.note_logged(lsn);
+                    view.dpt.entry(pid).or_insert(lsn);
+                    undone += 1;
+                    at = prev;
+                }
+                LogRecord::Clr { undo_next, .. } => at = undo_next,
+                // UpdateLogical carries no before-image (no-steal
+                // transactions are never undone); if one is ever reached
+                // here just walk past it.
+                LogRecord::WholePage { prev, .. }
+                | LogRecord::PageAlloc { prev, .. }
+                | LogRecord::UpdateLogical { prev, .. }
+                | LogRecord::TxnScheme { prev, .. }
+                | LogRecord::Commit { prev, .. }
+                | LogRecord::Abort { prev, .. } => at = prev,
+                LogRecord::Checkpoint { .. }
+                | LogRecord::BeginCheckpoint { .. }
+                | LogRecord::EndCheckpoint { .. } => break,
+            }
+        }
+        Ok(undone)
+    }
+}

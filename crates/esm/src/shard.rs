@@ -9,10 +9,10 @@
 //! `BufferPool` behind a single lock — bit-for-bit the pre-decomposition
 //! behavior, which is what keeps single-client figures byte-identical.
 
-use crate::buffer::{BufferPool, Evicted};
+use crate::buffer::BufferPool;
 use qs_storage::Page;
 use qs_trace::{TracedGuard, TracedMutex, Tracer};
-use qs_types::{PageId, QsResult};
+use qs_types::PageId;
 
 /// Which shard a page belongs to: Fibonacci hash of the page id. With one
 /// shard this degenerates to 0 with no multiply in the way of reasoning.
@@ -70,8 +70,8 @@ impl ShardedPool {
 }
 
 /// A whole-pool view over all shards at once, held by quiesced operations.
-/// Routes every call to the owning shard; `dirty_pages` concatenates in
-/// shard order (identical to the single pool when there is one shard).
+/// Routes a page to its owning shard; `dirty_pages` concatenates in shard
+/// order (identical to the single pool when there is one shard).
 pub(crate) struct PoolView<'a> {
     shards: Vec<&'a mut BufferPool>,
 }
@@ -81,7 +81,9 @@ impl<'a> PoolView<'a> {
         PoolView { shards }
     }
 
-    fn shard(&mut self, pid: PageId) -> &mut BufferPool {
+    /// The shard that owns `pid` — what [`ShardedPool::lock`] hands a hot
+    /// path; every per-page mutation goes through it.
+    pub(crate) fn shard(&mut self, pid: PageId) -> &mut BufferPool {
         let i = shard_index(pid, self.shards.len());
         self.shards[i]
     }
@@ -90,37 +92,8 @@ impl<'a> PoolView<'a> {
         self.shards[shard_index(pid, self.shards.len())].contains(pid)
     }
 
-    pub(crate) fn get(&mut self, pid: PageId) -> Option<&Page> {
-        self.shard(pid).get(pid)
-    }
-
-    pub(crate) fn get_mut(&mut self, pid: PageId) -> Option<&mut Page> {
-        self.shard(pid).get_mut(pid)
-    }
-
     pub(crate) fn peek(&self, pid: PageId) -> Option<&Page> {
         self.shards[shard_index(pid, self.shards.len())].peek(pid)
-    }
-
-    pub(crate) fn insert(
-        &mut self,
-        pid: PageId,
-        page: Page,
-        dirty: bool,
-    ) -> QsResult<Option<Evicted>> {
-        self.shard(pid).insert(pid, page, dirty)
-    }
-
-    pub(crate) fn remove(&mut self, pid: PageId) -> Option<Evicted> {
-        self.shard(pid).remove(pid)
-    }
-
-    pub(crate) fn mark_dirty(&mut self, pid: PageId) {
-        self.shard(pid).mark_dirty(pid);
-    }
-
-    pub(crate) fn clear_dirty(&mut self, pid: PageId) {
-        self.shard(pid).clear_dirty(pid);
     }
 
     pub(crate) fn dirty_pages(&self) -> Vec<PageId> {

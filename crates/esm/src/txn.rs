@@ -1,5 +1,6 @@
 //! The server's transaction table.
 
+use crate::protocol::Protocol;
 use qs_types::{Lsn, PageId, QsError, QsResult, TxnId};
 use std::collections::{HashMap, HashSet};
 
@@ -21,28 +22,29 @@ pub struct TxnState {
     pub last_lsn: Lsn,
     /// First log record written by this transaction (log truncation bound).
     pub first_lsn: Lsn,
-    /// WPL: pages this transaction has had logged (the per-transaction list
-    /// of §3.4.2, walked at commit to flip WPL-table entries to committed).
-    pub logged_pages: Vec<PageId>,
-    /// ESM log-before-page rule enforcement: pages for which this
-    /// transaction has already shipped log records (or declared none
-    /// needed).
-    pub pages_logged: HashSet<PageId>,
-    /// Adaptive flavor: the logging scheme this transaction elected via its
-    /// `TxnScheme` record. `None` until (or unless) one arrives.
-    pub scheme: Option<qs_wal::SchemeCode>,
+    /// What the server does with this transaction's updates: the flavor's
+    /// base protocol from `begin`, re-resolved when a `TxnScheme` mark
+    /// arrives (always before the transaction's first page record).
+    pub protocol: Protocol,
+    /// `PageLog`: pages whose images this transaction had appended to the
+    /// log (the per-transaction list of §3.4.2, walked at commit to flip
+    /// WPL-table entries to committed).
+    pub wpl_images: Vec<PageId>,
+    /// Log-before-page rule enforcement: pages for which this transaction
+    /// has already shipped log records (or declared none needed).
+    pub log_shipped: HashSet<PageId>,
 }
 
 impl TxnState {
-    fn new(id: TxnId) -> TxnState {
+    fn new(id: TxnId, protocol: Protocol) -> TxnState {
         TxnState {
             id,
             status: TxnStatus::Active,
             last_lsn: Lsn::NULL,
             first_lsn: Lsn::NULL,
-            logged_pages: Vec::new(),
-            pages_logged: HashSet::new(),
-            scheme: None,
+            protocol,
+            wpl_images: Vec::new(),
+            log_shipped: HashSet::new(),
         }
     }
 
@@ -73,17 +75,18 @@ impl TxnTable {
         TxnTable { next_id: next, txns: HashMap::new() }
     }
 
-    pub fn begin(&mut self) -> TxnId {
+    pub fn begin(&mut self, protocol: Protocol) -> TxnId {
         let id = TxnId(self.next_id);
         self.next_id += 1;
-        self.txns.insert(id, TxnState::new(id));
+        self.txns.insert(id, TxnState::new(id, protocol));
         id
     }
 
     /// Re-register a loser transaction found by restart analysis so the
-    /// ordinary undo machinery can roll it back.
+    /// ordinary undo machinery can roll it back (only `Steal` transactions
+    /// are ever undone).
     pub fn restore(&mut self, id: TxnId, last_lsn: Lsn) {
-        let mut t = TxnState::new(id);
+        let mut t = TxnState::new(id, Protocol::Steal);
         t.last_lsn = last_lsn;
         self.txns.insert(id, t);
         self.next_id = self.next_id.max(id.0 + 1);
@@ -137,8 +140,8 @@ mod tests {
     #[test]
     fn begin_assigns_monotonic_ids() {
         let mut tt = TxnTable::new();
-        let a = tt.begin();
-        let b = tt.begin();
+        let a = tt.begin(Protocol::Steal);
+        let b = tt.begin(Protocol::Steal);
         assert!(b.0 > a.0);
         assert_eq!(tt.len(), 2);
     }
@@ -146,7 +149,7 @@ mod tests {
     #[test]
     fn note_logged_tracks_first_and_last() {
         let mut tt = TxnTable::new();
-        let id = tt.begin();
+        let id = tt.begin(Protocol::Steal);
         let t = tt.active_mut(id).unwrap();
         t.note_logged(Lsn(100));
         t.note_logged(Lsn(250));
@@ -157,7 +160,7 @@ mod tests {
     #[test]
     fn active_mut_rejects_finished() {
         let mut tt = TxnTable::new();
-        let id = tt.begin();
+        let id = tt.begin(Protocol::Steal);
         tt.get_mut(id).unwrap().status = TxnStatus::Committed;
         assert!(matches!(tt.active_mut(id), Err(QsError::TransactionNotActive(_))));
         assert!(matches!(tt.active_mut(TxnId(999)), Err(QsError::NoSuchTransaction(_))));
@@ -166,9 +169,9 @@ mod tests {
     #[test]
     fn min_active_first_lsn_skips_unlogged_and_finished() {
         let mut tt = TxnTable::new();
-        let a = tt.begin();
-        let b = tt.begin();
-        let _quiet = tt.begin(); // never logs
+        let a = tt.begin(Protocol::Steal);
+        let b = tt.begin(Protocol::Steal);
+        let _quiet = tt.begin(Protocol::Steal); // never logs
         tt.active_mut(a).unwrap().note_logged(Lsn(300));
         tt.active_mut(b).unwrap().note_logged(Lsn(200));
         assert_eq!(tt.min_active_first_lsn(), Some(Lsn(200)));
@@ -179,8 +182,8 @@ mod tests {
     #[test]
     fn resuming_after_continues_ids() {
         let mut tt = TxnTable::resuming_after(TxnId(41));
-        assert_eq!(tt.begin(), TxnId(42));
+        assert_eq!(tt.begin(Protocol::Steal), TxnId(42));
         let mut tt2 = TxnTable::resuming_after(TxnId::INVALID);
-        assert_eq!(tt2.begin(), TxnId(1));
+        assert_eq!(tt2.begin(Protocol::Steal), TxnId(1));
     }
 }

@@ -12,6 +12,40 @@ cargo fmt --all -- --check
 echo "== cargo build --release --offline =="
 cargo build --release --offline --workspace
 
+echo "== repo benchmark builds against this tree =="
+# benchmark/ is a contract feature PRs do not edit; it calls only the
+# signatures listed under "API surface" in benchmark/README.md. Build it
+# now, so a refactor that broke one fails here, by name, rather than at the
+# smoke run at the end.
+if ! cargo build --release --offline --manifest-path benchmark/Cargo.toml; then
+    echo "FAIL: benchmark/ does not build against the workspace crates: a" \
+         "signature in benchmark/README.md \"API surface\" changed. Restore" \
+         "it here; changing it is a benchmark PR first."
+    exit 1
+fi
+
+echo "== flavor matches live in protocol.rs only =="
+# A RecoveryFlavor variant may be named where a flavor is turned into
+# behaviour (crates/esm/src/protocol.rs, which also defines it) and where a
+# scheme picks its flavor (crates/core/src/config.rs) — nowhere else in
+# non-test, non-comment code of the two crates. A `#[cfg(test)]` followed by
+# an inline `mod … {` starts a file's test half; tests.rs files are tests.
+flavor_sites=$(find crates/esm/src crates/core/src -name '*.rs' \
+        ! -path crates/esm/src/protocol.rs ! -path crates/core/src/config.rs \
+        ! -name tests.rs -exec awk '
+    FNR == 1 { in_tests = 0; pending = 0 }
+    pending { if ($0 ~ /mod [a-z_]+ *\{/) in_tests = 1; pending = 0 }
+    /^[ \t]*#\[cfg\(test\)\]/ { pending = 1 }
+    !in_tests && $0 !~ /^[ \t]*\/\// && /RecoveryFlavor::/ {
+        print "    " FILENAME ":" FNR ": " $0
+    }' {} +)
+if [ -n "$flavor_sites" ]; then
+    echo "FAIL: RecoveryFlavor variants named outside protocol.rs / config.rs:"
+    echo "$flavor_sites"
+    echo "  ask crates/esm/src/protocol.rs (Protocol, FlavorFacts) instead"
+    exit 1
+fi
+
 echo "== cargo test -q --offline =="
 cargo test -q --offline --workspace
 
