@@ -52,6 +52,9 @@ const EXPECTED_NAMES: &[&str] = &[
     "oo7/t1_visit",
     "wal/append_update_record",
     "wal/encode_decode_round_trip",
+    "wal/checksum_64B",
+    "wal/checksum_8KB",
+    "wal/frame_verify_update",
     "lock_manager/uncontended_x_lock_release",
     "update_path/txn_64pages_2048_updates/PD-ESM",
     "update_path/txn_64pages_2048_updates/SD-ESM",
@@ -347,6 +350,23 @@ fn bench_log(h: &mut Harness) {
     h.bench("wal/encode_decode_round_trip", 100_000, || {
         let e = rec.encode();
         black_box(LogRecord::decode(&e).unwrap());
+    });
+    // The frame checksum kernel at the two sizes restart meets — a small
+    // update frame's covered bytes, a whole-page frame's — per byte, so
+    // the reciprocal is GB/s.
+    let bytes: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 31 % 251) as u8).collect();
+    for (name, len, iters) in
+        [("wal/checksum_64B", 64, 1_000_000), ("wal/checksum_8KB", PAGE_SIZE, 20_000)]
+    {
+        h.bench_units(name, iters, len as u64, || {
+            black_box(qs_wal::record::checksum(black_box(&bytes[..len])));
+        });
+        let per_byte = h.results.last().expect("just benched").median_ns;
+        println!("{:<48} {:.2} GB/s", "", 1.0 / per_byte);
+    }
+    let frame = rec.encode();
+    h.bench("wal/frame_verify_update", 1_000_000, || {
+        qs_wal::record::frame_verify(black_box(&frame)).unwrap();
     });
 }
 

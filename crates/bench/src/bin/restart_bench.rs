@@ -9,17 +9,22 @@
 //! images with `redo_workers` ∈ {1, 2, 4, 8}, timing each restart
 //! end-to-end with a wall clock. Every row runs the same engine —
 //! reader, router, N workers — so the rows of one scheme are a scaling
-//! curve over the pool size, not a comparison of implementations.
+//! curve over the pool size, not a comparison of implementations. The
+//! log is made long enough (40 MB) for the engine to pipeline its scan;
+//! a scan under 32 MB runs inline on the restart thread, whatever the
+//! pool size (EXPERIMENTS.md, "Short scans run inline").
 //!
 //! Every restart's per-phase work counts are asserted identical across
 //! worker counts — the pool size must never change what recovery does
 //! (the full bit-equivalence check lives in `tests/restart_equivalence.rs`).
 //!
 //! Results are written to `BENCH_restart.json` in the same shape as
-//! `BENCH_micro.json`, each row extended with `stages`: the median
-//! restart's per-stage wall accounting from `RestartReport::wall` — per
-//! scan the busy and blocked time of reader, router and every worker,
-//! plus merge, undo and closing-checkpoint time (see EXPERIMENTS.md).
+//! `BENCH_micro.json` plus the git revision measured, each row extended
+//! with `stages`: the median restart's per-stage wall accounting from
+//! `RestartReport::wall` — per scan the busy and blocked time of reader,
+//! router and every worker, plus merge, undo and closing-checkpoint time,
+//! and `log_bytes_read` — and with `log_span_bytes`, the stretch of log a
+//! restart that reads it once has to read (see EXPERIMENTS.md).
 //!
 //! Flags:
 //!   --smoke            tiny log target and fewer iterations: exercises
@@ -27,16 +32,19 @@
 //!                      not meaningful
 //!   --validate <path>  parse a previously written BENCH_restart.json and
 //!                      assert it covers every scheme × worker count, that
-//!                      every row carries the stage fields, and that no
-//!                      scan reports more busy time than its threads had
-//!                      wall time; exits non-zero otherwise
+//!                      every row carries the stage fields, that no scan
+//!                      reports more busy time than its threads had wall
+//!                      time, that a real (non-smoke) run's scans were
+//!                      pipelined over the row's whole pool, and that a
+//!                      restart over a physical-only log made one scan and
+//!                      read the log once; exits non-zero otherwise
 
-use qs_esm::{ClientConn, Server, ServerConfig, StableParts};
+use qs_esm::{ClientConn, RestartConfig, Server, ServerConfig, StableParts};
 use qs_oo7::{generate, t2, Oo7Params, T2Mode};
 use qs_sim::{JsonWriter, Meter};
 use qs_storage::{MemDisk, StableMedia};
 use qs_trace::RestartWall;
-use qs_types::ClientId;
+use qs_types::{ClientId, PAGE_SIZE};
 use quickstore::{Store, SystemConfig};
 use std::sync::Arc;
 use std::time::Instant;
@@ -124,6 +132,19 @@ fn build_crash_image(
 /// reads, data writes) — the counts-identical assertion's unit.
 type PhaseCounts = (String, u64, u64, u64, u64);
 
+/// The stretch of log the longest priced pass covers: analysis from the
+/// anchor or redo from the DPT's minimum — what one scan has to read.
+fn log_span_bytes(counts: &[PhaseCounts]) -> u64 {
+    counts.iter().map(|c| c.2).max().unwrap_or(0) * PAGE_SIZE as u64
+}
+
+/// How many bytes a restart that reads `span` bytes of log once may pull
+/// from it: 5 % for the frames that straddle a chunk boundary and are
+/// read again, plus one chunk.
+fn read_once_bound(span: u64) -> u64 {
+    span + span / 20 + RestartConfig::default().chunk_bytes as u64
+}
+
 /// One timed restart: wall-clock nanoseconds, the restart report's raw
 /// work counts (for the counts-identical assertion) and its per-stage
 /// wall accounting.
@@ -155,6 +176,7 @@ struct BenchResult {
     median_ns: f64,
     min_ns: f64,
     max_ns: f64,
+    log_span_bytes: u64,
     /// Stage accounting of the median restart.
     stages: RestartWall,
 }
@@ -182,6 +204,7 @@ fn render_json(results: &[BenchResult], smoke: bool) -> String {
         // threads had.
         .key("host_cores")
         .usize(std::thread::available_parallelism().map_or(0, |n| n.get()))
+        .field_str("git_rev", &git_rev())
         .key("results")
         .begin_array();
     for r in results {
@@ -190,12 +213,25 @@ fn render_json(results: &[BenchResult], smoke: bool) -> String {
             .field_f64("median_ns", r.median_ns)
             .field_f64("min_ns", r.min_ns)
             .field_f64("max_ns", r.max_ns)
+            .field_u64("log_span_bytes", r.log_span_bytes)
             .key("stages");
         r.stages.write_json(&mut w);
         w.end_object();
     }
     w.end_array().end_object();
     w.finish()
+}
+
+/// `git describe` of the tree the binary ran in, `-dirty` if it had
+/// uncommitted changes; "unknown" outside a git checkout.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".into(), |rev| rev.trim().to_string())
 }
 
 fn schemes() -> Vec<SystemConfig> {
@@ -211,32 +247,38 @@ fn schemes() -> Vec<SystemConfig> {
         .collect()
 }
 
-/// Every result name the harness emits, for `--validate`.
-fn expected_names() -> Vec<String> {
-    let mut names = Vec::new();
+/// Every result name the harness emits, its pool size and whether its
+/// scheme's log is physical-only, for `--validate`.
+fn expected_rows() -> Vec<(String, usize, bool)> {
+    let mut rows = Vec::new();
     for cfg in schemes() {
         for &w in WORKER_COUNTS {
-            names.push(format!("restart/{}/workers_{w}", cfg.name()));
+            let name = format!("restart/{}/workers_{w}", cfg.name());
+            rows.push((name, w, cfg.flavor.facts().physical_only_log()));
         }
     }
-    names
+    rows
 }
 
 fn validate(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     qs_bench::jsoncheck::check_json(&text)
         .map_err(|at| format!("{path}: malformed JSON at byte {at}"))?;
-    let names = expected_names();
-    let missing: Vec<&String> =
-        names.iter().filter(|name| !text.contains(&format!("\"name\":\"{name}\""))).collect();
-    if !missing.is_empty() {
-        return Err(format!("{path}: missing benchmark results: {missing:?}"));
+    if !text.contains("\"git_rev\":\"") {
+        return Err(format!("{path}: no git_rev field"));
     }
+    // A real run's log is long enough to be pipelined: every row must
+    // show its whole pool. (The smoke log is scanned inline.)
+    let pipelined = text.contains("\"smoke\":false");
     // Rows are flat up to `stages`, so each row is the text between two
     // `"name":` keys.
-    for row in text.split("\"name\":").skip(1) {
-        let name = row.split('"').nth(1).unwrap_or("?");
-        check_stages(row).map_err(|e| format!("{path}: {name}: {e}"))?;
+    for (name, pool, physical_only) in expected_rows() {
+        let row = text
+            .split("\"name\":")
+            .find(|row| row.starts_with(&format!("\"{name}\"")))
+            .ok_or_else(|| format!("{path}: missing benchmark result {name}"))?;
+        check_stages(row, pipelined.then_some(pool), physical_only)
+            .map_err(|e| format!("{path}: {name}: {e}"))?;
     }
     Ok(())
 }
@@ -260,14 +302,18 @@ fn numbers_after(text: &str, key: &str) -> Result<Vec<Vec<u64>>, String> {
 }
 
 /// One row's stage fields: present, one busy and one blocked number per
-/// thread (reader, router, at least one worker), and per scan no more
-/// busy time than its threads had wall time.
-fn check_stages(row: &str) -> Result<(), String> {
-    for key in ["undo_ns", "checkpoint_ns"] {
-        if numbers_after(row, key)?.len() != 1 {
-            return Err(format!("no {key} field"));
-        }
-    }
+/// stage (reader, router, at least one worker — `pool` of them if the
+/// scan was pipelined), per scan no more busy time than its stages had
+/// wall time — and over a physical-only log one scan, which read the log
+/// once.
+fn check_stages(row: &str, pool: Option<usize>, physical_only: bool) -> Result<(), String> {
+    let scalar = |key: &str| match numbers_after(row, key)?.as_slice() {
+        [one] if one.len() == 1 => Ok(one[0]),
+        _ => Err(format!("no {key} field")),
+    };
+    scalar("undo_ns")?;
+    scalar("checkpoint_ns")?;
+    let (read, span) = (scalar("log_bytes_read")?, scalar("log_span_bytes")?);
     let walls = numbers_after(row, "wall_ns")?;
     let busy = numbers_after(row, "busy_ns")?;
     let blocked = numbers_after(row, "blocked_ns")?;
@@ -275,10 +321,19 @@ fn check_stages(row: &str) -> Result<(), String> {
     if walls.is_empty() || [busy.len(), blocked.len(), merges.len()] != [walls.len(); 3] {
         return Err("missing or unbalanced per-scan stage fields".into());
     }
+    if physical_only && (walls.len() != 1 || read > read_once_bound(span)) {
+        return Err(format!(
+            "{} scan(s) read {read} bytes of a {span}-byte physical-only log: the second read is back",
+            walls.len()
+        ));
+    }
     for (i, wall) in walls.iter().enumerate() {
         let (wall, threads) = (wall[0], busy[i].len() as u64);
         if threads < 3 || blocked[i].len() as u64 != threads {
             return Err(format!("scan {i}: want reader, router and workers, got {threads} stages"));
+        }
+        if pool.is_some_and(|pool| threads != 2 + pool as u64) {
+            return Err(format!("scan {i}: {threads} stages, the pool was not used"));
         }
         let sum: u64 = busy[i].iter().sum::<u64>() + merges[i][0];
         if sum > wall * threads {
@@ -299,7 +354,7 @@ fn main() {
         };
         match validate(path) {
             Ok(()) => {
-                println!("{path}: ok ({} results covered)", expected_names().len());
+                println!("{path}: ok ({} results covered)", expected_rows().len());
                 return;
             }
             Err(e) => {
@@ -309,7 +364,11 @@ fn main() {
         }
     }
     let smoke = args.iter().any(|a| a == "--smoke");
-    let (target_log_bytes, iters) = if smoke { (192 << 10, 2) } else { (10 << 20, 5) };
+    // The smoke log is a few chunks long, so that reading it twice is
+    // outside the read-once bound `--validate` checks; the real one is
+    // long enough for the engine to pipeline its scan (a shorter scan
+    // runs inline and every row of a scheme would time the same thing).
+    let (target_log_bytes, iters) = if smoke { (2 << 20, 2) } else { (40 << 20, 5) };
     println!(
         "restart_bench: {} iterations per worker count (build: {}{})",
         iters,
@@ -361,6 +420,7 @@ fn main() {
                 median_ns: median,
                 min_ns: min,
                 max_ns: max,
+                log_span_bytes: log_span_bytes(baseline_counts.as_deref().expect("timed above")),
                 stages,
             });
         }

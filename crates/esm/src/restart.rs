@@ -1,7 +1,9 @@
 //! Restart recovery: one streamed, page-partitioned engine for every
 //! flavor. `RestartConfig::redo_workers` only sizes the worker pool (of
 //! the analysis scan as much as of redo) — one worker runs the same
-//! reader → router → worker pipeline as eight.
+//! reader → router → worker pipeline as eight, and a scan too short to
+//! gain from a pipeline ([`PIPELINE_MIN_CHUNKS`]) runs the same three
+//! roles on the restart thread.
 //!
 //! The log-replaying flavors share analysis → redo → undo ([Frank92]'s
 //! client-server adaptation of ARIES [Mohan92]); what differs per flavor
@@ -18,27 +20,43 @@
 //! Fibonacci hash: every record touching a page goes to exactly one
 //! worker, which sees that page's records in log order — all after-image
 //! redo needs, since records for *different* pages commute (DESIGN.md §6c).
-//! Every scan — analysis, redo, the WPL image scan — runs through one
-//! pipeline ([`fan_out`]) of three stages over bounded channels:
+//! Every scan runs through one scaffold ([`fan_out`]) of three roles:
 //!
-//! 1. a reader thread streams the log in large aligned chunks
-//!    ([`qs_wal::stream_chunks_timed`]) — one media pass per chunk;
-//! 2. the router (the restart thread) walks each chunk's frames with the
-//!    cheap frame accessors — no decoding — keeps the bookkeeping that is
-//!    sequential by nature (analysis: the transaction table) and fans
-//!    page-bearing frames out to workers;
+//! 1. the reader streams the log in large aligned chunks
+//!    ([`qs_wal::ChunkedScanner`]) — one media pass per chunk;
+//! 2. the router walks each chunk's frames with the cheap frame accessors
+//!    — no decoding — keeps the bookkeeping that is sequential by nature
+//!    (analysis: the transaction table) and fans page-bearing frames out
+//!    to workers;
 //! 3. the workers do the per-page work straight out of the shared chunk
-//!    buffer — analysis: checksum and dirty-page table shard; redo: apply
-//!    to privately-owned page images — with no `LogRecord`
+//!    buffer — the analysis step ([`PageShard::step`]: checksum and
+//!    dirty-page table shard) and the redo step ([`RedoShard::step`]:
+//!    apply to privately-owned page images) — with no `LogRecord`
 //!    materialization and no per-record allocation.
+//!
+//! A long scan is [`pipelined`]: a reader thread, the restart thread as
+//! the router and `redo_workers` worker threads over bounded channels. A
+//! short one runs [`inline`]: the restart thread is the one worker and
+//! reads and routes each chunk as it asks for its next batch — the same
+//! `route` and `work` closures, no thread and no channel, and a restart
+//! time that does not depend on where a scheduler puts three threads.
+//!
+//! A log that holds only physical transactions is read **once**
+//! ([`analyze_and_redo`]): a page's recLSN is the anchor body's or its
+//! first sighting at or above the anchor, and both are known by the time
+//! a frame is visited, so each worker runs the analysis step and then the
+//! redo step on the same frame. A log that can hold logical transactions
+//! keeps two scans ([`analyze`], [`redo`]): whether a no-steal
+//! transaction's records are redone is unknown until its commit record.
+//! The [`PhaseStat`]s price the paper's two passes either way.
 //!
 //! Verify-once is the checksum policy: every frame restart *uses* is
 //! checksummed exactly once before its result is used — page-bearing
-//! small frames by the page's worker during analysis (or by the redo
-//! worker when they lie below the analysis scan start), page-less frames
-//! by the analysis router, whole-page frames where redo applies them or
-//! where a WPL image wins its page — and every frame it merely walks has
-//! its framing checked.
+//! small frames by the page's worker in the analysis step (or in the redo
+//! step when they lie below the anchor), page-less frames by the analysis
+//! router, whole-page frames where redo applies them or where a WPL image
+//! wins its page — and every frame it merely walks has its framing
+//! checked.
 //!
 //! Workers return their results in worker-index order and pages are
 //! installed page-sorted, so the recovered volume, the restart report and
@@ -51,12 +69,12 @@ use crate::server::{InnerView, RestartConfig, Server};
 use crate::shard::shard_index;
 use crate::txn::TxnTable;
 use qs_storage::{Page, Volume};
-use qs_trace::{PhaseStat, RestartWall, ScanWall, StageClock};
+use qs_trace::{PhaseStat, RestartWall, ScanWall, StageClock, StageWall};
 use qs_types::{Lsn, PageId, QsError, QsResult, TxnId, PAGE_SIZE};
 use qs_wal::record::{self, tag};
 use qs_wal::{
-    stream_chunks_timed, CheckpointBody, FrameChunk, FrameRef, LogManager, LogReadCache, LogRecord,
-    SchemeCode,
+    stream_chunks_timed, CheckpointBody, ChunkedScanner, FrameChunk, FrameRef, LogManager,
+    LogReadCache, LogRecord, SchemeCode,
 };
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -70,6 +88,19 @@ use std::time::Instant;
 /// at a few chunks per stage.
 const DEPTH: usize = 4;
 
+/// A scan of fewer chunks than this (32 MB of log at the default chunk
+/// size) runs on the calling thread instead of through the pipeline. All
+/// the pipeline can hide is the reader's and the router's share of the
+/// work, about a third, and only while the host runs its stages on
+/// different CPUs. On the repo benchmark's 2-CPU host that is the
+/// scheduler's call, made for tens of seconds at a time: the same 15 MB
+/// scan took 13 ms pipelined with the stages on both CPUs and 20 ms with
+/// all of them on one, against 17.5 ms inline every time; the 5-9 MB
+/// scans of three other workloads were 15-40 % faster inline, and only
+/// the 76 MB one gained from the pipeline (64 against 80 ms). See
+/// EXPERIMENTS.md, "Short scans run inline".
+const PIPELINE_MIN_CHUNKS: u64 = 64;
+
 /// Run restart recovery on a freshly opened volume and log. Returns raw
 /// (unpriced) per-phase work counts for the restart report, and where
 /// the host's wall-clock time went.
@@ -82,11 +113,12 @@ pub(crate) fn run(server: &Server) -> QsResult<(Vec<PhaseStat>, RestartWall)> {
     let mut ph_analysis = phase("analysis");
     let mut ph_redo = phase("redo");
     let a = server.with_quiesced(|view| -> QsResult<Analysis> {
-        let a = analyze(view.log, holds, cfg, &mut ph_analysis, &mut wall)?;
-        view.volume.ensure_allocated(a.max_alloc as usize)?;
+        let (a, redone) = replay(view.log, view.volume, holds, cfg, &mut ph_analysis, &mut wall)?;
+        let merge = Instant::now();
+        install(view, &a, redone, &mut ph_redo)?;
+        wall.scans.last_mut().expect("replay scans the log").end_merge(merge);
         Ok(a)
     })?;
-    server.with_quiesced(|view| redo(view, &a, cfg, &mut ph_redo, &mut wall))?;
     let ph_undo = undo_and_finish(server, a.att, a.max_txn, &mut wall)?;
     let mut phases = vec![ph_analysis, ph_redo];
     if holds.physical {
@@ -166,13 +198,15 @@ struct Analysis {
     att: HashMap<TxnId, Lsn>,
     /// Logical transactions whose commit record was seen.
     committed: HashSet<TxnId>,
-    /// Dirty-page table: page → recovery LSN.
+    /// Dirty-page table: page → recovery LSN. Empty until the workers'
+    /// shards are absorbed.
     dpt: HashMap<PageId, Lsn>,
     /// Highest transaction id seen (id assignment resumes above it).
     max_txn: TxnId,
     /// Highest page id + 1 implied by the log.
     max_alloc: u64,
-    /// Where the analysis scan (and with it frame verification) started.
+    /// The restart anchor: where analysis (and with it the analysis
+    /// step's frame verification) starts.
     scan_from: Lsn,
     /// The run of consecutive records of one transaction the router is
     /// in: the transaction and, if it is a physical one, its latest LSN —
@@ -181,6 +215,67 @@ struct Analysis {
 }
 
 impl Analysis {
+    /// Nothing learned yet, analysis to start at `scan_from`.
+    fn new(default_logical: bool, scan_from: Lsn) -> Analysis {
+        Analysis {
+            marks: Marks::new(default_logical),
+            att: HashMap::new(),
+            committed: HashSet::new(),
+            dpt: HashMap::new(),
+            max_txn: TxnId::INVALID,
+            max_alloc: 0,
+            scan_from,
+            run: (TxnId::INVALID, None),
+        }
+    }
+
+    /// Move the anchor of a physical-only log up to its checkpoint, if it
+    /// has one: everything older is on disk or listed in the checkpoint's
+    /// body, whose transactions enter the ATT here and whose dirty pages
+    /// are returned as the DPT's seed. The anchor is a sharp `Checkpoint`
+    /// or the `BeginCheckpoint` of a completed fuzzy pair — the header
+    /// only advances once the matching end record is durable, so an
+    /// orphaned begin is never the anchor.
+    fn seed_from_anchor(&mut self, log: &LogManager) -> QsResult<HashMap<PageId, Lsn>> {
+        let ck = log.checkpoint_lsn();
+        if ck.is_null() {
+            return Ok(HashMap::new());
+        }
+        let body = match log.read_record(ck)?.0 {
+            LogRecord::Checkpoint { body } | LogRecord::BeginCheckpoint { body } => body,
+            _ => {
+                return Err(QsError::RecoveryFailed {
+                    detail: format!("no checkpoint record at {ck}"),
+                });
+            }
+        };
+        self.att.extend(body.active_txns);
+        self.scan_from = ck;
+        // A body is snapshotted before its record is appended, so a listed
+        // recLSN never exceeds the anchor; holding it to that is what lets
+        // the single scan treat a listed page's recLSN as final.
+        Ok(body.dirty_pages.into_iter().map(|(page, rec_lsn)| (page, rec_lsn.min(ck))).collect())
+    }
+
+    /// Close the router's half and fold the workers' shards — disjoint by
+    /// page — into the DPT.
+    fn absorb(&mut self, shards: Vec<PageShard>) {
+        self.end_run();
+        for shard in shards {
+            self.max_alloc = self.max_alloc.max(shard.max_alloc);
+            merge_min(&mut self.dpt, shard.dpt);
+        }
+    }
+
+    /// Where a redo pass starts: the DPT's earliest recLSN, or `None` if
+    /// no page is dirty. A fuzzy begin-checkpoint body can carry recLSNs
+    /// that predate the truncated log start (their pages were flushed by
+    /// the drain, which is what allowed truncation); those updates are on
+    /// disk and the pageLSN test would skip them anyway, so clamp.
+    fn redo_from(&self, log: &LogManager) -> Option<Lsn> {
+        self.dpt.values().min().map(|&rec_lsn| rec_lsn.max(log.start_lsn()))
+    }
+
     /// Must redo skip `txn`'s records? Only logical losers: their deferred
     /// ops never reached any page, and replaying them (via a shared page's
     /// DPT entry from another transaction) would install uncommitted data
@@ -265,125 +360,176 @@ fn merge_min(dpt: &mut HashMap<PageId, Lsn>, pages: HashMap<PageId, Lsn>) {
     }
 }
 
-/// One analysis worker's half: the dirty-page table of the pages that
+/// One worker's analysis half: the dirty-page table of the pages that
 /// hash to it.
 struct PageShard {
+    marks: Marks,
     dpt: HashMap<PageId, Lsn>,
     /// Highest page id + 1 among this shard's frames.
     max_alloc: u64,
+    /// Logical transactions' page → first-LSN maps, parked until their
+    /// commit record shows up.
+    pending: HashMap<TxnId, HashMap<PageId, Lsn>>,
+    /// The last page-bearing frame's (transaction, page): a repeat changes
+    /// no table, so it costs no lookup.
+    run: Option<(TxnId, PageId)>,
 }
 
-/// One analysis worker: verify this shard's page-bearing small frames
-/// (whole-page frames — 8 KB bodies — skip the checksum here; redo
-/// verifies the ones it applies) and build the shard's DPT. Physical
-/// records enter the DPT directly, keyed by page; a logical transaction's
-/// page → first-LSN map is parked and merged in only when its commit
-/// record shows up. Marks, commits and aborts arrive by broadcast, already
-/// verified by the router, in log order with the shard's own frames.
-fn analysis_worker(inbox: &mut Batches, default_logical: bool) -> QsResult<PageShard> {
-    let mut marks = Marks::new(default_logical);
-    let mut shard = PageShard { dpt: HashMap::new(), max_alloc: 0 };
-    let mut pending: HashMap<TxnId, HashMap<PageId, Lsn>> = HashMap::new();
-    // The last page-bearing frame's (transaction, page): a repeat changes
-    // no table, so it costs no lookup.
-    let mut run: Option<(TxnId, PageId)> = None;
-    for batch in inbox {
-        for r in &batch.frames {
-            let bytes = batch.frame(r);
-            let t = record::frame_tag(bytes);
-            let txn = record::frame_txn(bytes);
-            let Some(page) = record::frame_page(bytes) else {
-                run = None;
-                match t {
-                    tag::TXN_SCHEME => marks.note(bytes),
-                    tag::COMMIT => {
-                        merge_min(&mut shard.dpt, pending.remove(&txn).unwrap_or_default());
-                    }
-                    tag::ABORT => {
-                        pending.remove(&txn);
-                    }
-                    _ => {}
-                }
-                continue;
-            };
-            if t != tag::WHOLE_PAGE {
-                record::frame_verify(bytes)?;
-            }
-            if run == Some((txn, page)) {
-                continue;
-            }
-            run = Some((txn, page));
-            shard.max_alloc = shard.max_alloc.max(page.0 as u64 + 1);
-            if marks.is_logical(txn) {
-                pending.entry(txn).or_default().entry(page).or_insert(r.lsn);
-            } else {
-                shard.dpt.entry(page).or_insert(r.lsn);
-            }
+impl PageShard {
+    fn new(default_logical: bool) -> PageShard {
+        PageShard {
+            marks: Marks::new(default_logical),
+            dpt: HashMap::new(),
+            max_alloc: 0,
+            pending: HashMap::new(),
+            run: None,
         }
     }
-    Ok(shard)
+
+    /// The analysis step for one frame at or above the anchor: verify a
+    /// page-bearing small frame (whole-page frames — 8 KB bodies — skip
+    /// the checksum here; redo verifies the ones it applies) and note the
+    /// page's first sighting. Physical records enter the DPT directly,
+    /// keyed by page; a logical transaction's are parked and merged in at
+    /// its commit. Marks, commits and aborts arrive by broadcast, already
+    /// verified by the router, in log order with the shard's own frames.
+    fn step(&mut self, lsn: Lsn, bytes: &[u8]) -> QsResult<()> {
+        let t = record::frame_tag(bytes);
+        let txn = record::frame_txn(bytes);
+        let Some(page) = record::frame_page(bytes) else {
+            self.run = None;
+            match t {
+                tag::TXN_SCHEME => self.marks.note(bytes),
+                tag::COMMIT => {
+                    merge_min(&mut self.dpt, self.pending.remove(&txn).unwrap_or_default());
+                }
+                tag::ABORT => {
+                    self.pending.remove(&txn);
+                }
+                _ => {}
+            }
+            return Ok(());
+        };
+        if t != tag::WHOLE_PAGE {
+            record::frame_verify(bytes)?;
+        }
+        if self.run == Some((txn, page)) {
+            return Ok(());
+        }
+        self.run = Some((txn, page));
+        self.max_alloc = self.max_alloc.max(page.0 as u64 + 1);
+        if self.marks.is_logical(txn) {
+            self.pending.entry(txn).or_default().entry(page).or_insert(lsn);
+        } else {
+            self.dpt.entry(page).or_insert(lsn);
+        }
+        Ok(())
+    }
 }
 
-/// Forward analysis as a [`fan_out`] scan: the router keeps the
-/// transaction half ([`Analysis::route`]), each worker the page half of
-/// its pages ([`analysis_worker`]), and the DPT shards — disjoint by
-/// page — are merged over the checkpoint body's seed after the join.
+/// Analysis and redo of `log` against the pages on `volume`: what the log
+/// says about transactions and dirty pages, and every worker's redone
+/// pages. One scan if the log holds only physical transactions, two if it
+/// can hold logical ones (module docs).
+fn replay(
+    log: &LogManager,
+    volume: &Volume,
+    holds: Holds,
+    cfg: RestartConfig,
+    ph_analysis: &mut PhaseStat,
+    wall: &mut RestartWall,
+) -> QsResult<(Analysis, Vec<Redone>)> {
+    // Logical work may precede any checkpoint (`Holds::logical`): such a
+    // log is analyzed from its start, a physical-only one from its anchor.
+    let mut a = Analysis::new(!holds.physical, log.start_lsn());
+    let redone = if holds.logical {
+        analyze(log, &mut a, cfg, ph_analysis, wall)?;
+        redo(log, volume, &a, cfg, wall)?
+    } else {
+        analyze_and_redo(log, volume, &mut a, cfg, ph_analysis, wall)?
+    };
+    volume.ensure_allocated(a.max_alloc as usize)?;
+    Ok((a, redone))
+}
+
+/// Forward analysis as a [`fan_out`] scan of a log that can hold logical
+/// transactions: the router keeps the transaction half
+/// ([`Analysis::route`]), each worker the page half of its pages
+/// ([`PageShard::step`]).
 fn analyze(
     log: &LogManager,
-    holds: Holds,
+    a: &mut Analysis,
     cfg: RestartConfig,
     ph: &mut PhaseStat,
     wall: &mut RestartWall,
-) -> QsResult<Analysis> {
-    let default_logical = !holds.physical;
-    let mut a = Analysis {
-        marks: Marks::new(default_logical),
-        att: HashMap::new(),
-        committed: HashSet::new(),
-        dpt: HashMap::new(),
-        max_txn: TxnId::INVALID,
-        max_alloc: 0,
-        scan_from: log.start_lsn(),
-        run: (TxnId::INVALID, None),
-    };
-    let ck = log.checkpoint_lsn();
-    if !(holds.logical || ck.is_null()) {
-        // Physical-only log: everything older than the anchor is on disk
-        // or listed in its body. The anchor is a sharp `Checkpoint` or the
-        // `BeginCheckpoint` of a completed fuzzy pair — the header only
-        // advances once the matching end record is durable, so an
-        // orphaned begin is never the anchor.
-        let body = match log.read_record(ck)?.0 {
-            LogRecord::Checkpoint { body } | LogRecord::BeginCheckpoint { body } => body,
-            _ => {
-                return Err(QsError::RecoveryFailed {
-                    detail: format!("no checkpoint record at {ck}"),
-                });
-            }
-        };
-        a.att.extend(body.active_txns);
-        a.dpt.extend(body.dirty_pages);
-        a.scan_from = ck;
-    }
+) -> QsResult<()> {
+    let default_logical = a.marks.default_logical;
     let span = (a.scan_from, log.tail_lsn());
     ph.pages_read = log_pages(span.0, span.1);
-
     let route = |lsn: Lsn, bytes: &[u8]| {
         ph.records += 1;
-        a.route(lsn, bytes, holds.logical)
+        a.route(lsn, bytes, true)
     };
     let (shards, mut scan) = fan_out("analysis", log, span, cfg, route, |inbox| {
-        analysis_worker(inbox, default_logical)
+        let mut shard = PageShard::new(default_logical);
+        inbox.each_frame(|lsn, bytes| shard.step(lsn, bytes))?;
+        Ok(shard)
     })?;
     let merge = Instant::now();
-    a.end_run();
-    for shard in shards {
-        a.max_alloc = a.max_alloc.max(shard.max_alloc);
-        merge_min(&mut a.dpt, shard.dpt);
-    }
+    a.absorb(shards);
     scan.end_merge(merge);
     wall.scans.push(scan);
-    Ok(a)
+    Ok(())
+}
+
+/// Analysis and redo of a physical-only log in one [`fan_out`] scan of
+/// `[min(seeded recLSNs, anchor), tail)`. Below the anchor only redo is
+/// interested, and only in page-bearing frames; from the anchor on the
+/// router runs [`Analysis::route`] and each worker the analysis step and
+/// then the redo step on every frame it is sent. That is exact: a listed
+/// page's recLSN is the seed's (≤ anchor), any other page's is its first
+/// sighting at or above the anchor, which the analysis step has just
+/// recorded — and a frame below the anchor of a page the seed does not
+/// list is below whatever recLSN the page may get.
+fn analyze_and_redo(
+    log: &LogManager,
+    volume: &Volume,
+    a: &mut Analysis,
+    cfg: RestartConfig,
+    ph: &mut PhaseStat,
+    wall: &mut RestartWall,
+) -> QsResult<Vec<Redone>> {
+    let seed = a.seed_from_anchor(log)?;
+    let anchor = a.scan_from;
+    // The analysis pass is priced from the anchor, wherever the scan starts.
+    ph.pages_read = log_pages(anchor, log.tail_lsn());
+    let from = seed.values().copied().fold(anchor, Lsn::min);
+    let route = |lsn: Lsn, bytes: &[u8]| {
+        if lsn < anchor {
+            return Ok(record::frame_page(bytes).map_or(Route::Nowhere, Route::Page));
+        }
+        ph.records += 1;
+        a.route(lsn, bytes, false)
+    };
+    let work = |inbox: &mut Batches| {
+        let mut shard = PageShard::new(false);
+        let mut redo = RedoShard::new(volume, anchor);
+        inbox.each_frame(|lsn, bytes| {
+            if lsn >= anchor {
+                shard.step(lsn, bytes)?;
+            }
+            redo.step(lsn, bytes, |pid| seed.get(&pid).or_else(|| shard.dpt.get(&pid)).copied())
+        })?;
+        Ok((shard, redo.finish()))
+    };
+    let (outs, mut scan) = fan_out("analysis+redo", log, (from, log.tail_lsn()), cfg, route, work)?;
+    let merge = Instant::now();
+    let (shards, redone) = outs.into_iter().unzip();
+    a.dpt = seed;
+    a.absorb(shards);
+    scan.end_merge(merge);
+    wall.scans.push(scan);
+    Ok(redone)
 }
 
 /// Where the router sends one frame.
@@ -397,32 +543,133 @@ enum Route {
 
 /// A worker's inbox: yields its batches, charging each wait to the
 /// stage's blocked time and everything between waits to its busy time.
-struct Batches {
-    rx: Receiver<FrameChunk>,
+struct Batches<'a> {
+    source: Source<'a>,
     clock: StageClock,
 }
 
-impl Iterator for Batches {
+/// Where a worker's batches come from.
+enum Source<'a> {
+    /// The router's thread, in a pipelined scan.
+    Channel(Receiver<FrameChunk>),
+    /// The worker's own thread, in an inline scan: asking for the next
+    /// batch reads and routes the next chunk.
+    Inline(&'a mut dyn FnMut() -> Option<FrameChunk>),
+}
+
+impl Batches<'_> {
+    /// Run `f` over every frame of every batch, in arrival order.
+    fn each_frame(&mut self, mut f: impl FnMut(Lsn, &[u8]) -> QsResult<()>) -> QsResult<()> {
+        for batch in self {
+            for r in &batch.frames {
+                f(r.lsn, batch.frame(r))?;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Iterator for Batches<'_> {
     type Item = FrameChunk;
 
     fn next(&mut self) -> Option<FrameChunk> {
         self.clock.busy();
-        let batch = self.rx.recv().ok();
+        let batch = match &mut self.source {
+            Source::Channel(rx) => rx.recv().ok(),
+            Source::Inline(next) => next(),
+        };
         self.clock.blocked();
         batch
     }
 }
 
-/// The reader → router → workers → join scaffold every scan shares.
-/// Streams `[from, end)`; `route` sees every frame on the calling thread
-/// (so it needs no synchronization) and says which workers should get it;
-/// each worker runs `work` over its batches (its share of each chunk's
-/// frames, sharing the chunk's buffer). Returns the workers' results in
-/// worker-index order, and the stages' wall-clock accounting. A worker
-/// that fails hangs up its channel, which stops the router; the worker's
-/// error is reported by the join.
+/// The scaffold every scan shares. Streams `[from, end)`; `route` sees
+/// every frame on the calling thread (so it needs no synchronization) and
+/// says which workers should get it; each worker runs `work` over its
+/// batches (its share of each chunk's frames, sharing the chunk's buffer).
+/// Returns the workers' results in worker-index order, and the stages'
+/// wall-clock accounting. A scan of at least [`PIPELINE_MIN_CHUNKS`]
+/// chunks is [`pipelined`] over `cfg.redo_workers` workers, a shorter one
+/// runs [`inline`] as one worker.
 fn fan_out<T: Send>(
     name: &'static str,
+    log: &LogManager,
+    (from, end): (Lsn, Lsn),
+    cfg: RestartConfig,
+    route: impl FnMut(Lsn, &[u8]) -> QsResult<Route>,
+    work: impl Fn(&mut Batches) -> QsResult<T> + Sync,
+) -> QsResult<(Vec<T>, ScanWall)> {
+    let started = Instant::now();
+    let span = end.0.saturating_sub(from.0.max(log.start_lsn().0));
+    let (outs, mut scan) = if span < PIPELINE_MIN_CHUNKS * cfg.chunk_bytes as u64 {
+        inline(log, (from, end), cfg, route, work)?
+    } else {
+        pipelined(log, (from, end), cfg, route, work)?
+    };
+    scan.name = name;
+    scan.wall_ns = ns_since(started);
+    Ok((outs, scan))
+}
+
+/// A scan on the calling thread: the one worker pulls each batch by
+/// reading the next chunk and routing its frames itself. No thread, no
+/// channel, and the bytes a frame is verified and applied from are the
+/// ones this core has just read. The accounting reports the three roles'
+/// busy time; nobody waits for anybody.
+fn inline<T>(
+    log: &LogManager,
+    (from, end): (Lsn, Lsn),
+    cfg: RestartConfig,
+    mut route: impl FnMut(Lsn, &[u8]) -> QsResult<Route>,
+    work: impl Fn(&mut Batches) -> QsResult<T>,
+) -> QsResult<(Vec<T>, ScanWall)> {
+    let mut scanner = ChunkedScanner::new(log, from, end, cfg.chunk_bytes);
+    let mut scan = ScanWall::default();
+    let mut failed = None;
+    let mut next_batch = || loop {
+        let reading = Instant::now();
+        let chunk = match scanner.next_chunk() {
+            Ok(Some(chunk)) => chunk,
+            Ok(None) => return None,
+            Err(e) => {
+                failed = Some(e);
+                return None;
+            }
+        };
+        let routing = Instant::now();
+        scan.reader.busy_ns += (routing - reading).as_nanos() as u64;
+        let mut frames = Vec::with_capacity(chunk.frames.len());
+        for r in &chunk.frames {
+            match route(r.lsn, chunk.frame(r)) {
+                Ok(Route::Nowhere) => {}
+                Ok(Route::Page(_) | Route::All) => frames.push(*r),
+                Err(e) => {
+                    failed = Some(e);
+                    return None;
+                }
+            }
+        }
+        scan.router.busy_ns += ns_since(routing);
+        if !frames.is_empty() {
+            return Some(FrameChunk { buf: chunk.buf, frames });
+        }
+    };
+    let mut inbox = Batches { source: Source::Inline(&mut next_batch), clock: StageClock::start() };
+    let out = work(&mut inbox);
+    inbox.clock.busy();
+    // What the inbox's clock calls blocked is the reading and routing above.
+    let worked = inbox.clock.wall().busy_ns;
+    scan.workers.push(StageWall { busy_ns: worked, blocked_ns: 0 });
+    scan.log_bytes_read = scanner.bytes_read();
+    // As in the pipeline, a worker's error is reported before the router's.
+    let out = out?;
+    failed.map_or(Ok((vec![out], scan)), Err)
+}
+
+/// A scan as a reader → router → workers → join pipeline over bounded
+/// channels. A worker that fails hangs up its channel, which stops the
+/// router; the worker's error is reported by the join.
+fn pipelined<T: Send>(
     log: &LogManager,
     (from, end): (Lsn, Lsn),
     cfg: RestartConfig,
@@ -430,7 +677,6 @@ fn fan_out<T: Send>(
     work: impl Fn(&mut Batches) -> QsResult<T> + Sync,
 ) -> QsResult<(Vec<T>, ScanWall)> {
     let workers = cfg.redo_workers.max(1);
-    let started = Instant::now();
     let mut clock = StageClock::start();
     std::thread::scope(|s| {
         let mut txs = Vec::with_capacity(workers);
@@ -440,7 +686,7 @@ fn fan_out<T: Send>(
             txs.push(tx);
             let work = &work;
             handles.push(s.spawn(move || {
-                let mut inbox = Batches { rx, clock: StageClock::start() };
+                let mut inbox = Batches { source: Source::Channel(rx), clock: StageClock::start() };
                 let out = work(&mut inbox);
                 inbox.clock.busy();
                 (out, inbox.clock.wall())
@@ -464,8 +710,9 @@ fn fan_out<T: Send>(
                     if refs.is_empty() {
                         continue;
                     }
-                    let batch =
-                        FrameChunk { buf: Arc::clone(&chunk.buf), frames: std::mem::take(refs) };
+                    // The next chunk's share is about as long as this one's.
+                    let frames = std::mem::replace(refs, Vec::with_capacity(refs.len()));
+                    let batch = FrameChunk { buf: Arc::clone(&chunk.buf), frames };
                     if tx.send(batch).is_err() {
                         return Ok(());
                     }
@@ -477,46 +724,34 @@ fn fan_out<T: Send>(
         // is what lets a reader blocked on a full channel exit.
         let routed_all = route_all();
         drop(txs);
-        let mut scan = ScanWall { name, ..ScanWall::default() };
+        let mut scan = ScanWall::default();
         let mut outs = Vec::with_capacity(workers);
         for h in handles {
             let (out, stage) = h.join().expect("restart worker panicked");
             scan.workers.push(stage);
             outs.push(out);
         }
-        scan.reader = reader.join().expect("log reader panicked");
+        (scan.reader, scan.log_bytes_read) = reader.join().expect("log reader panicked");
         clock.blocked();
         scan.router = clock.wall();
-        scan.wall_ns = ns_since(started);
         let outs = outs.into_iter().collect::<QsResult<Vec<T>>>()?;
         routed_all.map(|()| (outs, scan))
     })
 }
 
-/// Page-partitioned redo: route every page-bearing frame in
-/// `[redo_from, tail)` that redo must not skip to its page's worker, let
-/// each worker repeat history on its own pages, then install the merged
-/// resident set into the pool as dirty so undo sees it and the closing
-/// checkpoint flushes it.
+/// Page-partitioned redo as a second [`fan_out`] scan: route every
+/// page-bearing frame in `[redo_from, tail)` that redo must not skip to
+/// its page's worker, which repeats history on it ([`RedoShard::step`]).
 fn redo(
-    view: &mut InnerView<'_>,
+    log: &LogManager,
+    volume: &Volume,
     a: &Analysis,
     cfg: RestartConfig,
-    ph: &mut PhaseStat,
     wall: &mut RestartWall,
-) -> QsResult<()> {
-    let Some(&redo_from) = a.dpt.values().min() else {
-        return Ok(());
+) -> QsResult<Vec<Redone>> {
+    let Some(redo_from) = a.redo_from(log) else {
+        return Ok(Vec::new());
     };
-    // A fuzzy begin-checkpoint body can carry recLSNs that predate the
-    // truncated log start (their pages were flushed by the drain, which
-    // is what allowed truncation); those updates are on disk and the
-    // pageLSN test would skip them anyway, so clamp the scan.
-    let redo_from = redo_from.max(view.log.start_lsn());
-    let end = view.log.tail_lsn();
-    ph.pages_read = log_pages(redo_from, end);
-
-    let volume = view.volume;
     // One `redo_skips` answer per run of a transaction's records.
     let mut run = (TxnId::INVALID, a.redo_skips(TxnId::INVALID));
     let route = |_, bytes: &[u8]| {
@@ -529,15 +764,35 @@ fn redo(
         }
         Ok(if run.1 { Route::Nowhere } else { Route::Page(page) })
     };
-    let (outcomes, mut scan) = fan_out("redo", view.log, (redo_from, end), cfg, route, |inbox| {
-        redo_worker(inbox, &a.dpt, a.scan_from, volume)
+    let (redone, scan) = fan_out("redo", log, (redo_from, log.tail_lsn()), cfg, route, |inbox| {
+        let mut redo = RedoShard::new(volume, a.scan_from);
+        inbox.each_frame(|lsn, bytes| redo.step(lsn, bytes, |pid| a.dpt.get(&pid).copied()))?;
+        Ok(redo.finish())
     })?;
+    wall.scans.push(scan);
+    Ok(redone)
+}
 
+/// Redo's epilogue: price the pass and install the workers' redone pages
+/// into the pool as dirty, so undo sees them and the closing checkpoint
+/// flushes them.
+fn install(
+    view: &mut InnerView<'_>,
+    a: &Analysis,
+    redone: Vec<Redone>,
+    ph: &mut PhaseStat,
+) -> QsResult<()> {
+    let Some(redo_from) = a.redo_from(view.log) else {
+        return Ok(());
+    };
+    // The paper's redo pass reads the log from the DPT's earliest recLSN;
+    // that is the demand priced, whether or not this restart made it a
+    // pass of its own.
+    ph.pages_read = log_pages(redo_from, view.log.tail_lsn());
     // Install page-sorted so pool state and eviction write-backs are
     // identical for every worker count.
-    let merge = Instant::now();
     let mut resident: Vec<(PageId, Page)> = Vec::new();
-    for (stats, pages) in outcomes {
+    for (stats, pages) in redone {
         ph.absorb(&stats);
         resident.extend(pages);
     }
@@ -554,76 +809,100 @@ fn redo(
         }
         view.dpt.insert(pid, redo_from);
     }
-    scan.end_merge(merge);
-    wall.scans.push(scan);
     Ok(())
 }
 
-/// A run of consecutive frames for one page in a redo worker: what the
+/// A run of consecutive frames for one page in a redo shard: what the
 /// first frame looked up, reused by the rest.
 struct PageRun {
     pid: PageId,
-    /// The page's recLSN; `None` if it is not in the DPT.
-    rec_lsn: Option<Lsn>,
-    /// The page's slot in the worker's resident set, once read.
+    rec_lsn: Lsn,
+    /// The page's slot in the shard's resident set, once read.
     slot: Option<usize>,
 }
 
-/// One redo worker: repeat history on this partition's pages under the
-/// DPT / recLSN / pageLSN filters, applying after-images straight from
-/// the shared chunk buffer. Small frames at or above `scan_from` were
-/// checksum-verified by analysis; whole-page frames (which analysis
-/// skips) and small frames below `scan_from` (a checkpoint body can seed
-/// recLSNs under the anchor) are verified here, before they are applied.
-/// Returns the worker's tallies and its redone pages.
-fn redo_worker(
-    inbox: &mut Batches,
-    dpt: &HashMap<PageId, Lsn>,
-    scan_from: Lsn,
-    volume: &Volume,
-) -> QsResult<(PhaseStat, Vec<(PageId, Page)>)> {
-    let mut stats = phase("redo");
-    let mut resident: Vec<(PageId, Page)> = Vec::new();
-    let mut slot_of: HashMap<PageId, usize> = HashMap::new();
-    let mut run: Option<PageRun> = None;
-    for batch in inbox {
-        for r in &batch.frames {
-            let bytes = batch.frame(r);
-            let pid = record::frame_page(bytes).expect("router only sends page-bearing frames");
-            let run = match &mut run {
-                Some(run) if run.pid == pid => run,
-                stale => stale.insert(PageRun {
-                    pid,
-                    rec_lsn: dpt.get(&pid).copied(),
-                    slot: slot_of.get(&pid).copied(),
-                }),
-            };
-            if run.rec_lsn.is_none_or(|rec_lsn| r.lsn < rec_lsn) {
-                continue;
-            }
-            let slot = match run.slot {
-                Some(slot) => slot,
-                None => {
-                    let slot = resident.len();
-                    stats.data_reads += 1;
-                    resident.push((pid, volume.read_page(pid)?));
-                    slot_of.insert(pid, slot);
-                    run.slot = Some(slot);
-                    slot
-                }
-            };
-            let page = &mut resident[slot].1;
-            if page.lsn() >= r.lsn {
-                continue; // effect already on disk image
-            }
-            stats.records += 1;
-            if record::frame_tag(bytes) == tag::WHOLE_PAGE || r.lsn < scan_from {
-                record::frame_verify(bytes)?;
-            }
-            apply_after_image(page, pid, bytes, r.lsn)?;
+/// One worker's tallies and its redone pages.
+type Redone = (PhaseStat, Vec<(PageId, Page)>);
+
+/// One worker's redo half: its partition's pages, faulted from the volume
+/// on first use and owned privately.
+struct RedoShard<'a> {
+    volume: &'a Volume,
+    /// The anchor: small frames at or above it were checksummed by the
+    /// analysis step.
+    verified_from: Lsn,
+    stats: PhaseStat,
+    resident: Vec<(PageId, Page)>,
+    slot_of: HashMap<PageId, usize>,
+    run: Option<PageRun>,
+}
+
+impl<'a> RedoShard<'a> {
+    fn new(volume: &'a Volume, verified_from: Lsn) -> RedoShard<'a> {
+        RedoShard {
+            volume,
+            verified_from,
+            stats: phase("redo"),
+            resident: Vec::new(),
+            slot_of: HashMap::new(),
+            run: None,
         }
     }
-    Ok((stats, resident))
+
+    /// The redo step for one page-bearing frame: repeat history under the
+    /// DPT / recLSN / pageLSN filters, applying the after-image straight
+    /// from the shared chunk buffer. `rec_lsn_of` answers from the DPT as
+    /// far as it is known when the frame is visited. Whole-page frames
+    /// (which the analysis step skips) and small frames below the anchor
+    /// (a checkpoint body can seed recLSNs under it) are verified here,
+    /// before they are applied.
+    fn step(
+        &mut self,
+        lsn: Lsn,
+        bytes: &[u8],
+        rec_lsn_of: impl FnOnce(PageId) -> Option<Lsn>,
+    ) -> QsResult<()> {
+        let pid = record::frame_page(bytes).expect("router only sends page-bearing frames");
+        let run = match &mut self.run {
+            Some(run) if run.pid == pid => run,
+            stale => {
+                // "Not in the DPT" is never remembered: in a single scan
+                // a page without a recLSN below the anchor gets one at its
+                // first frame above it, possibly within this very run.
+                let Some(rec_lsn) = rec_lsn_of(pid) else {
+                    return Ok(());
+                };
+                stale.insert(PageRun { pid, rec_lsn, slot: self.slot_of.get(&pid).copied() })
+            }
+        };
+        if lsn < run.rec_lsn {
+            return Ok(());
+        }
+        let slot = match run.slot {
+            Some(slot) => slot,
+            None => {
+                let slot = self.resident.len();
+                self.stats.data_reads += 1;
+                self.resident.push((pid, self.volume.read_page(pid)?));
+                self.slot_of.insert(pid, slot);
+                run.slot = Some(slot);
+                slot
+            }
+        };
+        let page = &mut self.resident[slot].1;
+        if page.lsn() >= lsn {
+            return Ok(()); // effect already on disk image
+        }
+        self.stats.records += 1;
+        if record::frame_tag(bytes) == tag::WHOLE_PAGE || lsn < self.verified_from {
+            record::frame_verify(bytes)?;
+        }
+        apply_after_image(page, pid, bytes, lsn)
+    }
+
+    fn finish(self) -> Redone {
+        (self.stats, self.resident)
+    }
 }
 
 /// Undo pass plus restart epilogue: roll back the physical losers with
@@ -816,16 +1095,35 @@ fn image_worker(inbox: &mut Batches) -> QsResult<Vec<ImageCandidate>> {
 mod tests {
     use super::*;
     use qs_storage::{MemDisk, StableMedia};
-    use qs_wal::ChunkedScanner;
+    use std::collections::BTreeMap;
 
     const PHYSICAL: Holds = Holds { physical: true, logical: false };
     const LOGICAL: Holds = Holds { physical: false, logical: true };
     const MIXED: Holds = Holds { physical: true, logical: true };
 
+    /// Pages on the test volume, each holding one 64-byte object.
+    const PAGES: usize = 512;
+
     fn fresh_log() -> LogManager {
         let body = 1 << 20;
         let media = Arc::new(MemDisk::new(LogManager::required_bytes(body)));
         LogManager::format(media as Arc<dyn StableMedia>, body).unwrap()
+    }
+
+    fn blank_page(pid: PageId) -> Page {
+        let mut page = Page::new();
+        page.insert(pid, &[0u8; 64]).unwrap();
+        page
+    }
+
+    fn fresh_volume() -> Volume {
+        let media = Arc::new(MemDisk::new(Volume::required_bytes(PAGES)));
+        let volume = Volume::format(media as Arc<dyn StableMedia>, PAGES).unwrap();
+        for _ in 0..PAGES {
+            let pid = volume.allocate().unwrap();
+            volume.write_page(pid, &blank_page(pid)).unwrap();
+        }
+        volume
     }
 
     fn update(txn: u64, page: u32) -> LogRecord {
@@ -851,6 +1149,17 @@ mod tests {
         }
     }
 
+    fn whole_page(txn: u64, page: u32) -> LogRecord {
+        let mut image = blank_page(PageId(page));
+        image.object_mut(PageId(page), 0).unwrap().fill(0xA0 + txn as u8);
+        LogRecord::WholePage {
+            txn: TxnId(txn),
+            prev: Lsn::NULL,
+            page: PageId(page),
+            image: image.bytes().to_vec(),
+        }
+    }
+
     fn mark(txn: u64, scheme: SchemeCode) -> LogRecord {
         LogRecord::TxnScheme { txn: TxnId(txn), prev: Lsn::NULL, scheme }
     }
@@ -863,7 +1172,26 @@ mod tests {
         LogRecord::Abort { txn: TxnId(txn), prev: Lsn::NULL }
     }
 
-    /// Everything `analyze` hands on, in comparable form.
+    /// Append a complete fuzzy checkpoint carrying `body` and make it the
+    /// restart anchor.
+    fn checkpoint(log: &LogManager, body: CheckpointBody) -> Lsn {
+        let ck = log.append(&LogRecord::BeginCheckpoint { body }).unwrap();
+        log.append(&LogRecord::EndCheckpoint { begin: ck }).unwrap();
+        log.set_checkpoint(ck).unwrap();
+        ck
+    }
+
+    /// A redone page image; prints as its pageLSN, not as 8 KB.
+    #[derive(PartialEq)]
+    struct Image(Vec<u8>);
+
+    impl std::fmt::Debug for Image {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(f, "Image(pageLSN {})", Page::from_bytes(&self.0).unwrap().lsn())
+        }
+    }
+
+    /// Everything `replay` hands on, in comparable form.
     #[derive(Debug, PartialEq)]
     struct Learned {
         att: HashMap<TxnId, Lsn>,
@@ -872,25 +1200,48 @@ mod tests {
         max_txn: TxnId,
         max_alloc: u64,
         records: u64,
+        /// Redo's `(records applied, data pages read)`.
+        redo: (u64, u64),
+        /// The redone pages, page-sorted.
+        pages: Vec<(PageId, Image)>,
     }
 
-    fn learned(log: &LogManager, holds: Holds, workers: usize, chunk_bytes: usize) -> Learned {
+    /// What `replay` learns and redoes, and how many scans it took.
+    fn learned(
+        log: &LogManager,
+        volume: &Volume,
+        holds: Holds,
+        workers: usize,
+        chunk_bytes: usize,
+    ) -> (Learned, usize) {
         let cfg = RestartConfig { redo_workers: workers, chunk_bytes };
         let mut ph = phase("analysis");
-        let a = analyze(log, holds, cfg, &mut ph, &mut RestartWall::default()).unwrap();
-        Learned {
+        let mut wall = RestartWall::default();
+        let (a, redone) = replay(log, volume, holds, cfg, &mut ph, &mut wall).unwrap();
+        let mut redo = phase("redo");
+        let mut pages = Vec::new();
+        for (stats, resident) in redone {
+            redo.absorb(&stats);
+            pages.extend(resident.into_iter().map(|(pid, p)| (pid, Image(p.bytes().to_vec()))));
+        }
+        pages.sort_by_key(|&(pid, _)| pid.0);
+        let l = Learned {
             att: a.att,
             dpt: a.dpt,
             committed: a.committed,
             max_txn: a.max_txn,
             max_alloc: a.max_alloc,
             records: ph.records,
-        }
+            redo: (redo.records, redo.data_reads),
+            pages,
+        };
+        (l, wall.scans.len())
     }
 
-    /// The serial, decode-every-record analysis the sharded one replaced:
-    /// one loop, one record at a time, every table updated per record.
-    fn reference(log: &LogManager, holds: Holds) -> Learned {
+    /// The serial, decode-every-record restart the engine replaced: one
+    /// analysis loop from the anchor, every table updated per record,
+    /// then one redo loop from the DPT's minimum.
+    fn reference(log: &LogManager, volume: &Volume, holds: Holds) -> Learned {
         let default_logical = !holds.physical;
         let mut marks: HashMap<TxnId, SchemeCode> = HashMap::new();
         let mut pending: HashMap<TxnId, HashMap<PageId, Lsn>> = HashMap::new();
@@ -901,6 +1252,8 @@ mod tests {
             max_txn: TxnId::INVALID,
             max_alloc: 0,
             records: 0,
+            redo: (0, 0),
+            pages: Vec::new(),
         };
         let ck = log.checkpoint_lsn();
         let mut from = log.start_lsn();
@@ -962,38 +1315,94 @@ mod tests {
                 }
             }
         }
+
+        let Some(&redo_from) = l.dpt.values().min() else {
+            return l;
+        };
+        let mut pages: BTreeMap<PageId, Page> = BTreeMap::new();
+        for item in log.scan_forward(redo_from) {
+            let (lsn, rec) = item.unwrap();
+            let (Some(pid), txn) = (rec.page(), rec.txn()) else { continue };
+            let is_logical = marks.get(&txn).map_or(default_logical, |s| s.is_logical());
+            if is_logical && !l.committed.contains(&txn) {
+                continue;
+            }
+            if l.dpt.get(&pid).is_none_or(|&rec_lsn| lsn < rec_lsn) {
+                continue;
+            }
+            let page = pages.entry(pid).or_insert_with(|| {
+                l.redo.1 += 1;
+                volume.read_page(pid).unwrap()
+            });
+            if page.lsn() >= lsn {
+                continue;
+            }
+            l.redo.0 += 1;
+            match &rec {
+                LogRecord::Update { slot, offset, after, .. }
+                | LogRecord::Clr { slot, offset, after, .. }
+                | LogRecord::UpdateLogical { slot, offset, after, .. } => {
+                    let off = *offset as usize;
+                    page.object_mut(pid, *slot).unwrap()[off..off + after.len()]
+                        .copy_from_slice(after);
+                }
+                LogRecord::WholePage { image, .. } => *page = Page::from_bytes(image).unwrap(),
+                _ => {}
+            }
+            page.set_lsn(lsn);
+        }
+        l.pages = pages.into_iter().map(|(pid, p)| (pid, Image(p.bytes().to_vec()))).collect();
         l
     }
 
-    /// `analyze` must learn exactly what the reference learns, whatever
-    /// the pool and chunk size.
-    fn assert_matches_reference(log: &LogManager, holds: Holds, what: &str) -> Learned {
-        let want = reference(log, holds);
+    /// `replay` must learn and redo exactly what the reference does,
+    /// whatever the pool and chunk size, in `scans` passes over the log.
+    fn assert_matches_reference(
+        log: &LogManager,
+        volume: &Volume,
+        holds: Holds,
+        scans: usize,
+        what: &str,
+    ) -> Learned {
+        let want = reference(log, volume, holds);
         for workers in [1, 2, 4, 8] {
             for chunk in [8192, 29] {
-                let got = learned(log, holds, workers, chunk);
+                let (got, took) = learned(log, volume, holds, workers, chunk);
                 assert_eq!(got, want, "{what}: workers={workers} chunk={chunk}");
+                assert_eq!(took, scans, "{what}: workers={workers} chunk={chunk}: scans");
             }
         }
         want
     }
 
+    fn redone(l: &Learned, page: u32) -> Option<&Image> {
+        l.pages.iter().find(|(pid, _)| *pid == PageId(page)).map(|(_, image)| image)
+    }
+
     #[test]
-    fn physical_log_seeded_from_a_checkpoint_body() {
-        let log = fresh_log();
-        // Below the anchor: only the body speaks for these.
+    fn physical_log_seeded_from_a_checkpoint_body_is_read_once() {
+        let (log, volume) = (fresh_log(), fresh_volume());
+        // Below the anchor. Page 3: listed by the body, records on both
+        // sides of the anchor. Page 40: not listed (it was flushed), so
+        // its early record must not be redone — and its next record is
+        // the first thing its worker sees above the anchor, in the same
+        // run. Page 90: only the body speaks for it. Page 91: listed from
+        // its second record on; the first is on disk.
+        log.append(&update(2, 91)).unwrap();
         let early = log.append(&update(1, 3)).unwrap();
+        log.append(&update(1, 3)).unwrap();
+        let later = log.append(&update(2, 91)).unwrap();
         log.append(&update(2, 40)).unwrap();
         log.append(&commit(2)).unwrap();
         let body = CheckpointBody {
             active_txns: vec![(TxnId(1), early), (TxnId(3), early)],
-            dirty_pages: vec![(PageId(3), early), (PageId(90), early)],
+            dirty_pages: vec![(PageId(3), early), (PageId(90), early), (PageId(91), later)],
             allocated_pages: 120,
             ..CheckpointBody::default()
         };
-        let ck = log.append(&LogRecord::BeginCheckpoint { body }).unwrap();
-        log.append(&LogRecord::EndCheckpoint { begin: ck }).unwrap();
-        log.set_checkpoint(ck).unwrap();
+        let ck = checkpoint(&log, body);
+        let forty = log.append(&update(5, 40)).unwrap();
+        log.append(&update(1, 3)).unwrap();
         // Above it: runs of one transaction on one page, interleaved
         // transactions, every page-bearing tag, a committer, an aborter.
         for page in 0..24u32 {
@@ -1004,13 +1413,8 @@ mod tests {
         }
         log.append(&LogRecord::PageAlloc { txn: TxnId(4), prev: Lsn::NULL, page: PageId(300) })
             .unwrap();
-        log.append(&LogRecord::WholePage {
-            txn: TxnId(4),
-            prev: Lsn::NULL,
-            page: PageId(300),
-            image: vec![7; PAGE_SIZE],
-        })
-        .unwrap();
+        log.append(&whole_page(4, 300)).unwrap();
+        log.append(&update(4, 300)).unwrap();
         log.append(&commit(4)).unwrap();
         log.append(&LogRecord::Clr {
             txn: TxnId(5),
@@ -1023,11 +1427,21 @@ mod tests {
         })
         .unwrap();
         log.append(&abort(5)).unwrap();
-        log.append(&update(1, 7)).unwrap();
+        let last = log.append(&update(1, 7)).unwrap();
+        // Page 7 went home after its last record: read, but not redone.
+        let mut flushed = blank_page(PageId(7));
+        flushed.set_lsn(last);
+        volume.write_page(PageId(7), &flushed).unwrap();
 
-        let l = assert_matches_reference(&log, PHYSICAL, "physical");
+        let l = assert_matches_reference(&log, &volume, PHYSICAL, 1, "physical");
         assert_eq!(l.dpt[&PageId(3)], early, "the body's recLSN survives the scan");
         assert_eq!(l.dpt[&PageId(90)], early, "a page only the body lists stays listed");
+        assert_eq!(l.dpt[&PageId(40)], forty, "an unlisted page's recLSN is above the anchor");
+        assert!(l.dpt[&PageId(91)] < ck && redone(&l, 91).is_some());
+        assert!(redone(&l, 90).is_none(), "no record, no redo");
+        let image = Page::from_bytes(&redone(&l, 40).expect("redone above the anchor").0).unwrap();
+        assert_eq!(image.lsn(), forty);
+        assert_eq!(image.object(PageId(40), 0).unwrap()[..8], [5u8; 8]);
         assert!(l.att.contains_key(&TxnId(3)), "a transaction only the body lists is a loser");
         assert_eq!(l.att.keys().map(|t| t.0).max(), Some(6));
         assert_eq!((l.max_txn, l.max_alloc), (TxnId(6), 301));
@@ -1035,8 +1449,32 @@ mod tests {
     }
 
     #[test]
+    fn physical_log_without_dirty_pages_or_without_a_checkpoint() {
+        // Everything flushed before the checkpoint, only page-less
+        // records after it: an empty DPT, nothing redone, still one scan.
+        let (log, volume) = (fresh_log(), fresh_volume());
+        log.append(&update(1, 3)).unwrap();
+        log.append(&update(2, 4)).unwrap();
+        log.append(&commit(1)).unwrap();
+        checkpoint(&log, CheckpointBody { allocated_pages: 9, ..CheckpointBody::default() });
+        log.append(&commit(2)).unwrap();
+        let l = assert_matches_reference(&log, &volume, PHYSICAL, 1, "empty DPT");
+        assert!(l.dpt.is_empty() && l.pages.is_empty() && l.att.is_empty());
+        assert_eq!((l.records, l.redo, l.max_alloc), (3, (0, 0), 9));
+
+        // No checkpoint at all: the anchor is the log start.
+        let (log, volume) = (fresh_log(), fresh_volume());
+        for page in 0..20u32 {
+            log.append(&update(1 + page as u64 % 3, page % 7)).unwrap();
+        }
+        log.append(&commit(1)).unwrap();
+        let l = assert_matches_reference(&log, &volume, PHYSICAL, 1, "no checkpoint");
+        assert_eq!((l.dpt.len(), l.redo), (7, (20, 7)));
+    }
+
+    #[test]
     fn logical_log_with_committer_aborter_and_loser_sharing_pages() {
-        let log = fresh_log();
+        let (log, volume) = (fresh_log(), fresh_volume());
         // Three transactions interleaved over the same 16 pages (which
         // spread over every shard at 2, 4 and 8 workers): only the
         // committer's pages may reach the DPT, at *its* first LSNs.
@@ -1055,16 +1493,17 @@ mod tests {
         log.append(&commit(1)).unwrap();
         log.append(&logical(3, 500)).unwrap();
 
-        let l = assert_matches_reference(&log, LOGICAL, "logical");
+        let l = assert_matches_reference(&log, &volume, LOGICAL, 2, "logical");
         assert_eq!(l.dpt, first_by_committer);
         assert_eq!(l.committed, HashSet::from([TxnId(1)]));
         assert!(l.att.is_empty(), "logical transactions are never undone");
         assert_eq!((l.max_txn, l.max_alloc), (TxnId(3), 501));
+        assert_eq!(l.redo, (48, 16), "the committer's records only");
     }
 
     #[test]
     fn adaptive_log_interleaving_both_protocols() {
-        let log = fresh_log();
+        let (log, volume) = (fresh_log(), fresh_volume());
         log.append(&mark(1, SchemeCode::Pd)).unwrap();
         log.append(&mark(2, SchemeCode::Rlog)).unwrap();
         log.append(&mark(4, SchemeCode::Wpl)).unwrap();
@@ -1075,13 +1514,7 @@ mod tests {
             log.append(&logical(2, page)).unwrap();
             // Unmarked: its mark was truncated, so it is physical.
             log.append(&update(3, page + 6)).unwrap();
-            log.append(&LogRecord::WholePage {
-                txn: TxnId(4),
-                prev: Lsn::NULL,
-                page: PageId(page + 20),
-                image: vec![4; PAGE_SIZE],
-            })
-            .unwrap();
+            log.append(&whole_page(4, page + 20)).unwrap();
         }
         log.append(&commit(2)).unwrap();
         log.append(&commit(3)).unwrap();
@@ -1093,16 +1526,92 @@ mod tests {
         log.append(&logical(6, 40)).unwrap();
         log.append(&commit(6)).unwrap();
 
-        let l = assert_matches_reference(&log, MIXED, "adaptive");
+        let l = assert_matches_reference(&log, &volume, MIXED, 2, "adaptive");
         assert_eq!(l.att.keys().copied().collect::<Vec<_>>(), [TxnId(1)], "the physical loser");
         assert_eq!(l.committed, HashSet::from([TxnId(2), TxnId(6)]));
         assert!(!l.dpt.contains_key(&PageId(25)), "the logical loser's pages stay out");
+        assert!(redone(&l, 25).is_none(), "and are not redone");
         assert!(l.dpt[&PageId(0)] < l.dpt[&PageId(40)], "page 0 keeps txn 1's earlier LSN");
         assert_eq!((l.max_txn, l.max_alloc), (TxnId(6), 41));
     }
 
+    /// The scans `replay` makes of a physical log, as it accounts them.
+    fn scans(
+        log: &LogManager,
+        volume: &Volume,
+        workers: usize,
+        chunk_bytes: usize,
+    ) -> QsResult<Vec<ScanWall>> {
+        let cfg = RestartConfig { redo_workers: workers, chunk_bytes };
+        let mut wall = RestartWall::default();
+        replay(log, volume, PHYSICAL, cfg, &mut phase("analysis"), &mut wall)?;
+        Ok(wall.scans)
+    }
+
+    #[test]
+    fn a_short_scan_runs_inline_and_a_long_one_through_the_pipeline() {
+        let (log, volume) = (fresh_log(), fresh_volume());
+        for page in 0..40u32 {
+            log.append(&update(1 + page as u64 % 3, page)).unwrap();
+        }
+        log.append(&commit(1)).unwrap();
+        let span = log.tail_lsn().0 - log.start_lsn().0;
+        // One chunk short of the pipeline: one worker stage whatever the
+        // pool size, and nobody waited for anybody.
+        let chunk = (span / PIPELINE_MIN_CHUNKS) as usize + 1;
+        let scan = &scans(&log, &volume, 4, chunk).unwrap()[0];
+        assert_eq!(scan.workers.len(), 1);
+        assert_eq!((scan.reader.blocked_ns, scan.router.blocked_ns), (0, 0));
+        assert_eq!(scan.workers[0].blocked_ns, 0);
+        assert!(scan.log_bytes_read >= span);
+        // Long enough: the pool.
+        let chunk = (span / PIPELINE_MIN_CHUNKS) as usize;
+        let scan = &scans(&log, &volume, 4, chunk).unwrap()[0];
+        assert_eq!(scan.workers.len(), 4);
+        assert!(scan.log_bytes_read >= span);
+    }
+
+    #[test]
+    fn corruption_fails_an_inline_scan_and_a_pipelined_one_alike() {
+        // A bit of an `Update` frame, which its page's worker verifies,
+        // then of a `Commit` frame, which only the router reads.
+        for worker_finds_it in [true, false] {
+            let body = 1 << 20;
+            let media = Arc::new(MemDisk::new(LogManager::required_bytes(body)));
+            let log = LogManager::format(Arc::clone(&media) as Arc<dyn StableMedia>, body).unwrap();
+            let volume = fresh_volume();
+            let mut victim = Lsn::NULL;
+            for page in 0..40u32 {
+                let lsn = log.append(&update(1, page)).unwrap();
+                if page == 20 && worker_finds_it {
+                    victim = lsn;
+                }
+            }
+            let committed = log.append(&commit(1)).unwrap();
+            if !worker_finds_it {
+                victim = committed;
+            }
+            log.append(&update(2, 7)).unwrap();
+            log.force(log.tail_lsn()).unwrap();
+            // Byte 10 of a frame is in its transaction id.
+            let at = PAGE_SIZE + (victim.0 as usize + 10) % body;
+            let mut byte = [0u8];
+            media.read_at(at, &mut byte).unwrap();
+            byte[0] ^= 0x10;
+            media.write_at(at, &byte).unwrap();
+            for (workers, chunk) in [(1, 8192), (2, 8192), (1, 29), (2, 29)] {
+                match scans(&log, &volume, workers, chunk) {
+                    Err(QsError::LogCorrupt { .. }) => {}
+                    other => panic!(
+                        "worker_finds_it={worker_finds_it} workers={workers} chunk={chunk}: {other:?}"
+                    ),
+                }
+            }
+        }
+    }
+
     /// Run one worker function over every frame of `log`, as a one-worker
-    /// `fan_out` would route them.
+    /// pipelined `fan_out` would route them.
     fn run_worker<T>(log: &LogManager, work: impl FnOnce(&mut Batches) -> T) -> T {
         let (tx, rx) = sync_channel(DEPTH);
         let mut scanner = ChunkedScanner::new(log, log.start_lsn(), log.tail_lsn(), 8192);
@@ -1112,7 +1621,7 @@ mod tests {
                     tx.send(chunk).unwrap();
                 }
             });
-            work(&mut Batches { rx, clock: StageClock::start() })
+            work(&mut Batches { source: Source::Channel(rx), clock: StageClock::start() })
         })
     }
 
@@ -1127,7 +1636,11 @@ mod tests {
                 log.append(&update(txn, page)).unwrap();
             }
         }
-        let shard = run_worker(&log, |inbox| analysis_worker(inbox, false)).unwrap();
+        let shard = run_worker(&log, |inbox| {
+            let mut shard = PageShard::new(false);
+            inbox.each_frame(|lsn, bytes| shard.step(lsn, bytes)).unwrap();
+            shard
+        });
         assert_eq!(shard.dpt.len(), 50);
         assert_eq!(shard.max_alloc, 50);
     }

@@ -415,10 +415,13 @@ impl Server {
 
     /// Walk a transaction's backward chain applying before-images, writing
     /// CLRs. Used by abort and by restart undo. Returns the number of
-    /// update records undone (restart-report input). Chain reads go through
-    /// `cache`, a log-page cache: the backward walk revisits the same log
-    /// pages constantly, and the cache turns those into one log-disk fetch
-    /// per distinct page (its hit counter also feeds the restart report).
+    /// update records undone (restart-report input). The walk is over
+    /// encoded frames: `cache`, a log-page cache, lends each one out
+    /// checksum-verified (the backward walk revisits the same log pages
+    /// constantly, and the cache turns those into one log-disk fetch per
+    /// distinct page — its fetch counter also feeds the restart report),
+    /// the before-image is copied from the frame to the page, and the CLR
+    /// is encoded straight into the log tail.
     pub(crate) fn undo_chain(
         &self,
         view: &mut InnerView<'_>,
@@ -429,9 +432,13 @@ impl Server {
         let mut undone = 0u64;
         let mut at = from;
         while !at.is_null() {
-            let (rec, _) = cache.read_record(view.log, at)?;
-            match rec {
-                LogRecord::Update { page: pid, slot, offset, before, prev, .. } => {
+            let frame = cache.frame(view.log, at)?;
+            at = match record::frame_tag(frame) {
+                tag::UPDATE => {
+                    let pid = record::frame_page(frame).expect("update frames bear a page");
+                    let record::UpdateImages { slot, offset, before, .. } =
+                        record::frame_update_images(frame)?;
+                    let undo_next = record::frame_prev(frame);
                     let mut disk = Held { volume: view.volume, dpt: &mut *view.dpt };
                     self.fault_in(view.pool.shard(pid), &mut disk, pid, None)?;
                     let clr_lsn_guess = view.log.tail_lsn();
@@ -439,39 +446,38 @@ impl Server {
                     let page = pool.get_mut(pid).expect("resident");
                     let obj = page.object_mut(pid, slot)?;
                     let off = offset as usize;
-                    obj[off..off + before.len()].copy_from_slice(&before);
+                    obj.get_mut(off..off + before.len())
+                        .ok_or_else(|| QsError::RecoveryFailed {
+                            detail: format!("undo range past object end on {pid}"),
+                        })?
+                        .copy_from_slice(before);
                     page.set_lsn(clr_lsn_guess);
                     pool.mark_dirty(pid);
-                    let t_prev = view.txns.get(txn)?.last_lsn;
-                    let clr = LogRecord::Clr {
-                        txn,
-                        prev: t_prev,
-                        page: pid,
-                        slot,
-                        offset,
-                        after: before.clone(),
-                        undo_next: prev,
-                    };
-                    let lsn = view.log.append(&clr)?;
-                    view.txns.active_mut(txn)?.note_logged(lsn);
+                    let state = view.txns.active_mut(txn)?;
+                    let prev = state.last_lsn;
+                    let lsn = view.log.append_with(|w| {
+                        w.clr(txn, prev, pid, slot, offset, before, undo_next);
+                    })?;
+                    state.note_logged(lsn);
                     view.dpt.entry(pid).or_insert(lsn);
                     undone += 1;
-                    at = prev;
+                    undo_next
                 }
-                LogRecord::Clr { undo_next, .. } => at = undo_next,
+                tag::CLR => record::frame_undo_next(frame)?,
                 // UpdateLogical carries no before-image (no-steal
                 // transactions are never undone); if one is ever reached
                 // here just walk past it.
-                LogRecord::WholePage { prev, .. }
-                | LogRecord::PageAlloc { prev, .. }
-                | LogRecord::UpdateLogical { prev, .. }
-                | LogRecord::TxnScheme { prev, .. }
-                | LogRecord::Commit { prev, .. }
-                | LogRecord::Abort { prev, .. } => at = prev,
-                LogRecord::Checkpoint { .. }
-                | LogRecord::BeginCheckpoint { .. }
-                | LogRecord::EndCheckpoint { .. } => break,
-            }
+                tag::WHOLE_PAGE
+                | tag::PAGE_ALLOC
+                | tag::UPDATE_LOGICAL
+                | tag::TXN_SCHEME
+                | tag::COMMIT
+                | tag::ABORT => record::frame_prev(frame),
+                tag::CHECKPOINT | tag::BEGIN_CHECKPOINT | tag::END_CHECKPOINT => break,
+                t => {
+                    return Err(QsError::LogCorrupt { detail: format!("unknown record tag {t}") });
+                }
+            };
         }
         Ok(undone)
     }

@@ -102,28 +102,34 @@ impl StageClock {
 }
 
 /// Wall-clock accounting of one streamed scan (reader → router → workers
-/// → merge) of the restart engine.
+/// → merge) of the restart engine. A scan the engine ran inline on the
+/// restart thread reports the three roles' busy time, no blocked time and
+/// one worker.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScanWall {
     pub name: &'static str,
-    /// From spawning the pipeline to the end of the merge.
+    /// From the start of the scan to the end of the merge.
     pub wall_ns: u64,
     pub reader: StageWall,
     /// The restart thread while it routes frames and awaits the join.
     pub router: StageWall,
-    /// One entry per worker, in worker-index order.
+    /// One entry per worker that ran, in worker-index order.
     pub workers: Vec<StageWall>,
     /// The restart thread's work after the join (shard merge, page
     /// install, table rebuild).
     pub merge_ns: u64,
+    /// Bytes the reader pulled from the log, re-reads of frames that
+    /// straddle a chunk boundary included.
+    pub log_bytes_read: u64,
 }
 
 impl ScanWall {
-    /// Close the scan: the restart thread's post-join merge began at
-    /// `merge_started` and ends now.
+    /// Charge a piece of the restart thread's post-join merge to the
+    /// scan: it began at `merge_started` and ends now.
     pub fn end_merge(&mut self, merge_started: Instant) {
-        self.merge_ns = merge_started.elapsed().as_nanos() as u64;
-        self.wall_ns += self.merge_ns;
+        let ns = merge_started.elapsed().as_nanos() as u64;
+        self.merge_ns += ns;
+        self.wall_ns += ns;
     }
 }
 
@@ -138,6 +144,12 @@ pub struct RestartWall {
 }
 
 impl RestartWall {
+    /// Log bytes read by all scans together: a restart that reads its log
+    /// once reads about `tail − scan start` of them.
+    pub fn log_bytes_read(&self) -> u64 {
+        self.scans.iter().map(|s| s.log_bytes_read).sum()
+    }
+
     /// Append the accounting as a JSON object under way in `w`. Stage
     /// arrays hold one number per thread: reader, router, then workers.
     pub fn write_json(&self, w: &mut JsonWriter) {
@@ -165,6 +177,7 @@ impl RestartWall {
             w.end_object();
         }
         w.end_array();
+        w.field_u64("log_bytes_read", self.log_bytes_read());
         w.field_u64("undo_ns", self.undo_ns);
         w.field_u64("checkpoint_ns", self.checkpoint_ns);
         w.end_object();
@@ -178,13 +191,14 @@ impl RestartWall {
         for s in &self.scans {
             let workers: Vec<String> = s.workers.iter().map(stage).collect();
             out.push_str(&format!(
-                "  {:<14} wall {:>7.1} ms  busy/blocked: reader {}  router {}  workers [{}]  merge {:.1}\n",
+                "  {:<14} wall {:>7.1} ms  busy/blocked: reader {}  router {}  workers [{}]  merge {:.1}  read {:.1} MB\n",
                 s.name,
                 ms(s.wall_ns),
                 stage(&s.reader),
                 stage(&s.router),
                 workers.join(" "),
-                ms(s.merge_ns)
+                ms(s.merge_ns),
+                s.log_bytes_read as f64 / 1e6
             ));
         }
         out.push_str(&format!(

@@ -10,16 +10,24 @@
 //!
 //! The durable header page stores `{start, durable, checkpoint}` LSNs and
 //! is rewritten on every force, so a restarted manager knows exactly where
-//! the recoverable log ends.
+//! the recoverable log ends. Its magic carries the format revision
+//! (DESIGN.md "log on-disk format").
 
-use crate::record::LogRecord;
+use crate::record::{self, LogRecord, PREFIX, TRAILER};
+use crate::writer::RecordWriter;
 use qs_storage::StableMedia;
 use qs_trace::{TraceCat, Tracer};
 use qs_types::sync::Mutex;
 use qs_types::{Lsn, QsError, QsResult, PAGE_SIZE};
 use std::sync::Arc;
 
-const MAGIC: u64 = 0x51_534c_4f47_u64; // "QSLOG"
+/// Low five bytes of the header magic: "QSLOG".
+const MAGIC: u64 = 0x51_534c_4f47;
+const MAGIC_BITS: u32 = 40;
+/// Format revision, stored in the magic's sixth byte. 0: frames carried a
+/// 32-bit FNV-1a; 1: [`record::checksum`]. A log of another revision is
+/// refused at open rather than failing its first frame's checksum.
+const REVISION: u64 = 1;
 
 struct LogState {
     /// Oldest LSN still needed (log space before it is reclaimable).
@@ -150,8 +158,16 @@ impl LogManager {
         let mut hdr = [0u8; 48];
         media.read_at(0, &mut hdr)?;
         let magic = u64::from_le_bytes(hdr[0..8].try_into().unwrap());
-        if magic != MAGIC {
+        if magic & ((1 << MAGIC_BITS) - 1) != MAGIC {
             return Err(QsError::RecoveryFailed { detail: "log header magic mismatch".into() });
+        }
+        let revision = magic >> MAGIC_BITS;
+        if revision != REVISION {
+            return Err(QsError::RecoveryFailed {
+                detail: format!(
+                    "log format revision {revision}; this build reads revision {REVISION} only"
+                ),
+            });
         }
         let body_capacity = u64::from_le_bytes(hdr[8..16].try_into().unwrap()) as usize;
         let start = Lsn(u64::from_le_bytes(hdr[16..24].try_into().unwrap()));
@@ -180,7 +196,7 @@ impl LogManager {
 
     fn write_header(&self, st: &LogState) -> QsResult<()> {
         let mut hdr = [0u8; 48];
-        hdr[0..8].copy_from_slice(&MAGIC.to_le_bytes());
+        hdr[0..8].copy_from_slice(&(MAGIC | REVISION << MAGIC_BITS).to_le_bytes());
         hdr[8..16].copy_from_slice(&(self.body_capacity as u64).to_le_bytes());
         hdr[16..24].copy_from_slice(&st.start.0.to_le_bytes());
         hdr[24..32].copy_from_slice(&st.durable.0.to_le_bytes());
@@ -214,39 +230,47 @@ impl LogManager {
         Ok(())
     }
 
+    /// Append what `encode` adds to the volatile tail buffer — whole
+    /// frames — or nothing if the window cannot take it. Returns the LSN
+    /// of the first appended byte.
+    fn append_encoded(&self, encode: impl FnOnce(&mut Vec<u8>)) -> QsResult<Lsn> {
+        let mut st = self.state.lock();
+        let at = st.buffer.len();
+        encode(&mut st.buffer);
+        let need = st.buffer.len() - at;
+        let used = (st.tail.0 - st.start.0) as usize;
+        if used + need > self.body_capacity {
+            st.buffer.truncate(at);
+            return Err(QsError::LogFull { capacity: self.body_capacity, need });
+        }
+        let lsn = st.tail;
+        st.tail = lsn.advance(need);
+        drop(st);
+        self.tracer.event(TraceCat::WalAppend, "append", lsn.0, need as u64);
+        Ok(lsn)
+    }
+
     /// Append a record to the volatile tail. Returns its LSN.
     pub fn append(&self, rec: &LogRecord) -> QsResult<Lsn> {
         let enc = rec.encode();
-        let mut st = self.state.lock();
-        let used = (st.tail.0 - st.start.0) as usize;
-        if used + enc.len() > self.body_capacity {
-            return Err(QsError::LogFull { capacity: self.body_capacity, need: enc.len() });
-        }
-        let lsn = st.tail;
-        st.buffer.extend_from_slice(&enc);
-        st.tail = st.tail.advance(enc.len());
-        drop(st);
-        self.tracer.event(TraceCat::WalAppend, "append", lsn.0, enc.len() as u64);
-        Ok(lsn)
+        self.append_encoded(|tail| tail.extend_from_slice(&enc))
     }
 
     /// Append one already-encoded record, rewriting its `prev` LSN in
     /// place (clients ship records with `prev = NULL`; the server chains
     /// them here without re-encoding). Returns the record's LSN.
     pub fn append_rechained(&self, rec: &[u8], prev: Lsn) -> QsResult<Lsn> {
-        let mut st = self.state.lock();
-        let used = (st.tail.0 - st.start.0) as usize;
-        if used + rec.len() > self.body_capacity {
-            return Err(QsError::LogFull { capacity: self.body_capacity, need: rec.len() });
-        }
-        let lsn = st.tail;
-        let at = st.buffer.len();
-        st.buffer.extend_from_slice(rec);
-        crate::record::frame_set_prev(&mut st.buffer[at..at + rec.len()], prev);
-        st.tail = st.tail.advance(rec.len());
-        drop(st);
-        self.tracer.event(TraceCat::WalAppend, "append", lsn.0, rec.len() as u64);
-        Ok(lsn)
+        self.append_encoded(|tail| {
+            let at = tail.len();
+            tail.extend_from_slice(rec);
+            record::frame_set_prev(&mut tail[at..], prev);
+        })
+    }
+
+    /// Append the one record `write` encodes, built in place in the tail
+    /// buffer (no intermediate `LogRecord` or `Vec`). Returns its LSN.
+    pub fn append_with(&self, write: impl FnOnce(&mut RecordWriter<'_>)) -> QsResult<Lsn> {
+        self.append_encoded(|tail| write(&mut RecordWriter::new(tail)))
     }
 
     /// Make everything up to **and including** the record starting at
@@ -327,27 +351,20 @@ impl LogManager {
     /// volatile tail buffer). Returns the record and the LSN just past it.
     pub fn read_record(&self, lsn: Lsn) -> QsResult<(LogRecord, Lsn)> {
         let st = self.state.lock();
-        if lsn < st.start || lsn >= st.tail {
+        // One window-checked read path for the durable body and the
+        // volatile tail: an `lsn` that is not a frame boundary reads a
+        // garbage length, which must fail typed, not index out of the
+        // tail buffer.
+        let mut lenb = [0u8; 4];
+        self.read_span_locked(&st, lsn, &mut lenb)?;
+        let len = u32::from_le_bytes(lenb) as usize;
+        if len < PREFIX + TRAILER || len as u64 > st.tail.0 - lsn.0 {
             return Err(QsError::LogCorrupt {
-                detail: format!("read at {lsn} outside log window [{}, {})", st.start, st.tail),
+                detail: format!("implausible frame length {len} at {lsn}"),
             });
         }
-        let bytes = if lsn >= st.durable {
-            // In the volatile tail buffer.
-            let at = (lsn.0 - st.durable.0) as usize;
-            let len = u32::from_le_bytes(st.buffer[at..at + 4].try_into().unwrap()) as usize;
-            st.buffer[at..at + len].to_vec()
-        } else {
-            let mut lenb = [0u8; 4];
-            self.read_body(lsn, &mut lenb)?;
-            let len = u32::from_le_bytes(lenb) as usize;
-            if len < 8 || len > self.body_capacity {
-                return Err(QsError::LogCorrupt { detail: format!("implausible length {len}") });
-            }
-            let mut buf = vec![0u8; len];
-            self.read_body(lsn, &mut buf)?;
-            buf
-        };
+        let mut bytes = vec![0u8; len];
+        self.read_span_locked(&st, lsn, &mut bytes)?;
         drop(st);
         let next = lsn.advance(bytes.len());
         Ok((LogRecord::decode(&bytes)?, next))
@@ -715,6 +732,72 @@ mod tests {
         drop(lm);
         let lm2 = LogManager::open(media).unwrap();
         assert_eq!(lm2.start_lsn(), start);
+    }
+
+    #[test]
+    fn read_off_a_frame_boundary_fails_typed() {
+        let (_m, lm) = fresh(1 << 16);
+        let first = lm.append(&update(1, 10, 7)).unwrap();
+        lm.append(&update(1, 11, 8)).unwrap();
+        lm.append(&commit(1)).unwrap();
+        let mut cache = crate::LogReadCache::new();
+        for forced in [false, true] {
+            if forced {
+                lm.force(lm.tail_lsn()).unwrap();
+            }
+            for lsn in [first.advance(1), Lsn(lm.tail_lsn().0 - 2)] {
+                let err = lm.read_record(lsn).unwrap_err();
+                assert!(matches!(err, QsError::LogCorrupt { .. }), "forced={forced} {lsn}: {err}");
+                let err = cache.frame(&lm, lsn).unwrap_err();
+                assert!(matches!(err, QsError::LogCorrupt { .. }), "forced={forced} {lsn}: {err}");
+            }
+            assert_eq!(lm.read_record(first).unwrap().0, update(1, 10, 7));
+        }
+    }
+
+    #[test]
+    fn a_log_of_another_format_revision_is_refused_by_name() {
+        let (media, lm) = fresh(1 << 16);
+        lm.append(&commit(1)).unwrap();
+        lm.force(lm.tail_lsn()).unwrap();
+        drop(lm);
+        // The pre-checksum-change header: the bare "QSLOG" magic.
+        media.write_at(0, &MAGIC.to_le_bytes()).unwrap();
+        let Err(err) = LogManager::open(Arc::clone(&media) as Arc<dyn StableMedia>) else {
+            panic!("opened a revision-0 log");
+        };
+        assert!(matches!(err, QsError::RecoveryFailed { .. }), "{err}");
+        assert!(err.to_string().contains("log format revision 0"), "{err}");
+        // Not a log at all: still the magic error.
+        media.write_at(0, &[0xAB; 8]).unwrap();
+        let Err(err) = LogManager::open(media) else { panic!("opened garbage") };
+        assert!(err.to_string().contains("magic mismatch"), "{err}");
+    }
+
+    #[test]
+    fn append_with_equals_append_and_leaves_no_bytes_when_full() {
+        let clr = LogRecord::Clr {
+            txn: TxnId(4),
+            prev: Lsn(77),
+            page: PageId(9),
+            slot: 1,
+            offset: 8,
+            after: vec![5; 12],
+            undo_next: Lsn(33),
+        };
+        let (_m, a) = fresh(clr.encoded_len() + 10);
+        let (_m2, b) = fresh(clr.encoded_len() + 10);
+        let write = |w: &mut RecordWriter<'_>| {
+            w.clr(TxnId(4), Lsn(77), PageId(9), 1, 8, &[5; 12], Lsn(33));
+        };
+        let la = a.append_with(write).unwrap();
+        let lb = b.append(&clr).unwrap();
+        assert_eq!((la, a.tail_lsn()), (lb, b.tail_lsn()));
+        assert_eq!(a.read_record(la).unwrap().0, clr);
+        // A second one does not fit: typed error, tail unchanged.
+        assert!(matches!(a.append_with(write), Err(QsError::LogFull { .. })));
+        assert_eq!(a.tail_lsn(), b.tail_lsn());
+        assert_eq!(a.read_record(la).unwrap().0, clr);
     }
 
     #[test]

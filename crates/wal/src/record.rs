@@ -11,7 +11,8 @@
 //!
 //! * `len` appears both first and last (the paper's WPL restart scans
 //!   backward, §3.4.3; here the trailer echo is the torn-frame check).
-//! * `cksum` is FNV-1a over `bytes[8..len-4]`; decode rejects corruption.
+//! * `cksum` is [`checksum`] over `bytes[8..len-4]`; decode rejects
+//!   corruption (DESIGN.md "log on-disk format" states the guarantee).
 //! * The record is padded so `len == LOG_HEADER_SIZE + variable payload`,
 //!   making our log-space accounting identical to the paper's
 //!   "≈50-byte header + images" model.
@@ -86,14 +87,58 @@ impl SchemeCode {
     }
 }
 
-/// FNV-1a, used as a lightweight corruption check on log records.
-pub fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
+/// The frame checksum: 32-bit little-endian words fed round-robin to four
+/// independent rotate-xor-multiply lanes (four dependency chains instead
+/// of FNV-1a's one multiply per byte), the lanes folded over the length,
+/// the last 0–3 bytes folded in one at a time.
+///
+/// Every step — a lane taking a word, the fold taking a lane or a tail
+/// byte, the final shift — is a bijection of the running state for a fixed
+/// input and injective in the input for a fixed state. So two inputs of
+/// one length that differ only inside one 4-byte-aligned word (any
+/// single-bit or single-byte error among them) never share a checksum.
+/// The length seeds the fold, so a zero-padded prefix of an input does
+/// not inherit its checksum.
+pub fn checksum(bytes: &[u8]) -> u32 {
+    // Odd, so multiplying by it permutes the u32s (the FNV prime).
+    const M: u32 = 0x0100_0193;
+    fn mix(state: u32, rotate: u32, input: u32) -> u32 {
+        (state.rotate_left(rotate) ^ input).wrapping_mul(M)
     }
-    h
+    fn word(w: &[u8]) -> u32 {
+        u32::from_le_bytes(w.try_into().expect("chunks_exact(4)"))
+    }
+    let mut lanes = [0x811c_9dc5u32, 0x9e37_79b9, 0x85eb_ca6b, 0xc2b2_ae35];
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(4)) {
+            *lane = mix(*lane, 13, word(w));
+        }
+    }
+    let mut words = blocks.remainder().chunks_exact(4);
+    for (lane, w) in lanes.iter_mut().zip(&mut words) {
+        *lane = mix(*lane, 13, word(w));
+    }
+    let mut h = bytes.len() as u32;
+    for lane in lanes {
+        h = mix(h, 5, lane);
+    }
+    for &b in words.remainder() {
+        h = mix(h, 5, b as u32);
+    }
+    h ^ (h >> 16)
+}
+
+/// [`checksum`] of the bytes a frame's checksum field covers.
+fn frame_checksum(frame: &[u8]) -> u32 {
+    checksum(&frame[8..frame.len() - TRAILER])
+}
+
+/// Store the checksum of a complete frame in its checksum field — the
+/// last step of every encoder.
+pub(crate) fn frame_seal(frame: &mut [u8]) {
+    let ck = frame_checksum(frame);
+    frame[4..8].copy_from_slice(&ck.to_le_bytes());
 }
 
 /// One entry of the WPL table as persisted in a checkpoint (§3.4.3).
@@ -359,29 +404,14 @@ impl LogRecord {
         out[17..25].copy_from_slice(&self.prev().0.to_le_bytes());
         out[PREFIX..PREFIX + body.len()].copy_from_slice(&body);
         out[total - 4..].copy_from_slice(&(total as u32).to_le_bytes());
-        let ck = fnv1a(&out[8..total - 4]);
-        out[4..8].copy_from_slice(&ck.to_le_bytes());
+        frame_seal(&mut out);
         out
     }
 
     /// Decode one record from `bytes` (which must contain the full record).
     pub fn decode(bytes: &[u8]) -> QsResult<LogRecord> {
         let corrupt = |d: &str| QsError::LogCorrupt { detail: d.to_string() };
-        if bytes.len() < PREFIX + TRAILER {
-            return Err(corrupt("record shorter than fixed header"));
-        }
-        let total = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-        if total != bytes.len() {
-            return Err(corrupt(&format!("length prefix {total} != {} bytes given", bytes.len())));
-        }
-        let trailer = u32::from_le_bytes(bytes[total - 4..].try_into().unwrap()) as usize;
-        if trailer != total {
-            return Err(corrupt("trailer length mismatch"));
-        }
-        let ck = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if ck != fnv1a(&bytes[8..total - 4]) {
-            return Err(corrupt("checksum mismatch"));
-        }
+        frame_verify(bytes)?;
         let tag = bytes[8];
         let txn = TxnId(u64::from_le_bytes(bytes[9..17].try_into().unwrap()));
         let prev = Lsn(u64::from_le_bytes(bytes[17..25].try_into().unwrap()));
@@ -506,9 +536,9 @@ pub fn frame_len(bytes: &[u8]) -> QsResult<usize> {
 }
 
 /// Validate one encoded record's framing without decoding it: length
-/// prefix matching the slice, trailer echo, FNV-1a checksum. Same
-/// corruption coverage as [`LogRecord::decode`]; the streamed restart
-/// scanner uses this for frames whose bodies it never materializes.
+/// prefix matching the slice, trailer echo, [`checksum`]. It is
+/// [`LogRecord::decode`]'s own first step; restart and undo use it on
+/// frames whose bodies they never materialize.
 pub fn frame_verify(bytes: &[u8]) -> QsResult<()> {
     let corrupt = |d: String| QsError::LogCorrupt { detail: d };
     if bytes.len() < PREFIX + TRAILER {
@@ -523,7 +553,7 @@ pub fn frame_verify(bytes: &[u8]) -> QsResult<()> {
         return Err(corrupt("trailer length mismatch".into()));
     }
     let ck = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if ck != fnv1a(&bytes[8..total - 4]) {
+    if ck != frame_checksum(bytes) {
         return Err(corrupt("checksum mismatch".into()));
     }
     Ok(())
@@ -572,38 +602,70 @@ pub fn frame_update_image_bytes(bytes: &[u8]) -> u64 {
     }
 }
 
+/// Little-endian `u16` at `at`, or the truncated-body error.
+fn u16_at(bytes: &[u8], at: usize) -> QsResult<u16> {
+    let b = bytes.get(at..at + 2).ok_or_else(body_truncated)?;
+    Ok(u16::from_le_bytes(b.try_into().unwrap()))
+}
+
+fn body_truncated() -> QsError {
+    QsError::LogCorrupt { detail: "record body truncated".into() }
+}
+
+/// Zero-copy view of an encoded `Update` record's body.
+pub struct UpdateImages<'a> {
+    pub slot: u16,
+    pub offset: u16,
+    pub before: &'a [u8],
+    pub after: &'a [u8],
+}
+
+/// The body of an encoded `Update` record, straight out of the frame.
+/// Undo walks chains through this (and [`frame_undo_next`]) without
+/// materializing a `LogRecord`.
+pub fn frame_update_images(bytes: &[u8]) -> QsResult<UpdateImages<'_>> {
+    debug_assert_eq!(bytes[8], tag::UPDATE, "not an update frame");
+    // page u32 | slot u16 | offset u16 | blen u16 | alen u16 | before | after
+    let slot = u16_at(bytes, PREFIX + 4)?;
+    let offset = u16_at(bytes, PREFIX + 6)?;
+    let blen = u16_at(bytes, PREFIX + 8)? as usize;
+    let alen = u16_at(bytes, PREFIX + 10)? as usize;
+    let at = PREFIX + 12;
+    let before = bytes.get(at..at + blen).ok_or_else(body_truncated)?;
+    let after = bytes.get(at + blen..at + blen + alen).ok_or_else(body_truncated)?;
+    Ok(UpdateImages { slot, offset, before, after })
+}
+
 /// Zero-copy view of an encoded update or CLR record's redo fields:
 /// `(slot, offset, after-image)`, straight out of the frame. `None` for
 /// every other tag. Restart redo uses this to repeat history without
 /// materializing a `LogRecord` (two image allocations per record).
 pub fn frame_redo_slice(bytes: &[u8]) -> QsResult<Option<(u16, u16, &[u8])>> {
-    let truncated = || QsError::LogCorrupt { detail: "redo body truncated".into() };
-    let u16_at = |at: usize| -> QsResult<u16> {
-        Ok(u16::from_le_bytes(bytes.get(at..at + 2).ok_or_else(truncated)?.try_into().unwrap()))
-    };
     match bytes[8] {
-        // Update: page u32 | slot u16 | offset u16 | blen u16 | alen u16
-        //         | before | after
-        1 => {
-            let slot = u16_at(PREFIX + 4)?;
-            let offset = u16_at(PREFIX + 6)?;
-            let blen = u16_at(PREFIX + 8)? as usize;
-            let alen = u16_at(PREFIX + 10)? as usize;
-            let at = PREFIX + 12 + blen;
-            let after = bytes.get(at..at + alen).ok_or_else(truncated)?;
-            Ok(Some((slot, offset, after)))
+        tag::UPDATE => {
+            let u = frame_update_images(bytes)?;
+            Ok(Some((u.slot, u.offset, u.after)))
         }
         // CLR: page u32 | slot u16 | offset u16 | alen u16 | after | undo_next
         // Logical update: same leading layout, no undo_next.
-        6 | 8 => {
-            let slot = u16_at(PREFIX + 4)?;
-            let offset = u16_at(PREFIX + 6)?;
-            let alen = u16_at(PREFIX + 8)? as usize;
-            let after = bytes.get(PREFIX + 10..PREFIX + 10 + alen).ok_or_else(truncated)?;
+        tag::CLR | tag::UPDATE_LOGICAL => {
+            let slot = u16_at(bytes, PREFIX + 4)?;
+            let offset = u16_at(bytes, PREFIX + 6)?;
+            let alen = u16_at(bytes, PREFIX + 8)? as usize;
+            let after = bytes.get(PREFIX + 10..PREFIX + 10 + alen).ok_or_else(body_truncated)?;
             Ok(Some((slot, offset, after)))
         }
         _ => Ok(None),
     }
+}
+
+/// Where rollback continues after an encoded CLR: the `undo_next` LSN
+/// behind its after-image.
+pub fn frame_undo_next(bytes: &[u8]) -> QsResult<Lsn> {
+    debug_assert_eq!(bytes[8], tag::CLR, "not a CLR frame");
+    let at = PREFIX + 10 + u16_at(bytes, PREFIX + 8)? as usize;
+    let b = bytes.get(at..at + 8).ok_or_else(body_truncated)?;
+    Ok(Lsn(u64::from_le_bytes(b.try_into().unwrap())))
 }
 
 /// The scheme code carried by an encoded `TxnScheme` record; `None` for
@@ -628,11 +690,9 @@ pub fn frame_whole_page_image(bytes: &[u8]) -> QsResult<&[u8]> {
 /// the transaction's backward chain); the server patches the real value
 /// here — the result is byte-identical to encoding with `prev` set.
 pub fn frame_set_prev(bytes: &mut [u8], prev: Lsn) {
-    let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-    debug_assert_eq!(len, bytes.len(), "frame_set_prev wants exactly one record");
+    debug_assert_eq!(frame_len(bytes).ok(), Some(bytes.len()), "wants exactly one record");
     bytes[PREV_RANGE].copy_from_slice(&prev.0.to_le_bytes());
-    let ck = fnv1a(&bytes[8..len - TRAILER]);
-    bytes[4..8].copy_from_slice(&ck.to_le_bytes());
+    frame_seal(bytes);
 }
 
 /// Minimal cursor over a byte slice.
@@ -873,13 +933,111 @@ mod tests {
             LogRecord::TxnScheme { txn: TxnId(1), prev: Lsn::NULL, scheme: SchemeCode::Pd }
                 .encode();
         enc[PREFIX] = 9;
-        let total = enc.len();
-        let ck = fnv1a(&enc[8..total - 4]);
-        enc[4..8].copy_from_slice(&ck.to_le_bytes());
+        frame_seal(&mut enc);
         assert!(LogRecord::decode(&enc).unwrap_err().to_string().contains("unknown scheme"));
         assert_eq!(frame_scheme(&enc), None);
         assert_eq!(SchemeCode::from_u8(9), None);
     }
+
+    /// The frames the kernel tests flip bits in: one of every tag, the
+    /// update carrying distinct bytes in every word.
+    fn one_frame_per_tag() -> Vec<Vec<u8>> {
+        let mut frames = vec![LogRecord::Update {
+            txn: TxnId(0x0102_0304_0506),
+            prev: Lsn(0x1112_1314),
+            page: PageId(77),
+            slot: 3,
+            offset: 40,
+            before: (0..61u8).collect(),
+            after: (100..161u8).collect(),
+        }
+        .encode()];
+        let mut seen = vec![tag::UPDATE];
+        for r in every_variant() {
+            if !seen.contains(&r.tag()) {
+                seen.push(r.tag());
+                frames.push(r.encode());
+            }
+        }
+        assert_eq!(seen.len(), 11, "a tag has no frame");
+        frames
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_rejected() {
+        for frame in one_frame_per_tag() {
+            assert!(frame_verify(&frame).is_ok());
+            // Exhaustive, except over the 8 KB image: every 97th bit.
+            let step = if frame_tag(&frame) == tag::WHOLE_PAGE { 97 } else { 1 };
+            let mut bad = frame.clone();
+            for bit in (0..frame.len() * 8).step_by(step) {
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(frame_verify(&bad).is_err(), "tag {} bit {bit}", frame_tag(&frame));
+                assert!(LogRecord::decode(&bad).is_err(), "tag {} bit {bit}", frame_tag(&frame));
+                bad[bit / 8] = frame[bit / 8];
+            }
+        }
+    }
+
+    #[test]
+    fn swapped_words_are_rejected() {
+        let frame = one_frame_per_tag().swap_remove(0);
+        // Words of the checksummed range, which starts at byte 8.
+        let words = (frame.len() - TRAILER - 8) / 4;
+        // Neighbours feed adjacent lanes, words four apart the same lane.
+        for distance in [1, 4, 8] {
+            for w in 0..words - distance {
+                let (a, b) = (8 + 4 * w, 8 + 4 * (w + distance));
+                if frame[a..a + 4] == frame[b..b + 4] {
+                    continue;
+                }
+                let mut bad = frame.clone();
+                bad.copy_within(b..b + 4, a);
+                bad[b..b + 4].copy_from_slice(&frame[a..a + 4]);
+                assert!(frame_verify(&bad).is_err(), "words {w} and {}", w + distance);
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_padded_prefix_does_not_inherit_the_checksum() {
+        // An update frame ends in the zero padding that brings it up to
+        // the paper's 50-byte header: cut the frame short inside the
+        // padding, keep the checksum, and restate both lengths.
+        let frame = one_frame_per_tag().swap_remove(0);
+        let wire = PREFIX + 12 + 61 + 61 + TRAILER;
+        assert!(wire < frame.len());
+        assert!(frame[wire - TRAILER..frame.len() - TRAILER].iter().all(|&b| b == 0));
+        for len in wire..frame.len() {
+            let mut cut = frame[..len].to_vec();
+            cut[0..4].copy_from_slice(&(len as u32).to_le_bytes());
+            cut[len - 4..].copy_from_slice(&(len as u32).to_le_bytes());
+            assert!(frame_verify(&cut).is_err(), "cut to {len}");
+            // Sealed for its own length it is a valid frame again.
+            frame_seal(&mut cut);
+            assert!(frame_verify(&cut).is_ok());
+        }
+        // The kernel itself, at every tail length and through the lanes.
+        let zeros = [0u8; 64];
+        let sums: Vec<u32> = (0..=64).map(|n| checksum(&zeros[..n])).collect();
+        for (n, sum) in sums.iter().enumerate() {
+            assert!(!sums[..n].contains(sum), "zeros[..{n}] collides with a shorter run");
+        }
+    }
+
+    /// The checksum is part of the log format: a kernel change that moves
+    /// these values needs a new log format revision (`log.rs`).
+    #[test]
+    fn checksum_known_answers() {
+        let bytes: Vec<u8> = (0..=255u8).collect();
+        let got: Vec<u32> = [0, 1, 3, 4, 15, 16, 17, 50, 256].map(|n| checksum(&bytes[..n])).into();
+        assert_eq!(got, KNOWN_ANSWERS);
+    }
+
+    const KNOWN_ANSWERS: [u32; 9] = [
+        2430211096, 2403224678, 4033199763, 2131028768, 1256391996, 972975736, 281492601,
+        1687649585, 364571337,
+    ];
 
     #[test]
     fn corruption_detected() {
@@ -903,9 +1061,7 @@ mod tests {
         let mut enc = r.encode();
         enc[8] = 200;
         // Fix the checksum so only the tag is wrong.
-        let total = enc.len();
-        let ck = fnv1a(&enc[8..total - 4]);
-        enc[4..8].copy_from_slice(&ck.to_le_bytes());
+        frame_seal(&mut enc);
         let err = LogRecord::decode(&enc).unwrap_err();
         assert!(err.to_string().contains("unknown record tag"));
     }

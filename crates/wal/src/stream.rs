@@ -13,13 +13,13 @@
 //! walks backward chains in random order, and caching whole log pages
 //! both stops the re-reads from hitting the log disk once per record and
 //! lets the restart report count *distinct* log pages touched
-//! ([`LogReadCache::pages_fetched`]).
+//! ([`LogReadCache::pages_fetched`]). It hands frames out as borrowed,
+//! verified slices of the cached pages.
 
 use crate::log::LogManager;
-use crate::record::{LogRecord, PREFIX, TRAILER};
+use crate::record::{frame_verify, PREFIX, TRAILER};
 use qs_trace::{StageClock, StageWall};
 use qs_types::{Lsn, QsError, QsResult, PAGE_SIZE};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
@@ -63,6 +63,14 @@ pub struct ChunkedScanner<'a> {
     at: Lsn,
     end: Lsn,
     chunk_bytes: usize,
+    /// Every buffer handed out so far. One whose consumers have all
+    /// dropped their clones is taken back for the next chunk instead of
+    /// mapping and zeroing a fresh one; a consumer that keeps chunks alive
+    /// (WPL's image candidates) simply never gives its buffers back.
+    handed_out: Vec<Arc<Vec<u8>>>,
+    /// Frames in the previous chunk: the next one's capacity hint.
+    frames_hint: usize,
+    bytes_read: u64,
 }
 
 impl<'a> ChunkedScanner<'a> {
@@ -72,7 +80,36 @@ impl<'a> ChunkedScanner<'a> {
             at: from.max(log.start_lsn()),
             end,
             chunk_bytes: chunk_bytes.max(PREFIX + TRAILER),
+            handed_out: Vec::new(),
+            frames_hint: 0,
+            bytes_read: 0,
         }
+    }
+
+    /// Bytes pulled from the log so far, re-reads of a frame that
+    /// straddled a chunk boundary included.
+    pub fn bytes_read(&self) -> u64 {
+        self.bytes_read
+    }
+
+    /// A chunk buffer nobody else holds any more, or a new empty one.
+    fn free_buffer(&mut self) -> Arc<Vec<u8>> {
+        match self.handed_out.iter_mut().position(|buf| Arc::get_mut(buf).is_some()) {
+            Some(free) => self.handed_out.swap_remove(free),
+            None => Arc::default(),
+        }
+    }
+
+    /// Make `buf` the `len` log bytes at the scan position.
+    fn fill(&mut self, buf: &mut Vec<u8>, len: usize) -> QsResult<()> {
+        if buf.capacity() < len {
+            // Growing: zeroed pages from the allocator, not a memset.
+            *buf = vec![0; len];
+        } else {
+            buf.resize(len, 0);
+        }
+        self.bytes_read += len as u64;
+        self.log.read_bytes(self.at, buf)
     }
 
     /// The next batch of whole frames, or `None` at the end of the span.
@@ -90,10 +127,11 @@ impl<'a> ChunkedScanner<'a> {
                 want = (aligned - self.at.0) as usize;
             }
         }
-        let mut buf = vec![0u8; want];
-        self.log.read_bytes(self.at, &mut buf)?;
+        let mut shared = self.free_buffer();
+        let buf = Arc::get_mut(&mut shared).expect("a free buffer has one owner");
+        self.fill(buf, want)?;
 
-        let mut frames = Vec::new();
+        let mut frames = Vec::with_capacity(self.frames_hint);
         let mut off = 0usize;
         while off + 4 <= buf.len() {
             let len = u32::from_le_bytes(buf[off..off + 4].try_into().unwrap()) as usize;
@@ -103,6 +141,11 @@ impl<'a> ChunkedScanner<'a> {
                 });
             }
             if off + len > buf.len() {
+                if off == 0 {
+                    // One record larger than the chunk: read exactly it.
+                    self.fill(buf, len)?;
+                    continue;
+                }
                 break; // partial frame: the next chunk restarts at it
             }
             frames.push(FrameRef {
@@ -113,21 +156,14 @@ impl<'a> ChunkedScanner<'a> {
             off += len;
         }
         if frames.is_empty() {
-            // One record larger than the chunk: read exactly that record.
-            if buf.len() < 4 {
-                return Err(QsError::LogCorrupt {
-                    detail: format!("log span at {} too short for a frame", self.at),
-                });
-            }
-            let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-            let mut big = vec![0u8; len];
-            self.log.read_bytes(self.at, &mut big)?;
-            frames.push(FrameRef { lsn: self.at, offset: 0, len: len as u32 });
-            buf = big;
-            off = len;
+            return Err(QsError::LogCorrupt {
+                detail: format!("log span at {} too short for a frame", self.at),
+            });
         }
         self.at = self.at.advance(off);
-        Ok(Some(FrameChunk { buf: Arc::new(buf), frames }))
+        self.frames_hint = frames.len();
+        self.handed_out.push(Arc::clone(&shared));
+        Ok(Some(FrameChunk { buf: shared, frames }))
     }
 }
 
@@ -148,7 +184,8 @@ pub fn stream_chunks<'scope, 'env>(
 
 /// [`stream_chunks`], also handing back the reader thread: joining it
 /// (after the receiver is dropped or drained) yields the reader's wall
-/// time, busy reading and splitting chunks vs blocked on the full channel.
+/// time, busy reading and splitting chunks vs blocked on the full channel,
+/// and the bytes it read from the log.
 pub fn stream_chunks_timed<'scope, 'env>(
     scope: &'scope std::thread::Scope<'scope, 'env>,
     log: &'env LogManager,
@@ -156,7 +193,7 @@ pub fn stream_chunks_timed<'scope, 'env>(
     end: Lsn,
     chunk_bytes: usize,
     depth: usize,
-) -> (Receiver<QsResult<FrameChunk>>, ScopedJoinHandle<'scope, StageWall>) {
+) -> (Receiver<QsResult<FrameChunk>>, ScopedJoinHandle<'scope, (StageWall, u64)>) {
     let (tx, rx) = sync_channel(depth.max(1));
     let mut scanner = ChunkedScanner::new(log, from, end, chunk_bytes);
     let reader = scope.spawn(move || {
@@ -173,27 +210,50 @@ pub fn stream_chunks_timed<'scope, 'env>(
                 break;
             }
         }
-        clock.wall()
+        (clock.wall(), scanner.bytes_read())
     });
     (rx, reader)
 }
 
 /// A cached whole log page (see [`LogReadCache`]).
 struct CachedPage {
+    index: u64,
     data: Box<[u8; PAGE_SIZE]>,
     /// Valid byte range within the page (the window clip at fetch time).
     valid: (usize, usize),
 }
 
-/// Read-only record cache keyed by logical log page, for the random reads
+impl CachedPage {
+    fn bytes(&self, off: usize, n: usize) -> QsResult<&[u8]> {
+        if off < self.valid.0 || off + n > self.valid.1 {
+            return Err(QsError::LogCorrupt {
+                detail: format!(
+                    "cached log page {} read [{off}, {}) outside valid [{}, {})",
+                    self.index,
+                    off + n,
+                    self.valid.0,
+                    self.valid.1
+                ),
+            });
+        }
+        Ok(&self.data[off..off + n])
+    }
+}
+
+/// Read-only frame cache keyed by logical log page, for the random reads
 /// of the undo phase (and of abort rollback). Never evicts: its footprint
 /// is bounded by the loser chains one rollback walks. Safe to keep across
 /// appends because the log is append-only — bytes below the tail at fetch
 /// time never change.
 #[derive(Default)]
 pub struct LogReadCache {
-    pages: HashMap<u64, CachedPage>,
-    fetches: u64,
+    pages: Vec<CachedPage>,
+    /// Log page index → position in `pages`.
+    slot_of: HashMap<u64, usize>,
+    /// The last page looked up: a chain's neighbours share log pages.
+    last: Option<(u64, usize)>,
+    /// Where a frame that straddles log pages is stitched together.
+    scratch: Vec<u8>,
 }
 
 impl LogReadCache {
@@ -203,61 +263,70 @@ impl LogReadCache {
 
     /// Distinct log pages fetched so far (== cache misses).
     pub fn pages_fetched(&self) -> u64 {
-        self.fetches
+        self.pages.len() as u64
     }
 
-    /// [`LogManager::read_record`], served through the page cache.
-    pub fn read_record(&mut self, log: &LogManager, lsn: Lsn) -> QsResult<(LogRecord, Lsn)> {
-        let mut lenb = [0u8; 4];
-        self.read_span(log, lsn, &mut lenb)?;
-        let len = u32::from_le_bytes(lenb) as usize;
+    /// The encoded record starting at `lsn`, checksum-verified, borrowed
+    /// from its cached log page (copied only when it straddles two). Any
+    /// `lsn` — off a frame boundary, outside the window — fails with
+    /// `LogCorrupt`.
+    pub fn frame(&mut self, log: &LogManager, lsn: Lsn) -> QsResult<&[u8]> {
+        let lenb = self.span(log, lsn, 4)?;
+        let len = u32::from_le_bytes(lenb.try_into().unwrap()) as usize;
         if len < PREFIX + TRAILER || len > log.body_capacity() {
-            return Err(QsError::LogCorrupt { detail: format!("implausible length {len}") });
+            return Err(QsError::LogCorrupt {
+                detail: format!("implausible frame length {len} at {lsn}"),
+            });
         }
-        let mut buf = vec![0u8; len];
-        self.read_span(log, lsn, &mut buf)?;
-        Ok((LogRecord::decode(&buf)?, lsn.advance(len)))
+        let frame = self.span(log, lsn, len)?;
+        frame_verify(frame)?;
+        Ok(frame)
     }
 
-    /// Copy `buf.len()` bytes starting at `from`, stitching cached pages.
-    fn read_span(&mut self, log: &LogManager, from: Lsn, buf: &mut [u8]) -> QsResult<()> {
-        let mut at = from.0;
-        let mut done = 0usize;
-        while done < buf.len() {
-            let index = at / PAGE_SIZE as u64;
-            let off = (at % PAGE_SIZE as u64) as usize;
-            let n = (PAGE_SIZE - off).min(buf.len() - done);
-            let page = match self.pages.entry(index) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => {
-                    let mut data = Box::new([0u8; PAGE_SIZE]);
-                    let valid = log.read_log_page(index, &mut data)?;
-                    self.fetches += 1;
-                    e.insert(CachedPage { data, valid })
-                }
-            };
-            if off < page.valid.0 || off + n > page.valid.1 {
-                return Err(QsError::LogCorrupt {
-                    detail: format!(
-                        "cached log page {index} read [{off}, {}) outside valid [{}, {})",
-                        off + n,
-                        page.valid.0,
-                        page.valid.1
-                    ),
-                });
-            }
-            buf[done..done + n].copy_from_slice(&page.data[off..off + n]);
-            done += n;
-            at += n as u64;
+    /// Position in `pages` of log page `index`, fetching it on a miss.
+    fn slot(&mut self, log: &LogManager, index: u64) -> QsResult<usize> {
+        if let Some((_, slot)) = self.last.filter(|&(last, _)| last == index) {
+            return Ok(slot);
         }
-        Ok(())
+        let slot = match self.slot_of.get(&index) {
+            Some(&slot) => slot,
+            None => {
+                let mut data = Box::new([0u8; PAGE_SIZE]);
+                let valid = log.read_log_page(index, &mut data)?;
+                self.pages.push(CachedPage { index, data, valid });
+                self.slot_of.insert(index, self.pages.len() - 1);
+                self.pages.len() - 1
+            }
+        };
+        self.last = Some((index, slot));
+        Ok(slot)
+    }
+
+    /// The `n` log bytes starting at `from`.
+    fn span(&mut self, log: &LogManager, from: Lsn, n: usize) -> QsResult<&[u8]> {
+        let (index, off) = (from.0 / PAGE_SIZE as u64, (from.0 % PAGE_SIZE as u64) as usize);
+        if off + n <= PAGE_SIZE {
+            let slot = self.slot(log, index)?;
+            return self.pages[slot].bytes(off, n);
+        }
+        let mut stitched = std::mem::take(&mut self.scratch);
+        stitched.clear();
+        while stitched.len() < n {
+            let at = from.0 + stitched.len() as u64;
+            let off = (at % PAGE_SIZE as u64) as usize;
+            let take = (PAGE_SIZE - off).min(n - stitched.len());
+            let slot = self.slot(log, at / PAGE_SIZE as u64)?;
+            stitched.extend_from_slice(self.pages[slot].bytes(off, take)?);
+        }
+        self.scratch = stitched;
+        Ok(&self.scratch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::CheckpointBody;
+    use crate::record::{CheckpointBody, LogRecord};
     use qs_storage::{MemDisk, StableMedia};
     use qs_types::{PageId, TxnId};
 
@@ -318,7 +387,39 @@ mod tests {
                 }
             }
             assert_eq!(got, expect, "chunk={chunk}");
+            // One chunk reads the span exactly once; smaller chunks read
+            // the frame that straddles each boundary again.
+            let span = lm.tail_lsn().0 - lm.start_lsn().0;
+            assert!(sc.bytes_read() >= span, "chunk={chunk}");
+            assert_eq!(sc.bytes_read() == span, chunk == 1 << 20, "chunk={chunk}");
         }
+    }
+
+    #[test]
+    fn chunk_buffers_are_reused_once_dropped_and_left_alone_while_held() {
+        let lm = fresh(1 << 20);
+        let expect = mixed_log(&lm, true);
+        // Dropping each chunk before asking for the next: one allocation
+        // serves the whole scan.
+        let mut sc = ChunkedScanner::new(&lm, Lsn(0), lm.tail_lsn(), PAGE_SIZE);
+        let mut buffers = std::collections::HashSet::new();
+        let mut frames = 0;
+        while let Some(c) = sc.next_chunk().unwrap() {
+            buffers.insert(Arc::as_ptr(&c.buf));
+            frames += c.frames.len();
+        }
+        assert_eq!((buffers.len(), frames), (1, expect.len()));
+        // A consumer that keeps its chunks keeps their bytes.
+        let mut sc = ChunkedScanner::new(&lm, Lsn(0), lm.tail_lsn(), PAGE_SIZE);
+        let mut held = Vec::new();
+        while let Some(c) = sc.next_chunk().unwrap() {
+            held.push(c);
+        }
+        let got: Vec<(Lsn, LogRecord)> = held
+            .iter()
+            .flat_map(|c| c.frames.iter().map(|r| (r.lsn, LogRecord::decode(c.frame(r)).unwrap())))
+            .collect();
+        assert_eq!(got, expect);
     }
 
     #[test]
@@ -358,9 +459,9 @@ mod tests {
         // Random-order reads (newest first, like undo), twice over.
         for _ in 0..2 {
             for (lsn, rec) in expect.iter().rev() {
-                let (got, next) = cache.read_record(&lm, *lsn).unwrap();
-                assert_eq!(&got, rec);
-                assert_eq!(next, lsn.advance(got.encoded_len()));
+                let frame = cache.frame(&lm, *lsn).unwrap();
+                assert_eq!(frame.len(), rec.encoded_len());
+                assert_eq!(&LogRecord::decode(frame).unwrap(), rec);
             }
         }
         // Every log page holding records was fetched exactly once.

@@ -11,7 +11,7 @@
 
 use qs_types::{Lsn, PageId, TxnId, LOG_HEADER_SIZE, PAGE_SIZE};
 
-use crate::record::{fnv1a, PREFIX, TRAILER};
+use crate::record::{frame_seal, tag, PREFIX, TRAILER};
 
 /// Streams encoded log records into a borrowed batch buffer.
 pub struct RecordWriter<'a> {
@@ -47,8 +47,7 @@ impl<'a> RecordWriter<'a> {
     fn finish(&mut self, at: usize, total: usize) {
         let rec = &mut self.buf[at..at + total];
         rec[total - 4..].copy_from_slice(&(total as u32).to_le_bytes());
-        let ck = fnv1a(&rec[8..total - 4]);
-        rec[4..8].copy_from_slice(&ck.to_le_bytes());
+        frame_seal(rec);
         self.records += 1;
     }
 
@@ -67,7 +66,7 @@ impl<'a> RecordWriter<'a> {
     ) -> usize {
         let body = 12 + before.len() + after.len();
         let total = (PREFIX + body + TRAILER).max(LOG_HEADER_SIZE + before.len() + after.len());
-        let at = self.begin(total, 1, txn, prev);
+        let at = self.begin(total, tag::UPDATE, txn, prev);
         let b = &mut self.buf[at + PREFIX..];
         b[0..4].copy_from_slice(&page.0.to_le_bytes());
         b[4..6].copy_from_slice(&slot.to_le_bytes());
@@ -93,7 +92,7 @@ impl<'a> RecordWriter<'a> {
     ) -> usize {
         let body = 10 + after.len();
         let total = (PREFIX + body + TRAILER).max(LOG_HEADER_SIZE + after.len());
-        let at = self.begin(total, 8, txn, prev);
+        let at = self.begin(total, tag::UPDATE_LOGICAL, txn, prev);
         let b = &mut self.buf[at + PREFIX..];
         b[0..4].copy_from_slice(&page.0.to_le_bytes());
         b[4..6].copy_from_slice(&slot.to_le_bytes());
@@ -104,13 +103,41 @@ impl<'a> RecordWriter<'a> {
         total
     }
 
+    /// Append a `Clr` record compensating one undone update: `after` is
+    /// the before-image that undo put back, `undo_next` where rollback
+    /// continues. Returns its encoded length.
+    #[allow(clippy::too_many_arguments)]
+    pub fn clr(
+        &mut self,
+        txn: TxnId,
+        prev: Lsn,
+        page: PageId,
+        slot: u16,
+        offset: u16,
+        after: &[u8],
+        undo_next: Lsn,
+    ) -> usize {
+        let body = 18 + after.len();
+        let total = (PREFIX + body + TRAILER).max(LOG_HEADER_SIZE + after.len() + 8);
+        let at = self.begin(total, tag::CLR, txn, prev);
+        let b = &mut self.buf[at + PREFIX..];
+        b[0..4].copy_from_slice(&page.0.to_le_bytes());
+        b[4..6].copy_from_slice(&slot.to_le_bytes());
+        b[6..8].copy_from_slice(&offset.to_le_bytes());
+        b[8..10].copy_from_slice(&(after.len() as u16).to_le_bytes());
+        b[10..10 + after.len()].copy_from_slice(after);
+        b[10 + after.len()..body].copy_from_slice(&undo_next.0.to_le_bytes());
+        self.finish(at, total);
+        total
+    }
+
     /// Append a `TxnScheme` record declaring the transaction's elected
     /// logging scheme (the first record of an adaptively-logged chain).
     /// Returns its encoded length.
     pub fn scheme_mark(&mut self, txn: TxnId, prev: Lsn, scheme: crate::SchemeCode) -> usize {
         let body = 1;
         let total = (PREFIX + body + TRAILER).max(LOG_HEADER_SIZE);
-        let at = self.begin(total, 11, txn, prev);
+        let at = self.begin(total, tag::TXN_SCHEME, txn, prev);
         self.buf[at + PREFIX] = scheme as u8;
         self.finish(at, total);
         total
@@ -127,7 +154,7 @@ impl<'a> RecordWriter<'a> {
     ) -> usize {
         let body = 4 + PAGE_SIZE;
         let total = (PREFIX + body + TRAILER).max(LOG_HEADER_SIZE + PAGE_SIZE);
-        let at = self.begin(total, 2, txn, prev);
+        let at = self.begin(total, tag::WHOLE_PAGE, txn, prev);
         let b = &mut self.buf[at + PREFIX..];
         b[0..4].copy_from_slice(&page.0.to_le_bytes());
         b[4..4 + PAGE_SIZE].copy_from_slice(image);
@@ -209,6 +236,41 @@ mod tests {
             expect.extend_from_slice(&enc);
         }
         assert_eq!(w.records(), cases.len());
+        assert_eq!(buf, expect);
+    }
+
+    #[test]
+    fn clr_bytes_identical_to_encode() {
+        let cases: Vec<Vec<u8>> = vec![vec![], vec![1, 2, 3], vec![7; 40], (0..255u8).collect()];
+        let mut buf = Vec::new();
+        let mut w = RecordWriter::new(&mut buf);
+        let mut expect = Vec::new();
+        for (i, after) in cases.iter().enumerate() {
+            let undo_next = if i % 2 == 0 { Lsn::NULL } else { Lsn(50 + i as u64) };
+            let rec = LogRecord::Clr {
+                txn: TxnId(3 + i as u64),
+                prev: Lsn(99 + i as u64),
+                page: PageId(7 + i as u32),
+                slot: i as u16,
+                offset: 16 * i as u16,
+                after: after.clone(),
+                undo_next,
+            };
+            let enc = rec.encode();
+            let n = w.clr(
+                rec.txn(),
+                rec.prev(),
+                rec.page().unwrap(),
+                i as u16,
+                16 * i as u16,
+                after,
+                undo_next,
+            );
+            assert_eq!(n, enc.len());
+            assert_eq!(n, rec.encoded_len());
+            assert_eq!(crate::record::frame_undo_next(&enc).unwrap(), undo_next);
+            expect.extend_from_slice(&enc);
+        }
         assert_eq!(buf, expect);
     }
 

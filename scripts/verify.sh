@@ -94,7 +94,9 @@ echo "== concurrency tests under a deadlock watchdog =="
 # decomposed server's locking across real threads, and restart_equivalence
 # the restart engine's reader -> router -> worker channels (committed-model
 # oracle, pinned phase counts, byte-identity across 1/2/4/8 workers and
-# odd chunk sizes, corrupt frames failing loudly — whichever thread
+# odd chunk sizes — the 29-byte chunks are what pipelines these short logs,
+# at the default size they are scanned inline — corrupt frames failing
+# loudly — whichever thread
 # verifies them, incl. the redo-verified frames below the anchor); a
 # lock-order or channel-hangup bug shows up as a hang, not a failure.
 # `timeout` turns a hang into a hard FAIL. The runtime_* suites add the reactor: admission
@@ -157,8 +159,11 @@ echo "== restart benchmark smoke run =="
 # Crashes a small OO7 workload and restarts it at every worker count with
 # the phase-count cross-check enabled; --validate asserts the JSON covers
 # every scheme × worker count, that every row carries the per-stage wall
-# accounting (reader, router, each worker, merge, undo, checkpoint), and
-# that no scan reports more busy time than wall × threads.
+# accounting (reader, router, each worker, merge, undo, checkpoint), that
+# no scan reports more busy time than wall × threads, and that a restart
+# over a physical-only log (PD-ESM, PD-REDO) made exactly one scan and
+# read no more than 1.05 × its log span + one chunk — the second read of
+# the log must not come back.
 restart_dir=$(mktemp -d)
 (cd "$restart_dir" && "$OLDPWD/target/release/restart_bench" --smoke > /dev/null)
 cargo run --release --offline -p qs-bench --bin restart_bench -- \
