@@ -15,10 +15,6 @@
 //!   batched commit forces from the committer thread, and a handful of
 //!   driver threads multiplexing every simulated client.
 //!
-//! The old 4-client decomposition comparison (global-mutex single-lock
-//! server vs decomposed subsystems) is kept as two `legacy4` rows driven
-//! by the same shared harness (`qs_bench::driver`).
-//!
 //! Results are written to `BENCH_scale.json` (see EXPERIMENTS.md):
 //! throughput, mean commit-force batch, shed counts, and queue/lock wait
 //! p99s per row.
@@ -44,7 +40,6 @@ use qs_bench::driver::{
 use qs_esm::{Reactor, RuntimeConfig, ServerConfig};
 use qs_sim::{HardwareModel, JsonWriter, Meter};
 use qs_trace::Tracer;
-use qs_types::sync::Mutex;
 use quickstore::SystemConfig;
 use std::sync::Arc;
 use std::time::Duration;
@@ -149,7 +144,7 @@ fn run_threads(
     let cfg = server_cfg(w, group_commit).with_background_flusher(ckpt.is_some());
     let (server, sets) = build_scale_server(cfg, w, Arc::clone(&tracer));
     let wall =
-        with_checkpointer(&server, ckpt, || drive_threads(&server, &sets, w.txns_per_client, None));
+        with_checkpointer(&server, ckpt, || drive_threads(&server, &sets, w.txns_per_client));
     assert_workload_applied(&server, &sets, w.txns_per_client);
     let (gc_calls, gc_forces) = server.group_commit_stats();
     ModeResult {
@@ -208,41 +203,6 @@ fn run_reactor(w: &ScaleWorkload, name: String, ckpt: Option<Duration>) -> ModeR
     }
 }
 
-/// The old 4-client decomposition comparison, now on the shared driver:
-/// single-lock server (global mutex around every call) vs the decomposed
-/// server.
-fn run_legacy4(smoke: bool) -> Vec<ModeResult> {
-    let w = ScaleWorkload {
-        clients: 4,
-        txns_per_client: if smoke { 8 } else { 40 },
-        pages_per_client: 8,
-        sync_latency: if smoke { Duration::from_micros(20) } else { Duration::from_micros(500) },
-    };
-    let mut out = Vec::new();
-
-    let tracer = Tracer::disabled();
-    let mut cfg = server_cfg(&w, false);
-    cfg.pool_shards = 1;
-    let (server, sets) = build_scale_server(cfg, &w, tracer);
-    let global = Arc::new(Mutex::new(()));
-    let wall = drive_threads(&server, &sets, w.txns_per_client, Some(&global));
-    assert_workload_applied(&server, &sets, w.txns_per_client);
-    out.push(ModeResult {
-        name: "scale/legacy4/global_mutex".into(),
-        clients: w.clients,
-        txns: w.total_txns() as u64,
-        wall,
-        commit_batch_mean: 1.0,
-        shed_budget: 0,
-        shed_queue: 0,
-        queue_wait_p99_ns: 0,
-        lock_wait_p99_ns: 0,
-    });
-
-    out.push(run_threads(&w, true, "scale/legacy4/decomposed".into(), None));
-    out
-}
-
 fn sweep_workload(clients: usize, smoke: bool) -> ScaleWorkload {
     let total = if smoke { 128 } else { 4096 };
     ScaleWorkload {
@@ -261,8 +221,6 @@ fn expected_names() -> Vec<String> {
             names.push(format!("scale/c{c}/{mode}"));
         }
     }
-    names.push("scale/legacy4/global_mutex".into());
-    names.push("scale/legacy4/decomposed".into());
     names
 }
 
@@ -371,12 +329,6 @@ fn main() {
         let speedup = threads.wall.as_secs_f64() / reactor.wall.as_secs_f64();
         println!("   reactor vs threads: {speedup:.2}x");
         results.extend([threads, threads_gc, reactor]);
-    }
-
-    println!("-- legacy 4-client decomposition comparison --");
-    for r in run_legacy4(smoke) {
-        print_row(&r);
-        results.push(r);
     }
 
     let json = render_json(&results, smoke);

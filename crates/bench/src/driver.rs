@@ -5,9 +5,7 @@
 //! 1995 time):
 //!
 //! * [`drive_threads`] — one OS thread per client making direct server
-//!   calls (the thread-per-connection shape the paper's testbed had),
-//!   optionally with a global mutex around every call to reproduce the
-//!   pre-decomposition single-lock server.
+//!   calls (the thread-per-connection shape the paper's testbed had).
 //! * [`drive_reactor`] — the same workload expressed as typed
 //!   [`Request`] messages over reactor [`ClientPort`]s, with a small set
 //!   of driver threads multiplexing hundreds of simulated clients; shed
@@ -134,25 +132,18 @@ fn update_record(txn: TxnId, pid: PageId, val: u8) -> LogRecord {
     }
 }
 
-/// One update transaction over `set` via direct server calls, optionally
-/// with every call under a global mutex (the single-lock baseline).
-fn one_txn_direct(server: &Server, set: &[PageId], val: u8, global: Option<&Mutex<()>>) {
-    macro_rules! call {
-        ($e:expr) => {{
-            let _g = global.map(|m| m.lock());
-            $e
-        }};
-    }
-    let txn = call!(server.begin());
+/// One update transaction over `set` via direct server calls.
+fn one_txn_direct(server: &Server, set: &[PageId], val: u8) {
+    let txn = server.begin();
     for &pid in set {
-        call!(server.lock_page(txn, pid, LockMode::X).unwrap());
-        let mut page = call!(server.fetch_page(txn, pid).unwrap());
+        server.lock_page(txn, pid, LockMode::X).unwrap();
+        let mut page = server.fetch_page(txn, pid).unwrap();
         page.object_mut(pid, 0).unwrap().fill(val);
         let rec = update_record(txn, pid, val);
-        call!(server.receive_log_records(txn, vec![rec]).unwrap());
-        call!(server.receive_dirty_page(txn, pid, page).unwrap());
+        server.receive_log_records(txn, vec![rec]).unwrap();
+        server.receive_dirty_page(txn, pid, page).unwrap();
     }
-    call!(server.commit(txn).unwrap());
+    server.commit(txn).unwrap();
 }
 
 /// Thread-per-client driver: every client is an OS thread making direct
@@ -161,17 +152,15 @@ pub fn drive_threads(
     server: &Arc<Server>,
     sets: &[Vec<PageId>],
     txns_per_client: usize,
-    global: Option<&Arc<Mutex<()>>>,
 ) -> Duration {
     let t0 = Instant::now();
     std::thread::scope(|s| {
         for (i, set) in sets.iter().enumerate() {
             let server = Arc::clone(server);
             let set = set.clone();
-            let global = global.cloned();
             s.spawn(move || {
                 for t in 0..txns_per_client {
-                    one_txn_direct(&server, &set, txn_val(i, t), global.as_deref());
+                    one_txn_direct(&server, &set, txn_val(i, t));
                 }
             });
         }

@@ -69,12 +69,6 @@ pub struct SystemConfig {
     /// Append the recovery-buffer size to the name (the paper does this in
     /// the big-database experiments where the split matters).
     pub name_buffer_suffix: bool,
-    /// Per-transaction adaptive scheme election (§6g): at each commit the
-    /// client prices its write set under PD / SD / WPL / RLOG and emits that
-    /// transaction's records in the cheapest format. Requires the
-    /// [`RecoveryFlavor::Adaptive`] server flavor; off everywhere else, so
-    /// all the fixed-scheme figures are untouched.
-    pub adaptive_scheme: bool,
 }
 
 impl SystemConfig {
@@ -118,7 +112,6 @@ impl SystemConfig {
             client_memory_mb: 12.0,
             recovery_buffer_mb: 0.0,
             name_buffer_suffix: false,
-            adaptive_scheme: false,
         }
     }
 
@@ -128,9 +121,7 @@ impl SystemConfig {
     /// part of [`SystemConfig::all_schemes`]: ADAPT is a meta-scheme whose
     /// figures live in `BENCH_adaptive.json`, not in the Table 3 sweeps.
     pub fn adaptive() -> SystemConfig {
-        let mut cfg = Self::build(LogGeneration::PageDiff, RecoveryFlavor::Adaptive);
-        cfg.adaptive_scheme = true;
-        cfg
+        Self::build(LogGeneration::PageDiff, RecoveryFlavor::Adaptive)
     }
 
     /// The canonical software-version list: paper Table 3 order with the
@@ -162,7 +153,6 @@ impl SystemConfig {
             client_memory_mb: 12.0,
             recovery_buffer_mb: 4.0,
             name_buffer_suffix: false,
-            adaptive_scheme: false,
         }
     }
 
@@ -183,15 +173,7 @@ impl SystemConfig {
     /// Validate scheme/flavor compatibility.
     pub fn validate(&self) -> QsResult<()> {
         let facts = self.flavor.facts();
-        if self.adaptive_scheme != facts.txn_scheme {
-            return Err(QsError::Config {
-                detail: format!(
-                    "adaptive_scheme={} requires the adaptive server flavor (got {:?})",
-                    self.adaptive_scheme, self.flavor
-                ),
-            });
-        }
-        if self.adaptive_scheme && self.log_gen != LogGeneration::PageDiff {
+        if facts.txn_scheme && self.log_gen != LogGeneration::PageDiff {
             return Err(QsError::Config {
                 detail: format!(
                     "adaptive election needs page-diff capture (full before-images \
@@ -247,7 +229,7 @@ impl SystemConfig {
         if self.log_gen == LogGeneration::WholePage {
             return "WPL".to_string();
         }
-        if self.adaptive_scheme {
+        if self.flavor.facts().txn_scheme {
             return "ADAPT".to_string();
         }
         let base = format!("{}-{}", self.log_gen.prefix(), self.flavor.name());
@@ -339,14 +321,7 @@ mod tests {
         // A meta-scheme: not part of the Table 3 sweep list.
         assert!(SystemConfig::by_name("ADAPT").is_none());
 
-        // The knob and the flavor must agree...
-        let mut bad = SystemConfig::adaptive();
-        bad.flavor = RecoveryFlavor::EsmAries;
-        assert!(bad.validate().is_err());
-        let mut bad = SystemConfig::pd_esm();
-        bad.flavor = RecoveryFlavor::Adaptive;
-        assert!(bad.validate().is_err());
-        // ...and election needs full before-images (page-diff capture).
+        // Election needs full before-images (page-diff capture).
         let mut bad = SystemConfig::adaptive();
         bad.log_gen = LogGeneration::SubPageDiff { block: 64 };
         assert!(bad.validate().is_err());

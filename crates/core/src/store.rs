@@ -139,8 +139,8 @@ pub struct Store {
     /// Allocation cursor: the created page new objects go to.
     alloc_cursor: Option<PageId>,
     scratch: CommitScratch,
-    /// The per-transaction scheme elector (only when
-    /// `cfg.adaptive_scheme`; see DESIGN.md §6g).
+    /// The per-transaction scheme elector (only over the adaptive flavor;
+    /// see DESIGN.md §6g).
     elector: Option<AdaptiveScheme>,
     /// Regions from the elector's pricing pass, reused by record emission
     /// within the same event (empty and inert under the fixed schemes).
@@ -165,7 +165,7 @@ impl Store {
         // stack (the client shares the server's).
         let mut mmu = Mmu::new();
         mmu.set_tracer(Arc::clone(client.tracer()));
-        let elector = if cfg.adaptive_scheme { Some(AdaptiveScheme::new()) } else { None };
+        let elector = cfg.flavor.facts().txn_scheme.then(AdaptiveScheme::new);
         Ok(Store {
             cfg,
             client,
@@ -203,7 +203,7 @@ impl Store {
     }
 
     /// The per-transaction scheme elector (`None` unless the store runs
-    /// with `adaptive_scheme`).
+    /// over the adaptive flavor).
     pub fn elector(&self) -> Option<&AdaptiveScheme> {
         self.elector.as_ref()
     }
@@ -825,10 +825,10 @@ impl Store {
             return Ok(()); // no client log records, ever
         }
         let txn = self.client.txn()?;
-        // The elected record format, when this store runs the adaptive
-        // scheme; `None` under the fixed schemes (and for the rare adaptive
-        // transaction whose write set priced to nothing).
-        let elected = if self.cfg.adaptive_scheme { self.client.elected_scheme() } else { None };
+        // The elected record format: `None` under the fixed schemes, where
+        // election is illegal (and for the rare adaptive transaction whose
+        // write set priced to nothing).
+        let elected = self.client.elected_scheme();
         let current = match evicted {
             Some(page) => page,
             None => self.client.peek(pid).ok_or_else(|| QsError::Protocol {

@@ -330,10 +330,9 @@ impl ClientConn {
             let len = record::frame_len(&batch[at..])?;
             let frame = &batch[at..at + len];
             self.meter.log_records_generated.fetch_add(1, Ordering::Relaxed);
-            if matches!(record::frame_tag(frame), 1 | 8) {
-                self.meter
-                    .log_image_bytes
-                    .fetch_add(record::frame_update_image_bytes(frame), Ordering::Relaxed);
+            let image_bytes = record::frame_update_image_bytes(frame)?;
+            if image_bytes > 0 {
+                self.meter.log_image_bytes.fetch_add(image_bytes, Ordering::Relaxed);
             }
             self.log_buf.extend_from_slice(frame);
             if self.log_buf.len() >= PAGE_SIZE {

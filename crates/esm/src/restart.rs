@@ -70,11 +70,11 @@ use crate::shard::shard_index;
 use crate::txn::TxnTable;
 use qs_storage::{Page, Volume};
 use qs_trace::{PhaseStat, RestartWall, ScanWall, StageClock, StageWall};
-use qs_types::{Lsn, PageId, QsError, QsResult, TxnId, PAGE_SIZE};
+use qs_types::{Lsn, PageId, QsResult, TxnId, PAGE_SIZE};
 use qs_wal::record::{self, tag};
 use qs_wal::{
     stream_chunks_timed, CheckpointBody, ChunkedScanner, FrameChunk, FrameRef, LogManager,
-    LogReadCache, LogRecord, SchemeCode,
+    LogReadCache, SchemeCode,
 };
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -145,14 +145,6 @@ fn note_txn(max_txn: &mut TxnId, txn: TxnId) {
     }
 }
 
-/// The body of a sharp `Checkpoint` or fuzzy `BeginCheckpoint` frame.
-fn checkpoint_body(bytes: &[u8]) -> QsResult<CheckpointBody> {
-    match LogRecord::decode(bytes)? {
-        LogRecord::Checkpoint { body } | LogRecord::BeginCheckpoint { body } => Ok(body),
-        _ => Err(QsError::RecoveryFailed { detail: "not a checkpoint record".into() }),
-    }
-}
-
 /// Which protocol each transaction ran. A transaction's `TxnScheme` mark
 /// — always the first record of its chain — says which it elected;
 /// unmarked transactions follow the flavor default. Truncation keeps
@@ -173,10 +165,11 @@ impl Marks {
         Marks { default_logical, elected: HashMap::new() }
     }
 
-    fn note(&mut self, bytes: &[u8]) {
-        if let Some(s) = record::frame_scheme(bytes) {
-            self.elected.insert(record::frame_txn(bytes), s);
+    fn note(&mut self, bytes: &[u8]) -> QsResult<()> {
+        if let Some(s) = record::frame_scheme(bytes)? {
+            self.elected.insert(record::frame_txn(bytes)?, s);
         }
+        Ok(())
     }
 
     /// Did `txn` run the logical (deferred-apply, no-steal) protocol?
@@ -241,14 +234,7 @@ impl Analysis {
         if ck.is_null() {
             return Ok(HashMap::new());
         }
-        let body = match log.read_record(ck)?.0 {
-            LogRecord::Checkpoint { body } | LogRecord::BeginCheckpoint { body } => body,
-            _ => {
-                return Err(QsError::RecoveryFailed {
-                    detail: format!("no checkpoint record at {ck}"),
-                });
-            }
-        };
+        let body = record::frame_checkpoint_body(&log.read_frame(ck)?)?;
         self.att.extend(body.active_txns);
         self.scan_from = ck;
         // A body is snapshotted before its record is appended, so a listed
@@ -312,20 +298,21 @@ impl Analysis {
     /// need the frame for the page half. `broadcast`: the log can hold
     /// logical transactions, so the workers need marks, commits and aborts.
     fn route(&mut self, lsn: Lsn, bytes: &[u8], broadcast: bool) -> QsResult<Route> {
-        let txn = record::frame_txn(bytes);
-        if let Some(page) = record::frame_page(bytes) {
+        let txn = record::frame_txn(bytes)?;
+        if let Some(page) = record::frame_page(bytes)? {
             self.touch(txn, lsn);
             return Ok(Route::Page(page));
         }
         record::frame_verify(bytes)?;
-        match record::frame_tag(bytes) {
+        match record::frame_tag(bytes)? {
             tag::CHECKPOINT | tag::BEGIN_CHECKPOINT => {
-                self.max_alloc = self.max_alloc.max(checkpoint_body(bytes)?.allocated_pages);
+                let body = record::frame_checkpoint_body(bytes)?;
+                self.max_alloc = self.max_alloc.max(body.allocated_pages);
                 return Ok(Route::Nowhere);
             }
             tag::TXN_SCHEME => {
                 self.end_run();
-                self.marks.note(bytes);
+                self.marks.note(bytes)?;
                 if !self.marks.is_logical(txn) {
                     self.att.insert(txn, lsn);
                 }
@@ -394,12 +381,12 @@ impl PageShard {
     /// its commit. Marks, commits and aborts arrive by broadcast, already
     /// verified by the router, in log order with the shard's own frames.
     fn step(&mut self, lsn: Lsn, bytes: &[u8]) -> QsResult<()> {
-        let t = record::frame_tag(bytes);
-        let txn = record::frame_txn(bytes);
-        let Some(page) = record::frame_page(bytes) else {
+        let t = record::frame_tag(bytes)?;
+        let txn = record::frame_txn(bytes)?;
+        let Some(page) = record::frame_page(bytes)? else {
             self.run = None;
             match t {
-                tag::TXN_SCHEME => self.marks.note(bytes),
+                tag::TXN_SCHEME => self.marks.note(bytes)?,
                 tag::COMMIT => {
                     merge_min(&mut self.dpt, self.pending.remove(&txn).unwrap_or_default());
                 }
@@ -506,7 +493,7 @@ fn analyze_and_redo(
     let from = seed.values().copied().fold(anchor, Lsn::min);
     let route = |lsn: Lsn, bytes: &[u8]| {
         if lsn < anchor {
-            return Ok(record::frame_page(bytes).map_or(Route::Nowhere, Route::Page));
+            return Ok(record::frame_page(bytes)?.map_or(Route::Nowhere, Route::Page));
         }
         ph.records += 1;
         a.route(lsn, bytes, false)
@@ -755,10 +742,10 @@ fn redo(
     // One `redo_skips` answer per run of a transaction's records.
     let mut run = (TxnId::INVALID, a.redo_skips(TxnId::INVALID));
     let route = |_, bytes: &[u8]| {
-        let Some(page) = record::frame_page(bytes) else {
+        let Some(page) = record::frame_page(bytes)? else {
             return Ok(Route::Nowhere);
         };
-        let txn = record::frame_txn(bytes);
+        let txn = record::frame_txn(bytes)?;
         if txn != run.0 {
             run = (txn, a.redo_skips(txn));
         }
@@ -862,7 +849,7 @@ impl<'a> RedoShard<'a> {
         bytes: &[u8],
         rec_lsn_of: impl FnOnce(PageId) -> Option<Lsn>,
     ) -> QsResult<()> {
-        let pid = record::frame_page(bytes).expect("router only sends page-bearing frames");
+        let pid = record::frame_page(bytes)?.expect("router only sends page-bearing frames");
         let run = match &mut self.run {
             Some(run) if run.pid == pid => run,
             stale => {
@@ -894,7 +881,7 @@ impl<'a> RedoShard<'a> {
             return Ok(()); // effect already on disk image
         }
         self.stats.records += 1;
-        if record::frame_tag(bytes) == tag::WHOLE_PAGE || lsn < self.verified_from {
+        if record::frame_tag(bytes)? == tag::WHOLE_PAGE || lsn < self.verified_from {
             record::frame_verify(bytes)?;
         }
         apply_after_image(page, pid, bytes, lsn)
@@ -984,17 +971,17 @@ fn wpl_restart(server: &Server, wall: &mut RestartWall) -> QsResult<Vec<PhaseSta
         let mut anchor: Option<CheckpointBody> = None;
         let route = |_, bytes: &[u8]| {
             scan.records += 1;
-            let t = record::frame_tag(bytes);
+            let t = record::frame_tag(bytes)?;
             if t == tag::WHOLE_PAGE {
-                return Ok(record::frame_page(bytes).map_or(Route::Nowhere, Route::Page));
+                return Ok(record::frame_page(bytes)?.map_or(Route::Nowhere, Route::Page));
             }
             record::frame_verify(bytes)?;
-            let txn = record::frame_txn(bytes);
+            let txn = record::frame_txn(bytes)?;
             note_txn(&mut max_txn, txn);
             if t == tag::COMMIT {
                 ctl.insert(txn);
             } else if (t == tag::CHECKPOINT || t == tag::BEGIN_CHECKPOINT) && anchor.is_none() {
-                anchor = Some(checkpoint_body(bytes)?);
+                anchor = Some(record::frame_checkpoint_body(bytes)?);
             }
             Ok(Route::Nowhere)
         };
@@ -1038,13 +1025,9 @@ fn wpl_restart(server: &Server, wall: &mut RestartWall) -> QsResult<Vec<PhaseSta
         // A checkpoint record sits exactly at `stop`, inside the scan, so
         // the streamed pass normally found the anchor already.
         if !ck.is_null() && anchor.is_none() {
-            if let LogRecord::Checkpoint { body } | LogRecord::BeginCheckpoint { body } =
-                view.log.read_record(ck)?.0
-            {
-                server.meter().log_pages_read.fetch_add(1, Ordering::Relaxed);
-                rebuild.pages_read += 1;
-                anchor = Some(body);
-            }
+            anchor = Some(record::frame_checkpoint_body(&view.log.read_frame(ck)?)?);
+            server.meter().log_pages_read.fetch_add(1, Ordering::Relaxed);
+            rebuild.pages_read += 1;
         }
         if let Some(body) = anchor {
             for e in &body.wpl_entries {
@@ -1065,8 +1048,8 @@ fn wpl_restart(server: &Server, wall: &mut RestartWall) -> QsResult<Vec<PhaseSta
     Ok(vec![scan, rebuild])
 }
 
-/// One WPL image worker: check each routed whole-page frame's framing
-/// (length prefix vs trailer echo — catches torn frames) and report it as
+/// One WPL image worker: run each routed whole-page frame through the
+/// boundary check (the trailer echo catches torn frames) and report it as
 /// an [`ImageCandidate`] without materializing or checksumming the 8 KB
 /// body; the merge verifies the winners. Restored pages are served
 /// straight from the log by the WPL table, exactly as in normal running.
@@ -1075,14 +1058,9 @@ fn image_worker(inbox: &mut Batches) -> QsResult<Vec<ImageCandidate>> {
     for batch in inbox {
         for &frame in &batch.frames {
             let bytes = batch.frame(&frame);
-            if bytes[bytes.len() - 4..] != bytes[0..4] {
-                return Err(QsError::LogCorrupt {
-                    detail: "whole-page frame trailer mismatch".into(),
-                });
-            }
             images.push(ImageCandidate {
-                pid: record::frame_page(bytes).expect("whole-page frame"),
-                txn: record::frame_txn(bytes),
+                pid: record::frame_page(bytes)?.expect("whole-page frame"),
+                txn: record::frame_txn(bytes)?,
                 buf: Arc::clone(&batch.buf),
                 frame,
             });
@@ -1095,6 +1073,8 @@ fn image_worker(inbox: &mut Batches) -> QsResult<Vec<ImageCandidate>> {
 mod tests {
     use super::*;
     use qs_storage::{MemDisk, StableMedia};
+    use qs_types::QsError;
+    use qs_wal::LogRecord;
     use std::collections::BTreeMap;
 
     const PHYSICAL: Holds = Holds { physical: true, logical: false };

@@ -12,7 +12,7 @@ use crate::wpl::WplTable;
 use qs_storage::Page;
 use qs_trace::TraceCat;
 use qs_types::{Lsn, PageId, QsResult, TxnId};
-use qs_wal::{CheckpointBody, LogRecord};
+use qs_wal::CheckpointBody;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -228,7 +228,7 @@ impl Server {
                 view.dpt.remove(pid);
             }
             let body = checkpoint_body(view.txns, view.dpt, view.wpl, view.volume.allocated());
-            let ck_lsn = view.log.append(&LogRecord::Checkpoint { body })?;
+            let ck_lsn = view.log.append_with(|w| w.checkpoint(&body))?;
             let stats = view.log.force(view.log.tail_lsn())?;
             self.meter_force_maint(stats);
             view.log.set_checkpoint(ck_lsn)?;
@@ -268,7 +268,7 @@ impl Server {
         let body = checkpoint_body(&txns, &dpt, &wpl, allocated);
         drop(dpt);
         drop(wpl);
-        let begin = self.log.wal().append(&LogRecord::BeginCheckpoint { body })?;
+        let begin = self.log.wal().append_with(|w| w.begin_checkpoint(&body))?;
         drop(txns);
         Ok((begin, claimed))
     }
@@ -354,7 +354,7 @@ impl Server {
     /// the truncation low-water mark as far as the tables allow.
     fn fuzzy_end(&self, begin: Lsn, flushed: u64) -> QsResult<()> {
         let txns = self.txns.lock(&self.tracer);
-        let end = self.log.wal().append(&LogRecord::EndCheckpoint { begin })?;
+        let end = self.log.wal().append_with(|w| w.end_checkpoint(begin))?;
         let stats = self.log.wal().force(end)?;
         self.meter_force_maint(stats);
         self.log.wal().set_checkpoint(begin)?;

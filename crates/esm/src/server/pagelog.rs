@@ -8,16 +8,19 @@ use super::pages::OnDemand;
 use super::{InnerView, Server};
 use qs_storage::Page;
 use qs_types::{Lsn, PageId, QsError, QsResult, TxnId};
-use qs_wal::{LogManager, LogRecord};
+use qs_wal::{record, LogManager};
 use std::sync::atomic::Ordering;
 
+/// The page image in the whole-page record of `pid` at `lsn`, read
+/// through the frame view: copied once, frame to page.
 fn page_image_from_log(log: &LogManager, lsn: Lsn, pid: PageId) -> QsResult<Page> {
-    match log.read_record(lsn)?.0 {
-        LogRecord::WholePage { page, image, .. } if page == pid => Page::from_bytes(&image),
-        other => Err(QsError::RecoveryFailed {
-            detail: format!("expected WholePage for {pid} at {lsn}, found {other:?}"),
-        }),
+    let frame = log.read_frame(lsn)?;
+    if record::frame_page(&frame)? != Some(pid) {
+        return Err(QsError::RecoveryFailed {
+            detail: format!("expected WholePage for {pid} at {lsn}"),
+        });
     }
+    Page::from_bytes(record::frame_whole_page_image(&frame)?)
 }
 
 impl Server {
@@ -27,13 +30,8 @@ impl Server {
     pub(super) fn wpl_receive_page(&self, txn: TxnId, pid: PageId, mut page: Page) -> QsResult<()> {
         let mut txns = self.txns.lock(&self.tracer);
         let state = txns.active_mut(txn)?;
-        let rec = LogRecord::WholePage {
-            txn,
-            prev: state.last_lsn,
-            page: pid,
-            image: page.bytes().to_vec(),
-        };
-        let lsn = self.log.wal().append(&rec)?;
+        let prev = state.last_lsn;
+        let lsn = self.log.wal().append_with(|w| w.whole_page(txn, prev, pid, page.bytes()))?;
         page.set_lsn(lsn);
         state.note_logged(lsn);
         state.wpl_images.push(pid);

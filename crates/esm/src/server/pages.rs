@@ -69,7 +69,7 @@ pub(crate) fn apply_after_image(
     frame: &[u8],
     lsn: Lsn,
 ) -> QsResult<()> {
-    if record::frame_tag(frame) == tag::WHOLE_PAGE {
+    if record::frame_tag(frame)? == tag::WHOLE_PAGE {
         *page = Page::from_bytes(record::frame_whole_page_image(frame)?)?;
     } else if let Some((slot, offset, after)) = record::frame_redo_slice(frame)? {
         let off = offset as usize;

@@ -253,7 +253,7 @@ fn undo_counts_distinct_log_pages_not_records() {
         before: vec![0u8; 64],
         after: vec![i; 64],
     };
-    let rec_len = rec(0).encoded_len() as u64;
+    let rec_len = rec(0).encode().len() as u64;
     server.receive_log_records(txn, (0..100).map(|i| rec(i as u8)).collect()).unwrap();
     // Checkpoint: forces the records durable and records the loser in
     // the checkpoint's active-transaction table.
@@ -571,6 +571,37 @@ fn record_and_byte_receive_paths_agree() {
         rejected(Wpl, &|t, p| vec![rec(t, p[0])]);
     }
     rejected(Wpl, &|t, _| vec![mark(t, SchemeCode::Wpl)]);
+}
+
+/// The server re-seals every frame it re-chains, so it must not take a
+/// frame's bytes on trust: one damaged between client and server would
+/// get a valid checksum and become durable.
+#[test]
+fn a_frame_damaged_on_the_way_in_is_refused_and_never_logged() {
+    let (server, pids) = loaded_server(RecoveryFlavor::EsmAries);
+    let txn = server.begin();
+    let frames: Vec<Vec<u8>> = (0..3u8)
+        .map(|i| {
+            let (before, after) = (vec![0u8; 64], vec![0x10 + i; 64]);
+            let page = pids[i as usize];
+            LogRecord::Update { txn, prev: Lsn::NULL, page, slot: 0, offset: 0, before, after }
+                .encode()
+        })
+        .collect();
+    let mut batch = frames.concat();
+    // One bit of the second frame's after-image: lengths and tag intact.
+    let hit = frames[0].len() + frames[1].len() - 20;
+    assert_eq!(batch[hit], 0x11);
+    batch[hit] ^= 0x04;
+    let wal = server.log.wal();
+    let tail = wal.tail_lsn();
+    let err = server.receive_log_bytes(txn, &batch).unwrap_err();
+    assert!(matches!(err, QsError::LogCorrupt { .. }), "{err}");
+    // The frame ahead of the damaged one is in; nothing of it or after it.
+    assert_eq!(wal.tail_lsn(), tail.advance(frames[0].len()));
+    let logged: Vec<LogRecord> = wal.scan_forward(tail).map(|r| r.unwrap().1).collect();
+    assert_eq!(logged, [LogRecord::decode(&frames[0]).unwrap()]);
+    server.abort(txn).unwrap();
 }
 
 /// Counts the maintenance passes that failed with nobody to tell.

@@ -94,7 +94,7 @@ impl Server {
         let pid = self.volume.lock(&self.tracer).allocate()?;
         let mut txns = self.txns.lock(&self.tracer);
         let prev = txns.active_mut(txn)?.last_lsn;
-        let lsn = self.log.wal().append(&LogRecord::PageAlloc { txn, prev, page: pid })?;
+        let lsn = self.log.wal().append_with(|w| w.page_alloc(txn, prev, pid))?;
         txns.active_mut(txn)?.note_logged(lsn);
         drop(txns);
         self.locks.lock(txn, Resource::Page(pid), LockMode::X)?;
@@ -113,7 +113,9 @@ impl Server {
     /// (built by `qs_wal::RecordWriter`). The client cannot know its
     /// transaction's backward chain, so `prev` is patched *in place* on
     /// append ([`qs_wal::LogManager::append_rechained`]) — the hot path
-    /// never decodes or re-encodes a record. What happens to a page-bearing
+    /// never decodes or re-encodes a record. That re-seals the frame, so
+    /// each one is verified first: a frame damaged on the way here must
+    /// not get a valid checksum and become durable. What happens to a page-bearing
     /// record next is its transaction's protocol: `Steal` enters the page
     /// in the DPT (and, under redo-at-server, applies the after-image to
     /// the server's copy at once, §3.5); `NoSteal` stashes it until commit.
@@ -126,10 +128,12 @@ impl Server {
         while at < batch.len() {
             let len = record::frame_len(&batch[at..])?;
             let frame = &batch[at..at + len];
-            let t = record::frame_tag(frame);
-            if record::frame_txn(frame) != txn {
+            record::frame_verify(frame)?;
+            let t = record::frame_tag(frame)?;
+            let owner = record::frame_txn(frame)?;
+            if owner != txn {
                 return Err(QsError::Protocol {
-                    detail: format!("record for {} shipped by {txn}", record::frame_txn(frame)),
+                    detail: format!("record for {owner} shipped by {txn}"),
                 });
             }
             if t == tag::UPDATE && !self.facts.physical_update {
@@ -152,22 +156,22 @@ impl Server {
                 tag::UPDATE..=tag::PAGE_ALLOC | tag::UPDATE_LOGICAL | tag::TXN_SCHEME => {
                     state.last_lsn
                 }
-                _ => record::frame_prev(frame),
+                _ => record::frame_prev(frame)?,
             };
             let lsn = self.log.wal().append_rechained(frame, prev)?;
             state.note_logged(lsn);
-            if let Some(scheme) = record::frame_scheme(frame) {
+            if let Some(scheme) = record::frame_scheme(frame)? {
                 // The mark governs how every later record of this chain is
                 // processed.
                 state.protocol = self.facts.protocol(Some(scheme));
-            } else if let Some(pid) = record::frame_page(frame) {
+            } else if let Some(pid) = record::frame_page(frame)? {
                 state.log_shipped.insert(pid);
                 let protocol = state.protocol;
                 drop(txns);
                 match protocol {
                     // The DPT is untouched until the op lands in the pool
                     // at commit.
-                    Protocol::NoSteal => self.stash_pending(txn, pid, frame, lsn),
+                    Protocol::NoSteal => self.stash_pending(txn, pid, t, frame, lsn),
                     Protocol::Steal => {
                         self.dpt.lock(&self.tracer).entry(pid).or_insert(lsn);
                         if self.facts.redo_on_receive {
@@ -188,8 +192,8 @@ impl Server {
     /// logical updates and whole-page images carry deferred work
     /// (`PageAlloc`: the volume allocation already happened in
     /// `allocate_page`).
-    fn stash_pending(&self, txn: TxnId, page: PageId, frame: &[u8], lsn: Lsn) {
-        if matches!(record::frame_tag(frame), tag::UPDATE_LOGICAL | tag::WHOLE_PAGE) {
+    fn stash_pending(&self, txn: TxnId, page: PageId, t: u8, frame: &[u8], lsn: Lsn) {
+        if matches!(t, tag::UPDATE_LOGICAL | tag::WHOLE_PAGE) {
             let op = PendingOp { page, frame: frame.to_vec(), lsn };
             self.pending.lock(&self.tracer).entry(txn).or_default().push(op);
         }
@@ -296,7 +300,7 @@ impl Server {
     pub(crate) fn commit_append(&self, txn: TxnId) -> QsResult<Lsn> {
         let mut txns = self.txns.lock(&self.tracer);
         let prev = txns.active_mut(txn)?.last_lsn;
-        let lsn = self.log.wal().append(&LogRecord::Commit { txn, prev })?;
+        let lsn = self.log.wal().append_with(|w| w.commit(txn, prev))?;
         // Flip to Committed under the same lock as the append. Checkpoint
         // snapshots (which also hold the txn-table lock across their own
         // record append) list only *active* transactions, so a transaction
@@ -409,7 +413,7 @@ impl Server {
     /// Close `txn`'s chain with an abort record.
     pub(crate) fn append_abort(view: &mut InnerView<'_>, txn: TxnId) -> QsResult<()> {
         let prev = view.txns.get(txn)?.last_lsn;
-        view.log.append(&LogRecord::Abort { txn, prev })?;
+        view.log.append_with(|w| w.abort(txn, prev))?;
         Ok(())
     }
 
@@ -433,12 +437,11 @@ impl Server {
         let mut at = from;
         while !at.is_null() {
             let frame = cache.frame(view.log, at)?;
-            at = match record::frame_tag(frame) {
+            at = match record::frame_tag(frame)? {
                 tag::UPDATE => {
-                    let pid = record::frame_page(frame).expect("update frames bear a page");
-                    let record::UpdateImages { slot, offset, before, .. } =
+                    let record::UpdateImages { page: pid, slot, offset, before, .. } =
                         record::frame_update_images(frame)?;
-                    let undo_next = record::frame_prev(frame);
+                    let undo_next = record::frame_prev(frame)?;
                     let mut disk = Held { volume: view.volume, dpt: &mut *view.dpt };
                     self.fault_in(view.pool.shard(pid), &mut disk, pid, None)?;
                     let clr_lsn_guess = view.log.tail_lsn();
@@ -455,9 +458,9 @@ impl Server {
                     pool.mark_dirty(pid);
                     let state = view.txns.active_mut(txn)?;
                     let prev = state.last_lsn;
-                    let lsn = view.log.append_with(|w| {
-                        w.clr(txn, prev, pid, slot, offset, before, undo_next);
-                    })?;
+                    let lsn = view
+                        .log
+                        .append_with(|w| w.clr(txn, prev, pid, slot, offset, before, undo_next))?;
                     state.note_logged(lsn);
                     view.dpt.entry(pid).or_insert(lsn);
                     undone += 1;
@@ -472,7 +475,7 @@ impl Server {
                 | tag::UPDATE_LOGICAL
                 | tag::TXN_SCHEME
                 | tag::COMMIT
-                | tag::ABORT => record::frame_prev(frame),
+                | tag::ABORT => record::frame_prev(frame)?,
                 tag::CHECKPOINT | tag::BEGIN_CHECKPOINT | tag::END_CHECKPOINT => break,
                 t => {
                     return Err(QsError::LogCorrupt { detail: format!("unknown record tag {t}") });

@@ -43,7 +43,7 @@ impl LogTower {
         let out = if !self.group_commit {
             self.wal.force(lsn)
         } else {
-            self.group.force_through(&self.wal, lsn).map(|out| {
+            self.group.force(&self.wal, lsn).map(|out| {
                 if let Some(batch) = out.led_batch {
                     tracer.record("group_commit_size", batch);
                 }

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 /// nobody waits for company: zero-latency media see no waits at all.
 const MIN_WAIT: Duration = Duration::from_micros(50);
 
-/// Coalesces concurrent [`LogManager::force_through`] calls into batches.
+/// Coalesces concurrent [`LogManager::force`] calls into batches.
 #[derive(Debug, Default)]
 pub struct GroupCommitter {
     state: Mutex<GroupState>,
@@ -86,8 +86,11 @@ impl GroupCommitter {
 
     /// Make the record starting at `lsn` durable, batching with any other
     /// committers in flight. Exactly one caller per batch drives the
-    /// actual [`LogManager::force_through`].
-    pub fn force_through(&self, log: &LogManager, lsn: Lsn) -> QsResult<GroupOutcome> {
+    /// actual [`LogManager::force`], through the *highest* LSN its batch
+    /// needs: every waiter whose record starts at or below that is durable
+    /// afterwards (`durable_lsn() > lsn`, since `durable` only lands on
+    /// record boundaries).
+    pub fn force(&self, log: &LogManager, lsn: Lsn) -> QsResult<GroupOutcome> {
         self.calls.fetch_add(1, Ordering::Relaxed);
         let mut st = self.state.lock();
         if st.high < lsn {
@@ -134,7 +137,7 @@ impl GroupCommitter {
             let batch = std::mem::take(&mut st.forming).max(1);
             drop(st);
             let started = Instant::now();
-            let res = log.force_through(target);
+            let res = log.force(target);
             let took = started.elapsed();
             let mut st = self.state.lock();
             st.leader = false;
@@ -181,13 +184,13 @@ mod tests {
         let log = LogManager::format(media as Arc<dyn StableMedia>, 1 << 16).unwrap();
         let gc = GroupCommitter::new();
         let lsn = log.append(&commit_rec(1)).unwrap();
-        let out = gc.force_through(&log, lsn).unwrap();
+        let out = gc.force(&log, lsn).unwrap();
         assert!(out.stats.wrote);
         assert_eq!(out.led_batch, Some(1));
         assert!(log.durable_lsn() > lsn);
         assert_eq!((gc.calls(), gc.forces()), (1, 1));
         // Already durable: absorbed without a force.
-        let out2 = gc.force_through(&log, lsn).unwrap();
+        let out2 = gc.force(&log, lsn).unwrap();
         assert!(!out2.stats.wrote);
         assert_eq!(out2.led_batch, None);
         assert_eq!((gc.calls(), gc.forces()), (2, 1));
@@ -209,7 +212,7 @@ mod tests {
                 let gc = Arc::clone(&gc);
                 std::thread::spawn(move || {
                     let lsn = log.append(&commit_rec(i as u64)).unwrap();
-                    let out = gc.force_through(&log, lsn).unwrap();
+                    let out = gc.force(&log, lsn).unwrap();
                     (lsn, out)
                 })
             })
@@ -239,7 +242,7 @@ mod tests {
         let gc = GroupCommitter::new();
         for t in 0..5 {
             let lsn = log.append(&commit_rec(t)).unwrap();
-            assert_eq!(gc.force_through(&log, lsn).unwrap().led_batch, Some(1));
+            assert_eq!(gc.force(&log, lsn).unwrap().led_batch, Some(1));
             let st = gc.state.lock();
             // Nobody else was around, so the next commit will not wait.
             assert_eq!((st.company, st.forming), (false, 0));
@@ -274,7 +277,7 @@ mod tests {
                     for t in 0..N {
                         think();
                         let lsn = log.append(&commit_rec(c * N + t)).unwrap();
-                        gc.force_through(&log, lsn).unwrap();
+                        gc.force(&log, lsn).unwrap();
                         assert!(log.durable_lsn() > lsn);
                     }
                 })
@@ -293,7 +296,7 @@ mod tests {
         // force time, then expects nobody.
         for t in 0..2 {
             let lsn = log.append(&commit_rec(2 * N + t)).unwrap();
-            assert_eq!(gc.force_through(&log, lsn).unwrap().led_batch, Some(1));
+            assert_eq!(gc.force(&log, lsn).unwrap().led_batch, Some(1));
         }
         assert!(!gc.state.lock().company);
     }

@@ -2,9 +2,11 @@
 //!
 //! Two halves:
 //!
-//! * [`record`] — the log-record vocabulary (redo/undo updates, whole-page
-//!   images, commit/abort, CLRs, checkpoints) and a hand-rolled binary
-//!   codec. Every record's encoded size is exactly
+//! * [`record`] and [`writer`] — the log-record vocabulary (redo/undo
+//!   updates, whole-page images, commit/abort, CLRs, checkpoints) and its
+//!   hand-rolled binary codec; the only two files that know a frame's byte
+//!   layout. [`RecordWriter`] is the one encoder, the `record::frame_*`
+//!   views the one decoder. Every record's encoded size is exactly
 //!   `LOG_HEADER_SIZE + variable payload`, so log-volume arithmetic in the
 //!   experiments matches the paper's "50-byte header + before/after images"
 //!   accounting byte-for-byte (§3.2.2's 116-vs-74-byte example holds).

@@ -13,7 +13,7 @@
 //! the recoverable log ends. Its magic carries the format revision
 //! (DESIGN.md "log on-disk format").
 
-use crate::record::{self, LogRecord, PREFIX, TRAILER};
+use crate::record::{self, LogRecord};
 use crate::writer::RecordWriter;
 use qs_storage::StableMedia;
 use qs_trace::{TraceCat, Tracer};
@@ -252,8 +252,7 @@ impl LogManager {
 
     /// Append a record to the volatile tail. Returns its LSN.
     pub fn append(&self, rec: &LogRecord) -> QsResult<Lsn> {
-        let enc = rec.encode();
-        self.append_encoded(|tail| tail.extend_from_slice(&enc))
+        self.append_with(|w| rec.write_to(w))
     }
 
     /// Append one already-encoded record, rewriting its `prev` LSN in
@@ -267,10 +266,15 @@ impl LogManager {
         })
     }
 
-    /// Append the one record `write` encodes, built in place in the tail
+    /// Append the one record `write` encodes (and returns the length of,
+    /// as every `RecordWriter` method does), built in place in the tail
     /// buffer (no intermediate `LogRecord` or `Vec`). Returns its LSN.
-    pub fn append_with(&self, write: impl FnOnce(&mut RecordWriter<'_>)) -> QsResult<Lsn> {
-        self.append_encoded(|tail| write(&mut RecordWriter::new(tail)))
+    pub fn append_with(&self, write: impl FnOnce(&mut RecordWriter<'_>) -> usize) -> QsResult<Lsn> {
+        self.append_encoded(|tail| {
+            let at = tail.len();
+            let len = write(&mut RecordWriter::new(tail));
+            debug_assert_eq!(tail.len() - at, len, "append_with takes exactly one record");
+        })
     }
 
     /// Make everything up to **and including** the record starting at
@@ -303,7 +307,7 @@ impl LogManager {
         let mut end = st.durable;
         let mut idx = 0usize;
         while end < st.tail && end <= upto {
-            let len = u32::from_le_bytes(st.buffer[idx..idx + 4].try_into().unwrap()) as usize;
+            let len = record::frame_len(&st.buffer[idx..])?;
             end = end.advance(len);
             idx += len;
         }
@@ -338,36 +342,32 @@ impl LogManager {
         Ok(ForceStats { pages_written: pages, wrote: true })
     }
 
-    /// Batch-oriented alias for [`LogManager::force`], used by the group
-    /// committer: a leader forces through the *highest* LSN its batch
-    /// needs, and every waiter whose record starts at or below `lsn` is
-    /// durable afterwards (`durable_lsn() > lsn`, since `durable` only
-    /// lands on record boundaries).
-    pub fn force_through(&self, lsn: Lsn) -> QsResult<ForceStats> {
-        self.force(lsn)
-    }
-
     /// Read the record starting at `lsn` (from the durable body or the
     /// volatile tail buffer). Returns the record and the LSN just past it.
     pub fn read_record(&self, lsn: Lsn) -> QsResult<(LogRecord, Lsn)> {
+        let frame = self.read_frame(lsn)?;
+        Ok((LogRecord::decode(&frame)?, lsn.advance(frame.len())))
+    }
+
+    /// The encoded frame starting at `lsn`, verified. One window-checked
+    /// read path for the durable body and the volatile tail: an `lsn` that
+    /// is not a frame boundary declares a garbage length, which must fail
+    /// typed, not index out of the tail buffer or size an allocation.
+    pub fn read_frame(&self, lsn: Lsn) -> QsResult<Vec<u8>> {
         let st = self.state.lock();
-        // One window-checked read path for the durable body and the
-        // volatile tail: an `lsn` that is not a frame boundary reads a
-        // garbage length, which must fail typed, not index out of the
-        // tail buffer.
-        let mut lenb = [0u8; 4];
-        self.read_span_locked(&st, lsn, &mut lenb)?;
-        let len = u32::from_le_bytes(lenb) as usize;
-        if len < PREFIX + TRAILER || len as u64 > st.tail.0 - lsn.0 {
+        let mut head = [0u8; record::FRAME_LEN_MIN];
+        self.read_span_locked(&st, lsn, &mut head)?;
+        let len = record::frame_declared_len(&head)?;
+        if len as u64 > st.tail.0 - lsn.0 {
             return Err(QsError::LogCorrupt {
-                detail: format!("implausible frame length {len} at {lsn}"),
+                detail: format!("frame length {len} at {lsn} runs past the log tail"),
             });
         }
-        let mut bytes = vec![0u8; len];
-        self.read_span_locked(&st, lsn, &mut bytes)?;
+        let mut frame = vec![0u8; len];
+        self.read_span_locked(&st, lsn, &mut frame)?;
         drop(st);
-        let next = lsn.advance(bytes.len());
-        Ok((LogRecord::decode(&bytes)?, next))
+        record::frame_verify(&frame)?;
+        Ok(frame)
     }
 
     /// Copy the raw encoded bytes of the span `[from, from + buf.len())`
@@ -647,7 +647,7 @@ mod tests {
         // Body barely bigger than two records; write/truncate repeatedly to
         // force physical wrap-around.
         let rec = update(1, 1, 9);
-        let rl = rec.encoded_len();
+        let rl = rec.encode().len();
         let (_m, lm) = fresh(rl * 2 + 10);
         let mut lsns = Vec::new();
         for i in 0..10 {
@@ -668,7 +668,7 @@ mod tests {
     #[test]
     fn log_full_when_not_truncated() {
         let rec = commit(1);
-        let rl = rec.encoded_len();
+        let rl = rec.encode().len();
         let (_m, lm) = fresh(rl * 3);
         lm.append(&rec).unwrap();
         let l1 = lm.append(&rec).unwrap();
@@ -785,11 +785,10 @@ mod tests {
             after: vec![5; 12],
             undo_next: Lsn(33),
         };
-        let (_m, a) = fresh(clr.encoded_len() + 10);
-        let (_m2, b) = fresh(clr.encoded_len() + 10);
-        let write = |w: &mut RecordWriter<'_>| {
-            w.clr(TxnId(4), Lsn(77), PageId(9), 1, 8, &[5; 12], Lsn(33));
-        };
+        let (_m, a) = fresh(clr.encode().len() + 10);
+        let (_m2, b) = fresh(clr.encode().len() + 10);
+        let write =
+            |w: &mut RecordWriter<'_>| w.clr(TxnId(4), Lsn(77), PageId(9), 1, 8, &[5; 12], Lsn(33));
         let la = a.append_with(write).unwrap();
         let lb = b.append(&clr).unwrap();
         assert_eq!((la, a.tail_lsn()), (lb, b.tail_lsn()));

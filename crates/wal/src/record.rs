@@ -1,5 +1,12 @@
 //! Log-record types and their binary codec.
 //!
+//! This file and `writer.rs` are the only code that knows a frame's byte
+//! layout: [`RecordWriter`] is the one encoder (every tag's body is
+//! written by one of its methods), the frame views below are the one
+//! decoder ([`LogRecord::decode`] copies out what they lend), and
+//! [`frame_len`] is the one boundary check. DESIGN.md "Log on-disk
+//! format" has the per-tag table.
+//!
 //! Encoded layout of every record:
 //!
 //! ```text
@@ -17,14 +24,23 @@
 //!   making our log-space accounting identical to the paper's
 //!   "≈50-byte header + images" model.
 
-use qs_types::{Lsn, PageId, QsError, QsResult, TxnId, LOG_HEADER_SIZE, PAGE_SIZE};
+use crate::writer::RecordWriter;
+use qs_types::{Lsn, PageId, QsError, QsResult, TxnId, PAGE_SIZE};
+use std::ops::Range;
 
+// The fixed fields, in frame order.
+pub(crate) const LEN_RANGE: Range<usize> = 0..4;
+const CKSUM_RANGE: Range<usize> = 4..8;
+pub(crate) const TAG_AT: usize = 8;
+pub(crate) const TXN_RANGE: Range<usize> = 9..17;
+pub(crate) const PREV_RANGE: Range<usize> = 17..25;
 /// Fixed bytes before the body: len(4) + cksum(4) + tag(1) + txn(8) + prev(8).
-pub(crate) const PREFIX: usize = 25;
+pub(crate) const PREFIX: usize = PREV_RANGE.end;
 /// Trailer bytes: the repeated length.
 pub(crate) const TRAILER: usize = 4;
-/// Byte range of the `prev` LSN within an encoded record.
-pub(crate) const PREV_RANGE: std::ops::Range<usize> = 17..25;
+/// The shortest frame: the fixed fields and the trailer around an empty
+/// body. Less than this is never a frame.
+pub const FRAME_LEN_MIN: usize = PREFIX + TRAILER;
 
 /// Encoded record tags (byte 8 of a frame), for code that routes or
 /// filters frames without decoding them.
@@ -131,14 +147,14 @@ pub fn checksum(bytes: &[u8]) -> u32 {
 
 /// [`checksum`] of the bytes a frame's checksum field covers.
 fn frame_checksum(frame: &[u8]) -> u32 {
-    checksum(&frame[8..frame.len() - TRAILER])
+    checksum(&frame[CKSUM_RANGE.end..frame.len() - TRAILER])
 }
 
 /// Store the checksum of a complete frame in its checksum field — the
-/// last step of every encoder.
+/// last step of the encoder.
 pub(crate) fn frame_seal(frame: &mut [u8]) {
     let ck = frame_checksum(frame);
-    frame[4..8].copy_from_slice(&ck.to_le_bytes());
+    frame[CKSUM_RANGE].copy_from_slice(&ck.to_le_bytes());
 }
 
 /// One entry of the WPL table as persisted in a checkpoint (§3.4.3).
@@ -282,338 +298,310 @@ impl LogRecord {
     /// This record's wire tag (the [`tag`] constants).
     pub fn tag(&self) -> u8 {
         match self {
-            LogRecord::Update { .. } => 1,
-            LogRecord::WholePage { .. } => 2,
-            LogRecord::PageAlloc { .. } => 3,
-            LogRecord::Commit { .. } => 4,
-            LogRecord::Abort { .. } => 5,
-            LogRecord::Clr { .. } => 6,
-            LogRecord::Checkpoint { .. } => 7,
-            LogRecord::UpdateLogical { .. } => 8,
-            LogRecord::BeginCheckpoint { .. } => 9,
-            LogRecord::EndCheckpoint { .. } => 10,
-            LogRecord::TxnScheme { .. } => 11,
+            LogRecord::Update { .. } => tag::UPDATE,
+            LogRecord::WholePage { .. } => tag::WHOLE_PAGE,
+            LogRecord::PageAlloc { .. } => tag::PAGE_ALLOC,
+            LogRecord::Commit { .. } => tag::COMMIT,
+            LogRecord::Abort { .. } => tag::ABORT,
+            LogRecord::Clr { .. } => tag::CLR,
+            LogRecord::Checkpoint { .. } => tag::CHECKPOINT,
+            LogRecord::UpdateLogical { .. } => tag::UPDATE_LOGICAL,
+            LogRecord::BeginCheckpoint { .. } => tag::BEGIN_CHECKPOINT,
+            LogRecord::EndCheckpoint { .. } => tag::END_CHECKPOINT,
+            LogRecord::TxnScheme { .. } => tag::TXN_SCHEME,
         }
     }
 
-    fn body_bytes(&self) -> Vec<u8> {
-        let mut b = Vec::new();
+    /// Append this record's frame through `w` — the one encoder
+    /// ([`RecordWriter`] owns every tag's layout). Returns the frame's
+    /// length. A `WholePage` image must be exactly one page.
+    pub fn write_to(&self, w: &mut RecordWriter<'_>) -> usize {
         match self {
-            LogRecord::Update { page, slot, offset, before, after, .. } => {
-                b.extend_from_slice(&page.0.to_le_bytes());
-                b.extend_from_slice(&slot.to_le_bytes());
-                b.extend_from_slice(&offset.to_le_bytes());
-                b.extend_from_slice(&(before.len() as u16).to_le_bytes());
-                b.extend_from_slice(&(after.len() as u16).to_le_bytes());
-                b.extend_from_slice(before);
-                b.extend_from_slice(after);
+            LogRecord::Update { txn, prev, page, slot, offset, before, after } => {
+                w.update(*txn, *prev, *page, *slot, *offset, before, after)
             }
-            LogRecord::WholePage { page, image, .. } => {
-                b.extend_from_slice(&page.0.to_le_bytes());
-                b.extend_from_slice(image);
+            LogRecord::WholePage { txn, prev, page, image } => {
+                let image = image[..].try_into().expect("a whole-page image is one page");
+                w.whole_page(*txn, *prev, *page, image)
             }
-            LogRecord::PageAlloc { page, .. } => {
-                b.extend_from_slice(&page.0.to_le_bytes());
+            LogRecord::PageAlloc { txn, prev, page } => w.page_alloc(*txn, *prev, *page),
+            LogRecord::Commit { txn, prev } => w.commit(*txn, *prev),
+            LogRecord::Abort { txn, prev } => w.abort(*txn, *prev),
+            LogRecord::Clr { txn, prev, page, slot, offset, after, undo_next } => {
+                w.clr(*txn, *prev, *page, *slot, *offset, after, *undo_next)
             }
-            LogRecord::Commit { .. } | LogRecord::Abort { .. } => {}
-            LogRecord::Clr { page, slot, offset, after, undo_next, .. } => {
-                b.extend_from_slice(&page.0.to_le_bytes());
-                b.extend_from_slice(&slot.to_le_bytes());
-                b.extend_from_slice(&offset.to_le_bytes());
-                b.extend_from_slice(&(after.len() as u16).to_le_bytes());
-                b.extend_from_slice(after);
-                b.extend_from_slice(&undo_next.0.to_le_bytes());
+            LogRecord::Checkpoint { body } => w.checkpoint(body),
+            LogRecord::UpdateLogical { txn, prev, page, slot, offset, after } => {
+                w.update_logical(*txn, *prev, *page, *slot, *offset, after)
             }
-            LogRecord::Checkpoint { body } | LogRecord::BeginCheckpoint { body } => {
-                encode_checkpoint_body(body, &mut b);
-            }
-            LogRecord::EndCheckpoint { begin } => {
-                b.extend_from_slice(&begin.0.to_le_bytes());
-            }
-            LogRecord::UpdateLogical { page, slot, offset, after, .. } => {
-                b.extend_from_slice(&page.0.to_le_bytes());
-                b.extend_from_slice(&slot.to_le_bytes());
-                b.extend_from_slice(&offset.to_le_bytes());
-                b.extend_from_slice(&(after.len() as u16).to_le_bytes());
-                b.extend_from_slice(after);
-            }
-            LogRecord::TxnScheme { scheme, .. } => {
-                b.push(*scheme as u8);
-            }
+            LogRecord::BeginCheckpoint { body } => w.begin_checkpoint(body),
+            LogRecord::EndCheckpoint { begin } => w.end_checkpoint(*begin),
+            LogRecord::TxnScheme { txn, prev, scheme } => w.scheme_mark(*txn, *prev, *scheme),
         }
-        b
-    }
-
-    /// Body length in bytes, computed arithmetically — must agree with
-    /// `body_bytes().len()` for every variant (asserted by tests). Keeping
-    /// this allocation-free matters: the commit path calls
-    /// [`LogRecord::encoded_len`] per record per page.
-    fn body_len(&self) -> usize {
-        match self {
-            LogRecord::Update { before, after, .. } => 12 + before.len() + after.len(),
-            LogRecord::WholePage { .. } => 4 + PAGE_SIZE,
-            LogRecord::PageAlloc { .. } => 4,
-            LogRecord::Commit { .. } | LogRecord::Abort { .. } => 0,
-            LogRecord::Clr { after, .. } => 18 + after.len(),
-            LogRecord::Checkpoint { body } | LogRecord::BeginCheckpoint { body } => {
-                4 + 16 * body.active_txns.len()
-                    + 4
-                    + 12 * body.dirty_pages.len()
-                    + 4
-                    + 21 * body.wpl_entries.len()
-                    + 8
-            }
-            LogRecord::EndCheckpoint { .. } => 8,
-            LogRecord::UpdateLogical { after, .. } => 10 + after.len(),
-            LogRecord::TxnScheme { .. } => 1,
-        }
-    }
-
-    /// The record's "variable payload" for the paper's accounting model:
-    /// before/after images for updates, the full page for whole-page
-    /// records, the table entries for checkpoints.
-    fn variable_payload(&self) -> usize {
-        match self {
-            LogRecord::Update { before, after, .. } => before.len() + after.len(),
-            LogRecord::WholePage { .. } => PAGE_SIZE,
-            LogRecord::Clr { after, .. } => after.len() + 8,
-            LogRecord::Checkpoint { .. }
-            | LogRecord::BeginCheckpoint { .. }
-            | LogRecord::EndCheckpoint { .. } => self.body_len(),
-            LogRecord::UpdateLogical { after, .. } => after.len(),
-            _ => 0,
-        }
-    }
-
-    /// Encoded size: exactly `LOG_HEADER_SIZE + variable payload` (§3.2.2's
-    /// model), never smaller than the wire fields require. Pure arithmetic
-    /// — no temporary encode, no allocation.
-    pub fn encoded_len(&self) -> usize {
-        let wire = PREFIX + self.body_len() + TRAILER;
-        wire.max(LOG_HEADER_SIZE + self.variable_payload())
     }
 
     /// Encode to bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let body = self.body_bytes();
-        let total = (PREFIX + body.len() + TRAILER).max(LOG_HEADER_SIZE + self.variable_payload());
-        let mut out = vec![0u8; total];
-        out[0..4].copy_from_slice(&(total as u32).to_le_bytes());
-        out[8] = self.tag();
-        out[9..17].copy_from_slice(&self.txn().0.to_le_bytes());
-        out[17..25].copy_from_slice(&self.prev().0.to_le_bytes());
-        out[PREFIX..PREFIX + body.len()].copy_from_slice(&body);
-        out[total - 4..].copy_from_slice(&(total as u32).to_le_bytes());
-        frame_seal(&mut out);
+        let mut out = Vec::new();
+        self.write_to(&mut RecordWriter::new(&mut out));
         out
     }
 
-    /// Decode one record from `bytes` (which must contain the full record).
+    /// Decode one record from `bytes` (exactly one frame): verify it, then
+    /// copy out what the frame views lend.
     pub fn decode(bytes: &[u8]) -> QsResult<LogRecord> {
-        let corrupt = |d: &str| QsError::LogCorrupt { detail: d.to_string() };
         frame_verify(bytes)?;
-        let tag = bytes[8];
-        let txn = TxnId(u64::from_le_bytes(bytes[9..17].try_into().unwrap()));
-        let prev = Lsn(u64::from_le_bytes(bytes[17..25].try_into().unwrap()));
-        let mut r = Reader { b: bytes, at: PREFIX };
-        let rec = match tag {
-            1 => {
-                let page = PageId(r.u32()?);
-                let slot = r.u16()?;
-                let offset = r.u16()?;
-                let blen = r.u16()? as usize;
-                let alen = r.u16()? as usize;
-                let before = r.bytes(blen)?.to_vec();
-                let after = r.bytes(alen)?.to_vec();
+        let (txn, prev) = (frame_txn(bytes)?, frame_prev(bytes)?);
+        let (t, mut body) = checked(bytes)?;
+        Ok(match t {
+            tag::UPDATE => {
+                let UpdateImages { page, slot, offset, before, after } = body.update_images()?;
+                let (before, after) = (before.to_vec(), after.to_vec());
                 LogRecord::Update { txn, prev, page, slot, offset, before, after }
             }
-            2 => {
-                let page = PageId(r.u32()?);
-                let image = r.bytes(PAGE_SIZE)?.to_vec();
-                LogRecord::WholePage { txn, prev, page, image }
+            tag::WHOLE_PAGE => {
+                let image = frame_whole_page_image(bytes)?.to_vec();
+                LogRecord::WholePage { txn, prev, page: body.page()?, image }
             }
-            3 => LogRecord::PageAlloc { txn, prev, page: PageId(r.u32()?) },
-            4 => LogRecord::Commit { txn, prev },
-            5 => LogRecord::Abort { txn, prev },
-            6 => {
-                let page = PageId(r.u32()?);
-                let slot = r.u16()?;
-                let offset = r.u16()?;
-                let alen = r.u16()? as usize;
-                let after = r.bytes(alen)?.to_vec();
-                let undo_next = Lsn(r.u64()?);
+            tag::PAGE_ALLOC => LogRecord::PageAlloc { txn, prev, page: body.page()? },
+            tag::COMMIT => LogRecord::Commit { txn, prev },
+            tag::ABORT => LogRecord::Abort { txn, prev },
+            tag::CLR => {
+                let (page, slot, offset, after) = body.after_image()?;
+                let (after, undo_next) = (after.to_vec(), frame_undo_next(bytes)?);
                 LogRecord::Clr { txn, prev, page, slot, offset, after, undo_next }
             }
-            7 => LogRecord::Checkpoint { body: decode_checkpoint_body(&mut r)? },
-            8 => {
-                let page = PageId(r.u32()?);
-                let slot = r.u16()?;
-                let offset = r.u16()?;
-                let alen = r.u16()? as usize;
-                let after = r.bytes(alen)?.to_vec();
-                LogRecord::UpdateLogical { txn, prev, page, slot, offset, after }
+            tag::CHECKPOINT => LogRecord::Checkpoint { body: frame_checkpoint_body(bytes)? },
+            tag::UPDATE_LOGICAL => {
+                let (page, slot, offset, after) = body.after_image()?;
+                LogRecord::UpdateLogical { txn, prev, page, slot, offset, after: after.to_vec() }
             }
-            9 => LogRecord::BeginCheckpoint { body: decode_checkpoint_body(&mut r)? },
-            10 => LogRecord::EndCheckpoint { begin: Lsn(r.u64()?) },
-            11 => {
-                let v = r.u8()?;
-                let scheme = SchemeCode::from_u8(v)
-                    .ok_or_else(|| corrupt(&format!("unknown scheme code {v}")))?;
-                LogRecord::TxnScheme { txn, prev, scheme }
+            tag::BEGIN_CHECKPOINT => {
+                LogRecord::BeginCheckpoint { body: frame_checkpoint_body(bytes)? }
             }
-            t => return Err(corrupt(&format!("unknown record tag {t}"))),
-        };
-        Ok(rec)
+            tag::END_CHECKPOINT => LogRecord::EndCheckpoint { begin: Lsn(body.u64()?) },
+            tag::TXN_SCHEME => LogRecord::TxnScheme { txn, prev, scheme: body.scheme()? },
+            t => return Err(corrupt(format_args!("unknown record tag {t}"))),
+        })
     }
-}
-
-/// Checkpoint-body wire format, shared by the legacy sharp record (tag 7)
-/// and the fuzzy begin record (tag 9): both carry identical snapshots.
-fn encode_checkpoint_body(body: &CheckpointBody, b: &mut Vec<u8>) {
-    b.extend_from_slice(&(body.active_txns.len() as u32).to_le_bytes());
-    for (t, l) in &body.active_txns {
-        b.extend_from_slice(&t.0.to_le_bytes());
-        b.extend_from_slice(&l.0.to_le_bytes());
-    }
-    b.extend_from_slice(&(body.dirty_pages.len() as u32).to_le_bytes());
-    for (p, l) in &body.dirty_pages {
-        b.extend_from_slice(&p.0.to_le_bytes());
-        b.extend_from_slice(&l.0.to_le_bytes());
-    }
-    b.extend_from_slice(&(body.wpl_entries.len() as u32).to_le_bytes());
-    for e in &body.wpl_entries {
-        b.extend_from_slice(&e.page.0.to_le_bytes());
-        b.extend_from_slice(&e.lsn.0.to_le_bytes());
-        b.extend_from_slice(&e.txn.0.to_le_bytes());
-        b.push(e.committed as u8);
-    }
-    b.extend_from_slice(&body.allocated_pages.to_le_bytes());
-}
-
-fn decode_checkpoint_body(r: &mut Reader<'_>) -> QsResult<CheckpointBody> {
-    let mut body = CheckpointBody::default();
-    let na = r.u32()? as usize;
-    for _ in 0..na {
-        body.active_txns.push((TxnId(r.u64()?), Lsn(r.u64()?)));
-    }
-    let nd = r.u32()? as usize;
-    for _ in 0..nd {
-        body.dirty_pages.push((PageId(r.u32()?), Lsn(r.u64()?)));
-    }
-    let nw = r.u32()? as usize;
-    for _ in 0..nw {
-        body.wpl_entries.push(WplCheckpointEntry {
-            page: PageId(r.u32()?),
-            lsn: Lsn(r.u64()?),
-            txn: TxnId(r.u64()?),
-            committed: r.u8()? != 0,
-        });
-    }
-    body.allocated_pages = r.u64()?;
-    Ok(body)
 }
 
 // ---------------------------------------------------------------------
-// Frame helpers: operate on *encoded* records without decoding them.
-// The client batches encoded records back-to-back in one scratch buffer
-// and the server re-chains `prev` in place; neither side materializes a
-// `LogRecord` on the steady-state commit path.
+// Frame views: read *encoded* records without decoding them. The client
+// batches encoded records back-to-back in one scratch buffer and the
+// server re-chains `prev` in place; restart routes, redoes and undoes out
+// of the scan's chunk buffers; no steady-state path materializes a
+// `LogRecord`. Every view takes exactly one frame, runs the boundary
+// check ([`frame_len`]) and bounds-checks what it reads, so bytes that are
+// not a frame — truncated, torn, the wrong tag for the view — come back as
+// `LogCorrupt`, never a panic. None of them checks the checksum: that is
+// [`frame_verify`], which callers run once per frame they act on.
 // ---------------------------------------------------------------------
 
-/// Length of the encoded record starting at `bytes[0]`, validated to lie
-/// fully within `bytes`.
+/// Formatting and allocation stay out of the views' inlined fast paths.
+#[cold]
+#[inline(never)]
+fn corrupt(detail: std::fmt::Arguments<'_>) -> QsError {
+    QsError::LogCorrupt { detail: detail.to_string() }
+}
+
+/// The length prefix in `head`, if `head` holds a frame's fixed fields
+/// and the prefix is a possible frame length.
+#[inline(always)]
+fn declared(head: &[u8]) -> Option<usize> {
+    let fixed = head.get(..FRAME_LEN_MIN)?;
+    let len = u32::from_le_bytes(fixed[LEN_RANGE].try_into().unwrap()) as usize;
+    (len >= FRAME_LEN_MIN).then_some(len)
+}
+
+/// The boundary check proper: the length of the frame `bytes` starts
+/// with, if that is a possible frame length, lies fully within `bytes`
+/// and is echoed by the trailer (a torn frame fails here).
+#[inline(always)]
+fn boundary(bytes: &[u8]) -> Option<usize> {
+    let len = declared(bytes)?;
+    let trailer = bytes.get(len - TRAILER..len)?;
+    (u32::from_le_bytes(trailer.try_into().unwrap()) as usize == len).then_some(len)
+}
+
+/// Why `bytes` failed the boundary check. The one slow path behind every
+/// fast one: it looks again to say what it saw.
+#[cold]
+#[inline(never)]
+fn refused(bytes: &[u8]) -> QsError {
+    let have = bytes.len();
+    match (declared(bytes), boundary(bytes)) {
+        (None, _) => corrupt(format_args!("{have} bytes do not start with a frame's fixed fields")),
+        (Some(len), None) => corrupt(format_args!(
+            "frame length {len} is outside the {have} bytes given or not echoed by its trailer"
+        )),
+        (_, Some(len)) => corrupt(format_args!("{have} bytes given for a frame of {len}")),
+    }
+}
+
+/// The length prefix of the frame whose first bytes are `head` (at least
+/// [`FRAME_LEN_MIN`] of them), checked to be a possible frame length — the
+/// half of the boundary check open to a reader that has yet to fetch the
+/// rest of the frame.
+#[inline(always)]
+pub fn frame_declared_len(head: &[u8]) -> QsResult<usize> {
+    declared(head).ok_or_else(|| refused(head))
+}
+
+/// The boundary check: length of the frame starting at `bytes[0]`,
+/// validated to be a possible frame length, to lie fully within `bytes`,
+/// and to be echoed by the frame's trailer.
+#[inline(always)]
 pub fn frame_len(bytes: &[u8]) -> QsResult<usize> {
-    if bytes.len() < PREFIX + TRAILER {
-        return Err(QsError::LogCorrupt { detail: "frame shorter than fixed header".into() });
-    }
-    let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-    if len < PREFIX + TRAILER || len > bytes.len() {
-        return Err(QsError::LogCorrupt {
-            detail: format!("frame length {len} outside buffer of {}", bytes.len()),
-        });
-    }
-    Ok(len)
+    boundary(bytes).ok_or_else(|| refused(bytes))
 }
 
-/// Validate one encoded record's framing without decoding it: length
-/// prefix matching the slice, trailer echo, [`checksum`]. It is
-/// [`LogRecord::decode`]'s own first step; restart and undo use it on
-/// frames whose bodies they never materialize.
+/// Validate one encoded record's framing without decoding it: the
+/// boundary check, then [`checksum`]. It is [`LogRecord::decode`]'s own
+/// first step; restart and undo use it on frames whose bodies they never
+/// materialize.
 pub fn frame_verify(bytes: &[u8]) -> QsResult<()> {
-    let corrupt = |d: String| QsError::LogCorrupt { detail: d };
-    if bytes.len() < PREFIX + TRAILER {
-        return Err(corrupt("frame shorter than fixed header".into()));
-    }
-    let total = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-    if total != bytes.len() {
-        return Err(corrupt(format!("length prefix {total} != {} bytes given", bytes.len())));
-    }
-    let trailer = u32::from_le_bytes(bytes[total - 4..].try_into().unwrap()) as usize;
-    if trailer != total {
-        return Err(corrupt("trailer length mismatch".into()));
-    }
-    let ck = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+    checked(bytes)?;
+    let ck = u32::from_le_bytes(bytes[CKSUM_RANGE].try_into().unwrap());
     if ck != frame_checksum(bytes) {
-        return Err(corrupt("checksum mismatch".into()));
+        return Err(corrupt(format_args!("checksum mismatch")));
     }
     Ok(())
 }
 
-/// Transaction id of the encoded record starting at `bytes[0]`.
-pub fn frame_txn(bytes: &[u8]) -> TxnId {
-    TxnId(u64::from_le_bytes(bytes[9..17].try_into().unwrap()))
+/// Cursor over one frame's body: the bytes between the fixed fields and
+/// the trailer (padding included). Its methods are the one place each
+/// tag's body layout is read.
+struct Body<'a>(&'a [u8]);
+
+/// `bytes` as exactly one frame — what every view takes — behind the
+/// boundary check: its tag and its body.
+#[inline(always)]
+fn checked(bytes: &[u8]) -> QsResult<(u8, Body<'_>)> {
+    if boundary(bytes) != Some(bytes.len()) {
+        return Err(refused(bytes));
+    }
+    Ok((bytes[TAG_AT], Body(&bytes[PREFIX..bytes.len() - TRAILER])))
 }
 
-/// Record tag of the encoded record starting at `bytes[0]`.
-pub fn frame_tag(bytes: &[u8]) -> u8 {
-    bytes[8]
+/// [`checked`] for a view that reads one tag's layout.
+#[inline]
+fn checked_as<'a>(bytes: &'a [u8], tag: u8, what: &str) -> QsResult<Body<'a>> {
+    let (t, body) = checked(bytes)?;
+    if t != tag {
+        return Err(corrupt(format_args!("tag {t} is not {what} frame")));
+    }
+    Ok(body)
 }
 
-/// The `prev` LSN of the encoded record starting at `bytes[0]`.
-pub fn frame_prev(bytes: &[u8]) -> Lsn {
-    Lsn(u64::from_le_bytes(bytes[PREV_RANGE].try_into().unwrap()))
+#[cold]
+#[inline(never)]
+fn truncated() -> QsError {
+    corrupt(format_args!("record body truncated"))
+}
+
+impl<'a> Body<'a> {
+    #[inline]
+    fn bytes(&mut self, n: usize) -> QsResult<&'a [u8]> {
+        if n > self.0.len() {
+            return Err(truncated());
+        }
+        let (taken, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(taken)
+    }
+    fn u8(&mut self) -> QsResult<u8> {
+        Ok(self.bytes(1)?[0])
+    }
+    #[inline]
+    fn u16(&mut self) -> QsResult<u16> {
+        Ok(u16::from_le_bytes(self.bytes(2)?.try_into().unwrap()))
+    }
+    #[inline]
+    fn u32(&mut self) -> QsResult<u32> {
+        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
+    }
+    fn u64(&mut self) -> QsResult<u64> {
+        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
+    }
+
+    /// The page field every page-bearing body starts with.
+    #[inline]
+    fn page(&mut self) -> QsResult<PageId> {
+        self.u32().map(PageId)
+    }
+
+    /// `page | slot u16 | offset u16 | blen u16 | alen u16 | before |
+    /// after`: an `Update` body.
+    #[inline(always)]
+    fn update_images(mut self) -> QsResult<UpdateImages<'a>> {
+        let page = self.page()?;
+        let (slot, offset, blen, alen) = (self.u16()?, self.u16()?, self.u16()?, self.u16()?);
+        let (before, after) = (self.bytes(blen as usize)?, self.bytes(alen as usize)?);
+        Ok(UpdateImages { page, slot, offset, before, after })
+    }
+
+    /// `page | slot u16 | offset u16 | alen u16 | after`: a logical
+    /// update's body and the head of a CLR's.
+    #[inline(always)]
+    fn after_image(&mut self) -> QsResult<(PageId, u16, u16, &'a [u8])> {
+        let (page, slot, offset, alen) = (self.page()?, self.u16()?, self.u16()?, self.u16()?);
+        Ok((page, slot, offset, self.bytes(alen as usize)?))
+    }
+
+    /// `scheme u8`: a `TxnScheme` body.
+    fn scheme(&mut self) -> QsResult<SchemeCode> {
+        let v = self.u8()?;
+        SchemeCode::from_u8(v).ok_or_else(|| corrupt(format_args!("unknown scheme code {v}")))
+    }
+}
+
+/// Record tag of the encoded record `bytes`.
+#[inline]
+pub fn frame_tag(bytes: &[u8]) -> QsResult<u8> {
+    Ok(checked(bytes)?.0)
+}
+
+/// Transaction id of the encoded record `bytes`.
+#[inline]
+pub fn frame_txn(bytes: &[u8]) -> QsResult<TxnId> {
+    checked(bytes)?;
+    Ok(TxnId(u64::from_le_bytes(bytes[TXN_RANGE].try_into().unwrap())))
+}
+
+/// The `prev` LSN of the encoded record `bytes`.
+#[inline]
+pub fn frame_prev(bytes: &[u8]) -> QsResult<Lsn> {
+    checked(bytes)?;
+    Ok(Lsn(u64::from_le_bytes(bytes[PREV_RANGE].try_into().unwrap())))
+}
+
+/// Rewrite the `prev` LSN of one encoded record in place and fix its
+/// checksum. Clients encode records with `prev = NULL` (they cannot know
+/// the transaction's backward chain); the server patches the real value
+/// here — the result is byte-identical to encoding with `prev` set.
+pub fn frame_set_prev(bytes: &mut [u8], prev: Lsn) {
+    debug_assert!(checked(bytes).is_ok(), "wants exactly one record");
+    bytes[PREV_RANGE].copy_from_slice(&prev.0.to_le_bytes());
+    frame_seal(bytes);
 }
 
 /// The page an encoded record touches, if any (tags with a leading page
 /// field in the body: update, whole-page, page-alloc, CLR, logical update).
-pub fn frame_page(bytes: &[u8]) -> Option<PageId> {
-    match bytes[8] {
-        1 | 2 | 3 | 6 | 8 => {
-            Some(PageId(u32::from_le_bytes(bytes[PREFIX..PREFIX + 4].try_into().unwrap())))
+#[inline]
+pub fn frame_page(bytes: &[u8]) -> QsResult<Option<PageId>> {
+    let (t, mut body) = checked(bytes)?;
+    match t {
+        tag::UPDATE | tag::WHOLE_PAGE | tag::PAGE_ALLOC | tag::CLR | tag::UPDATE_LOGICAL => {
+            body.page().map(Some)
         }
-        _ => None,
+        _ => Ok(None),
     }
-}
-
-/// For an encoded update record, `before.len() + after.len()` (the
-/// paper's log-image bytes; just `after.len()` for a logical update,
-/// which carries no before image); 0 for every other tag.
-pub fn frame_update_image_bytes(bytes: &[u8]) -> u64 {
-    match bytes[8] {
-        1 => {
-            let blen =
-                u16::from_le_bytes(bytes[PREFIX + 8..PREFIX + 10].try_into().unwrap()) as u64;
-            let alen =
-                u16::from_le_bytes(bytes[PREFIX + 10..PREFIX + 12].try_into().unwrap()) as u64;
-            blen + alen
-        }
-        8 => u16::from_le_bytes(bytes[PREFIX + 8..PREFIX + 10].try_into().unwrap()) as u64,
-        _ => 0,
-    }
-}
-
-/// Little-endian `u16` at `at`, or the truncated-body error.
-fn u16_at(bytes: &[u8], at: usize) -> QsResult<u16> {
-    let b = bytes.get(at..at + 2).ok_or_else(body_truncated)?;
-    Ok(u16::from_le_bytes(b.try_into().unwrap()))
-}
-
-fn body_truncated() -> QsError {
-    QsError::LogCorrupt { detail: "record body truncated".into() }
 }
 
 /// Zero-copy view of an encoded `Update` record's body.
 pub struct UpdateImages<'a> {
+    pub page: PageId,
     pub slot: u16,
     pub offset: u16,
     pub before: &'a [u8],
@@ -623,114 +611,99 @@ pub struct UpdateImages<'a> {
 /// The body of an encoded `Update` record, straight out of the frame.
 /// Undo walks chains through this (and [`frame_undo_next`]) without
 /// materializing a `LogRecord`.
+#[inline]
 pub fn frame_update_images(bytes: &[u8]) -> QsResult<UpdateImages<'_>> {
-    debug_assert_eq!(bytes[8], tag::UPDATE, "not an update frame");
-    // page u32 | slot u16 | offset u16 | blen u16 | alen u16 | before | after
-    let slot = u16_at(bytes, PREFIX + 4)?;
-    let offset = u16_at(bytes, PREFIX + 6)?;
-    let blen = u16_at(bytes, PREFIX + 8)? as usize;
-    let alen = u16_at(bytes, PREFIX + 10)? as usize;
-    let at = PREFIX + 12;
-    let before = bytes.get(at..at + blen).ok_or_else(body_truncated)?;
-    let after = bytes.get(at + blen..at + blen + alen).ok_or_else(body_truncated)?;
-    Ok(UpdateImages { slot, offset, before, after })
+    checked_as(bytes, tag::UPDATE, "an update")?.update_images()
 }
 
 /// Zero-copy view of an encoded update or CLR record's redo fields:
 /// `(slot, offset, after-image)`, straight out of the frame. `None` for
 /// every other tag. Restart redo uses this to repeat history without
 /// materializing a `LogRecord` (two image allocations per record).
+#[inline]
 pub fn frame_redo_slice(bytes: &[u8]) -> QsResult<Option<(u16, u16, &[u8])>> {
-    match bytes[8] {
-        tag::UPDATE => {
-            let u = frame_update_images(bytes)?;
-            Ok(Some((u.slot, u.offset, u.after)))
-        }
-        // CLR: page u32 | slot u16 | offset u16 | alen u16 | after | undo_next
-        // Logical update: same leading layout, no undo_next.
-        tag::CLR | tag::UPDATE_LOGICAL => {
-            let slot = u16_at(bytes, PREFIX + 4)?;
-            let offset = u16_at(bytes, PREFIX + 6)?;
-            let alen = u16_at(bytes, PREFIX + 8)? as usize;
-            let after = bytes.get(PREFIX + 10..PREFIX + 10 + alen).ok_or_else(body_truncated)?;
-            Ok(Some((slot, offset, after)))
-        }
+    let (t, mut body) = checked(bytes)?;
+    match t {
+        tag::UPDATE => body.update_images().map(|u| Some((u.slot, u.offset, u.after))),
+        tag::CLR | tag::UPDATE_LOGICAL => body.after_image().map(|(_, s, o, a)| Some((s, o, a))),
         _ => Ok(None),
     }
+}
+
+/// For an encoded update record, `before.len() + after.len()` (the
+/// paper's log-image bytes; just `after.len()` for a logical update,
+/// which carries no before image); 0 for every other tag.
+pub fn frame_update_image_bytes(bytes: &[u8]) -> QsResult<u64> {
+    let (t, mut body) = checked(bytes)?;
+    Ok(match t {
+        tag::UPDATE => {
+            let u = body.update_images()?;
+            (u.before.len() + u.after.len()) as u64
+        }
+        tag::UPDATE_LOGICAL => body.after_image()?.3.len() as u64,
+        _ => 0,
+    })
 }
 
 /// Where rollback continues after an encoded CLR: the `undo_next` LSN
 /// behind its after-image.
 pub fn frame_undo_next(bytes: &[u8]) -> QsResult<Lsn> {
-    debug_assert_eq!(bytes[8], tag::CLR, "not a CLR frame");
-    let at = PREFIX + 10 + u16_at(bytes, PREFIX + 8)? as usize;
-    let b = bytes.get(at..at + 8).ok_or_else(body_truncated)?;
-    Ok(Lsn(u64::from_le_bytes(b.try_into().unwrap())))
+    let mut body = checked_as(bytes, tag::CLR, "a CLR")?;
+    body.after_image()?;
+    body.u64().map(Lsn)
 }
 
 /// The scheme code carried by an encoded `TxnScheme` record; `None` for
-/// every other tag (and for a corrupt scheme byte).
-pub fn frame_scheme(bytes: &[u8]) -> Option<SchemeCode> {
-    if bytes[8] != tag::TXN_SCHEME {
-        return None;
+/// every other tag.
+#[inline]
+pub fn frame_scheme(bytes: &[u8]) -> QsResult<Option<SchemeCode>> {
+    let (t, mut body) = checked(bytes)?;
+    if t != tag::TXN_SCHEME {
+        return Ok(None);
     }
-    bytes.get(PREFIX).copied().and_then(SchemeCode::from_u8)
+    body.scheme().map(Some)
 }
 
 /// Zero-copy view of an encoded whole-page record's image.
 pub fn frame_whole_page_image(bytes: &[u8]) -> QsResult<&[u8]> {
-    debug_assert_eq!(bytes[8], 2, "not a whole-page frame");
-    bytes
-        .get(PREFIX + 4..PREFIX + 4 + PAGE_SIZE)
-        .ok_or_else(|| QsError::LogCorrupt { detail: "whole-page body truncated".into() })
+    let mut body = checked_as(bytes, tag::WHOLE_PAGE, "a whole-page")?;
+    body.page()?;
+    body.bytes(PAGE_SIZE)
 }
 
-/// Rewrite the `prev` LSN of one encoded record in place and fix its
-/// checksum. Clients encode records with `prev = NULL` (they cannot know
-/// the transaction's backward chain); the server patches the real value
-/// here — the result is byte-identical to encoding with `prev` set.
-pub fn frame_set_prev(bytes: &mut [u8], prev: Lsn) {
-    debug_assert_eq!(frame_len(bytes).ok(), Some(bytes.len()), "wants exactly one record");
-    bytes[PREV_RANGE].copy_from_slice(&prev.0.to_le_bytes());
-    frame_seal(bytes);
-}
-
-/// Minimal cursor over a byte slice.
-struct Reader<'a> {
-    b: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn bytes(&mut self, n: usize) -> QsResult<&'a [u8]> {
-        if self.at + n > self.b.len() {
-            return Err(QsError::LogCorrupt { detail: "body truncated".into() });
-        }
-        let s = &self.b[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
+/// The table snapshot in an encoded sharp `Checkpoint` or fuzzy
+/// `BeginCheckpoint` record (one body layout under two tags).
+pub fn frame_checkpoint_body(bytes: &[u8]) -> QsResult<CheckpointBody> {
+    let (t, mut b) = checked(bytes)?;
+    if t != tag::CHECKPOINT && t != tag::BEGIN_CHECKPOINT {
+        return Err(corrupt(format_args!("tag {t} is not a checkpoint frame")));
     }
-    fn u8(&mut self) -> QsResult<u8> {
-        Ok(self.bytes(1)?[0])
+    let mut body = CheckpointBody::default();
+    for _ in 0..b.u32()? {
+        body.active_txns.push((TxnId(b.u64()?), Lsn(b.u64()?)));
     }
-    fn u16(&mut self) -> QsResult<u16> {
-        Ok(u16::from_le_bytes(self.bytes(2)?.try_into().unwrap()))
+    for _ in 0..b.u32()? {
+        body.dirty_pages.push((PageId(b.u32()?), Lsn(b.u64()?)));
     }
-    fn u32(&mut self) -> QsResult<u32> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
+    for _ in 0..b.u32()? {
+        body.wpl_entries.push(WplCheckpointEntry {
+            page: PageId(b.u32()?),
+            lsn: Lsn(b.u64()?),
+            txn: TxnId(b.u64()?),
+            committed: b.u8()? != 0,
+        });
     }
-    fn u64(&mut self) -> QsResult<u64> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
+    body.allocated_pages = b.u64()?;
+    Ok(body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qs_types::LOG_HEADER_SIZE;
 
     fn round_trip(r: &LogRecord) {
         let enc = r.encode();
-        assert_eq!(enc.len(), r.encoded_len());
         let dec = LogRecord::decode(&enc).unwrap();
         assert_eq!(&dec, r);
     }
@@ -748,7 +721,7 @@ mod tests {
         };
         round_trip(&r);
         // Paper §3.2.2: one word updated → 50 + 4 + 4 = 58 bytes.
-        assert_eq!(r.encoded_len(), LOG_HEADER_SIZE + 8);
+        assert_eq!(r.encode().len(), LOG_HEADER_SIZE + 8);
     }
 
     #[test]
@@ -759,67 +732,6 @@ mod tests {
         let comb: usize = LOG_HEADER_SIZE + 12 + 12;
         assert_eq!(sep, 116);
         assert_eq!(comb, 74);
-    }
-
-    #[test]
-    fn frame_redo_slices_agree_with_decode() {
-        let upd = LogRecord::Update {
-            txn: TxnId(7),
-            prev: Lsn(100),
-            page: PageId(3),
-            slot: 2,
-            offset: 16,
-            before: vec![1, 2, 3, 4, 5],
-            after: vec![6, 7, 8, 9, 10],
-        };
-        let enc = upd.encode();
-        let (slot, offset, after) = frame_redo_slice(&enc).unwrap().unwrap();
-        assert_eq!((slot, offset), (2, 16));
-        assert_eq!(after, &[6, 7, 8, 9, 10]);
-
-        let clr = LogRecord::Clr {
-            txn: TxnId(5),
-            prev: Lsn(44),
-            page: PageId(8),
-            slot: 1,
-            offset: 4,
-            after: vec![9; 16],
-            undo_next: Lsn(12),
-        };
-        let enc = clr.encode();
-        let (slot, offset, after) = frame_redo_slice(&enc).unwrap().unwrap();
-        assert_eq!((slot, offset), (1, 4));
-        assert_eq!(after, &[9u8; 16][..]);
-
-        let wp = LogRecord::WholePage {
-            txn: TxnId(1),
-            prev: Lsn::NULL,
-            page: PageId(9),
-            image: (0..PAGE_SIZE).map(|i| (i % 251) as u8).collect(),
-        };
-        let enc = wp.encode();
-        assert_eq!(frame_redo_slice(&enc).unwrap(), None);
-        let LogRecord::WholePage { image, .. } = LogRecord::decode(&enc).unwrap() else {
-            panic!("decoded to a different variant");
-        };
-        assert_eq!(frame_whole_page_image(&enc).unwrap(), &image[..]);
-
-        let logical = LogRecord::UpdateLogical {
-            txn: TxnId(7),
-            prev: Lsn(100),
-            page: PageId(3),
-            slot: 6,
-            offset: 32,
-            after: vec![11, 12, 13],
-        };
-        let enc = logical.encode();
-        let (slot, offset, after) = frame_redo_slice(&enc).unwrap().unwrap();
-        assert_eq!((slot, offset), (6, 32));
-        assert_eq!(after, &[11, 12, 13]);
-
-        // No redo payload on control records.
-        let commit = LogRecord::Commit { txn: TxnId(5), prev: Lsn(44) }.encode();
-        assert_eq!(frame_redo_slice(&commit).unwrap(), None);
     }
 
     #[test]
@@ -835,7 +747,7 @@ mod tests {
         round_trip(&r);
         // Half the image bytes of the equivalent physical update: the
         // before image is gone, only the header + after remain.
-        assert_eq!(r.encoded_len(), LOG_HEADER_SIZE + 4);
+        assert_eq!(r.encode().len(), LOG_HEADER_SIZE + 4);
     }
 
     #[test]
@@ -847,7 +759,7 @@ mod tests {
             image: (0..PAGE_SIZE).map(|i| (i % 251) as u8).collect(),
         };
         round_trip(&r);
-        assert_eq!(r.encoded_len(), LOG_HEADER_SIZE + PAGE_SIZE);
+        assert_eq!(r.encode().len(), LOG_HEADER_SIZE + PAGE_SIZE);
     }
 
     #[test]
@@ -906,11 +818,11 @@ mod tests {
         // Begin carries the same body as the legacy sharp record and
         // must cost the same log bytes.
         let LogRecord::BeginCheckpoint { body } = begin.clone() else { unreachable!() };
-        assert_eq!(begin.encoded_len(), LogRecord::Checkpoint { body }.encoded_len());
+        assert_eq!(begin.encode().len(), LogRecord::Checkpoint { body }.encode().len());
 
         let end = LogRecord::EndCheckpoint { begin: Lsn(4096) };
         round_trip(&end);
-        assert_eq!(end.encoded_len(), LOG_HEADER_SIZE + 8);
+        assert_eq!(end.encode().len(), LOG_HEADER_SIZE + 8);
         assert_eq!(end.txn(), TxnId::INVALID);
         assert_eq!(end.prev(), Lsn::NULL);
         assert_eq!(end.page(), None);
@@ -922,10 +834,10 @@ mod tests {
             let r = LogRecord::TxnScheme { txn: TxnId(12), prev: Lsn(7), scheme };
             round_trip(&r);
             // Pure control record: costs exactly one log header, like Commit.
-            assert_eq!(r.encoded_len(), LOG_HEADER_SIZE);
+            assert_eq!(r.encode().len(), LOG_HEADER_SIZE);
             let enc = r.encode();
-            assert_eq!(frame_scheme(&enc), Some(scheme));
-            assert_eq!(frame_page(&enc), None);
+            assert_eq!(frame_scheme(&enc).unwrap(), Some(scheme));
+            assert_eq!(frame_page(&enc).unwrap(), None);
             assert_eq!(SchemeCode::from_u8(scheme as u8), Some(scheme));
         }
         // A scheme byte outside the vocabulary is rejected, not mapped.
@@ -935,7 +847,7 @@ mod tests {
         enc[PREFIX] = 9;
         frame_seal(&mut enc);
         assert!(LogRecord::decode(&enc).unwrap_err().to_string().contains("unknown scheme"));
-        assert_eq!(frame_scheme(&enc), None);
+        assert!(frame_scheme(&enc).unwrap_err().to_string().contains("unknown scheme"));
         assert_eq!(SchemeCode::from_u8(9), None);
     }
 
@@ -968,12 +880,13 @@ mod tests {
         for frame in one_frame_per_tag() {
             assert!(frame_verify(&frame).is_ok());
             // Exhaustive, except over the 8 KB image: every 97th bit.
-            let step = if frame_tag(&frame) == tag::WHOLE_PAGE { 97 } else { 1 };
+            let t = frame_tag(&frame).unwrap();
+            let step = if t == tag::WHOLE_PAGE { 97 } else { 1 };
             let mut bad = frame.clone();
             for bit in (0..frame.len() * 8).step_by(step) {
                 bad[bit / 8] ^= 1 << (bit % 8);
-                assert!(frame_verify(&bad).is_err(), "tag {} bit {bit}", frame_tag(&frame));
-                assert!(LogRecord::decode(&bad).is_err(), "tag {} bit {bit}", frame_tag(&frame));
+                assert!(frame_verify(&bad).is_err(), "tag {t} bit {bit}");
+                assert!(LogRecord::decode(&bad).is_err(), "tag {t} bit {bit}");
                 bad[bit / 8] = frame[bit / 8];
             }
         }
@@ -1152,39 +1065,6 @@ mod tests {
             LogRecord::TxnScheme { txn: TxnId(9), prev: Lsn::NULL, scheme: SchemeCode::Pd },
             LogRecord::TxnScheme { txn: TxnId(10), prev: Lsn(33), scheme: SchemeCode::Rlog },
         ]
-    }
-
-    #[test]
-    fn encoded_len_is_pure_arithmetic_for_every_variant() {
-        // encoded_len must never encode; it and encode() are maintained
-        // in parallel, so pin their agreement across all variants
-        // (including the per-record tracer call site in store.rs).
-        for r in every_variant() {
-            assert_eq!(r.encoded_len(), r.encode().len(), "{r:?}");
-            assert_eq!(r.body_len(), r.body_bytes().len(), "{r:?}");
-        }
-    }
-
-    #[test]
-    fn frame_helpers_agree_with_decode() {
-        for r in every_variant() {
-            let enc = r.encode();
-            assert_eq!(frame_len(&enc).unwrap(), enc.len(), "{r:?}");
-            assert_eq!(frame_txn(&enc), r.txn(), "{r:?}");
-            assert_eq!(frame_page(&enc), r.page(), "{r:?}");
-            let expect = match &r {
-                LogRecord::Update { before, after, .. } => (before.len() + after.len()) as u64,
-                LogRecord::UpdateLogical { after, .. } => after.len() as u64,
-                _ => 0,
-            };
-            assert_eq!(frame_update_image_bytes(&enc), expect, "{r:?}");
-        }
-        assert!(frame_len(&[0u8; 4]).is_err());
-        // A length prefix past the buffer is rejected.
-        let mut enc = LogRecord::Commit { txn: TxnId(5), prev: Lsn(44) }.encode();
-        let bogus = (enc.len() as u32 + 1).to_le_bytes();
-        enc[0..4].copy_from_slice(&bogus);
-        assert!(frame_len(&enc).is_err());
     }
 
     #[test]

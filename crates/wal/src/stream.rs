@@ -17,7 +17,7 @@
 //! verified slices of the cached pages.
 
 use crate::log::LogManager;
-use crate::record::{frame_verify, PREFIX, TRAILER};
+use crate::record::{frame_declared_len, frame_verify, FRAME_LEN_MIN};
 use qs_trace::{StageClock, StageWall};
 use qs_types::{Lsn, QsError, QsResult, PAGE_SIZE};
 use std::collections::HashMap;
@@ -79,7 +79,7 @@ impl<'a> ChunkedScanner<'a> {
             log,
             at: from.max(log.start_lsn()),
             end,
-            chunk_bytes: chunk_bytes.max(PREFIX + TRAILER),
+            chunk_bytes: chunk_bytes.max(FRAME_LEN_MIN),
             handed_out: Vec::new(),
             frames_hint: 0,
             bytes_read: 0,
@@ -121,9 +121,10 @@ impl<'a> ChunkedScanner<'a> {
         let mut want = self.chunk_bytes.min(span);
         if want < span {
             // Align the read end down to a log-page boundary when that
-            // still makes progress: chunks then cover whole pages.
+            // still leaves room for a frame's fixed fields (progress):
+            // chunks then cover whole pages.
             let aligned = (self.at.0 + want as u64) / PAGE_SIZE as u64 * PAGE_SIZE as u64;
-            if aligned > self.at.0 {
+            if aligned >= self.at.0 + FRAME_LEN_MIN as u64 {
                 want = (aligned - self.at.0) as usize;
             }
         }
@@ -133,11 +134,15 @@ impl<'a> ChunkedScanner<'a> {
 
         let mut frames = Vec::with_capacity(self.frames_hint);
         let mut off = 0usize;
-        while off + 4 <= buf.len() {
-            let len = u32::from_le_bytes(buf[off..off + 4].try_into().unwrap()) as usize;
-            if len < PREFIX + TRAILER || self.at.0 + (off + len) as u64 > self.end.0 {
+        // A remainder shorter than the shortest frame is a partial frame.
+        while off + FRAME_LEN_MIN <= buf.len() {
+            let len = frame_declared_len(&buf[off..])?;
+            if self.at.0 + (off + len) as u64 > self.end.0 {
                 return Err(QsError::LogCorrupt {
-                    detail: format!("implausible frame length {len} at {}", self.at.advance(off)),
+                    detail: format!(
+                        "frame length {len} at {} runs past the scan end",
+                        self.at.advance(off)
+                    ),
                 });
             }
             if off + len > buf.len() {
@@ -271,11 +276,10 @@ impl LogReadCache {
     /// `lsn` — off a frame boundary, outside the window — fails with
     /// `LogCorrupt`.
     pub fn frame(&mut self, log: &LogManager, lsn: Lsn) -> QsResult<&[u8]> {
-        let lenb = self.span(log, lsn, 4)?;
-        let len = u32::from_le_bytes(lenb.try_into().unwrap()) as usize;
-        if len < PREFIX + TRAILER || len > log.body_capacity() {
+        let len = frame_declared_len(self.span(log, lsn, FRAME_LEN_MIN)?)?;
+        if len > log.body_capacity() {
             return Err(QsError::LogCorrupt {
-                detail: format!("implausible frame length {len} at {lsn}"),
+                detail: format!("frame length {len} at {lsn} exceeds the log"),
             });
         }
         let frame = self.span(log, lsn, len)?;
@@ -460,7 +464,7 @@ mod tests {
         for _ in 0..2 {
             for (lsn, rec) in expect.iter().rev() {
                 let frame = cache.frame(&lm, *lsn).unwrap();
-                assert_eq!(frame.len(), rec.encoded_len());
+                assert_eq!(frame.len(), rec.encode().len());
                 assert_eq!(&LogRecord::decode(frame).unwrap(), rec);
             }
         }

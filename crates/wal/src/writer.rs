@@ -1,22 +1,53 @@
-//! Allocation-free serialization of log records into a batch buffer.
+//! The log's one encoder: allocation-free serialization of log records
+//! into a batch buffer.
 //!
 //! [`RecordWriter`] appends encoded records directly to a caller-provided
-//! `Vec<u8>`, building each record in place from borrowed before/after
-//! slices. The bytes produced are identical to
-//! [`LogRecord::encode`](crate::LogRecord::encode) — asserted by tests —
-//! so a batch built here can be framed, shipped, and decoded by the same
-//! codec. On the steady-state commit path the backing buffer is reused
-//! across transactions, so writing a record performs zero heap
-//! allocations once the buffer has grown to its high-water mark.
+//! `Vec<u8>`, building each record in place from borrowed slices. Each
+//! method below is the one place its tag's body layout is written
+//! ([`LogRecord::encode`](crate::LogRecord::encode) dispatches onto them;
+//! `record.rs` reads the same layouts back). On the steady-state commit
+//! path the backing buffer is reused across transactions, so writing a
+//! record performs zero heap allocations once the buffer has grown to its
+//! high-water mark.
 
 use qs_types::{Lsn, PageId, TxnId, LOG_HEADER_SIZE, PAGE_SIZE};
 
-use crate::record::{frame_seal, tag, PREFIX, TRAILER};
+use crate::record::{
+    frame_seal, tag, CheckpointBody, SchemeCode, LEN_RANGE, PREFIX, PREV_RANGE, TAG_AT, TRAILER,
+    TXN_RANGE,
+};
 
 /// Streams encoded log records into a borrowed batch buffer.
 pub struct RecordWriter<'a> {
     buf: &'a mut Vec<u8>,
     records: usize,
+}
+
+/// Cursor over the body bytes of the frame being written.
+struct Put<'a>(&'a mut [u8]);
+
+impl Put<'_> {
+    #[inline]
+    fn bytes(&mut self, v: &[u8]) -> &mut Self {
+        let (head, rest) = std::mem::take(&mut self.0).split_at_mut(v.len());
+        head.copy_from_slice(v);
+        self.0 = rest;
+        self
+    }
+    fn u8(&mut self, v: u8) -> &mut Self {
+        self.bytes(&[v])
+    }
+    #[inline]
+    fn u16(&mut self, v: u16) -> &mut Self {
+        self.bytes(&v.to_le_bytes())
+    }
+    #[inline]
+    fn u32(&mut self, v: u32) -> &mut Self {
+        self.bytes(&v.to_le_bytes())
+    }
+    fn u64(&mut self, v: u64) -> &mut Self {
+        self.bytes(&v.to_le_bytes())
+    }
 }
 
 impl<'a> RecordWriter<'a> {
@@ -30,25 +61,35 @@ impl<'a> RecordWriter<'a> {
         self.records
     }
 
-    /// Reserve `total` bytes of zeroed space and fill the fixed header.
-    /// Returns the offset of the new record within the buffer.
-    fn begin(&mut self, total: usize, tag: u8, txn: TxnId, prev: Lsn) -> usize {
+    /// Append one frame: the fixed fields, `body` bytes written by `fill`,
+    /// zero padding up to the paper's size model — `LOG_HEADER_SIZE` plus
+    /// the `payload` bytes §3.2.2 counts (images, a page, table entries),
+    /// never less than the wire fields need — the trailer, the checksum.
+    /// Returns the frame's length.
+    #[inline]
+    fn frame(
+        &mut self,
+        tag: u8,
+        (txn, prev): (TxnId, Lsn),
+        (body, payload): (usize, usize),
+        fill: impl FnOnce(&mut Put<'_>),
+    ) -> usize {
+        let total = (PREFIX + body + TRAILER).max(LOG_HEADER_SIZE + payload);
         let at = self.buf.len();
         self.buf.resize(at + total, 0);
         let rec = &mut self.buf[at..];
-        rec[0..4].copy_from_slice(&(total as u32).to_le_bytes());
-        rec[8] = tag;
-        rec[9..17].copy_from_slice(&txn.0.to_le_bytes());
-        rec[17..25].copy_from_slice(&prev.0.to_le_bytes());
-        at
-    }
-
-    /// Write the trailer and checksum for the record starting at `at`.
-    fn finish(&mut self, at: usize, total: usize) {
-        let rec = &mut self.buf[at..at + total];
-        rec[total - 4..].copy_from_slice(&(total as u32).to_le_bytes());
+        let len = (total as u32).to_le_bytes();
+        rec[LEN_RANGE].copy_from_slice(&len);
+        rec[TAG_AT] = tag;
+        rec[TXN_RANGE].copy_from_slice(&txn.0.to_le_bytes());
+        rec[PREV_RANGE].copy_from_slice(&prev.0.to_le_bytes());
+        let mut put = Put(&mut rec[PREFIX..PREFIX + body]);
+        fill(&mut put);
+        debug_assert!(put.0.is_empty(), "tag {tag} wrote less than its declared body");
+        rec[total - TRAILER..].copy_from_slice(&len);
         frame_seal(rec);
         self.records += 1;
+        total
     }
 
     /// Append an `Update` record built from borrowed images. Returns its
@@ -64,19 +105,11 @@ impl<'a> RecordWriter<'a> {
         before: &[u8],
         after: &[u8],
     ) -> usize {
-        let body = 12 + before.len() + after.len();
-        let total = (PREFIX + body + TRAILER).max(LOG_HEADER_SIZE + before.len() + after.len());
-        let at = self.begin(total, tag::UPDATE, txn, prev);
-        let b = &mut self.buf[at + PREFIX..];
-        b[0..4].copy_from_slice(&page.0.to_le_bytes());
-        b[4..6].copy_from_slice(&slot.to_le_bytes());
-        b[6..8].copy_from_slice(&offset.to_le_bytes());
-        b[8..10].copy_from_slice(&(before.len() as u16).to_le_bytes());
-        b[10..12].copy_from_slice(&(after.len() as u16).to_le_bytes());
-        b[12..12 + before.len()].copy_from_slice(before);
-        b[12 + before.len()..body].copy_from_slice(after);
-        self.finish(at, total);
-        total
+        let images = before.len() + after.len();
+        self.frame(tag::UPDATE, (txn, prev), (12 + images, images), |b| {
+            b.u32(page.0).u16(slot).u16(offset);
+            b.u16(before.len() as u16).u16(after.len() as u16).bytes(before).bytes(after);
+        })
     }
 
     /// Append an `UpdateLogical` record (REDO-only: no before image) built
@@ -90,17 +123,9 @@ impl<'a> RecordWriter<'a> {
         offset: u16,
         after: &[u8],
     ) -> usize {
-        let body = 10 + after.len();
-        let total = (PREFIX + body + TRAILER).max(LOG_HEADER_SIZE + after.len());
-        let at = self.begin(total, tag::UPDATE_LOGICAL, txn, prev);
-        let b = &mut self.buf[at + PREFIX..];
-        b[0..4].copy_from_slice(&page.0.to_le_bytes());
-        b[4..6].copy_from_slice(&slot.to_le_bytes());
-        b[6..8].copy_from_slice(&offset.to_le_bytes());
-        b[8..10].copy_from_slice(&(after.len() as u16).to_le_bytes());
-        b[10..body].copy_from_slice(after);
-        self.finish(at, total);
-        total
+        self.frame(tag::UPDATE_LOGICAL, (txn, prev), (10 + after.len(), after.len()), |b| {
+            b.u32(page.0).u16(slot).u16(offset).u16(after.len() as u16).bytes(after);
+        })
     }
 
     /// Append a `Clr` record compensating one undone update: `after` is
@@ -117,30 +142,23 @@ impl<'a> RecordWriter<'a> {
         after: &[u8],
         undo_next: Lsn,
     ) -> usize {
-        let body = 18 + after.len();
-        let total = (PREFIX + body + TRAILER).max(LOG_HEADER_SIZE + after.len() + 8);
-        let at = self.begin(total, tag::CLR, txn, prev);
-        let b = &mut self.buf[at + PREFIX..];
-        b[0..4].copy_from_slice(&page.0.to_le_bytes());
-        b[4..6].copy_from_slice(&slot.to_le_bytes());
-        b[6..8].copy_from_slice(&offset.to_le_bytes());
-        b[8..10].copy_from_slice(&(after.len() as u16).to_le_bytes());
-        b[10..10 + after.len()].copy_from_slice(after);
-        b[10 + after.len()..body].copy_from_slice(&undo_next.0.to_le_bytes());
-        self.finish(at, total);
-        total
+        self.frame(tag::CLR, (txn, prev), (18 + after.len(), after.len() + 8), |b| {
+            b.u32(page.0)
+                .u16(slot)
+                .u16(offset)
+                .u16(after.len() as u16)
+                .bytes(after)
+                .u64(undo_next.0);
+        })
     }
 
     /// Append a `TxnScheme` record declaring the transaction's elected
     /// logging scheme (the first record of an adaptively-logged chain).
     /// Returns its encoded length.
-    pub fn scheme_mark(&mut self, txn: TxnId, prev: Lsn, scheme: crate::SchemeCode) -> usize {
-        let body = 1;
-        let total = (PREFIX + body + TRAILER).max(LOG_HEADER_SIZE);
-        let at = self.begin(total, tag::TXN_SCHEME, txn, prev);
-        self.buf[at + PREFIX] = scheme as u8;
-        self.finish(at, total);
-        total
+    pub fn scheme_mark(&mut self, txn: TxnId, prev: Lsn, scheme: SchemeCode) -> usize {
+        self.frame(tag::TXN_SCHEME, (txn, prev), (1, 0), |b| {
+            b.u8(scheme as u8);
+        })
     }
 
     /// Append a `WholePage` record from a borrowed page image. Returns its
@@ -152,167 +170,93 @@ impl<'a> RecordWriter<'a> {
         page: PageId,
         image: &[u8; PAGE_SIZE],
     ) -> usize {
-        let body = 4 + PAGE_SIZE;
-        let total = (PREFIX + body + TRAILER).max(LOG_HEADER_SIZE + PAGE_SIZE);
-        let at = self.begin(total, tag::WHOLE_PAGE, txn, prev);
-        let b = &mut self.buf[at + PREFIX..];
-        b[0..4].copy_from_slice(&page.0.to_le_bytes());
-        b[4..4 + PAGE_SIZE].copy_from_slice(image);
-        self.finish(at, total);
-        total
+        self.frame(tag::WHOLE_PAGE, (txn, prev), (4 + PAGE_SIZE, PAGE_SIZE), |b| {
+            b.u32(page.0).bytes(image);
+        })
+    }
+
+    /// Append a `PageAlloc` record. Returns its encoded length.
+    pub fn page_alloc(&mut self, txn: TxnId, prev: Lsn, page: PageId) -> usize {
+        self.frame(tag::PAGE_ALLOC, (txn, prev), (4, 0), |b| {
+            b.u32(page.0);
+        })
+    }
+
+    /// Append a `Commit` record. Returns its encoded length.
+    pub fn commit(&mut self, txn: TxnId, prev: Lsn) -> usize {
+        self.frame(tag::COMMIT, (txn, prev), (0, 0), |_| {})
+    }
+
+    /// Append an `Abort` record. Returns its encoded length.
+    pub fn abort(&mut self, txn: TxnId, prev: Lsn) -> usize {
+        self.frame(tag::ABORT, (txn, prev), (0, 0), |_| {})
+    }
+
+    /// Append a sharp `Checkpoint` record. Returns its encoded length.
+    pub fn checkpoint(&mut self, body: &CheckpointBody) -> usize {
+        self.checkpoint_tables(tag::CHECKPOINT, body)
+    }
+
+    /// Append the `BeginCheckpoint` record of a fuzzy pair: the same
+    /// snapshot under its own tag. Returns its encoded length.
+    pub fn begin_checkpoint(&mut self, body: &CheckpointBody) -> usize {
+        self.checkpoint_tables(tag::BEGIN_CHECKPOINT, body)
+    }
+
+    /// The checkpoint-body layout, shared by the two tags that carry one.
+    /// Checkpoint records belong to no transaction, and all of their body
+    /// counts as payload.
+    fn checkpoint_tables(&mut self, tag: u8, body: &CheckpointBody) -> usize {
+        let CheckpointBody { active_txns, dirty_pages, wpl_entries, allocated_pages } = body;
+        let len = 4
+            + 16 * active_txns.len()
+            + 4
+            + 12 * dirty_pages.len()
+            + 4
+            + 21 * wpl_entries.len()
+            + 8;
+        self.frame(tag, (TxnId::INVALID, Lsn::NULL), (len, len), |b| {
+            b.u32(active_txns.len() as u32);
+            for (txn, last) in active_txns {
+                b.u64(txn.0).u64(last.0);
+            }
+            b.u32(dirty_pages.len() as u32);
+            for (page, rec_lsn) in dirty_pages {
+                b.u32(page.0).u64(rec_lsn.0);
+            }
+            b.u32(wpl_entries.len() as u32);
+            for e in wpl_entries {
+                b.u32(e.page.0).u64(e.lsn.0).u64(e.txn.0).u8(e.committed as u8);
+            }
+            b.u64(*allocated_pages);
+        })
+    }
+
+    /// Append the `EndCheckpoint` record of a fuzzy pair, pointing back at
+    /// its begin record. Returns its encoded length.
+    pub fn end_checkpoint(&mut self, begin: Lsn) -> usize {
+        self.frame(tag::END_CHECKPOINT, (TxnId::INVALID, Lsn::NULL), (8, 8), |b| {
+            b.u64(begin.0);
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::LogRecord;
+    use crate::record::frame_len;
 
     #[test]
-    fn update_bytes_identical_to_encode() {
-        let cases: Vec<(Vec<u8>, Vec<u8>)> = vec![
-            (vec![], vec![]),
-            (vec![1, 2, 3], vec![4, 5, 6]),
-            (vec![7; 40], vec![8; 40]),
-            ((0..255u8).collect(), (0..255u8).rev().collect()),
-        ];
-        let mut buf = Vec::new();
+    fn frames_are_appended_whole_and_counted() {
+        let mut buf = vec![0xAA, 0xBB]; // the writer must append, not overwrite
         let mut w = RecordWriter::new(&mut buf);
-        let mut expect = Vec::new();
-        for (i, (before, after)) in cases.iter().enumerate() {
-            let rec = LogRecord::Update {
-                txn: TxnId(3 + i as u64),
-                prev: Lsn(if i % 2 == 0 { Lsn::NULL.0 } else { 99 + i as u64 }),
-                page: PageId(7 + i as u32),
-                slot: i as u16,
-                offset: 16 * i as u16,
-                before: before.clone(),
-                after: after.clone(),
-            };
-            let enc = rec.encode();
-            let n = w.update(
-                rec.txn(),
-                rec.prev(),
-                rec.page().unwrap(),
-                i as u16,
-                16 * i as u16,
-                before,
-                after,
-            );
-            assert_eq!(n, enc.len());
-            assert_eq!(n, rec.encoded_len());
-            expect.extend_from_slice(&enc);
-        }
-        assert_eq!(w.records(), cases.len());
-        assert_eq!(buf, expect);
-    }
-
-    #[test]
-    fn update_logical_bytes_identical_to_encode() {
-        let cases: Vec<Vec<u8>> = vec![vec![], vec![1, 2, 3], vec![7; 40], (0..255u8).collect()];
-        let mut buf = Vec::new();
-        let mut w = RecordWriter::new(&mut buf);
-        let mut expect = Vec::new();
-        for (i, after) in cases.iter().enumerate() {
-            let rec = LogRecord::UpdateLogical {
-                txn: TxnId(3 + i as u64),
-                prev: Lsn(if i % 2 == 0 { Lsn::NULL.0 } else { 99 + i as u64 }),
-                page: PageId(7 + i as u32),
-                slot: i as u16,
-                offset: 16 * i as u16,
-                after: after.clone(),
-            };
-            let enc = rec.encode();
-            let n = w.update_logical(
-                rec.txn(),
-                rec.prev(),
-                rec.page().unwrap(),
-                i as u16,
-                16 * i as u16,
-                after,
-            );
-            assert_eq!(n, enc.len());
-            assert_eq!(n, rec.encoded_len());
-            expect.extend_from_slice(&enc);
-        }
-        assert_eq!(w.records(), cases.len());
-        assert_eq!(buf, expect);
-    }
-
-    #[test]
-    fn clr_bytes_identical_to_encode() {
-        let cases: Vec<Vec<u8>> = vec![vec![], vec![1, 2, 3], vec![7; 40], (0..255u8).collect()];
-        let mut buf = Vec::new();
-        let mut w = RecordWriter::new(&mut buf);
-        let mut expect = Vec::new();
-        for (i, after) in cases.iter().enumerate() {
-            let undo_next = if i % 2 == 0 { Lsn::NULL } else { Lsn(50 + i as u64) };
-            let rec = LogRecord::Clr {
-                txn: TxnId(3 + i as u64),
-                prev: Lsn(99 + i as u64),
-                page: PageId(7 + i as u32),
-                slot: i as u16,
-                offset: 16 * i as u16,
-                after: after.clone(),
-                undo_next,
-            };
-            let enc = rec.encode();
-            let n = w.clr(
-                rec.txn(),
-                rec.prev(),
-                rec.page().unwrap(),
-                i as u16,
-                16 * i as u16,
-                after,
-                undo_next,
-            );
-            assert_eq!(n, enc.len());
-            assert_eq!(n, rec.encoded_len());
-            assert_eq!(crate::record::frame_undo_next(&enc).unwrap(), undo_next);
-            expect.extend_from_slice(&enc);
-        }
-        assert_eq!(buf, expect);
-    }
-
-    #[test]
-    fn whole_page_bytes_identical_to_encode() {
-        let mut image = [0u8; PAGE_SIZE];
-        for (i, b) in image.iter_mut().enumerate() {
-            *b = (i % 251) as u8;
-        }
-        let rec = LogRecord::WholePage {
-            txn: TxnId(11),
-            prev: Lsn(42),
-            page: PageId(5),
-            image: image.to_vec(),
-        };
-        let mut buf = vec![0xAA, 0xBB]; // writer must append, not overwrite
-        let mut w = RecordWriter::new(&mut buf);
-        let n = w.whole_page(TxnId(11), Lsn(42), PageId(5), &image);
-        let enc = rec.encode();
-        assert_eq!(n, enc.len());
-        assert_eq!(&buf[..2], &[0xAA, 0xBB]);
-        assert_eq!(&buf[2..], &enc[..]);
-    }
-
-    #[test]
-    fn scheme_mark_bytes_identical_to_encode() {
-        use crate::record::SchemeCode;
-        for (i, scheme) in
-            [SchemeCode::Pd, SchemeCode::Sd, SchemeCode::Wpl, SchemeCode::Rlog].iter().enumerate()
-        {
-            let rec = LogRecord::TxnScheme {
-                txn: TxnId(20 + i as u64),
-                prev: if i % 2 == 0 { Lsn::NULL } else { Lsn(5 + i as u64) },
-                scheme: *scheme,
-            };
-            let mut buf = Vec::new();
-            let mut w = RecordWriter::new(&mut buf);
-            let n = w.scheme_mark(rec.txn(), rec.prev(), *scheme);
-            let enc = rec.encode();
-            assert_eq!(n, enc.len());
-            assert_eq!(buf, enc);
-        }
+        let a = w.commit(TxnId(1), Lsn::NULL);
+        let b = w.update(TxnId(1), Lsn::NULL, PageId(1), 0, 0, &[1; 3], &[2; 3]);
+        assert_eq!(w.records(), 2);
+        assert_eq!(buf[..2], [0xAA, 0xBB]);
+        assert_eq!(buf.len(), 2 + a + b);
+        assert_eq!(frame_len(&buf[2..]).unwrap(), a);
+        assert_eq!(frame_len(&buf[2 + a..]).unwrap(), b);
     }
 
     #[test]

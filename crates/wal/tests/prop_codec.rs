@@ -4,8 +4,8 @@
 //! the exact same cases replay on every run, with no external crates.
 
 use qs_prng::Prng;
-use qs_types::{Lsn, PageId, TxnId, LOG_HEADER_SIZE};
-use qs_wal::{CheckpointBody, LogRecord, WplCheckpointEntry};
+use qs_types::{Lsn, PageId, TxnId, LOG_HEADER_SIZE, PAGE_SIZE};
+use qs_wal::{CheckpointBody, LogRecord, SchemeCode, WplCheckpointEntry};
 
 fn update_record(rng: &mut Prng) -> LogRecord {
     let img_len = rng.gen_range(0..256);
@@ -21,56 +21,66 @@ fn update_record(rng: &mut Prng) -> LogRecord {
     }
 }
 
+fn checkpoint_body(rng: &mut Prng) -> CheckpointBody {
+    CheckpointBody {
+        active_txns: (0..rng.gen_range(0..4))
+            .map(|_| (TxnId(rng.next_u64()), Lsn(rng.next_u64())))
+            .collect(),
+        dirty_pages: (0..rng.gen_range(0..6))
+            .map(|_| (PageId(rng.next_u32()), Lsn(rng.next_u64())))
+            .collect(),
+        wpl_entries: (0..rng.gen_range(0..20))
+            .map(|_| WplCheckpointEntry {
+                page: PageId(rng.next_u32()),
+                lsn: Lsn(rng.next_u64()),
+                txn: TxnId(rng.next_u64()),
+                committed: rng.gen_bool(0.5),
+            })
+            .collect(),
+        allocated_pages: rng.next_u64(),
+    }
+}
+
+/// A record of any of the eleven tags.
 fn any_record(rng: &mut Prng) -> LogRecord {
-    match rng.gen_range(0..6) {
+    let (txn, prev, page) = (TxnId(rng.next_u64()), Lsn(rng.next_u64()), PageId(rng.next_u32()));
+    let (slot, offset) = ((rng.next_u32() & 0xFFFF) as u16, rng.gen_range(0..4096) as u16);
+    match rng.gen_range(0..11) {
         0 => update_record(rng),
-        1 => LogRecord::Commit { txn: TxnId(rng.next_u64()), prev: Lsn(rng.next_u64()) },
-        2 => LogRecord::Abort { txn: TxnId(rng.next_u64()), prev: Lsn(rng.next_u64()) },
-        3 => LogRecord::PageAlloc {
-            txn: TxnId(rng.next_u64()),
-            prev: Lsn::NULL,
-            page: PageId(rng.next_u32()),
-        },
-        4 => LogRecord::Clr {
-            txn: TxnId(rng.next_u64()),
-            prev: Lsn::NULL,
-            page: PageId(rng.next_u32()),
-            slot: 0,
-            offset: 0,
-            after: {
-                let n = rng.gen_range(0..64);
-                rng.bytes(n)
-            },
-            undo_next: Lsn(rng.next_u64()),
-        },
-        _ => LogRecord::Checkpoint {
-            body: CheckpointBody {
-                active_txns: vec![(TxnId(3), Lsn(9))],
-                dirty_pages: vec![(PageId(1), Lsn(5))],
-                wpl_entries: (0..rng.gen_range(0..20))
-                    .map(|_| WplCheckpointEntry {
-                        page: PageId(rng.next_u32()),
-                        lsn: Lsn(rng.next_u64()),
-                        txn: TxnId(rng.next_u64()),
-                        committed: rng.gen_bool(0.5),
-                    })
-                    .collect(),
-                allocated_pages: 42,
-            },
-        },
+        1 => LogRecord::WholePage { txn, prev, page, image: rng.bytes(PAGE_SIZE) },
+        2 => LogRecord::PageAlloc { txn, prev, page },
+        3 => LogRecord::Commit { txn, prev },
+        4 => LogRecord::Abort { txn, prev },
+        5 => {
+            let after = rng.gen_range(0..64);
+            let (after, undo_next) = (rng.bytes(after), Lsn(rng.next_u64()));
+            LogRecord::Clr { txn, prev, page, slot, offset, after, undo_next }
+        }
+        6 => LogRecord::Checkpoint { body: checkpoint_body(rng) },
+        7 => {
+            let after = rng.gen_range(0..256);
+            LogRecord::UpdateLogical { txn, prev, page, slot, offset, after: rng.bytes(after) }
+        }
+        8 => LogRecord::BeginCheckpoint { body: checkpoint_body(rng) },
+        9 => LogRecord::EndCheckpoint { begin: Lsn(rng.next_u64()) },
+        _ => {
+            let scheme = SchemeCode::from_u8(rng.gen_range(0..4) as u8).unwrap();
+            LogRecord::TxnScheme { txn, prev, scheme }
+        }
     }
 }
 
 #[test]
 fn encode_decode_round_trip() {
     let mut rng = Prng::seed_from_u64(0x5EED_C0DE_0001);
+    let mut seen = [false; 12];
     for case in 0..512 {
         let rec = any_record(&mut rng);
-        let enc = rec.encode();
-        assert_eq!(enc.len(), rec.encoded_len(), "case {case}");
-        let dec = LogRecord::decode(&enc).unwrap();
+        seen[rec.tag() as usize] = true;
+        let dec = LogRecord::decode(&rec.encode()).unwrap();
         assert_eq!(dec, rec, "case {case}");
     }
+    assert!(seen[1..].iter().all(|&s| s), "a tag was never drawn: {seen:?}");
 }
 
 #[test]
@@ -80,7 +90,7 @@ fn update_size_matches_paper_model() {
         let rec = update_record(&mut rng);
         if let LogRecord::Update { ref before, ref after, .. } = rec {
             assert_eq!(
-                rec.encoded_len(),
+                rec.encode().len(),
                 LOG_HEADER_SIZE + before.len() + after.len(),
                 "case {case}"
             );

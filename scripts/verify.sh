@@ -46,6 +46,35 @@ if [ -n "$flavor_sites" ]; then
     exit 1
 fi
 
+echo "== the frame layout lives in qs-wal's record.rs and writer.rs only =="
+# Those two files own the log's on-disk format (DESIGN.md "Log on-disk
+# format"). Everybody else asks the frame views and compares tags against
+# the `tag::` constants: non-test, non-comment code anywhere else may name
+# neither a layout constant (PREFIX / TRAILER / PREV_RANGE) nor a numeric
+# literal next to `frame_tag(..)` — compared with it, listed in a
+# `matches!` on it, or as a `match` arm in a file that calls it.
+layout_sites=$(find crates/*/src src examples -name '*.rs' \
+        ! -path crates/wal/src/record.rs ! -path crates/wal/src/writer.rs \
+        ! -name tests.rs -exec awk '
+    FNR == 1 { in_tests = 0; pending = 0; calls_frame_tag = 0 }
+    pending { if ($0 ~ /mod [a-z_]+ *\{/) in_tests = 1; pending = 0 }
+    /^[ \t]*#\[cfg\(test\)\]/ { pending = 1 }
+    in_tests || $0 ~ /^[ \t]*\/\// { next }
+    /frame_tag\(/ { calls_frame_tag = 1 }
+    /(^|[^A-Za-z0-9_])(PREFIX|TRAILER|PREV_RANGE)([^A-Za-z0-9_]|$)/ ||
+    /frame_tag\([^)]*\)\?? *(==|!=) *[0-9]/ ||
+    /[0-9] *(==|!=) *[A-Za-z_:]*frame_tag\(/ ||
+    /matches!\(.*frame_tag\(.*, *[0-9]/ ||
+    (calls_frame_tag && /^[ \t]*[0-9]+( *\| *[0-9]+)* *=>/) {
+        print "    " FILENAME ":" FNR ": " $0
+    }' {} +)
+if [ -n "$layout_sites" ]; then
+    echo "FAIL: frame layout named outside crates/wal/src/{record,writer}.rs:"
+    echo "$layout_sites"
+    echo "  use qs_wal::record::{frame_*, tag::*, FRAME_LEN_MIN} instead"
+    exit 1
+fi
+
 echo "== cargo test -q --offline =="
 cargo test -q --offline --workspace
 

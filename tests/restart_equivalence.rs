@@ -446,7 +446,7 @@ fn byte_of_last(
         .filter(|(_, rec)| want(rec))
         .last()
         .expect("scenario logs such a frame");
-    PAGE_SIZE + (lsn.0 as usize + at(rec.encoded_len())) % lm.body_capacity()
+    PAGE_SIZE + (lsn.0 as usize + at(rec.encode().len())) % lm.body_capacity()
 }
 
 /// Offset of the tag byte within a frame (after the length prefix and
