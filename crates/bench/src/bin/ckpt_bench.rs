@@ -1,38 +1,38 @@
-//! `ckpt_bench`: commit tail latency with a checkpoint in flight —
-//! quiesced vs concurrent.
+//! `ckpt_bench`: commit tail latency when the log keeps crossing its high
+//! watermark — maintenance on the committing client vs on the flusher
+//! thread.
 //!
 //! Real wall-clock time, like `scale` (not simulated 1995 time). The
 //! same disjoint-working-set update workload runs twice against servers
 //! whose *data* disk charges a per-page-write device latency and whose
-//! log disk charges a per-sync latency. A control thread takes
-//! checkpoints in a tight loop for the whole run:
+//! log disk charges a per-sync latency, with the high watermark set so a
+//! checkpoint falls due every few dozen transactions. There is one
+//! checkpoint procedure (drain incrementally, then one record — it never
+//! stops the server); what differs is who runs it:
 //!
-//! * `quiesced` — background-flusher knob off: every checkpoint runs
-//!   under `with_quiesced`, holding every subsystem lock while the full
-//!   dirty-page table flushes. Commits that land during one wait out the
-//!   entire device-time bill.
-//! * `concurrent` — knob on: the two-phase fuzzy protocol (begin record
-//!   → incremental elevator drain → end record). The control thread
-//!   plays the flusher's role so each checkpoint can be timed precisely;
-//!   the drain claims batches under one shard lock at a time and writes
-//!   with no foreground-blocking lock held, so commits only ever pay the
-//!   log sync.
+//! * `inline` — no flusher thread: the client whose commit finds the log
+//!   past the watermark runs the checkpoint before its `commit` returns;
+//!   every client that commits meanwhile finds the log still past it,
+//!   waits for the maintenance lock, and finds the work done.
+//! * `flusher` — `Server::start_flusher`: a commit past the watermark
+//!   only queues a (deduplicated) wakeup; the drain claims batches under
+//!   one shard lock at a time and writes with no foreground-blocking lock
+//!   held, so commits only ever pay the log sync.
 //!
-//! Both runs end with a crash + restart under the plain (knob-off)
-//! config and re-assert every committed value — the fuzzy media must
-//! recover exactly like the quiesced media does.
+//! Both runs end with a crash + restart and re-assert every committed
+//! value.
 //!
-//! Results go to `BENCH_ckpt.json` (see EXPERIMENTS.md): commit p50/p99,
-//! checkpoint count and durations, flusher batch shape, and the headline
-//! `p99_ratio` (quiesced p99 / concurrent p99 — the acceptance bar is
-//! >= 3).
+//! Results go to `BENCH_ckpt.json` (see EXPERIMENTS.md): commit
+//! p50/p99/max, checkpoints taken, drain batch shape, and `p99_ratio`
+//! (inline p99 / flusher p99 — reported, not a bar: the stop-the-world
+//! checkpoint the old `>= 3` bar was measured against no longer exists).
 //!
 //! Flags:
 //!   --smoke            tiny counts and near-zero latencies: exercises
 //!                      the harness and JSON output only
-//!   --validate <path>  parse a previously written BENCH_ckpt.json,
-//!                      check coverage, and (for non-smoke files) assert
-//!                      p99_ratio >= 3; exits non-zero on failure
+//!   --validate <path>  parse a previously written BENCH_ckpt.json and
+//!                      check it covers both rows; exits non-zero on
+//!                      failure
 
 use qs_bench::driver::{
     assert_workload_applied, build_ckpt_server, drive_threads_commit_latency, ScaleWorkload,
@@ -41,21 +41,19 @@ use qs_esm::{Server, ServerConfig};
 use qs_sim::{HardwareModel, JsonWriter, Meter};
 use qs_trace::Tracer;
 use quickstore::SystemConfig;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const CLIENTS: usize = 8;
 const PAGES_PER_CLIENT: usize = 16;
 /// Pool shards, as in the scale bench (the PR-3 decomposition).
 const SHARDS: usize = 8;
-/// Pause between checkpoints on the control thread — short enough that
-/// most commits overlap a checkpoint in flight, which is the regime the
-/// bench is about.
-const CKPT_GAP: Duration = Duration::from_millis(1);
-/// The acceptance bar: concurrent p99 must beat quiesced p99 by this.
-const MIN_RATIO: f64 = 3.0;
-
+/// Log bytes between checkpoints: the high watermark, as an absolute size.
+/// A transaction logs about 3 KB, so one falls due every ~40 of the 640.
+const CKPT_EVERY_BYTES: f64 = 128.0 * 1024.0;
+/// The log itself is far larger: with maintenance inline, everybody else
+/// keeps appending for the length of a checkpoint.
+const LOG_MB: f64 = 64.0;
 fn workload(smoke: bool) -> ScaleWorkload {
     ScaleWorkload {
         clients: CLIENTS,
@@ -65,8 +63,8 @@ fn workload(smoke: bool) -> ScaleWorkload {
     }
 }
 
-/// Device time per data-page write: what the quiesced checkpoint
-/// serializes every client behind, `dirty pages x this` per checkpoint.
+/// Device time per data-page write: a checkpoint's drain costs `dirty
+/// pages x this`, and inline that is the committing client's time.
 fn data_write_latency(smoke: bool) -> Duration {
     if smoke {
         Duration::from_micros(5)
@@ -75,14 +73,15 @@ fn data_write_latency(smoke: bool) -> Duration {
     }
 }
 
-fn server_cfg(w: &ScaleWorkload, fuzzy: bool) -> ServerConfig {
+fn server_cfg(w: &ScaleWorkload) -> ServerConfig {
     let flavor = SystemConfig::by_name("PD-ESM").expect("shared scheme list").flavor;
-    ServerConfig::new(flavor)
+    let mut cfg = ServerConfig::new(flavor)
         .with_pool_mb(8.0)
         .with_volume_pages((w.clients * w.pages_per_client * 2).max(1024))
-        .with_log_mb(64.0)
-        .with_pool_shards(SHARDS)
-        .with_background_flusher(fuzzy)
+        .with_log_mb(LOG_MB)
+        .with_pool_shards(SHARDS);
+    cfg.log_high_watermark = CKPT_EVERY_BYTES / (LOG_MB * 1024.0 * 1024.0);
+    cfg
 }
 
 struct ModeResult {
@@ -92,15 +91,13 @@ struct ModeResult {
     commit_p99_ns: u64,
     commit_max_ns: u64,
     checkpoints: u64,
-    ckpt_mean_ns: u64,
-    ckpt_max_ns: u64,
-    flusher_batches: u64,
-    flusher_pages: u64,
+    drain_batches: u64,
+    drain_pages: u64,
 }
 
 impl ModeResult {
     fn pages_per_batch(&self) -> f64 {
-        self.flusher_pages as f64 / self.flusher_batches.max(1) as f64
+        self.drain_pages as f64 / self.drain_batches.max(1) as f64
     }
 }
 
@@ -111,48 +108,32 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[((sorted.len() - 1) as f64 * q) as usize]
 }
 
-/// One full mode: drive the workload with a checkpoint loop in flight,
-/// then crash, restart under the plain knob-off config, and re-assert
-/// every committed value survived.
-fn run_mode(w: &ScaleWorkload, fuzzy: bool, smoke: bool, name: &str) -> ModeResult {
+/// One full mode: drive the workload while the log keeps crossing the
+/// watermark, then crash, restart, and re-assert every committed value
+/// survived.
+fn run_mode(w: &ScaleWorkload, flusher: bool, smoke: bool, name: &str) -> ModeResult {
     let tracer = Tracer::flight(Meter::new(), HardwareModel::paper_1995(), 256);
     let (server, sets) =
-        build_ckpt_server(server_cfg(w, fuzzy), w, data_write_latency(smoke), Arc::clone(&tracer));
-
-    let stop = AtomicBool::new(false);
-    let mut ckpt_durs_ns: Vec<u64> = Vec::new();
-    let mut lats: Vec<u64> = Vec::new();
-    std::thread::scope(|s| {
-        let ckpt = s.spawn(|| {
-            let mut durs = Vec::new();
-            while !stop.load(Ordering::Relaxed) {
-                let t0 = Instant::now();
-                server.checkpoint().expect("checkpoint in flight");
-                durs.push(t0.elapsed().as_nanos() as u64);
-                std::thread::sleep(CKPT_GAP);
-            }
-            durs
-        });
-        lats = drive_threads_commit_latency(&server, &sets, w.txns_per_client);
-        stop.store(true, Ordering::Relaxed);
-        ckpt_durs_ns = ckpt.join().expect("checkpoint thread");
-    });
+        build_ckpt_server(server_cfg(w), w, data_write_latency(smoke), Arc::clone(&tracer));
+    if flusher {
+        server.start_flusher();
+    }
+    let mut lats = drive_threads_commit_latency(&server, &sets, w.txns_per_client);
+    // Lets a queued pass finish; a no-op for the inline row.
+    server.stop_flusher();
     assert_workload_applied(&server, &sets, w.txns_per_client);
-    let (flusher_batches, flusher_pages) = server.flusher_stats();
+    let checkpoints = server.checkpoints_taken();
+    assert!(checkpoints > 0, "{name}: the log never crossed its watermark");
+    let (drain_batches, drain_pages) = server.drain_stats();
 
-    // Crash and recover under the plain config: the media a fuzzy
-    // checkpoint leaves behind must restart exactly like the quiesced
-    // media — every committed value back, no stragglers.
     let parts = Arc::try_unwrap(server).ok().expect("sole owner").crash();
-    let restarted = Server::restart(parts, server_cfg(w, false), Meter::new())
+    let restarted = Server::restart(parts, server_cfg(w), Meter::new())
         .expect("restart after checkpointed run");
     assert_eq!(restarted.active_txns(), 0, "{name}: transactions leaked through restart");
     assert_workload_applied(&restarted, &sets, w.txns_per_client);
     drop(restarted.crash());
 
     lats.sort_unstable();
-    let checkpoints = ckpt_durs_ns.len() as u64;
-    let ckpt_mean_ns = ckpt_durs_ns.iter().sum::<u64>() / checkpoints.max(1);
     ModeResult {
         name: name.into(),
         txns: w.total_txns() as u64,
@@ -160,15 +141,13 @@ fn run_mode(w: &ScaleWorkload, fuzzy: bool, smoke: bool, name: &str) -> ModeResu
         commit_p99_ns: percentile(&lats, 0.99),
         commit_max_ns: lats.last().copied().unwrap_or(0),
         checkpoints,
-        ckpt_mean_ns,
-        ckpt_max_ns: ckpt_durs_ns.iter().max().copied().unwrap_or(0),
-        flusher_batches,
-        flusher_pages,
+        drain_batches,
+        drain_pages,
     }
 }
 
 fn expected_names() -> Vec<String> {
-    vec!["ckpt/quiesced".into(), "ckpt/concurrent".into()]
+    vec!["ckpt/inline".into(), "ckpt/flusher".into()]
 }
 
 fn render_json(results: &[ModeResult], ratio: f64, smoke: bool) -> String {
@@ -189,10 +168,8 @@ fn render_json(results: &[ModeResult], ratio: f64, smoke: bool) -> String {
             .field_u64("commit_p99_ns", r.commit_p99_ns)
             .field_u64("commit_max_ns", r.commit_max_ns)
             .field_u64("checkpoints", r.checkpoints)
-            .field_u64("ckpt_mean_ns", r.ckpt_mean_ns)
-            .field_u64("ckpt_max_ns", r.ckpt_max_ns)
-            .field_u64("flusher_batches", r.flusher_batches)
-            .field_u64("flusher_pages", r.flusher_pages)
+            .field_u64("drain_batches", r.drain_batches)
+            .field_u64("drain_pages", r.drain_pages)
             .field_f64("pages_per_batch", r.pages_per_batch())
             .end_object();
     }
@@ -215,28 +192,18 @@ fn validate(path: &str) -> Result<(), String> {
         .nth(1)
         .and_then(|rest| rest.split([',', '}']).next()?.trim().parse::<f64>().ok())
         .ok_or_else(|| format!("{path}: no parseable p99_ratio field"))?;
-    if text.contains("\"smoke\":true") {
-        println!("{path}: smoke file, skipping the p99_ratio bar (measured {ratio:.2}x)");
-        return Ok(());
-    }
-    if ratio < MIN_RATIO {
-        return Err(format!(
-            "{path}: p99_ratio {ratio:.2} below the acceptance bar {MIN_RATIO:.1}"
-        ));
-    }
+    println!("{path}: inline p99 / flusher p99 = {ratio:.2}x");
     Ok(())
 }
 
 fn print_row(r: &ModeResult) {
     println!(
-        "{:<16} commit p50 {:>8.1?} p99 {:>8.1?} max {:>8.1?}  | {:>4} ckpts, mean {:>8.1?} max {:>8.1?}  | {:.1} pages/batch",
+        "{:<16} commit p50 {:>8.1?} p99 {:>8.1?} max {:>8.1?}  | {:>4} ckpts, {:.1} pages/batch",
         r.name,
         Duration::from_nanos(r.commit_p50_ns),
         Duration::from_nanos(r.commit_p99_ns),
         Duration::from_nanos(r.commit_max_ns),
         r.checkpoints,
-        Duration::from_nanos(r.ckpt_mean_ns),
-        Duration::from_nanos(r.ckpt_max_ns),
         r.pages_per_batch(),
     );
 }
@@ -262,7 +229,7 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let w = workload(smoke);
     println!(
-        "qs-ckpt: commit tail latency with a checkpoint in flight (build: {}{})",
+        "qs-ckpt: commit tail latency, maintenance inline vs on the flusher (build: {}{})",
         if cfg!(debug_assertions) { "DEBUG — use --release for real numbers" } else { "release" },
         if smoke { ", SMOKE — numbers not meaningful" } else { "" }
     );
@@ -275,18 +242,15 @@ fn main() {
         data_write_latency(smoke)
     );
 
-    let quiesced = run_mode(&w, false, smoke, "ckpt/quiesced");
-    print_row(&quiesced);
-    let concurrent = run_mode(&w, true, smoke, "ckpt/concurrent");
-    print_row(&concurrent);
+    let inline = run_mode(&w, false, smoke, "ckpt/inline");
+    print_row(&inline);
+    let flusher = run_mode(&w, true, smoke, "ckpt/flusher");
+    print_row(&flusher);
 
-    let ratio = quiesced.commit_p99_ns as f64 / concurrent.commit_p99_ns.max(1) as f64;
-    println!("   quiesced p99 / concurrent p99: {ratio:.2}x (bar: >= {MIN_RATIO:.1}x)");
-    if !smoke && ratio < MIN_RATIO {
-        eprintln!("WARNING: below the acceptance bar — rerun with --release on a quiet host");
-    }
+    let ratio = inline.commit_p99_ns as f64 / flusher.commit_p99_ns.max(1) as f64;
+    println!("   inline p99 / flusher p99: {ratio:.2}x");
 
-    let json = render_json(&[quiesced, concurrent], ratio, smoke);
+    let json = render_json(&[inline, flusher], ratio, smoke);
     std::fs::write("BENCH_ckpt.json", &json).expect("write BENCH_ckpt.json");
     println!("wrote BENCH_ckpt.json (2 results)");
 }

@@ -27,12 +27,12 @@
 //!                      assert it covers every client count × mode;
 //!                      exits non-zero on malformed or incomplete files
 //!   --ckpt-interval-ms <n>
-//!                      maintenance-on sweep: turn the background-flusher
-//!                      knob on and take a fuzzy checkpoint every n ms
-//!                      for the duration of every timed run, so the tail
+//!                      maintenance-on sweep: start the flusher thread
+//!                      and queue a checkpoint to it every n ms for the
+//!                      duration of every timed run, so the tail
 //!                      latencies include checkpoints in flight. The JSON
-//!                      schema is unchanged; without the flag the sweep
-//!                      is byte-for-byte the default (knob-off) one
+//!                      schema is unchanged; without the flag no flusher
+//!                      runs and nothing checkpoints below the watermark
 
 use qs_bench::driver::{
     assert_workload_applied, build_scale_server, drive_reactor, drive_threads, ScaleWorkload,
@@ -110,27 +110,31 @@ fn lock_wait_p99(tracer: &Tracer) -> u64 {
 }
 
 /// Run `f` with a checkpoint loop in flight when a `--ckpt-interval-ms`
-/// interval is set: a control thread takes a (fuzzy — the knob is on
-/// whenever an interval is) checkpoint every `interval` until `f`
-/// returns. `None` runs `f` alone, unchanged.
+/// interval is set: the flusher thread is started and a control thread
+/// queues a checkpoint to it every `interval` until `f` returns, then the
+/// flusher is stopped (its last pass finishes first). `None` runs `f`
+/// alone, unchanged.
 fn with_checkpointer<T>(
     server: &Arc<qs_esm::Server>,
     interval: Option<Duration>,
     f: impl FnOnce() -> T,
 ) -> T {
     let Some(interval) = interval else { return f() };
+    server.start_flusher();
     let stop = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|s| {
+    let out = std::thread::scope(|s| {
         s.spawn(|| {
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                server.checkpoint().expect("checkpoint in flight");
+                server.request_checkpoint();
                 std::thread::sleep(interval);
             }
         });
         let out = f();
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         out
-    })
+    });
+    server.stop_flusher();
+    out
 }
 
 /// One thread-per-connection row.
@@ -141,8 +145,7 @@ fn run_threads(
     ckpt: Option<Duration>,
 ) -> ModeResult {
     let tracer = bench_tracer();
-    let cfg = server_cfg(w, group_commit).with_background_flusher(ckpt.is_some());
-    let (server, sets) = build_scale_server(cfg, w, Arc::clone(&tracer));
+    let (server, sets) = build_scale_server(server_cfg(w, group_commit), w, Arc::clone(&tracer));
     let wall =
         with_checkpointer(&server, ckpt, || drive_threads(&server, &sets, w.txns_per_client));
     assert_workload_applied(&server, &sets, w.txns_per_client);
@@ -167,13 +170,12 @@ fn run_threads(
 /// One event-driven-runtime row.
 fn run_reactor(w: &ScaleWorkload, name: String, ckpt: Option<Duration>) -> ModeResult {
     let tracer = bench_tracer();
-    let cfg =
-        server_cfg(w, false).with_background_flusher(ckpt.is_some()).with_runtime(RuntimeConfig {
-            workers: REACTOR_WORKERS,
-            inflight_budget: INFLIGHT_BUDGET,
-            queue_depth_max: 4096,
-            mailbox_depth: 16,
-        });
+    let cfg = server_cfg(w, false).with_runtime(RuntimeConfig {
+        workers: REACTOR_WORKERS,
+        inflight_budget: INFLIGHT_BUDGET,
+        queue_depth_max: 4096,
+        mailbox_depth: 16,
+    });
     let (server, sets) = build_scale_server(cfg, w, Arc::clone(&tracer));
     let reactor = Reactor::start(&server);
     let wall = with_checkpointer(&server, ckpt, || {
@@ -181,9 +183,6 @@ fn run_reactor(w: &ScaleWorkload, name: String, ckpt: Option<Duration>) -> ModeR
     });
     let stats = reactor.stats();
     reactor.stop();
-    if ckpt.is_some() {
-        server.stop_flusher();
-    }
     assert_workload_applied(&server, &sets, w.txns_per_client);
     assert_eq!(
         stats.commit_calls,

@@ -80,9 +80,9 @@ pub fn build_scale_server(
 }
 
 /// [`build_scale_server`], except the *data* disk also charges
-/// `data_write_latency` per page write — the device time a quiesced
-/// checkpoint serializes all clients behind, and the thing the
-/// background flusher's elevator drain overlaps with commits.
+/// `data_write_latency` per page write — the device time of a checkpoint's
+/// drain, which the committing client pays when maintenance runs inline
+/// and the flusher thread overlaps with commits when it is started.
 pub fn build_ckpt_server(
     cfg: ServerConfig,
     w: &ScaleWorkload,
@@ -170,8 +170,8 @@ pub fn drive_threads(
 
 /// Thread-per-client driver that times every `commit()` call. Same
 /// protocol as [`drive_threads`], but each client records how long its
-/// commit waited — the latency a checkpoint in flight inflates when it
-/// quiesces the server, and must not when it runs concurrently. Returns
+/// commit waited — the latency a checkpoint inflates when it rides on the
+/// committing client, and must not when the flusher thread runs it. Returns
 /// all commit latencies in nanoseconds, unordered.
 pub fn drive_threads_commit_latency(
     server: &Arc<Server>,

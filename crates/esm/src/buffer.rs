@@ -92,6 +92,10 @@ impl LruList {
 struct Frame {
     page: Page,
     dirty: bool,
+    /// Bumped every time the page is marked dirty or replaced: what tells
+    /// a flush that snapshotted the page whether it changed since (its
+    /// pageLSN cannot — a deferred op applied out of log order leaves it).
+    version: u64,
     pins: u32,
     lru_idx: usize,
 }
@@ -124,6 +128,7 @@ impl<'a> PoolSlot<'a> {
     pub fn update(self) -> &'a mut Page {
         self.frame.lru_idx = self.lru.touch(self.frame.lru_idx);
         self.frame.dirty = true;
+        self.frame.version += 1;
         &mut self.frame.page
     }
 }
@@ -202,10 +207,17 @@ impl BufferPool {
         self.frames.get(&pid).map(|f| f.dirty).unwrap_or(false)
     }
 
+    /// The caller changed the page (under the same hold of the pool).
     pub fn mark_dirty(&mut self, pid: PageId) {
         if let Some(f) = self.frames.get_mut(&pid) {
             f.dirty = true;
+            f.version += 1;
         }
+    }
+
+    /// How many times a cached page has been marked dirty or replaced.
+    pub fn version(&self, pid: PageId) -> Option<u64> {
+        self.frames.get(&pid).map(|f| f.version)
     }
 
     pub fn clear_dirty(&mut self, pid: PageId) {
@@ -234,13 +246,14 @@ impl BufferPool {
         if let Some(f) = self.frames.get_mut(&pid) {
             f.page = page;
             f.dirty = f.dirty || dirty;
+            f.version += 1;
             f.lru_idx = self.lru.touch(f.lru_idx);
             return Ok(None);
         }
         let evicted =
             if self.frames.len() >= self.capacity { Some(self.evict_lru()?) } else { None };
         let lru_idx = self.lru.push_front(pid);
-        self.frames.insert(pid, Frame { page, dirty, pins: 0, lru_idx });
+        self.frames.insert(pid, Frame { page, dirty, version: 0, pins: 0, lru_idx });
         Ok(evicted)
     }
 

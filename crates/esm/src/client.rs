@@ -602,7 +602,6 @@ mod tests {
             group_commit: false,
             restart: crate::server::RestartConfig::default(),
             runtime: crate::runtime::RuntimeConfig::default(),
-            flusher: crate::flusher::FlusherConfig::default(),
         };
         let meter = Meter::new();
         let server = Arc::new(Server::format(cfg, Arc::clone(&meter)).unwrap());
@@ -681,7 +680,6 @@ mod tests {
             group_commit: false,
             restart: crate::server::RestartConfig::default(),
             runtime: crate::runtime::RuntimeConfig::default(),
-            flusher: crate::flusher::FlusherConfig::default(),
         };
         let s2 = Server::restart(server, cfg, Meter::new()).unwrap();
         let page = s2.read_page_for_test(pid).unwrap();

@@ -1,47 +1,25 @@
-//! The background flusher: non-quiescent checkpoint drains.
+//! The background flusher: a thread that runs maintenance passes so that
+//! no committing client does.
 //!
-//! When [`FlusherConfig::enabled`] is on, maintenance no longer runs
-//! inline on whichever client's commit crossed the log high watermark.
-//! Instead a dedicated thread owns the drain: [`crate::server::Server`]'s
-//! two-phase fuzzy checkpoint claims batches of dirty pages shard by
-//! shard (pinning them under only that shard's lock), snapshots them into
-//! pooled page buffers, releases the lock, forces the log through the
-//! batch's highest pageLSN (WAL), and writes the images to the data disk
-//! in ascending page-id order through [`crate::gate::VolumeGate::write_sorted`]
-//! — one elevator sweep per batch. Foreground commits only ever contend
-//! for one shard lock for the duration of a claim, never for a
-//! stop-the-world flush.
+//! Once [`crate::server::Server::start_flusher`] has been called, a commit
+//! (or the reactor's committer) that finds the log past its high watermark
+//! only queues a wakeup here; the pass itself — a checkpoint, or WPL
+//! reclaim — runs on this thread. The checkpoint it runs is the same one
+//! an inline caller runs (`server/maint.rs`): its drain claims batches of
+//! dirty pages shard by shard (pinning them under only that shard's lock),
+//! copies them, releases the lock and writes the images to the data disk
+//! in ascending page-id order through
+//! [`crate::gate::VolumeGate::write_sorted`] — one elevator sweep per
+//! batch. Foreground commits only ever contend for one shard lock for the
+//! duration of a claim.
 //!
-//! The default is off: every committed figure is produced by the original
-//! quiesced sharp/fuzzy checkpoint paths, byte-identical.
+//! Nothing starts the thread by default: the committed figures are
+//! single-client runs whose maintenance rides on the committing client.
 
 use crate::server::Server;
-use qs_storage::Page;
-use qs_types::sync::Mutex;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
-
-/// Background-flusher knobs, carried in `ServerConfig`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlusherConfig {
-    /// Run maintenance on the background flusher thread and take fuzzy
-    /// begin/end checkpoints instead of quiesced sharp ones. Off by
-    /// default: the committed figures are single-client runs of the
-    /// quiesced path and must stay byte-identical.
-    pub enabled: bool,
-    /// Pages claimed (and pinned) per shard-lock acquisition. Small
-    /// batches bound how long a claim holds a shard lock against
-    /// foreground traffic; large batches amortize the log force and the
-    /// elevator sweep.
-    pub batch_pages: usize,
-}
-
-impl Default for FlusherConfig {
-    fn default() -> FlusherConfig {
-        FlusherConfig { enabled: false, batch_pages: 64 }
-    }
-}
 
 /// Wakeup messages for the flusher thread.
 pub(crate) enum FlusherMsg {
@@ -83,41 +61,5 @@ fn flusher_loop(server: Weak<Server>, rx: Receiver<FlusherMsg>) {
     while let Ok(FlusherMsg::Maintain) = rx.recv() {
         let Some(server) = server.upgrade() else { break };
         server.flusher_tick();
-    }
-}
-
-/// A free list of page buffers for claim snapshots, reused across batches
-/// so a steady-state drain allocates nothing per page (the esm crate's
-/// stand-in for the client-side BlockCopy pool, which lives upstream in
-/// qs-core and cannot be depended on from here).
-pub(crate) struct SnapshotPool {
-    free: Mutex<Vec<Page>>,
-}
-
-/// Buffers kept across batches. Claims larger than this still work; the
-/// excess buffers are dropped on recycle instead of pooled.
-const POOL_CAP: usize = 256;
-
-impl SnapshotPool {
-    pub(crate) fn new() -> SnapshotPool {
-        SnapshotPool { free: Mutex::new(Vec::new()) }
-    }
-
-    /// Copy `src` into a pooled buffer.
-    pub(crate) fn snapshot(&self, src: &Page) -> Page {
-        let mut p = self.free.lock().pop().unwrap_or_default();
-        p.bytes_mut().copy_from_slice(src.bytes());
-        p
-    }
-
-    /// Return a batch's buffers to the free list.
-    pub(crate) fn recycle(&self, pages: impl IntoIterator<Item = Page>) {
-        let mut free = self.free.lock();
-        for p in pages {
-            if free.len() >= POOL_CAP {
-                break;
-            }
-            free.push(p);
-        }
     }
 }

@@ -33,7 +33,8 @@
 
 pub mod buffer;
 pub mod client;
-pub mod flusher;
+mod dpt;
+mod flusher;
 pub mod gate;
 pub mod lock;
 pub mod net;
@@ -48,7 +49,6 @@ pub mod wpl;
 
 pub use buffer::{BufferPool, Evicted, PoolSlot};
 pub use client::ClientConn;
-pub use flusher::FlusherConfig;
 pub use gate::VolumeGate;
 pub use lock::{AsyncLockOutcome, LockEvents, LockManager, LockMode, Resource};
 pub use protocol::{FlavorFacts, Protocol, RecoveryFlavor};

@@ -70,10 +70,13 @@ pub(crate) struct Holds {
     /// Steal + WAL + CLR undo: the report carries an undo phase.
     pub(crate) physical: bool,
     /// No-steal deferred apply: committed work may precede the checkpoint
-    /// (fuzzy checkpoints do not list it), so analysis scans the whole
-    /// retained log — the truncation rule `keep = min(checkpoint, min
-    /// active first-LSN, min DPT recLSN)` guarantees it covers everything
-    /// unapplied — instead of starting at the checkpoint anchor.
+    /// (a checkpoint body does not list a transaction whose commit record
+    /// is below it), so analysis scans the whole retained log instead of
+    /// starting at the checkpoint anchor. The truncation rule `keep =
+    /// min(checkpoint, min first-LSN of every transaction still in the
+    /// table, min DPT recLSN)` is what guarantees that covers everything
+    /// unapplied: a committed transaction stays in the table until its
+    /// deferred ops are in the pool and its pages in the DPT.
     pub(crate) logical: bool,
 }
 

@@ -225,10 +225,10 @@ impl Analysis {
     /// Move the anchor of a physical-only log up to its checkpoint, if it
     /// has one: everything older is on disk or listed in the checkpoint's
     /// body, whose transactions enter the ATT here and whose dirty pages
-    /// are returned as the DPT's seed. The anchor is a sharp `Checkpoint`
-    /// or the `BeginCheckpoint` of a completed fuzzy pair — the header
-    /// only advances once the matching end record is durable, so an
-    /// orphaned begin is never the anchor.
+    /// are returned as the DPT's seed. The anchor is the `Checkpoint`
+    /// record the log header names: the header only advances once the
+    /// record is durable, so a checkpoint the crash interrupted before
+    /// that is never the anchor — it is one more record of the scan.
     fn seed_from_anchor(&mut self, log: &LogManager) -> QsResult<HashMap<PageId, Lsn>> {
         let ck = log.checkpoint_lsn();
         if ck.is_null() {
@@ -237,9 +237,10 @@ impl Analysis {
         let body = record::frame_checkpoint_body(&log.read_frame(ck)?)?;
         self.att.extend(body.active_txns);
         self.scan_from = ck;
-        // A body is snapshotted before its record is appended, so a listed
-        // recLSN never exceeds the anchor; holding it to that is what lets
-        // the single scan treat a listed page's recLSN as final.
+        // A body is snapshotted before its record is appended, under the
+        // lock appends take, so a listed recLSN never exceeds the anchor;
+        // holding it to that is what lets the single scan treat a listed
+        // page's recLSN as final.
         Ok(body.dirty_pages.into_iter().map(|(page, rec_lsn)| (page, rec_lsn.min(ck))).collect())
     }
 
@@ -254,10 +255,11 @@ impl Analysis {
     }
 
     /// Where a redo pass starts: the DPT's earliest recLSN, or `None` if
-    /// no page is dirty. A fuzzy begin-checkpoint body can carry recLSNs
-    /// that predate the truncated log start (their pages were flushed by
-    /// the drain, which is what allowed truncation); those updates are on
-    /// disk and the pageLSN test would skip them anyway, so clamp.
+    /// no page is dirty. A checkpoint body can carry a recLSN that predates
+    /// the truncated log start: the page was stolen and written home
+    /// between the body's snapshot and the truncation that followed it,
+    /// which is what allowed truncating past it. Those updates are on disk
+    /// and the pageLSN test would skip them anyway, so clamp.
     fn redo_from(&self, log: &LogManager) -> Option<Lsn> {
         self.dpt.values().min().map(|&rec_lsn| rec_lsn.max(log.start_lsn()))
     }
@@ -305,7 +307,7 @@ impl Analysis {
         }
         record::frame_verify(bytes)?;
         match record::frame_tag(bytes)? {
-            tag::CHECKPOINT | tag::BEGIN_CHECKPOINT => {
+            tag::CHECKPOINT => {
                 let body = record::frame_checkpoint_body(bytes)?;
                 self.max_alloc = self.max_alloc.max(body.allocated_pages);
                 return Ok(Route::Nowhere);
@@ -794,7 +796,7 @@ fn install(
                 ph.data_writes += 1;
             }
         }
-        view.dpt.insert(pid, redo_from);
+        view.dpt.dirtied(pid, redo_from);
     }
     Ok(())
 }
@@ -947,12 +949,14 @@ struct ImageCandidate {
 
 /// WPL restart (§3.4.3): rebuild the WPL table from one forward streamed
 /// pass over `[checkpoint, durable)`. The router collects the
-/// committed-transactions list and the oldest in-range checkpoint body;
-/// workers report image candidates; the merge keeps the newest committed
-/// image per page — a transaction's commit record always follows its page
-/// images, so the list is complete by merge time — and checksums only
-/// those winners. The phase names keep the paper's backward-scan
-/// vocabulary, which the report and `results/` are keyed on.
+/// committed-transactions list and the body of the checkpoint the log
+/// header names (the scan's first record); workers report image
+/// candidates; the merge keeps the newest committed image per page — a
+/// transaction's commit record always follows its page images, so the
+/// list is complete by merge time — checksums only those winners, and
+/// fills in from the body the pages the scan saw no committed image of.
+/// The phase names keep the paper's backward-scan vocabulary, which the
+/// report and `results/` are keyed on.
 fn wpl_restart(server: &Server, wall: &mut RestartWall) -> QsResult<Vec<PhaseStat>> {
     let mut scan = phase("backward_scan");
     let mut rebuild = phase("table_rebuild");
@@ -965,11 +969,11 @@ fn wpl_restart(server: &Server, wall: &mut RestartWall) -> QsResult<Vec<PhaseSta
 
         let mut ctl: HashSet<TxnId> = HashSet::new();
         let mut max_txn = TxnId::INVALID;
-        // The restart anchor is the *oldest* in-range checkpoint; an
-        // orphaned begin (crash before its end record) sits later and is
-        // ignored.
+        // The restart anchor is the checkpoint the header names, the first
+        // record of the scan; one the crash interrupted before the header
+        // named it sits later and is ignored.
         let mut anchor: Option<CheckpointBody> = None;
-        let route = |_, bytes: &[u8]| {
+        let route = |lsn, bytes: &[u8]| {
             scan.records += 1;
             let t = record::frame_tag(bytes)?;
             if t == tag::WHOLE_PAGE {
@@ -980,7 +984,7 @@ fn wpl_restart(server: &Server, wall: &mut RestartWall) -> QsResult<Vec<PhaseSta
             note_txn(&mut max_txn, txn);
             if t == tag::COMMIT {
                 ctl.insert(txn);
-            } else if (t == tag::CHECKPOINT || t == tag::BEGIN_CHECKPOINT) && anchor.is_none() {
+            } else if t == tag::CHECKPOINT && lsn == ck {
                 anchor = Some(record::frame_checkpoint_body(bytes)?);
             }
             Ok(Route::Nowhere)
@@ -1031,7 +1035,11 @@ fn wpl_restart(server: &Server, wall: &mut RestartWall) -> QsResult<Vec<PhaseSta
         }
         if let Some(body) = anchor {
             for e in &body.wpl_entries {
-                if (e.committed || ctl.contains(&e.txn)) && claimed.insert(e.page) {
+                // A scanned image is newer than any listed one; among the
+                // listed versions of a page `insert_restored` keeps the
+                // newest (a committed one can sit under the image of a
+                // transaction that committed after the checkpoint).
+                if (e.committed || ctl.contains(&e.txn)) && !claimed.contains(&e.page) {
                     view.wpl.insert_restored(e.page, e.lsn, e.txn);
                 }
                 rebuild.records += 1;
@@ -1152,11 +1160,9 @@ mod tests {
         LogRecord::Abort { txn: TxnId(txn), prev: Lsn::NULL }
     }
 
-    /// Append a complete fuzzy checkpoint carrying `body` and make it the
-    /// restart anchor.
+    /// Append a checkpoint carrying `body` and make it the restart anchor.
     fn checkpoint(log: &LogManager, body: CheckpointBody) -> Lsn {
-        let ck = log.append(&LogRecord::BeginCheckpoint { body }).unwrap();
-        log.append(&LogRecord::EndCheckpoint { begin: ck }).unwrap();
+        let ck = log.append(&LogRecord::Checkpoint { body }).unwrap();
         log.set_checkpoint(ck).unwrap();
         ck
     }
@@ -1238,9 +1244,7 @@ mod tests {
         let ck = log.checkpoint_lsn();
         let mut from = log.start_lsn();
         if !(holds.logical || ck.is_null()) {
-            let (LogRecord::Checkpoint { body } | LogRecord::BeginCheckpoint { body }) =
-                log.read_record(ck).unwrap().0
-            else {
+            let LogRecord::Checkpoint { body } = log.read_record(ck).unwrap().0 else {
                 panic!("anchor is not a checkpoint");
             };
             l.att.extend(body.active_txns);
@@ -1250,7 +1254,7 @@ mod tests {
         for item in log.scan_forward(from) {
             let (lsn, rec) = item.unwrap();
             l.records += 1;
-            if let LogRecord::Checkpoint { body } | LogRecord::BeginCheckpoint { body } = &rec {
+            if let LogRecord::Checkpoint { body } = &rec {
                 l.max_alloc = l.max_alloc.max(body.allocated_pages);
                 continue;
             }
@@ -1440,7 +1444,7 @@ mod tests {
         log.append(&commit(2)).unwrap();
         let l = assert_matches_reference(&log, &volume, PHYSICAL, 1, "empty DPT");
         assert!(l.dpt.is_empty() && l.pages.is_empty() && l.att.is_empty());
-        assert_eq!((l.records, l.redo, l.max_alloc), (3, (0, 0), 9));
+        assert_eq!((l.records, l.redo, l.max_alloc), (2, (0, 0), 9));
 
         // No checkpoint at all: the anchor is the log start.
         let (log, volume) = (fresh_log(), fresh_volume());

@@ -482,7 +482,7 @@ fn committer_loop(shared: Arc<Shared>, rx: Receiver<CommitJob>) {
                 }
                 // Maintenance is the committer's job now, once per batch —
                 // never billed to (or blocking) a victim client's commit.
-                // With the flusher enabled this only enqueues a wakeup.
+                // With the flusher thread started this only enqueues a wakeup.
                 shared.server.background_maintenance(shared.server.maybe_maintain());
             }
             Err(e) => {
@@ -558,9 +558,6 @@ impl Reactor {
             stats: Counters::default(),
         });
         server.locks().set_events(Some(Arc::new(GrantHook { shared: Arc::downgrade(&shared) })));
-        // No-op unless `cfg.flusher.enabled`: maintenance then runs on the
-        // background flusher thread instead of inline in the committer.
-        server.start_flusher();
         let mut threads = Vec::with_capacity(cfg.workers + 1);
         for (i, rx) in rxs.into_iter().enumerate() {
             let sh = Arc::clone(&shared);

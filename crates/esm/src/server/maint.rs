@@ -1,93 +1,123 @@
 //! Maintenance: the log-watermark trigger, the flusher hooks, and the
-//! checkpoint — quiesced (flusher knob off, the default) or two-phase
-//! fuzzy. Which pages a checkpoint writes home is the flavor's
-//! [`CheckpointRule`]; the record body and the truncation bound are one
-//! rule for every flavor, because a table a flavor does not use is empty.
+//! checkpoint. There is one checkpoint procedure ([`Server::checkpoint`]):
+//! drain incrementally, then write one record. Which pages the drain
+//! writes home is the flavor's [`CheckpointRule`]; the record body and the
+//! truncation bound are one rule for every flavor, because a table a
+//! flavor does not use is empty. Nothing here stops the server: the drain
+//! holds one pool-shard lock at a time, the record is taken under the
+//! txn-table lock alone (DESIGN.md §6b "The checkpoint").
 
 use super::Server;
+use crate::dpt::DirtyPages;
 use crate::flusher::{FlusherHandle, FlusherMsg};
 use crate::protocol::CheckpointRule;
-use crate::txn::TxnTable;
+use crate::txn::{TxnStatus, TxnTable};
 use crate::wpl::WplTable;
 use qs_storage::Page;
-use qs_trace::TraceCat;
+use qs_trace::{TraceCat, TracedGuard};
 use qs_types::{Lsn, PageId, QsResult, TxnId};
 use qs_wal::CheckpointBody;
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// A checkpoint record's body. Every table is a hash map: the snapshots
-/// are sorted so the encoded record is deterministic.
+/// Pages the drain claims (snapshots and pins) per shard-lock acquisition.
+/// Small batches bound how long a claim holds a shard lock against
+/// foreground traffic; large ones amortize the elevator sweep.
+const DRAIN_BATCH_PAGES: usize = 64;
+
+/// A drain batch between claim and confirm: its shard, the snapshots,
+/// pid-sorted, and the version each page's frame had when snapshotted.
+pub(super) struct Claimed {
+    shard: usize,
+    images: Vec<(PageId, Page)>,
+    versions: Vec<u64>,
+}
+
+/// A checkpoint record's body. The transaction table is a hash map, so
+/// its snapshot is sorted like the dirty-page table's: the encoded record
+/// is deterministic.
 fn checkpoint_body(
     txns: &TxnTable,
-    dpt: &HashMap<PageId, Lsn>,
+    dpt: &DirtyPages,
     wpl: &WplTable,
     allocated: usize,
 ) -> CheckpointBody {
     let mut active_txns: Vec<(TxnId, Lsn)> = txns.active().map(|t| (t.id, t.last_lsn)).collect();
     active_txns.sort_unstable_by_key(|&(t, _)| t.0);
-    let mut dirty_pages: Vec<(PageId, Lsn)> = dpt.iter().map(|(&p, &l)| (p, l)).collect();
-    dirty_pages.sort_unstable_by_key(|&(p, _)| p.0);
+    let mut wpl_entries = wpl.checkpoint_entries();
+    // A transaction between its commit record and `commit_finish` still has
+    // its images marked uncommitted in the WPL table. Its commit record
+    // lies below this one, where WPL restart does not scan: the body is
+    // the only place that can say the images are committed.
+    for e in wpl_entries.iter_mut().filter(|e| !e.committed) {
+        e.committed = txns.get(e.txn).is_ok_and(|t| t.status == TxnStatus::Committed);
+    }
     CheckpointBody {
         active_txns,
-        dirty_pages,
-        wpl_entries: wpl.checkpoint_entries(),
+        dirty_pages: dpt.snapshot(),
+        wpl_entries,
         allocated_pages: allocated as u64,
     }
 }
 
 /// The earliest record still needed at or below `anchor`: the first record
-/// of every active transaction, every recLSN in the DPT, every image the
-/// WPL table references.
-pub(super) fn keep_lsn(
-    anchor: Lsn,
-    txns: &TxnTable,
-    dpt: &HashMap<PageId, Lsn>,
-    wpl: &WplTable,
-) -> Lsn {
-    [txns.min_active_first_lsn(), dpt.values().min().copied(), wpl.min_needed_lsn()]
+/// of every transaction still in the table (a committed no-steal one is
+/// there until its deferred ops are applied), every recLSN in the DPT,
+/// every image the WPL table references.
+pub(super) fn keep_lsn(anchor: Lsn, txns: &TxnTable, dpt: &DirtyPages, wpl: &WplTable) -> Lsn {
+    [txns.min_first_lsn(), dpt.min_rec_lsn(), wpl.min_needed_lsn()]
         .into_iter()
         .flatten()
         .fold(anchor, Lsn::min)
 }
 
 /// The pages `rule` drains, chosen from the DPT, in page-id order.
-fn drain_set(rule: CheckpointRule, dpt: &HashMap<PageId, Lsn>, prev_ck: Lsn) -> Vec<PageId> {
-    let mut pages: Vec<PageId> = match rule {
-        CheckpointRule::None => Vec::new(),
-        CheckpointRule::Sharp => dpt.keys().copied().collect(),
+fn drain_set(rule: CheckpointRule, dpt: &DirtyPages, prev_ck: Lsn) -> Vec<PageId> {
+    let aged_by = match rule {
+        CheckpointRule::None => return Vec::new(),
+        CheckpointRule::Sharp => Lsn(u64::MAX),
         // (Before the first checkpoint no recLSN is ≤ NULL: nothing ages.)
-        CheckpointRule::Aged => {
-            dpt.iter().filter(|&(_, &rec)| rec <= prev_ck).map(|(&p, _)| p).collect()
-        }
+        CheckpointRule::Aged => prev_ck,
     };
-    pages.sort_unstable_by_key(|p| p.0);
-    pages
+    let listed = dpt.snapshot().into_iter();
+    listed.filter(|&(_, rec_lsn)| rec_lsn <= aged_by).map(|(pid, _)| pid).collect()
 }
 
 impl Server {
+    pub(super) fn past_high_watermark(&self) -> bool {
+        let (used, cap) = (self.log.wal().used_bytes(), self.log.wal().body_capacity());
+        used as f64 >= self.cfg.log_high_watermark * cap as f64
+    }
+
     /// Run maintenance if the log is past its high watermark. With the
     /// background flusher running, the pass is queued there (deduplicated)
-    /// and this returns immediately; otherwise it runs inline as before.
+    /// and this returns immediately; otherwise it runs on the caller —
+    /// unless a pass the caller had to wait for has already brought the
+    /// log back under the watermark (nothing stops during a pass, so every
+    /// client that commits meanwhile arrives here too).
     pub fn maybe_maintain(&self) -> QsResult<()> {
-        let (used, cap) = (self.log.wal().used_bytes(), self.log.wal().body_capacity());
-        if (used as f64) < self.cfg.log_high_watermark * cap as f64 {
+        if !self.past_high_watermark() || self.request_checkpoint() {
             return Ok(());
         }
-        if self.request_checkpoint() {
+        let _serial = self.ckpt_serial.lock();
+        if !self.past_high_watermark() {
             return Ok(());
         }
-        self.maintain_now()
+        self.maintain_serialized()
     }
 
     /// Run one maintenance pass (checkpoint or WPL reclaim) on the
     /// calling thread, whatever the log level.
     pub fn maintain_now(&self) -> QsResult<()> {
+        let _serial = self.ckpt_serial.lock();
+        self.maintain_serialized()
+    }
+
+    fn maintain_serialized(&self) -> QsResult<()> {
         if self.page_log() {
             self.wpl_reclaim()
         } else {
-            self.checkpoint()
+            self.checkpoint_serialized()
         }
     }
 
@@ -127,13 +157,11 @@ impl Server {
         self.background_maintenance(self.maintain_now());
     }
 
-    /// Start the background flusher thread (no-op when the config knob is
-    /// off or it is already running). Needs the `Arc` so the thread can
-    /// hold a weak back-pointer that never outlives a crash.
+    /// Start the background flusher thread (no-op when it is already
+    /// running): from here on watermark maintenance is queued to it
+    /// instead of riding on the committing client. Needs the `Arc` so the
+    /// thread can hold a weak back-pointer that never outlives a crash.
     pub fn start_flusher(self: &Arc<Server>) {
-        if !self.cfg.flusher.enabled {
-            return;
-        }
         let mut handle = self.flusher.lock();
         if handle.is_none() {
             *handle = Some(FlusherHandle::spawn(self));
@@ -150,9 +178,9 @@ impl Server {
         }
     }
 
-    /// `(elevator batches, pages)` written by fuzzy-checkpoint drains.
-    pub fn flusher_stats(&self) -> (u64, u64) {
-        (self.flusher_batches.load(Ordering::Relaxed), self.flusher_pages.load(Ordering::Relaxed))
+    /// `(elevator batches, pages)` written by checkpoint drains.
+    pub fn drain_stats(&self) -> (u64, u64) {
+        (self.drain_batches.load(Ordering::Relaxed), self.drain_pages.load(Ordering::Relaxed))
     }
 
     /// [`Server::meter_force`] for maintenance-path forces: bills the same
@@ -174,13 +202,25 @@ impl Server {
         self.meter.maint_data_writes.fetch_add(pages, Ordering::Relaxed);
     }
 
-    /// Take a checkpoint. With the flusher knob off (the default) this is
-    /// the original quiesced protocol: write home what the flavor's
-    /// [`CheckpointRule`] says — everything dirty for a sharp checkpoint,
-    /// so the log can truncate to it — then append the record (§3.4.3:
-    /// under WPL it carries the WPL table). With the knob on it is the
-    /// two-phase fuzzy protocol instead (begin record → incremental drain →
-    /// end record), which never quiesces the server.
+    /// Take a checkpoint, with transactions running or not:
+    ///
+    /// 1. read the flavor's drain set off the DPT (everything listed for a
+    ///    sharp checkpoint, so the log can truncate to it; nothing under
+    ///    `PageLog`, whose write-back is WPL reclaim);
+    /// 2. write those pages home incrementally ([`Server::drain`]);
+    /// 3. holding the txn-table lock — as every path that appends a
+    ///    transaction's record does — snapshot the tables, append one
+    ///    `Checkpoint` record (§3.4.3: under WPL it carries the WPL table)
+    ///    and force it;
+    /// 4. name it in the log header, sync the volume header, advance the
+    ///    log's low-water mark.
+    ///
+    /// The body is the tables at one instant of the log (step 3's lock), so
+    /// a record below the anchor is reflected in it and one above is not;
+    /// the anchor lies after the drain, so restart scans from there. A
+    /// crash before step 4 leaves the header on the previous checkpoint.
+    /// With nobody else running this is the stop-the-world checkpoint it
+    /// replaced, operation for operation.
     pub fn checkpoint(&self) -> QsResult<()> {
         let _serial = self.ckpt_serial.lock();
         self.checkpoint_serialized()
@@ -189,203 +229,166 @@ impl Server {
     /// [`Server::checkpoint`] for callers already holding the
     /// (non-reentrant) serial lock.
     pub(super) fn checkpoint_serialized(&self) -> QsResult<()> {
-        if self.cfg.flusher.enabled {
-            self.checkpoint_fuzzy()
-        } else {
-            self.checkpoint_quiesced()
-        }
-    }
-
-    fn checkpoint_quiesced(&self) -> QsResult<()> {
-        let (flushed, log_used) = self.with_quiesced(|view| -> QsResult<(u64, u64)> {
-            let rule = self.facts.checkpoint;
-            // A sharp checkpoint takes whatever the pool holds dirty; the
-            // aged one picks from the DPT.
-            let drain = match rule {
-                CheckpointRule::Sharp => view.pool.dirty_pages(),
-                rule => drain_set(rule, view.dpt, view.log.checkpoint_lsn()),
-            };
-            // WAL: one force through the highest pageLSN, then write the
-            // still-resident pages home.
-            let max_lsn = drain.iter().filter_map(|p| view.pool.peek(*p)).map(|p| p.lsn()).max();
-            if let Some(l) = max_lsn {
-                let stats = view.log.force(l)?;
-                self.meter_force_maint(stats);
-            }
-            let mut flushed = 0u64;
-            for &pid in &drain {
-                if let Some(page) = view.pool.peek(pid).cloned() {
-                    view.volume.write_page(pid, &page)?;
-                    self.meter_data_write_maint(1);
-                    view.pool.shard(pid).clear_dirty(pid);
-                    flushed += 1;
-                }
-            }
-            if rule == CheckpointRule::Sharp {
-                view.dpt.clear();
-            }
-            for pid in &drain {
-                view.dpt.remove(pid);
-            }
-            let body = checkpoint_body(view.txns, view.dpt, view.wpl, view.volume.allocated());
-            let ck_lsn = view.log.append_with(|w| w.checkpoint(&body))?;
-            let stats = view.log.force(view.log.tail_lsn())?;
-            self.meter_force_maint(stats);
-            view.log.set_checkpoint(ck_lsn)?;
-            view.volume.sync_header()?;
-            view.log.truncate_to(keep_lsn(ck_lsn, view.txns, view.dpt, view.wpl))?;
-            self.checkpoints.fetch_add(1, Ordering::Relaxed);
-            Ok((flushed, view.log.used_bytes() as u64))
-        })?;
-        self.tracer.event(TraceCat::Checkpoint, "taken", flushed, log_used);
+        let (txns, ck_lsn, flushed) = self.log_checkpoint()?;
+        let wal = self.log.wal();
+        wal.set_checkpoint(ck_lsn)?;
+        self.volume.lock(&self.tracer).sync_header()?;
+        let keep = {
+            let wpl = self.wpl.lock(&self.tracer);
+            let dpt = self.dpt.lock(&self.tracer);
+            keep_lsn(ck_lsn, &txns, &dpt, &wpl)
+        };
+        wal.advance_low_water_mark(keep)?;
+        drop(txns);
+        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.tracer.event(TraceCat::Checkpoint, "taken", flushed, wal.used_bytes() as u64);
         Ok(())
     }
 
-    /// The two-phase fuzzy checkpoint (flusher knob on): append a
-    /// begin-checkpoint record carrying the table snapshots, drain the
-    /// claimed dirty set incrementally (never holding more than one shard
-    /// lock), then append an end-checkpoint record and advance the log
-    /// truncation low-water mark. Foreground traffic runs throughout.
-    fn checkpoint_fuzzy(&self) -> QsResult<()> {
-        let (begin, claimed) = self.fuzzy_begin()?;
-        let flushed = self.fuzzy_drain(&claimed)?;
-        self.fuzzy_end(begin, flushed)
-    }
-
-    /// Phase 1: snapshot the transaction / dirty-page / WPL tables, pick
-    /// the claimed set the drain will flush (the same rule as the quiesced
-    /// checkpoint, read off the DPT), and append the begin-checkpoint
-    /// record. The txn-table lock is held across the append (every
-    /// transaction-logging path holds it too), so the body is atomic with
-    /// respect to the log: a record at LSN > begin is not reflected in the
-    /// body, one at LSN < begin is.
-    fn fuzzy_begin(&self) -> QsResult<(Lsn, Vec<PageId>)> {
+    /// Steps 1–3 of [`Server::checkpoint`]: drain, then append and force
+    /// the record. Returns the txn-table guard the record was taken under,
+    /// the record's LSN and the pages the drain wrote.
+    fn log_checkpoint(&self) -> QsResult<(TracedGuard<'_, TxnTable>, Lsn, u64)> {
+        let wal = self.log.wal();
+        let claimed =
+            drain_set(self.facts.checkpoint, &self.dpt.lock(&self.tracer), wal.checkpoint_lsn());
+        let flushed = self.drain(&claimed)?;
         let txns = self.txns.lock(&self.tracer);
-        let wpl = self.wpl.lock(&self.tracer);
-        let dpt = self.dpt.lock(&self.tracer);
-        let claimed = drain_set(self.facts.checkpoint, &dpt, self.log.wal().checkpoint_lsn());
-        let allocated = self.volume.lock(&self.tracer).allocated();
-        let body = checkpoint_body(&txns, &dpt, &wpl, allocated);
-        drop(dpt);
-        drop(wpl);
-        let begin = self.log.wal().append_with(|w| w.begin_checkpoint(&body))?;
-        drop(txns);
-        Ok((begin, claimed))
+        let body = {
+            let wpl = self.wpl.lock(&self.tracer);
+            let dpt = self.dpt.lock(&self.tracer);
+            let allocated = self.volume.lock(&self.tracer).allocated();
+            checkpoint_body(&txns, &dpt, &wpl, allocated)
+        };
+        let ck_lsn = wal.append_with(|w| w.checkpoint(&body))?;
+        // Nobody appends while the txn-table lock is held: this is the tail.
+        let stats = wal.force(ck_lsn)?;
+        self.meter_force_maint(stats);
+        Ok((txns, ck_lsn, flushed))
     }
 
-    /// Phase 2: the incremental drain. Pages are claimed batch-by-batch
-    /// under only their shard's lock: each still-dirty resident page is
-    /// snapshotted into a pooled buffer and *pinned* (so the LRU cannot
-    /// evict-and-write-back a newer image that this batch's older
-    /// snapshot would then clobber), the lock is released, the log is
-    /// forced through the batch's highest pageLSN (WAL), and the images
-    /// go to the data disk in one ascending elevator sweep. The confirm
-    /// step unpins and marks clean only pages whose LSN did not move —
-    /// a page re-dirtied mid-flight keeps its dirt and its DPT entry, so
-    /// nothing is lost and the stale write is covered by a later one.
-    fn fuzzy_drain(&self, claimed: &[PageId]) -> QsResult<u64> {
+    /// The incremental drain. WAL first, once: the log is forced through
+    /// the highest pageLSN among the claimed pages that are resident and
+    /// dirty. Then each shard's pages go home batch by batch:
+    /// [`Server::drain_claim`] under only that shard's lock, then
+    /// [`Server::drain_write_home`].
+    fn drain(&self, claimed: &[PageId]) -> QsResult<u64> {
         if claimed.is_empty() {
             return Ok(0);
         }
         let nshards = self.pool.shard_count();
-        // Cap claims at half a shard so pinned pages can never wedge
-        // foreground inserts into `BufferPoolExhausted`.
-        let per_shard = (self.cfg.pool_pages / nshards).max(1);
-        let batch_pages = self.cfg.flusher.batch_pages.clamp(1, (per_shard / 2).max(1));
+        // `claimed` is pid-sorted, so each shard's share is too.
         let mut by_shard: Vec<Vec<PageId>> = vec![Vec::new(); nshards];
         for &pid in claimed {
             by_shard[self.pool.shard_of(pid)].push(pid);
         }
+        let mut max_lsn = None;
+        for (idx, pids) in by_shard.iter().enumerate().filter(|(_, pids)| !pids.is_empty()) {
+            let pool = self.pool.lock_shard(idx, &self.tracer);
+            let dirty = pids.iter().filter(|&&pid| pool.is_dirty(pid));
+            max_lsn = max_lsn.max(dirty.filter_map(|&pid| pool.peek(pid)).map(Page::lsn).max());
+        }
+        if let Some(lsn) = max_lsn {
+            self.meter_force_maint(self.log.wal().force(lsn)?);
+        }
+        // Cap claims at half a shard so pinned pages can never wedge
+        // foreground inserts into `BufferPoolExhausted`.
+        let per_shard = (self.cfg.pool_pages / nshards).max(1);
+        let batch_pages = DRAIN_BATCH_PAGES.min((per_shard / 2).max(1));
         let mut flushed = 0u64;
+        // Snapshot buffers, handed from one batch to the next.
+        let mut spare: Vec<Page> = Vec::new();
         for (idx, pids) in by_shard.iter().enumerate() {
             for chunk in pids.chunks(batch_pages) {
-                let t0 = std::time::Instant::now();
-                let mut pool = self.pool.lock_shard(idx, &self.tracer);
-                self.tracer.record("flusher_claim_wait_ns", t0.elapsed().as_nanos() as u64);
-                let mut batch: Vec<(PageId, Page)> = Vec::new();
-                for &pid in chunk {
-                    if pool.is_dirty(pid) {
-                        if let Some(p) = pool.peek(pid) {
-                            batch.push((pid, self.snapshots.snapshot(p)));
-                            pool.pin(pid);
-                        }
-                    }
+                let batch = self.drain_claim(idx, chunk, &mut spare);
+                if !batch.images.is_empty() {
+                    flushed += self.drain_write_home(batch, &mut spare)?;
                 }
-                drop(pool);
-                if batch.is_empty() {
-                    continue;
-                }
-                let max_lsn = batch.iter().map(|(_, p)| p.lsn()).max().expect("non-empty batch");
-                let stats = self.log.wal().force(max_lsn)?;
-                self.meter_force_maint(stats);
-                // `claimed` is pid-sorted, so each shard's chunk is too.
-                self.volume.write_sorted(&self.tracer, &batch)?;
-                self.meter_data_write_maint(batch.len() as u64);
-                let n = batch.len() as u64;
-                let mut pool = self.pool.lock_shard(idx, &self.tracer);
-                let mut dpt = self.dpt.lock(&self.tracer);
-                let mut recycle = Vec::with_capacity(batch.len());
-                for (pid, snap) in batch {
-                    pool.unpin(pid);
-                    let unchanged = pool.peek(pid).map(|p| p.lsn() == snap.lsn()).unwrap_or(false);
-                    if unchanged && pool.is_dirty(pid) {
-                        pool.clear_dirty(pid);
-                        dpt.remove(&pid);
-                    }
-                    recycle.push(snap);
-                }
-                drop(dpt);
-                drop(pool);
-                self.snapshots.recycle(recycle);
-                flushed += n;
-                self.flusher_batches.fetch_add(1, Ordering::Relaxed);
-                self.flusher_pages.fetch_add(n, Ordering::Relaxed);
-                self.tracer.event(TraceCat::Flusher, "batch", n, 0);
-                self.tracer.record("flusher_batch_pages", n);
             }
         }
         Ok(flushed)
     }
 
-    /// Phase 3: append and force the end-checkpoint record, and only then
-    /// advance the header checkpoint to the *begin* record — a crash
-    /// between the pair leaves the header on the previous complete
-    /// checkpoint, so restart falls back automatically. Finally advance
-    /// the truncation low-water mark as far as the tables allow.
-    fn fuzzy_end(&self, begin: Lsn, flushed: u64) -> QsResult<()> {
-        let txns = self.txns.lock(&self.tracer);
-        let end = self.log.wal().append_with(|w| w.end_checkpoint(begin))?;
-        let stats = self.log.wal().force(end)?;
-        self.meter_force_maint(stats);
-        self.log.wal().set_checkpoint(begin)?;
-        self.volume.lock(&self.tracer).sync_header()?;
-        let keep = {
-            let wpl = self.wpl.lock(&self.tracer);
-            let dpt = self.dpt.lock(&self.tracer);
-            keep_lsn(begin, &txns, &dpt, &wpl)
-        };
-        self.log.wal().advance_low_water_mark(keep)?;
-        drop(txns);
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
-        self.tracer.event(
-            TraceCat::Checkpoint,
-            "fuzzy",
-            flushed,
-            self.log.wal().used_bytes() as u64,
-        );
-        Ok(())
+    /// Claim the still-dirty resident pages among `pids` (all of shard
+    /// `idx`): copy each (into a `spare` buffer, while there are any) and
+    /// *pin* it, so the LRU cannot evict-and-write-back a newer image that
+    /// this batch's older snapshot would then clobber. Holds the shard's
+    /// lock and nothing else.
+    pub(super) fn drain_claim(
+        &self,
+        idx: usize,
+        pids: &[PageId],
+        spare: &mut Vec<Page>,
+    ) -> Claimed {
+        let t0 = std::time::Instant::now();
+        let mut pool = self.pool.lock_shard(idx, &self.tracer);
+        self.tracer.record("drain_claim_wait_ns", t0.elapsed().as_nanos() as u64);
+        let mut batch = Claimed { shard: idx, images: Vec::new(), versions: Vec::new() };
+        for &pid in pids {
+            if !pool.is_dirty(pid) {
+                continue;
+            }
+            if let (Some(page), Some(version)) = (pool.peek(pid), pool.version(pid)) {
+                let mut image = spare.pop().unwrap_or_default();
+                image.bytes_mut().copy_from_slice(page.bytes());
+                batch.images.push((pid, image));
+                batch.versions.push(version);
+                pool.pin(pid);
+            }
+        }
+        batch
     }
 
-    /// Append and force a begin-checkpoint record, then stop — leaving
-    /// the checkpoint incomplete on purpose. Crash-injection hook for the
-    /// begin/end fallback tests; no production path calls this.
+    /// Write a claimed batch home and confirm it. No lock is held across
+    /// the I/O: the log is forced again only if the batch holds a pageLSN
+    /// that is not durable yet (a page dirtied since the drain's first
+    /// force), and the images go to the data disk in one ascending elevator
+    /// sweep. The confirm step unpins, and marks clean only pages whose
+    /// frame version did not move since the claim (the pageLSN can stay
+    /// put under a change: [`Server::redo_onto_pool`]) — a page re-dirtied
+    /// mid-flight keeps its dirt, so the stale write is covered by a later
+    /// one — and the DPT retires an entry only if the image written holds
+    /// everything logged for the page ([`DirtyPages::flushed`]).
+    pub(super) fn drain_write_home(&self, batch: Claimed, spare: &mut Vec<Page>) -> QsResult<u64> {
+        let wal = self.log.wal();
+        let Claimed { shard, images, versions } = batch;
+        let max_lsn = images.iter().map(|(_, p)| p.lsn()).max().expect("non-empty batch");
+        let written = (|| {
+            if max_lsn >= wal.durable_lsn() {
+                self.meter_force_maint(wal.force(max_lsn)?);
+            }
+            self.volume.write_sorted(&self.tracer, &images)
+        })();
+        let n = images.len() as u64;
+        let mut pool = self.pool.lock_shard(shard, &self.tracer);
+        let mut dpt = self.dpt.lock(&self.tracer);
+        for ((pid, image), version) in images.iter().zip(versions) {
+            pool.unpin(*pid);
+            if written.is_ok() && pool.version(*pid) == Some(version) {
+                pool.clear_dirty(*pid);
+                dpt.flushed(*pid, image.lsn());
+            }
+        }
+        drop(dpt);
+        drop(pool);
+        spare.extend(images.into_iter().map(|(_, image)| image));
+        written?;
+        self.meter_data_write_maint(n);
+        self.drain_batches.fetch_add(1, Ordering::Relaxed);
+        self.drain_pages.fetch_add(n, Ordering::Relaxed);
+        self.tracer.event(TraceCat::Flusher, "batch", n, 0);
+        self.tracer.record("drain_batch_pages", n);
+        Ok(n)
+    }
+
+    /// Drain, append and force a checkpoint record, then stop before the
+    /// log header names it — leaving the previous checkpoint the anchor on
+    /// purpose. Crash-injection hook for the fallback tests; no production
+    /// path calls this.
     #[doc(hidden)]
-    pub fn begin_checkpoint_for_test(&self) -> QsResult<Lsn> {
+    pub fn checkpoint_stopping_before_the_header_for_test(&self) -> QsResult<Lsn> {
         let _serial = self.ckpt_serial.lock();
-        let (begin, _claimed) = self.fuzzy_begin()?;
-        let stats = self.log.wal().force(self.log.wal().tail_lsn())?;
-        self.meter_force_maint(stats);
-        Ok(begin)
+        self.log_checkpoint().map(|(_txns, ck_lsn, _flushed)| ck_lsn)
     }
 
     /// Flush everything dirty and checkpoint (test/benchmark quiesce hook).

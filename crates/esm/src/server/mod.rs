@@ -15,7 +15,7 @@
 //! page service — the one fault-in-and-steal routine, the one
 //! after-image-onto-page step. [`txn`]: begin, locks, receiving records
 //! and pages, commit, abort, undo. [`maint`]: watermark maintenance,
-//! flusher hooks, checkpoints. [`pagelog`]: what only WPL does.
+//! flusher hooks, the checkpoint. [`pagelog`]: what only WPL does.
 //!
 //! What the server does with a transaction's updates is decided once, by
 //! [`crate::protocol`]: each `TxnState` carries its [`Protocol`], the
@@ -33,16 +33,18 @@
 //!   optional group commit for the commit-path force;
 //! * [`crate::gate::VolumeGate`] — the one data disk;
 //! * small dedicated locks for the transaction table, the ARIES dirty-page
-//!   table, and the WPL table;
+//!   table ([`crate::dpt`]), and the WPL table;
 //! * the [`LockManager`] (already internally synchronized).
 //!
 //! Lock order: txn table → pool shards (ascending) → WPL table → DPT →
 //! volume; the log is lock-free at this level and always last. Hot paths
 //! hold at most one shard lock plus short single-statement acquisitions of
 //! the others, and never take the txn-table lock while holding a shard.
-//! Whole-server operations (checkpoint, reclaim, abort/undo, restart) run
-//! under [`Server::with_quiesced`], which acquires everything in order and
-//! exposes the old single-lock view ([`InnerView`]).
+//! The checkpoint is such a path too: its drain holds one shard at a time,
+//! its record is taken under the txn-table lock. What still stops the
+//! whole server — [`Server::with_quiesced`] acquires everything in order
+//! and exposes the old single-lock view ([`InnerView`]) — is abort/undo,
+//! WPL reclaim and restart.
 //!
 //! With the default configuration (one shard, group commit off) every code
 //! path performs the same operations in the same order as the original
@@ -62,7 +64,8 @@ mod tests;
 
 pub use crate::protocol::RecoveryFlavor;
 
-use crate::flusher::{FlusherConfig, FlusherHandle, SnapshotPool};
+use crate::dpt::DirtyPages;
+use crate::flusher::FlusherHandle;
 use crate::gate::VolumeGate;
 use crate::lock::LockManager;
 use crate::protocol::{FlavorFacts, Protocol};
@@ -75,7 +78,7 @@ use qs_sim::{HardwareModel, Meter};
 use qs_storage::{MemDisk, Page, StableMedia, Volume};
 use qs_trace::{FlightRecording, PhaseStat, RestartReport, TraceCat, TracedMutex, Tracer};
 use qs_types::sync::Mutex;
-use qs_types::{Lsn, PageId, QsResult, TxnId, PAGE_SIZE};
+use qs_types::{PageId, QsResult, TxnId, PAGE_SIZE};
 use qs_wal::LogManager;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -105,13 +108,6 @@ pub struct ServerConfig {
     pub group_commit: bool,
     /// Restart-engine knobs (see [`RestartConfig`]).
     pub restart: RestartConfig,
-    /// Background-flusher knobs (see [`FlusherConfig`]). Off by default:
-    /// maintenance runs the original quiesced paths and every committed
-    /// figure stays byte-identical. On, `checkpoint()` becomes a
-    /// two-phase fuzzy protocol whose drain runs incrementally, and
-    /// watermark maintenance moves to the flusher thread once
-    /// [`Server::start_flusher`] is called.
-    pub flusher: FlusherConfig,
     /// Event-driven runtime knobs (see [`RuntimeConfig`]). The default is
     /// inert: clients built with `ClientConn::new` keep calling the
     /// server directly on their own thread, so every committed figure
@@ -154,7 +150,6 @@ impl ServerConfig {
             pool_shards: 1,
             group_commit: false,
             restart: RestartConfig::default(),
-            flusher: FlusherConfig::default(),
             runtime: RuntimeConfig::default(),
         }
     }
@@ -186,19 +181,6 @@ impl ServerConfig {
 
     pub fn with_redo_workers(mut self, workers: usize) -> ServerConfig {
         self.restart.redo_workers = workers.max(1);
-        self
-    }
-
-    /// Enable the background flusher / two-phase fuzzy checkpointing.
-    pub fn with_background_flusher(mut self, on: bool) -> ServerConfig {
-        self.flusher.enabled = on;
-        self
-    }
-
-    /// Pages per flusher claim batch (implies nothing unless the flusher
-    /// knob is on).
-    pub fn with_flusher_batch_pages(mut self, pages: usize) -> ServerConfig {
-        self.flusher.batch_pages = pages.max(1);
         self
     }
 
@@ -238,8 +220,7 @@ pub(crate) struct InnerView<'a> {
     pub(crate) log: &'a LogManager,
     pub(crate) pool: PoolView<'a>,
     pub(crate) txns: &'a mut TxnTable,
-    /// ARIES dirty-page table: page → recovery LSN.
-    pub(crate) dpt: &'a mut HashMap<PageId, Lsn>,
+    pub(crate) dpt: &'a mut DirtyPages,
     pub(crate) wpl: &'a mut WplTable,
 }
 
@@ -257,7 +238,7 @@ pub struct Server {
     /// Transaction table, behind its own small lock.
     txns: TracedMutex<TxnTable>,
     /// ARIES dirty-page table, behind its own small lock.
-    dpt: TracedMutex<HashMap<PageId, Lsn>>,
+    dpt: TracedMutex<DirtyPages>,
     /// WPL table, behind its own small lock.
     wpl: TracedMutex<WplTable>,
     /// Deferred (not-yet-applied) operations of uncommitted `NoSteal`
@@ -281,11 +262,9 @@ pub struct Server {
     flusher: Mutex<Option<FlusherHandle>>,
     /// A maintenance request is already queued at the flusher (dedupe).
     maint_pending: AtomicBool,
-    /// Pooled page buffers for fuzzy-checkpoint claim snapshots.
-    snapshots: SnapshotPool,
-    /// Fuzzy-drain stats: elevator batches written, pages in them.
-    flusher_batches: AtomicU64,
-    flusher_pages: AtomicU64,
+    /// Checkpoint-drain stats: elevator batches written, pages in them.
+    drain_batches: AtomicU64,
+    drain_pages: AtomicU64,
     /// Observability hook (disabled by default: one branch per event).
     tracer: Arc<Tracer>,
     /// Per-phase breakdown of the restart that built this server, if it
@@ -347,7 +326,7 @@ impl Server {
             log: LogTower::new(log, cfg.group_commit),
             pool: ShardedPool::new(cfg.pool_pages, cfg.pool_shards),
             txns: TracedMutex::new("txns", TxnTable::new()),
-            dpt: TracedMutex::new("dpt", HashMap::new()),
+            dpt: TracedMutex::new("dpt", DirtyPages::default()),
             wpl: TracedMutex::new("wpl", WplTable::new()),
             pending: TracedMutex::new("pending", HashMap::new()),
             locks: LockManager::new(),
@@ -359,9 +338,8 @@ impl Server {
             ckpt_serial: Mutex::new(()),
             flusher: Mutex::new(None),
             maint_pending: AtomicBool::new(false),
-            snapshots: SnapshotPool::new(),
-            flusher_batches: AtomicU64::new(0),
-            flusher_pages: AtomicU64::new(0),
+            drain_batches: AtomicU64::new(0),
+            drain_pages: AtomicU64::new(0),
             tracer,
             restart_report: Mutex::new(None),
             cfg,
@@ -477,8 +455,8 @@ impl Server {
     /// Acquire every subsystem lock in the canonical order — txn table,
     /// pool shards (ascending), WPL table, DPT, volume — and run `f` over
     /// the resulting whole-server view. This is the quiesced world the
-    /// pre-decomposition `Mutex<Inner>` provided implicitly; checkpoint,
-    /// reclaim, abort/undo, and restart run under it.
+    /// pre-decomposition `Mutex<Inner>` provided implicitly; WPL reclaim,
+    /// abort/undo, and restart run under it.
     pub(crate) fn with_quiesced<R>(&self, f: impl FnOnce(&mut InnerView<'_>) -> R) -> R {
         let mut txns = self.txns.lock(&self.tracer);
         let mut shards = self.pool.lock_all(&self.tracer);

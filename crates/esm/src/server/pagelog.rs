@@ -35,8 +35,10 @@ impl Server {
         page.set_lsn(lsn);
         state.note_logged(lsn);
         state.wpl_images.push(pid);
-        drop(txns);
+        // Inside the critical section that appended the image, like the
+        // DPT publish: a checkpoint body never holds one without the other.
         self.wpl.lock(&self.tracer).log_page(pid, lsn, txn);
+        drop(txns);
         let mut pool = self.pool.lock(pid, &self.tracer);
         let evicted = pool.insert(pid, page, true)?;
         self.steal(&mut OnDemand(self), evicted)
@@ -139,9 +141,9 @@ impl Server {
     }
 
     /// WPL log-space reclamation (the paper's background thread, §3.4.2,
-    /// run here synchronously until the low watermark is reached).
-    pub fn wpl_reclaim(&self) -> QsResult<()> {
-        let _serial = self.ckpt_serial.lock();
+    /// run here synchronously until the low watermark is reached). The
+    /// caller holds the maintenance lock.
+    pub(super) fn wpl_reclaim(&self) -> QsResult<()> {
         let low = (self.cfg.log_low_watermark * self.log.wal().body_capacity() as f64) as usize;
         self.with_quiesced(|view| self.wpl_drain(view, low))?;
         // Refresh the checkpoint so restart's backward scan stays short and

@@ -7,11 +7,11 @@
 
 use super::Server;
 use crate::buffer::{BufferPool, Evicted};
+use crate::dpt::DirtyPages;
 use crate::protocol::Protocol;
 use qs_storage::{Page, Volume};
 use qs_types::{Lsn, PageId, QsError, QsResult, TxnId};
 use qs_wal::record::{self, tag};
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
 /// How a fault reaches the data disk and the dirty-page table: hot paths
@@ -20,8 +20,8 @@ use std::sync::atomic::Ordering;
 pub(super) trait DiskTables {
     fn read_page(&mut self, pid: PageId) -> QsResult<Page>;
     fn write_page(&mut self, pid: PageId, page: &Page) -> QsResult<()>;
-    /// `pid` was written home: drop its dirty-page table entry.
-    fn forget_dirty(&mut self, pid: PageId);
+    /// The image of `pid` with pageLSN `page_lsn` was written home.
+    fn flushed(&mut self, pid: PageId, page_lsn: Lsn);
 }
 
 pub(super) struct OnDemand<'a>(pub(super) &'a Server);
@@ -35,14 +35,14 @@ impl DiskTables for OnDemand<'_> {
         self.0.volume.lock(&self.0.tracer).write_page(pid, page)
     }
 
-    fn forget_dirty(&mut self, pid: PageId) {
-        self.0.dpt.lock(&self.0.tracer).remove(&pid);
+    fn flushed(&mut self, pid: PageId, page_lsn: Lsn) {
+        self.0.dpt.lock(&self.0.tracer).flushed(pid, page_lsn);
     }
 }
 
 pub(super) struct Held<'a> {
     pub(super) volume: &'a Volume,
-    pub(super) dpt: &'a mut HashMap<PageId, Lsn>,
+    pub(super) dpt: &'a mut DirtyPages,
 }
 
 impl DiskTables for Held<'_> {
@@ -54,8 +54,8 @@ impl DiskTables for Held<'_> {
         self.volume.write_page(pid, page)
     }
 
-    fn forget_dirty(&mut self, pid: PageId) {
-        self.dpt.remove(&pid);
+    fn flushed(&mut self, pid: PageId, page_lsn: Lsn) {
+        self.dpt.flushed(pid, page_lsn);
     }
 }
 
@@ -128,7 +128,7 @@ impl Server {
         self.meter_force(stats);
         disk.write_page(ev.page_id, &ev.page)?;
         self.meter.data_writes.fetch_add(1, Ordering::Relaxed);
-        disk.forget_dirty(ev.page_id);
+        disk.flushed(ev.page_id, ev.page.lsn());
         Ok(())
     }
 
@@ -163,8 +163,15 @@ impl Server {
 
     /// Lay shipped after-images, in log order, onto the server's copy of
     /// `pid` under its shard lock (faulting it in — the disk read that is
-    /// redo-at-server's Achilles heel, §3.5), mark it dirty, and enter it
-    /// in the DPT at the first image's LSN.
+    /// redo-at-server's Achilles heel, §3.5) and mark it dirty. The caller
+    /// has entered the page in the DPT already.
+    ///
+    /// Under record locks an image can arrive *late* — below the pageLSN,
+    /// after ops of another transaction logged later. The pageLSN does
+    /// not move back for it (the DPT retires a page on a flush whose
+    /// pageLSN covers the last LSN listed), and the op is listed again
+    /// here: a flush may have retired the entry since the caller listed
+    /// it, on an image without the op (DESIGN.md §6b "Late ops").
     pub(super) fn redo_onto_pool<'a>(
         &self,
         pid: PageId,
@@ -173,16 +180,21 @@ impl Server {
         let mut pool = self.pool.lock(pid, &self.tracer);
         self.fault_in(&mut pool, &mut OnDemand(self), pid, None)?;
         let page = pool.get_mut(pid).expect("resident after fault_in");
-        let mut rec_lsn = None;
+        let floor = page.lsn();
+        let mut late: Option<Lsn> = None;
         for (frame, lsn) in images {
             apply_after_image(page, pid, frame, lsn)?;
             self.meter.redo_applies.fetch_add(1, Ordering::Relaxed);
-            rec_lsn.get_or_insert(lsn);
+            if lsn < floor {
+                late = Some(late.map_or(lsn, |l| l.min(lsn)));
+            }
+        }
+        if page.lsn() < floor {
+            page.set_lsn(floor);
         }
         pool.mark_dirty(pid);
-        drop(pool);
-        if let Some(lsn) = rec_lsn {
-            self.dpt.lock(&self.tracer).entry(pid).or_insert(lsn);
+        if let Some(lsn) = late {
+            self.dpt.lock(&self.tracer).logged(pid, lsn);
         }
         Ok(())
     }

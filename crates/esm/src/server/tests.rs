@@ -1,7 +1,7 @@
 use super::*;
-use crate::lock::LockMode;
-use qs_types::QsError;
-use qs_wal::LogRecord;
+use crate::lock::{LockMode, Resource};
+use qs_types::{Lsn, QsError};
+use qs_wal::{LogRecord, SchemeCode};
 
 fn small_cfg(flavor: RecoveryFlavor) -> ServerConfig {
     ServerConfig {
@@ -14,7 +14,6 @@ fn small_cfg(flavor: RecoveryFlavor) -> ServerConfig {
         pool_shards: 1,
         group_commit: false,
         restart: RestartConfig::default(),
-        flusher: FlusherConfig::default(),
         runtime: RuntimeConfig::default(),
     }
 }
@@ -412,6 +411,53 @@ fn wpl_second_committed_version_wins_after_crash() {
     assert_eq!(page.object(pid, 0).unwrap(), &[2u8; 64][..]);
 }
 
+/// A checkpoint body can list two versions of a page: a committed image
+/// under the image of a transaction still running. If that transaction
+/// commits after the checkpoint, its image is the page. (Restart let the
+/// first listed — the oldest — version claim the page.)
+#[test]
+fn wpl_image_listed_uncommitted_wins_once_its_commit_follows_the_checkpoint() {
+    let (server, pids) = loaded_server(RecoveryFlavor::Wpl);
+    let pid = pids[0];
+    let ship = |val: u8| {
+        let txn = server.begin();
+        server.lock_page(txn, pid, LockMode::X).unwrap();
+        let page = updated_page(&server, txn, pid, val);
+        server.receive_dirty_page(txn, pid, page).unwrap();
+        txn
+    };
+    server.commit(ship(1)).unwrap();
+    let second = ship(2);
+    server.checkpoint().unwrap();
+    server.commit(second).unwrap();
+    let cfg = server.config().clone();
+    let server = Server::restart(server.crash(), cfg, Meter::new()).unwrap();
+    let page = server.read_page_for_test(pid).unwrap();
+    assert_eq!(page.object(pid, 0).unwrap(), &[2u8; 64][..]);
+}
+
+/// A checkpoint between a WPL transaction's commit record and
+/// `commit_finish` finds its images still marked uncommitted in the WPL
+/// table, and its commit record lies below the anchor, where restart does
+/// not scan. The body must list the images as committed.
+#[test]
+fn a_checkpoint_inside_a_wpl_commit_lists_its_images_committed() {
+    let (server, pids) = loaded_server(RecoveryFlavor::Wpl);
+    let pid = pids[0];
+    let txn = server.begin();
+    server.lock_page(txn, pid, LockMode::X).unwrap();
+    let page = updated_page(&server, txn, pid, 3);
+    server.receive_dirty_page(txn, pid, page).unwrap();
+    let lsn = server.commit_append(txn).unwrap();
+    server.checkpoint().unwrap();
+    server.commit_force_batch(lsn, 1).unwrap();
+    server.commit_finish(txn).unwrap();
+    let cfg = server.config().clone();
+    let server = Server::restart(server.crash(), cfg, Meter::new()).unwrap();
+    let page = server.read_page_for_test(pid).unwrap();
+    assert_eq!(page.object(pid, 0).unwrap(), &[3u8; 64][..]);
+}
+
 #[test]
 fn wpl_reclaim_keeps_log_bounded() {
     let mut cfg = small_cfg(RecoveryFlavor::Wpl);
@@ -695,4 +741,233 @@ fn commit_is_acknowledged_when_its_maintenance_fails() {
         );
     }
     assert!(refused.is_none(), "a durable commit was reported as failed: {refused:?}");
+}
+
+fn logical(txn: TxnId, page: PageId, slot: u16, val: u8) -> LogRecord {
+    LogRecord::UpdateLogical { txn, prev: Lsn::NULL, page, slot, offset: 0, after: vec![val; 64] }
+}
+
+/// A no-steal commit is append → force → apply, and its records are the
+/// only copy of its updates until the apply. A checkpoint that lands after
+/// the commit record — the transaction is `Committed`, no longer `Active`
+/// — and before the apply must not truncate them away. (It did: the log
+/// start moved up to the checkpoint, and after a crash the acknowledged
+/// commit was gone.) Second row: the same under ADAPT for a transaction
+/// that elected RLOG.
+#[test]
+fn a_checkpoint_inside_a_no_steal_commit_keeps_its_records() {
+    for flavor in [RecoveryFlavor::RedoLogical, RecoveryFlavor::Adaptive] {
+        let (server, pids) = loaded_server(flavor);
+        let pid = pids[0];
+        let txn = server.begin();
+        server.lock_page(txn, pid, LockMode::X).unwrap();
+        if flavor == RecoveryFlavor::Adaptive {
+            let mark = LogRecord::TxnScheme { txn, prev: Lsn::NULL, scheme: SchemeCode::Rlog };
+            server.receive_log_records(txn, vec![mark]).unwrap();
+        }
+        server.receive_log_records(txn, vec![logical(txn, pid, 0, 9)]).unwrap();
+
+        let lsn = server.commit_append(txn).unwrap();
+        server.checkpoint().unwrap();
+        server.commit_force_batch(lsn, 1).unwrap();
+        server.commit_finish(txn).unwrap();
+        let page = server.read_page_for_test(pid).unwrap();
+        assert_eq!(page.object(pid, 0).unwrap(), &[9u8; 64][..], "{flavor:?}: applied at commit");
+
+        let cfg = server.config().clone();
+        let server = Server::restart(server.crash(), cfg, Meter::new()).unwrap();
+        let page = server.read_page_for_test(pid).unwrap();
+        assert_eq!(page.object(pid, 0).unwrap(), &[9u8; 64][..], "{flavor:?}: lost in the crash");
+    }
+}
+
+/// Two no-steal transactions under record locks on page `pid`, each with
+/// one op logged — `first`'s, on slot 0 (value 1), before `second`'s, on
+/// the returned slot (value 2) — and neither committed.
+fn two_no_steal_txns_on_one_page(server: &Server, pid: PageId) -> (TxnId, TxnId, u16) {
+    // A second object, so the two transactions touch distinct records.
+    let seed = server.begin();
+    server.lock_page(seed, pid, LockMode::X).unwrap();
+    let mut image = server.fetch_page(seed, pid).unwrap();
+    let slot = image.insert(pid, &[0u8; 64]).unwrap();
+    let whole = LogRecord::WholePage {
+        txn: seed,
+        prev: Lsn::NULL,
+        page: pid,
+        image: image.bytes().to_vec(),
+    };
+    server.receive_log_records(seed, vec![whole]).unwrap();
+    server.commit(seed).unwrap();
+
+    let (first, second) = (server.begin(), server.begin());
+    server.lock_resource(first, Resource::Record(pid, 0), LockMode::X).unwrap();
+    server.lock_resource(second, Resource::Record(pid, slot), LockMode::X).unwrap();
+    server.receive_log_records(first, vec![logical(first, pid, 0, 1)]).unwrap();
+    server.receive_log_records(second, vec![logical(second, pid, slot, 2)]).unwrap();
+    (first, second, slot)
+}
+
+fn assert_both_ops(server: &Server, pid: PageId, slot: u16, when: &str) {
+    let page = server.read_page_for_test(pid).unwrap();
+    assert_eq!(page.object(pid, 0).unwrap(), &[1u8; 64][..], "{when}");
+    assert_eq!(page.object(pid, slot).unwrap(), &[2u8; 64][..], "{when}");
+}
+
+/// Logged in one order and committed in the other: the later-logged op is
+/// applied first. The page's pageLSN must not move back when the earlier
+/// one follows, or no flush of the page ever covers the last LSN the
+/// dirty-page table holds for it and the entry pins the log for good.
+#[test]
+fn no_steal_commits_out_of_log_order_on_one_page_do_not_pin_the_log() {
+    let (server, pids) = loaded_server(RecoveryFlavor::RedoLogical);
+    let pid = pids[0];
+    let (first, second, slot) = two_no_steal_txns_on_one_page(&server, pid);
+    server.commit(second).unwrap();
+    server.commit(first).unwrap();
+
+    server.quiesce().unwrap();
+    assert_both_ops(&server, pid, slot, "after quiesce");
+    // Everything is home: the log holds the closing checkpoint record and
+    // nothing older.
+    assert!(
+        server.log_used_bytes() < 1024,
+        "{} log bytes still pinned after quiesce",
+        server.log_used_bytes()
+    );
+}
+
+/// The same pair against a drain in flight: the page is claimed (snapshot
+/// taken) holding only the later-logged op, the earlier-logged one is
+/// applied before the snapshot is written and confirmed — and leaves the
+/// pageLSN where it was. The confirm step must still see that the page
+/// changed. (It compared pageLSNs, marked the page clean and retired its
+/// entry: the acknowledged op lived only in a clean pool page, and the
+/// log was free to truncate it away.)
+#[test]
+fn a_deferred_op_applied_under_a_drain_in_flight_keeps_the_page_dirty() {
+    let (server, pids) = loaded_server(RecoveryFlavor::RedoLogical);
+    let pid = pids[0];
+    let (first, second, slot) = two_no_steal_txns_on_one_page(&server, pid);
+    server.commit(second).unwrap();
+    let lsn_before = server.read_page_for_test(pid).unwrap().lsn();
+
+    let shard = server.pool.shard_of(pid);
+    let claimed = server.drain_claim(shard, &[pid], &mut Vec::new());
+    server.commit(first).unwrap();
+    assert_eq!(server.read_page_for_test(pid).unwrap().lsn(), lsn_before, "the scenario");
+    assert_eq!(server.drain_write_home(claimed, &mut Vec::new()).unwrap(), 1);
+
+    assert!(server.pool.lock(pid, &server.tracer).is_dirty(pid), "changed since the claim");
+    let listed = server.dpt.lock(&server.tracer).snapshot();
+    assert!(listed.iter().any(|&(p, _)| p == pid), "still listed: {listed:?}");
+
+    // And so the next checkpoints write it home before the log lets go.
+    server.quiesce().unwrap();
+    assert!(server.log_used_bytes() < 1024, "{} log bytes pinned", server.log_used_bytes());
+    let cfg = server.config().clone();
+    let server = Server::restart(server.crash(), cfg, Meter::new()).unwrap();
+    assert_both_ops(&server, pid, slot, "after the crash");
+}
+
+/// A flush can also finish between a late op's listing and its apply, and
+/// retire the entry on an image without the op. The apply lists the op
+/// again under the shard lock.
+#[test]
+fn an_op_applied_below_the_page_lsn_is_listed_again() {
+    let (server, pids) = loaded_server(RecoveryFlavor::RedoLogical);
+    let pid = pids[0];
+    let (first, second, _) = two_no_steal_txns_on_one_page(&server, pid);
+    server.commit(second).unwrap();
+    server.quiesce().unwrap();
+    assert!(server.dpt.lock(&server.tracer).snapshot().is_empty(), "flushed and retired");
+    let page_lsn = server.read_page_for_test(pid).unwrap().lsn();
+
+    let late = Lsn(page_lsn.0 - 1);
+    let frame = logical(first, pid, 0, 1).encode();
+    server.redo_onto_pool(pid, [(&frame[..], late)]).unwrap();
+    assert_eq!(server.dpt.lock(&server.tracer).snapshot(), [(pid, late)]);
+    assert_eq!(server.read_page_for_test(pid).unwrap().lsn(), page_lsn, "no move back");
+}
+
+/// Undo walks past a created page's records: no CLR, so no image of the
+/// page is ever stamped at or above them. Their dirty-page-table entry
+/// must not wait for one. Two rows: the page never reached the server; an
+/// earlier image of it did, and sits dirty in the pool below the record.
+#[test]
+fn an_aborted_whole_page_record_does_not_pin_the_log() {
+    for shipped_before in [false, true] {
+        let (server, _) = loaded_server(RecoveryFlavor::EsmAries);
+        let txn = server.begin();
+        let pid = server.allocate_page(txn).unwrap();
+        let mut image = Page::new();
+        image.insert(pid, &[7u8; 64]).unwrap();
+        let whole = |image: &Page| LogRecord::WholePage {
+            txn,
+            prev: Lsn::NULL,
+            page: pid,
+            image: image.bytes().to_vec(),
+        };
+        if shipped_before {
+            server.receive_log_records(txn, vec![whole(&image)]).unwrap();
+            server.receive_dirty_page(txn, pid, image.clone()).unwrap();
+            image.object_mut(pid, 0).unwrap().fill(8);
+        }
+        server.receive_log_records(txn, vec![whole(&image)]).unwrap();
+        server.abort(txn).unwrap();
+
+        server.quiesce().unwrap();
+        assert!(
+            server.log_used_bytes() < 1024,
+            "shipped_before={shipped_before}: {} log bytes still pinned after quiesce",
+            server.log_used_bytes()
+        );
+    }
+}
+
+/// Nothing stops during a checkpoint, so every client that commits past
+/// the watermark meanwhile ends up waiting for the maintenance lock. The
+/// pass it waited for has usually done its work too: it must look at the
+/// watermark again instead of running a pass of its own. (Each did: 47
+/// checkpoints where 13 fall due in `ckpt_bench`'s inline row.)
+#[test]
+fn a_client_that_waited_out_a_maintenance_pass_does_not_run_its_own() {
+    let mut cfg = small_cfg(RecoveryFlavor::RedoAtServer);
+    cfg.log_high_watermark = 2048.0 / cfg.log_bytes as f64;
+    let server = Server::format(cfg, Meter::new()).unwrap();
+    let pid = server.bulk_allocate(1).unwrap()[0];
+    let mut page = Page::new();
+    page.insert(pid, &[0u8; 64]).unwrap();
+    server.bulk_write(pid, &page).unwrap();
+    server.bulk_sync().unwrap();
+
+    // Past the watermark, by a commit that ran no maintenance itself.
+    let txn = server.begin();
+    server.lock_page(txn, pid, LockMode::X).unwrap();
+    let update = |val: u8| LogRecord::Update {
+        txn,
+        prev: Lsn::NULL,
+        page: pid,
+        slot: 0,
+        offset: 0,
+        before: vec![0u8; 64],
+        after: vec![val; 64],
+    };
+    server.receive_log_records(txn, (0..16).map(update).collect()).unwrap();
+    let lsn = server.commit_append(txn).unwrap();
+    server.commit_force_batch(lsn, 1).unwrap();
+    server.commit_finish(txn).unwrap();
+    assert!(server.past_high_watermark(), "retune: {} bytes logged", server.log_used_bytes());
+
+    let serial = server.ckpt_serial.lock();
+    std::thread::scope(|s| {
+        let waiter = s.spawn(|| server.maybe_maintain().unwrap());
+        // Long enough for the waiter to be queued on the lock (if it is
+        // not, it sees the log already drained: the assertion still holds).
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        server.checkpoint_serialized().unwrap();
+        assert!(!server.past_high_watermark(), "{} bytes still logged", server.log_used_bytes());
+        drop(serial);
+        waiter.join().unwrap();
+    });
+    assert_eq!(server.checkpoints_taken(), 1, "the waiter ran a pass of its own");
 }

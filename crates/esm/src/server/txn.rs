@@ -117,8 +117,10 @@ impl Server {
     /// each one is verified first: a frame damaged on the way here must
     /// not get a valid checksum and become durable. What happens to a page-bearing
     /// record next is its transaction's protocol: `Steal` enters the page
-    /// in the DPT (and, under redo-at-server, applies the after-image to
-    /// the server's copy at once, §3.5); `NoSteal` stashes it until commit.
+    /// in the DPT — inside the critical section that appended the frame,
+    /// so a checkpoint body never holds the record without the entry —
+    /// and, under redo-at-server, applies the after-image to the server's
+    /// copy at once (§3.5); `NoSteal` stashes it until commit.
     pub fn receive_log_bytes(&self, txn: TxnId, batch: &[u8]) -> QsResult<()> {
         if !self.facts.ships_records {
             return Err(protocol_error("WPL clients do not generate log records"));
@@ -166,14 +168,16 @@ impl Server {
                 state.protocol = self.facts.protocol(Some(scheme));
             } else if let Some(pid) = record::frame_page(frame)? {
                 state.log_shipped.insert(pid);
-                let protocol = state.protocol;
-                drop(txns);
-                match protocol {
+                match state.protocol {
                     // The DPT is untouched until the op lands in the pool
                     // at commit.
-                    Protocol::NoSteal => self.stash_pending(txn, pid, t, frame, lsn),
+                    Protocol::NoSteal => {
+                        drop(txns);
+                        self.stash_pending(txn, pid, t, frame, lsn);
+                    }
                     Protocol::Steal => {
-                        self.dpt.lock(&self.tracer).entry(pid).or_insert(lsn);
+                        self.dpt.lock(&self.tracer).logged(pid, lsn);
+                        drop(txns);
                         if self.facts.redo_on_receive {
                             self.redo_onto_pool(pid, [(frame, lsn)])?;
                         }
@@ -214,12 +218,25 @@ impl Server {
     /// deferred ops into the pool. WAL holds (the commit force just made
     /// every op durable) and no-steal holds (the ops were invisible until
     /// now, and from here on they are committed data). Pages are applied
-    /// in ascending page-id order so pool state is deterministic.
+    /// in ascending page-id order so pool state is deterministic. Each
+    /// page enters the DPT before its ops reach the pool — spanning its
+    /// first and last op, so a flush racing the apply cannot retire it on
+    /// an older image ([`Server::redo_onto_pool`] covers ops that land
+    /// below the pageLSN) — and the caller keeps the transaction in the
+    /// table, pinning the log, until this returns.
     fn apply_pending_committed(&self, txn: TxnId) -> QsResult<()> {
         let ops = self.pending.lock(&self.tracer).remove(&txn).unwrap_or_default();
         let mut by_page: BTreeMap<PageId, Vec<PendingOp>> = BTreeMap::new();
         for op in ops {
             by_page.entry(op.page).or_default().push(op);
+        }
+        {
+            let mut dpt = self.dpt.lock(&self.tracer);
+            for (&pid, ops) in &by_page {
+                // In log order, and never empty.
+                dpt.logged(pid, ops[0].lsn);
+                dpt.logged(pid, ops[ops.len() - 1].lsn);
+            }
         }
         for (pid, ops) in by_page {
             self.redo_onto_pool(pid, ops.iter().map(|op| (&op.frame[..], op.lsn)))?;
@@ -264,7 +281,7 @@ impl Server {
         let rec_lsn = self.log.wal().tail_lsn();
         let mut pool = self.pool.lock(pid, &self.tracer);
         let evicted = pool.insert(pid, page, true)?;
-        self.dpt.lock(&self.tracer).entry(pid).or_insert(rec_lsn);
+        self.dpt.lock(&self.tracer).dirtied(pid, rec_lsn);
         self.steal(&mut OnDemand(self), evicted)
     }
 
@@ -309,6 +326,8 @@ impl Server {
         // append and `commit_finish` would snapshot the transaction as
         // active, restart's forward scan (from the checkpoint) would never
         // see the earlier commit, and undo would roll back committed work.
+        // The entry itself stays in the table until `commit_finish`, and
+        // with it the transaction's hold on the log (`maint::keep_lsn`).
         txns.get_mut(txn)?.status = TxnStatus::Committed;
         Ok(lsn)
     }
@@ -462,21 +481,35 @@ impl Server {
                         .log
                         .append_with(|w| w.clr(txn, prev, pid, slot, offset, before, undo_next))?;
                     state.note_logged(lsn);
-                    view.dpt.entry(pid).or_insert(lsn);
+                    view.dpt.logged(pid, lsn);
                     undone += 1;
                     undo_next
                 }
                 tag::CLR => record::frame_undo_next(frame)?,
+                // A created page is not undone. But no CLR means no image
+                // of it is ever stamped at or above this record, which the
+                // DPT would wait for (pinning the log) for good: stamp the
+                // dirty copy, or, with none, count the volume image — all
+                // there will ever be — as covering the record.
+                tag::WHOLE_PAGE | tag::PAGE_ALLOC => {
+                    let pid = record::frame_page(frame)?.expect("page-bearing tag");
+                    let prev = record::frame_prev(frame)?;
+                    let pool = view.pool.shard(pid);
+                    if !pool.is_dirty(pid) {
+                        view.dpt.flushed(pid, at);
+                    } else if pool.peek(pid).is_some_and(|p| p.lsn() < at) {
+                        pool.get_mut(pid).expect("dirty, so resident").set_lsn(at);
+                        pool.mark_dirty(pid);
+                    }
+                    prev
+                }
                 // UpdateLogical carries no before-image (no-steal
                 // transactions are never undone); if one is ever reached
                 // here just walk past it.
-                tag::WHOLE_PAGE
-                | tag::PAGE_ALLOC
-                | tag::UPDATE_LOGICAL
-                | tag::TXN_SCHEME
-                | tag::COMMIT
-                | tag::ABORT => record::frame_prev(frame)?,
-                tag::CHECKPOINT | tag::BEGIN_CHECKPOINT | tag::END_CHECKPOINT => break,
+                tag::UPDATE_LOGICAL | tag::TXN_SCHEME | tag::COMMIT | tag::ABORT => {
+                    record::frame_prev(frame)?
+                }
+                tag::CHECKPOINT => break,
                 t => {
                     return Err(QsError::LogCorrupt { detail: format!("unknown record tag {t}") });
                 }

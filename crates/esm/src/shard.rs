@@ -63,15 +63,14 @@ impl ShardedPool {
     }
 
     /// Lock every shard, in ascending index order (the lock-order rule for
-    /// whole-pool operations: checkpoint, reclaim, restart, undo).
+    /// whole-pool operations: reclaim, restart, undo).
     pub fn lock_all<'a>(&'a self, tracer: &'a Tracer) -> Vec<TracedGuard<'a, BufferPool>> {
         self.shards.iter().map(|s| s.lock(tracer)).collect()
     }
 }
 
 /// A whole-pool view over all shards at once, held by quiesced operations.
-/// Routes a page to its owning shard; `dirty_pages` concatenates in shard
-/// order (identical to the single pool when there is one shard).
+/// Routes a page to its owning shard.
 pub(crate) struct PoolView<'a> {
     shards: Vec<&'a mut BufferPool>,
 }
@@ -94,10 +93,6 @@ impl<'a> PoolView<'a> {
 
     pub(crate) fn peek(&self, pid: PageId) -> Option<&Page> {
         self.shards[shard_index(pid, self.shards.len())].peek(pid)
-    }
-
-    pub(crate) fn dirty_pages(&self) -> Vec<PageId> {
-        self.shards.iter().flat_map(|s| s.dirty_pages()).collect()
     }
 }
 

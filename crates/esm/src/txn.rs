@@ -119,9 +119,12 @@ impl TxnTable {
         self.txns.values().filter(|t| t.status == TxnStatus::Active)
     }
 
-    /// Earliest `first_lsn` among active transactions (log truncation bound).
-    pub fn min_active_first_lsn(&self) -> Option<Lsn> {
-        self.active().filter(|t| !t.first_lsn.is_null()).map(|t| t.first_lsn).min()
+    /// Earliest `first_lsn` among the transactions in the table — the log
+    /// truncation bound. Committed ones count: a no-steal transaction stays
+    /// here, its deferred ops only in the log, from its commit record until
+    /// they are applied.
+    pub fn min_first_lsn(&self) -> Option<Lsn> {
+        self.txns.values().filter(|t| !t.first_lsn.is_null()).map(|t| t.first_lsn).min()
     }
 
     pub fn len(&self) -> usize {
@@ -167,16 +170,20 @@ mod tests {
     }
 
     #[test]
-    fn min_active_first_lsn_skips_unlogged_and_finished() {
+    fn min_first_lsn_skips_unlogged_and_counts_committed_until_removed() {
         let mut tt = TxnTable::new();
         let a = tt.begin(Protocol::Steal);
-        let b = tt.begin(Protocol::Steal);
+        let b = tt.begin(Protocol::NoSteal);
         let _quiet = tt.begin(Protocol::Steal); // never logs
         tt.active_mut(a).unwrap().note_logged(Lsn(300));
         tt.active_mut(b).unwrap().note_logged(Lsn(200));
-        assert_eq!(tt.min_active_first_lsn(), Some(Lsn(200)));
+        assert_eq!(tt.min_first_lsn(), Some(Lsn(200)));
+        // `commit_append` flips the status; the deferred ops are applied,
+        // and the entry removed, only in `commit_finish`.
         tt.get_mut(b).unwrap().status = TxnStatus::Committed;
-        assert_eq!(tt.min_active_first_lsn(), Some(Lsn(300)));
+        assert_eq!(tt.min_first_lsn(), Some(Lsn(200)));
+        tt.remove(b);
+        assert_eq!(tt.min_first_lsn(), Some(Lsn(300)));
     }
 
     #[test]

@@ -25,9 +25,11 @@ use std::sync::Arc;
 const MAGIC: u64 = 0x51_534c_4f47;
 const MAGIC_BITS: u32 = 40;
 /// Format revision, stored in the magic's sixth byte. 0: frames carried a
-/// 32-bit FNV-1a; 1: [`record::checksum`]. A log of another revision is
-/// refused at open rather than failing its first frame's checksum.
-const REVISION: u64 = 1;
+/// 32-bit FNV-1a; 1: [`record::checksum`]; 2: the begin/end checkpoint
+/// pair (tags 9 and 10) is gone, the header names a `Checkpoint` record.
+/// A log of another revision is refused at open rather than failing at
+/// its first frame.
+const REVISION: u64 = 2;
 
 struct LogState {
     /// Oldest LSN still needed (log space before it is reclaimable).
@@ -761,13 +763,16 @@ mod tests {
         lm.append(&commit(1)).unwrap();
         lm.force(lm.tail_lsn()).unwrap();
         drop(lm);
-        // The pre-checksum-change header: the bare "QSLOG" magic.
-        media.write_at(0, &MAGIC.to_le_bytes()).unwrap();
-        let Err(err) = LogManager::open(Arc::clone(&media) as Arc<dyn StableMedia>) else {
-            panic!("opened a revision-0 log");
-        };
-        assert!(matches!(err, QsError::RecoveryFailed { .. }), "{err}");
-        assert!(err.to_string().contains("log format revision 0"), "{err}");
+        // Revision 0 is the bare "QSLOG" magic (the pre-checksum-change
+        // header); revision 1 logs may hold the begin/end checkpoint pair.
+        for old in 0..REVISION {
+            media.write_at(0, &(MAGIC | old << MAGIC_BITS).to_le_bytes()).unwrap();
+            let Err(err) = LogManager::open(Arc::clone(&media) as Arc<dyn StableMedia>) else {
+                panic!("opened a revision-{old} log");
+            };
+            assert!(matches!(err, QsError::RecoveryFailed { .. }), "{err}");
+            assert!(err.to_string().contains(&format!("log format revision {old};")), "{err}");
+        }
         // Not a log at all: still the magic error.
         media.write_at(0, &[0xAB; 8]).unwrap();
         let Err(err) = LogManager::open(media) else { panic!("opened garbage") };

@@ -53,8 +53,8 @@ pub mod tag {
     pub const CLR: u8 = 6;
     pub const CHECKPOINT: u8 = 7;
     pub const UPDATE_LOGICAL: u8 = 8;
-    pub const BEGIN_CHECKPOINT: u8 = 9;
-    pub const END_CHECKPOINT: u8 = 10;
+    // 9 and 10 were the begin/end pair of the two-phase checkpoint (log
+    // format revision 1); they are not reused.
     pub const TXN_SCHEME: u8 = 11;
 }
 
@@ -222,21 +222,11 @@ pub enum LogRecord {
         after: Vec<u8>,
         undo_next: Lsn,
     },
-    /// Sharp checkpoint (legacy single-record form; the quiesced default
-    /// path still writes these so existing logs and figures are
-    /// unchanged).
+    /// Checkpoint: the server's tables at the instant the record was
+    /// appended, taken after the checkpoint's drain. It is the restart
+    /// anchor once the log header names it — a crash before that leaves
+    /// the header on the previous checkpoint.
     Checkpoint { body: CheckpointBody },
-    /// First half of a two-phase fuzzy checkpoint: the table snapshot
-    /// taken while foreground traffic keeps running. Restart anchors
-    /// here; the checkpoint only *counts* once the matching
-    /// [`LogRecord::EndCheckpoint`] is durable and the header points at
-    /// this record — a crash between the pair falls back to the previous
-    /// complete checkpoint automatically.
-    BeginCheckpoint { body: CheckpointBody },
-    /// Second half of a two-phase fuzzy checkpoint: written after the
-    /// claimed dirty set has been drained to the data disk. `begin`
-    /// points back at the matching begin record.
-    EndCheckpoint { begin: Lsn },
     /// Logical (REDO-only) byte-range update: like `Update` but with no
     /// before image — the no-steal rule of `RecoveryFlavor::RedoLogical`
     /// guarantees uncommitted data never reaches disk, so undo images are
@@ -260,9 +250,7 @@ impl LogRecord {
             | LogRecord::Clr { txn, .. }
             | LogRecord::UpdateLogical { txn, .. }
             | LogRecord::TxnScheme { txn, .. } => *txn,
-            LogRecord::Checkpoint { .. }
-            | LogRecord::BeginCheckpoint { .. }
-            | LogRecord::EndCheckpoint { .. } => TxnId::INVALID,
+            LogRecord::Checkpoint { .. } => TxnId::INVALID,
         }
     }
 
@@ -277,9 +265,7 @@ impl LogRecord {
             | LogRecord::Clr { prev, .. }
             | LogRecord::UpdateLogical { prev, .. }
             | LogRecord::TxnScheme { prev, .. } => *prev,
-            LogRecord::Checkpoint { .. }
-            | LogRecord::BeginCheckpoint { .. }
-            | LogRecord::EndCheckpoint { .. } => Lsn::NULL,
+            LogRecord::Checkpoint { .. } => Lsn::NULL,
         }
     }
 
@@ -306,8 +292,6 @@ impl LogRecord {
             LogRecord::Clr { .. } => tag::CLR,
             LogRecord::Checkpoint { .. } => tag::CHECKPOINT,
             LogRecord::UpdateLogical { .. } => tag::UPDATE_LOGICAL,
-            LogRecord::BeginCheckpoint { .. } => tag::BEGIN_CHECKPOINT,
-            LogRecord::EndCheckpoint { .. } => tag::END_CHECKPOINT,
             LogRecord::TxnScheme { .. } => tag::TXN_SCHEME,
         }
     }
@@ -334,8 +318,6 @@ impl LogRecord {
             LogRecord::UpdateLogical { txn, prev, page, slot, offset, after } => {
                 w.update_logical(*txn, *prev, *page, *slot, *offset, after)
             }
-            LogRecord::BeginCheckpoint { body } => w.begin_checkpoint(body),
-            LogRecord::EndCheckpoint { begin } => w.end_checkpoint(*begin),
             LogRecord::TxnScheme { txn, prev, scheme } => w.scheme_mark(*txn, *prev, *scheme),
         }
     }
@@ -376,10 +358,6 @@ impl LogRecord {
                 let (page, slot, offset, after) = body.after_image()?;
                 LogRecord::UpdateLogical { txn, prev, page, slot, offset, after: after.to_vec() }
             }
-            tag::BEGIN_CHECKPOINT => {
-                LogRecord::BeginCheckpoint { body: frame_checkpoint_body(bytes)? }
-            }
-            tag::END_CHECKPOINT => LogRecord::EndCheckpoint { begin: Lsn(body.u64()?) },
             tag::TXN_SCHEME => LogRecord::TxnScheme { txn, prev, scheme: body.scheme()? },
             t => return Err(corrupt(format_args!("unknown record tag {t}"))),
         })
@@ -671,13 +649,9 @@ pub fn frame_whole_page_image(bytes: &[u8]) -> QsResult<&[u8]> {
     body.bytes(PAGE_SIZE)
 }
 
-/// The table snapshot in an encoded sharp `Checkpoint` or fuzzy
-/// `BeginCheckpoint` record (one body layout under two tags).
+/// The table snapshot in an encoded `Checkpoint` record.
 pub fn frame_checkpoint_body(bytes: &[u8]) -> QsResult<CheckpointBody> {
-    let (t, mut b) = checked(bytes)?;
-    if t != tag::CHECKPOINT && t != tag::BEGIN_CHECKPOINT {
-        return Err(corrupt(format_args!("tag {t} is not a checkpoint frame")));
-    }
+    let mut b = checked_as(bytes, tag::CHECKPOINT, "a checkpoint")?;
     let mut body = CheckpointBody::default();
     for _ in 0..b.u32()? {
         body.active_txns.push((TxnId(b.u64()?), Lsn(b.u64()?)));
@@ -805,30 +779,6 @@ mod tests {
     }
 
     #[test]
-    fn begin_end_checkpoint_round_trip() {
-        let begin = LogRecord::BeginCheckpoint {
-            body: CheckpointBody {
-                active_txns: vec![(TxnId(1), Lsn(10))],
-                dirty_pages: vec![(PageId(5), Lsn(8)), (PageId(6), Lsn(9))],
-                wpl_entries: vec![],
-                allocated_pages: 42,
-            },
-        };
-        round_trip(&begin);
-        // Begin carries the same body as the legacy sharp record and
-        // must cost the same log bytes.
-        let LogRecord::BeginCheckpoint { body } = begin.clone() else { unreachable!() };
-        assert_eq!(begin.encode().len(), LogRecord::Checkpoint { body }.encode().len());
-
-        let end = LogRecord::EndCheckpoint { begin: Lsn(4096) };
-        round_trip(&end);
-        assert_eq!(end.encode().len(), LOG_HEADER_SIZE + 8);
-        assert_eq!(end.txn(), TxnId::INVALID);
-        assert_eq!(end.prev(), Lsn::NULL);
-        assert_eq!(end.page(), None);
-    }
-
-    #[test]
     fn txn_scheme_round_trip_and_size() {
         for scheme in [SchemeCode::Pd, SchemeCode::Sd, SchemeCode::Wpl, SchemeCode::Rlog] {
             let r = LogRecord::TxnScheme { txn: TxnId(12), prev: Lsn(7), scheme };
@@ -871,7 +821,7 @@ mod tests {
                 frames.push(r.encode());
             }
         }
-        assert_eq!(seen.len(), 11, "a tag has no frame");
+        assert_eq!(seen.len(), 9, "a tag has no frame");
         frames
     }
 
@@ -1047,21 +997,6 @@ mod tests {
                     allocated_pages: 1234,
                 },
             },
-            LogRecord::BeginCheckpoint { body: CheckpointBody::default() },
-            LogRecord::BeginCheckpoint {
-                body: CheckpointBody {
-                    active_txns: vec![(TxnId(3), Lsn(30))],
-                    dirty_pages: vec![(PageId(7), Lsn(11))],
-                    wpl_entries: vec![WplCheckpointEntry {
-                        page: PageId(2),
-                        lsn: Lsn(45),
-                        txn: TxnId(3),
-                        committed: false,
-                    }],
-                    allocated_pages: 77,
-                },
-            },
-            LogRecord::EndCheckpoint { begin: Lsn(4096) },
             LogRecord::TxnScheme { txn: TxnId(9), prev: Lsn::NULL, scheme: SchemeCode::Pd },
             LogRecord::TxnScheme { txn: TxnId(10), prev: Lsn(33), scheme: SchemeCode::Rlog },
         ]
@@ -1070,12 +1005,7 @@ mod tests {
     #[test]
     fn frame_set_prev_matches_reencoding() {
         for r in every_variant() {
-            if matches!(
-                r,
-                LogRecord::Checkpoint { .. }
-                    | LogRecord::BeginCheckpoint { .. }
-                    | LogRecord::EndCheckpoint { .. }
-            ) {
+            if matches!(r, LogRecord::Checkpoint { .. }) {
                 continue; // checkpoint records have no prev
             }
             let mut enc = r.encode();
@@ -1106,9 +1036,7 @@ mod tests {
                 LogRecord::UpdateLogical { txn, prev, page, slot, offset, after }
             }
             LogRecord::TxnScheme { txn, scheme, .. } => LogRecord::TxnScheme { txn, prev, scheme },
-            c @ (LogRecord::Checkpoint { .. }
-            | LogRecord::BeginCheckpoint { .. }
-            | LogRecord::EndCheckpoint { .. }) => c,
+            c @ LogRecord::Checkpoint { .. } => c,
         }
     }
 

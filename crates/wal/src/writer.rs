@@ -192,21 +192,9 @@ impl<'a> RecordWriter<'a> {
         self.frame(tag::ABORT, (txn, prev), (0, 0), |_| {})
     }
 
-    /// Append a sharp `Checkpoint` record. Returns its encoded length.
+    /// Append a `Checkpoint` record. It belongs to no transaction, and all
+    /// of its body counts as payload. Returns its encoded length.
     pub fn checkpoint(&mut self, body: &CheckpointBody) -> usize {
-        self.checkpoint_tables(tag::CHECKPOINT, body)
-    }
-
-    /// Append the `BeginCheckpoint` record of a fuzzy pair: the same
-    /// snapshot under its own tag. Returns its encoded length.
-    pub fn begin_checkpoint(&mut self, body: &CheckpointBody) -> usize {
-        self.checkpoint_tables(tag::BEGIN_CHECKPOINT, body)
-    }
-
-    /// The checkpoint-body layout, shared by the two tags that carry one.
-    /// Checkpoint records belong to no transaction, and all of their body
-    /// counts as payload.
-    fn checkpoint_tables(&mut self, tag: u8, body: &CheckpointBody) -> usize {
         let CheckpointBody { active_txns, dirty_pages, wpl_entries, allocated_pages } = body;
         let len = 4
             + 16 * active_txns.len()
@@ -215,7 +203,7 @@ impl<'a> RecordWriter<'a> {
             + 4
             + 21 * wpl_entries.len()
             + 8;
-        self.frame(tag, (TxnId::INVALID, Lsn::NULL), (len, len), |b| {
+        self.frame(tag::CHECKPOINT, (TxnId::INVALID, Lsn::NULL), (len, len), |b| {
             b.u32(active_txns.len() as u32);
             for (txn, last) in active_txns {
                 b.u64(txn.0).u64(last.0);
@@ -229,14 +217,6 @@ impl<'a> RecordWriter<'a> {
                 b.u32(e.page.0).u64(e.lsn.0).u64(e.txn.0).u8(e.committed as u8);
             }
             b.u64(*allocated_pages);
-        })
-    }
-
-    /// Append the `EndCheckpoint` record of a fuzzy pair, pointing back at
-    /// its begin record. Returns its encoded length.
-    pub fn end_checkpoint(&mut self, begin: Lsn) -> usize {
-        self.frame(tag::END_CHECKPOINT, (TxnId::INVALID, Lsn::NULL), (8, 8), |b| {
-            b.u64(begin.0);
         })
     }
 }

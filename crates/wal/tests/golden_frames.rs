@@ -1,9 +1,10 @@
 //! The log's on-disk frame format, pinned: one frame per tag, as hex.
 //!
 //! The hex was produced by the encoder at log format revision 1 (the
-//! commit before `RecordWriter` became the only encoder). A change that
-//! moves any of it is a format change and needs a new revision in
-//! `log.rs`, not a new constant here. The same frames then stand in for
+//! commit before `RecordWriter` became the only encoder); revision 2
+//! retired tags 9 and 10 (the begin/end checkpoint pair) and moved none
+//! of the nine frames below. A change that moves any of it is a format
+//! change and needs a new revision in `log.rs`, not a new constant here. The same frames then stand in for
 //! every way bytes can fail to be a frame: each cut and each tampered
 //! length must come back as `LogCorrupt` from the decoder and from every
 //! frame view, never as a panic.
@@ -134,28 +135,6 @@ fn golden() -> Vec<(LogRecord, Vec<u8>)> {
             ),
         ),
         (
-            LogRecord::BeginCheckpoint {
-                body: CheckpointBody {
-                    active_txns: vec![(TxnId(0x67), Lsn(0x6869))],
-                    dirty_pages: vec![(PageId(0x74), Lsn(0x7576)), (PageId(0x77), Lsn(0x7879))],
-                    wpl_entries: vec![],
-                    allocated_pages: 0x95,
-                },
-            },
-            unhex(
-                "6e000000ce16726409ffffffffffffffff0000000000000000010000006700000000000000\
-                 6968000000000000020000007400000076750000000000007700000079780000000000000000\
-                 000095000000000000000000000000000000000000000000000000000000006e000000",
-            ),
-        ),
-        (
-            LogRecord::EndCheckpoint { begin: Lsn(0x5A5B_5C5D) },
-            unhex(
-                "3a000000b9bde1af0affffffffffffffff00000000000000005d5c5b5a0000000000000000\
-                 00000000000000000000000000000000003a000000",
-            ),
-        ),
-        (
             LogRecord::TxnScheme { txn: TXN, prev: PREV, scheme: SchemeCode::Rlog },
             unhex(
                 "32000000f8a1ed8e0b08070605040302011817161514131211030000000000000000000000\
@@ -169,7 +148,18 @@ fn golden() -> Vec<(LogRecord, Vec<u8>)> {
 fn every_tag_encodes_to_its_golden_frame_and_decodes_back() {
     let frames = golden();
     let tags: Vec<u8> = frames.iter().map(|(rec, _)| rec.tag()).collect();
-    assert_eq!(tags, (tag::UPDATE..=tag::TXN_SCHEME).collect::<Vec<u8>>(), "one frame per tag");
+    let all = [
+        tag::UPDATE,
+        tag::WHOLE_PAGE,
+        tag::PAGE_ALLOC,
+        tag::COMMIT,
+        tag::ABORT,
+        tag::CLR,
+        tag::CHECKPOINT,
+        tag::UPDATE_LOGICAL,
+        tag::TXN_SCHEME,
+    ];
+    assert_eq!(tags, all, "one frame per tag");
     let media = Arc::new(MemDisk::new(LogManager::required_bytes(1 << 16)));
     let log = LogManager::format(media as Arc<dyn StableMedia>, 1 << 16).unwrap();
     for (rec, frame) in &frames {
@@ -218,7 +208,7 @@ fn views_lend_the_golden_fields() {
                 assert_eq!(record::frame_whole_page_image(frame).unwrap(), &image[..]);
                 assert_eq!((redo, image_bytes), (None, 0));
             }
-            LogRecord::Checkpoint { body } | LogRecord::BeginCheckpoint { body } => {
+            LogRecord::Checkpoint { body } => {
                 assert_eq!(&record::frame_checkpoint_body(frame).unwrap(), body);
                 assert_eq!((redo, image_bytes), (None, 0));
             }
@@ -316,8 +306,56 @@ fn a_view_refuses_a_frame_of_another_tag() {
         if t != tag::WHOLE_PAGE {
             assert!(corrupt(record::frame_whole_page_image(frame).map(drop)), "tag {t}");
         }
-        if t != tag::CHECKPOINT && t != tag::BEGIN_CHECKPOINT {
+        if t != tag::CHECKPOINT {
             assert!(corrupt(record::frame_checkpoint_body(frame).map(drop)), "tag {t}");
         }
     }
+}
+
+/// Revision 1's begin/end checkpoint frames (tags 9 and 10), as that
+/// revision's encoder wrote them: intact frames of tags this build does
+/// not read. The decoder and the checkpoint-body view refuse them by type.
+#[test]
+fn the_retired_checkpoint_pair_is_not_decoded() {
+    let begin = unhex(
+        "6e000000ce16726409ffffffffffffffff0000000000000000010000006700000000000000\
+         6968000000000000020000007400000076750000000000007700000079780000000000000000\
+         000095000000000000000000000000000000000000000000000000000000006e000000",
+    );
+    let end = unhex(
+        "3a000000b9bde1af0affffffffffffffff00000000000000005d5c5b5a0000000000000000\
+         00000000000000000000000000000000003a000000",
+    );
+    for (t, frame) in [(9, begin), (10, end)] {
+        record::frame_verify(&frame).unwrap();
+        assert_eq!(record::frame_tag(&frame).unwrap(), t);
+        for refused in
+            [LogRecord::decode(&frame).map(drop), record::frame_checkpoint_body(&frame).map(drop)]
+        {
+            assert!(matches!(refused, Err(QsError::LogCorrupt { .. })), "tag {t}: {refused:?}");
+        }
+    }
+}
+
+/// Such frames can only sit in a revision-1 log, and that is refused at
+/// `open`, by name, before any frame is read.
+#[test]
+fn a_revision_1_log_is_refused_by_name() {
+    let media: Arc<dyn StableMedia> = Arc::new(MemDisk::new(LogManager::required_bytes(1 << 16)));
+    let log = LogManager::format(Arc::clone(&media), 1 << 16).unwrap();
+    log.append(&LogRecord::Commit { txn: TXN, prev: PREV }).unwrap();
+    log.force(log.tail_lsn()).unwrap();
+    drop(log);
+    // The revision is the sixth byte of the header magic.
+    let mut revision = [0u8];
+    media.read_at(5, &mut revision).unwrap();
+    assert_eq!(revision, [2], "this build writes revision 2");
+    LogManager::open(Arc::clone(&media)).unwrap();
+    media.write_at(5, &[1]).unwrap();
+    let Err(err) = LogManager::open(media) else { panic!("opened a revision-1 log") };
+    assert!(matches!(err, QsError::RecoveryFailed { .. }), "{err}");
+    assert!(
+        err.to_string().contains("log format revision 1; this build reads revision 2"),
+        "{err}"
+    );
 }

@@ -1,16 +1,15 @@
-//! Seeded concurrent checkpointing: N reactor clients hammer their hot
-//! pages (each page re-dirtied every round — permanently claimable) while
-//! the background flusher takes fuzzy checkpoints in a loop. Maintenance
-//! must never cost a client an admission slot (zero `Overloaded` sheds —
-//! the committer only *queues* a flusher wakeup), and the state recovered
-//! after a crash must equal the quiesced-path oracle: every client's last
-//! committed value, independent of the flusher knob used at restart.
+//! Concurrent checkpointing: N reactor clients hammer their hot pages
+//! (each page re-dirtied every round — permanently claimable) while the
+//! background flusher takes checkpoints in a loop. Maintenance must never
+//! cost a client an admission slot (zero `Overloaded` sheds — the
+//! committer only *queues* a flusher wakeup), and the state recovered
+//! after a crash must be every client's last committed value.
 //! Runs under the deadlock watchdog in `scripts/verify.sh`.
 
 use qs_repro::core::{Store, SystemConfig};
-use qs_repro::esm::{ClientConn, Reactor, RecoveryFlavor, Server, ServerConfig, StableParts};
+use qs_repro::esm::{ClientConn, Reactor, RecoveryFlavor, Server, ServerConfig};
 use qs_repro::sim::Meter;
-use qs_repro::storage::{MemDisk, Page, StableMedia};
+use qs_repro::storage::Page;
 use qs_repro::types::{ClientId, Oid};
 use std::sync::Arc;
 
@@ -23,20 +22,7 @@ fn server_cfg(cfg: &SystemConfig) -> ServerConfig {
         .with_pool_mb(1.0)
         .with_volume_pages(256)
         .with_log_mb(8.0)
-        .with_background_flusher(true)
         .with_runtime_workers(2)
-}
-
-fn image(media: &Arc<dyn StableMedia>) -> Vec<u8> {
-    let mut buf = vec![0u8; media.len()];
-    media.read_at(0, &mut buf).unwrap();
-    buf
-}
-
-fn disk_from(bytes: &[u8]) -> Arc<dyn StableMedia> {
-    let d = MemDisk::new(bytes.len());
-    d.write_at(0, bytes).unwrap();
-    Arc::new(d)
 }
 
 /// Client `i` owns page `i` (the paper's private-module design) and
@@ -65,8 +51,9 @@ fn concurrent_flusher_checkpoints_never_shed_and_recover_exactly() {
         }
         server.bulk_sync().unwrap();
 
-        // Starting the reactor also starts the flusher thread (the knob
-        // is on), so maintenance leaves the committer immediately.
+        // With the flusher thread started, maintenance leaves the
+        // committer: it only queues a wakeup.
+        server.start_flusher();
         let reactor = Reactor::start(&server);
         let before = server.checkpoints_taken();
         std::thread::scope(|s| {
@@ -117,40 +104,26 @@ fn concurrent_flusher_checkpoints_never_shed_and_recover_exactly() {
             "{name}: the flusher never completed a checkpoint"
         );
 
+        // Recovery: every client's last committed value.
         let parts = Arc::try_unwrap(server).ok().expect("sole owner").crash();
-        let (data, log) = (image(&parts.data_media), image(&parts.log_media));
-
-        // Recovery: every client's last committed value, under both the
-        // fuzzy-aware config and the plain quiesced oracle config — the
-        // knob must not change what restart reads from the media.
-        for fuzzy in [true, false] {
-            let scfg = ServerConfig::new(cfg.flavor)
-                .with_pool_mb(1.0)
-                .with_volume_pages(256)
-                .with_log_mb(8.0)
-                .with_background_flusher(fuzzy);
-            let parts = StableParts {
-                data_media: disk_from(&data),
-                log_media: disk_from(&log),
-                flight: None,
-            };
-            let restarted = Server::restart(parts, scfg, Meter::new()).unwrap();
-            assert_eq!(restarted.active_txns(), 0, "{name}: txns leaked through restart");
-            for (i, &pid) in pids.iter().enumerate() {
-                let page = restarted.read_page_for_test(pid).unwrap();
-                for slot in 0..SLOTS {
-                    let got = page.object(pid, oids[i * SLOTS + slot].slot).unwrap();
-                    assert_eq!(
-                        &got[..32],
-                        &expected_value(slot)[..],
-                        "{name}: client {i} slot {slot} lost a committed value (fuzzy={fuzzy})"
-                    );
-                }
+        let scfg =
+            ServerConfig::new(cfg.flavor).with_pool_mb(1.0).with_volume_pages(256).with_log_mb(8.0);
+        let restarted = Server::restart(parts, scfg, Meter::new()).unwrap();
+        assert_eq!(restarted.active_txns(), 0, "{name}: txns leaked through restart");
+        for (i, &pid) in pids.iter().enumerate() {
+            let page = restarted.read_page_for_test(pid).unwrap();
+            for slot in 0..SLOTS {
+                let got = page.object(pid, oids[i * SLOTS + slot].slot).unwrap();
+                assert_eq!(
+                    &got[..32],
+                    &expected_value(slot)[..],
+                    "{name}: client {i} slot {slot} lost a committed value"
+                );
             }
-            if cfg.flavor == RecoveryFlavor::Wpl {
-                restarted.quiesce().unwrap();
-            }
-            drop(restarted.crash());
         }
+        if cfg.flavor == RecoveryFlavor::Wpl {
+            restarted.quiesce().unwrap();
+        }
+        drop(restarted.crash());
     }
 }

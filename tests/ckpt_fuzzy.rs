@@ -1,11 +1,15 @@
-//! Two-phase fuzzy checkpoint equivalence: with the background-flusher
-//! knob on, `checkpoint()` becomes begin record → incremental drain →
-//! end record, taken *without* quiescing — including mid-transaction,
-//! with an uncommitted loser active and shipped. For every one of the
-//! six schemes, a crash after fuzzy checkpoints must recover exactly
-//! the state the quiesced-checkpoint oracle recovers: same committed
-//! values, same undone/skipped losers, and the fuzzy media must restart
+//! The checkpoint taken mid-transaction: `checkpoint()` drains
+//! incrementally and then writes one record, without stopping the server
+//! — here with an uncommitted loser active and shipped. For every one of
+//! the six schemes, a crash after such a checkpoint must recover exactly
+//! the model the test itself committed (every committed write present,
+//! the loser undone or skipped), and the media must restart
 //! bit-identically across redo worker counts.
+//!
+//! The oracle used to be a second run under the stop-the-world checkpoint
+//! body. That body is deleted (there is one checkpoint procedure now), and
+//! as an oracle it was wrong under concurrency: it dropped dirty-page
+//! table entries whose pages it had not flushed.
 
 use qs_repro::core::{Store, SystemConfig};
 use qs_repro::esm::{ClientConn, RecoveryFlavor, Server, ServerConfig, StableParts};
@@ -15,12 +19,8 @@ use qs_repro::types::{ClientId, Lsn, Oid};
 use qs_repro::wal::LogRecord;
 use std::sync::Arc;
 
-fn server_cfg(cfg: &SystemConfig, fuzzy: bool) -> ServerConfig {
-    ServerConfig::new(cfg.flavor)
-        .with_pool_mb(1.0)
-        .with_volume_pages(256)
-        .with_log_mb(8.0)
-        .with_background_flusher(fuzzy)
+fn server_cfg(cfg: &SystemConfig) -> ServerConfig {
+    ServerConfig::new(cfg.flavor).with_pool_mb(1.0).with_volume_pages(256).with_log_mb(8.0)
 }
 
 /// Byte image of a stable medium.
@@ -41,14 +41,20 @@ fn value_at(server: &Server, oid: Oid) -> Vec<u8> {
     server.read_page_for_test(oid.page).unwrap().object(oid.page, oid.slot).unwrap().to_vec()
 }
 
-/// The restart_equivalence crash scenario, parameterized on the
-/// checkpoint protocol: a committed burst, an uncommitted loser shipped
-/// to the server, a checkpoint taken *while the loser is active* (the
-/// mid-transaction case the fuzzy protocol must get right), a second
-/// committed burst, an in-flight transaction, crash.
-fn crashed_images(cfg: &SystemConfig, fuzzy: bool) -> (Vec<u8>, Vec<u8>, Vec<Oid>) {
+/// `store.modify`, mirrored into the committed model.
+fn put(store: &mut Store, model: &mut [Vec<u8>], oids: &[Oid], i: usize, off: usize, bytes: &[u8]) {
+    store.modify(oids[i], off, bytes).unwrap();
+    model[i][off..off + bytes.len()].copy_from_slice(bytes);
+}
+
+/// The restart_equivalence crash scenario: a committed burst, an
+/// uncommitted loser shipped to the server, a checkpoint taken *while the
+/// loser is active*, a second committed burst, an in-flight transaction,
+/// crash. Returns the crashed media, the object ids and the committed
+/// value of every object.
+fn crashed_images(cfg: &SystemConfig) -> (Vec<u8>, Vec<u8>, Vec<Oid>, Vec<Vec<u8>>) {
     let meter = Meter::new();
-    let server = Arc::new(Server::format(server_cfg(cfg, fuzzy), Arc::clone(&meter)).unwrap());
+    let server = Arc::new(Server::format(server_cfg(cfg), Arc::clone(&meter)).unwrap());
     let pids = server.bulk_allocate(10).unwrap();
     let mut oids = Vec::new();
     for &pid in &pids {
@@ -59,13 +65,14 @@ fn crashed_images(cfg: &SystemConfig, fuzzy: bool) -> (Vec<u8>, Vec<u8>, Vec<Oid
         server.bulk_write(pid, &p).unwrap();
     }
     server.bulk_sync().unwrap();
+    let mut model = vec![vec![0u8; 100]; oids.len()];
 
     let client = ClientConn::new(ClientId(0), Arc::clone(&server), cfg.client_pool_pages(), meter);
     let mut store = Store::new(client, cfg.clone()).unwrap();
     for round in 1..=6u8 {
         store.begin().unwrap();
-        store.modify(oids[round as usize], 0, &[round; 32]).unwrap();
-        store.modify(oids[0], 40, &[round; 32]).unwrap();
+        put(&mut store, &mut model, &oids, round as usize, 0, &[round; 32]);
+        put(&mut store, &mut model, &oids, 0, 40, &[round; 32]);
         store.commit().unwrap();
     }
     drop(store);
@@ -118,10 +125,9 @@ fn crashed_images(cfg: &SystemConfig, fuzzy: bool) -> (Vec<u8>, Vec<u8>, Vec<Oid
             server.receive_log_records(loser, recs).unwrap();
         }
     }
-    // Mid-transaction checkpoint: quiesced sharp/aged under the oracle
-    // config, two-phase fuzzy (begin → drain → end, no quiesce) under
-    // the flusher config. Either way it must carry the loser in its
-    // transaction-table snapshot.
+    // Mid-transaction checkpoint: it must carry the loser in its
+    // transaction-table snapshot, and keep the pages the loser logged but
+    // never shipped in its dirty-page table.
     server.checkpoint().unwrap();
 
     // Burst B: committed work after the checkpoint, then one in-flight
@@ -131,8 +137,8 @@ fn crashed_images(cfg: &SystemConfig, fuzzy: bool) -> (Vec<u8>, Vec<u8>, Vec<Oid
     let mut store = Store::new(client, cfg.clone()).unwrap();
     for round in 7..=12u8 {
         store.begin().unwrap();
-        store.modify(oids[(round as usize) % 20], 0, &[round; 32]).unwrap();
-        store.modify(oids[(round as usize) % 20 + 1], 36, &[round; 24]).unwrap();
+        put(&mut store, &mut model, &oids, (round as usize) % 20, 0, &[round; 32]);
+        put(&mut store, &mut model, &oids, (round as usize) % 20 + 1, 36, &[round; 24]);
         store.commit().unwrap();
     }
     store.begin().unwrap();
@@ -140,7 +146,7 @@ fn crashed_images(cfg: &SystemConfig, fuzzy: bool) -> (Vec<u8>, Vec<u8>, Vec<Oid
     drop(store);
 
     let parts = Arc::try_unwrap(server).ok().expect("sole owner").crash();
-    (image(&parts.data_media), image(&parts.log_media), oids)
+    (image(&parts.data_media), image(&parts.log_media), oids, model)
 }
 
 /// Everything observable about one restart.
@@ -175,45 +181,35 @@ fn restart_observed(
     }
 }
 
-/// For every scheme: the fuzzy-checkpoint crash recovers the same logical
-/// state as the quiesced-checkpoint oracle (committed values identical,
-/// loser gone), and the fuzzy media restart identically across worker
-/// counts. The media images themselves differ between the two
-/// protocols (different checkpoint records), so the comparison is on
-/// recovered state, not raw bytes.
+/// For every scheme: the crash after a mid-transaction checkpoint
+/// recovers exactly the committed model (loser gone), and the media
+/// restart identically across worker counts.
 #[test]
-fn fuzzy_checkpoint_recovers_like_the_quiesced_oracle() {
+fn mid_transaction_checkpoint_recovers_the_committed_model() {
     for (cfg, _) in SystemConfig::all_schemes() {
         let cfg = cfg.with_memory(1.0, 0.25);
         let name = cfg.name();
 
-        let (odata, olog, oids) = crashed_images(&cfg, false);
-        let oracle = restart_observed(&odata, &olog, &oids, server_cfg(&cfg, false), 1);
+        let (data, log, oids, model) = crashed_images(&cfg);
+        let one = restart_observed(&data, &log, &oids, server_cfg(&cfg), 1);
+        assert_eq!(one.values, model, "{name}: recovery diverged from the committed model");
+        assert_eq!(one.active_txns, 0, "{name}: loser survived recovery");
 
-        let (fdata, flog, foids) = crashed_images(&cfg, true);
-        assert_eq!(oids, foids, "{name}: scenario divergence");
-        let fuzzy = restart_observed(&fdata, &flog, &foids, server_cfg(&cfg, true), 1);
-
-        assert_eq!(
-            fuzzy.values, oracle.values,
-            "{name}: fuzzy-checkpoint recovery diverged from the quiesced oracle"
-        );
-        assert_eq!(fuzzy.active_txns, 0, "{name}: loser survived fuzzy recovery");
-
-        // Restarts of the *same* fuzzy media must be bit-identical across
-        // worker counts, begin/end anchoring included.
+        // Restarts of the same media must be bit-identical across worker
+        // counts, anchoring included.
         for workers in [2, 4, 8] {
-            let got = restart_observed(&fdata, &flog, &foids, server_cfg(&cfg, true), workers);
-            assert_eq!(got, fuzzy, "{name}: workers={workers} diverged on fuzzy media");
+            let got = restart_observed(&data, &log, &oids, server_cfg(&cfg), workers);
+            assert_eq!(got, one, "{name}: workers={workers} diverged");
         }
     }
 }
 
-/// The fuzzy drain must actually write data pages outside any quiesce:
-/// dirty pages claimed at begin are on disk before the end record, so a
-/// crash *immediately* after a fuzzy checkpoint replays only the log
-/// tail. Sanity-checks the elevator batches really ran for the
-/// page-shipping schemes (WPL drains via reclaim, not the checkpoint).
+/// The checkpoint's drain must actually write data pages: the pages the
+/// dirty-page table lists are on disk before the record is appended, so a
+/// crash *immediately* after a checkpoint replays only the log tail.
+/// Sanity-checks the elevator batches really ran for the page-shipping
+/// schemes (WPL drains via reclaim, not the checkpoint). ("Fuzzy": the
+/// drain runs with transactions running; there is no other kind now.)
 #[test]
 fn fuzzy_drain_flushes_claimed_pages() {
     for (cfg, _) in SystemConfig::all_schemes() {
@@ -225,7 +221,7 @@ fn fuzzy_drain_flushes_claimed_pages() {
         }
         let name = cfg.name();
         let meter = Meter::new();
-        let server = Arc::new(Server::format(server_cfg(&cfg, true), Arc::clone(&meter)).unwrap());
+        let server = Arc::new(Server::format(server_cfg(&cfg), Arc::clone(&meter)).unwrap());
         let pids = server.bulk_allocate(8).unwrap();
         let mut oids = Vec::new();
         for &pid in &pids {
@@ -244,9 +240,113 @@ fn fuzzy_drain_flushes_claimed_pages() {
         }
         drop(store);
         server.checkpoint().unwrap();
-        let (batches, pages) = server.flusher_stats();
-        assert!(batches > 0, "{name}: fuzzy checkpoint drained no batches");
-        assert!(pages >= 8, "{name}: fuzzy checkpoint drained {pages} pages, expected >= 8");
+        let (batches, pages) = server.drain_stats();
+        assert!(batches > 0, "{name}: the checkpoint drained no batches");
+        assert!(pages >= 8, "{name}: the checkpoint drained {pages} pages, expected >= 8");
         drop(Arc::try_unwrap(server).ok().expect("sole owner").crash());
+    }
+}
+
+/// A one-page server of `cfg`'s flavor, and the page's one 100-byte object.
+fn one_page_server(cfg: &SystemConfig) -> (Server, Oid, Page) {
+    let server = Server::format(server_cfg(cfg), Meter::new()).unwrap();
+    let pid = server.bulk_allocate(1).unwrap()[0];
+    let mut page = Page::new();
+    let oid = Oid::new(pid, page.insert(pid, &[0u8; 100]).unwrap());
+    server.bulk_write(pid, &page).unwrap();
+    server.bulk_sync().unwrap();
+    (server, oid, page)
+}
+
+/// Begin a transaction that may ship physical records (under ADAPT it
+/// elects PD) and X-lock `oid`'s page.
+fn begin_physical(server: &Server, oid: Oid) -> qs_repro::types::TxnId {
+    let txn = server.begin();
+    server.lock_page(txn, oid.page, qs_repro::esm::LockMode::X).unwrap();
+    if server.flavor() == RecoveryFlavor::Adaptive {
+        let scheme = qs_repro::wal::SchemeCode::Pd;
+        let mark = LogRecord::TxnScheme { txn, prev: Lsn::NULL, scheme };
+        server.receive_log_records(txn, vec![mark]).unwrap();
+    }
+    txn
+}
+
+/// Ship the log page of "fill `page`'s object bytes `[0, 20)` with `val`".
+fn ship_log_page(server: &Server, txn: qs_repro::types::TxnId, oid: Oid, page: &mut Page, val: u8) {
+    let object = page.object_mut(oid.page, oid.slot).unwrap();
+    let update = LogRecord::Update {
+        txn,
+        prev: Lsn::NULL,
+        page: oid.page,
+        slot: oid.slot,
+        offset: 0,
+        before: object[..20].to_vec(),
+        after: vec![val; 20],
+    };
+    object[..20].fill(val);
+    server.receive_log_records(txn, vec![update]).unwrap();
+}
+
+/// Ship the dirty page, under the flavors whose clients ship pages
+/// (PD-REDO applied the record to its own copy on receipt), and commit.
+fn ship_dirty_page_and_commit(server: &Server, txn: qs_repro::types::TxnId, oid: Oid, page: &Page) {
+    if server.flavor().facts().ships_pages {
+        server.receive_dirty_page(txn, oid.page, page.clone()).unwrap();
+    }
+    server.commit(txn).unwrap();
+}
+
+fn crash_restart_and_read(server: Server, cfg: &SystemConfig, oid: Oid) -> Vec<u8> {
+    let restarted = Server::restart(server.crash(), server_cfg(cfg), Meter::new()).unwrap();
+    value_at(&restarted, oid)
+}
+
+fn physical_schemes() -> [SystemConfig; 3] {
+    [SystemConfig::pd_esm(), SystemConfig::pd_redo(), SystemConfig::adaptive()]
+        .map(|cfg| cfg.with_memory(1.0, 0.25))
+}
+
+/// ESM ships a transaction's log page before the dirty page it describes,
+/// and somebody else's commit can checkpoint in between. That checkpoint
+/// finds the page in the dirty-page table with no image to flush; it must
+/// keep the entry, or restart — anchored at it — never redoes the update
+/// the acknowledged commit made. (The stop-the-world checkpoint cleared
+/// the table: under PD-ESM the update was gone after the crash.)
+#[test]
+fn a_checkpoint_between_a_log_page_and_its_dirty_page_keeps_the_commit() {
+    for cfg in physical_schemes() {
+        let name = cfg.name();
+        let (server, oid, mut page) = one_page_server(&cfg);
+        let txn = begin_physical(&server, oid);
+        ship_log_page(&server, txn, oid, &mut page, 0xA5);
+        server.checkpoint().unwrap();
+        ship_dirty_page_and_commit(&server, txn, oid, &page);
+        let got = crash_restart_and_read(server, &cfg, oid);
+        assert_eq!(got[..20], [0xA5; 20], "{name}: the acknowledged commit is gone");
+    }
+}
+
+/// The same with an earlier committed image of the page dirty in the pool:
+/// the first checkpoint has something to flush, but that image is older
+/// than the record the table lists the page for, so writing it retires
+/// nothing — and the second checkpoint's body still lists the page. (The
+/// two-phase checkpoint's drain dropped the entry after flushing the
+/// older image: under PD-ESM the update was gone after the second.)
+#[test]
+fn two_checkpoints_over_an_older_dirty_image_keep_the_commit() {
+    for cfg in physical_schemes() {
+        let name = cfg.name();
+        let (server, oid, mut page) = one_page_server(&cfg);
+        let earlier = begin_physical(&server, oid);
+        ship_log_page(&server, earlier, oid, &mut page, 0x11);
+        ship_dirty_page_and_commit(&server, earlier, oid, &page);
+
+        let txn = begin_physical(&server, oid);
+        ship_log_page(&server, txn, oid, &mut page, 0xA5);
+        server.checkpoint().unwrap();
+        server.checkpoint().unwrap();
+        ship_dirty_page_and_commit(&server, txn, oid, &page);
+        let got = crash_restart_and_read(server, &cfg, oid);
+        assert_eq!(got[..20], [0xA5; 20], "{name}: the acknowledged commit is gone");
     }
 }

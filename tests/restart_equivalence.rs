@@ -213,11 +213,26 @@ fn restart_observed(
 
 #[test]
 fn restart_recovers_the_committed_model_at_every_worker_count() {
-    const ARIES: &[PhaseCounts] =
-        &[("analysis", 19, 1, 0, 0), ("redo", 12, 1, 3, 0), ("undo", 30, 1, 0, 0)];
+    // Under PD-ESM the loser shipped its 30 records but never its three
+    // pages, so the checkpoint's drain has no image to write for them and
+    // its body keeps them in the dirty-page table: redo starts at their
+    // recLSN, reads them and repeats the loser's history (12 + 30 records,
+    // 3 + 3 pages) before undo rolls it back. The stop-the-world body
+    // these counts were first pinned against (12 records, 3 pages) cleared
+    // the table instead — with the loser's pages unflushed, which is the
+    // lost-update bug; the recovered values are the same either way only
+    // because this loser never commits. PD-REDO applied the records to
+    // its own copies on receipt, so the drain wrote them and its counts
+    // did not move.
     for (cfg, pinned) in [
-        (SystemConfig::pd_esm(), ARIES),
-        (SystemConfig::pd_redo(), ARIES),
+        (
+            SystemConfig::pd_esm(),
+            &[("analysis", 19, 1, 0, 0), ("redo", 42, 1, 6, 0), ("undo", 30, 1, 0, 0)][..],
+        ),
+        (
+            SystemConfig::pd_redo(),
+            &[("analysis", 19, 1, 0, 0), ("redo", 12, 1, 3, 0), ("undo", 30, 1, 0, 0)],
+        ),
         // REDO-only: the loser is dropped in analysis, no undo phase.
         (SystemConfig::pd_rlog(), &[("analysis", 67, 1, 0, 0), ("redo", 24, 1, 4, 0)]),
         (SystemConfig::wpl(), &[("backward_scan", 15, 9, 0, 0), ("table_rebuild", 5, 0, 0, 0)]),
@@ -247,23 +262,29 @@ fn restart_recovers_the_committed_model_at_every_worker_count() {
     }
 }
 
-/// Crash injected *between* a begin-checkpoint and its end record, for
-/// all six schemes: the header checkpoint only advances once the end
-/// record is durable, so restart must anchor on the previous *complete*
-/// checkpoint and recover exactly the committed model — which is also
-/// what a run without the orphaned begin recovers — at every worker count.
+/// Crash injected after a checkpoint's record is durable but *before* the
+/// log header names it, for all six schemes: the header only advances
+/// once the record is forced, so restart must anchor on the previous
+/// checkpoint and recover exactly the committed model — which is also what
+/// a run without the unnamed record recovers — at every worker count.
+/// (This was the begin/end-pair fallback test; the pair is gone, the
+/// window between "record durable" and "header names it" is what is left
+/// of it.)
 #[test]
-fn crash_between_begin_and_end_checkpoint_falls_back() {
-    // Restart work on the orphaned media; the orphaned begin record is
-    // one more analysis / scan record than the run without it.
+fn crash_before_the_header_names_the_checkpoint_falls_back() {
+    // Restart work on the orphaned media; the unnamed checkpoint record
+    // is one more analysis / scan record than the run without it. (Pinned
+    // anew with the pair gone: the anchor is one record, not two, and the
+    // interrupted checkpoint had already drained, so redo reads the pages
+    // it would have redone and finds them current.)
     const ARIES: &[PhaseCounts] =
-        &[("analysis", 13, 1, 0, 0), ("redo", 5, 1, 3, 0), ("undo", 0, 0, 0, 0)];
+        &[("analysis", 12, 1, 0, 0), ("redo", 0, 1, 3, 0), ("undo", 0, 0, 0, 0)];
     let pinned = |name: &str| -> &'static [PhaseCounts] {
         match name {
             "PD-ESM" | "SD-ESM" | "PD-REDO" => ARIES,
-            "SL-ESM" => &[("analysis", 16, 1, 0, 0), ("redo", 8, 1, 3, 0), ("undo", 0, 0, 0, 0)],
-            "PD-RLOG" => &[("analysis", 21, 1, 0, 0), ("redo", 9, 1, 5, 0)],
-            "WPL" => &[("backward_scan", 13, 6, 0, 0), ("table_rebuild", 3, 0, 0, 0)],
+            "SL-ESM" => &[("analysis", 15, 1, 0, 0), ("redo", 0, 1, 3, 0), ("undo", 0, 0, 0, 0)],
+            "PD-RLOG" => &[("analysis", 20, 1, 0, 0), ("redo", 4, 1, 5, 0)],
+            "WPL" => &[("backward_scan", 12, 6, 0, 0), ("table_rebuild", 3, 0, 0, 0)],
             other => panic!("no pinned restart counts for scheme {other}"),
         }
     };
@@ -271,13 +292,11 @@ fn crash_between_begin_and_end_checkpoint_falls_back() {
         let cfg = cfg.with_memory(1.0, 0.25);
         let name = cfg.name();
 
-        // Two runs of the same committed workload under the fuzzy
-        // protocol; `orphan` leaves a begin-checkpoint record with no end
-        // just before the crash.
+        // Two runs of the same committed workload; `orphan` leaves a
+        // checkpoint record the header does not name just before the crash.
         let run = |orphan: bool| -> (Vec<u8>, Vec<u8>, Vec<Oid>, Vec<Vec<u8>>) {
             let meter = Meter::new();
-            let scfg = server_cfg(&cfg).with_background_flusher(true);
-            let server = Arc::new(Server::format(scfg, Arc::clone(&meter)).unwrap());
+            let server = Arc::new(Server::format(server_cfg(&cfg), Arc::clone(&meter)).unwrap());
             let pids = server.bulk_allocate(8).unwrap();
             let mut oids = Vec::new();
             for &pid in &pids {
@@ -298,8 +317,7 @@ fn crash_between_begin_and_end_checkpoint_falls_back() {
                 store.commit().unwrap();
             }
             drop(store);
-            // The previous complete (fuzzy) checkpoint — the anchor
-            // restart must fall back to.
+            // The previous checkpoint — the anchor restart must fall back to.
             server.checkpoint().unwrap();
             let client = ClientConn::new(
                 ClientId(1),
@@ -315,16 +333,16 @@ fn crash_between_begin_and_end_checkpoint_falls_back() {
             }
             drop(store);
             if orphan {
-                // Begin record appended and forced; no drain, no end
-                // record, header still on the previous checkpoint.
-                server.begin_checkpoint_for_test().unwrap();
+                // Drained, record appended and forced; header still on the
+                // previous checkpoint.
+                server.checkpoint_stopping_before_the_header_for_test().unwrap();
             }
             let parts = Arc::try_unwrap(server).ok().expect("sole owner").crash();
             (image(&parts.data_media), image(&parts.log_media), oids, model)
         };
 
         let (bdata, blog, boids, model) = run(false);
-        let scfg = server_cfg(&cfg).with_background_flusher(true);
+        let scfg = server_cfg(&cfg);
         let baseline = restart_observed(&bdata, &blog, &boids, scfg.clone(), 1, None);
         assert_eq!(baseline.values, model, "{name}: recovered values diverge from the model");
 
@@ -336,7 +354,7 @@ fn crash_between_begin_and_end_checkpoint_falls_back() {
         // fallback anchor costs exactly the pinned work.
         assert_eq!(
             orphaned.values, model,
-            "{name}: orphaned begin-checkpoint changed recovered values"
+            "{name}: the unnamed checkpoint record changed recovered values"
         );
         assert_eq!(orphaned.active_txns, 0, "{name}: phantom txn after fallback");
         assert_eq!(orphaned.phases, pinned(&name), "{name}: restart work counts moved");
@@ -510,16 +528,16 @@ fn corrupt_frame_fails_restart_loudly() {
 }
 
 /// The verify-once hole below the anchor. Analysis verifies
-/// `[anchor, end)` only, but a fuzzy checkpoint's body lists the recLSN of
-/// a page whose records were shipped early — before the begin record —
-/// while the page itself was still at the client, so the drain could not
-/// flush it and redo starts *below* the anchor. The transaction then
+/// `[anchor, end)` only, but a checkpoint's body lists the recLSN of a
+/// page whose records were shipped early — before the checkpoint — while
+/// the page itself was still at the client, so the drain could not flush
+/// it and redo starts *below* the anchor. The transaction then
 /// ships the page and commits, so nothing but redo ever reads those early
 /// `Update` frames: redo must verify them itself before applying them.
 #[test]
 fn corrupt_update_frame_below_the_anchor_fails_restart_loudly() {
     let cfg = SystemConfig::pd_esm().with_memory(1.0, 0.25);
-    let scfg = server_cfg(&cfg).with_background_flusher(true);
+    let scfg = server_cfg(&cfg);
     let server = Server::format(scfg.clone(), Meter::new()).unwrap();
     let pid = server.bulk_allocate(1).unwrap()[0];
     let mut page = Page::new();
@@ -539,8 +557,8 @@ fn corrupt_update_frame_below_the_anchor_fails_restart_loudly() {
         after: vec![0xA5; 20],
     };
     server.receive_log_records(txn, vec![early]).unwrap();
-    // A complete fuzzy checkpoint: its body carries the page's recLSN,
-    // its drain finds no page to flush.
+    // A checkpoint: its body carries the page's recLSN, its drain finds
+    // no page to flush.
     server.checkpoint().unwrap();
     page.object_mut(pid, slot).unwrap()[..20].copy_from_slice(&[0xA5; 20]);
     server.receive_dirty_page(txn, pid, page).unwrap();
