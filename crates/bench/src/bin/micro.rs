@@ -55,6 +55,8 @@ const EXPECTED_NAMES: &[&str] = &[
     "wal/checksum_64B",
     "wal/checksum_8KB",
     "wal/frame_verify_update",
+    "wal/force_2mb",
+    "server/recv_log_page",
     "lock_manager/uncontended_x_lock_release",
     "update_path/txn_64pages_2048_updates/PD-ESM",
     "update_path/txn_64pages_2048_updates/SD-ESM",
@@ -94,13 +96,30 @@ impl Harness {
 
     /// Like [`Harness::bench`] for an `f` that does `units` units of work
     /// per call (a whole traversal, say): times are reported per unit.
-    fn bench_units<F: FnMut()>(&mut self, name: &str, iters_per_batch: u64, units: u64, mut f: F) {
+    fn bench_units<F: FnMut()>(&mut self, name: &str, iters_per_batch: u64, units: u64, f: F) {
+        self.bench_staged(name, iters_per_batch, units, || {}, f);
+    }
+
+    /// Like [`Harness::bench_units`] with a `stage` step run, untimed,
+    /// ahead of the warmup and of every batch: what `f` consumes (log to
+    /// force) or what bounds it (a commit, so the log does not grow
+    /// without end).
+    fn bench_staged<S: FnMut(), F: FnMut()>(
+        &mut self,
+        name: &str,
+        iters_per_batch: u64,
+        units: u64,
+        mut stage: S,
+        mut f: F,
+    ) {
         let iters = (iters_per_batch / self.iter_shrink).max(1);
+        stage();
         for _ in 0..iters {
             f(); // warmup
         }
         let mut per_iter_ns: Vec<f64> = (0..self.batches)
             .map(|_| {
+                stage();
                 let t0 = Instant::now();
                 for _ in 0..iters {
                     f();
@@ -368,6 +387,64 @@ fn bench_log(h: &mut Harness) {
     h.bench("wal/frame_verify_update", 1_000_000, || {
         qs_wal::record::frame_verify(black_box(&frame)).unwrap();
     });
+
+    // The commit force of a transaction that shipped 2 MB of log early
+    // (the repo benchmark's `crash_restart`): staged as 256 runs of one
+    // 8 KB log page, then one force of the whole tail, timed alone. An
+    // 8 MB body, gone round before timing: no first touch of the medium.
+    let media: Arc<dyn StableMedia> = Arc::new(MemDisk::new(LogManager::required_bytes(8 << 20)));
+    let log = LogManager::format(media, 8 << 20).unwrap();
+    let page = frame.repeat(PAGE_SIZE / frame.len());
+    let stage_2mb = || {
+        let mut prev = Lsn::NULL;
+        for _ in 0..256 {
+            prev = log.append_rechained_run(&page, prev).unwrap().1;
+        }
+    };
+    let force_tail = || {
+        black_box(log.force(log.tail_lsn()).unwrap());
+        log.truncate_to(log.durable_lsn()).unwrap();
+    };
+    for _ in 0..6 {
+        stage_2mb();
+        force_tail();
+    }
+    h.bench_staged("wal/force_2mb", 1, 1, stage_2mb, force_tail);
+}
+
+/// What the server does with one shipped log page: a full 8 KB of 16 + 16
+/// byte updates, an eighth of it naming each of 8 pages, through
+/// `receive_log_bytes` under PD-ESM — verify, re-chain, append, list in
+/// the DPT. Per record. The commit that bounds the log is staged, untimed.
+fn bench_receive(h: &mut Harness) {
+    println!("-- server --");
+    let cfg = ServerConfig::new(SystemConfig::pd_esm().flavor)
+        .with_pool_mb(4.0)
+        .with_volume_pages(512)
+        .with_log_mb(64.0);
+    let server = Server::format(cfg, Meter::new()).unwrap();
+    let pids = server.bulk_allocate(8).unwrap();
+    let txn = std::cell::Cell::new(server.begin());
+    let frame_len = {
+        let mut one = Vec::new();
+        RecordWriter::new(&mut one).update(txn.get(), Lsn::NULL, pids[0], 0, 0, &[0; 16], &[1; 16])
+    };
+    let records = PAGE_SIZE / frame_len;
+    let page = std::cell::RefCell::new(Vec::with_capacity(PAGE_SIZE));
+    let stage = || {
+        server.commit(txn.get()).unwrap();
+        txn.set(server.begin());
+        let mut page = page.borrow_mut();
+        page.clear();
+        let mut w = RecordWriter::new(&mut page);
+        for i in 0..records {
+            let pid = pids[i * pids.len() / records];
+            w.update(txn.get(), Lsn::NULL, pid, 0, (i % 4 * 16) as u16, &[0; 16], &[i as u8; 16]);
+        }
+    };
+    h.bench_staged("server/recv_log_page", 400, records as u64, stage, || {
+        server.receive_log_bytes(txn.get(), black_box(&page.borrow())).unwrap();
+    });
 }
 
 fn bench_locks(h: &mut Harness) {
@@ -494,6 +571,7 @@ fn main() {
     bench_buffer_pool(&mut h);
     bench_access_path(&mut h);
     bench_log(&mut h);
+    bench_receive(&mut h);
     bench_locks(&mut h);
     bench_update_paths(&mut h);
     let json = render_json(&h.results, smoke);

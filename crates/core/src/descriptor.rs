@@ -98,16 +98,15 @@ impl DescriptorTable {
 
     /// The fault handler's search: which descriptor covers this address?
     pub fn lookup_vaddr(&self, va: VAddr) -> QsResult<&PageDescriptor> {
-        let (&base, &page) = self
-            .by_vaddr
-            .floor(&va.0)
-            .ok_or(QsError::UnmappedAddress { detail: format!("{va} below every mapped frame") })?;
+        let (&base, &page) = self.by_vaddr.floor(&va.0).ok_or_else(|| {
+            QsError::UnmappedAddress { detail: format!("{va} below every mapped frame") }
+        })?;
         if va.0 - base >= PAGE_SIZE as u64 {
             return Err(QsError::UnmappedAddress {
                 detail: format!("{va} past the frame mapped at 0x{base:x}"),
             });
         }
-        self.by_page.get(&page).ok_or(QsError::UnmappedAddress {
+        self.by_page.get(&page).ok_or_else(|| QsError::UnmappedAddress {
             detail: format!("descriptor index desynchronized at {va}"),
         })
     }

@@ -134,14 +134,25 @@ impl Copied {
     }
 }
 
+/// One page's copy and the stamp its FIFO entry carries.
+#[derive(Debug)]
+struct Held {
+    copied: Copied,
+    stamp: u64,
+}
+
 /// The fixed-capacity recovery buffer.
 #[derive(Debug)]
 pub struct RecoveryBuffer {
     capacity: usize,
     used: usize,
-    copies: HashMap<PageId, Copied>,
-    /// FIFO order of first copy per page.
-    fifo: VecDeque<PageId>,
+    copies: HashMap<PageId, Held>,
+    /// FIFO order of first copy per page, each entry stamped at insert. A
+    /// removed copy's entry is not searched for: it stays behind, dead (no
+    /// copy of that page carries its stamp), until it reaches the front or
+    /// the dead outnumber the live.
+    fifo: VecDeque<(PageId, u64)>,
+    next_stamp: u64,
     overflows: u64,
     /// Recycled page-sized buffers; steady-state copies draw from here
     /// instead of the allocator.
@@ -156,6 +167,7 @@ impl RecoveryBuffer {
             used: 0,
             copies: HashMap::new(),
             fifo: VecDeque::new(),
+            next_stamp: 0,
             overflows: 0,
             free_bufs: Vec::new(),
         }
@@ -188,33 +200,47 @@ impl RecoveryBuffer {
     }
 
     pub fn get(&self, pid: PageId) -> Option<&Copied> {
-        self.copies.get(&pid)
+        self.copies.get(&pid).map(|h| &h.copied)
     }
 
     pub fn get_mut(&mut self, pid: PageId) -> Option<&mut Copied> {
-        self.copies.get_mut(&pid)
+        self.copies.get_mut(&pid).map(|h| &mut h.copied)
     }
 
-    /// Pages that must be flushed (log records generated) to free at least
+    /// The copy a FIFO entry stands for, unless it has been removed.
+    fn live<'a>(
+        copies: &'a HashMap<PageId, Held>,
+        &(pid, stamp): &(PageId, u64),
+    ) -> Option<&'a Copied> {
+        copies.get(&pid).filter(|h| h.stamp == stamp).map(|h| &h.copied)
+    }
+
+    /// Fill `victims` (emptied first; a buffer the caller reuses) with the
+    /// pages that must be flushed (log records generated) to free at least
     /// `need` bytes, FIFO order. The caller diffs each and then calls
     /// [`RecoveryBuffer::remove`]; this method only *plans* the eviction.
-    pub fn overflow_victims(&mut self, need: usize) -> Vec<PageId> {
+    pub fn overflow_victims(&mut self, need: usize, victims: &mut Vec<PageId>) {
+        victims.clear();
         let mut free = self.capacity - self.used;
         if free >= need {
-            return Vec::new();
+            return;
         }
         self.overflows += 1;
-        let mut victims = Vec::new();
-        for &pid in self.fifo.iter() {
+        for entry in self.fifo.iter() {
             if free >= need {
                 break;
             }
-            if let Some(c) = self.copies.get(&pid) {
+            if let Some(c) = Self::live(&self.copies, entry) {
                 free += c.bytes();
-                victims.push(pid);
+                victims.push(entry.0);
             }
         }
-        victims
+    }
+
+    fn push_fifo(&mut self, pid: PageId) -> u64 {
+        self.next_stamp += 1;
+        self.fifo.push_back((pid, self.next_stamp));
+        self.next_stamp
     }
 
     fn take_buf(&mut self) -> Box<[u8; PAGE_SIZE]> {
@@ -239,8 +265,8 @@ impl RecoveryBuffer {
         let mut buf = self.take_buf();
         buf.copy_from_slice(page.bytes());
         self.used += PAGE_SIZE;
-        self.copies.insert(pid, Copied::Full(buf));
-        self.fifo.push_back(pid);
+        let stamp = self.push_fifo(pid);
+        self.copies.insert(pid, Held { copied: Copied::Full(buf), stamp });
     }
 
     /// Store one block's before-image (SD/SL). Creates the page's entry on
@@ -249,10 +275,11 @@ impl RecoveryBuffer {
         assert!(self.used + block_size <= self.capacity, "recovery buffer overflow");
         if !self.copies.contains_key(&pid) {
             let buf = self.take_buf();
-            self.fifo.push_back(pid);
-            self.copies.insert(pid, Copied::Blocks(BlockCopy::new(block_size, buf)));
+            let stamp = self.push_fifo(pid);
+            let copied = Copied::Blocks(BlockCopy::new(block_size, buf));
+            self.copies.insert(pid, Held { copied, stamp });
         }
-        match self.copies.get_mut(&pid).unwrap() {
+        match &mut self.copies.get_mut(&pid).unwrap().copied {
             Copied::Blocks(bc) => {
                 assert_eq!(bc.block_size, block_size);
                 bc.insert(index, data);
@@ -265,7 +292,7 @@ impl RecoveryBuffer {
     /// Is this block already copied? (The SD update function's cheap check,
     /// §3.3.1.)
     pub fn block_copied(&self, pid: PageId, index: u16) -> bool {
-        match self.copies.get(&pid) {
+        match self.get(pid) {
             Some(Copied::Blocks(bc)) => bc.contains(index),
             Some(Copied::Full(_)) => true,
             None => false,
@@ -275,10 +302,22 @@ impl RecoveryBuffer {
     /// Drop a page's copy (after its log records have been generated). The
     /// caller should hand the returned copy back via
     /// [`RecoveryBuffer::recycle`] once done with the before-images.
+    ///
+    /// The page's FIFO entry is not looked for. The overflow victim is the
+    /// front, which goes at once, with any dead entries behind it; a commit
+    /// draining a full buffer in page-id order leaves dead entries, swept
+    /// out each time they outnumber the live ones — constant amortized
+    /// work per removal either way.
     pub fn remove(&mut self, pid: PageId) -> Option<Copied> {
-        let c = self.copies.remove(&pid)?;
+        let c = self.copies.remove(&pid)?.copied;
         self.used -= c.bytes();
-        self.fifo.retain(|&p| p != pid);
+        let copies = &self.copies;
+        while self.fifo.front().is_some_and(|e| Self::live(copies, e).is_none()) {
+            self.fifo.pop_front();
+        }
+        if self.fifo.len() > 2 * copies.len() {
+            self.fifo.retain(|e| Self::live(copies, e).is_some());
+        }
         Some(c)
     }
 
@@ -288,7 +327,7 @@ impl RecoveryBuffer {
         let pids: Vec<PageId> = self.copies.keys().copied().collect();
         for pid in pids {
             let c = self.copies.remove(&pid).unwrap();
-            self.recycle(c);
+            self.recycle(c.copied);
         }
         self.fifo.clear();
         self.used = 0;
@@ -296,7 +335,7 @@ impl RecoveryBuffer {
 
     /// Pages currently copied, FIFO order.
     pub fn pages_fifo(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.fifo.iter().copied()
+        self.fifo.iter().filter(|e| Self::live(&self.copies, e).is_some()).map(|e| e.0)
     }
 }
 
@@ -306,6 +345,12 @@ mod tests {
 
     fn page() -> Page {
         Page::new()
+    }
+
+    fn victims(rb: &mut RecoveryBuffer, need: usize) -> Vec<PageId> {
+        let mut v = vec![PageId(u32::MAX)]; // emptied by the call
+        rb.overflow_victims(need, &mut v);
+        v
     }
 
     #[test]
@@ -326,23 +371,23 @@ mod tests {
         rb.insert_full(PageId(1), &page());
         rb.insert_full(PageId(2), &page());
         // Need one more page: the oldest copy (1) must be flushed.
-        let victims = rb.overflow_victims(PAGE_SIZE);
-        assert_eq!(victims, vec![PageId(1)]);
+        let planned = victims(&mut rb, PAGE_SIZE);
+        assert_eq!(planned, vec![PageId(1)]);
         assert_eq!(rb.overflows(), 1);
-        for v in victims {
+        for v in planned {
             rb.remove(v).unwrap();
         }
         rb.insert_full(PageId(3), &page());
         assert_eq!(rb.pages(), 2);
         // Next overflow evicts 2 (FIFO), not 3.
-        assert_eq!(rb.overflow_victims(PAGE_SIZE), vec![PageId(2)]);
+        assert_eq!(victims(&mut rb, PAGE_SIZE), vec![PageId(2)]);
     }
 
     #[test]
     fn no_victims_when_space_exists() {
         let mut rb = RecoveryBuffer::new(4 * PAGE_SIZE);
         rb.insert_full(PageId(1), &page());
-        assert!(rb.overflow_victims(PAGE_SIZE).is_empty());
+        assert!(victims(&mut rb, PAGE_SIZE).is_empty());
         assert_eq!(rb.overflows(), 0);
     }
 
@@ -383,7 +428,7 @@ mod tests {
         assert!(rb_blocks.used() <= PAGE_SIZE);
         let mut rb_pages = RecoveryBuffer::new(PAGE_SIZE);
         rb_pages.insert_full(PageId(0), &page());
-        assert!(!rb_pages.overflow_victims(PAGE_SIZE).is_empty(), "only 1 full page fits");
+        assert!(!victims(&mut rb_pages, PAGE_SIZE).is_empty(), "only 1 full page fits");
     }
 
     #[test]
@@ -414,6 +459,43 @@ mod tests {
         rb.insert_full(PageId(2), &page());
         let order: Vec<_> = rb.pages_fifo().collect();
         assert_eq!(order, vec![PageId(3), PageId(1), PageId(2)]);
+    }
+
+    #[test]
+    fn removal_anywhere_keeps_fifo_order_and_leaves_no_pile_of_dead_entries() {
+        let mut rb = RecoveryBuffer::new(64 * PAGE_SIZE);
+        for i in 0..64 {
+            rb.insert_full(PageId(i), &page());
+        }
+        // The overflow victim is the front: it goes at once.
+        rb.remove(PageId(0)).unwrap();
+        assert_eq!(rb.fifo.len(), 63);
+        // A commit drains in page-id order, which here is FIFO order from
+        // the back: every removal is an interior one, none is searched for,
+        // and the dead never outnumber the live.
+        for i in (32..64).rev() {
+            rb.remove(PageId(i)).unwrap();
+            assert!(rb.fifo.len() <= 2 * rb.pages(), "{} entries, {} live", rb.fifo.len(), i - 1);
+            assert!(rb.pages_fifo().eq((1..i).map(PageId)), "order after removing {i}");
+        }
+        // A page copied again after its copy went queues at the back; its
+        // dead entry further up does not make it a victim early.
+        rb.remove(PageId(5)).unwrap();
+        rb.insert_full(PageId(5), &page());
+        let order: Vec<u32> = rb.pages_fifo().map(|p| p.0).collect();
+        assert_eq!(order, (1..5).chain(6..32).chain([5]).collect::<Vec<_>>());
+        rb.insert_full(PageId(99), &page());
+        assert_eq!(rb.used(), 32 * PAGE_SIZE);
+        assert_eq!(victims(&mut rb, 35 * PAGE_SIZE), [1, 2, 3].map(PageId));
+        // The same page going round and round under a live front entry.
+        for _ in 0..1000 {
+            rb.remove(PageId(99)).unwrap();
+            rb.insert_full(PageId(99), &page());
+        }
+        assert!(rb.fifo.len() <= 2 * rb.pages() + 1);
+        assert_eq!(rb.pages_fifo().last(), Some(PageId(99)));
+        rb.clear();
+        assert_eq!((rb.pages(), rb.fifo.len(), rb.used()), (0, 0, 0));
     }
 
     #[test]

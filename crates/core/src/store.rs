@@ -56,6 +56,8 @@ struct CommitScratch {
     ranges: Vec<(usize, usize)>,
     /// Encoded log records for the page being flushed.
     enc: Vec<u8>,
+    /// FIFO victims of the recovery-buffer overflow being handled.
+    victims: Vec<PageId>,
 }
 
 /// Diff regions computed by the adaptive pricing pass, kept for the
@@ -224,16 +226,31 @@ impl Store {
     /// `TxnScheme` record always precedes the transaction's first
     /// page-bearing record; the election then sticks for the transaction.
     ///
-    /// `pages` is the write set visible at the event (the sorted dirty-page
-    /// list at commit; the still-cached dirty pages mid-transaction), and
-    /// `extra` an already-evicted page whose content no longer sits in the
-    /// pool. A write set that prices to nothing (clean rewrites, created
-    /// pages only) elects no scheme: no records of any format would differ.
-    fn ensure_elected(&mut self, pages: &[PageId], extra: Option<(PageId, &Page)>) -> QsResult<()> {
+    /// `commit_set` is the sorted dirty-page list a commit already holds.
+    /// The mid-transaction events pass `None` and the write set is the
+    /// still-cached dirty pages — a scan of the whole client pool, so it is
+    /// made only here, behind the guard: never under the fixed schemes, and
+    /// once per adaptive transaction. `extra` is an already-evicted page
+    /// whose content no longer sits in the pool. A write set that prices to
+    /// nothing (clean rewrites, created pages only) elects no scheme: no
+    /// records of any format would differ.
+    fn ensure_elected(
+        &mut self,
+        commit_set: Option<&[PageId]>,
+        extra: Option<(PageId, &Page)>,
+    ) -> QsResult<()> {
         let Some(elector) = &self.elector else { return Ok(()) };
         if self.client.elected_scheme().is_some() {
             return Ok(());
         }
+        let scanned;
+        let pages = match commit_set {
+            Some(pages) => pages,
+            None => {
+                scanned = self.client.dirty_pages();
+                &scanned
+            }
+        };
         let block = elector.block;
         let mut costs = WriteSetCosts::default();
         self.priced.clear();
@@ -318,7 +335,7 @@ impl Store {
         let t0 = tracer.now_secs();
         let mut dirty = self.client.dirty_pages();
         dirty.sort(); // deterministic shipping order
-        self.ensure_elected(&dirty, None)?;
+        self.ensure_elected(Some(&dirty), None)?;
         let diff_t0 = tracer.now_secs();
         for &pid in &dirty {
             self.flush_records_for(pid, None)?;
@@ -500,8 +517,7 @@ impl Store {
             // Mid-transaction record generation: the scheme must be elected
             // now, from the partial write set (this page plus whatever else
             // is already dirty), and sticks for the rest of the transaction.
-            let dirty = self.client.dirty_pages();
-            self.ensure_elected(&dirty, Some((pid, &ev.page)))?;
+            self.ensure_elected(None, Some((pid, &ev.page)))?;
             self.flush_records_for(pid, Some(&ev.page))?;
             self.client.ship_dirty_page(pid, ev.page)?;
             if let Some(d) = self.table.get_mut(pid) {
@@ -541,7 +557,7 @@ impl Store {
                     self.meter().bytes_copied.fetch_add(PAGE_SIZE as u64, Ordering::Relaxed);
                     self.rbuf.insert_full(
                         pid,
-                        self.client.peek(pid).ok_or(QsError::Protocol {
+                        self.client.peek(pid).ok_or_else(|| QsError::Protocol {
                             detail: format!("write fault on non-resident {pid}"),
                         })?,
                     );
@@ -571,14 +587,14 @@ impl Store {
     /// victims (the overflow path that hurts PD in the constrained-cache
     /// experiments).
     fn make_rbuf_room(&mut self, need: usize) -> QsResult<()> {
-        let victims = self.rbuf.overflow_victims(need);
-        if victims.is_empty() {
+        self.rbuf.overflow_victims(need, &mut self.scratch.victims);
+        if self.scratch.victims.is_empty() {
             return Ok(());
         }
         self.meter().recovery_buffer_overflows.fetch_add(1, Ordering::Relaxed);
-        let dirty = self.client.dirty_pages();
-        self.ensure_elected(&dirty, None)?;
-        for pid in victims {
+        self.ensure_elected(None, None)?;
+        for i in 0..self.scratch.victims.len() {
+            let pid = self.scratch.victims[i];
             self.tracer().event(TraceCat::RbufEvict, "overflow", pid.0 as u64, need as u64);
             self.flush_records_for(pid, None)?;
             // The page stays dirty and updatable: recovery remains enabled
@@ -708,7 +724,7 @@ impl Store {
     /// update. Write access on the frame is *not* enabled — stray raw
     /// writes keep faulting, by design.
     pub fn update(&mut self, oid: Oid, offset: usize, data: &[u8]) -> QsResult<()> {
-        let block = self.cfg.log_gen.block_size().ok_or(QsError::Protocol {
+        let block = self.cfg.log_gen.block_size().ok_or_else(|| QsError::Protocol {
             detail: format!("Store::update under {} (hardware scheme)", self.cfg.name()),
         })?;
         let span = Span::Bytes { offset, len: data.len() };

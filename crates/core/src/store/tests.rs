@@ -265,3 +265,67 @@ fn seeded_history_on_a_constrained_pool_keeps_the_invariants() {
         assert!(m.client_evictions > 100 && m.recovery_buffer_overflows > 10, "{m:?}");
     }
 }
+
+/// An adaptive store elects mid-transaction, from the partial write set, at
+/// the first event that generates records — a recovery-buffer overflow, a
+/// dirty page leaving the client pool — and only there: the dirty list
+/// those events price is not built again once the scheme sticks.
+#[test]
+fn adaptive_store_elects_at_its_first_overflow_and_at_a_dirty_eviction() {
+    let adaptive = |pool: usize, rbuf: usize| {
+        SystemConfig::adaptive().with_memory((pool + rbuf) as f64 / 128.0, rbuf as f64 / 128.0)
+    };
+    let elections = |store: &Store| {
+        let m = store.meter().snapshot();
+        m.txns_pd + m.txns_sd + m.txns_wpl + m.txns_rlog
+    };
+
+    // Overflow: a 2-page recovery buffer under a roomy pool.
+    let (mut stores, oids) = setup(6, &[adaptive(8, 2)]);
+    let store = &mut stores[0];
+    store.begin().unwrap();
+    for i in 0..2 {
+        store.modify(first_of(&oids, i), 0, &[i as u8 + 1; 8]).unwrap();
+    }
+    assert_eq!((store.client.elected_scheme(), store.recovery_buffer_overflows()), (None, 0));
+    store.modify(first_of(&oids, 2), 0, &[3; 8]).unwrap();
+    let elected = store.client.elected_scheme();
+    assert!(elected.is_some(), "the first overflow elects, pricing pages 0 and 1");
+    assert_eq!((store.recovery_buffer_overflows(), elections(store)), (1, 1));
+    // Later overflows generate records under the scheme that stuck.
+    for i in 3..6 {
+        store.modify(first_of(&oids, i), 0, &[i as u8 + 1; 8]).unwrap();
+    }
+    assert_eq!(store.client.elected_scheme(), elected);
+    assert_eq!((store.recovery_buffer_overflows(), elections(store)), (4, 1));
+    store.commit().unwrap();
+    for i in 0..6 {
+        assert_eq!(store_read(store, first_of(&oids, i))[..8], [i as u8 + 1; 8]);
+    }
+
+    // Eviction: a 2-page pool under a roomy recovery buffer.
+    let (mut stores, oids) = setup(4, &[adaptive(2, 4)]);
+    let store = &mut stores[0];
+    store.begin().unwrap();
+    for i in 0..2 {
+        store.modify(first_of(&oids, i), 0, &[i as u8 + 1; 8]).unwrap();
+    }
+    assert_eq!((store.client.elected_scheme(), elections(store)), (None, 0));
+    store.read(first_of(&oids, 2)).unwrap();
+    assert!(store.client.elected_scheme().is_some(), "a dirty page left the pool");
+    assert_eq!((store.recovery_buffer_overflows(), elections(store)), (0, 1));
+    store.read(first_of(&oids, 3)).unwrap();
+    assert_eq!(elections(store), 1);
+    store.commit().unwrap();
+    for i in 0..2 {
+        assert_eq!(store_read(store, first_of(&oids, i))[..8], [i as u8 + 1; 8]);
+    }
+}
+
+/// Read `oid` in a transaction of its own.
+fn store_read(store: &mut Store, oid: Oid) -> Vec<u8> {
+    store.begin().unwrap();
+    let bytes = store.read(oid).unwrap();
+    store.commit().unwrap();
+    bytes
+}

@@ -129,7 +129,7 @@ impl ClientConn {
 
     /// The running transaction, if any.
     pub fn txn(&self) -> QsResult<TxnId> {
-        self.txn.ok_or(QsError::Protocol { detail: "no transaction in progress".into() })
+        self.txn.ok_or_else(|| QsError::Protocol { detail: "no transaction in progress".into() })
     }
 
     pub fn in_txn(&self) -> bool {
@@ -325,22 +325,34 @@ impl ClientConn {
         }
         self.pages_logged.insert(pid);
         self.note_logged_remote(txn, pid)?;
+        // Counted here and handed to the meter ahead of each ship event
+        // (trace timestamps are priced from the meter) and at the end.
+        let (mut records, mut image_bytes) = (0u64, 0u64);
         let mut at = 0usize;
         while at < batch.len() {
             let len = record::frame_len(&batch[at..])?;
             let frame = &batch[at..at + len];
-            self.meter.log_records_generated.fetch_add(1, Ordering::Relaxed);
-            let image_bytes = record::frame_update_image_bytes(frame)?;
-            if image_bytes > 0 {
-                self.meter.log_image_bytes.fetch_add(image_bytes, Ordering::Relaxed);
-            }
+            records += 1;
+            image_bytes += record::frame_update_image_bytes(frame)?;
+            let queued = self.log_buf.len();
             self.log_buf.extend_from_slice(frame);
-            if self.log_buf.len() >= PAGE_SIZE {
-                self.ship_log_page(false)?;
+            if queued + len >= PAGE_SIZE {
+                self.meter_generated(&mut records, &mut image_bytes);
+                // A page's worth: everything queued ahead of this frame —
+                // with it, if that fills the page exactly or it is alone.
+                let page =
+                    if queued == 0 || queued + len == PAGE_SIZE { queued + len } else { queued };
+                self.ship_log_prefix(page, false)?;
             }
             at += len;
         }
+        self.meter_generated(&mut records, &mut image_bytes);
         Ok(())
+    }
+
+    fn meter_generated(&self, records: &mut u64, image_bytes: &mut u64) {
+        self.meter.log_records_generated.fetch_add(std::mem::take(records), Ordering::Relaxed);
+        self.meter.log_image_bytes.fetch_add(std::mem::take(image_bytes), Ordering::Relaxed);
     }
 
     /// Queue log records describing updates to `pid` (struct-level
@@ -402,26 +414,11 @@ impl ClientConn {
         self.last_pressure
     }
 
-    fn ship_log_page(&mut self, partial: bool) -> QsResult<()> {
+    /// Ship the first `bytes` of the log buffer — whole frames, the caller
+    /// knows — as one message: a full log page, or (`partial`) the short
+    /// last one of a flush.
+    fn ship_log_prefix(&mut self, bytes: usize, partial: bool) -> QsResult<()> {
         let txn = self.txn()?;
-        if self.log_buf.is_empty() {
-            return Ok(());
-        }
-        // Take record frames summing to ≤ one page (at least one record),
-        // then ship that prefix and drain it in one pass.
-        let mut count = 0usize;
-        let mut bytes = 0usize;
-        while bytes < self.log_buf.len() {
-            let rl = record::frame_len(&self.log_buf[bytes..])?;
-            if count > 0 && bytes + rl > PAGE_SIZE {
-                break;
-            }
-            bytes += rl;
-            count += 1;
-            if !partial && bytes >= PAGE_SIZE {
-                break;
-            }
-        }
         if partial && bytes < PAGE_SIZE {
             net::partial_upload(&self.meter, bytes as u64);
         } else {
@@ -441,14 +438,14 @@ impl ClientConn {
     }
 
     /// Flush every buffered log record (ships the final partial page).
+    /// [`ClientConn::add_encoded_records`] ships as soon as a page's worth
+    /// is queued, so what is left is short of a page or one frame longer
+    /// than one: a single message either way.
     pub fn flush_log(&mut self) -> QsResult<()> {
-        while self.log_buf.len() >= PAGE_SIZE {
-            self.ship_log_page(false)?;
+        match self.log_buf.len() {
+            0 => Ok(()),
+            queued => self.ship_log_prefix(queued, true),
         }
-        if !self.log_buf.is_empty() {
-            self.ship_log_page(true)?;
-        }
-        Ok(())
     }
 
     /// Declare that `pid` needs no log records this transaction (the diff
@@ -502,7 +499,7 @@ impl ClientConn {
         let page = self
             .pool
             .peek(pid)
-            .ok_or(QsError::Protocol { detail: format!("ship of uncached page {pid}") })?
+            .ok_or_else(|| QsError::Protocol { detail: format!("ship of uncached page {pid}") })?
             .clone();
         self.ship_dirty_page(pid, page)?;
         self.pool.clear_dirty(pid);

@@ -35,19 +35,24 @@ pub(crate) struct DirtyPages {
 }
 
 impl DirtyPages {
-    /// A record for `pid` sits in the log at `lsn`. One lookup: this is on
-    /// the path of every received record.
-    #[inline]
+    /// A record for `pid` sits in the log at `lsn`.
     pub(crate) fn logged(&mut self, pid: PageId, lsn: Lsn) {
+        self.logged_span(pid, lsn, lsn);
+    }
+
+    /// Records for `pid` sit in the log from `first` to `last`, in that
+    /// order. One lookup: this is on the path of every received run.
+    #[inline]
+    pub(crate) fn logged_span(&mut self, pid: PageId, first: Lsn, last: Lsn) {
         self.pages
             .entry(pid)
             .and_modify(|p| {
                 // Deferred ops are listed at their commit, so not in LSN
                 // order across transactions sharing a page.
-                p.rec_lsn = p.rec_lsn.min(lsn);
-                p.last_lsn = p.last_lsn.max(lsn);
+                p.rec_lsn = p.rec_lsn.min(first);
+                p.last_lsn = p.last_lsn.max(last);
             })
-            .or_insert(DirtyPage { rec_lsn: lsn, last_lsn: lsn });
+            .or_insert(DirtyPage { rec_lsn: first, last_lsn: last });
     }
 
     /// `pid` became dirty in the pool by something other than a record
@@ -76,6 +81,15 @@ impl DirtyPages {
         let mut pages: Vec<(PageId, Lsn)> =
             self.pages.iter().map(|(&pid, p)| (pid, p.rec_lsn)).collect();
         pages.sort_unstable_by_key(|&(pid, _)| pid.0);
+        pages
+    }
+
+    /// `(page, recLSN, last logged LSN)` for every entry, in page-id order.
+    #[cfg(test)]
+    pub(crate) fn spans(&self) -> Vec<(PageId, Lsn, Lsn)> {
+        let mut pages: Vec<_> =
+            self.pages.iter().map(|(&pid, p)| (pid, p.rec_lsn, p.last_lsn)).collect();
+        pages.sort_unstable_by_key(|&(pid, ..)| pid.0);
         pages
     }
 

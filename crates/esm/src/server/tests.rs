@@ -643,11 +643,183 @@ fn a_frame_damaged_on_the_way_in_is_refused_and_never_logged() {
     let tail = wal.tail_lsn();
     let err = server.receive_log_bytes(txn, &batch).unwrap_err();
     assert!(matches!(err, QsError::LogCorrupt { .. }), "{err}");
-    // The frame ahead of the damaged one is in; nothing of it or after it.
-    assert_eq!(wal.tail_lsn(), tail.advance(frames[0].len()));
-    let logged: Vec<LogRecord> = wal.scan_forward(tail).map(|r| r.unwrap().1).collect();
-    assert_eq!(logged, [LogRecord::decode(&frames[0]).unwrap()]);
+    // The batch is verified whole before any of it is appended (the frames
+    // of a run go in under one lock hold, so there is no "up to the damaged
+    // one" to stop at): nothing is logged, not even the sound frame ahead.
+    assert_eq!(wal.tail_lsn(), tail);
+    assert_eq!(wal.scan_forward(tail).count(), 0);
+    let state_of = |txn| {
+        let txns = server.txns.lock(&server.tracer);
+        let t = txns.get(txn).unwrap();
+        (t.first_lsn, t.last_lsn, t.log_shipped.len())
+    };
+    assert_eq!(state_of(txn), (Lsn::NULL, Lsn::NULL, 0));
+    assert!(server.dpt.lock(&server.tracer).snapshot().is_empty());
     server.abort(txn).unwrap();
+}
+
+/// Everything `receive_log_bytes` leaves behind: the log byte for byte (so
+/// LSNs, the `prev` chain and the re-sealed checksums), the decoded scan,
+/// the DPT, the transaction's chain ends, protocol and shipped set, its
+/// deferred ops, and every pooled page with its dirty bit.
+#[derive(Debug, PartialEq)]
+struct Received {
+    log: Vec<u8>,
+    scan: Vec<(Lsn, LogRecord)>,
+    dpt: Vec<(PageId, Lsn, Lsn)>,
+    chain: Option<(Lsn, Lsn, Protocol, Vec<PageId>)>,
+    pending: Vec<(PageId, Vec<u8>, Lsn)>,
+    pool: Vec<Option<(Vec<u8>, bool)>>,
+}
+
+fn received(server: &Server, txn: TxnId, pids: &[PageId]) -> Received {
+    let wal = server.log.wal();
+    let mut log = vec![0u8; (wal.tail_lsn().0 - wal.start_lsn().0) as usize];
+    wal.read_bytes(wal.start_lsn(), &mut log).unwrap();
+    let chain = server.txns.lock(&server.tracer).get(txn).ok().map(|t| {
+        let mut shipped: Vec<PageId> = t.log_shipped.iter().copied().collect();
+        shipped.sort();
+        (t.first_lsn, t.last_lsn, t.protocol, shipped)
+    });
+    let pending = server.pending.lock(&server.tracer).get(&txn).map_or_else(Vec::new, |ops| {
+        ops.iter().map(|op| (op.page, op.frame.clone(), op.lsn)).collect()
+    });
+    let pool = pids
+        .iter()
+        .map(|&pid| {
+            let pool = server.pool.lock(pid, &server.tracer);
+            pool.peek(pid).map(|p| (p.bytes().to_vec(), pool.is_dirty(pid)))
+        })
+        .collect();
+    Received {
+        log,
+        scan: wal.scan_forward(wal.start_lsn()).map(|r| r.unwrap()).collect(),
+        dpt: server.dpt.lock(&server.tracer).spans(),
+        chain,
+        pending,
+        pool,
+    }
+}
+
+/// A seeded batch as a client of `flavor` (having elected `scheme`, under
+/// ADAPT) could ship it: 1–40 frames of every tag admissible there, over
+/// 1–6 pages, consecutive frames naming the same page more often than not.
+fn client_batch(
+    rng: &mut qs_prng::Prng,
+    txn: TxnId,
+    pids: &[PageId],
+    flavor: RecoveryFlavor,
+    scheme: Option<SchemeCode>,
+) -> Vec<Vec<u8>> {
+    use qs_wal::record::tag::{PAGE_ALLOC, UPDATE, UPDATE_LOGICAL, WHOLE_PAGE};
+    let tags: &[u8] = match (flavor, scheme) {
+        (RecoveryFlavor::RedoLogical, _) | (_, Some(SchemeCode::Rlog)) => {
+            &[UPDATE_LOGICAL, WHOLE_PAGE, PAGE_ALLOC]
+        }
+        (_, Some(SchemeCode::Wpl)) => &[WHOLE_PAGE, PAGE_ALLOC],
+        (_, Some(_)) => &[UPDATE, WHOLE_PAGE, PAGE_ALLOC],
+        _ => &[UPDATE, UPDATE_LOGICAL, WHOLE_PAGE, PAGE_ALLOC],
+    };
+    let pages = &pids[..rng.gen_range(1..7)];
+    let mut page = pages[0];
+    let mut frames: Vec<Vec<u8>> = scheme
+        .map(|scheme| LogRecord::TxnScheme { txn, prev: Lsn::NULL, scheme }.encode())
+        .into_iter()
+        .collect();
+    for _ in 0..rng.gen_range(1..41) {
+        if rng.gen_bool(0.4) {
+            page = pages[rng.gen_range(0..pages.len())];
+        }
+        let (offset, len) = (rng.gen_range(0..32) as u16, rng.gen_range(1..33));
+        let prev = Lsn::NULL;
+        let rec = match tags[rng.gen_range(0..tags.len())] {
+            UPDATE => {
+                let (before, after) = (vec![0; len], rng.bytes(len));
+                LogRecord::Update { txn, prev, page, slot: 0, offset, before, after }
+            }
+            UPDATE_LOGICAL => {
+                LogRecord::UpdateLogical { txn, prev, page, slot: 0, offset, after: rng.bytes(len) }
+            }
+            WHOLE_PAGE => {
+                let mut image = Page::new();
+                image.insert(page, &rng.bytes(64)).unwrap();
+                LogRecord::WholePage { txn, prev, page, image: image.bytes().to_vec() }
+            }
+            _ => LogRecord::PageAlloc { txn, prev, page },
+        };
+        frames.push(rec.encode());
+    }
+    frames
+}
+
+/// A batch received in one call — run by run — leaves exactly what the same
+/// frames leave received one per call, which is the parent's frame-by-frame
+/// loop: under every flavor, and under ADAPT for every scheme a transaction
+/// can elect, before and after the commit.
+#[test]
+fn a_batch_received_by_runs_is_the_batch_received_frame_by_frame() {
+    use RecoveryFlavor::*;
+    let schemes = [SchemeCode::Pd, SchemeCode::Sd, SchemeCode::Wpl, SchemeCode::Rlog];
+    let rows = [EsmAries, RedoAtServer, Wpl, RedoLogical]
+        .map(|f| (f, None))
+        .into_iter()
+        .chain(schemes.map(|s| (Adaptive, Some(s))));
+    for (flavor, scheme) in rows {
+        for seed in 0..24u64 {
+            let what = format!("{} {scheme:?} seed {seed}", flavor.name());
+            let (whole, pids) = loaded_server(flavor);
+            let (single, _) = loaded_server(flavor);
+            let txn = whole.begin();
+            assert_eq!(single.begin(), txn);
+            let mut rng = qs_prng::Prng::seed_from_u64(seed);
+            let frames = client_batch(&mut rng, txn, &pids, flavor, scheme);
+
+            let got = whole.receive_log_bytes(txn, &frames.concat());
+            let one_by_one = frames.iter().try_for_each(|f| single.receive_log_bytes(txn, f));
+            if flavor == Wpl {
+                assert!(got.is_err() && one_by_one.is_err(), "{what}: WPL ships no records");
+            } else {
+                got.unwrap_or_else(|e| panic!("{what}: {e}"));
+                one_by_one.unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert!(whole.log.wal().tail_lsn() > whole.log.wal().start_lsn());
+            }
+            assert_eq!(received(&whole, txn, &pids), received(&single, txn, &pids), "{what}");
+            if flavor != Wpl {
+                whole.commit(txn).unwrap();
+                single.commit(txn).unwrap();
+            }
+            assert_eq!(
+                received(&whole, txn, &pids),
+                received(&single, txn, &pids),
+                "{what}, committed"
+            );
+        }
+    }
+}
+
+/// A run goes into the log whole or not at all: one that does not fit
+/// fails `LogFull` and leaves the tail, the transaction's chain and the
+/// DPT exactly as they were before the call.
+#[test]
+fn a_run_that_does_not_fit_is_refused_whole() {
+    let cfg = ServerConfig { log_bytes: 32 * 1024, ..small_cfg(RecoveryFlavor::EsmAries) };
+    let server = Server::format(cfg, Meter::new()).unwrap();
+    let pids = server.bulk_allocate(2).unwrap();
+    let txn = server.begin();
+    let update = |page, val| {
+        let (before, after) = (vec![0u8; 64], vec![val; 64]);
+        LogRecord::Update { txn, prev: Lsn::NULL, page, slot: 0, offset: 0, before, after }.encode()
+    };
+    server.receive_log_bytes(txn, &[update(pids[0], 1), update(pids[1], 2)].concat()).unwrap();
+    let before = received(&server, txn, &pids);
+    // 300 frames naming one page: one run, ~50 KB, of which most would fit.
+    let run: Vec<u8> = (0..300).flat_map(|i| update(pids[0], i as u8)).collect();
+    let err = server.receive_log_bytes(txn, &run).unwrap_err();
+    assert!(matches!(err, QsError::LogFull { need, .. } if need == run.len()), "{err}");
+    assert_eq!(received(&server, txn, &pids), before);
+    // The transaction is still whole: it can log what does fit, and commit.
+    server.receive_log_bytes(txn, &run[..run.len() / 300 * 20]).unwrap();
+    server.commit(txn).unwrap();
 }
 
 /// Counts the maintenance passes that failed with nobody to tell.

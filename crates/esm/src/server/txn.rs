@@ -23,13 +23,32 @@ use std::sync::atomic::Ordering;
 /// only after the commit force, so the pool (and therefore the volume)
 /// only ever holds committed data.
 pub(super) struct PendingOp {
-    page: PageId,
-    frame: Vec<u8>,
-    lsn: Lsn,
+    pub(super) page: PageId,
+    pub(super) frame: Vec<u8>,
+    pub(super) lsn: Lsn,
 }
 
 fn protocol_error(detail: &str) -> QsError {
     QsError::Protocol { detail: detail.into() }
+}
+
+/// The page-bearing tags a client generates: consecutive records of these
+/// tags naming one page are received as one run.
+fn client_page_tag(t: u8) -> bool {
+    matches!(t, tag::UPDATE..=tag::PAGE_ALLOC | tag::UPDATE_LOGICAL)
+}
+
+/// The frames of `run` — verified already — each with the LSN it was
+/// appended at, `first` being the run's.
+fn run_frames(run: &[u8], first: Lsn) -> impl Iterator<Item = (&[u8], Lsn)> {
+    let mut at = 0usize;
+    std::iter::from_fn(move || {
+        let rest = run.get(at..).filter(|rest| !rest.is_empty())?;
+        let len = record::frame_len(rest).expect("the batch was verified frame by frame");
+        let lsn = first.advance(at);
+        at += len;
+        Some((&rest[..len], lsn))
+    })
 }
 
 impl Server {
@@ -112,15 +131,22 @@ impl Server {
     /// Receive a batch of client-generated, already-encoded log records
     /// (built by `qs_wal::RecordWriter`). The client cannot know its
     /// transaction's backward chain, so `prev` is patched *in place* on
-    /// append ([`qs_wal::LogManager::append_rechained`]) — the hot path
-    /// never decodes or re-encodes a record. That re-seals the frame, so
-    /// each one is verified first: a frame damaged on the way here must
-    /// not get a valid checksum and become durable. What happens to a page-bearing
-    /// record next is its transaction's protocol: `Steal` enters the page
-    /// in the DPT — inside the critical section that appended the frame,
-    /// so a checkpoint body never holds the record without the entry —
-    /// and, under redo-at-server, applies the after-image to the server's
-    /// copy at once (§3.5); `NoSteal` stashes it until commit.
+    /// append ([`qs_wal::LogManager::append_rechained_run`]) — the hot path
+    /// never decodes or re-encodes a record. That re-seals the frames, so
+    /// the whole batch is verified first, with no lock held: a frame
+    /// damaged on the way here must not get a valid checksum and become
+    /// durable, and nothing of a batch that holds one is logged.
+    ///
+    /// The batch is then taken a *run* at a time — a maximal sequence of
+    /// client-generated records naming one page. A `TxnScheme` mark is a run
+    /// of one; so is a record of any other tag, which keeps the `prev` it
+    /// was shipped with; so is every record under redo-at-server. Each run
+    /// costs one hold of the txn-table lock, one log append and one step of
+    /// its transaction's protocol: `Steal` enters the page in the DPT —
+    /// inside the critical section that appended the run, so a checkpoint
+    /// body never holds a record without the entry — and, under
+    /// redo-at-server, applies the after-image to the server's copy at once
+    /// (§3.5); `NoSteal` stashes the after-images until commit.
     pub fn receive_log_bytes(&self, txn: TxnId, batch: &[u8]) -> QsResult<()> {
         if !self.facts.ships_records {
             return Err(protocol_error("WPL clients do not generate log records"));
@@ -148,58 +174,92 @@ impl Server {
                     "TxnScheme records are only legal under the adaptive flavor",
                 ));
             }
+            at += len;
+        }
+        // Redo-at-server applies each record as it arrives (§3.5), and the
+        // simulated clock prices that order — a record's apply ahead of the
+        // next one's append: there a run is one record.
+        let runs = !self.facts.redo_on_receive;
+        let mut at = 0usize;
+        while at < batch.len() {
+            let head = &batch[at..at + record::frame_len(&batch[at..])?];
+            let t = record::frame_tag(head)?;
+            let page = record::frame_page(head)?;
+            let mut end = at + head.len();
+            if let Some(pid) = page.filter(|_| runs && client_page_tag(t)) {
+                while end < batch.len() {
+                    let next = &batch[end..end + record::frame_len(&batch[end..])?];
+                    if !client_page_tag(record::frame_tag(next)?)
+                        || record::frame_page(next)? != Some(pid)
+                    {
+                        break;
+                    }
+                    end += next.len();
+                }
+            }
+            let run = &batch[at..end];
             // The txn-table lock is held across the append so the chain
             // stays consistent under concurrency. Only the tags a client
             // generates get the transaction's backward chain; any other
             // keeps the prev it was shipped with.
             let mut txns = self.txns.lock(&self.tracer);
             let state = txns.active_mut(txn)?;
-            let prev = match t {
-                tag::UPDATE..=tag::PAGE_ALLOC | tag::UPDATE_LOGICAL | tag::TXN_SCHEME => {
-                    state.last_lsn
-                }
-                _ => record::frame_prev(frame)?,
+            let prev = if client_page_tag(t) || t == tag::TXN_SCHEME {
+                state.last_lsn
+            } else {
+                record::frame_prev(head)?
             };
-            let lsn = self.log.wal().append_rechained(frame, prev)?;
-            state.note_logged(lsn);
-            if let Some(scheme) = record::frame_scheme(frame)? {
+            let (first, last) = self.log.wal().append_rechained_run(run, prev)?;
+            state.note_logged(first);
+            state.note_logged(last);
+            if let Some(scheme) = record::frame_scheme(head)? {
                 // The mark governs how every later record of this chain is
                 // processed.
                 state.protocol = self.facts.protocol(Some(scheme));
-            } else if let Some(pid) = record::frame_page(frame)? {
+            } else if let Some(pid) = page {
                 state.log_shipped.insert(pid);
                 match state.protocol {
-                    // The DPT is untouched until the op lands in the pool
+                    // The DPT is untouched until the ops land in the pool
                     // at commit.
                     Protocol::NoSteal => {
                         drop(txns);
-                        self.stash_pending(txn, pid, t, frame, lsn);
+                        self.stash_pending(txn, pid, run_frames(run, first));
                     }
                     Protocol::Steal => {
-                        self.dpt.lock(&self.tracer).logged(pid, lsn);
+                        self.dpt.lock(&self.tracer).logged_span(pid, first, last);
                         drop(txns);
                         if self.facts.redo_on_receive {
-                            self.redo_onto_pool(pid, [(frame, lsn)])?;
+                            self.redo_onto_pool(pid, run_frames(run, first))?;
                         }
                     }
                     Protocol::PageLog => unreachable!("PageLog flavors ship no records"),
                 }
             }
-            at += len;
+            at = end;
         }
         Ok(())
     }
 
-    /// Stash one received record of a `NoSteal` transaction as a deferred
-    /// op. Nothing touches the pool or the DPT here — that happens after
-    /// the commit force in [`Server::apply_pending_committed`]. Only
-    /// logical updates and whole-page images carry deferred work
+    /// Stash the received records of one run of a `NoSteal` transaction as
+    /// deferred ops. Nothing touches the pool or the DPT here — that
+    /// happens after the commit force in [`Server::apply_pending_committed`].
+    /// Only logical updates and whole-page images carry deferred work
     /// (`PageAlloc`: the volume allocation already happened in
     /// `allocate_page`).
-    fn stash_pending(&self, txn: TxnId, page: PageId, t: u8, frame: &[u8], lsn: Lsn) {
-        if matches!(t, tag::UPDATE_LOGICAL | tag::WHOLE_PAGE) {
-            let op = PendingOp { page, frame: frame.to_vec(), lsn };
-            self.pending.lock(&self.tracer).entry(txn).or_default().push(op);
+    fn stash_pending<'a>(
+        &self,
+        txn: TxnId,
+        page: PageId,
+        frames: impl Iterator<Item = (&'a [u8], Lsn)>,
+    ) {
+        let mut ops = frames
+            .filter(|(f, _)| {
+                matches!(record::frame_tag(f), Ok(tag::UPDATE_LOGICAL | tag::WHOLE_PAGE))
+            })
+            .map(|(f, lsn)| PendingOp { page, frame: f.to_vec(), lsn })
+            .peekable();
+        if ops.peek().is_some() {
+            self.pending.lock(&self.tracer).entry(txn).or_default().extend(ops);
         }
     }
 
@@ -234,8 +294,7 @@ impl Server {
             let mut dpt = self.dpt.lock(&self.tracer);
             for (&pid, ops) in &by_page {
                 // In log order, and never empty.
-                dpt.logged(pid, ops[0].lsn);
-                dpt.logged(pid, ops[ops.len() - 1].lsn);
+                dpt.logged_span(pid, ops[0].lsn, ops[ops.len() - 1].lsn);
             }
         }
         for (pid, ops) in by_page {

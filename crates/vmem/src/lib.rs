@@ -107,7 +107,7 @@ impl Mmu {
 
     /// Change a frame's protection (models `mprotect`).
     pub fn protect(&mut self, frame: FrameId, prot: Prot) -> QsResult<()> {
-        let slot = self.prot.get_mut(frame.index()).ok_or(QsError::UnmappedAddress {
+        let slot = self.prot.get_mut(frame.index()).ok_or_else(|| QsError::UnmappedAddress {
             detail: format!("frame {frame:?} beyond address space"),
         })?;
         *slot = prot;

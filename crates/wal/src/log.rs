@@ -17,7 +17,7 @@ use crate::record::{self, LogRecord};
 use crate::writer::RecordWriter;
 use qs_storage::StableMedia;
 use qs_trace::{TraceCat, Tracer};
-use qs_types::sync::Mutex;
+use qs_types::sync::{Mutex, RwLock};
 use qs_types::{Lsn, QsError, QsResult, PAGE_SIZE};
 use std::sync::Arc;
 
@@ -40,8 +40,13 @@ struct LogState {
     tail: Lsn,
     /// LSN of the most recent checkpoint record (durable in the header).
     checkpoint: Lsn,
-    /// Unforced tail: bytes for LSNs `[durable, tail)`.
+    /// Unforced tail: bytes for LSNs `[durable, tail)` — minus, while a
+    /// force is writing, the prefix it detached into
+    /// [`LogManager::writing`].
     buffer: Vec<u8>,
+    /// Where the most recently appended frame starts: a force through it
+    /// or beyond takes the whole tail without looking for a boundary.
+    last_frame: Lsn,
 }
 
 /// Statistics of one force, for the caller to meter.
@@ -108,6 +113,15 @@ pub struct LogManager {
     /// Bytes of log body on the medium (capacity of the circular window).
     body_capacity: usize,
     state: Mutex<LogState>,
+    /// The prefix of the tail a force in flight is writing to the medium,
+    /// detached from `LogState::buffer` so it is neither copied nor held
+    /// under `state` for the length of the write; empty between forces
+    /// (its capacity is what the buffer is swapped for, so steady-state
+    /// forces allocate nothing). Until the force publishes `durable` it is
+    /// still the front of `[durable, tail)` to every reader. Written only
+    /// by a force holding `state`; read under `state`, and by that force
+    /// alone without it.
+    writing: RwLock<Vec<u8>>,
     /// Serializes forces with each other so the media write and `sync()`
     /// can run *outside* `state`: appends and reads proceed while a force
     /// is waiting on the disk, which is what lets a group-commit leader
@@ -146,7 +160,9 @@ impl LogManager {
                 tail: origin,
                 checkpoint: Lsn::NULL,
                 buffer: Vec::new(),
+                last_frame: Lsn::NULL,
             }),
+            writing: RwLock::new(Vec::new()),
             force_serial: Mutex::new(()),
             tracer: Tracer::disabled(),
         };
@@ -184,7 +200,9 @@ impl LogManager {
                 tail: durable, // unforced appends died with the crash
                 checkpoint,
                 buffer: Vec::new(),
+                last_frame: Lsn::NULL,
             }),
+            writing: RwLock::new(Vec::new()),
             force_serial: Mutex::new(()),
             tracer: Tracer::disabled(),
         })
@@ -233,23 +251,34 @@ impl LogManager {
     }
 
     /// Append what `encode` adds to the volatile tail buffer — whole
-    /// frames — or nothing if the window cannot take it. Returns the LSN
-    /// of the first appended byte.
-    fn append_encoded(&self, encode: impl FnOnce(&mut Vec<u8>)) -> QsResult<Lsn> {
+    /// frames — or nothing if the window cannot take it or `encode` fails.
+    /// `encode` is told the LSN its first byte gets and returns the offset,
+    /// within what it added, of its last frame. Returns the LSNs of the
+    /// first and of the last frame appended.
+    fn append_encoded(
+        &self,
+        encode: impl FnOnce(Lsn, &mut Vec<u8>) -> QsResult<usize>,
+    ) -> QsResult<(Lsn, Lsn)> {
         let mut st = self.state.lock();
         let at = st.buffer.len();
-        encode(&mut st.buffer);
+        let first = st.tail;
+        let last_at = match encode(first, &mut st.buffer) {
+            Ok(last_at) => last_at,
+            Err(e) => {
+                st.buffer.truncate(at);
+                return Err(e);
+            }
+        };
         let need = st.buffer.len() - at;
         let used = (st.tail.0 - st.start.0) as usize;
         if used + need > self.body_capacity {
             st.buffer.truncate(at);
             return Err(QsError::LogFull { capacity: self.body_capacity, need });
         }
-        let lsn = st.tail;
-        st.tail = lsn.advance(need);
-        drop(st);
-        self.tracer.event(TraceCat::WalAppend, "append", lsn.0, need as u64);
-        Ok(lsn)
+        let last = first.advance(last_at);
+        st.tail = first.advance(need);
+        st.last_frame = last;
+        Ok((first, last))
     }
 
     /// Append a record to the volatile tail. Returns its LSN.
@@ -257,26 +286,56 @@ impl LogManager {
         self.append_with(|w| rec.write_to(w))
     }
 
-    /// Append one already-encoded record, rewriting its `prev` LSN in
-    /// place (clients ship records with `prev = NULL`; the server chains
-    /// them here without re-encoding). Returns the record's LSN.
-    pub fn append_rechained(&self, rec: &[u8], prev: Lsn) -> QsResult<Lsn> {
-        self.append_encoded(|tail| {
-            let at = tail.len();
-            tail.extend_from_slice(rec);
-            record::frame_set_prev(&mut tail[at..], prev);
-        })
+    /// Append a run of already-encoded, already-verified records — `frames`
+    /// is their concatenation — under one hold of the state lock, rewriting
+    /// each `prev` LSN in place: the first record's to `prev`, every later
+    /// one's to the LSN its predecessor just got (clients ship records with
+    /// `prev = NULL`; the server chains them here without re-encoding).
+    /// All of the run is appended or none of it. Returns the LSNs of its
+    /// first and last record.
+    pub fn append_rechained_run(&self, frames: &[u8], prev: Lsn) -> QsResult<(Lsn, Lsn)> {
+        let span = self.append_encoded(|first, tail| {
+            let base = tail.len();
+            tail.extend_from_slice(frames);
+            let (mut at, mut last_at, mut prev) = (0usize, 0usize, prev);
+            while at < frames.len() {
+                let len = record::frame_len(&frames[at..])?;
+                record::frame_set_prev(&mut tail[base + at..base + at + len], prev);
+                prev = first.advance(at);
+                last_at = at;
+                at += len;
+            }
+            Ok(last_at)
+        })?;
+        if self.tracer.is_enabled() {
+            let mut at = 0usize;
+            while at < frames.len() {
+                let len = record::frame_len(&frames[at..])?;
+                self.tracer.event(TraceCat::WalAppend, "append", span.0.advance(at).0, len as u64);
+                at += len;
+            }
+        }
+        Ok(span)
     }
 
     /// Append the one record `write` encodes (and returns the length of,
     /// as every `RecordWriter` method does), built in place in the tail
     /// buffer (no intermediate `LogRecord` or `Vec`). Returns its LSN.
     pub fn append_with(&self, write: impl FnOnce(&mut RecordWriter<'_>) -> usize) -> QsResult<Lsn> {
-        self.append_encoded(|tail| {
+        let mut len = 0usize;
+        let (lsn, _) = self.append_encoded(|_, tail| {
             let at = tail.len();
-            let len = write(&mut RecordWriter::new(tail));
+            len = write(&mut RecordWriter::new(tail));
             debug_assert_eq!(tail.len() - at, len, "append_with takes exactly one record");
-        })
+            Ok(0)
+        })?;
+        self.tracer.event(TraceCat::WalAppend, "append", lsn.0, len as u64);
+        Ok(lsn)
+    }
+
+    fn noop_force(&self) -> QsResult<ForceStats> {
+        self.tracer.event(TraceCat::WalForce, "noop", 0, 1);
+        Ok(ForceStats { pages_written: 0, wrote: false })
     }
 
     /// Make everything up to **and including** the record starting at
@@ -287,53 +346,72 @@ impl LogManager {
     /// Runs in three phases so the media write and `sync()` happen outside
     /// the state lock (appends keep flowing while the disk spins):
     ///
-    /// 1. under `state`: find the target boundary and *copy* the bytes;
-    /// 2. no lock: write the body region `[durable, target)` to the medium
-    ///    — nobody reads it there yet (reads at LSN ≥ durable go to the
-    ///    tail buffer, which still holds those bytes), nobody else writes
-    ///    it (`force_serial` admits one force, `truncate_to` never moves
-    ///    `start` past `durable`);
-    /// 3. under `state`: drain the copied prefix, publish the new
-    ///    `durable`, rewrite the header; then `sync()` with no lock held.
+    /// 1. under `state`: find the target boundary — the tail itself when
+    ///    `upto` reaches the last appended frame, as every commit force
+    ///    does; only an interior LSN walks frame lengths — and *detach* the
+    ///    prefix `[durable, target)` into `writing`: what lies beyond the
+    ///    target moves to the emptied spare, which becomes the buffer;
+    /// 2. no lock: write the prefix to the medium. Nobody reads it there
+    ///    yet (reads at LSN ≥ durable are served from `writing`, then the
+    ///    buffer), nobody else writes it (`force_serial` admits one force,
+    ///    `truncate_to` never moves `start` past `durable`);
+    /// 3. under `state`: empty `writing`, publish the new `durable`,
+    ///    rewrite the header; then `sync()` with no lock held. A failed
+    ///    media write puts the prefix back in front of the buffer instead:
+    ///    `durable`, `tail` and every readable byte are as before the call.
     pub fn force(&self, upto: Lsn) -> QsResult<ForceStats> {
         let _one_force = self.force_serial.lock();
-        // Phase 1: snapshot what to write.
-        let st = self.state.lock();
-        if upto < st.durable {
-            drop(st);
-            self.tracer.event(TraceCat::WalForce, "noop", 0, 1);
-            return Ok(ForceStats { pages_written: 0, wrote: false });
-        }
-        // Walk record boundaries in the tail buffer to find the end of the
-        // last record whose start is ≤ upto.
-        let mut end = st.durable;
-        let mut idx = 0usize;
-        while end < st.tail && end <= upto {
-            let len = record::frame_len(&st.buffer[idx..])?;
-            end = end.advance(len);
-            idx += len;
-        }
-        let target = end.min(st.tail);
+        // Phase 1: decide what to write and detach it.
+        let mut st = self.state.lock();
+        let target = if upto < st.durable {
+            st.durable
+        } else if upto >= st.last_frame {
+            st.tail
+        } else {
+            // End of the last record whose start is ≤ upto.
+            let mut end = st.durable;
+            let mut idx = 0usize;
+            while end <= upto {
+                let len = record::frame_len(&st.buffer[idx..])?;
+                end = end.advance(len);
+                idx += len;
+            }
+            end
+        };
         if target <= st.durable {
             drop(st);
-            self.tracer.event(TraceCat::WalForce, "noop", 0, 1);
-            return Ok(ForceStats { pages_written: 0, wrote: false });
+            return self.noop_force();
         }
         let base = st.durable;
         let n = (target.0 - base.0) as usize;
         // `n` may exceed the buffer only through logic bugs; be strict.
         assert!(n <= st.buffer.len(), "force past buffered tail");
-        let chunk: Vec<u8> = st.buffer[..n].to_vec();
+        {
+            let mut detached = self.writing.write();
+            debug_assert!(detached.is_empty(), "one force at a time");
+            detached.extend_from_slice(&st.buffer[n..]);
+            st.buffer.truncate(n);
+            std::mem::swap(&mut st.buffer, &mut *detached);
+        }
         drop(st);
 
-        // Phase 2: stream the body without blocking appenders.
-        self.write_body(base, &chunk)?;
+        // Phase 2: stream the body without blocking appenders or readers.
+        let wrote = self.write_body(base, &self.writing.read());
 
         // Phase 3: publish durability. Only forces mutate `durable` or the
-        // buffer front, and `force_serial` keeps this one alone in flight,
-        // so `base`/`n` still describe the buffer's prefix exactly.
+        // front of `[durable, tail)`, and `force_serial` keeps this one
+        // alone in flight, so `writing` still holds exactly `[base, target)`.
         let mut st = self.state.lock();
-        st.buffer.drain(..n);
+        {
+            let mut detached = self.writing.write();
+            if let Err(e) = wrote {
+                detached.extend_from_slice(&st.buffer);
+                std::mem::swap(&mut st.buffer, &mut *detached);
+                detached.clear();
+                return Err(e);
+            }
+            detached.clear();
+        }
         st.durable = target;
         self.write_header(&st)?;
         drop(st);
@@ -398,13 +476,23 @@ impl LogManager {
             let n = (media_end.0 - from.0) as usize;
             self.read_body(from, &mut buf[..n])?;
         }
-        // …and the rest from the tail buffer.
+        // …and the rest from memory: what a force in flight detached, if
+        // one is, then the tail buffer.
         if end > st.durable && end > from {
             let b_from = from.max(st.durable);
-            let src = (b_from.0 - st.durable.0) as usize;
-            let dst = (b_from.0 - from.0) as usize;
-            let n = (end.0 - b_from.0) as usize;
-            buf[dst..dst + n].copy_from_slice(&st.buffer[src..src + n]);
+            let mut skip = (b_from.0 - st.durable.0) as usize;
+            let mut out = &mut buf[(b_from.0 - from.0) as usize..];
+            for part in [&self.writing.read()[..], &st.buffer[..]] {
+                if skip >= part.len() {
+                    skip -= part.len();
+                    continue;
+                }
+                let n = (part.len() - skip).min(out.len());
+                let (dst, rest) = out.split_at_mut(n);
+                dst.copy_from_slice(&part[skip..skip + n]);
+                out = rest;
+                skip = 0;
+            }
         }
         Ok(())
     }
@@ -582,7 +670,8 @@ mod tests {
         let (_m2, b) = fresh(1 << 16);
         // Path A: encode with prev=NULL (as a client would), rechain on append.
         let client_bytes = update(1, 10, 7).encode();
-        let la = a.append_rechained(&client_bytes, Lsn(123)).unwrap();
+        let (la, last) = a.append_rechained_run(&client_bytes, Lsn(123)).unwrap();
+        assert_eq!(la, last, "a run of one");
         // Path B: the old route — build the record with prev already set.
         let mut rec = update(1, 10, 7);
         if let LogRecord::Update { prev, .. } = &mut rec {
@@ -592,6 +681,100 @@ mod tests {
         assert_eq!(la, lb);
         assert_eq!(a.read_record(la).unwrap(), b.read_record(lb).unwrap());
         assert_eq!(a.read_record(la).unwrap().0.prev(), Lsn(123));
+    }
+
+    /// Client-side frames (prev = NULL): `n` updates spread over `pages`.
+    fn client_frames(n: u32, pages: u32) -> Vec<Vec<u8>> {
+        (0..n).map(|i| update(1, i % pages, i as u8).encode()).collect()
+    }
+
+    /// Every byte of `[start, tail)`, as a reader sees it.
+    fn log_bytes(lm: &LogManager) -> Vec<u8> {
+        let mut out = vec![0u8; (lm.tail_lsn().0 - lm.start_lsn().0) as usize];
+        lm.read_bytes(lm.start_lsn(), &mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn a_run_is_the_log_its_frames_make_appended_one_at_a_time() {
+        let frames = client_frames(40, 3);
+        let (_m, run) = fresh(1 << 16);
+        let (_m2, singles) = fresh(1 << 16);
+        // Something ahead of the run, so `prev` is not the log's first LSN.
+        let head = run.append(&commit(9)).unwrap();
+        assert_eq!(singles.append(&commit(9)).unwrap(), head);
+
+        let (first, last) = run.append_rechained_run(&frames.concat(), head).unwrap();
+        let mut prev = head;
+        for f in &frames {
+            let (lsn, same) = singles.append_rechained_run(f, prev).unwrap();
+            assert_eq!(lsn, same);
+            prev = lsn;
+        }
+        assert_eq!((first, last), (head.advance(commit(9).encode().len()), prev));
+        assert_eq!(run.tail_lsn(), singles.tail_lsn());
+        assert_eq!(log_bytes(&run), log_bytes(&singles), "LSNs, prev chain and checksums");
+        // The chain really is the predecessor's LSN, frame by frame.
+        let chain: Vec<(Lsn, Lsn)> =
+            run.scan_forward(first).map(|r| r.unwrap()).map(|(l, r)| (l, r.prev())).collect();
+        assert_eq!(chain.len(), frames.len());
+        assert_eq!(chain[0].1, head);
+        assert!(chain.windows(2).all(|w| w[1].1 == w[0].0));
+        // A force through the run's last frame takes the whole tail.
+        run.force(last).unwrap();
+        assert_eq!(run.durable_lsn(), run.tail_lsn());
+    }
+
+    #[test]
+    fn a_run_that_does_not_fit_leaves_the_tail_as_it_was() {
+        let frames = client_frames(6, 2);
+        let len = frames[0].len();
+        let (_m, lm) = fresh(len * 8);
+        let (first, last) = lm.append_rechained_run(&frames[..4].concat(), Lsn::NULL).unwrap();
+        let (tail, before) = (lm.tail_lsn(), log_bytes(&lm));
+        // Five more do not fit in what is left (four do): none goes in.
+        let err = lm.append_rechained_run(&frames[..5].concat(), last).unwrap_err();
+        assert!(matches!(err, QsError::LogFull { need, .. } if need == 5 * len), "{err}");
+        assert_eq!(lm.tail_lsn(), tail);
+        assert_eq!(log_bytes(&lm), before);
+        // Neither does anything of a run holding bytes that are no frame.
+        let mut torn = frames[..2].concat();
+        torn.truncate(len + 10);
+        assert!(matches!(lm.append_rechained_run(&torn, last), Err(QsError::LogCorrupt { .. })));
+        assert_eq!((lm.tail_lsn(), log_bytes(&lm)), (tail, before.clone()));
+        // The force boundary is still the run that did go in.
+        lm.force(last).unwrap();
+        assert_eq!(lm.durable_lsn(), tail);
+        let (next, _) = lm.append_rechained_run(&frames[4..].concat(), last).unwrap();
+        assert_eq!(next, tail);
+        assert_eq!(lm.read_record(first).unwrap().0.prev(), Lsn::NULL);
+        assert_eq!(lm.read_record(next).unwrap().0.prev(), last);
+    }
+
+    #[test]
+    fn force_to_an_interior_lsn_stops_at_that_records_end() {
+        let (media, lm) = fresh(1 << 16);
+        let lsns: Vec<Lsn> = (0..5).map(|i| lm.append(&update(1, i, i as u8)).unwrap()).collect();
+        let tail = lm.tail_lsn();
+        let all = log_bytes(&lm);
+        // WAL-before-steal: through the second record, and no further —
+        // also when `upto` points into the record rather than at its start.
+        for (upto, durable) in [(lsns[1], lsns[2]), (lsns[3].advance(7), lsns[4])] {
+            let stats = lm.force(upto).unwrap();
+            assert!(stats.wrote);
+            assert_eq!((lm.durable_lsn(), lm.tail_lsn()), (durable, tail));
+            assert_eq!(log_bytes(&lm), all, "what stayed behind is still readable");
+        }
+        assert!(!lm.force(lsns[2]).unwrap().wrote, "already durable");
+        let l5 = lm.append(&commit(1)).unwrap();
+        assert_eq!(l5, tail);
+        lm.force(lsns[4]).unwrap(); // the last frame before the commit: interior again
+        assert_eq!(lm.durable_lsn(), l5);
+        drop(lm); // crash: the commit record was never forced
+        let lm2 = LogManager::open(media).unwrap();
+        assert_eq!(lm2.tail_lsn(), l5);
+        assert_eq!(log_bytes(&lm2), all);
+        assert!(lm2.read_record(l5).is_err());
     }
 
     #[test]

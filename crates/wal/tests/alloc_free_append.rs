@@ -1,7 +1,10 @@
 //! `LogManager::append(&LogRecord)` builds the frame in place in the log's
 //! tail buffer: once that buffer has reached its high-water mark, an
-//! append allocates nothing. Counted with a counting global allocator, in
-//! the style of `crates/core/tests/alloc_free_commit.rs`.
+//! append allocates nothing — and neither does the force that writes the
+//! tail out: it detaches the buffer instead of copying it, and the buffer
+//! it swaps in is the one the previous force emptied. Counted with a
+//! counting global allocator, in the style of
+//! `crates/core/tests/alloc_free_commit.rs`.
 //!
 //! This file holds exactly one test so no sibling test thread can
 //! pollute the process-wide allocation counter mid-measurement.
@@ -11,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use qs_storage::{MemDisk, StableMedia};
-use qs_types::{Lsn, TxnId};
+use qs_types::{Lsn, PageId, TxnId};
 use qs_wal::{LogManager, LogRecord};
 
 struct CountingAlloc;
@@ -48,7 +51,7 @@ fn steady_state_append_of_a_commit_record_is_allocation_free() {
     let log = LogManager::format(media as Arc<dyn StableMedia>, 1 << 20).unwrap();
     let commit = LogRecord::Commit { txn: TxnId(7), prev: Lsn(4242) };
     // One round: a batch of appends, counted, then the force that empties
-    // the tail buffer (it copies the batch out — not the path under test).
+    // the tail buffer (counted in the second half, below).
     let round = || {
         let start = ALLOC_CALLS.load(Ordering::SeqCst);
         for _ in 0..BATCH {
@@ -71,4 +74,48 @@ fn steady_state_append_of_a_commit_record_is_allocation_free() {
         }
     }
     assert_eq!(allocs, 0, "{allocs} allocations over {} steady-state appends", 100 * BATCH);
+    steady_state_force_of_a_large_tail_is_allocation_free();
+}
+
+/// A commit that shipped 2 MB of log early (the repo benchmark's
+/// `crash_restart` transaction): append it as 8 KB runs, force the tail.
+/// Called from the one test above, after it.
+fn steady_state_force_of_a_large_tail_is_allocation_free() {
+    const RUNS: usize = 256;
+    const BODY: usize = 4 << 20;
+    let media = Arc::new(MemDisk::new(LogManager::required_bytes(BODY)));
+    let log = LogManager::format(media as Arc<dyn StableMedia>, BODY).unwrap();
+    let frame = LogRecord::Update {
+        txn: TxnId(7),
+        prev: Lsn::NULL,
+        page: PageId(3),
+        slot: 0,
+        offset: 0,
+        before: vec![0; 16],
+        after: vec![1; 16],
+    }
+    .encode();
+    let run = frame.repeat(8192 / frame.len());
+    let round = || {
+        let start = ALLOC_CALLS.load(Ordering::SeqCst);
+        let mut prev = Lsn::NULL;
+        for _ in 0..RUNS {
+            prev = log.append_rechained_run(&run, prev).unwrap().1;
+        }
+        assert!(log.force(log.tail_lsn()).unwrap().wrote);
+        let allocs = ALLOC_CALLS.load(Ordering::SeqCst) - start;
+        log.truncate_to(log.durable_lsn()).unwrap();
+        allocs
+    };
+    // Warmup: the tail buffer and the buffer a force swaps it for both
+    // grow to a round's size, one per round.
+    assert!(round() > 0 && round() > 0);
+    let mut allocs = usize::MAX;
+    for _ in 0..5 {
+        allocs = (0..64).map(|_| round()).sum();
+        if allocs == 0 {
+            break;
+        }
+    }
+    assert_eq!(allocs, 0, "{allocs} allocations over 64 rounds of append 2 MB + force");
 }

@@ -110,8 +110,42 @@ if [ -n "$stops" ]; then
     exit 1
 fi
 
+echo "== one pass per log record: no tail copy in force, no pool scan per overflow =="
+# `LogManager::force` detaches the prefix it writes; a `to_vec` there is
+# the 2 MB-per-commit copy coming back. `Store` scans the client pool for
+# its dirty list in two places: `commit`, and `ensure_elected` behind the
+# "an election is pending" guard — not on every recovery-buffer overflow.
+force_copies=$(awk '/^    pub fn force\(/ { on = 1 } on && /^    }$/ { on = 0 }
+                    on && $0 !~ /^[ \t]*\/\// && /to_vec/ { print "    " FILENAME ":" FNR ": " $0 }' \
+        crates/wal/src/log.rs)
+if [ -n "$force_copies" ]; then
+    echo "FAIL: LogManager::force copies the tail it writes:"
+    echo "$force_copies"
+    exit 1
+fi
+scans=$(awk '/^    (pub )?fn [a-z_]+/ { name = $0; sub(/^ *(pub )?fn /, "", name); sub(/[(<].*/, "", name)
+                                          guarded = 0 }
+             /elected_scheme\(\)\.is_some\(\)/ { guarded = 1 }
+             $0 !~ /^[ \t]*\/\// && /dirty_pages\(\)/ &&
+             !(name == "commit" || (name == "ensure_elected" && guarded)) {
+                 print "    " FILENAME ":" FNR ": " $0 " (in fn " name ")"
+             }' crates/core/src/store.rs)
+if [ -n "$scans" ]; then
+    echo "FAIL: crates/core/src/store.rs builds a dirty list outside \`commit\`" \
+         "and the guarded \`ensure_elected\`:"
+    echo "$scans"
+    exit 1
+fi
+
 echo "== cargo test -q --offline =="
 cargo test -q --offline --workspace
+
+echo "== allocation-free paths, release profile too =="
+# The counting-allocator tests hold "no allocation per log record, per
+# force, per recovery-buffer overflow"; the optimizer decides what gets
+# boxed or inlined, so the profile that ships is checked as well.
+cargo test -q --release --offline -p qs-wal --test alloc_free_append
+cargo test -q --release --offline -p quickstore --test alloc_free_commit
 
 echo "== dependency audit: path-only =="
 # Any bare `name = "x.y"` or `{ version = ... }` entry in a [dependencies]
@@ -190,6 +224,14 @@ for t in multi_client group_commit shard_independence restart_equivalence \
         exit 1
     fi
 done
+
+# A force parked inside its media write (crates/wal/tests/force_detached.rs
+# blocks a thread on purpose): readers, appenders and the next force around
+# it. A lock held across the write, or a lost wake-up, is a hang.
+if ! timeout 120 cargo test -q --offline -p qs-wal --test force_detached; then
+    echo "FAIL: qs-wal --test force_detached did not finish within 120s or failed"
+    exit 1
+fi
 
 # The sharded analysis pass's own unit tests (crates/esm/src/restart.rs:
 # analyze vs the serial reference at 1/2/4/8 workers and one-record
