@@ -65,7 +65,7 @@
 
 use crate::protocol::Holds;
 use crate::server::pages::apply_after_image;
-use crate::server::{InnerView, RestartConfig, Server};
+use crate::server::{RestartConfig, Server};
 use crate::shard::shard_index;
 use crate::txn::TxnTable;
 use qs_storage::{Page, Volume};
@@ -112,13 +112,13 @@ pub(crate) fn run(server: &Server) -> QsResult<(Vec<PhaseStat>, RestartWall)> {
     let cfg = server.config().restart;
     let mut ph_analysis = phase("analysis");
     let mut ph_redo = phase("redo");
-    let a = server.with_quiesced(|view| -> QsResult<Analysis> {
-        let (a, redone) = replay(view.log, view.volume, holds, cfg, &mut ph_analysis, &mut wall)?;
-        let merge = Instant::now();
-        install(view, &a, redone, &mut ph_redo)?;
-        wall.scans.last_mut().expect("replay scans the log").end_merge(merge);
-        Ok(a)
-    })?;
+    // The redo workers read the volume; nothing else runs yet.
+    let volume = server.volume.lock(&server.tracer);
+    let (a, redone) = replay(server.log.wal(), &volume, holds, cfg, &mut ph_analysis, &mut wall)?;
+    drop(volume);
+    let merge = Instant::now();
+    install(server, &a, redone, &mut ph_redo)?;
+    wall.scans.last_mut().expect("replay scans the log").end_merge(merge);
     let ph_undo = undo_and_finish(server, a.att, a.max_txn, &mut wall)?;
     let mut phases = vec![ph_analysis, ph_redo];
     if holds.physical {
@@ -149,10 +149,12 @@ fn note_txn(max_txn: &mut TxnId, txn: TxnId) {
 /// — always the first record of its chain — says which it elected;
 /// unmarked transactions follow the flavor default. Truncation keeps
 /// every *active* transaction's chain whole, mark included, so in an
-/// `Adaptive` log a transaction whose mark is missing (truncated) is
-/// provably committed, and treating it as physical (DPT path) is correct
-/// for committed work: redo replays `UpdateLogical` records too, and the
-/// pageLSN test skips whatever the pre-crash apply already flushed.
+/// `Adaptive` log a transaction whose mark is missing (truncated) had
+/// finished before the crash: it committed or it aborted. Treating a
+/// committed one as physical (DPT path) is correct: redo replays
+/// `UpdateLogical` records too, and the pageLSN test skips whatever the
+/// pre-crash apply already flushed. An aborted one is told apart by its
+/// CLRs ([`Analysis::dropped`]).
 struct Marks {
     /// Protocol of an unmarked transaction.
     default_logical: bool,
@@ -180,6 +182,11 @@ impl Marks {
         }
         self.elected.get(&txn).map_or(self.default_logical, |s| s.is_logical())
     }
+
+    /// Is `txn` taken for physical only because it carries no mark?
+    fn physical_by_default(&self, txn: TxnId) -> bool {
+        !self.default_logical && !self.elected.contains_key(&txn)
+    }
 }
 
 /// What analysis learned from the log: the router's transaction half
@@ -191,6 +198,19 @@ struct Analysis {
     att: HashMap<TxnId, Lsn>,
     /// Logical transactions whose commit record was seen.
     committed: HashSet<TxnId>,
+    /// Transactions with a CLR in the log and no `Abort` record yet.
+    compensated: HashSet<TxnId>,
+    /// Unmarked transactions of a log that can hold logical ones which
+    /// ended in `Abort` without a CLR. A physical abort writes a CLR for
+    /// every `Update` it logged, after it, so such a transaction was a
+    /// logical one whose mark was truncated — its deferred ops never
+    /// reached a page, and redo must not put them there — or a physical
+    /// one whose only surviving records are of pages it created, which
+    /// nothing references after the abort. Redo skips its records. The
+    /// pages it named may still be listed in the DPT (the analysis step
+    /// classifies a record at first sight), which can only move redo's
+    /// start earlier.
+    dropped: HashSet<TxnId>,
     /// Dirty-page table: page → recovery LSN. Empty until the workers'
     /// shards are absorbed.
     dpt: HashMap<PageId, Lsn>,
@@ -214,6 +234,8 @@ impl Analysis {
             marks: Marks::new(default_logical),
             att: HashMap::new(),
             committed: HashSet::new(),
+            compensated: HashSet::new(),
+            dropped: HashSet::new(),
             dpt: HashMap::new(),
             max_txn: TxnId::INVALID,
             max_alloc: 0,
@@ -264,12 +286,16 @@ impl Analysis {
         self.dpt.values().min().map(|&rec_lsn| rec_lsn.max(log.start_lsn()))
     }
 
-    /// Must redo skip `txn`'s records? Only logical losers: their deferred
-    /// ops never reached any page, and replaying them (via a shared page's
-    /// DPT entry from another transaction) would install uncommitted data
-    /// that nothing can undo.
+    /// Must redo skip `txn`'s records? Only logical losers, and the
+    /// aborted transactions analysis took for logical ones ([`dropped`]):
+    /// their deferred ops never reached any page, and replaying them (via
+    /// a shared page's DPT entry from another transaction) would install
+    /// uncommitted data that nothing can undo.
+    ///
+    /// [`dropped`]: Analysis::dropped
     fn redo_skips(&self, txn: TxnId) -> bool {
-        self.marks.is_logical(txn) && !self.committed.contains(&txn)
+        (self.marks.is_logical(txn) && !self.committed.contains(&txn))
+            || self.dropped.contains(&txn)
     }
 
     /// A record of `txn` that is neither mark, commit nor abort: extend
@@ -298,10 +324,14 @@ impl Analysis {
     /// classifies every record correctly at first sight), verify the
     /// page-less frames — nobody else reads them — and say which worker(s)
     /// need the frame for the page half. `broadcast`: the log can hold
-    /// logical transactions, so the workers need marks, commits and aborts.
+    /// logical transactions, so the workers need marks, commits and aborts
+    /// and an abort may be a logical one's ([`Analysis::dropped`]).
     fn route(&mut self, lsn: Lsn, bytes: &[u8], broadcast: bool) -> QsResult<Route> {
         let txn = record::frame_txn(bytes)?;
         if let Some(page) = record::frame_page(bytes)? {
+            if broadcast && record::frame_tag(bytes)? == tag::CLR {
+                self.compensated.insert(txn);
+            }
             self.touch(txn, lsn);
             return Ok(Route::Page(page));
         }
@@ -329,6 +359,12 @@ impl Analysis {
             tag::ABORT => {
                 self.end_run();
                 self.att.remove(&txn);
+                if broadcast
+                    && !self.compensated.remove(&txn)
+                    && self.marks.physical_by_default(txn)
+                {
+                    self.dropped.insert(txn);
+                }
             }
             _ => {
                 self.touch(txn, lsn);
@@ -764,39 +800,43 @@ fn redo(
 
 /// Redo's epilogue: price the pass and install the workers' redone pages
 /// into the pool as dirty, so undo sees them and the closing checkpoint
-/// flushes them.
-fn install(
-    view: &mut InnerView<'_>,
-    a: &Analysis,
-    redone: Vec<Redone>,
-    ph: &mut PhaseStat,
-) -> QsResult<()> {
-    let Some(redo_from) = a.redo_from(view.log) else {
+/// flushes them. One shard at a time, under shard → DPT → volume.
+fn install(server: &Server, a: &Analysis, redone: Vec<Redone>, ph: &mut PhaseStat) -> QsResult<()> {
+    let log = server.log.wal();
+    let Some(redo_from) = a.redo_from(log) else {
         return Ok(());
     };
     // The paper's redo pass reads the log from the DPT's earliest recLSN;
     // that is the demand priced, whether or not this restart made it a
     // pass of its own.
-    ph.pages_read = log_pages(redo_from, view.log.tail_lsn());
-    // Install page-sorted so pool state and eviction write-backs are
-    // identical for every worker count.
+    ph.pages_read = log_pages(redo_from, log.tail_lsn());
+    // Install page-sorted within each shard so pool state and eviction
+    // write-backs are identical for every worker count.
     let mut resident: Vec<(PageId, Page)> = Vec::new();
     for (stats, pages) in redone {
         ph.absorb(&stats);
         resident.extend(pages);
     }
-    resident.sort_by_key(|&(pid, _)| pid.0);
-    for (pid, page) in resident {
-        // Restart pools are sized like production pools; eviction during
-        // redo writes through (WAL is satisfied: everything is in the
-        // durable log already).
-        if let Some(ev) = view.pool.shard(pid).insert(pid, page, true)? {
-            if ev.dirty {
-                view.volume.write_page(ev.page_id, &ev.page)?;
-                ph.data_writes += 1;
+    let (pool, tracer) = (&server.pool, &server.tracer);
+    resident.sort_by_key(|&(pid, _)| (pool.shard_of(pid), pid.0));
+    let mut resident = resident.into_iter().peekable();
+    while let Some(&(first, _)) = resident.peek() {
+        let shard = pool.shard_of(first);
+        let mut pool_shard = pool.lock_shard(shard, tracer);
+        let mut dpt = server.dpt.lock(tracer);
+        let volume = server.volume.lock(tracer);
+        while let Some((pid, page)) = resident.next_if(|&(pid, _)| pool.shard_of(pid) == shard) {
+            // Restart pools are sized like production pools; eviction
+            // during redo writes through (WAL is satisfied: everything is
+            // in the durable log already).
+            if let Some(ev) = pool_shard.insert(pid, page, true)? {
+                if ev.dirty {
+                    volume.write_page(ev.page_id, &ev.page)?;
+                    ph.data_writes += 1;
+                }
             }
+            dpt.dirtied(pid, redo_from);
         }
-        view.dpt.dirtied(pid, redo_from);
     }
     Ok(())
 }
@@ -910,28 +950,24 @@ fn undo_and_finish(
     // pass over all losers.
     let mut losers: Vec<(TxnId, Lsn)> = att.into_iter().collect();
     losers.sort_by_key(|&(_, lsn)| std::cmp::Reverse(lsn));
-    server.with_quiesced(|view| {
-        for &(txn, last) in &losers {
-            view.txns.restore(txn, last);
-        }
-    });
+    let mut txns = server.txns.lock(&server.tracer);
+    for &(txn, last) in &losers {
+        txns.restore(txn, last);
+    }
+    drop(txns);
     // One page cache across every loser chain: the random chain reads stop
     // re-hitting the log disk per record, and the report counts distinct
     // log pages actually fetched rather than one page per record undone.
     let mut cache = LogReadCache::new();
     for (txn, last) in losers {
-        server.with_quiesced(|view| -> QsResult<()> {
-            ph.records += server.undo_chain(view, txn, last, &mut cache)?;
-            Server::append_abort(view, txn)?;
-            view.txns.remove(txn);
-            Ok(())
-        })?;
+        ph.records += server.undo_chain(txn, last, &mut cache)?;
+        server.log_abort(txn)?;
     }
     ph.pages_read = cache.pages_fetched();
     wall.undo_ns = ns_since(undo);
 
     let checkpoint = Instant::now();
-    server.with_quiesced(|view| *view.txns = TxnTable::resuming_after(max_txn));
+    *server.txns.lock(&server.tracer) = TxnTable::resuming_after(max_txn);
     server.checkpoint()?;
     wall.checkpoint_ns = ns_since(checkpoint);
     Ok(ph)
@@ -961,98 +997,99 @@ fn wpl_restart(server: &Server, wall: &mut RestartWall) -> QsResult<Vec<PhaseSta
     let mut scan = phase("backward_scan");
     let mut rebuild = phase("table_rebuild");
     let cfg = server.config().restart;
-    server.with_quiesced(|view| -> QsResult<()> {
-        let end = view.log.durable_lsn();
-        let ck = view.log.checkpoint_lsn();
-        let stop = if ck.is_null() { view.log.start_lsn() } else { ck };
-        scan.pages_read = log_pages(stop, end);
+    let log = server.log.wal();
+    let end = log.durable_lsn();
+    let ck = log.checkpoint_lsn();
+    let stop = if ck.is_null() { log.start_lsn() } else { ck };
+    scan.pages_read = log_pages(stop, end);
 
-        let mut ctl: HashSet<TxnId> = HashSet::new();
-        let mut max_txn = TxnId::INVALID;
-        // The restart anchor is the checkpoint the header names, the first
-        // record of the scan; one the crash interrupted before the header
-        // named it sits later and is ignored.
-        let mut anchor: Option<CheckpointBody> = None;
-        let route = |lsn, bytes: &[u8]| {
-            scan.records += 1;
-            let t = record::frame_tag(bytes)?;
-            if t == tag::WHOLE_PAGE {
-                return Ok(record::frame_page(bytes)?.map_or(Route::Nowhere, Route::Page));
-            }
-            record::frame_verify(bytes)?;
-            let txn = record::frame_txn(bytes)?;
-            note_txn(&mut max_txn, txn);
-            if t == tag::COMMIT {
-                ctl.insert(txn);
-            } else if t == tag::CHECKPOINT && lsn == ck {
-                anchor = Some(record::frame_checkpoint_body(bytes)?);
-            }
-            Ok(Route::Nowhere)
-        };
-        let (outcomes, mut stages) =
-            fan_out("backward_scan", view.log, (stop, end), cfg, route, image_worker)?;
-        let merge = Instant::now();
+    let mut ctl: HashSet<TxnId> = HashSet::new();
+    let mut max_txn = TxnId::INVALID;
+    // The restart anchor is the checkpoint the header names, the first
+    // record of the scan; one the crash interrupted before the header
+    // named it sits later and is ignored.
+    let mut anchor: Option<CheckpointBody> = None;
+    let route = |lsn, bytes: &[u8]| {
+        scan.records += 1;
+        let t = record::frame_tag(bytes)?;
+        if t == tag::WHOLE_PAGE {
+            return Ok(record::frame_page(bytes)?.map_or(Route::Nowhere, Route::Page));
+        }
+        record::frame_verify(bytes)?;
+        let txn = record::frame_txn(bytes)?;
+        note_txn(&mut max_txn, txn);
+        if t == tag::COMMIT {
+            ctl.insert(txn);
+        } else if t == tag::CHECKPOINT && lsn == ck {
+            anchor = Some(record::frame_checkpoint_body(bytes)?);
+        }
+        Ok(Route::Nowhere)
+    };
+    let (outcomes, mut stages) =
+        fan_out("backward_scan", log, (stop, end), cfg, route, image_worker)?;
+    let merge = Instant::now();
 
-        // The paper's backward scan reads each record with one random
-        // log-page read; bill the meter the same total.
-        server.meter().log_pages_read.fetch_add(scan.records, Ordering::Relaxed);
+    // The paper's backward scan reads each record with one random
+    // log-page read; bill the meter the same total.
+    server.meter().log_pages_read.fetch_add(scan.records, Ordering::Relaxed);
 
-        let mut max_page = 0u32;
-        let mut newest: HashMap<PageId, ImageCandidate> = HashMap::new();
-        for cand in outcomes.into_iter().flatten() {
-            note_txn(&mut max_txn, cand.txn);
-            max_page = max_page.max(cand.pid.0 + 1);
-            if !ctl.contains(&cand.txn) {
-                continue;
+    let mut max_page = 0u32;
+    let mut newest: HashMap<PageId, ImageCandidate> = HashMap::new();
+    for cand in outcomes.into_iter().flatten() {
+        note_txn(&mut max_txn, cand.txn);
+        max_page = max_page.max(cand.pid.0 + 1);
+        if !ctl.contains(&cand.txn) {
+            continue;
+        }
+        match newest.entry(cand.pid) {
+            Entry::Vacant(e) => {
+                e.insert(cand);
             }
-            match newest.entry(cand.pid) {
-                Entry::Vacant(e) => {
+            Entry::Occupied(mut e) => {
+                if cand.frame.lsn > e.get().frame.lsn {
                     e.insert(cand);
                 }
-                Entry::Occupied(mut e) => {
-                    if cand.frame.lsn > e.get().frame.lsn {
-                        e.insert(cand);
-                    }
-                }
             }
         }
-        let mut restored: Vec<ImageCandidate> = newest.into_values().collect();
-        restored.sort_by_key(|c| c.pid.0);
-        let mut claimed: HashSet<PageId> = HashSet::new();
-        for c in restored {
-            let f = c.frame;
-            record::frame_verify(&c.buf[f.offset as usize..(f.offset + f.len) as usize])?;
-            claimed.insert(c.pid);
-            view.wpl.insert_restored(c.pid, f.lsn, c.txn);
-        }
+    }
+    let mut restored: Vec<ImageCandidate> = newest.into_values().collect();
+    restored.sort_by_key(|c| c.pid.0);
+    let mut claimed: HashSet<PageId> = HashSet::new();
+    let mut wpl = server.wpl.lock(&server.tracer);
+    for c in restored {
+        let f = c.frame;
+        record::frame_verify(&c.buf[f.offset as usize..(f.offset + f.len) as usize])?;
+        claimed.insert(c.pid);
+        wpl.insert_restored(c.pid, f.lsn, c.txn);
+    }
 
-        // A checkpoint record sits exactly at `stop`, inside the scan, so
-        // the streamed pass normally found the anchor already.
-        if !ck.is_null() && anchor.is_none() {
-            anchor = Some(record::frame_checkpoint_body(&view.log.read_frame(ck)?)?);
-            server.meter().log_pages_read.fetch_add(1, Ordering::Relaxed);
-            rebuild.pages_read += 1;
-        }
-        if let Some(body) = anchor {
-            for e in &body.wpl_entries {
-                // A scanned image is newer than any listed one; among the
-                // listed versions of a page `insert_restored` keeps the
-                // newest (a committed one can sit under the image of a
-                // transaction that committed after the checkpoint).
-                if (e.committed || ctl.contains(&e.txn)) && !claimed.contains(&e.page) {
-                    view.wpl.insert_restored(e.page, e.lsn, e.txn);
-                }
-                rebuild.records += 1;
-                max_page = max_page.max(e.page.0 + 1);
+    // A checkpoint record sits exactly at `stop`, inside the scan, so
+    // the streamed pass normally found the anchor already.
+    if !ck.is_null() && anchor.is_none() {
+        anchor = Some(record::frame_checkpoint_body(&log.read_frame(ck)?)?);
+        server.meter().log_pages_read.fetch_add(1, Ordering::Relaxed);
+        rebuild.pages_read += 1;
+    }
+    let volume = server.volume.lock(&server.tracer);
+    if let Some(body) = anchor {
+        for e in &body.wpl_entries {
+            // A scanned image is newer than any listed one; among the
+            // listed versions of a page `insert_restored` keeps the
+            // newest (a committed one can sit under the image of a
+            // transaction that committed after the checkpoint).
+            if (e.committed || ctl.contains(&e.txn)) && !claimed.contains(&e.page) {
+                wpl.insert_restored(e.page, e.lsn, e.txn);
             }
-            view.volume.ensure_allocated(body.allocated_pages as usize)?;
+            rebuild.records += 1;
+            max_page = max_page.max(e.page.0 + 1);
         }
-        view.volume.ensure_allocated(max_page as usize)?;
-        *view.txns = TxnTable::resuming_after(max_txn);
-        stages.end_merge(merge);
-        wall.scans.push(stages);
-        Ok(())
-    })?;
+        volume.ensure_allocated(body.allocated_pages as usize)?;
+    }
+    volume.ensure_allocated(max_page as usize)?;
+    drop((wpl, volume));
+    *server.txns.lock(&server.tracer) = TxnTable::resuming_after(max_txn);
+    stages.end_merge(merge);
+    wall.scans.push(stages);
     Ok(vec![scan, rebuild])
 }
 
@@ -1231,6 +1268,9 @@ mod tests {
         let default_logical = !holds.physical;
         let mut marks: HashMap<TxnId, SchemeCode> = HashMap::new();
         let mut pending: HashMap<TxnId, HashMap<PageId, Lsn>> = HashMap::new();
+        // Unmarked, aborted and never compensated: logical after all.
+        let mut compensated: HashSet<TxnId> = HashSet::new();
+        let mut dropped: HashSet<TxnId> = HashSet::new();
         let mut l = Learned {
             att: HashMap::new(),
             dpt: HashMap::new(),
@@ -1283,8 +1323,15 @@ mod tests {
                 LogRecord::Abort { .. } => {
                     l.att.remove(&txn);
                     pending.remove(&txn);
+                    let unmarked = !marks.contains_key(&txn);
+                    if holds.logical && !compensated.remove(&txn) && unmarked && !is_logical {
+                        dropped.insert(txn);
+                    }
                 }
                 _ => {
+                    if matches!(rec, LogRecord::Clr { .. }) {
+                        compensated.insert(txn);
+                    }
                     if !is_logical && txn != TxnId::INVALID {
                         l.att.insert(txn, lsn);
                     }
@@ -1308,7 +1355,7 @@ mod tests {
             let (lsn, rec) = item.unwrap();
             let (Some(pid), txn) = (rec.page(), rec.txn()) else { continue };
             let is_logical = marks.get(&txn).map_or(default_logical, |s| s.is_logical());
-            if is_logical && !l.committed.contains(&txn) {
+            if (is_logical && !l.committed.contains(&txn)) || dropped.contains(&txn) {
                 continue;
             }
             if l.dpt.get(&pid).is_none_or(|&rec_lsn| lsn < rec_lsn) {
@@ -1517,6 +1564,45 @@ mod tests {
         assert!(redone(&l, 25).is_none(), "and are not redone");
         assert!(l.dpt[&PageId(0)] < l.dpt[&PageId(40)], "page 0 keeps txn 1's earlier LSN");
         assert_eq!((l.max_txn, l.max_alloc), (TxnId(6), 41));
+    }
+
+    #[test]
+    fn an_unmarked_abort_without_clrs_is_not_redone() {
+        let (log, volume) = (fresh_log(), fresh_volume());
+        // Every mark but txn 1's was truncated away. Txn 2 elected RLOG: its
+        // logical update lands after txn 1's on the same bytes, and it
+        // aborts with nothing to compensate. Txn 3 was physical: an update,
+        // its CLR, an abort. Txn 4 was physical and created page 7: undo
+        // walks past a created page, so no CLR either.
+        log.append(&mark(1, SchemeCode::Pd)).unwrap();
+        log.append(&update(1, 5)).unwrap();
+        log.append(&logical(2, 5)).unwrap();
+        log.append(&update(3, 6)).unwrap();
+        let clr = log
+            .append(&LogRecord::Clr {
+                txn: TxnId(3),
+                prev: Lsn::NULL,
+                page: PageId(6),
+                slot: 0,
+                offset: 0,
+                after: vec![0; 8],
+                undo_next: Lsn::NULL,
+            })
+            .unwrap();
+        log.append(&LogRecord::PageAlloc { txn: TxnId(4), prev: Lsn::NULL, page: PageId(7) })
+            .unwrap();
+        log.append(&whole_page(4, 7)).unwrap();
+        for txn in [2, 3, 4] {
+            log.append(&abort(txn)).unwrap();
+        }
+        log.append(&commit(1)).unwrap();
+
+        let l = assert_matches_reference(&log, &volume, MIXED, 2, "unmarked aborts");
+        let image = |page: u32| Page::from_bytes(&redone(&l, page).expect("listed").0).unwrap();
+        assert_eq!(image(5).object(PageId(5), 0).unwrap()[..8], [1u8; 8], "txn 1's bytes");
+        assert_eq!(image(6).lsn(), clr, "a compensated abort is repeated, CLR included");
+        assert!(redone(&l, 7).is_none() && l.dpt.contains_key(&PageId(7)), "listed, not redone");
+        assert_eq!(l.redo.0, 3, "txn 1's update, txn 3's update and CLR");
     }
 
     /// The scans `replay` makes of a physical log, as it accounts them.

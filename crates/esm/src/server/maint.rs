@@ -5,7 +5,8 @@
 //! truncation bound are one rule for every flavor, because a table a
 //! flavor does not use is empty. Nothing here stops the server: the drain
 //! holds one pool-shard lock at a time, the record is taken under the
-//! txn-table lock alone (DESIGN.md §6b "The checkpoint").
+//! txn-table lock alone (DESIGN.md §6b "The checkpoint"). Every pass —
+//! checkpoint, WPL reclaim, `quiesce` — holds the maintenance lock.
 
 use super::Server;
 use crate::dpt::DirtyPages;
@@ -391,18 +392,20 @@ impl Server {
         self.log_checkpoint().map(|(_txns, ck_lsn, _flushed)| ck_lsn)
     }
 
-    /// Flush everything dirty and checkpoint (test/benchmark quiesce hook).
+    /// Flush everything dirty and checkpoint (test/benchmark hook): one
+    /// maintenance pass like any other, so it runs beside transactions.
     pub fn quiesce(&self) -> QsResult<()> {
+        let _serial = self.ckpt_serial.lock();
         if self.page_log() {
             // Drain the WPL table completely: reclaim with no log left to
             // spare.
-            self.with_quiesced(|view| self.wpl_drain(view, 0))?;
+            self.wpl_drain(0)?;
         }
         if self.facts.checkpoint == CheckpointRule::Aged {
             // A first pass ages every current dirty page, so the second
             // drains them all.
-            self.checkpoint()?;
+            self.checkpoint_serialized()?;
         }
-        self.checkpoint()
+        self.checkpoint_serialized()
     }
 }

@@ -11,7 +11,7 @@
 //! # Modules, one responsibility each
 //!
 //! This file: configuration, the [`Server`] struct and its one
-//! constructor, crash/restart, the quiesced view, bulk load. [`pages`]:
+//! constructor, crash/restart, bulk load. [`pages`]:
 //! page service — the one fault-in-and-steal routine, the one
 //! after-image-onto-page step. [`txn`]: begin, locks, receiving records
 //! and pages, commit, abort, undo. [`maint`]: watermark maintenance,
@@ -36,15 +36,14 @@
 //!   table ([`crate::dpt`]), and the WPL table;
 //! * the [`LockManager`] (already internally synchronized).
 //!
-//! Lock order: txn table → pool shards (ascending) → WPL table → DPT →
-//! volume; the log is lock-free at this level and always last. Hot paths
-//! hold at most one shard lock plus short single-statement acquisitions of
-//! the others, and never take the txn-table lock while holding a shard.
-//! The checkpoint is such a path too: its drain holds one shard at a time,
-//! its record is taken under the txn-table lock. What still stops the
-//! whole server — [`Server::with_quiesced`] acquires everything in order
-//! and exposes the old single-lock view ([`InnerView`]) — is abort/undo,
-//! WPL reclaim and restart.
+//! Lock order: txn table → one pool shard → WPL table → DPT → volume; the
+//! log is lock-free at this level and always last. No path holds two
+//! shard locks at once, and none stops the whole server: every path takes
+//! the subsystem locks it needs, most of them for one statement. Abort
+//! and restart undo fault a page in under its shard lock alone and write
+//! each CLR under txn table → that shard → DPT; the checkpoint's drain and
+//! WPL reclaim hold one shard at a time; restart, where nothing else
+//! runs, takes each lock where it uses it.
 //!
 //! With the default configuration (one shard, group commit off) every code
 //! path performs the same operations in the same order as the original
@@ -70,7 +69,7 @@ use crate::gate::VolumeGate;
 use crate::lock::LockManager;
 use crate::protocol::{FlavorFacts, Protocol};
 use crate::runtime::RuntimeConfig;
-use crate::shard::{PoolView, ShardedPool};
+use crate::shard::ShardedPool;
 use crate::tower::LogTower;
 use crate::txn::TxnTable;
 use crate::wpl::WplTable;
@@ -210,37 +209,24 @@ pub struct StableParts {
     pub flight: Option<FlightRecording>,
 }
 
-/// The old single-lock `Inner`, reconstructed on demand: a whole-server
-/// view with every subsystem lock held (see [`Server::with_quiesced`]).
-/// Field names match the pre-decomposition struct so the algorithms that
-/// genuinely need global consistency (checkpoint, reclaim, undo, restart)
-/// read exactly as they used to.
-pub(crate) struct InnerView<'a> {
-    pub(crate) volume: &'a Volume,
-    pub(crate) log: &'a LogManager,
-    pub(crate) pool: PoolView<'a>,
-    pub(crate) txns: &'a mut TxnTable,
-    pub(crate) dpt: &'a mut DirtyPages,
-    pub(crate) wpl: &'a mut WplTable,
-}
-
-/// The ESM server.
+/// The ESM server. Its subsystems are crate-visible: restart locks them
+/// directly.
 pub struct Server {
     cfg: ServerConfig,
     /// What `cfg.flavor` means, resolved once (see [`crate::protocol`]).
     facts: FlavorFacts,
     /// Data-disk subsystem (its own lock).
-    volume: VolumeGate,
+    pub(crate) volume: VolumeGate,
     /// Log subsystem: WAL + group-commit policy (internally synchronized).
-    log: LogTower,
+    pub(crate) log: LogTower,
     /// Sharded buffer pool (one lock per shard).
-    pool: ShardedPool,
+    pub(crate) pool: ShardedPool,
     /// Transaction table, behind its own small lock.
-    txns: TracedMutex<TxnTable>,
+    pub(crate) txns: TracedMutex<TxnTable>,
     /// ARIES dirty-page table, behind its own small lock.
-    dpt: TracedMutex<DirtyPages>,
+    pub(crate) dpt: TracedMutex<DirtyPages>,
     /// WPL table, behind its own small lock.
-    wpl: TracedMutex<WplTable>,
+    pub(crate) wpl: TracedMutex<WplTable>,
     /// Deferred (not-yet-applied) operations of uncommitted `NoSteal`
     /// transactions, txn → ops in log order. Never nested inside any
     /// other subsystem lock: every path takes it alone and releases it
@@ -266,7 +252,7 @@ pub struct Server {
     drain_batches: AtomicU64,
     drain_pages: AtomicU64,
     /// Observability hook (disabled by default: one branch per event).
-    tracer: Arc<Tracer>,
+    pub(crate) tracer: Arc<Tracer>,
     /// Per-phase breakdown of the restart that built this server, if it
     /// was built by [`Server::restart`].
     restart_report: Mutex<Option<RestartReport>>,
@@ -450,28 +436,6 @@ impl Server {
     /// committer; their ratio is the mean group-commit batch size.
     pub fn group_commit_stats(&self) -> (u64, u64) {
         self.log.group_stats()
-    }
-
-    /// Acquire every subsystem lock in the canonical order — txn table,
-    /// pool shards (ascending), WPL table, DPT, volume — and run `f` over
-    /// the resulting whole-server view. This is the quiesced world the
-    /// pre-decomposition `Mutex<Inner>` provided implicitly; WPL reclaim,
-    /// abort/undo, and restart run under it.
-    pub(crate) fn with_quiesced<R>(&self, f: impl FnOnce(&mut InnerView<'_>) -> R) -> R {
-        let mut txns = self.txns.lock(&self.tracer);
-        let mut shards = self.pool.lock_all(&self.tracer);
-        let mut wpl = self.wpl.lock(&self.tracer);
-        let mut dpt = self.dpt.lock(&self.tracer);
-        let volume = self.volume.lock(&self.tracer);
-        let mut view = InnerView {
-            volume: &volume,
-            log: self.log.wal(),
-            pool: PoolView::new(shards.iter_mut().map(|g| &mut **g).collect()),
-            txns: &mut txns,
-            dpt: &mut dpt,
-            wpl: &mut wpl,
-        };
-        f(&mut view)
     }
 
     // ---------------------------------------------------------------------

@@ -4,8 +4,7 @@
 //! space. No other protocol reaches this file.
 
 use super::maint::keep_lsn;
-use super::pages::OnDemand;
-use super::{InnerView, Server};
+use super::Server;
 use qs_storage::Page;
 use qs_types::{Lsn, PageId, QsError, QsResult, TxnId};
 use qs_wal::{record, LogManager};
@@ -41,7 +40,7 @@ impl Server {
         drop(txns);
         let mut pool = self.pool.lock(pid, &self.tracer);
         let evicted = pool.insert(pid, page, true)?;
-        self.steal(&mut OnDemand(self), evicted)
+        self.steal(evicted)
     }
 
     /// The newest logged image of `pid`, if the WPL table tracks one — it
@@ -78,35 +77,42 @@ impl Server {
         self.wpl.lock(&self.tracer).len()
     }
 
-    /// Write the live committed image at (`pid`, `lsn`) to its permanent
-    /// location — from the pool when still cached (the paper's
-    /// optimization), else read back from the log.
-    fn wpl_write_home(&self, view: &mut InnerView<'_>, pid: PageId, lsn: Lsn) -> QsResult<()> {
-        let cached_ok =
-            view.wpl.newest(pid).map(|v| v.lsn == lsn && view.pool.contains(pid)).unwrap_or(false);
-        let page = if cached_ok {
-            view.pool.peek(pid).expect("cached").clone()
-        } else {
-            self.meter.log_pages_read.fetch_add(1, Ordering::Relaxed);
-            self.meter.maint_log_pages_read.fetch_add(1, Ordering::Relaxed);
-            page_image_from_log(view.log, lsn, pid)?
-        };
-        view.volume.write_page(pid, &page)?;
-        self.meter_data_write_maint(1);
-        if cached_ok {
-            view.pool.shard(pid).clear_dirty(pid);
+    /// Abort of a `PageLog` transaction: its images are garbage. Each
+    /// page's cached copy is dropped and its uncommitted version leaves
+    /// the WPL table under that page's shard lock, one shard at a time.
+    pub(super) fn wpl_abort(&self, txn: TxnId) -> QsResult<()> {
+        let images = std::mem::take(&mut self.txns.lock(&self.tracer).active_mut(txn)?.wpl_images);
+        for pid in images {
+            let mut pool = self.pool.lock(pid, &self.tracer);
+            pool.remove(pid);
+            self.wpl.lock(&self.tracer).on_abort(txn, pid);
         }
+        self.txns.lock(&self.tracer).remove(txn);
         Ok(())
     }
 
     /// Reclaim committed images, oldest first, until log usage is down to
     /// `low` bytes (0: drain the table). Images superseded by newer
     /// committed images are dropped without I/O; live images are written
-    /// to their permanent locations.
-    pub(super) fn wpl_drain(&self, view: &mut InnerView<'_>, low: usize) -> QsResult<()> {
-        while view.log.used_bytes() > low {
-            let Some((pid, lsn, superseded)) = view.wpl.reclaim_candidate() else {
+    /// to their permanent locations. The caller holds the maintenance
+    /// lock; transactions run meanwhile. The rule that keeps a reader
+    /// safe: a version leaves the table here only under its page's shard
+    /// lock, which a reader re-reading the image from the log holds
+    /// ([`Server::fault_in`]), and a live image is written home from the
+    /// pool copy under that same lock.
+    pub(super) fn wpl_drain(&self, low: usize) -> QsResult<()> {
+        let wal = self.log.wal();
+        while wal.used_bytes() > low {
+            let Some((pid, ..)) = self.wpl.lock(&self.tracer).reclaim_candidate() else {
                 break;
+            };
+            let mut pool = self.pool.lock(pid, &self.tracer);
+            let mut wpl = self.wpl.lock(&self.tracer);
+            // Settled again under the shard lock: a commit may have
+            // dropped the candidate, or made an older version the oldest.
+            let Some((pid, lsn, superseded)) = wpl.reclaim_candidate().filter(|&(p, ..)| p == pid)
+            else {
+                continue;
             };
             if !superseded {
                 // Interleaving invariance (§6f): when a newer *uncommitted*
@@ -118,22 +124,46 @@ impl Server {
                 // per-transaction account, and the next watermark crossing
                 // retries. (`break`, not `continue`: the candidate would
                 // not change.)
-                if view.wpl.has_newer_uncommitted(pid, lsn) {
+                if wpl.has_newer_uncommitted(pid, lsn) {
                     break;
                 }
-                self.wpl_write_home(view, pid, lsn)?;
+                // The pool copy is the live image when it is the newest
+                // version (the paper's optimization), else it is read back
+                // from the log.
+                let cached = wpl.newest(pid).is_some_and(|v| v.lsn == lsn) && pool.contains(pid);
+                drop(wpl);
+                let page = if cached {
+                    pool.peek(pid).expect("cached").clone()
+                } else {
+                    self.meter.log_pages_read.fetch_add(1, Ordering::Relaxed);
+                    self.meter.maint_log_pages_read.fetch_add(1, Ordering::Relaxed);
+                    page_image_from_log(wal, lsn, pid)?
+                };
+                self.volume.lock(&self.tracer).write_page(pid, &page)?;
+                self.meter_data_write_maint(1);
+                if cached {
+                    pool.clear_dirty(pid);
+                }
+                wpl = self.wpl.lock(&self.tracer);
             }
-            view.wpl.remove_version(pid, lsn);
+            wpl.remove_version(pid, lsn);
+            drop(wpl);
+            drop(pool);
             self.reclaimed.fetch_add(1, Ordering::Relaxed);
 
             // Advance the log start as far as the table and active
             // transactions allow; if we cannot advance past an uncommitted
             // image, stop (the paper's thread would wait for the commit).
-            let ck = view.log.checkpoint_lsn();
-            let durable = view.log.durable_lsn();
+            let ck = wal.checkpoint_lsn();
+            let durable = wal.durable_lsn();
             let anchor = if ck.is_null() { durable } else { durable.min(ck) };
-            view.log.truncate_to(keep_lsn(anchor, view.txns, view.dpt, view.wpl))?;
-            if view.log.used_bytes() > low && view.wpl.oldest_is_uncommitted() {
+            let keep = {
+                let txns = self.txns.lock(&self.tracer);
+                let wpl = self.wpl.lock(&self.tracer);
+                keep_lsn(anchor, &txns, &self.dpt.lock(&self.tracer), &wpl)
+            };
+            wal.truncate_to(keep)?;
+            if wal.used_bytes() > low && self.wpl.lock(&self.tracer).oldest_is_uncommitted() {
                 break;
             }
         }
@@ -145,7 +175,7 @@ impl Server {
     /// caller holds the maintenance lock.
     pub(super) fn wpl_reclaim(&self) -> QsResult<()> {
         let low = (self.cfg.log_low_watermark * self.log.wal().body_capacity() as f64) as usize;
-        self.with_quiesced(|view| self.wpl_drain(view, low))?;
+        self.wpl_drain(low)?;
         // Refresh the checkpoint so restart's backward scan stays short and
         // the old checkpoint stops pinning the log tail.
         self.checkpoint_serialized()

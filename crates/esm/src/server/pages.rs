@@ -7,57 +7,11 @@
 
 use super::Server;
 use crate::buffer::{BufferPool, Evicted};
-use crate::dpt::DirtyPages;
 use crate::protocol::Protocol;
-use qs_storage::{Page, Volume};
+use qs_storage::Page;
 use qs_types::{Lsn, PageId, QsError, QsResult, TxnId};
 use qs_wal::record::{self, tag};
 use std::sync::atomic::Ordering;
-
-/// How a fault reaches the data disk and the dirty-page table: hot paths
-/// take each lock for one statement ([`OnDemand`]); quiesced callers
-/// already hold both guards ([`Held`]).
-pub(super) trait DiskTables {
-    fn read_page(&mut self, pid: PageId) -> QsResult<Page>;
-    fn write_page(&mut self, pid: PageId, page: &Page) -> QsResult<()>;
-    /// The image of `pid` with pageLSN `page_lsn` was written home.
-    fn flushed(&mut self, pid: PageId, page_lsn: Lsn);
-}
-
-pub(super) struct OnDemand<'a>(pub(super) &'a Server);
-
-impl DiskTables for OnDemand<'_> {
-    fn read_page(&mut self, pid: PageId) -> QsResult<Page> {
-        self.0.volume.lock(&self.0.tracer).read_page(pid)
-    }
-
-    fn write_page(&mut self, pid: PageId, page: &Page) -> QsResult<()> {
-        self.0.volume.lock(&self.0.tracer).write_page(pid, page)
-    }
-
-    fn flushed(&mut self, pid: PageId, page_lsn: Lsn) {
-        self.0.dpt.lock(&self.0.tracer).flushed(pid, page_lsn);
-    }
-}
-
-pub(super) struct Held<'a> {
-    pub(super) volume: &'a Volume,
-    pub(super) dpt: &'a mut DirtyPages,
-}
-
-impl DiskTables for Held<'_> {
-    fn read_page(&mut self, pid: PageId) -> QsResult<Page> {
-        self.volume.read_page(pid)
-    }
-
-    fn write_page(&mut self, pid: PageId, page: &Page) -> QsResult<()> {
-        self.volume.write_page(pid, page)
-    }
-
-    fn flushed(&mut self, pid: PageId, page_lsn: Lsn) {
-        self.dpt.flushed(pid, page_lsn);
-    }
-}
 
 /// Lay one shipped record's after-image onto `page` — a slot range for an
 /// update, CLR or logical update, the whole image for a whole-page record,
@@ -85,18 +39,18 @@ pub(crate) fn apply_after_image(
 
 impl Server {
     /// Make `pid` resident in `pool`, the shard that owns it (the caller
-    /// holds its lock): on a miss fill it — with `logged`, the image the
-    /// WPL table pointed a `PageLog` reader at, else from the volume — and
-    /// steal the victim the insert pushed out. Holding the shard across the
-    /// miss-fill-evict sequence blocks whole-pool maintenance (which needs
-    /// every shard), so the WPL entry and the log region it points at
-    /// cannot be reclaimed mid-read, and the evicted victim — same shard by
-    /// construction — cannot be re-read from the volume before its
-    /// write-back lands.
+    /// holds its lock and no other): on a miss fill it — with `logged`, the
+    /// image the WPL table pointed a `PageLog` reader at, else from the
+    /// volume — and steal the victim the insert pushed out. The volume and
+    /// the DPT are locked for one statement each. Holding the shard across
+    /// the miss-fill-evict sequence means the WPL version a reader is
+    /// re-reading from the log cannot be reclaimed mid-read (reclaim
+    /// removes a version only under its page's shard lock), and the
+    /// evicted victim — same shard by construction — cannot be re-read
+    /// from the volume before its write-back lands.
     pub(super) fn fault_in(
         &self,
         pool: &mut BufferPool,
-        disk: &mut impl DiskTables,
         pid: PageId,
         logged: Option<Page>,
     ) -> QsResult<()> {
@@ -108,11 +62,11 @@ impl Server {
             Some(page) => page,
             None => {
                 self.meter.data_reads.fetch_add(1, Ordering::Relaxed);
-                disk.read_page(pid)?
+                self.volume.lock(&self.tracer).read_page(pid)?
             }
         };
         let evicted = pool.insert(pid, page, false)?;
-        self.steal(disk, evicted)
+        self.steal(evicted)
     }
 
     /// STEAL handling for the frame an insert pushed out, if it did and
@@ -120,15 +74,15 @@ impl Server {
     /// write it home. Under `PageLog` the image is already in the log
     /// (appended on receipt) and the permanent location must NOT be
     /// overwritten before commit: drop the copy, re-reads go to the log.
-    pub(super) fn steal(&self, disk: &mut impl DiskTables, ev: Option<Evicted>) -> QsResult<()> {
+    pub(super) fn steal(&self, ev: Option<Evicted>) -> QsResult<()> {
         let Some(ev) = ev.filter(|ev| ev.dirty && !self.page_log()) else {
             return Ok(());
         };
         let stats = self.log.wal().force(ev.page.lsn())?;
         self.meter_force(stats);
-        disk.write_page(ev.page_id, &ev.page)?;
+        self.volume.lock(&self.tracer).write_page(ev.page_id, &ev.page)?;
         self.meter.data_writes.fetch_add(1, Ordering::Relaxed);
-        disk.flushed(ev.page_id, ev.page.lsn());
+        self.dpt.lock(&self.tracer).flushed(ev.page_id, ev.page.lsn());
         Ok(())
     }
 
@@ -142,7 +96,7 @@ impl Server {
         } else {
             None
         };
-        self.fault_in(&mut pool, &mut OnDemand(self), pid, logged)?;
+        self.fault_in(&mut pool, pid, logged)?;
         Ok(pool.get(pid).expect("resident after fault_in").clone())
     }
 
@@ -178,7 +132,7 @@ impl Server {
         images: impl IntoIterator<Item = (&'a [u8], Lsn)>,
     ) -> QsResult<()> {
         let mut pool = self.pool.lock(pid, &self.tracer);
-        self.fault_in(&mut pool, &mut OnDemand(self), pid, None)?;
+        self.fault_in(&mut pool, pid, None)?;
         let page = pool.get_mut(pid).expect("resident after fault_in");
         let floor = page.lsn();
         let mut late: Option<Lsn> = None;

@@ -3,8 +3,8 @@
 //! point reads the transaction's [`Protocol`] from its `TxnState` and does
 //! that protocol's one thing; nothing here knows which flavor produced it.
 
-use super::pages::{apply_after_image, Held, OnDemand};
-use super::{InnerView, Server};
+use super::pages::apply_after_image;
+use super::Server;
 use crate::lock::{AsyncLockOutcome, LockManager, LockMode, Resource};
 use crate::protocol::Protocol;
 use crate::txn::TxnStatus;
@@ -341,7 +341,7 @@ impl Server {
         let mut pool = self.pool.lock(pid, &self.tracer);
         let evicted = pool.insert(pid, page, true)?;
         self.dpt.lock(&self.tracer).dirtied(pid, rec_lsn);
-        self.steal(&mut OnDemand(self), evicted)
+        self.steal(evicted)
     }
 
     /// Commit: force the log (records + commit record; under `PageLog`
@@ -450,48 +450,41 @@ impl Server {
         LogPressure::new(fill, queue)
     }
 
-    /// Abort. `Steal`: ARIES-style undo with CLRs, then an abort record.
-    /// `NoSteal`: the deferred ops were never applied anywhere — dropping
-    /// them IS the rollback; close the chain with an abort record, no undo,
-    /// no CLRs. `PageLog`: forget the transaction's logged images and drop
-    /// its cached pages (§3.4.2: "abort … by simply ignoring, from then on,
-    /// any of its updated values"). Undo reads and rewrites pages across
-    /// subsystems, so the whole abort runs quiesced.
+    /// Abort. `Steal`: ARIES-style undo with CLRs ([`Server::undo_chain`]),
+    /// then an abort record. `NoSteal`: the deferred ops were never applied
+    /// anywhere — dropping them IS the rollback; close the chain with an
+    /// abort record, no undo, no CLRs. `PageLog`: forget the transaction's
+    /// logged images and drop its cached pages (§3.4.2: "abort … by simply
+    /// ignoring, from then on, any of its updated values"). Each step takes
+    /// only the locks it needs: other transactions run beside an abort.
     pub fn abort(&self, txn: TxnId) -> QsResult<()> {
-        let protocol = self.txns.lock(&self.tracer).active_mut(txn)?.protocol;
-        if protocol == Protocol::NoSteal {
-            // Taken before quiescing: the pending lock is never nested
-            // inside the subsystem locks.
-            self.pending.lock(&self.tracer).remove(&txn);
-        }
-        self.with_quiesced(|view| -> QsResult<()> {
-            let state = view.txns.active_mut(txn)?;
-            match protocol {
-                Protocol::PageLog => {
-                    view.wpl.on_abort(txn);
-                    for pid in std::mem::take(&mut state.wpl_images) {
-                        view.pool.shard(pid).remove(pid);
-                    }
-                }
-                Protocol::NoSteal => Self::append_abort(view, txn)?,
-                Protocol::Steal => {
-                    let last = state.last_lsn;
-                    let mut cache = qs_wal::LogReadCache::default();
-                    self.undo_chain(view, txn, last, &mut cache)?;
-                    Self::append_abort(view, txn)?;
-                }
+        let (protocol, last) = {
+            let mut txns = self.txns.lock(&self.tracer);
+            let state = txns.active_mut(txn)?;
+            (state.protocol, state.last_lsn)
+        };
+        match protocol {
+            Protocol::PageLog => self.wpl_abort(txn)?,
+            Protocol::NoSteal => {
+                self.pending.lock(&self.tracer).remove(&txn);
+                self.log_abort(txn)?;
             }
-            view.txns.remove(txn);
-            Ok(())
-        })?;
+            Protocol::Steal => {
+                self.undo_chain(txn, last, &mut qs_wal::LogReadCache::default())?;
+                self.log_abort(txn)?;
+            }
+        }
         self.locks.release_all(txn);
         Ok(())
     }
 
-    /// Close `txn`'s chain with an abort record.
-    pub(crate) fn append_abort(view: &mut InnerView<'_>, txn: TxnId) -> QsResult<()> {
-        let prev = view.txns.get(txn)?.last_lsn;
-        view.log.append_with(|w| w.abort(txn, prev))?;
+    /// Close `txn`'s chain with an abort record and drop it from the table,
+    /// under one hold of the txn-table lock.
+    pub(crate) fn log_abort(&self, txn: TxnId) -> QsResult<()> {
+        let mut txns = self.txns.lock(&self.tracer);
+        let prev = txns.get(txn)?.last_lsn;
+        self.log.wal().append_with(|w| w.abort(txn, prev))?;
+        txns.remove(txn);
         Ok(())
     }
 
@@ -503,10 +496,11 @@ impl Server {
     /// constantly, and the cache turns those into one log-disk fetch per
     /// distinct page — its fetch counter also feeds the restart report),
     /// the before-image is copied from the frame to the page, and the CLR
-    /// is encoded straight into the log tail.
+    /// is encoded straight into the log tail. Consecutive records naming
+    /// one page are undone as one run ([`Server::undo_run`]); the walk
+    /// holds at most one shard lock at a time.
     pub(crate) fn undo_chain(
         &self,
-        view: &mut InnerView<'_>,
         txn: TxnId,
         from: Lsn,
         cache: &mut qs_wal::LogReadCache,
@@ -514,35 +508,13 @@ impl Server {
         let mut undone = 0u64;
         let mut at = from;
         while !at.is_null() {
-            let frame = cache.frame(view.log, at)?;
+            let frame = cache.frame(self.log.wal(), at)?;
             at = match record::frame_tag(frame)? {
                 tag::UPDATE => {
-                    let record::UpdateImages { page: pid, slot, offset, before, .. } =
-                        record::frame_update_images(frame)?;
-                    let undo_next = record::frame_prev(frame)?;
-                    let mut disk = Held { volume: view.volume, dpt: &mut *view.dpt };
-                    self.fault_in(view.pool.shard(pid), &mut disk, pid, None)?;
-                    let clr_lsn_guess = view.log.tail_lsn();
-                    let pool = view.pool.shard(pid);
-                    let page = pool.get_mut(pid).expect("resident");
-                    let obj = page.object_mut(pid, slot)?;
-                    let off = offset as usize;
-                    obj.get_mut(off..off + before.len())
-                        .ok_or_else(|| QsError::RecoveryFailed {
-                            detail: format!("undo range past object end on {pid}"),
-                        })?
-                        .copy_from_slice(before);
-                    page.set_lsn(clr_lsn_guess);
-                    pool.mark_dirty(pid);
-                    let state = view.txns.active_mut(txn)?;
-                    let prev = state.last_lsn;
-                    let lsn = view
-                        .log
-                        .append_with(|w| w.clr(txn, prev, pid, slot, offset, before, undo_next))?;
-                    state.note_logged(lsn);
-                    view.dpt.logged(pid, lsn);
-                    undone += 1;
-                    undo_next
+                    let pid = record::frame_page(frame)?.expect("page-bearing tag");
+                    let (n, next) = self.undo_run(txn, pid, at, cache)?;
+                    undone += n;
+                    next
                 }
                 tag::CLR => record::frame_undo_next(frame)?,
                 // A created page is not undone. But no CLR means no image
@@ -553,9 +525,9 @@ impl Server {
                 tag::WHOLE_PAGE | tag::PAGE_ALLOC => {
                     let pid = record::frame_page(frame)?.expect("page-bearing tag");
                     let prev = record::frame_prev(frame)?;
-                    let pool = view.pool.shard(pid);
+                    let mut pool = self.pool.lock(pid, &self.tracer);
                     if !pool.is_dirty(pid) {
-                        view.dpt.flushed(pid, at);
+                        self.dpt.lock(&self.tracer).flushed(pid, at);
                     } else if pool.peek(pid).is_some_and(|p| p.lsn() < at) {
                         pool.get_mut(pid).expect("dirty, so resident").set_lsn(at);
                         pool.mark_dirty(pid);
@@ -575,5 +547,70 @@ impl Server {
             };
         }
         Ok(undone)
+    }
+
+    /// Undo the run of consecutive `Update` records of `txn`'s chain that
+    /// name `pid`, starting at `at`: returns how many it undid and where
+    /// the chain goes on. Two steps. (1) Under the page's shard lock alone,
+    /// fault it in — the data-disk read, and a victim's steal write — and
+    /// pin it. (2) Under txn table → that shard → DPT, for each record:
+    /// copy the before-image onto the page, append the CLR, stamp the LSN
+    /// the append returned as the pageLSN, and list it in the transaction
+    /// and the DPT — inside the critical section that appended it, as
+    /// every record-receiving path does; then unpin. Locks are taken once
+    /// per run, not once per record.
+    fn undo_run(
+        &self,
+        txn: TxnId,
+        pid: PageId,
+        mut at: Lsn,
+        cache: &mut qs_wal::LogReadCache,
+    ) -> QsResult<(u64, Lsn)> {
+        {
+            let mut pool = self.pool.lock(pid, &self.tracer);
+            self.fault_in(&mut pool, pid, None)?;
+            pool.pin(pid);
+        }
+        let log = self.log.wal();
+        let mut txns = self.txns.lock(&self.tracer);
+        let mut pool = self.pool.lock(pid, &self.tracer);
+        let mut dpt = self.dpt.lock(&self.tracer);
+        let mut undone = 0u64;
+        let next = (|| -> QsResult<Lsn> {
+            let state = txns.active_mut(txn)?;
+            let page = pool.get_mut(pid).expect("pinned, so resident");
+            while !at.is_null() {
+                let frame = cache.frame(log, at)?;
+                if record::frame_tag(frame)? != tag::UPDATE
+                    || record::frame_page(frame)? != Some(pid)
+                {
+                    break;
+                }
+                let record::UpdateImages { slot, offset, before, .. } =
+                    record::frame_update_images(frame)?;
+                let undo_next = record::frame_prev(frame)?;
+                let off = offset as usize;
+                page.object_mut(pid, slot)?
+                    .get_mut(off..off + before.len())
+                    .ok_or_else(|| QsError::RecoveryFailed {
+                        detail: format!("undo range past object end on {pid}"),
+                    })?
+                    .copy_from_slice(before);
+                let prev = state.last_lsn;
+                let lsn =
+                    log.append_with(|w| w.clr(txn, prev, pid, slot, offset, before, undo_next))?;
+                page.set_lsn(lsn);
+                state.note_logged(lsn);
+                dpt.logged(pid, lsn);
+                undone += 1;
+                at = undo_next;
+            }
+            Ok(at)
+        })();
+        if undone > 0 {
+            pool.mark_dirty(pid);
+        }
+        pool.unpin(pid);
+        Ok((undone, next?))
     }
 }

@@ -10,7 +10,6 @@
 //! behavior, which is what keeps single-client figures byte-identical.
 
 use crate::buffer::BufferPool;
-use qs_storage::Page;
 use qs_trace::{TracedGuard, TracedMutex, Tracer};
 use qs_types::PageId;
 
@@ -55,50 +54,18 @@ impl ShardedPool {
         self.shards[self.shard_of(pid)].lock(tracer)
     }
 
-    /// Lock one shard by index. The background flusher claims its batches
-    /// this way — one shard at a time, never the whole pool — so foreground
-    /// traffic on other shards proceeds while a claim is in progress.
+    /// Lock one shard by index. The checkpoint's drain claims its batches
+    /// this way, and restart installs redone pages — one shard at a time,
+    /// never two — so traffic on other shards proceeds meanwhile.
     pub fn lock_shard<'a>(&'a self, idx: usize, tracer: &'a Tracer) -> TracedGuard<'a, BufferPool> {
         self.shards[idx].lock(tracer)
-    }
-
-    /// Lock every shard, in ascending index order (the lock-order rule for
-    /// whole-pool operations: reclaim, restart, undo).
-    pub fn lock_all<'a>(&'a self, tracer: &'a Tracer) -> Vec<TracedGuard<'a, BufferPool>> {
-        self.shards.iter().map(|s| s.lock(tracer)).collect()
-    }
-}
-
-/// A whole-pool view over all shards at once, held by quiesced operations.
-/// Routes a page to its owning shard.
-pub(crate) struct PoolView<'a> {
-    shards: Vec<&'a mut BufferPool>,
-}
-
-impl<'a> PoolView<'a> {
-    pub(crate) fn new(shards: Vec<&'a mut BufferPool>) -> PoolView<'a> {
-        PoolView { shards }
-    }
-
-    /// The shard that owns `pid` — what [`ShardedPool::lock`] hands a hot
-    /// path; every per-page mutation goes through it.
-    pub(crate) fn shard(&mut self, pid: PageId) -> &mut BufferPool {
-        let i = shard_index(pid, self.shards.len());
-        self.shards[i]
-    }
-
-    pub(crate) fn contains(&self, pid: PageId) -> bool {
-        self.shards[shard_index(pid, self.shards.len())].contains(pid)
-    }
-
-    pub(crate) fn peek(&self, pid: PageId) -> Option<&Page> {
-        self.shards[shard_index(pid, self.shards.len())].peek(pid)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qs_storage::Page;
 
     #[test]
     fn one_shard_is_identity_routing() {
@@ -126,8 +93,8 @@ mod tests {
         let pool = ShardedPool::new(64, 4);
         assert_eq!(pool.shard_count(), 4);
         let tracer = Tracer::disabled();
-        for g in pool.lock_all(&tracer) {
-            assert_eq!(g.capacity(), 16);
+        for idx in 0..4 {
+            assert_eq!(pool.lock_shard(idx, &tracer).capacity(), 16);
         }
         // A page's shard is where its lock routes.
         let pid = PageId(123);
@@ -136,9 +103,6 @@ mod tests {
         let mut g = pool.lock(pid, &tracer);
         g.insert(pid, Page::new(), false).unwrap();
         drop(g);
-        let mut all = pool.lock_all(&tracer);
-        let shards: Vec<&mut BufferPool> = all.iter_mut().map(|g| &mut **g).collect();
-        let view = PoolView::new(shards);
-        assert!(view.contains(pid));
+        assert!(pool.lock_shard(idx, &tracer).contains(pid));
     }
 }

@@ -67,12 +67,15 @@ impl WplTable {
         }
     }
 
-    /// Abort processing: the transaction's uncommitted images are garbage.
-    pub fn on_abort(&mut self, txn: TxnId) {
-        self.pages.retain(|_, versions| {
+    /// Abort processing, one logged page at a time: the transaction's
+    /// uncommitted image of `page` is garbage.
+    pub fn on_abort(&mut self, txn: TxnId, page: PageId) {
+        if let Some(versions) = self.pages.get_mut(&page) {
             versions.retain(|v| v.txn != txn || v.committed);
-            !versions.is_empty()
-        });
+            if versions.is_empty() {
+                self.pages.remove(&page);
+            }
+        }
     }
 
     /// Keep only versions still needed: everything from the newest
@@ -245,7 +248,8 @@ mod tests {
         t.on_commit(TxnId(1), &[P]);
         t.log_page(P, Lsn(500), TxnId(2));
         t.log_page(Q, Lsn(600), TxnId(2));
-        t.on_abort(TxnId(2));
+        t.on_abort(TxnId(2), P);
+        t.on_abort(TxnId(2), Q);
         assert_eq!(t.newest(P).unwrap().lsn, Lsn(100));
         assert!(!t.contains(Q));
     }
@@ -289,7 +293,7 @@ mod tests {
         u.log_page(P, Lsn(100), TxnId(1));
         u.on_commit(TxnId(1), &[P]);
         u.log_page(P, Lsn(500), TxnId(2));
-        u.on_abort(TxnId(2));
+        u.on_abort(TxnId(2), P);
         assert!(!u.has_newer_uncommitted(P, Lsn(100)), "abort settled it");
     }
 

@@ -98,15 +98,18 @@ if [ -n "$gone" ]; then
     echo "$gone" | sed 's/^/    /'
     exit 1
 fi
-# Maintenance stops the whole server in one place only: `quiesce`, the
-# test/benchmark hook, draining the WPL table. The checkpoint never does.
-stops=$(awk '/fn [a-z_]+\(/ { fn_line = $0 }
-             $0 !~ /^[ \t]*\/\// && /with_quiesced\(/ && fn_line !~ /fn quiesce\(/ {
-                 print "    " FILENAME ":" FNR ": " $0
-             }' crates/esm/src/server/maint.rs)
-if [ -n "$stops" ]; then
-    echo "FAIL: server/maint.rs quiesces the server outside \`quiesce\`:"
-    echo "$stops"
+
+echo "== nothing stops the whole server; one lock view =="
+# Abort, WPL reclaim, quiesce and restart take the subsystem locks they
+# need (DESIGN.md §6b). The whole-server stop, the single-lock view it
+# rebuilt, the whole-pool view and lock, and the trait that let a page
+# fault run under either view are gone; none of their names may come
+# back, in code or in comments.
+gone=$(grep -rnE 'with_quiesced|InnerView|PoolView|DiskTables|lock_all' \
+        crates src tests examples || true)
+if [ -n "$gone" ]; then
+    echo "FAIL: a deleted whole-server lock path is named again:"
+    echo "$gone" | sed 's/^/    /'
     exit 1
 fi
 

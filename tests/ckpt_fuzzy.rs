@@ -350,3 +350,36 @@ fn two_checkpoints_over_an_older_dirty_image_keep_the_commit() {
         assert_eq!(got[..20], [0xA5; 20], "{name}: the acknowledged commit is gone");
     }
 }
+
+/// An ADAPT transaction that elected a logical scheme and aborted wrote no
+/// CLR: nothing of it ever reached a page. A checkpoint taken while an
+/// older physical transaction is active truncates the log between the
+/// aborted one's `TxnScheme` mark and its update. Restart took the
+/// unmarked transaction for a physical one and redid its update onto the
+/// page (ROADMAP item 2); an unmarked abort without a CLR is logical.
+#[test]
+fn an_aborted_logical_transaction_whose_mark_was_truncated_stays_aborted() {
+    let cfg = SystemConfig::adaptive().with_memory(1.0, 0.25);
+    let (server, oid, mut page) = one_page_server(&cfg);
+    let logical = server.begin();
+    let scheme = qs_repro::wal::SchemeCode::Rlog;
+    let mark = LogRecord::TxnScheme { txn: logical, prev: Lsn::NULL, scheme };
+    server.receive_log_records(logical, vec![mark]).unwrap();
+    let txn = begin_physical(&server, oid);
+    ship_log_page(&server, txn, oid, &mut page, 0xA5);
+    let update = LogRecord::UpdateLogical {
+        txn: logical,
+        prev: Lsn::NULL,
+        page: oid.page,
+        slot: oid.slot,
+        offset: 40,
+        after: vec![0x5A; 20],
+    };
+    server.receive_log_records(logical, vec![update]).unwrap();
+    server.abort(logical).unwrap();
+    server.checkpoint().unwrap();
+    ship_dirty_page_and_commit(&server, txn, oid, &page);
+    let got = crash_restart_and_read(server, &cfg, oid);
+    assert_eq!(got[..20], [0xA5; 20], "the acknowledged commit is gone");
+    assert_eq!(got[40..60], [0; 20], "the aborted transaction's update was redone");
+}

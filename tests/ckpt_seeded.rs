@@ -1,13 +1,18 @@
-//! Seeded clients against a checkpoint loop: N client threads each run
+//! Seeded clients against a maintenance loop: N client threads each run
 //! the wire protocol's transaction — log page, then dirty page (each
 //! where the flavor ships them), then commit — on pages of their own,
-//! while a control thread checkpoints as fast as it can, directly or
-//! through the flusher thread. Every gap in that sequence is a place a
-//! checkpoint can land: between a record and the page that carries its
+//! while a control thread runs maintenance passes as fast as it can: a
+//! checkpoint (directly or through the flusher thread), `maintain_now`
+//! (under WPL: reclaim to the low watermark) and `quiesce` (under WPL:
+//! the full drain of the table), in turn. Every gap in that sequence is a
+//! place a pass can land: between a record and the page that carries its
 //! effect, between a whole-page image's append and its WPL-table entry,
 //! between a commit record and its force, between a no-steal commit's
-//! force and its apply. After a crash every acknowledged commit must be
-//! there, and nothing else.
+//! force and its apply. A transaction starts by fetching every page it
+//! will touch, which must read as the client's last committed image —
+//! under WPL often an image re-read from the log while reclaim removes
+//! versions and truncates it. After a crash every acknowledged commit
+//! must be there, and nothing else.
 //!
 //! A seed fixes what each client does (pages, slots, values, records per
 //! page, re-shipping a page twice in one transaction, the scheme an ADAPT
@@ -70,8 +75,8 @@ enum Records {
 
 impl Client {
     /// One transaction. Returns after the server acknowledged its commit
-    /// (or its abort).
-    fn run_txn(&mut self, server: &Server) {
+    /// (or its abort); `Err` says which page did not read as committed.
+    fn run_txn(&mut self, server: &Server) -> Result<(), String> {
         let facts = server.flavor().facts();
         let txn = server.begin();
         let records = if facts.txn_scheme {
@@ -93,10 +98,19 @@ impl Client {
         };
         // A no-steal transaction's updates reach the server as records only.
         let ships_pages = facts.ships_pages && matches!(records, Records::Physical | Records::None);
-        for _ in 0..self.rng.gen_range(1..PAGES_PER_CLIENT + 1) {
-            let i = self.rng.gen_range(0..PAGES_PER_CLIENT);
+        let touched: Vec<usize> = (0..self.rng.gen_range(1..PAGES_PER_CLIENT + 1))
+            .map(|_| self.rng.gen_range(0..PAGES_PER_CLIENT))
+            .collect();
+        for &i in &touched {
             let pid = self.pids[i];
             server.lock_page(txn, pid, LockMode::X).unwrap();
+            let got = server.fetch_page(txn, pid).unwrap();
+            if let Some(slot) = differing_slot(pid, &got, &self.committed[i]) {
+                return Err(format!("{pid} slot {slot} does not read as committed"));
+            }
+        }
+        for i in touched {
+            let pid = self.pids[i];
             // Sometimes the page goes to the server twice in one
             // transaction, as when the client cache evicts it in between.
             for _ in 0..self.rng.gen_range(1..3) {
@@ -113,18 +127,14 @@ impl Client {
                 }
             }
         }
-        // (An ADAPT transaction that elected a logical scheme never aborts
-        // here: restart takes a transaction whose `TxnScheme` mark was
-        // truncated away for a physical one, and redoes the updates of one
-        // that in fact aborted without CLRs — ROADMAP item 2.)
-        let no_steal = matches!(records, Records::Logical | Records::WholePage);
-        if self.rng.gen_bool(0.15) && !(facts.txn_scheme && no_steal) {
+        if self.rng.gen_bool(0.15) {
             server.abort(txn).unwrap();
             self.cache.clone_from(&self.committed);
         } else {
             server.commit(txn).unwrap();
             self.committed.clone_from(&self.cache);
         }
+        Ok(())
     }
 
     /// Change a few bytes of one object in the cached page; the record
@@ -155,8 +165,13 @@ impl Client {
     }
 }
 
+/// The first slot in which `got` and `want`, two images of `pid`, differ.
+fn differing_slot(pid: PageId, got: &Page, want: &Page) -> Option<u16> {
+    (0..SLOTS).find(|&slot| got.object(pid, slot).unwrap() != want.object(pid, slot).unwrap())
+}
+
 /// Run `seed` under `flavor`; `Err` says which committed object the
-/// restarted server does not hold.
+/// server read wrong, or the restarted server does not hold.
 fn run(flavor: RecoveryFlavor, seed: u64, flusher: bool) -> Result<(), String> {
     let server = Arc::new(Server::format(server_cfg(flavor), Meter::new()).unwrap());
     let mut rng = Prng::seed_from_u64(seed);
@@ -183,39 +198,50 @@ fn run(flavor: RecoveryFlavor, seed: u64, flusher: bool) -> Result<(), String> {
     }
 
     let done = AtomicBool::new(false);
-    std::thread::scope(|s| {
+    let read = std::thread::scope(|s| {
         s.spawn(|| {
-            while !done.load(Ordering::Acquire) {
-                if flusher {
-                    assert!(server.request_checkpoint(), "the flusher thread is running");
-                } else {
-                    server.checkpoint().unwrap();
+            for pass in 0.. {
+                if done.load(Ordering::Acquire) {
+                    break;
+                }
+                match pass % 3 {
+                    0 if flusher => {
+                        assert!(server.request_checkpoint(), "the flusher thread is running")
+                    }
+                    0 => server.checkpoint().unwrap(),
+                    1 => server.maintain_now().unwrap(),
+                    _ => server.quiesce().unwrap(),
                 }
                 dawdle(&mut rng);
             }
         });
         let workers: Vec<_> = clients
             .iter_mut()
-            .map(|client| {
+            .enumerate()
+            .map(|(c, client)| {
                 let server = &server;
                 s.spawn(move || {
-                    for _ in 0..TXNS_PER_CLIENT {
-                        client.run_txn(server);
-                    }
+                    (0..TXNS_PER_CLIENT)
+                        .try_for_each(|_| client.run_txn(server))
+                        .map_err(|what| format!("client {c}: {what}"))
                 })
             })
             .collect();
-        // Collect panics before releasing the checkpointer, so a failed
+        // Collect panics before releasing the control thread, so a failed
         // client cannot leave it spinning.
         let results: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
         done.store(true, Ordering::Release);
+        let mut read = Ok(());
         for r in results {
-            if let Err(panic) = r {
-                std::panic::resume_unwind(panic);
+            match r {
+                Err(panic) => std::panic::resume_unwind(panic),
+                Ok(outcome) => read = read.and(outcome),
             }
         }
+        read
     });
     server.stop_flusher();
+    read?;
 
     let parts = Arc::try_unwrap(server).ok().expect("sole owner").crash();
     let restarted = Server::restart(parts, server_cfg(flavor), Meter::new())
@@ -226,10 +252,8 @@ fn run(flavor: RecoveryFlavor, seed: u64, flusher: bool) -> Result<(), String> {
     for (c, client) in clients.iter().enumerate() {
         for (&pid, want) in client.pids.iter().zip(&client.committed) {
             let got = restarted.read_page_for_test(pid).unwrap();
-            for slot in 0..SLOTS {
-                if got.object(pid, slot).unwrap() != want.object(pid, slot).unwrap() {
-                    return Err(format!("client {c} {pid} slot {slot} is not its committed value"));
-                }
+            if let Some(slot) = differing_slot(pid, &got, want) {
+                return Err(format!("client {c} {pid} slot {slot} is not its committed value"));
             }
         }
     }
