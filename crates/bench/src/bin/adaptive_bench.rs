@@ -31,10 +31,10 @@
 //!   --validate <path>  parse a previously written BENCH_adaptive.json
 //!                      and (non-smoke) enforce the acceptance bars
 
+use qs_bench::{disk_from, image};
 use qs_esm::{ClientConn, Server, ServerConfig, StableParts};
 use qs_oo7::{gen, params::DbSize, params::Oo7Params, traversal, T2Mode};
 use qs_sim::{HardwareModel, JsonWriter, Meter};
-use qs_storage::{MemDisk, StableMedia};
 use qs_types::{ClientId, Oid, PAGE_SIZE};
 use quickstore::{Store, SystemConfig};
 use std::sync::Arc;
@@ -83,18 +83,6 @@ struct RunResult {
     mean_commit_s: f64,
     elected: [u64; 4], // pd, sd, wpl, rlog (adaptive runs only)
     scheme_switches: u64,
-}
-
-fn image(media: &Arc<dyn StableMedia>) -> Vec<u8> {
-    let mut buf = vec![0u8; media.len()];
-    media.read_at(0, &mut buf).unwrap();
-    buf
-}
-
-fn disk_from(bytes: &[u8]) -> Arc<dyn StableMedia> {
-    let d = MemDisk::new(bytes.len());
-    d.write_at(0, bytes).unwrap();
-    Arc::new(d)
 }
 
 fn config_for(scheme: &str) -> SystemConfig {

@@ -1,7 +1,7 @@
 //! Micro-benchmarks for the core mechanisms the paper's analysis hinges
 //! on: the region-combining diff, the AVL descriptor index, buffer-pool
-//! replacement, log append/force, lock acquisition, and the per-update
-//! cost of hardware vs software detection.
+//! replacement, log append/force, restart's per-frame worker step, lock
+//! acquisition, and the per-update cost of hardware vs software detection.
 //!
 //! A plain timing harness (`cargo run --release --bin micro`), replacing
 //! the former Criterion bench so the perf trajectory can be tracked with
@@ -18,7 +18,8 @@
 //!                      assert it covers every expected benchmark name;
 //!                      exits non-zero on malformed or incomplete files
 
-use qs_esm::{BufferPool, ClientConn, LockManager, LockMode, Server, ServerConfig};
+use qs_bench::{disk_from, image};
+use qs_esm::{BufferPool, ClientConn, LockManager, LockMode, Server, ServerConfig, StableParts};
 use qs_oo7::{generate, t1, Oo7Params};
 use qs_sim::{JsonWriter, Meter};
 use qs_storage::{MemDisk, Page, StableMedia};
@@ -57,6 +58,8 @@ const EXPECTED_NAMES: &[&str] = &[
     "wal/frame_verify_update",
     "wal/force_2mb",
     "server/recv_log_page",
+    "restart/worker_frame/sparse",
+    "restart/worker_frame/runs",
     "lock_manager/uncontended_x_lock_release",
     "update_path/txn_64pages_2048_updates/PD-ESM",
     "update_path/txn_64pages_2048_updates/SD-ESM",
@@ -117,7 +120,7 @@ impl Harness {
         for _ in 0..iters {
             f(); // warmup
         }
-        let mut per_iter_ns: Vec<f64> = (0..self.batches)
+        let per_iter_ns: Vec<f64> = (0..self.batches)
             .map(|_| {
                 stage();
                 let t0 = Instant::now();
@@ -127,6 +130,12 @@ impl Harness {
                 t0.elapsed().as_nanos() as f64 / (iters * units) as f64
             })
             .collect();
+        self.record(name, per_iter_ns);
+    }
+
+    /// Record and print median/min/max of per-unit times a benchmark
+    /// measured itself, one per batch.
+    fn record(&mut self, name: &str, mut per_iter_ns: Vec<f64>) {
         per_iter_ns.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = per_iter_ns[per_iter_ns.len() / 2];
         let min = per_iter_ns[0];
@@ -447,6 +456,67 @@ fn bench_receive(h: &mut Harness) {
     });
 }
 
+/// Restart's worker step, in ns per frame: the busy time restart's own
+/// stage clock gives the one worker of an inline scan (no reading, no
+/// routing), over a PD-ESM log of 39 424 `Update` frames on 256 pages and
+/// no checkpoint — every frame is analyzed and redone. `sparse`: 154
+/// transactions each write one frame per page in page order, so every
+/// frame starts a page run (the benchmark's `oo7_t2a`, `short_txn`);
+/// `runs`: two transactions write 77-frame runs per page (`crash_restart`
+/// comes in runs). One restart per batch, from fresh copies of the same
+/// crashed media.
+fn bench_restart_worker(h: &mut Harness) {
+    println!("-- restart --");
+    const PAGES: usize = 256;
+    for (shape, txns, run) in [("sparse", 154, 1), ("runs", 2, 77)] {
+        let cfg = ServerConfig::new(SystemConfig::pd_esm().flavor)
+            .with_pool_mb(4.0)
+            .with_volume_pages(2 * PAGES)
+            .with_log_mb(16.0);
+        let server = Server::format(cfg.clone(), Meter::new()).unwrap();
+        for pid in server.bulk_allocate(PAGES).unwrap() {
+            let mut page = Page::new();
+            page.insert(pid, &[0u8; 64]).unwrap();
+            server.bulk_write(pid, &page).unwrap();
+        }
+        server.bulk_sync().unwrap();
+        let mut batch = Vec::with_capacity(PAGE_SIZE);
+        for _ in 0..txns {
+            let txn = server.begin();
+            for pid in 0..PAGES as u32 {
+                batch.clear();
+                let mut w = RecordWriter::new(&mut batch);
+                for i in 0..run {
+                    let at = (i % 7 * 8) as u16;
+                    w.update(txn, Lsn::NULL, PageId(pid), 0, at, &[0; 8], &[txn.0 as u8; 8]);
+                }
+                server.receive_log_bytes(txn, &batch).unwrap();
+            }
+            server.commit(txn).unwrap();
+        }
+        let frames = (txns * PAGES * run) as u64;
+        let crashed = server.crash();
+        let (data, log) = (image(&crashed.data_media), image(&crashed.log_media));
+        let worker_ns_per_frame = || {
+            let parts = StableParts {
+                data_media: disk_from(&data),
+                log_media: disk_from(&log),
+                flight: None,
+            };
+            let server = Server::restart(parts, cfg.clone(), Meter::new()).unwrap();
+            let report = server.restart_report().expect("restart leaves a report");
+            let redo = report.phases.iter().find(|p| p.name == "redo").expect("a redo phase");
+            assert_eq!(redo.records, frames, "every frame redone");
+            let [scan] = &report.wall.scans[..] else { panic!("one scan") };
+            let [worker] = &scan.workers[..] else { panic!("an inline scan") };
+            worker.busy_ns as f64 / frames as f64
+        };
+        worker_ns_per_frame(); // warmup
+        let samples = (0..h.batches).map(|_| worker_ns_per_frame()).collect();
+        h.record(&format!("restart/worker_frame/{shape}"), samples);
+    }
+}
+
 fn bench_locks(h: &mut Harness) {
     println!("-- lock manager --");
     let lm = LockManager::new();
@@ -572,6 +642,7 @@ fn main() {
     bench_access_path(&mut h);
     bench_log(&mut h);
     bench_receive(&mut h);
+    bench_restart_worker(&mut h);
     bench_locks(&mut h);
     bench_update_paths(&mut h);
     let json = render_json(&h.results, smoke);

@@ -39,10 +39,10 @@
 //!                      restart over a physical-only log made one scan and
 //!                      read the log once; exits non-zero otherwise
 
+use qs_bench::{disk_from, image};
 use qs_esm::{ClientConn, RestartConfig, Server, ServerConfig, StableParts};
 use qs_oo7::{generate, t2, Oo7Params, T2Mode};
 use qs_sim::{JsonWriter, Meter};
-use qs_storage::{MemDisk, StableMedia};
 use qs_trace::RestartWall;
 use qs_types::{ClientId, PAGE_SIZE};
 use quickstore::{Store, SystemConfig};
@@ -77,20 +77,6 @@ fn server_cfg(cfg: &SystemConfig) -> ServerConfig {
     // maintenance (checkpoint + truncate) from firing mid-run.
     s.log_high_watermark = 0.95;
     s
-}
-
-/// Byte image of a stable medium.
-fn image(media: &Arc<dyn StableMedia>) -> Vec<u8> {
-    let mut buf = vec![0u8; media.len()];
-    media.read_at(0, &mut buf).unwrap();
-    buf
-}
-
-/// A fresh medium holding the given image.
-fn disk_from(bytes: &[u8]) -> Arc<dyn StableMedia> {
-    let d = MemDisk::new(bytes.len());
-    d.write_at(0, bytes).unwrap();
-    Arc::new(d)
 }
 
 /// Frozen media images of a crashed server plus workload provenance.

@@ -25,3 +25,21 @@ pub mod tracerun;
 
 pub use experiment::{run_curve, run_point, ExperimentPoint, RunOpts};
 pub use report::{render_curve_tables, render_writes_table};
+
+use qs_storage::{MemDisk, StableMedia};
+use std::sync::Arc;
+
+/// Byte image of a stable medium: a crashed server's disk, frozen so a
+/// bench can restart from the same state again and again.
+pub fn image(media: &Arc<dyn StableMedia>) -> Vec<u8> {
+    let mut buf = vec![0u8; media.len()];
+    media.read_at(0, &mut buf).expect("a MemDisk reads its whole length");
+    buf
+}
+
+/// A fresh in-memory medium holding `bytes`.
+pub fn disk_from(bytes: &[u8]) -> Arc<dyn StableMedia> {
+    let d = MemDisk::new(bytes.len());
+    d.write_at(0, bytes).expect("a MemDisk writes its whole length");
+    Arc::new(d)
+}

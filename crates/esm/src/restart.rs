@@ -29,10 +29,9 @@
 //!    (analysis: the transaction table) and fans page-bearing frames out
 //!    to workers;
 //! 3. the workers do the per-page work straight out of the shared chunk
-//!    buffer — the analysis step ([`PageShard::step`]: checksum and
-//!    dirty-page table shard) and the redo step ([`RedoShard::step`]:
-//!    apply to privately-owned page images) — with no `LogRecord`
-//!    materialization and no per-record allocation.
+//!    buffer — the analysis step (checksum, dirty-page table shard) and
+//!    the redo step (apply to privately-owned page images) — with no
+//!    `LogRecord` materialization and no per-record allocation.
 //!
 //! A long scan is [`pipelined`]: a reader thread, the restart thread as
 //! the router and `redo_workers` worker threads over bounded channels. A
@@ -44,11 +43,13 @@
 //! A log that holds only physical transactions is read **once**
 //! ([`analyze_and_redo`]): a page's recLSN is the anchor body's or its
 //! first sighting at or above the anchor, and both are known by the time
-//! a frame is visited, so each worker runs the analysis step and then the
-//! redo step on the same frame. A log that can hold logical transactions
-//! keeps two scans ([`analyze`], [`redo`]): whether a no-steal
-//! transaction's records are redone is unknown until its commit record.
-//! The [`PhaseStat`]s price the paper's two passes either way.
+//! a frame is visited, so one worker step ([`RedoShard::step`]) runs both
+//! on the same frame, finding the page's recLSN and image with one probe
+//! of the worker's page table per run of frames naming the page. A log
+//! that can hold logical transactions keeps two scans ([`analyze`],
+//! [`redo`]): whether a no-steal transaction's records are redone is
+//! unknown until its commit record. The [`PhaseStat`]s price the paper's
+//! two passes either way.
 //!
 //! Verify-once is the checksum policy: every frame restart *uses* is
 //! checksummed exactly once before its result is used — page-bearing
@@ -70,14 +71,12 @@ use crate::shard::shard_index;
 use crate::txn::TxnTable;
 use qs_storage::{Page, Volume};
 use qs_trace::{PhaseStat, RestartWall, ScanWall, StageClock, StageWall};
-use qs_types::{Lsn, PageId, QsResult, TxnId, PAGE_SIZE};
+use qs_types::{IdMap, IdSet, Lsn, PageId, QsResult, TxnId, PAGE_SIZE};
 use qs_wal::record::{self, tag};
 use qs_wal::{
     stream_chunks_timed, CheckpointBody, ChunkedScanner, FrameChunk, FrameRef, LogManager,
     LogReadCache, SchemeCode,
 };
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
@@ -92,13 +91,8 @@ const DEPTH: usize = 4;
 /// size) runs on the calling thread instead of through the pipeline. All
 /// the pipeline can hide is the reader's and the router's share of the
 /// work, about a third, and only while the host runs its stages on
-/// different CPUs. On the repo benchmark's 2-CPU host that is the
-/// scheduler's call, made for tens of seconds at a time: the same 15 MB
-/// scan took 13 ms pipelined with the stages on both CPUs and 20 ms with
-/// all of them on one, against 17.5 ms inline every time; the 5-9 MB
-/// scans of three other workloads were 15-40 % faster inline, and only
-/// the 76 MB one gained from the pipeline (64 against 80 ms). See
-/// EXPERIMENTS.md, "Short scans run inline".
+/// different CPUs; on a 2-CPU host only a 76 MB scan gained from it
+/// (EXPERIMENTS.md, "Short scans run inline").
 const PIPELINE_MIN_CHUNKS: u64 = 64;
 
 /// Run restart recovery on a freshly opened volume and log. Returns raw
@@ -155,16 +149,17 @@ fn note_txn(max_txn: &mut TxnId, txn: TxnId) {
 /// `UpdateLogical` records too, and the pageLSN test skips whatever the
 /// pre-crash apply already flushed. An aborted one is told apart by its
 /// CLRs ([`Analysis::dropped`]).
+#[derive(Default)]
 struct Marks {
     /// Protocol of an unmarked transaction.
     default_logical: bool,
     /// Elected scheme per transaction, from `TxnScheme` records.
-    elected: HashMap<TxnId, SchemeCode>,
+    elected: IdMap<TxnId, SchemeCode>,
 }
 
 impl Marks {
     fn new(default_logical: bool) -> Marks {
-        Marks { default_logical, elected: HashMap::new() }
+        Marks { default_logical, elected: IdMap::default() }
     }
 
     fn note(&mut self, bytes: &[u8]) -> QsResult<()> {
@@ -195,11 +190,11 @@ struct Analysis {
     marks: Marks,
     /// Physical loser candidates: txn → last LSN seen (undo starts there).
     /// Logical losers are not tracked — dropping them *is* their rollback.
-    att: HashMap<TxnId, Lsn>,
+    att: IdMap<TxnId, Lsn>,
     /// Logical transactions whose commit record was seen.
-    committed: HashSet<TxnId>,
+    committed: IdSet<TxnId>,
     /// Transactions with a CLR in the log and no `Abort` record yet.
-    compensated: HashSet<TxnId>,
+    compensated: IdSet<TxnId>,
     /// Unmarked transactions of a log that can hold logical ones which
     /// ended in `Abort` without a CLR. A physical abort writes a CLR for
     /// every `Update` it logged, after it, so such a transaction was a
@@ -210,10 +205,10 @@ struct Analysis {
     /// pages it named may still be listed in the DPT (the analysis step
     /// classifies a record at first sight), which can only move redo's
     /// start earlier.
-    dropped: HashSet<TxnId>,
+    dropped: IdSet<TxnId>,
     /// Dirty-page table: page → recovery LSN. Empty until the workers'
     /// shards are absorbed.
-    dpt: HashMap<PageId, Lsn>,
+    dpt: IdMap<PageId, Lsn>,
     /// Highest transaction id seen (id assignment resumes above it).
     max_txn: TxnId,
     /// Highest page id + 1 implied by the log.
@@ -232,11 +227,11 @@ impl Analysis {
     fn new(default_logical: bool, scan_from: Lsn) -> Analysis {
         Analysis {
             marks: Marks::new(default_logical),
-            att: HashMap::new(),
-            committed: HashSet::new(),
-            compensated: HashSet::new(),
-            dropped: HashSet::new(),
-            dpt: HashMap::new(),
+            att: IdMap::default(),
+            committed: IdSet::default(),
+            compensated: IdSet::default(),
+            dropped: IdSet::default(),
+            dpt: IdMap::default(),
             max_txn: TxnId::INVALID,
             max_alloc: 0,
             scan_from,
@@ -251,10 +246,10 @@ impl Analysis {
     /// record the log header names: the header only advances once the
     /// record is durable, so a checkpoint the crash interrupted before
     /// that is never the anchor — it is one more record of the scan.
-    fn seed_from_anchor(&mut self, log: &LogManager) -> QsResult<HashMap<PageId, Lsn>> {
+    fn seed_from_anchor(&mut self, log: &LogManager) -> QsResult<IdMap<PageId, Lsn>> {
         let ck = log.checkpoint_lsn();
         if ck.is_null() {
-            return Ok(HashMap::new());
+            return Ok(IdMap::default());
         }
         let body = record::frame_checkpoint_body(&log.read_frame(ck)?)?;
         self.att.extend(body.active_txns);
@@ -266,14 +261,11 @@ impl Analysis {
         Ok(body.dirty_pages.into_iter().map(|(page, rec_lsn)| (page, rec_lsn.min(ck))).collect())
     }
 
-    /// Close the router's half and fold the workers' shards — disjoint by
-    /// page — into the DPT.
-    fn absorb(&mut self, shards: Vec<PageShard>) {
+    /// Close the router's half and fold one worker's share of the DPT —
+    /// disjoint by page from the others' — in.
+    fn absorb(&mut self, dpt: impl IntoIterator<Item = (PageId, Lsn)>) {
         self.end_run();
-        for shard in shards {
-            self.max_alloc = self.max_alloc.max(shard.max_alloc);
-            merge_min(&mut self.dpt, shard.dpt);
-        }
+        merge_min(&mut self.dpt, dpt);
     }
 
     /// Where a redo pass starts: the DPT's earliest recLSN, or `None` if
@@ -329,6 +321,7 @@ impl Analysis {
     fn route(&mut self, lsn: Lsn, bytes: &[u8], broadcast: bool) -> QsResult<Route> {
         let txn = record::frame_txn(bytes)?;
         if let Some(page) = record::frame_page(bytes)? {
+            self.max_alloc = self.max_alloc.max(page.0 as u64 + 1);
             if broadcast && record::frame_tag(bytes)? == tag::CLR {
                 self.compensated.insert(txn);
             }
@@ -378,23 +371,22 @@ impl Analysis {
 
 /// Fold page → first-LSN entries into a dirty-page table: the earliest
 /// LSN per page is its recLSN.
-fn merge_min(dpt: &mut HashMap<PageId, Lsn>, pages: HashMap<PageId, Lsn>) {
+fn merge_min(dpt: &mut IdMap<PageId, Lsn>, pages: impl IntoIterator<Item = (PageId, Lsn)>) {
     for (page, lsn) in pages {
         let rec_lsn = dpt.entry(page).or_insert(lsn);
         *rec_lsn = lsn.min(*rec_lsn);
     }
 }
 
-/// One worker's analysis half: the dirty-page table of the pages that
-/// hash to it.
+/// One worker's analysis half in the first of two scans: the dirty-page
+/// table of the pages that hash to it.
+#[derive(Default)]
 struct PageShard {
     marks: Marks,
-    dpt: HashMap<PageId, Lsn>,
-    /// Highest page id + 1 among this shard's frames.
-    max_alloc: u64,
+    dpt: IdMap<PageId, Lsn>,
     /// Logical transactions' page → first-LSN maps, parked until their
     /// commit record shows up.
-    pending: HashMap<TxnId, HashMap<PageId, Lsn>>,
+    pending: IdMap<TxnId, IdMap<PageId, Lsn>>,
     /// The last page-bearing frame's (transaction, page): a repeat changes
     /// no table, so it costs no lookup.
     run: Option<(TxnId, PageId)>,
@@ -402,22 +394,16 @@ struct PageShard {
 
 impl PageShard {
     fn new(default_logical: bool) -> PageShard {
-        PageShard {
-            marks: Marks::new(default_logical),
-            dpt: HashMap::new(),
-            max_alloc: 0,
-            pending: HashMap::new(),
-            run: None,
-        }
+        PageShard { marks: Marks::new(default_logical), ..PageShard::default() }
     }
 
-    /// The analysis step for one frame at or above the anchor: verify a
-    /// page-bearing small frame (whole-page frames — 8 KB bodies — skip
-    /// the checksum here; redo verifies the ones it applies) and note the
-    /// page's first sighting. Physical records enter the DPT directly,
-    /// keyed by page; a logical transaction's are parked and merged in at
-    /// its commit. Marks, commits and aborts arrive by broadcast, already
-    /// verified by the router, in log order with the shard's own frames.
+    /// The analysis step for one frame: verify a page-bearing small frame
+    /// (whole-page frames — 8 KB bodies — skip the checksum here; redo
+    /// verifies the ones it applies) and note the page's first sighting.
+    /// Physical records enter the DPT directly, keyed by page; a logical
+    /// transaction's are parked and merged in at its commit. Marks,
+    /// commits and aborts arrive by broadcast, already verified by the
+    /// router, in log order with the shard's own frames.
     fn step(&mut self, lsn: Lsn, bytes: &[u8]) -> QsResult<()> {
         let t = record::frame_tag(bytes)?;
         let txn = record::frame_txn(bytes)?;
@@ -442,7 +428,6 @@ impl PageShard {
             return Ok(());
         }
         self.run = Some((txn, page));
-        self.max_alloc = self.max_alloc.max(page.0 as u64 + 1);
         if self.marks.is_logical(txn) {
             self.pending.entry(txn).or_default().entry(page).or_insert(lsn);
         } else {
@@ -501,7 +486,9 @@ fn analyze(
         Ok(shard)
     })?;
     let merge = Instant::now();
-    a.absorb(shards);
+    for shard in shards {
+        a.absorb(shard.dpt);
+    }
     scan.end_merge(merge);
     wall.scans.push(scan);
     Ok(())
@@ -510,12 +497,12 @@ fn analyze(
 /// Analysis and redo of a physical-only log in one [`fan_out`] scan of
 /// `[min(seeded recLSNs, anchor), tail)`. Below the anchor only redo is
 /// interested, and only in page-bearing frames; from the anchor on the
-/// router runs [`Analysis::route`] and each worker the analysis step and
-/// then the redo step on every frame it is sent. That is exact: a listed
+/// router runs [`Analysis::route`] and each worker the fused step
+/// ([`RedoShard::step`]) on every frame it is sent. That is exact: a listed
 /// page's recLSN is the seed's (≤ anchor), any other page's is its first
-/// sighting at or above the anchor, which the analysis step has just
-/// recorded — and a frame below the anchor of a page the seed does not
-/// list is below whatever recLSN the page may get.
+/// sighting at or above the anchor, which the step records before it
+/// redoes the frame — and a frame below the anchor of a page the seed does
+/// not list is below whatever recLSN the page may get.
 fn analyze_and_redo(
     log: &LogManager,
     volume: &Volume,
@@ -537,21 +524,18 @@ fn analyze_and_redo(
         a.route(lsn, bytes, false)
     };
     let work = |inbox: &mut Batches| {
-        let mut shard = PageShard::new(false);
-        let mut redo = RedoShard::new(volume, anchor);
-        inbox.each_frame(|lsn, bytes| {
-            if lsn >= anchor {
-                shard.step(lsn, bytes)?;
-            }
-            redo.step(lsn, bytes, |pid| seed.get(&pid).or_else(|| shard.dpt.get(&pid)).copied())
-        })?;
-        Ok((shard, redo.finish()))
+        let mut shard = RedoShard::new(volume, Some(anchor));
+        inbox.each_frame(|lsn, bytes| shard.step(lsn, bytes, |pid| seed.get(&pid).copied()))?;
+        Ok(shard)
     };
     let (outs, mut scan) = fan_out("analysis+redo", log, (from, log.tail_lsn()), cfg, route, work)?;
     let merge = Instant::now();
-    let (shards, redone) = outs.into_iter().unzip();
     a.dpt = seed;
-    a.absorb(shards);
+    let mut redone = Vec::with_capacity(outs.len());
+    for shard in outs {
+        a.absorb(shard.dpt());
+        redone.push(shard.finish());
+    }
     scan.end_merge(merge);
     wall.scans.push(scan);
     Ok(redone)
@@ -790,7 +774,7 @@ fn redo(
         Ok(if run.1 { Route::Nowhere } else { Route::Page(page) })
     };
     let (redone, scan) = fan_out("redo", log, (redo_from, log.tail_lsn()), cfg, route, |inbox| {
-        let mut redo = RedoShard::new(volume, a.scan_from);
+        let mut redo = RedoShard::new(volume, None);
         inbox.each_frame(|lsn, bytes| redo.step(lsn, bytes, |pid| a.dpt.get(&pid).copied()))?;
         Ok(redo.finish())
     })?;
@@ -841,80 +825,97 @@ fn install(server: &Server, a: &Analysis, redone: Vec<Redone>, ph: &mut PhaseSta
     Ok(())
 }
 
-/// A run of consecutive frames for one page in a redo shard: what the
-/// first frame looked up, reused by the rest.
-struct PageRun {
-    pid: PageId,
+/// What a worker knows of one of its pages. Both halves of the fused
+/// step answer from it, so a frame that starts a page run costs one probe.
+#[derive(Clone, Copy)]
+struct PageEntry {
+    /// The page's recLSN, or `Lsn::INVALID` while it has none (every frame
+    /// is below that, so none is redone).
     rec_lsn: Lsn,
-    /// The page's slot in the shard's resident set, once read.
+    /// The page's index in the worker's resident pages, once read.
     slot: Option<usize>,
 }
 
 /// One worker's tallies and its redone pages.
 type Redone = (PhaseStat, Vec<(PageId, Page)>);
 
-/// One worker's redo half: its partition's pages, faulted from the volume
-/// on first use and owned privately.
+/// One worker's redo half — in a single scan its analysis half too: its
+/// partition's pages, faulted from the volume on first use and owned
+/// privately, and the page table that finds them.
 struct RedoShard<'a> {
     volume: &'a Volume,
-    /// The anchor: small frames at or above it were checksummed by the
-    /// analysis step.
-    verified_from: Lsn,
+    /// A single scan's anchor, from which the shard runs the analysis step
+    /// too; `None` in a second scan, whose frames the first one verified.
+    anchor: Option<Lsn>,
     stats: PhaseStat,
     resident: Vec<(PageId, Page)>,
-    slot_of: HashMap<PageId, usize>,
-    run: Option<PageRun>,
+    /// One entry per page this worker has been sent a frame of.
+    pages: IdMap<PageId, PageEntry>,
+    /// The last frame's page and its entry: the rest of its run costs no
+    /// lookup.
+    run: Option<(PageId, PageEntry)>,
 }
 
 impl<'a> RedoShard<'a> {
-    fn new(volume: &'a Volume, verified_from: Lsn) -> RedoShard<'a> {
+    fn new(volume: &'a Volume, anchor: Option<Lsn>) -> RedoShard<'a> {
         RedoShard {
             volume,
-            verified_from,
+            anchor,
             stats: phase("redo"),
             resident: Vec::new(),
-            slot_of: HashMap::new(),
+            pages: IdMap::default(),
             run: None,
         }
     }
 
-    /// The redo step for one page-bearing frame: repeat history under the
-    /// DPT / recLSN / pageLSN filters, applying the after-image straight
-    /// from the shared chunk buffer. `rec_lsn_of` answers from the DPT as
-    /// far as it is known when the frame is visited. Whole-page frames
-    /// (which the analysis step skips) and small frames below the anchor
-    /// (a checkpoint body can seed recLSNs under it) are verified here,
-    /// before they are applied.
+    /// The step for one page-bearing frame. From the anchor on, a single
+    /// scan first runs the analysis step: verify a small frame (whole-page
+    /// frames — 8 KB bodies — are verified only where redo applies them)
+    /// and give a page without a recLSN its first sighting. Then redo:
+    /// repeat history under the recLSN / pageLSN filters, applying the
+    /// after-image straight from the shared chunk buffer; whole-page frames
+    /// and small frames below the anchor (a checkpoint body can seed
+    /// recLSNs under it) are verified before they are applied.
+    /// `rec_lsn_of` is asked once per page, at its first frame: the
+    /// checkpoint seed in a single scan, the absorbed DPT in a second one.
     fn step(
         &mut self,
         lsn: Lsn,
         bytes: &[u8],
         rec_lsn_of: impl FnOnce(PageId) -> Option<Lsn>,
     ) -> QsResult<()> {
+        let t = record::frame_tag(bytes)?;
         let pid = record::frame_page(bytes)?.expect("router only sends page-bearing frames");
-        let run = match &mut self.run {
-            Some(run) if run.pid == pid => run,
+        let analyzed = self.anchor.is_some_and(|anchor| lsn >= anchor);
+        if analyzed && t != tag::WHOLE_PAGE {
+            record::frame_verify(bytes)?;
+        }
+        let entry = match &mut self.run {
+            Some((run, entry)) if *run == pid => entry,
             stale => {
-                // "Not in the DPT" is never remembered: in a single scan
-                // a page without a recLSN below the anchor gets one at its
-                // first frame above it, possibly within this very run.
-                let Some(rec_lsn) = rec_lsn_of(pid) else {
-                    return Ok(());
-                };
-                stale.insert(PageRun { pid, rec_lsn, slot: self.slot_of.get(&pid).copied() })
+                let entry = *self.pages.entry(pid).or_insert_with(|| PageEntry {
+                    rec_lsn: rec_lsn_of(pid).or(analyzed.then_some(lsn)).unwrap_or(Lsn::INVALID),
+                    slot: None,
+                });
+                &mut stale.insert((pid, entry)).1
             }
         };
-        if lsn < run.rec_lsn {
+        if analyzed && entry.rec_lsn == Lsn::INVALID {
+            // Seen below the anchor only, until this frame.
+            entry.rec_lsn = lsn;
+            self.pages.insert(pid, *entry);
+        }
+        if lsn < entry.rec_lsn {
             return Ok(());
         }
-        let slot = match run.slot {
+        let slot = match entry.slot {
             Some(slot) => slot,
             None => {
                 let slot = self.resident.len();
                 self.stats.data_reads += 1;
                 self.resident.push((pid, self.volume.read_page(pid)?));
-                self.slot_of.insert(pid, slot);
-                run.slot = Some(slot);
+                entry.slot = Some(slot);
+                self.pages.insert(pid, *entry);
                 slot
             }
         };
@@ -923,10 +924,16 @@ impl<'a> RedoShard<'a> {
             return Ok(()); // effect already on disk image
         }
         self.stats.records += 1;
-        if record::frame_tag(bytes)? == tag::WHOLE_PAGE || lsn < self.verified_from {
+        if t == tag::WHOLE_PAGE || self.anchor.is_some_and(|anchor| lsn < anchor) {
             record::frame_verify(bytes)?;
         }
-        apply_after_image(page, pid, bytes, lsn)
+        apply_after_image(page, pid, t, bytes, lsn)
+    }
+
+    /// This worker's share of the DPT, read out of its page table.
+    fn dpt(&self) -> impl Iterator<Item = (PageId, Lsn)> + '_ {
+        let listed = self.pages.iter().filter(|(_, e)| e.rec_lsn != Lsn::INVALID);
+        listed.map(|(&pid, e)| (pid, e.rec_lsn))
     }
 
     fn finish(self) -> Redone {
@@ -940,7 +947,7 @@ impl<'a> RedoShard<'a> {
 /// log. Returns the undo phase's tallies.
 fn undo_and_finish(
     server: &Server,
-    att: HashMap<TxnId, Lsn>,
+    att: IdMap<TxnId, Lsn>,
     max_txn: TxnId,
     wall: &mut RestartWall,
 ) -> QsResult<PhaseStat> {
@@ -1003,7 +1010,7 @@ fn wpl_restart(server: &Server, wall: &mut RestartWall) -> QsResult<Vec<PhaseSta
     let stop = if ck.is_null() { log.start_lsn() } else { ck };
     scan.pages_read = log_pages(stop, end);
 
-    let mut ctl: HashSet<TxnId> = HashSet::new();
+    let mut ctl: IdSet<TxnId> = IdSet::default();
     let mut max_txn = TxnId::INVALID;
     // The restart anchor is the checkpoint the header names, the first
     // record of the scan; one the crash interrupted before the header
@@ -1034,27 +1041,19 @@ fn wpl_restart(server: &Server, wall: &mut RestartWall) -> QsResult<Vec<PhaseSta
     server.meter().log_pages_read.fetch_add(scan.records, Ordering::Relaxed);
 
     let mut max_page = 0u32;
-    let mut newest: HashMap<PageId, ImageCandidate> = HashMap::new();
+    let mut newest: IdMap<PageId, ImageCandidate> = IdMap::default();
     for cand in outcomes.into_iter().flatten() {
         note_txn(&mut max_txn, cand.txn);
         max_page = max_page.max(cand.pid.0 + 1);
-        if !ctl.contains(&cand.txn) {
-            continue;
-        }
-        match newest.entry(cand.pid) {
-            Entry::Vacant(e) => {
-                e.insert(cand);
-            }
-            Entry::Occupied(mut e) => {
-                if cand.frame.lsn > e.get().frame.lsn {
-                    e.insert(cand);
-                }
-            }
+        if ctl.contains(&cand.txn)
+            && newest.get(&cand.pid).is_none_or(|best| cand.frame.lsn > best.frame.lsn)
+        {
+            newest.insert(cand.pid, cand);
         }
     }
     let mut restored: Vec<ImageCandidate> = newest.into_values().collect();
     restored.sort_by_key(|c| c.pid.0);
-    let mut claimed: HashSet<PageId> = HashSet::new();
+    let mut claimed: IdSet<PageId> = IdSet::default();
     let mut wpl = server.wpl.lock(&server.tracer);
     for c in restored {
         let f = c.frame;
@@ -1217,9 +1216,9 @@ mod tests {
     /// Everything `replay` hands on, in comparable form.
     #[derive(Debug, PartialEq)]
     struct Learned {
-        att: HashMap<TxnId, Lsn>,
-        dpt: HashMap<PageId, Lsn>,
-        committed: HashSet<TxnId>,
+        att: IdMap<TxnId, Lsn>,
+        dpt: IdMap<PageId, Lsn>,
+        committed: IdSet<TxnId>,
         max_txn: TxnId,
         max_alloc: u64,
         records: u64,
@@ -1266,15 +1265,15 @@ mod tests {
     /// then one redo loop from the DPT's minimum.
     fn reference(log: &LogManager, volume: &Volume, holds: Holds) -> Learned {
         let default_logical = !holds.physical;
-        let mut marks: HashMap<TxnId, SchemeCode> = HashMap::new();
-        let mut pending: HashMap<TxnId, HashMap<PageId, Lsn>> = HashMap::new();
+        let mut marks: IdMap<TxnId, SchemeCode> = IdMap::default();
+        let mut pending: IdMap<TxnId, IdMap<PageId, Lsn>> = IdMap::default();
         // Unmarked, aborted and never compensated: logical after all.
-        let mut compensated: HashSet<TxnId> = HashSet::new();
-        let mut dropped: HashSet<TxnId> = HashSet::new();
+        let mut compensated: IdSet<TxnId> = IdSet::default();
+        let mut dropped: IdSet<TxnId> = IdSet::default();
         let mut l = Learned {
-            att: HashMap::new(),
-            dpt: HashMap::new(),
-            committed: HashSet::new(),
+            att: IdMap::default(),
+            dpt: IdMap::default(),
+            committed: IdSet::default(),
             max_txn: TxnId::INVALID,
             max_alloc: 0,
             records: 0,
@@ -1509,7 +1508,7 @@ mod tests {
         // Three transactions interleaved over the same 16 pages (which
         // spread over every shard at 2, 4 and 8 workers): only the
         // committer's pages may reach the DPT, at *its* first LSNs.
-        let mut first_by_committer = HashMap::new();
+        let mut first_by_committer = IdMap::default();
         for round in 0..3 {
             for page in 0..16u32 {
                 for txn in [2u64, 1, 3] {
@@ -1526,7 +1525,7 @@ mod tests {
 
         let l = assert_matches_reference(&log, &volume, LOGICAL, 2, "logical");
         assert_eq!(l.dpt, first_by_committer);
-        assert_eq!(l.committed, HashSet::from([TxnId(1)]));
+        assert_eq!(l.committed, IdSet::from_iter([TxnId(1)]));
         assert!(l.att.is_empty(), "logical transactions are never undone");
         assert_eq!((l.max_txn, l.max_alloc), (TxnId(3), 501));
         assert_eq!(l.redo, (48, 16), "the committer's records only");
@@ -1559,7 +1558,7 @@ mod tests {
 
         let l = assert_matches_reference(&log, &volume, MIXED, 2, "adaptive");
         assert_eq!(l.att.keys().copied().collect::<Vec<_>>(), [TxnId(1)], "the physical loser");
-        assert_eq!(l.committed, HashSet::from([TxnId(2), TxnId(6)]));
+        assert_eq!(l.committed, IdSet::from_iter([TxnId(2), TxnId(6)]));
         assert!(!l.dpt.contains_key(&PageId(25)), "the logical loser's pages stay out");
         assert!(redone(&l, 25).is_none(), "and are not redone");
         assert!(l.dpt[&PageId(0)] < l.dpt[&PageId(40)], "page 0 keeps txn 1's earlier LSN");
@@ -1697,13 +1696,17 @@ mod tests {
 
     /// The trap a `(txn, page)`-keyed worker table falls into: a
     /// many-transaction log with one record per page and transaction
-    /// must cost a worker one entry per *page*.
+    /// must cost a worker one entry per *page* — in the analysis step of
+    /// two scans and in the page table of the fused step alike — and
+    /// every frame starts a page run.
     #[test]
     fn worker_page_table_has_one_entry_per_distinct_page() {
-        let log = fresh_log();
+        let (log, volume) = (fresh_log(), fresh_volume());
+        let mut first: IdMap<PageId, Lsn> = IdMap::default();
         for txn in 1..=60u64 {
             for page in 0..50u32 {
-                log.append(&update(txn, page)).unwrap();
+                let lsn = log.append(&update(txn, page)).unwrap();
+                first.entry(PageId(page)).or_insert(lsn);
             }
         }
         let shard = run_worker(&log, |inbox| {
@@ -1711,7 +1714,16 @@ mod tests {
             inbox.each_frame(|lsn, bytes| shard.step(lsn, bytes)).unwrap();
             shard
         });
-        assert_eq!(shard.dpt.len(), 50);
-        assert_eq!(shard.max_alloc, 50);
+        assert_eq!(shard.dpt, first);
+        let fused = run_worker(&log, |inbox| {
+            let mut shard = RedoShard::new(&volume, Some(log.start_lsn()));
+            inbox.each_frame(|lsn, bytes| shard.step(lsn, bytes, |_| None)).unwrap();
+            shard
+        });
+        assert_eq!(fused.pages.len(), 50);
+        assert!(fused.stats.data_reads <= 50 && fused.resident.len() <= 50);
+        assert_eq!(fused.dpt().collect::<IdMap<_, _>>(), first, "recLSN = first LSN");
+        assert_eq!(fused.stats.records, 3000);
+        assert_matches_reference(&log, &volume, PHYSICAL, 1, "60 transactions x 50 pages");
     }
 }

@@ -15,15 +15,17 @@ use std::sync::atomic::Ordering;
 
 /// Lay one shipped record's after-image onto `page` — a slot range for an
 /// update, CLR or logical update, the whole image for a whole-page record,
-/// nothing for any other tag — and stamp `lsn` as the pageLSN.
+/// nothing for any other tag — and stamp `lsn` as the pageLSN. `t` is the
+/// frame's tag, passed in so that restart's worker reads it once a frame.
 #[inline]
 pub(crate) fn apply_after_image(
     page: &mut Page,
     pid: PageId,
+    t: u8,
     frame: &[u8],
     lsn: Lsn,
 ) -> QsResult<()> {
-    if record::frame_tag(frame)? == tag::WHOLE_PAGE {
+    if t == tag::WHOLE_PAGE {
         *page = Page::from_bytes(record::frame_whole_page_image(frame)?)?;
     } else if let Some((slot, offset, after)) = record::frame_redo_slice(frame)? {
         let off = offset as usize;
@@ -137,7 +139,7 @@ impl Server {
         let floor = page.lsn();
         let mut late: Option<Lsn> = None;
         for (frame, lsn) in images {
-            apply_after_image(page, pid, frame, lsn)?;
+            apply_after_image(page, pid, record::frame_tag(frame)?, frame, lsn)?;
             self.meter.redo_applies.fetch_add(1, Ordering::Relaxed);
             if lsn < floor {
                 late = Some(late.map_or(lsn, |l| l.min(lsn)));

@@ -269,7 +269,7 @@ impl Server {
         let pending = self.pending.lock(&self.tracer);
         let Some(ops) = pending.get(&txn) else { return Ok(()) };
         for op in ops.iter().filter(|op| op.page == pid) {
-            apply_after_image(page, pid, &op.frame, op.lsn)?;
+            apply_after_image(page, pid, record::frame_tag(&op.frame)?, &op.frame, op.lsn)?;
         }
         Ok(())
     }

@@ -8,6 +8,15 @@
 //! access path looks a page up in two maps per object dereference). Maps
 //! keyed by anything that arrives from outside keep the default hasher.
 //!
+//! Ids restart reads back from the log still count as the program's own
+//! (its page and transaction tables hash them once per run of records):
+//! this server assigned them, wrote every frame that carries one — a
+//! client's frames are verified and re-sealed before they are appended —
+//! and seals each frame with a checksum that restart verifies before it
+//! uses the frame's result. A damaged id fails that check; it is never a
+//! key someone picked to collide. Whoever can write the log disk at will
+//! has easier ways to hurt a restart than slow probes.
+//!
 //! Each integer written is folded into the state with one 64×64→128-bit
 //! multiply whose halves are xor-ed together, so *every* input bit reaches
 //! both the low bits (hashbrown's bucket index) and the top bits (its

@@ -113,6 +113,17 @@ if [ -n "$gone" ]; then
     exit 1
 fi
 
+echo "== restart keys its tables on the workspace hasher =="
+# Every table restart keeps is keyed by a page or transaction id this
+# server assigned and reads back from its own checksummed log
+# (crates/types/src/hash.rs), and a worker probes its page table once per
+# page run: std's SipHash there cost oo7_t2a about a third of its restart.
+if grep -nE 'HashMap|HashSet' crates/esm/src/restart.rs; then
+    echo "FAIL: crates/esm/src/restart.rs names a std HashMap/HashSet;" \
+         "use qs_types::{IdMap, IdSet}"
+    exit 1
+fi
+
 echo "== one pass per log record: no tail copy in force, no pool scan per overflow =="
 # `LogManager::force` detaches the prefix it writes; a `to_vec` there is
 # the 2 MB-per-commit copy coming back. `Store` scans the client pool for
