@@ -35,9 +35,9 @@
 //!                      every row carries the stage fields, that no scan
 //!                      reports more busy time than its threads had wall
 //!                      time, that a real (non-smoke) run's scans were
-//!                      pipelined over the row's whole pool, and that a
-//!                      restart over a physical-only log made one scan and
-//!                      read the log once; exits non-zero otherwise
+//!                      pipelined over the row's whole pool, and that every
+//!                      restart made one scan and read the log once; exits
+//!                      non-zero otherwise
 
 use qs_bench::{disk_from, image};
 use qs_esm::{ClientConn, RestartConfig, Server, ServerConfig, StableParts};
@@ -233,14 +233,13 @@ fn schemes() -> Vec<SystemConfig> {
         .collect()
 }
 
-/// Every result name the harness emits, its pool size and whether its
-/// scheme's log is physical-only, for `--validate`.
-fn expected_rows() -> Vec<(String, usize, bool)> {
+/// Every result name the harness emits and its pool size, for
+/// `--validate`.
+fn expected_rows() -> Vec<(String, usize)> {
     let mut rows = Vec::new();
     for cfg in schemes() {
         for &w in WORKER_COUNTS {
-            let name = format!("restart/{}/workers_{w}", cfg.name());
-            rows.push((name, w, cfg.flavor.facts().physical_only_log()));
+            rows.push((format!("restart/{}/workers_{w}", cfg.name()), w));
         }
     }
     rows
@@ -258,13 +257,12 @@ fn validate(path: &str) -> Result<(), String> {
     let pipelined = text.contains("\"smoke\":false");
     // Rows are flat up to `stages`, so each row is the text between two
     // `"name":` keys.
-    for (name, pool, physical_only) in expected_rows() {
+    for (name, pool) in expected_rows() {
         let row = text
             .split("\"name\":")
             .find(|row| row.starts_with(&format!("\"{name}\"")))
             .ok_or_else(|| format!("{path}: missing benchmark result {name}"))?;
-        check_stages(row, pipelined.then_some(pool), physical_only)
-            .map_err(|e| format!("{path}: {name}: {e}"))?;
+        check_stages(row, pipelined.then_some(pool)).map_err(|e| format!("{path}: {name}: {e}"))?;
     }
     Ok(())
 }
@@ -290,9 +288,8 @@ fn numbers_after(text: &str, key: &str) -> Result<Vec<Vec<u64>>, String> {
 /// One row's stage fields: present, one busy and one blocked number per
 /// stage (reader, router, at least one worker — `pool` of them if the
 /// scan was pipelined), per scan no more busy time than its stages had
-/// wall time — and over a physical-only log one scan, which read the log
-/// once.
-fn check_stages(row: &str, pool: Option<usize>, physical_only: bool) -> Result<(), String> {
+/// wall time — and one scan, which read the log once.
+fn check_stages(row: &str, pool: Option<usize>) -> Result<(), String> {
     let scalar = |key: &str| match numbers_after(row, key)?.as_slice() {
         [one] if one.len() == 1 => Ok(one[0]),
         _ => Err(format!("no {key} field")),
@@ -307,9 +304,9 @@ fn check_stages(row: &str, pool: Option<usize>, physical_only: bool) -> Result<(
     if walls.is_empty() || [busy.len(), blocked.len(), merges.len()] != [walls.len(); 3] {
         return Err("missing or unbalanced per-scan stage fields".into());
     }
-    if physical_only && (walls.len() != 1 || read > read_once_bound(span)) {
+    if walls.len() != 1 || read > read_once_bound(span) {
         return Err(format!(
-            "{} scan(s) read {read} bytes of a {span}-byte physical-only log: the second read is back",
+            "{} scan(s) read {read} bytes of a {span}-byte log: the second read is back",
             walls.len()
         ));
     }

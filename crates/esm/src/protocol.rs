@@ -165,12 +165,6 @@ impl FlavorFacts {
             _ => self.base,
         }
     }
-
-    /// The flavor's log holds only physical (steal, undone with CLRs)
-    /// transactions — the logs restart analyzes and redoes in one scan.
-    pub fn physical_only_log(&self) -> bool {
-        self.restart.is_some_and(|holds| !holds.logical)
-    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,8 @@
 //! Restart recovery: one streamed, page-partitioned engine for every
-//! flavor. `RestartConfig::redo_workers` only sizes the worker pool (of
-//! the analysis scan as much as of redo) — one worker runs the same
-//! reader → router → worker pipeline as eight, and a scan too short to
-//! gain from a pipeline ([`PIPELINE_MIN_CHUNKS`]) runs the same three
-//! roles on the restart thread.
+//! flavor. `RestartConfig::redo_workers` only sizes the worker pool — one
+//! worker runs the same reader → router → worker [`pipelined`] scan as
+//! eight, and a scan too short to gain from a pipeline
+//! ([`PIPELINE_MIN_CHUNKS`]) runs the same three roles [`inline`].
 //!
 //! The log-replaying flavors share analysis → redo → undo ([Frank92]'s
 //! client-server adaptation of ARIES [Mohan92]); what differs per flavor
@@ -26,38 +25,30 @@
 //!    ([`qs_wal::ChunkedScanner`]) — one media pass per chunk;
 //! 2. the router walks each chunk's frames with the cheap frame accessors
 //!    — no decoding — keeps the bookkeeping that is sequential by nature
-//!    (analysis: the transaction table) and fans page-bearing frames out
-//!    to workers;
+//!    (the transaction table) and fans page-bearing frames out to workers;
 //! 3. the workers do the per-page work straight out of the shared chunk
-//!    buffer — the analysis step (checksum, dirty-page table shard) and
-//!    the redo step (apply to privately-owned page images) — with no
-//!    `LogRecord` materialization and no per-record allocation.
+//!    buffer — the analysis step (checksum, dirty-page table) and the redo
+//!    step (apply to privately-owned page images) — with no `LogRecord`
+//!    materialization and no per-record allocation.
 //!
-//! A long scan is [`pipelined`]: a reader thread, the restart thread as
-//! the router and `redo_workers` worker threads over bounded channels. A
-//! short one runs [`inline`]: the restart thread is the one worker and
-//! reads and routes each chunk as it asks for its next batch — the same
-//! `route` and `work` closures, no thread and no channel, and a restart
-//! time that does not depend on where a scheduler puts three threads.
-//!
-//! A log that holds only physical transactions is read **once**
-//! ([`analyze_and_redo`]): a page's recLSN is the anchor body's or its
-//! first sighting at or above the anchor, and both are known by the time
-//! a frame is visited, so one worker step ([`RedoShard::step`]) runs both
-//! on the same frame, finding the page's recLSN and image with one probe
-//! of the worker's page table per run of frames naming the page. A log
-//! that can hold logical transactions keeps two scans ([`analyze`],
-//! [`redo`]): whether a no-steal transaction's records are redone is
-//! unknown until its commit record. The [`PhaseStat`]s price the paper's
-//! two passes either way.
+//! Every replayed log is read **once** ([`replay`]): one worker step
+//! ([`RedoShard::step`]) runs analysis and redo on each frame, finding the
+//! page's recLSN and image with one page-table probe per run of frames
+//! naming the page. A frame whose transaction's fate is still open — a
+//! no-steal one's, or an unmarked one's that may yet prove a logical abort
+//! ([`Fates`]) — is *parked* ([`Parked`]) until the broadcast commit or
+//! abort reaches the worker, and every later frame of its page queues
+//! behind it, so each page still sees its frames in LSN order. A
+//! physical-only log never parks. The [`PhaseStat`]s price the paper's two
+//! passes.
 //!
 //! Verify-once is the checksum policy: every frame restart *uses* is
 //! checksummed exactly once before its result is used — page-bearing
 //! small frames by the page's worker in the analysis step (or in the redo
-//! step when they lie below the anchor), page-less frames by the analysis
-//! router, whole-page frames where redo applies them or where a WPL image
-//! wins its page — and every frame it merely walks has its framing
-//! checked.
+//! step when they lie below the anchor), page-less frames by the router,
+//! whole-page frames where redo applies them, where they park or where a
+//! WPL image wins its page — and every frame it merely walks has its
+//! framing checked.
 //!
 //! Workers return their results in worker-index order and pages are
 //! installed page-sorted, so the recovered volume, the restart report and
@@ -71,6 +62,7 @@ use crate::shard::shard_index;
 use crate::txn::TxnTable;
 use qs_storage::{Page, Volume};
 use qs_trace::{PhaseStat, RestartWall, ScanWall, StageClock, StageWall};
+use qs_types::sync::Mutex;
 use qs_types::{IdMap, IdSet, Lsn, PageId, QsResult, TxnId, PAGE_SIZE};
 use qs_wal::record::{self, tag};
 use qs_wal::{
@@ -108,7 +100,9 @@ pub(crate) fn run(server: &Server) -> QsResult<(Vec<PhaseStat>, RestartWall)> {
     let mut ph_redo = phase("redo");
     // The redo workers read the volume; nothing else runs yet.
     let volume = server.volume.lock(&server.tracer);
-    let (a, redone) = replay(server.log.wal(), &volume, holds, cfg, &mut ph_analysis, &mut wall)?;
+    let log = server.log.wal();
+    let finish = |shard: RedoShard| shard.finish();
+    let (a, redone) = replay(log, &volume, holds, cfg, &mut ph_analysis, &mut wall, finish)?;
     drop(volume);
     let merge = Instant::now();
     install(server, &a, redone, &mut ph_redo)?;
@@ -148,7 +142,7 @@ fn note_txn(max_txn: &mut TxnId, txn: TxnId) {
 /// committed one as physical (DPT path) is correct: redo replays
 /// `UpdateLogical` records too, and the pageLSN test skips whatever the
 /// pre-crash apply already flushed. An aborted one is told apart by its
-/// CLRs ([`Analysis::dropped`]).
+/// CLRs ([`Fates`]).
 #[derive(Default)]
 struct Marks {
     /// Protocol of an unmarked transaction.
@@ -158,10 +152,6 @@ struct Marks {
 }
 
 impl Marks {
-    fn new(default_logical: bool) -> Marks {
-        Marks { default_logical, elected: IdMap::default() }
-    }
-
     fn note(&mut self, bytes: &[u8]) -> QsResult<()> {
         if let Some(s) = record::frame_scheme(bytes)? {
             self.elected.insert(record::frame_txn(bytes)?, s);
@@ -184,6 +174,16 @@ impl Marks {
     }
 }
 
+/// The fate of every transaction whose end the router has seen, in a log
+/// that can hold logical ones: a commit applies its frames, an abort drops
+/// them — unless the transaction is unmarked and logged a CLR, which makes
+/// it physical, so history is repeated. (A physical abort writes a CLR for
+/// every `Update`: an unmarked abort without one was logical, its mark
+/// truncated, or physical with only created pages left. Its pages are still
+/// listed.) Only the router sees every CLR. It enters a fate before it
+/// routes the end record, usually chunks before a worker reaches it.
+type Fates = Mutex<IdMap<TxnId, Fate>>;
+
 /// What analysis learned from the log: the router's transaction half
 /// plus the workers' merged page half.
 struct Analysis {
@@ -191,31 +191,14 @@ struct Analysis {
     /// Physical loser candidates: txn → last LSN seen (undo starts there).
     /// Logical losers are not tracked — dropping them *is* their rollback.
     att: IdMap<TxnId, Lsn>,
-    /// Logical transactions whose commit record was seen.
-    committed: IdSet<TxnId>,
     /// Transactions with a CLR in the log and no `Abort` record yet.
     compensated: IdSet<TxnId>,
-    /// Unmarked transactions of a log that can hold logical ones which
-    /// ended in `Abort` without a CLR. A physical abort writes a CLR for
-    /// every `Update` it logged, after it, so such a transaction was a
-    /// logical one whose mark was truncated — its deferred ops never
-    /// reached a page, and redo must not put them there — or a physical
-    /// one whose only surviving records are of pages it created, which
-    /// nothing references after the abort. Redo skips its records. The
-    /// pages it named may still be listed in the DPT (the analysis step
-    /// classifies a record at first sight), which can only move redo's
-    /// start earlier.
-    dropped: IdSet<TxnId>,
-    /// Dirty-page table: page → recovery LSN. Empty until the workers'
-    /// shards are absorbed.
+    /// Dirty-page table: page → recovery LSN, merged from the workers'.
     dpt: IdMap<PageId, Lsn>,
     /// Highest transaction id seen (id assignment resumes above it).
     max_txn: TxnId,
     /// Highest page id + 1 implied by the log.
     max_alloc: u64,
-    /// The restart anchor: where analysis (and with it the analysis
-    /// step's frame verification) starts.
-    scan_from: Lsn,
     /// The run of consecutive records of one transaction the router is
     /// in: the transaction and, if it is a physical one, its latest LSN —
     /// written to `att` when the run ends, not once per record.
@@ -223,49 +206,36 @@ struct Analysis {
 }
 
 impl Analysis {
-    /// Nothing learned yet, analysis to start at `scan_from`.
-    fn new(default_logical: bool, scan_from: Lsn) -> Analysis {
+    /// Nothing learned yet.
+    fn new(default_logical: bool) -> Analysis {
         Analysis {
-            marks: Marks::new(default_logical),
+            marks: Marks { default_logical, ..Marks::default() },
             att: IdMap::default(),
-            committed: IdSet::default(),
             compensated: IdSet::default(),
-            dropped: IdSet::default(),
             dpt: IdMap::default(),
             max_txn: TxnId::INVALID,
             max_alloc: 0,
-            scan_from,
             run: (TxnId::INVALID, None),
         }
     }
 
-    /// Move the anchor of a physical-only log up to its checkpoint, if it
-    /// has one: everything older is on disk or listed in the checkpoint's
-    /// body, whose transactions enter the ATT here and whose dirty pages
-    /// are returned as the DPT's seed. The anchor is the `Checkpoint`
-    /// record the log header names: the header only advances once the
-    /// record is durable, so a checkpoint the crash interrupted before
-    /// that is never the anchor — it is one more record of the scan.
-    fn seed_from_anchor(&mut self, log: &LogManager) -> QsResult<IdMap<PageId, Lsn>> {
+    /// The restart anchor — where analysis and the analysis step's frame
+    /// verification start — and the DPT's seed. Logical work may precede
+    /// any checkpoint, so a log that can hold it is anchored at its start;
+    /// a physical-only log at the checkpoint the log header names, if any
+    /// (one the crash interrupted is one more record of the scan). All
+    /// older work is on disk or in its body, whose transactions enter the
+    /// ATT here and whose dirty pages are the seed.
+    fn anchor(&mut self, log: &LogManager, holds: Holds) -> QsResult<(Lsn, IdMap<PageId, Lsn>)> {
         let ck = log.checkpoint_lsn();
-        if ck.is_null() {
-            return Ok(IdMap::default());
+        if holds.logical || ck.is_null() {
+            return Ok((log.start_lsn(), IdMap::default()));
         }
         let body = record::frame_checkpoint_body(&log.read_frame(ck)?)?;
         self.att.extend(body.active_txns);
-        self.scan_from = ck;
-        // A body is snapshotted before its record is appended, under the
-        // lock appends take, so a listed recLSN never exceeds the anchor;
-        // holding it to that is what lets the single scan treat a listed
-        // page's recLSN as final.
-        Ok(body.dirty_pages.into_iter().map(|(page, rec_lsn)| (page, rec_lsn.min(ck))).collect())
-    }
-
-    /// Close the router's half and fold one worker's share of the DPT —
-    /// disjoint by page from the others' — in.
-    fn absorb(&mut self, dpt: impl IntoIterator<Item = (PageId, Lsn)>) {
-        self.end_run();
-        merge_min(&mut self.dpt, dpt);
+        // A body is snapshotted before its record is appended, so a listed
+        // recLSN never exceeds the anchor; holding it to that makes it final.
+        Ok((ck, body.dirty_pages.into_iter().map(|(page, lsn)| (page, lsn.min(ck))).collect()))
     }
 
     /// Where a redo pass starts: the DPT's earliest recLSN, or `None` if
@@ -276,18 +246,6 @@ impl Analysis {
     /// and the pageLSN test would skip them anyway, so clamp.
     fn redo_from(&self, log: &LogManager) -> Option<Lsn> {
         self.dpt.values().min().map(|&rec_lsn| rec_lsn.max(log.start_lsn()))
-    }
-
-    /// Must redo skip `txn`'s records? Only logical losers, and the
-    /// aborted transactions analysis took for logical ones ([`dropped`]):
-    /// their deferred ops never reached any page, and replaying them (via
-    /// a shared page's DPT entry from another transaction) would install
-    /// uncommitted data that nothing can undo.
-    ///
-    /// [`dropped`]: Analysis::dropped
-    fn redo_skips(&self, txn: TxnId) -> bool {
-        (self.marks.is_logical(txn) && !self.committed.contains(&txn))
-            || self.dropped.contains(&txn)
     }
 
     /// A record of `txn` that is neither mark, commit nor abort: extend
@@ -311,18 +269,17 @@ impl Analysis {
         }
     }
 
-    /// The router's half of the forward analysis scan: track transactions
-    /// (a mark precedes its transaction's page records, so forward order
-    /// classifies every record correctly at first sight), verify the
-    /// page-less frames — nobody else reads them — and say which worker(s)
-    /// need the frame for the page half. `broadcast`: the log can hold
-    /// logical transactions, so the workers need marks, commits and aborts
-    /// and an abort may be a logical one's ([`Analysis::dropped`]).
-    fn route(&mut self, lsn: Lsn, bytes: &[u8], broadcast: bool) -> QsResult<Route> {
+    /// The router's half of analysis: track transactions (a mark precedes
+    /// its transaction's page records, so forward order classifies every
+    /// record correctly at first sight), verify the page-less frames —
+    /// nobody else reads them — and say which worker(s) need the frame: in
+    /// a log that can hold logical transactions (`fates` is `Some`), every
+    /// worker needs every mark, commit and abort.
+    fn route(&mut self, lsn: Lsn, bytes: &[u8], fates: Option<&Fates>) -> QsResult<Route> {
         let txn = record::frame_txn(bytes)?;
         if let Some(page) = record::frame_page(bytes)? {
             self.max_alloc = self.max_alloc.max(page.0 as u64 + 1);
-            if broadcast && record::frame_tag(bytes)? == tag::CLR {
+            if fates.is_some() && record::frame_tag(bytes)? == tag::CLR {
                 self.compensated.insert(txn);
             }
             self.touch(txn, lsn);
@@ -342,21 +299,14 @@ impl Analysis {
                     self.att.insert(txn, lsn);
                 }
             }
-            tag::COMMIT => {
+            t @ (tag::COMMIT | tag::ABORT) => {
                 self.end_run();
                 self.att.remove(&txn);
-                if self.marks.is_logical(txn) {
-                    self.committed.insert(txn);
-                }
-            }
-            tag::ABORT => {
-                self.end_run();
-                self.att.remove(&txn);
-                if broadcast
-                    && !self.compensated.remove(&txn)
-                    && self.marks.physical_by_default(txn)
-                {
-                    self.dropped.insert(txn);
+                if let Some(fates) = fates {
+                    let compensated = self.compensated.remove(&txn);
+                    let applied =
+                        t == tag::COMMIT || (compensated && self.marks.physical_by_default(txn));
+                    fates.lock().insert(txn, if applied { Fate::Apply } else { Fate::Drop });
                 }
             }
             _ => {
@@ -365,7 +315,7 @@ impl Analysis {
             }
         }
         note_txn(&mut self.max_txn, txn);
-        Ok(if broadcast { Route::All } else { Route::Nowhere })
+        Ok(if fates.is_some() { Route::All } else { Route::Nowhere })
     }
 }
 
@@ -378,167 +328,73 @@ fn merge_min(dpt: &mut IdMap<PageId, Lsn>, pages: impl IntoIterator<Item = (Page
     }
 }
 
-/// One worker's analysis half in the first of two scans: the dirty-page
-/// table of the pages that hash to it.
-#[derive(Default)]
-struct PageShard {
-    marks: Marks,
-    dpt: IdMap<PageId, Lsn>,
-    /// Logical transactions' page → first-LSN maps, parked until their
-    /// commit record shows up.
-    pending: IdMap<TxnId, IdMap<PageId, Lsn>>,
-    /// The last page-bearing frame's (transaction, page): a repeat changes
-    /// no table, so it costs no lookup.
-    run: Option<(TxnId, PageId)>,
+/// What every worker of a scan reads: nobody changes it, except the
+/// router, which fills `fates`.
+struct Shared<'a> {
+    volume: &'a Volume,
+    holds: Holds,
+    /// Where analysis, and with it the analysis step, starts.
+    anchor: Lsn,
+    /// The anchor body's recLSNs (a physical-only log's checkpoint).
+    seed: IdMap<PageId, Lsn>,
+    /// `Some` when the log can hold logical transactions.
+    fates: Option<Fates>,
 }
 
-impl PageShard {
-    fn new(default_logical: bool) -> PageShard {
-        PageShard { marks: Marks::new(default_logical), ..PageShard::default() }
-    }
-
-    /// The analysis step for one frame: verify a page-bearing small frame
-    /// (whole-page frames — 8 KB bodies — skip the checksum here; redo
-    /// verifies the ones it applies) and note the page's first sighting.
-    /// Physical records enter the DPT directly, keyed by page; a logical
-    /// transaction's are parked and merged in at its commit. Marks,
-    /// commits and aborts arrive by broadcast, already verified by the
-    /// router, in log order with the shard's own frames.
-    fn step(&mut self, lsn: Lsn, bytes: &[u8]) -> QsResult<()> {
-        let t = record::frame_tag(bytes)?;
-        let txn = record::frame_txn(bytes)?;
-        let Some(page) = record::frame_page(bytes)? else {
-            self.run = None;
-            match t {
-                tag::TXN_SCHEME => self.marks.note(bytes)?,
-                tag::COMMIT => {
-                    merge_min(&mut self.dpt, self.pending.remove(&txn).unwrap_or_default());
-                }
-                tag::ABORT => {
-                    self.pending.remove(&txn);
-                }
-                _ => {}
-            }
-            return Ok(());
-        };
-        if t != tag::WHOLE_PAGE {
-            record::frame_verify(bytes)?;
-        }
-        if self.run == Some((txn, page)) {
-            return Ok(());
-        }
-        self.run = Some((txn, page));
-        if self.marks.is_logical(txn) {
-            self.pending.entry(txn).or_default().entry(page).or_insert(lsn);
-        } else {
-            self.dpt.entry(page).or_insert(lsn);
-        }
-        Ok(())
-    }
-}
-
-/// Analysis and redo of `log` against the pages on `volume`: what the log
-/// says about transactions and dirty pages, and every worker's redone
-/// pages. One scan if the log holds only physical transactions, two if it
-/// can hold logical ones (module docs).
-fn replay(
+/// Analysis and redo of `log` against the pages on `volume` in one
+/// [`fan_out`] scan of `[min(seeded recLSNs, anchor), tail)`, each worker's
+/// shard handed to `finish` once its share of the DPT is merged. Below the
+/// anchor only redo reads, page-bearing frames. That is exact: a seeded
+/// page's recLSN is the seed's (≤ anchor), any other's its first listed
+/// frame at or above the anchor, which the step records before it redoes
+/// the frame.
+fn replay<T>(
     log: &LogManager,
     volume: &Volume,
     holds: Holds,
     cfg: RestartConfig,
-    ph_analysis: &mut PhaseStat,
-    wall: &mut RestartWall,
-) -> QsResult<(Analysis, Vec<Redone>)> {
-    // Logical work may precede any checkpoint (`Holds::logical`): such a
-    // log is analyzed from its start, a physical-only one from its anchor.
-    let mut a = Analysis::new(!holds.physical, log.start_lsn());
-    let redone = if holds.logical {
-        analyze(log, &mut a, cfg, ph_analysis, wall)?;
-        redo(log, volume, &a, cfg, wall)?
-    } else {
-        analyze_and_redo(log, volume, &mut a, cfg, ph_analysis, wall)?
-    };
-    volume.ensure_allocated(a.max_alloc as usize)?;
-    Ok((a, redone))
-}
-
-/// Forward analysis as a [`fan_out`] scan of a log that can hold logical
-/// transactions: the router keeps the transaction half
-/// ([`Analysis::route`]), each worker the page half of its pages
-/// ([`PageShard::step`]).
-fn analyze(
-    log: &LogManager,
-    a: &mut Analysis,
-    cfg: RestartConfig,
     ph: &mut PhaseStat,
     wall: &mut RestartWall,
-) -> QsResult<()> {
-    let default_logical = a.marks.default_logical;
-    let span = (a.scan_from, log.tail_lsn());
-    ph.pages_read = log_pages(span.0, span.1);
-    let route = |lsn: Lsn, bytes: &[u8]| {
-        ph.records += 1;
-        a.route(lsn, bytes, true)
-    };
-    let (shards, mut scan) = fan_out("analysis", log, span, cfg, route, |inbox| {
-        let mut shard = PageShard::new(default_logical);
-        inbox.each_frame(|lsn, bytes| shard.step(lsn, bytes))?;
-        Ok(shard)
-    })?;
-    let merge = Instant::now();
-    for shard in shards {
-        a.absorb(shard.dpt);
-    }
-    scan.end_merge(merge);
-    wall.scans.push(scan);
-    Ok(())
-}
-
-/// Analysis and redo of a physical-only log in one [`fan_out`] scan of
-/// `[min(seeded recLSNs, anchor), tail)`. Below the anchor only redo is
-/// interested, and only in page-bearing frames; from the anchor on the
-/// router runs [`Analysis::route`] and each worker the fused step
-/// ([`RedoShard::step`]) on every frame it is sent. That is exact: a listed
-/// page's recLSN is the seed's (≤ anchor), any other page's is its first
-/// sighting at or above the anchor, which the step records before it
-/// redoes the frame — and a frame below the anchor of a page the seed does
-/// not list is below whatever recLSN the page may get.
-fn analyze_and_redo(
-    log: &LogManager,
-    volume: &Volume,
-    a: &mut Analysis,
-    cfg: RestartConfig,
-    ph: &mut PhaseStat,
-    wall: &mut RestartWall,
-) -> QsResult<Vec<Redone>> {
-    let seed = a.seed_from_anchor(log)?;
-    let anchor = a.scan_from;
+    mut finish: impl FnMut(RedoShard) -> T,
+) -> QsResult<(Analysis, Vec<T>)> {
+    let mut a = Analysis::new(!holds.physical);
+    let (anchor, seed) = a.anchor(log, holds)?;
+    let fates = holds.logical.then(Fates::default);
+    let shared = Shared { volume, holds, anchor, seed, fates };
     // The analysis pass is priced from the anchor, wherever the scan starts.
     ph.pages_read = log_pages(anchor, log.tail_lsn());
-    let from = seed.values().copied().fold(anchor, Lsn::min);
+    let from = shared.seed.values().copied().fold(anchor, Lsn::min);
     let route = |lsn: Lsn, bytes: &[u8]| {
         if lsn < anchor {
             return Ok(record::frame_page(bytes)?.map_or(Route::Nowhere, Route::Page));
         }
         ph.records += 1;
-        a.route(lsn, bytes, false)
+        a.route(lsn, bytes, shared.fates.as_ref())
     };
     let work = |inbox: &mut Batches| {
-        let mut shard = RedoShard::new(volume, Some(anchor));
-        inbox.each_frame(|lsn, bytes| shard.step(lsn, bytes, |pid| seed.get(&pid).copied()))?;
+        let mut shard = RedoShard::new(&shared);
+        for batch in inbox {
+            shard.take(&batch)?;
+        }
+        shard.end_scan()?;
         Ok(shard)
     };
-    let (outs, mut scan) = fan_out("analysis+redo", log, (from, log.tail_lsn()), cfg, route, work)?;
+    let (shards, mut scan) =
+        fan_out("analysis+redo", log, (from, log.tail_lsn()), cfg, route, work)?;
     let merge = Instant::now();
-    a.dpt = seed;
-    let mut redone = Vec::with_capacity(outs.len());
-    for shard in outs {
-        a.absorb(shard.dpt());
-        redone.push(shard.finish());
+    a.end_run();
+    // The workers' shares of the DPT are disjoint by page. Every seeded
+    // page a worker saw kept its seed; the rest are the seed's.
+    let mut out = Vec::with_capacity(shards.len());
+    for shard in shards {
+        merge_min(&mut a.dpt, shard.dpt());
+        out.push(finish(shard));
     }
+    merge_min(&mut a.dpt, shared.seed);
     scan.end_merge(merge);
     wall.scans.push(scan);
-    Ok(redone)
+    volume.ensure_allocated(a.max_alloc as usize)?;
+    Ok((a, out))
 }
 
 /// Where the router sends one frame.
@@ -564,18 +420,6 @@ enum Source<'a> {
     /// The worker's own thread, in an inline scan: asking for the next
     /// batch reads and routes the next chunk.
     Inline(&'a mut dyn FnMut() -> Option<FrameChunk>),
-}
-
-impl Batches<'_> {
-    /// Run `f` over every frame of every batch, in arrival order.
-    fn each_frame(&mut self, mut f: impl FnMut(Lsn, &[u8]) -> QsResult<()>) -> QsResult<()> {
-        for batch in self {
-            for r in &batch.frames {
-                f(r.lsn, batch.frame(r))?;
-            }
-        }
-        Ok(())
-    }
 }
 
 impl Iterator for Batches<'_> {
@@ -748,40 +592,6 @@ fn pipelined<T: Send>(
     })
 }
 
-/// Page-partitioned redo as a second [`fan_out`] scan: route every
-/// page-bearing frame in `[redo_from, tail)` that redo must not skip to
-/// its page's worker, which repeats history on it ([`RedoShard::step`]).
-fn redo(
-    log: &LogManager,
-    volume: &Volume,
-    a: &Analysis,
-    cfg: RestartConfig,
-    wall: &mut RestartWall,
-) -> QsResult<Vec<Redone>> {
-    let Some(redo_from) = a.redo_from(log) else {
-        return Ok(Vec::new());
-    };
-    // One `redo_skips` answer per run of a transaction's records.
-    let mut run = (TxnId::INVALID, a.redo_skips(TxnId::INVALID));
-    let route = |_, bytes: &[u8]| {
-        let Some(page) = record::frame_page(bytes)? else {
-            return Ok(Route::Nowhere);
-        };
-        let txn = record::frame_txn(bytes)?;
-        if txn != run.0 {
-            run = (txn, a.redo_skips(txn));
-        }
-        Ok(if run.1 { Route::Nowhere } else { Route::Page(page) })
-    };
-    let (redone, scan) = fan_out("redo", log, (redo_from, log.tail_lsn()), cfg, route, |inbox| {
-        let mut redo = RedoShard::new(volume, None);
-        inbox.each_frame(|lsn, bytes| redo.step(lsn, bytes, |pid| a.dpt.get(&pid).copied()))?;
-        Ok(redo.finish())
-    })?;
-    wall.scans.push(scan);
-    Ok(redone)
-}
-
 /// Redo's epilogue: price the pass and install the workers' redone pages
 /// into the pool as dirty, so undo sees them and the closing checkpoint
 /// flushes them. One shard at a time, under shard → DPT → volume.
@@ -827,118 +637,339 @@ fn install(server: &Server, a: &Analysis, redone: Vec<Redone>, ph: &mut PhaseSta
 
 /// What a worker knows of one of its pages. Both halves of the fused
 /// step answer from it, so a frame that starts a page run costs one probe.
-#[derive(Clone, Copy)]
 struct PageEntry {
     /// The page's recLSN, or `Lsn::INVALID` while it has none (every frame
     /// is below that, so none is redone).
     rec_lsn: Lsn,
-    /// The page's index in the worker's resident pages, once read.
-    slot: Option<usize>,
+    /// Its image, read from the volume at the first frame redo applies.
+    page: Option<Page>,
+    /// Its parked frames, first and last ([`Parked::frames`]).
+    queue: Option<(u32, u32)>,
+}
+
+/// What becomes of a transaction's frames: applied, dropped, or — until
+/// its commit or abort — open. An unmarked transaction still open at the
+/// scan's end is physical (applied, then undone), a logical one a loser.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    Apply,
+    Drop,
+    Open,
 }
 
 /// One worker's tallies and its redone pages.
 type Redone = (PhaseStat, Vec<(PageId, Page)>);
 
-/// One worker's redo half — in a single scan its analysis half too: its
-/// partition's pages, faulted from the volume on first use and owned
-/// privately, and the page table that finds them.
+/// One worker: the fused analysis + redo step over its partition's frames,
+/// the page table that finds its pages, and its parked frames.
 struct RedoShard<'a> {
-    volume: &'a Volume,
-    /// A single scan's anchor, from which the shard runs the analysis step
-    /// too; `None` in a second scan, whose frames the first one verified.
-    anchor: Option<Lsn>,
+    shared: &'a Shared<'a>,
+    /// `shared.anchor` and whether `shared.fates` is kept, copied: the step
+    /// reads them every frame, and `shared` lives beside what the router
+    /// writes every frame.
+    anchor: Lsn,
+    parks: bool,
     stats: PhaseStat,
-    resident: Vec<(PageId, Page)>,
-    /// One entry per page this worker has been sent a frame of.
-    pages: IdMap<PageId, PageEntry>,
-    /// The last frame's page and its entry: the rest of its run costs no
-    /// lookup.
-    run: Option<(PageId, PageEntry)>,
+    /// Marks seen so far; they arrive by broadcast.
+    marks: Marks,
+    /// One entry per page this worker was sent a frame of, and its index.
+    pages: Vec<(PageId, PageEntry)>,
+    index: IdMap<PageId, usize>,
+    /// The last frame's page and entry: the rest of its run costs no lookup.
+    run: Option<(PageId, usize)>,
+    /// The last frame's transaction and [`RedoShard::sight`]'s answer.
+    txn_run: Option<(TxnId, bool, Fate)>,
+    parked: Parked,
 }
 
 impl<'a> RedoShard<'a> {
-    fn new(volume: &'a Volume, anchor: Option<Lsn>) -> RedoShard<'a> {
+    fn new(shared: &'a Shared<'a>) -> RedoShard<'a> {
         RedoShard {
-            volume,
-            anchor,
+            shared,
+            anchor: shared.anchor,
+            parks: shared.fates.is_some(),
             stats: phase("redo"),
-            resident: Vec::new(),
-            pages: IdMap::default(),
+            marks: Marks { default_logical: !shared.holds.physical, ..Marks::default() },
+            pages: Vec::new(),
+            index: IdMap::default(),
             run: None,
+            txn_run: None,
+            parked: Parked::default(),
         }
     }
 
-    /// The step for one page-bearing frame. From the anchor on, a single
-    /// scan first runs the analysis step: verify a small frame (whole-page
-    /// frames — 8 KB bodies — are verified only where redo applies them)
-    /// and give a page without a recLSN its first sighting. Then redo:
-    /// repeat history under the recLSN / pageLSN filters, applying the
-    /// after-image straight from the shared chunk buffer; whole-page frames
-    /// and small frames below the anchor (a checkpoint body can seed
-    /// recLSNs under it) are verified before they are applied.
-    /// `rec_lsn_of` is asked once per page, at its first frame: the
-    /// checkpoint seed in a single scan, the absorbed DPT in a second one.
-    fn step(
-        &mut self,
-        lsn: Lsn,
-        bytes: &[u8],
-        rec_lsn_of: impl FnOnce(PageId) -> Option<Lsn>,
-    ) -> QsResult<()> {
+    /// One batch the router sent, frame by frame. A transaction's fate may
+    /// have been decided since the last batch, so the run cache is dropped.
+    fn take(&mut self, batch: &FrameChunk) -> QsResult<()> {
+        self.txn_run = None;
+        for r in &batch.frames {
+            self.step(r.lsn, batch.frame(r))?;
+        }
+        Ok(())
+    }
+
+    /// The step for one frame the router sent. A mark is noted; a commit
+    /// or an abort settles what its transaction parked. For a page's frame,
+    /// from the anchor on, the analysis step comes first: verify a small
+    /// frame (whole-page frames are verified only where redo applies them)
+    /// and, unless its transaction is logical and not known to commit, list
+    /// its page. Then redo applies the frame ([`RedoShard::target`]), or
+    /// skips it if its transaction drops it — or it parks, if its fate is
+    /// open or an older frame of the page waits.
+    fn step(&mut self, lsn: Lsn, bytes: &[u8]) -> QsResult<()> {
         let t = record::frame_tag(bytes)?;
-        let pid = record::frame_page(bytes)?.expect("router only sends page-bearing frames");
-        let analyzed = self.anchor.is_some_and(|anchor| lsn >= anchor);
+        let Some(pid) = record::frame_page(bytes)? else {
+            return self.broadcast(t, bytes);
+        };
+        let analyzed = lsn >= self.anchor;
         if analyzed && t != tag::WHOLE_PAGE {
             record::frame_verify(bytes)?;
         }
-        let entry = match &mut self.run {
-            Some((run, entry)) if *run == pid => entry,
-            stale => {
-                let entry = *self.pages.entry(pid).or_insert_with(|| PageEntry {
-                    rec_lsn: rec_lsn_of(pid).or(analyzed.then_some(lsn)).unwrap_or(Lsn::INVALID),
-                    slot: None,
+        let (txn, listed, fate) = if !self.parks {
+            // A physical-only log: every frame lists its page and is redone.
+            (TxnId::INVALID, true, Fate::Apply)
+        } else {
+            self.sight(record::frame_txn(bytes)?)
+        };
+        let i = self.entry(pid);
+        let e = &mut self.pages[i].1;
+        if analyzed && listed && lsn < e.rec_lsn {
+            e.rec_lsn = lsn;
+        }
+        match fate {
+            Fate::Apply if e.queue.is_none() => {
+                if let Some(page) = self.target(i, lsn)? {
+                    // Whole-page frames and frames below the anchor: verified here.
+                    if t == tag::WHOLE_PAGE || !analyzed {
+                        record::frame_verify(bytes)?;
+                    }
+                    return apply_after_image(page, pid, t, bytes, lsn);
+                }
+            }
+            Fate::Drop => {}
+            _ => self.park(i, (fate == Fate::Open).then_some(txn), lsn, bytes)?,
+        }
+        Ok(())
+    }
+
+    /// A mark, commit or abort: only a log that can park broadcasts them.
+    // Out of line: a physical-only log's step never gets here.
+    #[inline(never)]
+    fn broadcast(&mut self, t: u8, bytes: &[u8]) -> QsResult<()> {
+        if t == tag::TXN_SCHEME {
+            return self.marks.note(bytes);
+        }
+        let txn = record::frame_txn(bytes)?;
+        let fates = self.shared.fates.as_ref().expect("a broadcast end record");
+        let fate = fates.lock()[&txn];
+        self.settle(txn, fate)
+    }
+
+    /// `pid`'s index in the page table, entered at its first frame with the
+    /// checkpoint seed's recLSN if the seed lists the page.
+    #[inline(always)]
+    fn entry(&mut self, pid: PageId) -> usize {
+        match self.run {
+            Some((run, i)) if run == pid => i,
+            _ => {
+                let (pages, seed) = (&mut self.pages, &self.shared.seed);
+                let i = *self.index.entry(pid).or_insert_with(|| {
+                    let rec_lsn = seed.get(&pid).copied().unwrap_or(Lsn::INVALID);
+                    pages.push((pid, PageEntry { rec_lsn, page: None, queue: None }));
+                    pages.len() - 1
                 });
-                &mut stale.insert((pid, entry)).1
+                self.run = Some((pid, i));
+                i
             }
-        };
-        if analyzed && entry.rec_lsn == Lsn::INVALID {
-            // Seen below the anchor only, until this frame.
-            entry.rec_lsn = lsn;
-            self.pages.insert(pid, *entry);
         }
-        if lsn < entry.rec_lsn {
-            return Ok(());
+    }
+
+    /// The page of entry `i` a frame at `lsn` is redone onto — read from
+    /// the volume at the first frame the recLSN filter lets through — or
+    /// `None` if redo skips the frame: it is below the recLSN, or its
+    /// effect is on the page already (pageLSN).
+    // Inlined into the step: a call per frame costs physical-only logs
+    // ≈ 5 % of their per-frame worker time (`micro` `restart/worker_frame`).
+    #[inline(always)]
+    fn target(&mut self, i: usize, lsn: Lsn) -> QsResult<Option<&mut Page>> {
+        let (pid, e) = &mut self.pages[i];
+        if lsn < e.rec_lsn {
+            return Ok(None);
         }
-        let slot = match entry.slot {
-            Some(slot) => slot,
-            None => {
-                let slot = self.resident.len();
+        let page = match &mut e.page {
+            Some(page) => page,
+            unread => {
                 self.stats.data_reads += 1;
-                self.resident.push((pid, self.volume.read_page(pid)?));
-                entry.slot = Some(slot);
-                self.pages.insert(pid, *entry);
-                slot
+                unread.insert(self.shared.volume.read_page(*pid)?)
             }
         };
-        let page = &mut self.resident[slot].1;
         if page.lsn() >= lsn {
-            return Ok(()); // effect already on disk image
+            return Ok(None);
         }
         self.stats.records += 1;
-        if t == tag::WHOLE_PAGE || self.anchor.is_some_and(|anchor| lsn < anchor) {
-            record::frame_verify(bytes)?;
+        Ok(Some(page))
+    }
+
+    /// Copy `bytes`, a frame of transaction `open` if it is open, into the
+    /// arena at the back of its page's queue (entry `i`).
+    fn park(&mut self, i: usize, open: Option<TxnId>, lsn: Lsn, bytes: &[u8]) -> QsResult<()> {
+        let ((pid, e), parked) = (&mut self.pages[i], &mut self.parked);
+        if let Some(txn) = open {
+            let (_, pages) = parked.txns.entry(txn).or_insert((Fate::Open, Vec::new()));
+            if pages.last() != Some(pid) {
+                pages.push(*pid);
+            }
         }
-        apply_after_image(page, pid, t, bytes, lsn)
+        let id = parked.frames.len() as u32;
+        match &mut e.queue {
+            Some((_, tail)) => {
+                parked.frames[*tail as usize].next = Some(id);
+                *tail = id;
+            }
+            None => e.queue = Some((id, id)),
+        }
+        let image = record::frame_tag(bytes)? == tag::WHOLE_PAGE;
+        let at = if image {
+            // Only the image is kept, so the frame is verified now.
+            record::frame_verify(bytes)?;
+            if parked.staged == parked.images.len() {
+                parked.images.push(Page::new());
+            }
+            let staged = parked.images[parked.staged].bytes_mut();
+            staged.copy_from_slice(record::frame_whole_page_image(bytes)?);
+            parked.staged += 1;
+            parked.staged - 1
+        } else {
+            parked.bytes.extend_from_slice(bytes);
+            parked.bytes.len() - bytes.len()
+        };
+        parked.frames.push(ParkedFrame { lsn, txn: open, at, image, next: None });
+        parked.waiting += 1;
+        Ok(())
+    }
+
+    /// A frame of `txn`: the transaction, whether the frame lists its page
+    /// at sight — all do but a logical transaction's not known to commit —
+    /// and its fate so far, by its mark, then by the router's [`Fates`].
+    fn sight(&mut self, txn: TxnId) -> (TxnId, bool, Fate) {
+        if let Some((run, listed, fate)) = self.txn_run.filter(|&(run, ..)| run == txn) {
+            return (run, listed, fate);
+        }
+        let fate = match (self.marks.elected.get(&txn), &self.shared.fates) {
+            (Some(s), _) if !s.is_logical() => Fate::Apply,
+            (_, Some(fates)) => fates.lock().get(&txn).copied().unwrap_or(Fate::Open),
+            _ => Fate::Open,
+        };
+        let listed = fate == Fate::Apply || self.marks.physical_by_default(txn);
+        self.txn_run = Some((txn, listed, fate));
+        (txn, listed, fate)
+    }
+
+    /// Give `txn` its fate and drain the pages it parked on, each from the
+    /// head of its queue through every decided frame, in LSN order; an
+    /// applied frame lists its page. Once nothing waits the arena is cleared.
+    fn settle(&mut self, txn: TxnId, fate: Fate) -> QsResult<()> {
+        let Some((open, pages)) = self.parked.txns.get_mut(&txn) else {
+            return Ok(());
+        };
+        *open = fate;
+        let pages = std::mem::take(pages);
+        // Out of `self` while its frames are applied.
+        let mut parked = std::mem::take(&mut self.parked);
+        for pid in pages {
+            let i = self.index[&pid];
+            while let Some((head, tail)) = self.pages[i].1.queue {
+                let f = parked.frames[head as usize];
+                let fate = f.txn.map_or(Fate::Apply, |txn| parked.txns[&txn].0);
+                if fate == Fate::Open {
+                    break;
+                }
+                let e = &mut self.pages[i].1;
+                e.queue = f.next.map(|next| (next, tail));
+                parked.waiting -= 1;
+                if fate == Fate::Drop {
+                    continue;
+                }
+                e.rec_lsn = e.rec_lsn.min(f.lsn);
+                // Verified already: at sight, or a whole-page one as it parked.
+                let Some(page) = self.target(i, f.lsn)? else { continue };
+                if f.image {
+                    std::mem::swap(page, &mut parked.images[f.at]);
+                    page.set_lsn(f.lsn);
+                } else {
+                    let bytes = &parked.bytes[f.at..];
+                    let bytes = &bytes[..record::frame_len(bytes)?];
+                    apply_after_image(page, pid, record::frame_tag(bytes)?, bytes, f.lsn)?;
+                }
+            }
+        }
+        if parked.waiting == 0 {
+            parked.staged = 0;
+            parked.bytes.clear();
+            parked.frames.clear();
+            parked.txns.clear();
+        }
+        self.parked = parked;
+        Ok(())
+    }
+
+    /// The scan's end: settle what is still open — an unmarked transaction
+    /// is physical, applied now and rolled back by undo; a logical one is a
+    /// loser, dropped. No frame stays parked.
+    fn end_scan(&mut self) -> QsResult<()> {
+        let txns = &self.parked.txns;
+        let open: Vec<TxnId> = txns.keys().filter(|t| txns[t].0 == Fate::Open).copied().collect();
+        for txn in open {
+            let physical = self.marks.physical_by_default(txn);
+            self.settle(txn, if physical { Fate::Apply } else { Fate::Drop })?;
+        }
+        Ok(())
     }
 
     /// This worker's share of the DPT, read out of its page table.
     fn dpt(&self) -> impl Iterator<Item = (PageId, Lsn)> + '_ {
         let listed = self.pages.iter().filter(|(_, e)| e.rec_lsn != Lsn::INVALID);
-        listed.map(|(&pid, e)| (pid, e.rec_lsn))
+        listed.map(|(pid, e)| (*pid, e.rec_lsn))
     }
 
     fn finish(self) -> Redone {
-        (self.stats, self.resident)
+        let resident = self.pages.into_iter().filter_map(|(pid, e)| Some((pid, e.page?)));
+        (self.stats, resident.collect())
     }
+}
+
+/// A worker's parked frames, queued on their pages: a small frame copied
+/// into one byte arena, a whole-page frame's image into a page buffer that
+/// redo swaps in. Once no frame waits all is cleared, capacity and buffers
+/// kept: a worker allocates for its deepest backlog, not per frame.
+#[derive(Default)]
+struct Parked {
+    bytes: Vec<u8>,
+    /// Page buffers: the first `staged` hold parked images, the rest are
+    /// spares.
+    images: Vec<Page>,
+    staged: usize,
+    /// One entry per parked frame, in arrival order.
+    frames: Vec<ParkedFrame>,
+    /// Each transaction that parked a frame while open: its fate and the
+    /// pages it parked on.
+    txns: IdMap<TxnId, (Fate, Vec<PageId>)>,
+    /// Frames parked and not yet drained.
+    waiting: usize,
+}
+
+#[derive(Clone, Copy)]
+struct ParkedFrame {
+    lsn: Lsn,
+    /// Its transaction, if open when the frame parked; else the frame was
+    /// known to apply and waits only behind the frames ahead of it.
+    txn: Option<TxnId>,
+    /// Where the frame starts in [`Parked::bytes`], or its image's index
+    /// in [`Parked::images`].
+    at: usize,
+    image: bool,
+    /// The next frame in its page's queue.
+    next: Option<u32>,
 }
 
 /// Undo pass plus restart epilogue: roll back the physical losers with
@@ -1125,7 +1156,8 @@ mod tests {
     const LOGICAL: Holds = Holds { physical: false, logical: true };
     const MIXED: Holds = Holds { physical: true, logical: true };
 
-    /// Pages on the test volume, each holding one 64-byte object.
+    /// Pages on the test volume, each holding two 64-byte objects: under
+    /// record locks two transactions update one page, an object each.
     const PAGES: usize = 512;
 
     fn fresh_log() -> LogManager {
@@ -1136,6 +1168,7 @@ mod tests {
 
     fn blank_page(pid: PageId) -> Page {
         let mut page = Page::new();
+        page.insert(pid, &[0u8; 64]).unwrap();
         page.insert(pid, &[0u8; 64]).unwrap();
         page
     }
@@ -1151,11 +1184,16 @@ mod tests {
     }
 
     fn update(txn: u64, page: u32) -> LogRecord {
+        update_on(txn, page, 0)
+    }
+
+    /// An update of object `slot` of `page`.
+    fn update_on(txn: u64, page: u32, slot: u16) -> LogRecord {
         LogRecord::Update {
             txn: TxnId(txn),
             prev: Lsn::NULL,
             page: PageId(page),
-            slot: 0,
+            slot,
             offset: 0,
             before: vec![0; 8],
             after: vec![txn as u8; 8],
@@ -1163,11 +1201,15 @@ mod tests {
     }
 
     fn logical(txn: u64, page: u32) -> LogRecord {
+        logical_on(txn, page, 0)
+    }
+
+    fn logical_on(txn: u64, page: u32, slot: u16) -> LogRecord {
         LogRecord::UpdateLogical {
             txn: TxnId(txn),
             prev: Lsn::NULL,
             page: PageId(page),
-            slot: 0,
+            slot,
             offset: 0,
             after: vec![txn as u8; 8],
         }
@@ -1218,7 +1260,6 @@ mod tests {
     struct Learned {
         att: IdMap<TxnId, Lsn>,
         dpt: IdMap<PageId, Lsn>,
-        committed: IdSet<TxnId>,
         max_txn: TxnId,
         max_alloc: u64,
         records: u64,
@@ -1228,7 +1269,9 @@ mod tests {
         pages: Vec<(PageId, Image)>,
     }
 
-    /// What `replay` learns and redoes, and how many scans it took.
+    /// What `replay` learns and redoes — in one scan, with no frame left
+    /// parked, and in a physical-only log none ever parked — and the bytes
+    /// of parked-frame arena its workers allocated.
     fn learned(
         log: &LogManager,
         volume: &Volume,
@@ -1239,7 +1282,19 @@ mod tests {
         let cfg = RestartConfig { redo_workers: workers, chunk_bytes };
         let mut ph = phase("analysis");
         let mut wall = RestartWall::default();
-        let (a, redone) = replay(log, volume, holds, cfg, &mut ph, &mut wall).unwrap();
+        let mut arena = 0;
+        let finish = |shard: RedoShard| {
+            let parked = &shard.parked;
+            let left = parked.frames.len() + parked.waiting + parked.txns.len() + parked.staged;
+            assert_eq!(left, 0, "a frame is left parked");
+            arena += parked.bytes.capacity() + parked.images.len() * PAGE_SIZE;
+            shard.finish()
+        };
+        let (a, redone) = replay(log, volume, holds, cfg, &mut ph, &mut wall, finish).unwrap();
+        assert_eq!(wall.scans.len(), 1, "the log is read once");
+        if !holds.logical {
+            assert_eq!(arena, 0, "a physical-only log parked a frame");
+        }
         let mut redo = phase("redo");
         let mut pages = Vec::new();
         for (stats, resident) in redone {
@@ -1250,14 +1305,13 @@ mod tests {
         let l = Learned {
             att: a.att,
             dpt: a.dpt,
-            committed: a.committed,
             max_txn: a.max_txn,
             max_alloc: a.max_alloc,
             records: ph.records,
             redo: (redo.records, redo.data_reads),
             pages,
         };
-        (l, wall.scans.len())
+        (l, arena)
     }
 
     /// The serial, decode-every-record restart the engine replaced: one
@@ -1270,10 +1324,10 @@ mod tests {
         // Unmarked, aborted and never compensated: logical after all.
         let mut compensated: IdSet<TxnId> = IdSet::default();
         let mut dropped: IdSet<TxnId> = IdSet::default();
+        let mut committed: IdSet<TxnId> = IdSet::default();
         let mut l = Learned {
             att: IdMap::default(),
             dpt: IdMap::default(),
-            committed: IdSet::default(),
             max_txn: TxnId::INVALID,
             max_alloc: 0,
             records: 0,
@@ -1312,7 +1366,7 @@ mod tests {
                 LogRecord::Commit { .. } => {
                     l.att.remove(&txn);
                     if is_logical {
-                        l.committed.insert(txn);
+                        committed.insert(txn);
                         for (p, first) in pending.remove(&txn).unwrap_or_default() {
                             let e = l.dpt.entry(p).or_insert(first);
                             *e = first.min(*e);
@@ -1354,7 +1408,7 @@ mod tests {
             let (lsn, rec) = item.unwrap();
             let (Some(pid), txn) = (rec.page(), rec.txn()) else { continue };
             let is_logical = marks.get(&txn).map_or(default_logical, |s| s.is_logical());
-            if (is_logical && !l.committed.contains(&txn)) || dropped.contains(&txn) {
+            if (is_logical && !committed.contains(&txn)) || dropped.contains(&txn) {
                 continue;
             }
             if l.dpt.get(&pid).is_none_or(|&rec_lsn| lsn < rec_lsn) {
@@ -1386,20 +1440,19 @@ mod tests {
     }
 
     /// `replay` must learn and redo exactly what the reference does,
-    /// whatever the pool and chunk size, in `scans` passes over the log.
+    /// whatever the pool and chunk size (29-byte chunks: one frame or two
+    /// per chunk, pipelined, a transaction's frames far from its commit).
     fn assert_matches_reference(
         log: &LogManager,
         volume: &Volume,
         holds: Holds,
-        scans: usize,
         what: &str,
     ) -> Learned {
         let want = reference(log, volume, holds);
         for workers in [1, 2, 4, 8] {
             for chunk in [8192, 29] {
-                let (got, took) = learned(log, volume, holds, workers, chunk);
+                let (got, _) = learned(log, volume, holds, workers, chunk);
                 assert_eq!(got, want, "{what}: workers={workers} chunk={chunk}");
-                assert_eq!(took, scans, "{what}: workers={workers} chunk={chunk}: scans");
             }
         }
         want
@@ -1463,7 +1516,7 @@ mod tests {
         flushed.set_lsn(last);
         volume.write_page(PageId(7), &flushed).unwrap();
 
-        let l = assert_matches_reference(&log, &volume, PHYSICAL, 1, "physical");
+        let l = assert_matches_reference(&log, &volume, PHYSICAL, "physical");
         assert_eq!(l.dpt[&PageId(3)], early, "the body's recLSN survives the scan");
         assert_eq!(l.dpt[&PageId(90)], early, "a page only the body lists stays listed");
         assert_eq!(l.dpt[&PageId(40)], forty, "an unlisted page's recLSN is above the anchor");
@@ -1475,7 +1528,6 @@ mod tests {
         assert!(l.att.contains_key(&TxnId(3)), "a transaction only the body lists is a loser");
         assert_eq!(l.att.keys().map(|t| t.0).max(), Some(6));
         assert_eq!((l.max_txn, l.max_alloc), (TxnId(6), 301));
-        assert!(l.committed.is_empty(), "physical commits are not tracked");
     }
 
     #[test]
@@ -1488,7 +1540,7 @@ mod tests {
         log.append(&commit(1)).unwrap();
         checkpoint(&log, CheckpointBody { allocated_pages: 9, ..CheckpointBody::default() });
         log.append(&commit(2)).unwrap();
-        let l = assert_matches_reference(&log, &volume, PHYSICAL, 1, "empty DPT");
+        let l = assert_matches_reference(&log, &volume, PHYSICAL, "empty DPT");
         assert!(l.dpt.is_empty() && l.pages.is_empty() && l.att.is_empty());
         assert_eq!((l.records, l.redo, l.max_alloc), (2, (0, 0), 9));
 
@@ -1498,7 +1550,7 @@ mod tests {
             log.append(&update(1 + page as u64 % 3, page % 7)).unwrap();
         }
         log.append(&commit(1)).unwrap();
-        let l = assert_matches_reference(&log, &volume, PHYSICAL, 1, "no checkpoint");
+        let l = assert_matches_reference(&log, &volume, PHYSICAL, "no checkpoint");
         assert_eq!((l.dpt.len(), l.redo), (7, (20, 7)));
     }
 
@@ -1523,9 +1575,8 @@ mod tests {
         log.append(&commit(1)).unwrap();
         log.append(&logical(3, 500)).unwrap();
 
-        let l = assert_matches_reference(&log, &volume, LOGICAL, 2, "logical");
+        let l = assert_matches_reference(&log, &volume, LOGICAL, "logical");
         assert_eq!(l.dpt, first_by_committer);
-        assert_eq!(l.committed, IdSet::from_iter([TxnId(1)]));
         assert!(l.att.is_empty(), "logical transactions are never undone");
         assert_eq!((l.max_txn, l.max_alloc), (TxnId(3), 501));
         assert_eq!(l.redo, (48, 16), "the committer's records only");
@@ -1556,9 +1607,8 @@ mod tests {
         log.append(&logical(6, 40)).unwrap();
         log.append(&commit(6)).unwrap();
 
-        let l = assert_matches_reference(&log, &volume, MIXED, 2, "adaptive");
+        let l = assert_matches_reference(&log, &volume, MIXED, "adaptive");
         assert_eq!(l.att.keys().copied().collect::<Vec<_>>(), [TxnId(1)], "the physical loser");
-        assert_eq!(l.committed, IdSet::from_iter([TxnId(2), TxnId(6)]));
         assert!(!l.dpt.contains_key(&PageId(25)), "the logical loser's pages stay out");
         assert!(redone(&l, 25).is_none(), "and are not redone");
         assert!(l.dpt[&PageId(0)] < l.dpt[&PageId(40)], "page 0 keeps txn 1's earlier LSN");
@@ -1596,7 +1646,7 @@ mod tests {
         }
         log.append(&commit(1)).unwrap();
 
-        let l = assert_matches_reference(&log, &volume, MIXED, 2, "unmarked aborts");
+        let l = assert_matches_reference(&log, &volume, MIXED, "unmarked aborts");
         let image = |page: u32| Page::from_bytes(&redone(&l, page).expect("listed").0).unwrap();
         assert_eq!(image(5).object(PageId(5), 0).unwrap()[..8], [1u8; 8], "txn 1's bytes");
         assert_eq!(image(6).lsn(), clr, "a compensated abort is repeated, CLR included");
@@ -1604,16 +1654,18 @@ mod tests {
         assert_eq!(l.redo.0, 3, "txn 1's update, txn 3's update and CLR");
     }
 
-    /// The scans `replay` makes of a physical log, as it accounts them.
+    /// The scans `replay` makes of a log, as it accounts them.
     fn scans(
         log: &LogManager,
         volume: &Volume,
+        holds: Holds,
         workers: usize,
         chunk_bytes: usize,
     ) -> QsResult<Vec<ScanWall>> {
         let cfg = RestartConfig { redo_workers: workers, chunk_bytes };
         let mut wall = RestartWall::default();
-        replay(log, volume, PHYSICAL, cfg, &mut phase("analysis"), &mut wall)?;
+        let finish = |shard: RedoShard| shard.finish();
+        replay(log, volume, holds, cfg, &mut phase("analysis"), &mut wall, finish)?;
         Ok(wall.scans)
     }
 
@@ -1628,14 +1680,14 @@ mod tests {
         // One chunk short of the pipeline: one worker stage whatever the
         // pool size, and nobody waited for anybody.
         let chunk = (span / PIPELINE_MIN_CHUNKS) as usize + 1;
-        let scan = &scans(&log, &volume, 4, chunk).unwrap()[0];
+        let scan = &scans(&log, &volume, PHYSICAL, 4, chunk).unwrap()[0];
         assert_eq!(scan.workers.len(), 1);
         assert_eq!((scan.reader.blocked_ns, scan.router.blocked_ns), (0, 0));
         assert_eq!(scan.workers[0].blocked_ns, 0);
         assert!(scan.log_bytes_read >= span);
         // Long enough: the pool.
         let chunk = (span / PIPELINE_MIN_CHUNKS) as usize;
-        let scan = &scans(&log, &volume, 4, chunk).unwrap()[0];
+        let scan = &scans(&log, &volume, PHYSICAL, 4, chunk).unwrap()[0];
         assert_eq!(scan.workers.len(), 4);
         assert!(scan.log_bytes_read >= span);
     }
@@ -1669,10 +1721,50 @@ mod tests {
             byte[0] ^= 0x10;
             media.write_at(at, &byte).unwrap();
             for (workers, chunk) in [(1, 8192), (2, 8192), (1, 29), (2, 29)] {
-                match scans(&log, &volume, workers, chunk) {
+                match scans(&log, &volume, PHYSICAL, workers, chunk) {
                     Err(QsError::LogCorrupt { .. }) => {}
                     other => panic!(
                         "worker_finds_it={worker_finds_it} workers={workers} chunk={chunk}: {other:?}"
+                    ),
+                }
+            }
+        }
+    }
+
+    /// A parked frame is verified before anything of it is used: a small
+    /// one at sight, a whole-page one when its image is kept — here the
+    /// frames of a no-steal transaction that goes on to commit.
+    #[test]
+    fn a_corrupt_parked_frame_fails_the_scan() {
+        for whole_page_victim in [false, true] {
+            let body = 1 << 20;
+            let media = Arc::new(MemDisk::new(LogManager::required_bytes(body)));
+            let log = LogManager::format(Arc::clone(&media) as Arc<dyn StableMedia>, body).unwrap();
+            let volume = fresh_volume();
+            log.append(&mark(1, SchemeCode::Wpl)).unwrap();
+            let mut victim = Lsn::NULL;
+            for page in 0..40u32 {
+                if page == 20 {
+                    let rec =
+                        if whole_page_victim { whole_page(1, page) } else { logical(1, page) };
+                    victim = log.append(&rec).unwrap();
+                } else {
+                    log.append(&logical(1, page)).unwrap();
+                }
+            }
+            log.append(&commit(1)).unwrap();
+            log.force(log.tail_lsn()).unwrap();
+            let middle = log.read_frame(victim).unwrap().len() / 2;
+            let at = PAGE_SIZE + (victim.0 as usize + middle) % body;
+            let mut byte = [0u8];
+            media.read_at(at, &mut byte).unwrap();
+            byte[0] ^= 0x40;
+            media.write_at(at, &byte).unwrap();
+            for (workers, chunk) in [(1, 8192), (2, 8192), (1, 29), (2, 29)] {
+                match scans(&log, &volume, MIXED, workers, chunk) {
+                    Err(QsError::LogCorrupt { .. }) => {}
+                    other => panic!(
+                        "whole_page_victim={whole_page_victim} workers={workers} chunk={chunk}: {other:?}"
                     ),
                 }
             }
@@ -1696,9 +1788,8 @@ mod tests {
 
     /// The trap a `(txn, page)`-keyed worker table falls into: a
     /// many-transaction log with one record per page and transaction
-    /// must cost a worker one entry per *page* — in the analysis step of
-    /// two scans and in the page table of the fused step alike — and
-    /// every frame starts a page run.
+    /// must cost a worker one page-table entry per *page*, and every frame
+    /// starts a page run.
     #[test]
     fn worker_page_table_has_one_entry_per_distinct_page() {
         let (log, volume) = (fresh_log(), fresh_volume());
@@ -1709,21 +1800,143 @@ mod tests {
                 first.entry(PageId(page)).or_insert(lsn);
             }
         }
+        let anchor = log.start_lsn();
+        let shared = Shared {
+            volume: &volume,
+            holds: PHYSICAL,
+            anchor,
+            seed: IdMap::default(),
+            fates: None,
+        };
         let shard = run_worker(&log, |inbox| {
-            let mut shard = PageShard::new(false);
-            inbox.each_frame(|lsn, bytes| shard.step(lsn, bytes)).unwrap();
+            let mut shard = RedoShard::new(&shared);
+            for batch in inbox {
+                shard.take(&batch).unwrap();
+            }
+            shard.end_scan().unwrap();
             shard
         });
-        assert_eq!(shard.dpt, first);
-        let fused = run_worker(&log, |inbox| {
-            let mut shard = RedoShard::new(&volume, Some(log.start_lsn()));
-            inbox.each_frame(|lsn, bytes| shard.step(lsn, bytes, |_| None)).unwrap();
-            shard
-        });
-        assert_eq!(fused.pages.len(), 50);
-        assert!(fused.stats.data_reads <= 50 && fused.resident.len() <= 50);
-        assert_eq!(fused.dpt().collect::<IdMap<_, _>>(), first, "recLSN = first LSN");
-        assert_eq!(fused.stats.records, 3000);
-        assert_matches_reference(&log, &volume, PHYSICAL, 1, "60 transactions x 50 pages");
+        assert_eq!((shard.pages.len(), shard.index.len()), (50, 50));
+        let read = shard.pages.iter().filter(|(_, e)| e.page.is_some()).count();
+        assert!(shard.stats.data_reads <= 50 && read <= 50);
+        assert_eq!(shard.dpt().collect::<IdMap<_, _>>(), first, "recLSN = first LSN");
+        assert_eq!(shard.stats.records, 3000);
+        assert_matches_reference(&log, &volume, PHYSICAL, "60 transactions x 50 pages");
+    }
+
+    /// An object of a redone page, by its first eight bytes.
+    fn object(l: &Learned, page: u32, slot: u16) -> [u8; 8] {
+        let image = Page::from_bytes(&redone(l, page).expect("redone").0).unwrap();
+        image.object(PageId(page), slot).unwrap()[..8].try_into().unwrap()
+    }
+
+    /// Record locks let a no-steal transaction (1) and physical ones (2,
+    /// then 3) update the same pages, an object each, their frames
+    /// interleaved. Transaction 1's frames park until its fate is known and
+    /// every later frame of the page queues behind them, so each page is
+    /// redone in LSN order: whether 1 commits last, aborts, or is still in
+    /// flight at the crash, exactly as the two-pass reference redoes it.
+    #[test]
+    fn a_no_steal_transaction_interleaved_with_physical_ones_on_its_pages() {
+        for end in ["commits last", "aborts", "is in flight"] {
+            let committed = end == "commits last";
+            let (log, volume) = (fresh_log(), fresh_volume());
+            log.append(&mark(1, SchemeCode::Rlog)).unwrap();
+            log.append(&mark(2, SchemeCode::Pd)).unwrap();
+            let (mut first_logical, mut first_physical) = (IdMap::default(), IdMap::default());
+            for _ in 0..3 {
+                for page in 0..16u32 {
+                    let lsn = log.append(&logical_on(1, page, 1)).unwrap();
+                    first_logical.entry(PageId(page)).or_insert(lsn);
+                    let lsn = log.append(&update_on(2, page, 0)).unwrap();
+                    first_physical.entry(PageId(page)).or_insert(lsn);
+                }
+            }
+            log.append(&commit(2)).unwrap();
+            log.append(&mark(3, SchemeCode::Sd)).unwrap();
+            for page in 0..16u32 {
+                log.append(&update_on(3, page, 0)).unwrap();
+            }
+            log.append(&commit(3)).unwrap();
+            // A no-steal transaction that logs whole pages and commits.
+            log.append(&mark(4, SchemeCode::Wpl)).unwrap();
+            for page in 16..20u32 {
+                log.append(&whole_page(4, page)).unwrap();
+            }
+            log.append(&commit(4)).unwrap();
+            match end {
+                "commits last" => log.append(&commit(1)).unwrap(),
+                "aborts" => log.append(&abort(1)).unwrap(),
+                _ => Lsn::NULL,
+            };
+
+            let what = format!("transaction 1 {end}");
+            let l = assert_matches_reference(&log, &volume, MIXED, &what);
+            assert!(learned(&log, &volume, MIXED, 1, 8192).1 > 0, "{what}: nothing parked");
+            assert!(l.att.is_empty(), "{what}: no physical loser");
+            for page in 0..16u32 {
+                assert_eq!(object(&l, page, 0), [3; 8], "{what}: page {page}");
+                let ops = if committed { [1; 8] } else { [0; 8] };
+                assert_eq!(object(&l, page, 1), ops, "{what}: page {page}");
+                let first = if committed { &first_logical } else { &first_physical };
+                assert_eq!(l.dpt[&PageId(page)], first[&PageId(page)], "{what}: page {page}");
+            }
+            for page in 16..20u32 {
+                assert_eq!(object(&l, page, 0), [0xA4; 8], "{what}: page {page}");
+            }
+        }
+    }
+
+    /// An unmarked transaction of an ADAPT log (its mark truncated) parks
+    /// until its end decides it. Transaction 1 aborts without a CLR
+    /// anywhere: it is dropped, its pages listed at its first frames,
+    /// while the committed physical transaction that wrote the same pages
+    /// around it is redone. Transaction 3 aborts with a CLR: it was
+    /// physical, and history is repeated on all its pages — the image of
+    /// a page it created included, although its one CLR reached another
+    /// worker. Transaction 4 is still in flight at the crash: unmarked, it
+    /// is physical, redone and left to undo.
+    #[test]
+    fn an_unmarked_abort_shares_pages_with_a_committed_physical_transaction() {
+        let (log, volume) = (fresh_log(), fresh_volume());
+        log.append(&mark(2, SchemeCode::Pd)).unwrap();
+        let mut listed = IdMap::default();
+        for _ in 0..2 {
+            for page in 0..16u32 {
+                listed.entry(PageId(page)).or_insert(log.append(&logical_on(1, page, 1)).unwrap());
+                log.append(&update_on(2, page, 0)).unwrap();
+            }
+        }
+        log.append(&abort(1)).unwrap();
+        log.append(&commit(2)).unwrap();
+        // Two pages two workers own.
+        let owned_by = |w| (100u32..).find(|&p| shard_index(PageId(p), 2) == w).unwrap();
+        let (updated, created) = (owned_by(0), owned_by(1));
+        log.append(&update(3, updated)).unwrap();
+        log.append(&LogRecord::PageAlloc { txn: TxnId(3), prev: Lsn::NULL, page: PageId(created) })
+            .unwrap();
+        log.append(&whole_page(3, created)).unwrap();
+        log.append(&LogRecord::Clr {
+            txn: TxnId(3),
+            prev: Lsn::NULL,
+            page: PageId(updated),
+            slot: 0,
+            offset: 0,
+            after: vec![0; 8],
+            undo_next: Lsn::NULL,
+        })
+        .unwrap();
+        log.append(&abort(3)).unwrap();
+        let in_flight = log.append(&update_on(4, 300, 1)).unwrap();
+
+        let l = assert_matches_reference(&log, &volume, MIXED, "unmarked aborts sharing pages");
+        for page in 0..16u32 {
+            assert_eq!((object(&l, page, 0), object(&l, page, 1)), ([2; 8], [0; 8]), "page {page}");
+            assert_eq!(l.dpt[&PageId(page)], listed[&PageId(page)], "listed at first sight");
+        }
+        assert_eq!(object(&l, updated, 0), [0; 8], "the CLR is repeated");
+        assert_eq!(object(&l, created, 0), [0xA3; 8], "the created page's image is repeated");
+        assert_eq!(object(&l, 300, 1), [4; 8], "the loser is redone, for undo to roll back");
+        assert_eq!(l.att, IdMap::from_iter([(TxnId(4), in_flight)]));
     }
 }

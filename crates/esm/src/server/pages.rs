@@ -26,7 +26,8 @@ pub(crate) fn apply_after_image(
     lsn: Lsn,
 ) -> QsResult<()> {
     if t == tag::WHOLE_PAGE {
-        *page = Page::from_bytes(record::frame_whole_page_image(frame)?)?;
+        // Into the page's own buffer: the view is exactly one page long.
+        page.bytes_mut().copy_from_slice(record::frame_whole_page_image(frame)?);
     } else if let Some((slot, offset, after)) = record::frame_redo_slice(frame)? {
         let off = offset as usize;
         let obj = page.object_mut(pid, slot)?;

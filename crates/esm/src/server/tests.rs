@@ -1143,3 +1143,142 @@ fn a_client_that_waited_out_a_maintenance_pass_does_not_run_its_own() {
     });
     assert_eq!(server.checkpoints_taken(), 1, "the waiter ran a pass of its own");
 }
+
+/// A server whose log disk loses what it has not synced at a crash
+/// ([`qs_storage::CrashDisk`]) and whose data disk keeps every write the
+/// moment it is made (a `MemDisk`: the worst case for write-ahead logging).
+/// One empty commit has synced the log's first header.
+fn crash_disk_server(cfg: ServerConfig) -> (Server, Arc<qs_storage::CrashDisk>, Vec<PageId>) {
+    let log = Arc::new(qs_storage::CrashDisk::new(LogManager::required_bytes(cfg.log_bytes)));
+    let parts = StableParts {
+        data_media: Arc::new(MemDisk::new(Volume::required_bytes(cfg.volume_pages))),
+        log_media: Arc::clone(&log) as Arc<dyn StableMedia>,
+        flight: None,
+    };
+    let server = Server::format_on(parts, cfg, Meter::new()).unwrap();
+    let pids = server.bulk_allocate(8).unwrap();
+    for &pid in &pids {
+        let mut p = Page::new();
+        p.insert(pid, &[0u8; 64]).unwrap();
+        server.bulk_write(pid, &p).unwrap();
+    }
+    server.bulk_sync().unwrap();
+    server.commit(server.begin()).unwrap();
+    (server, log, pids)
+}
+
+/// What a power cut now leaves of `server`'s disks: the data disk as it
+/// is, the log disk as it was last synced.
+fn power_cut(server: &Server, log: &qs_storage::CrashDisk) -> StableParts {
+    let data = server.stable_parts().data_media;
+    let mut bytes = vec![0u8; data.len()];
+    data.read_at(0, &mut bytes).unwrap();
+    let copy = MemDisk::new(bytes.len());
+    copy.write_at(0, &bytes).unwrap();
+    StableParts { data_media: Arc::new(copy), log_media: Arc::new(log.crash()), flight: None }
+}
+
+/// Whether `done` turns true within `patience`.
+fn within(patience: std::time::Duration, done: impl Fn() -> bool) -> bool {
+    let t0 = std::time::Instant::now();
+    while t0.elapsed() < patience {
+        if done() {
+            return true;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    done()
+}
+
+fn update_record(txn: TxnId, pid: PageId, val: u8) -> LogRecord {
+    LogRecord::Update {
+        txn,
+        prev: Lsn::NULL,
+        page: pid,
+        slot: 0,
+        offset: 0,
+        before: vec![0u8; 64],
+        after: vec![val; 64],
+    }
+}
+
+/// A group-commit follower whose commit record the leader's force wrote
+/// returns only once the leader's sync has: its record is not durable
+/// before. (It returned as soon as the leader had *written* the force, so
+/// a crash during the sync lost an acknowledged commit.)
+#[test]
+fn a_group_commit_follower_waits_for_the_leaders_sync() {
+    let cfg = ServerConfig { group_commit: true, ..small_cfg(RecoveryFlavor::EsmAries) };
+    let (server, log, pids) = crash_disk_server(cfg.clone());
+    let follower = server.begin();
+    server.lock_page(follower, pids[0], LockMode::X).unwrap();
+    server.receive_log_records(follower, vec![update_record(follower, pids[0], 7)]).unwrap();
+    let follower_lsn = server.commit_append(follower).unwrap();
+    let leader = server.begin();
+    let leader_lsn = server.commit_append(leader).unwrap();
+
+    log.hold_syncs();
+    let (acknowledged, crashed) = std::thread::scope(|s| {
+        let leading = s.spawn(|| server.commit_force_batch(leader_lsn, 1).unwrap());
+        log.await_parked_sync();
+        // The leader's force wrote both commit records; its sync is parked.
+        let following = s.spawn(|| {
+            server.commit_force_batch(follower_lsn, 1).unwrap();
+            server.commit_finish(follower).unwrap();
+        });
+        let acknowledged =
+            within(std::time::Duration::from_millis(200), || following.is_finished());
+        let crashed = power_cut(&server, &log);
+        log.release_syncs();
+        leading.join().unwrap();
+        following.join().unwrap();
+        (acknowledged, crashed)
+    });
+
+    let restarted = Server::restart(crashed, cfg, Meter::new()).unwrap();
+    let page = restarted.read_page_for_test(pids[0]).unwrap();
+    if acknowledged {
+        assert_eq!(page.object(pids[0], 0).unwrap(), &[7u8; 64][..], "an acknowledged commit lost");
+    }
+    assert!(!acknowledged, "a follower returned while its record's sync was parked");
+}
+
+/// A checkpoint drain must force the log through a `Steal` page's pageLSN
+/// unless that LSN is *synced*: a commit's force that has written the
+/// page's record but not yet synced it does not count. (The drain skipped
+/// its force on the written LSN and wrote the page home; a crash during the
+/// sync then left an uncommitted update on the volume with no log record
+/// to undo it.)
+#[test]
+fn a_drain_does_not_write_a_steal_page_home_before_its_log_is_synced() {
+    let cfg = small_cfg(RecoveryFlavor::EsmAries);
+    let (server, log, pids) = crash_disk_server(cfg.clone());
+    let pid = pids[0];
+    // The loser: its record in the unforced tail, its page dirty in the pool.
+    let loser = server.begin();
+    server.lock_page(loser, pid, LockMode::X).unwrap();
+    let page = updated_page(&server, loser, pid, 9);
+    server.receive_log_records(loser, vec![update_record(loser, pid, 9)]).unwrap();
+    server.receive_dirty_page(loser, pid, page).unwrap();
+    let committer = server.begin();
+
+    log.hold_syncs();
+    let (written_home, crashed) = std::thread::scope(|s| {
+        // The commit's force covers the loser's record; its sync parks.
+        let committing = s.spawn(|| server.commit(committer).unwrap());
+        log.await_parked_sync();
+        let claimed = server.drain_claim(server.pool.shard_of(pid), &[pid], &mut Vec::new());
+        let draining = s.spawn(|| server.drain_write_home(claimed, &mut Vec::new()).unwrap());
+        let written_home = within(std::time::Duration::from_millis(200), || draining.is_finished());
+        let crashed = power_cut(&server, &log);
+        log.release_syncs();
+        committing.join().unwrap();
+        draining.join().unwrap();
+        (written_home, crashed)
+    });
+
+    let restarted = Server::restart(crashed, cfg, Meter::new()).unwrap();
+    let page = restarted.read_page_for_test(pid).unwrap();
+    assert_eq!(page.object(pid, 0).unwrap(), &[0u8; 64][..], "an uncommitted update survived");
+    assert!(!written_home, "the page went home while its record's sync was parked");
+}

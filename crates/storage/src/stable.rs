@@ -28,15 +28,19 @@ pub trait StableMedia: Send + Sync {
     /// Read `buf.len()` bytes starting at `off`.
     fn read_at(&self, off: usize, buf: &mut [u8]) -> QsResult<()>;
 
-    /// Write `buf` starting at `off`. Durable once this returns (the engine
-    /// above decides *when* to call this — that is the WAL discipline).
+    /// Write `buf` starting at `off`. Reads see it at once, but it is
+    /// *volatile* until a later [`StableMedia::sync`] returns: a crash may
+    /// keep it or lose it. (The engine above decides when to write and when
+    /// to sync — that is the WAL discipline.)
     fn write_at(&self, off: usize, buf: &[u8]) -> QsResult<()>;
 
-    /// Flush any buffering the medium itself does (no-op for `MemDisk`).
+    /// Make every write that returned before this call durable. `MemDisk`
+    /// keeps every write, so its sync only waits out its latency;
+    /// [`crate::CrashDisk`] keeps only what a sync folded in.
     fn sync(&self) -> QsResult<()>;
 }
 
-fn check_bounds(len: usize, off: usize, n: usize) -> QsResult<()> {
+pub(crate) fn check_bounds(len: usize, off: usize, n: usize) -> QsResult<()> {
     if off.checked_add(n).is_none_or(|end| end > len) {
         return Err(QsError::Protocol {
             detail: format!("media access [{off}, {off}+{n}) out of bounds (len {len})"),

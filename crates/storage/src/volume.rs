@@ -119,9 +119,10 @@ impl Volume {
     /// Read a page from the permanent location (the caller meters disk I/O).
     pub fn read_page(&self, page: PageId) -> QsResult<Page> {
         let off = self.byte_offset(page)?;
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.media.read_at(off, &mut buf)?;
-        Page::from_bytes(&buf)
+        // Straight into the page's own buffer: one allocation, one copy.
+        let mut p = Page::new();
+        self.media.read_at(off, p.bytes_mut())?;
+        Ok(p)
     }
 
     /// Write a page to its permanent location.

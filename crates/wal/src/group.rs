@@ -23,9 +23,13 @@
 //! batch of two or more never waits, so many clients keep the log disk
 //! busy exactly as before.
 //!
-//! Correctness leans on one property of [`LogManager`]: `durable_lsn()`
-//! only advances to record *boundaries*, so `durable_lsn() > lsn` proves
-//! the whole record starting at `lsn` is on stable storage.
+//! Correctness leans on two properties of [`LogManager`]: `durable_lsn()`
+//! only advances to record *boundaries*, and only once the leader's
+//! `sync()` has returned — a media write is volatile until then — so
+//! `durable_lsn() > lsn` proves the whole record starting at `lsn` is on
+//! stable storage. A follower whose record the leader's force covers is
+//! therefore released by the leader's notify after the sync, not by the
+//! write that precedes it.
 
 use crate::log::{ForceStats, LogManager};
 use qs_types::sync::{Condvar, Mutex};

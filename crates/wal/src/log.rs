@@ -8,10 +8,16 @@
 //! prefix durable (the WAL discipline). `truncate_to` releases space —
 //! driven by the WPL reclaim thread or ordinary checkpointing.
 //!
-//! The durable header page stores `{start, durable, checkpoint}` LSNs and
-//! is rewritten on every force, so a restarted manager knows exactly where
-//! the recoverable log ends. Its magic carries the format revision
-//! (DESIGN.md "log on-disk format").
+//! The header page stores `{start, written, checkpoint}` LSNs and is
+//! rewritten on every force, before the force's one `sync()`, so a
+//! restarted manager knows exactly where the recoverable log ends. Its
+//! magic carries the format revision (DESIGN.md "log on-disk format").
+//!
+//! A media write is volatile until `sync()` returns ([`StableMedia`]), so
+//! the manager keeps two LSNs: what forces have *written* (the header
+//! names it) and what the medium has *synced*. Only the second is
+//! durable: [`LogManager::durable_lsn`] answers it, and acknowledgements,
+//! the WAL check before a page goes home and truncation wait for it.
 
 use crate::record::{self, LogRecord};
 use crate::writer::RecordWriter;
@@ -34,13 +40,18 @@ const REVISION: u64 = 2;
 struct LogState {
     /// Oldest LSN still needed (log space before it is reclaimable).
     start: Lsn,
-    /// Everything below this LSN is durable on the medium.
-    durable: Lsn,
+    /// Everything below this LSN has been written to the medium by a
+    /// force, and the header names it. Ahead of `synced` only while that
+    /// force waits for its `sync()`.
+    written: Lsn,
+    /// Everything below this LSN is durable: a `sync()` that began after
+    /// its bytes and the header naming them were written has returned.
+    synced: Lsn,
     /// Next append position.
     tail: Lsn,
-    /// LSN of the most recent checkpoint record (durable in the header).
+    /// LSN of the most recent checkpoint record (named in the header).
     checkpoint: Lsn,
-    /// Unforced tail: bytes for LSNs `[durable, tail)` — minus, while a
+    /// Unforced tail: bytes for LSNs `[written, tail)` — minus, while a
     /// force is writing, the prefix it detached into
     /// [`LogManager::writing`].
     buffer: Vec<u8>,
@@ -117,10 +128,10 @@ pub struct LogManager {
     /// detached from `LogState::buffer` so it is neither copied nor held
     /// under `state` for the length of the write; empty between forces
     /// (its capacity is what the buffer is swapped for, so steady-state
-    /// forces allocate nothing). Until the force publishes `durable` it is
-    /// still the front of `[durable, tail)` to every reader. Written only
-    /// by a force holding `state`; read under `state`, and by that force
-    /// alone without it.
+    /// forces allocate nothing). Until the force's `sync()` returns and it
+    /// publishes `synced`, it is still the front of `[synced, tail)` to
+    /// every reader. Written only by a force holding `state`; read under
+    /// `state`, and by that force alone without it.
     writing: RwLock<Vec<u8>>,
     /// Serializes forces with each other so the media write and `sync()`
     /// can run *outside* `state`: appends and reads proceed while a force
@@ -156,7 +167,8 @@ impl LogManager {
             body_capacity,
             state: Mutex::new(LogState {
                 start: origin,
-                durable: origin,
+                written: origin,
+                synced: origin,
                 tail: origin,
                 checkpoint: Lsn::NULL,
                 buffer: Vec::new(),
@@ -189,15 +201,17 @@ impl LogManager {
         }
         let body_capacity = u64::from_le_bytes(hdr[8..16].try_into().unwrap()) as usize;
         let start = Lsn(u64::from_le_bytes(hdr[16..24].try_into().unwrap()));
-        let durable = Lsn(u64::from_le_bytes(hdr[24..32].try_into().unwrap()));
+        let written = Lsn(u64::from_le_bytes(hdr[24..32].try_into().unwrap()));
         let checkpoint = Lsn(u64::from_le_bytes(hdr[32..40].try_into().unwrap()));
         Ok(LogManager {
             media,
             body_capacity,
             state: Mutex::new(LogState {
                 start,
-                durable,
-                tail: durable, // unforced appends died with the crash
+                // The header a crash left behind is one the medium synced.
+                written,
+                synced: written,
+                tail: written, // unforced appends died with the crash
                 checkpoint,
                 buffer: Vec::new(),
                 last_frame: Lsn::NULL,
@@ -219,7 +233,7 @@ impl LogManager {
         hdr[0..8].copy_from_slice(&(MAGIC | REVISION << MAGIC_BITS).to_le_bytes());
         hdr[8..16].copy_from_slice(&(self.body_capacity as u64).to_le_bytes());
         hdr[16..24].copy_from_slice(&st.start.0.to_le_bytes());
-        hdr[24..32].copy_from_slice(&st.durable.0.to_le_bytes());
+        hdr[24..32].copy_from_slice(&st.written.0.to_le_bytes());
         hdr[32..40].copy_from_slice(&st.checkpoint.0.to_le_bytes());
         self.media.write_at(0, &hdr)
     }
@@ -343,33 +357,42 @@ impl LogManager {
     /// This is the WAL hook: stealing a page with pageLSN `l` calls
     /// `force(l)` first.
     ///
-    /// Runs in three phases so the media write and `sync()` happen outside
+    /// Runs in four phases so the media write and `sync()` happen outside
     /// the state lock (appends keep flowing while the disk spins):
     ///
     /// 1. under `state`: find the target boundary — the tail itself when
     ///    `upto` reaches the last appended frame, as every commit force
     ///    does; only an interior LSN walks frame lengths — and *detach* the
-    ///    prefix `[durable, target)` into `writing`: what lies beyond the
+    ///    prefix `[written, target)` into `writing`: what lies beyond the
     ///    target moves to the emptied spare, which becomes the buffer;
     /// 2. no lock: write the prefix to the medium. Nobody reads it there
-    ///    yet (reads at LSN ≥ durable are served from `writing`, then the
+    ///    (reads at LSN ≥ synced are served from `writing`, then the
     ///    buffer), nobody else writes it (`force_serial` admits one force,
-    ///    `truncate_to` never moves `start` past `durable`);
-    /// 3. under `state`: empty `writing`, publish the new `durable`,
-    ///    rewrite the header; then `sync()` with no lock held. A failed
-    ///    media write puts the prefix back in front of the buffer instead:
-    ///    `durable`, `tail` and every readable byte are as before the call.
+    ///    truncation never moves `start` past `synced`);
+    /// 3. under `state`: publish `written`, rewrite the header naming it;
+    /// 4. no lock: `sync()` — the one sync covers body and header — then
+    ///    under `state` publish `synced` and empty `writing`.
+    ///
+    /// Nothing reads `synced` before the sync has returned, so nobody
+    /// acknowledges, writes a page home or truncates on bytes a crash could
+    /// still take. A header written meanwhile (`truncate_to`,
+    /// `set_checkpoint`) names `written`, never less than this force did. A
+    /// failed write, header write or sync puts the prefix back in front of
+    /// the buffer instead: `written`, `synced`, `tail` and every readable
+    /// byte are as before the call.
     pub fn force(&self, upto: Lsn) -> QsResult<ForceStats> {
         let _one_force = self.force_serial.lock();
-        // Phase 1: decide what to write and detach it.
+        // Phase 1: decide what to write and detach it. Between forces
+        // `written` and `synced` are equal.
         let mut st = self.state.lock();
-        let target = if upto < st.durable {
-            st.durable
+        let base = st.synced;
+        let target = if upto < base {
+            base
         } else if upto >= st.last_frame {
             st.tail
         } else {
             // End of the last record whose start is ≤ upto.
-            let mut end = st.durable;
+            let mut end = base;
             let mut idx = 0usize;
             while end <= upto {
                 let len = record::frame_len(&st.buffer[idx..])?;
@@ -378,11 +401,10 @@ impl LogManager {
             }
             end
         };
-        if target <= st.durable {
+        if target <= base {
             drop(st);
             return self.noop_force();
         }
-        let base = st.durable;
         let n = (target.0 - base.0) as usize;
         // `n` may exceed the buffer only through logic bugs; be strict.
         assert!(n <= st.buffer.len(), "force past buffered tail");
@@ -398,24 +420,29 @@ impl LogManager {
         // Phase 2: stream the body without blocking appenders or readers.
         let wrote = self.write_body(base, &self.writing.read());
 
-        // Phase 3: publish durability. Only forces mutate `durable` or the
-        // front of `[durable, tail)`, and `force_serial` keeps this one
-        // alone in flight, so `writing` still holds exactly `[base, target)`.
+        // Phases 3 and 4. Only forces mutate `written`, `synced` or the
+        // front of `[synced, tail)`, and `force_serial` keeps this one
+        // alone in flight, so `writing` holds exactly `[base, target)`
+        // until it is emptied here.
+        let synced = wrote
+            .and_then(|()| {
+                let mut st = self.state.lock();
+                st.written = target;
+                self.write_header(&st)
+            })
+            .and_then(|()| self.media.sync());
         let mut st = self.state.lock();
-        {
-            let mut detached = self.writing.write();
-            if let Err(e) = wrote {
-                detached.extend_from_slice(&st.buffer);
-                std::mem::swap(&mut st.buffer, &mut *detached);
-                detached.clear();
-                return Err(e);
-            }
+        let mut detached = self.writing.write();
+        if let Err(e) = synced {
+            st.written = base;
+            detached.extend_from_slice(&st.buffer);
+            std::mem::swap(&mut st.buffer, &mut *detached);
             detached.clear();
+            return Err(e);
         }
-        st.durable = target;
-        self.write_header(&st)?;
-        drop(st);
-        self.media.sync()?;
+        st.synced = target;
+        detached.clear();
+        drop((detached, st));
         // Sequential pages touched: the force streams `n` bytes.
         let pages = (n as u64).div_ceil(PAGE_SIZE as u64).max(1);
         self.tracer.event(TraceCat::WalForce, "force", pages, 0);
@@ -470,17 +497,17 @@ impl LogManager {
                 ),
             });
         }
-        // Durable part straight from the medium…
-        let media_end = end.min(st.durable);
+        // Synced part straight from the medium…
+        let media_end = end.min(st.synced);
         if from < media_end {
             let n = (media_end.0 - from.0) as usize;
             self.read_body(from, &mut buf[..n])?;
         }
         // …and the rest from memory: what a force in flight detached, if
         // one is, then the tail buffer.
-        if end > st.durable && end > from {
-            let b_from = from.max(st.durable);
-            let mut skip = (b_from.0 - st.durable.0) as usize;
+        if end > st.synced && end > from {
+            let b_from = from.max(st.synced);
+            let mut skip = (b_from.0 - st.synced.0) as usize;
             let mut out = &mut buf[(b_from.0 - from.0) as usize..];
             for part in [&self.writing.read()[..], &st.buffer[..]] {
                 if skip >= part.len() {
@@ -521,9 +548,9 @@ impl LogManager {
     /// Release log space: records before `lsn` are no longer needed.
     pub fn truncate_to(&self, lsn: Lsn) -> QsResult<()> {
         let mut st = self.state.lock();
-        if lsn > st.durable {
+        if lsn > st.synced {
             return Err(QsError::Protocol {
-                detail: format!("truncate to {lsn} past durable {}", st.durable),
+                detail: format!("truncate to {lsn} past durable {}", st.synced),
             });
         }
         if lsn > st.start {
@@ -534,7 +561,7 @@ impl LogManager {
     }
 
     /// Advance the truncation low-water mark to `keep`, clamped to what is
-    /// actually releasable: never past `durable`, never backwards. Unlike
+    /// actually releasable: never past what is durable, never backwards. Unlike
     /// [`LogManager::truncate_to`], which treats an over-advanced request
     /// as a protocol error, this is the concurrent-checkpoint entry point —
     /// foreground appends may land between computing `keep` and calling
@@ -542,7 +569,7 @@ impl LogManager {
     /// start LSN after the advance.
     pub fn advance_low_water_mark(&self, keep: Lsn) -> QsResult<Lsn> {
         let mut st = self.state.lock();
-        let clamped = keep.min(st.durable);
+        let clamped = keep.min(st.synced);
         if clamped > st.start {
             st.start = clamped;
             self.write_header(&st)?;
@@ -566,8 +593,11 @@ impl LogManager {
         self.state.lock().tail
     }
 
+    /// Everything below this LSN is on stable storage: a force wrote it and
+    /// the medium's `sync()` has since returned. It only lands on record
+    /// boundaries.
     pub fn durable_lsn(&self) -> Lsn {
-        self.state.lock().durable
+        self.state.lock().synced
     }
 
     pub fn start_lsn(&self) -> Lsn {

@@ -124,6 +124,16 @@ if grep -nE 'HashMap|HashSet' crates/esm/src/restart.rs; then
     exit 1
 fi
 
+echo "== restart reads every replayed log once =="
+# One scan for every log (DESIGN.md §6c): no-steal frames park per page
+# until their transaction's end, so the second scan and the analysis-only
+# worker it needed are gone; their names may not come back.
+if grep -nE 'fn analyze\(|fn redo\(|PageShard' crates/esm/src/restart.rs; then
+    echo "FAIL: crates/esm/src/restart.rs names the deleted second scan" \
+         "(analyze / redo / PageShard)"
+    exit 1
+fi
+
 echo "== one pass per log record: no tail copy in force, no pool scan per overflow =="
 # `LogManager::force` detaches the prefix it writes; a `to_vec` there is
 # the 2 MB-per-commit copy coming back. `Store` scans the client pool for
@@ -247,9 +257,9 @@ if ! timeout 120 cargo test -q --offline -p qs-wal --test force_detached; then
     exit 1
 fi
 
-# The sharded analysis pass's own unit tests (crates/esm/src/restart.rs:
-# analyze vs the serial reference at 1/2/4/8 workers and one-record
-# chunks) drive the same channels.
+# The restart engine's own unit tests (crates/esm/src/restart.rs: the one
+# scan vs the serial two-pass reference at 1/2/4/8 workers and one-record
+# chunks, parked no-steal frames included) drive the same channels.
 if ! timeout 120 cargo test -q --offline -p qs-esm --lib restart::; then
     echo "FAIL: qs-esm restart:: unit tests did not finish within 120s or failed"
     exit 1
@@ -301,10 +311,9 @@ echo "== restart benchmark smoke run =="
 # the phase-count cross-check enabled; --validate asserts the JSON covers
 # every scheme × worker count, that every row carries the per-stage wall
 # accounting (reader, router, each worker, merge, undo, checkpoint), that
-# no scan reports more busy time than wall × threads, and that a restart
-# over a physical-only log (PD-ESM, PD-REDO) made exactly one scan and
-# read no more than 1.05 × its log span + one chunk — the second read of
-# the log must not come back.
+# no scan reports more busy time than wall × threads, and that every
+# restart made exactly one scan and read no more than 1.05 × its log span
+# + one chunk — the second read of the log must not come back.
 restart_dir=$(mktemp -d)
 (cd "$restart_dir" && "$OLDPWD/target/release/restart_bench" --smoke > /dev/null)
 cargo run --release --offline -p qs-bench --bin restart_bench -- \
