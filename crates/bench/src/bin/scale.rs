@@ -1,23 +1,19 @@
-//! `scale`: wall-clock client scaling of the event-driven server runtime.
+//! `scale`: wall-clock client scaling of the thread-per-client server.
 //!
 //! Unlike the figure binaries (simulated 1995 time), this measures *real*
 //! elapsed time on the host. For each client count in 16/64/256/1024 the
-//! same disjoint-working-set update workload runs three ways against a
-//! fresh server whose log disk carries a real per-sync latency:
+//! same disjoint-working-set update workload runs two ways against a
+//! fresh server whose log disk carries a real per-sync latency, one OS
+//! thread per client making direct server calls:
 //!
-//! * `threads` — thread-per-connection, direct server calls, group
-//!   commit off: the paper-era baseline, one OS thread per client and
-//!   one log sync per commit.
-//! * `threads_gc` — thread-per-connection with leader/follower group
-//!   commit: the decomposed server at its best.
-//! * `reactor` — the event-driven runtime: 8 reactor workers, a small
-//!   admission budget (so the 256/1024-client points exercise shedding),
-//!   batched commit forces from the committer thread, and a handful of
-//!   driver threads multiplexing every simulated client.
+//! * `threads` — group commit off: the paper-era baseline, one log sync
+//!   per commit.
+//! * `threads_gc` — leader/follower group commit: concurrent committers
+//!   share one log sync.
 //!
 //! Results are written to `BENCH_scale.json` (see EXPERIMENTS.md):
-//! throughput, mean commit-force batch, shed counts, and queue/lock wait
-//! p99s per row.
+//! throughput, mean commit-force batch and the subsystem-mutex wait p99
+//! per row.
 //!
 //! Flags:
 //!   --smoke            tiny transaction counts and near-zero sync
@@ -34,10 +30,8 @@
 //!                      schema is unchanged; without the flag no flusher
 //!                      runs and nothing checkpoints below the watermark
 
-use qs_bench::driver::{
-    assert_workload_applied, build_scale_server, drive_reactor, drive_threads, ScaleWorkload,
-};
-use qs_esm::{Reactor, RuntimeConfig, ServerConfig};
+use qs_bench::driver::{assert_workload_applied, build_scale_server, drive_threads, ScaleWorkload};
+use qs_esm::ServerConfig;
 use qs_sim::{HardwareModel, JsonWriter, Meter};
 use qs_trace::Tracer;
 use quickstore::SystemConfig;
@@ -46,14 +40,6 @@ use std::time::Duration;
 
 /// The sweep.
 const CLIENT_COUNTS: &[usize] = &[16, 64, 256, 1024];
-/// Reactor worker threads for every reactor row.
-const REACTOR_WORKERS: usize = 8;
-/// Driver threads multiplexing the simulated clients in reactor mode.
-const DRIVER_THREADS: usize = 8;
-/// Admission budget for the reactor rows — small enough that the
-/// 256/1024-client points shed (exercising backpressure), large enough
-/// that 16 clients never do.
-const INFLIGHT_BUDGET: usize = 128;
 /// Pool shards for every mode (the PR-3 decomposition).
 const SHARDS: usize = 8;
 
@@ -63,9 +49,6 @@ struct ModeResult {
     txns: u64,
     wall: Duration,
     commit_batch_mean: f64,
-    shed_budget: u64,
-    shed_queue: u64,
-    queue_wait_p99_ns: u64,
     lock_wait_p99_ns: u64,
 }
 
@@ -76,7 +59,7 @@ impl ModeResult {
 }
 
 fn server_cfg(w: &ScaleWorkload, group_commit: bool) -> ServerConfig {
-    // Scale measures the runtime, not recovery: every row runs the shared
+    // Scale measures the server's concurrency, not recovery: every row runs the shared
     // Table 3 list's lead scheme (PD-ESM) rather than a hand-copied flavor.
     let flavor = SystemConfig::by_name("PD-ESM").expect("shared scheme list").flavor;
     ServerConfig::new(flavor)
@@ -91,11 +74,6 @@ fn bench_tracer() -> Arc<Tracer> {
     let tracer = Tracer::flight(Meter::new(), HardwareModel::paper_1995(), 256);
     tracer.set_lock_stats(true);
     tracer
-}
-
-/// p99 of one histogram, 0 when it was never recorded into.
-fn p99(tracer: &Tracer, name: &str) -> u64 {
-    tracer.histogram(name).map(|h| h.summary().p99).unwrap_or(0)
 }
 
 /// Worst subsystem-mutex wait tail (`lock_wait:*` histograms).
@@ -137,7 +115,7 @@ fn with_checkpointer<T>(
     out
 }
 
-/// One thread-per-connection row.
+/// One row.
 fn run_threads(
     w: &ScaleWorkload,
     group_commit: bool,
@@ -160,44 +138,6 @@ fn run_threads(
         } else {
             1.0
         },
-        shed_budget: 0,
-        shed_queue: 0,
-        queue_wait_p99_ns: 0,
-        lock_wait_p99_ns: lock_wait_p99(&tracer),
-    }
-}
-
-/// One event-driven-runtime row.
-fn run_reactor(w: &ScaleWorkload, name: String, ckpt: Option<Duration>) -> ModeResult {
-    let tracer = bench_tracer();
-    let cfg = server_cfg(w, false).with_runtime(RuntimeConfig {
-        workers: REACTOR_WORKERS,
-        inflight_budget: INFLIGHT_BUDGET,
-        queue_depth_max: 4096,
-        mailbox_depth: 16,
-    });
-    let (server, sets) = build_scale_server(cfg, w, Arc::clone(&tracer));
-    let reactor = Reactor::start(&server);
-    let wall = with_checkpointer(&server, ckpt, || {
-        drive_reactor(&reactor, &sets, w.txns_per_client, DRIVER_THREADS)
-    });
-    let stats = reactor.stats();
-    reactor.stop();
-    assert_workload_applied(&server, &sets, w.txns_per_client);
-    assert_eq!(
-        stats.commit_calls,
-        w.total_txns() as u64,
-        "every transaction must commit exactly once"
-    );
-    ModeResult {
-        name,
-        clients: w.clients,
-        txns: w.total_txns() as u64,
-        wall,
-        commit_batch_mean: stats.commit_calls as f64 / stats.commit_forces.max(1) as f64,
-        shed_budget: stats.shed_budget,
-        shed_queue: stats.shed_queue,
-        queue_wait_p99_ns: p99(&tracer, "runtime_queue_wait_ns"),
         lock_wait_p99_ns: lock_wait_p99(&tracer),
     }
 }
@@ -216,7 +156,7 @@ fn sweep_workload(clients: usize, smoke: bool) -> ScaleWorkload {
 fn expected_names() -> Vec<String> {
     let mut names = Vec::new();
     for &c in CLIENT_COUNTS {
-        for mode in ["threads", "threads_gc", "reactor"] {
+        for mode in ["threads", "threads_gc"] {
             names.push(format!("scale/c{c}/{mode}"));
         }
     }
@@ -240,9 +180,6 @@ fn render_json(results: &[ModeResult], smoke: bool) -> String {
             .field_u64("wall_ns", r.wall.as_nanos() as u64)
             .field_f64("throughput_tps", r.throughput_tps())
             .field_f64("commit_batch_mean", r.commit_batch_mean)
-            .field_u64("shed_budget", r.shed_budget)
-            .field_u64("shed_queue", r.shed_queue)
-            .field_u64("queue_wait_p99_ns", r.queue_wait_p99_ns)
             .field_u64("lock_wait_p99_ns", r.lock_wait_p99_ns)
             .end_object();
     }
@@ -266,13 +203,12 @@ fn validate(path: &str) -> Result<(), String> {
 
 fn print_row(r: &ModeResult) {
     println!(
-        "{:<26} {:>9.1} tps  wall {:>9.1?}  batch {:>6.2}  shed {:>6}  q_p99 {:>9}ns",
+        "{:<26} {:>9.1} tps  wall {:>9.1?}  batch {:>6.2}  lock_p99 {:>9}ns",
         r.name,
         r.throughput_tps(),
         r.wall,
         r.commit_batch_mean,
-        r.shed_budget + r.shed_queue,
-        r.queue_wait_p99_ns,
+        r.lock_wait_p99_ns,
     );
 }
 
@@ -323,11 +259,9 @@ fn main() {
         print_row(&threads);
         let threads_gc = run_threads(&w, true, format!("scale/c{clients}/threads_gc"), ckpt);
         print_row(&threads_gc);
-        let reactor = run_reactor(&w, format!("scale/c{clients}/reactor"), ckpt);
-        print_row(&reactor);
-        let speedup = threads.wall.as_secs_f64() / reactor.wall.as_secs_f64();
-        println!("   reactor vs threads: {speedup:.2}x");
-        results.extend([threads, threads_gc, reactor]);
+        let speedup = threads.wall.as_secs_f64() / threads_gc.wall.as_secs_f64();
+        println!("   threads_gc vs threads: {speedup:.2}x");
+        results.extend([threads, threads_gc]);
     }
 
     let json = render_json(&results, smoke);

@@ -1,30 +1,18 @@
-//! Shared transaction-driving harness for the wall-clock scale bench.
+//! Shared transaction-driving harness for the wall-clock scale and
+//! checkpoint benches.
 //!
-//! Three ways to push the same disjoint-working-set update workload
-//! through a server, all measuring *real* elapsed time (not simulated
-//! 1995 time):
-//!
-//! * [`drive_threads`] — one OS thread per client making direct server
-//!   calls (the thread-per-connection shape the paper's testbed had).
-//! * [`drive_reactor`] — the same workload expressed as typed
-//!   [`Request`] messages over reactor [`ClientPort`]s, with a small set
-//!   of driver threads multiplexing hundreds of simulated clients; shed
-//!   (`Overloaded`) replies are retried, so admission control shapes but
-//!   never loses work.
-//!
-//! Both drivers run the identical per-transaction protocol — begin, then
-//! per page: X-lock + fetch, mutate, ship log record, ship dirty page,
-//! then commit — so their wall clocks are directly comparable.
+//! Every client is one OS thread making direct server calls (the
+//! thread-per-connection shape the paper's testbed had), measuring *real*
+//! elapsed time (not simulated 1995 time). Each transaction runs the same
+//! protocol — begin, then per page: X-lock + fetch, mutate, ship log
+//! record, ship dirty page, then commit.
 
-use qs_esm::{
-    ClientPort, LockMode, Reactor, RecoveryFlavor, Request, Response, Server, ServerConfig,
-    StableParts,
-};
+use qs_esm::{LockMode, RecoveryFlavor, Server, ServerConfig, StableParts};
 use qs_sim::Meter;
 use qs_storage::{MemDisk, Page, Volume};
 use qs_trace::Tracer;
 use qs_types::sync::Mutex;
-use qs_types::{ClientId, Lsn, PageId, TxnId};
+use qs_types::{Lsn, PageId, TxnId};
 use qs_wal::{LogManager, LogRecord};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -208,190 +196,8 @@ pub fn drive_threads_commit_latency(
     lats.into_inner()
 }
 
-/// Where a [`SimClient`] is in its current transaction.
-enum Step {
-    Begin,
-    Fetch(usize),
-    Note(usize),
-    Log(usize),
-    Ship(usize),
-    Commit,
-}
-
-/// One simulated client: a tiny state machine over a raw [`ClientPort`],
-/// pumped by a driver thread. Runs the same protocol as
-/// [`drive_threads`]'s direct calls, one outstanding request at a time.
-struct SimClient {
-    port: ClientPort,
-    set: Vec<PageId>,
-    idx: usize,
-    txns_left: usize,
-    seq: usize,
-    txn: TxnId,
-    step: Step,
-    /// The fetched page being updated (held across Note/Log/Ship).
-    page: Option<Box<Page>>,
-    awaiting: bool,
-    /// Pump cycles to sit out after an `Overloaded` reply — the client's
-    /// half of backpressure. Without it a shed client resubmits every
-    /// driver pass and the retry traffic itself swamps admission.
-    cooldown: u32,
-    done: bool,
-}
-
-impl SimClient {
-    fn new(port: ClientPort, set: Vec<PageId>, idx: usize, txns: usize) -> SimClient {
-        SimClient {
-            port,
-            set,
-            idx,
-            txns_left: txns,
-            seq: 0,
-            txn: TxnId::INVALID,
-            step: Step::Begin,
-            page: None,
-            awaiting: false,
-            cooldown: 0,
-            done: txns == 0,
-        }
-    }
-
-    fn val(&self) -> u8 {
-        txn_val(self.idx, self.seq)
-    }
-
-    fn current_request(&self) -> Request {
-        match self.step {
-            Step::Begin => Request::Begin,
-            Step::Fetch(i) => {
-                Request::FetchLocked { txn: self.txn, pid: self.set[i], mode: LockMode::X }
-            }
-            Step::Note(i) => Request::NoteLogged { txn: self.txn, pid: self.set[i] },
-            Step::Log(i) => Request::LogBytes {
-                txn: self.txn,
-                bytes: update_record(self.txn, self.set[i], self.val()).encode(),
-            },
-            Step::Ship(i) => Request::DirtyPage {
-                txn: self.txn,
-                pid: self.set[i],
-                page: self.page.clone().expect("page fetched before ship"),
-            },
-            Step::Commit => Request::Commit { txn: self.txn },
-        }
-    }
-
-    fn advance(&mut self, resp: Response) {
-        match (&self.step, resp) {
-            (Step::Begin, Response::Began(t)) => {
-                self.txn = t;
-                self.step = Step::Fetch(0);
-            }
-            (Step::Fetch(i), Response::Page(mut p)) => {
-                let i = *i;
-                p.object_mut(self.set[i], 0).unwrap().fill(self.val());
-                self.page = Some(p);
-                self.step = Step::Note(i);
-            }
-            (Step::Note(i), Response::Ok) => self.step = Step::Log(*i),
-            (Step::Log(i), Response::Ok) => self.step = Step::Ship(*i),
-            (Step::Ship(i), Response::Ok) => {
-                let next = *i + 1;
-                self.page = None;
-                self.step = if next < self.set.len() { Step::Fetch(next) } else { Step::Commit };
-            }
-            (Step::Commit, Response::Committed(_)) => {
-                self.seq += 1;
-                self.txns_left -= 1;
-                if self.txns_left == 0 {
-                    self.done = true;
-                } else {
-                    self.step = Step::Begin;
-                }
-            }
-            (_, Response::Err(e)) => panic!("sim client {}: server error: {e}", self.idx),
-            (_, other) => {
-                panic!("sim client {}: unexpected {} reply", self.idx, other.kind())
-            }
-        }
-    }
-
-    /// One pump: submit the pending request or poll the mailbox. Returns
-    /// true when anything happened (admission sheds count as progress —
-    /// the resubmit is the backpressure loop working).
-    fn pump(&mut self) -> bool {
-        if self.done {
-            return false;
-        }
-        if self.cooldown > 0 {
-            self.cooldown -= 1;
-            return false;
-        }
-        if !self.awaiting {
-            self.port.submit(self.current_request());
-            self.awaiting = true;
-            return true;
-        }
-        match self.port.try_recv() {
-            None => false,
-            Some(Response::Overloaded) => {
-                // Resubmit after sitting out a while; shed-and-retry is
-                // backpressure working, not progress.
-                self.awaiting = false;
-                self.cooldown = 64;
-                false
-            }
-            Some(resp) => {
-                self.awaiting = false;
-                self.advance(resp);
-                true
-            }
-        }
-    }
-}
-
-/// Reactor driver: `sets.len()` simulated clients multiplexed over
-/// `drivers` pumping threads. Returns the wall clock for the whole run.
-pub fn drive_reactor(
-    reactor: &Reactor,
-    sets: &[Vec<PageId>],
-    txns_per_client: usize,
-    drivers: usize,
-) -> Duration {
-    let mut clients: Vec<SimClient> = sets
-        .iter()
-        .enumerate()
-        .map(|(i, set)| {
-            SimClient::new(reactor.connect(ClientId(i as u16)), set.clone(), i, txns_per_client)
-        })
-        .collect();
-    let drivers = drivers.clamp(1, clients.len().max(1));
-    let chunk = clients.len().div_ceil(drivers);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for group in clients.chunks_mut(chunk) {
-            s.spawn(move || loop {
-                let mut progress = false;
-                let mut all_done = true;
-                for c in group.iter_mut() {
-                    if !c.done {
-                        all_done = false;
-                        progress |= c.pump();
-                    }
-                }
-                if all_done {
-                    break;
-                }
-                if !progress {
-                    std::thread::yield_now();
-                }
-            });
-        }
-    });
-    t0.elapsed()
-}
-
 /// Read back every workload page and assert the last committed value is
-/// in place — both drivers must leave identical, complete state.
+/// in place.
 pub fn assert_workload_applied(server: &Server, sets: &[Vec<PageId>], txns_per_client: usize) {
     if txns_per_client == 0 {
         return;

@@ -16,7 +16,6 @@ use crate::buffer::{BufferPool, Evicted, PoolSlot};
 use crate::lock::{LockMode, Resource};
 use crate::net;
 use crate::protocol::{Protocol, RecoveryFlavor};
-use crate::runtime::{ClientPort, Reactor, Request, Response};
 use crate::server::Server;
 use qs_sim::Meter;
 use qs_storage::Page;
@@ -26,16 +25,6 @@ use qs_wal::{record, LogPressure, LogRecord, RecordWriter, SchemeCode};
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// How a [`ClientConn`] reaches the server: direct method calls on the
-/// caller's thread (the seed behavior, byte-identical figures), or typed
-/// messages through a [`Reactor`]'s run queues. The transport carries the
-/// same operations in the same order, so the client-side network metering
-/// below is identical in both modes.
-enum Wire {
-    Direct,
-    Reactor(ClientPort),
-}
 
 /// One client workstation's connection to the server.
 pub struct ClientConn {
@@ -59,24 +48,6 @@ pub struct ClientConn {
     last_pressure: LogPressure,
     /// Shared with the server: a traced server's clients trace too.
     tracer: Arc<Tracer>,
-    /// Transport to the server (direct calls or reactor messages).
-    wire: Wire,
-}
-
-/// Unwrap an unexpected reply: a typed error passes through, anything
-/// else is a protocol violation.
-fn reply_err(op: &str, resp: Response) -> QsError {
-    match resp {
-        Response::Err(e) => e,
-        other => QsError::Protocol { detail: format!("unexpected {} reply to {op}", other.kind()) },
-    }
-}
-
-fn expect_unit(op: &str, resp: Response) -> QsResult<()> {
-    match resp {
-        Response::Ok => Ok(()),
-        other => Err(reply_err(op, other)),
-    }
 }
 
 impl ClientConn {
@@ -94,21 +65,7 @@ impl ClientConn {
             scheme: None,
             last_pressure: LogPressure::default(),
             tracer,
-            wire: Wire::Direct,
         }
-    }
-
-    /// Like [`ClientConn::new`], but every server operation travels as a
-    /// typed message through the reactor's run queues instead of a direct
-    /// call on this thread.
-    pub fn via_reactor(
-        id: ClientId,
-        reactor: &Reactor,
-        pool_pages: usize,
-        meter: Arc<Meter>,
-    ) -> Self {
-        let wire = Wire::Reactor(reactor.connect(id));
-        ClientConn { wire, ..Self::new(id, Arc::clone(reactor.server()), pool_pages, meter) }
     }
 
     pub fn server(&self) -> &Arc<Server> {
@@ -142,13 +99,7 @@ impl ClientConn {
             return Err(QsError::Protocol { detail: "transaction already in progress".into() });
         }
         net::control_round_trip(&self.meter);
-        let t = match &self.wire {
-            Wire::Direct => self.server.begin(),
-            Wire::Reactor(port) => match port.call(Request::Begin) {
-                Response::Began(t) => t,
-                other => return Err(reply_err("begin", other)),
-            },
-        };
+        let t = self.server.begin();
         self.txn = Some(t);
         Ok(t)
     }
@@ -230,18 +181,8 @@ impl ClientConn {
             self.pool.len() < self.pool.capacity(),
             "fetch_page without room; call ensure_room first"
         );
-        let page = match &self.wire {
-            Wire::Direct => {
-                self.server.lock_page(txn, pid, mode)?;
-                self.server.fetch_page(txn, pid)?
-            }
-            // One message does lock + fetch: the page-fault path is a
-            // single round trip in both modes.
-            Wire::Reactor(port) => match port.call(Request::FetchLocked { txn, pid, mode }) {
-                Response::Page(p) => *p,
-                other => return Err(reply_err("fetch", other)),
-            },
-        };
+        self.server.lock_page(txn, pid, mode)?;
+        let page = self.server.fetch_page(txn, pid)?;
         net::page_fetch(&self.meter);
         self.meter.page_requests.fetch_add(1, Ordering::Relaxed);
         let ev = self.pool.insert(pid, page, false)?;
@@ -278,12 +219,7 @@ impl ClientConn {
     fn lock_remote(&mut self, resource: Resource, mode: LockMode) -> QsResult<()> {
         let txn = self.txn()?;
         net::control_round_trip(&self.meter);
-        match &self.wire {
-            Wire::Direct => self.server.lock_resource(txn, resource, mode),
-            Wire::Reactor(port) => {
-                expect_unit("lock", port.call(Request::Lock { txn, resource, mode }))
-            }
-        }
+        self.server.lock_resource(txn, resource, mode)
     }
 
     /// Allocate a fresh page inside the current transaction (logged at the
@@ -292,13 +228,7 @@ impl ClientConn {
     pub fn allocate_page(&mut self) -> QsResult<PageId> {
         let txn = self.txn()?;
         net::control_round_trip(&self.meter);
-        match &self.wire {
-            Wire::Direct => self.server.allocate_page(txn),
-            Wire::Reactor(port) => match port.call(Request::Allocate { txn }) {
-                Response::Allocated(pid) => Ok(pid),
-                other => Err(reply_err("allocate", other)),
-            },
-        }
+        self.server.allocate_page(txn)
     }
 
     /// Install a locally created page image into the cache as dirty.
@@ -324,7 +254,7 @@ impl ClientConn {
             return Err(QsError::Protocol { detail: "WPL generates no client log records".into() });
         }
         self.pages_logged.insert(pid);
-        self.note_logged_remote(txn, pid)?;
+        self.server.note_page_logged(txn, pid)?;
         // Counted here and handed to the meter ahead of each ship event
         // (trace timestamps are priced from the meter) and at the end.
         let (mut records, mut image_bytes) = (0u64, 0u64);
@@ -426,13 +356,7 @@ impl ClientConn {
         }
         self.meter.log_record_pages_shipped.fetch_add(1, Ordering::Relaxed);
         self.tracer.event(TraceCat::Ship, "log_page", txn.0, bytes as u64);
-        match &self.wire {
-            Wire::Direct => self.server.receive_log_bytes(txn, &self.log_buf[..bytes])?,
-            Wire::Reactor(port) => expect_unit(
-                "log_bytes",
-                port.call(Request::LogBytes { txn, bytes: self.log_buf[..bytes].to_vec() }),
-            )?,
-        }
+        self.server.receive_log_bytes(txn, &self.log_buf[..bytes])?;
         self.log_buf.drain(..bytes);
         Ok(())
     }
@@ -453,16 +377,7 @@ impl ClientConn {
     pub fn note_page_logged(&mut self, pid: PageId) -> QsResult<()> {
         let txn = self.txn()?;
         self.pages_logged.insert(pid);
-        self.note_logged_remote(txn, pid)
-    }
-
-    fn note_logged_remote(&self, txn: TxnId, pid: PageId) -> QsResult<()> {
-        match &self.wire {
-            Wire::Direct => self.server.note_page_logged(txn, pid),
-            Wire::Reactor(port) => {
-                expect_unit("note_logged", port.call(Request::NoteLogged { txn, pid }))
-            }
-        }
+        self.server.note_page_logged(txn, pid)
     }
 
     // -- dirty-page shipping -------------------------------------------------
@@ -480,17 +395,7 @@ impl ClientConn {
         net::page_upload(&self.meter);
         self.meter.dirty_pages_shipped.fetch_add(1, Ordering::Relaxed);
         self.tracer.event(TraceCat::Ship, "dirty_page", txn.0, pid.0 as u64);
-        self.ship_page_remote(txn, pid, page)
-    }
-
-    fn ship_page_remote(&self, txn: TxnId, pid: PageId, page: Page) -> QsResult<()> {
-        match &self.wire {
-            Wire::Direct => self.server.receive_dirty_page(txn, pid, page),
-            Wire::Reactor(port) => expect_unit(
-                "dirty_page",
-                port.call(Request::DirtyPage { txn, pid, page: Box::new(page) }),
-            ),
-        }
+        self.server.receive_dirty_page(txn, pid, page)
     }
 
     /// Ship a *still-cached* dirty page (commit path) and mark it clean in
@@ -519,13 +424,7 @@ impl ClientConn {
             "dirty pages remain at commit"
         );
         net::control_round_trip(&self.meter);
-        self.last_pressure = match &self.wire {
-            Wire::Direct => self.server.commit(txn)?,
-            Wire::Reactor(port) => match port.call(Request::Commit { txn }) {
-                Response::Committed(p) => p,
-                other => return Err(reply_err("commit", other)),
-            },
-        };
+        self.last_pressure = self.server.commit(txn)?;
         if deferred {
             // Pages were never shipped; they are clean *locally* now in the
             // sense that recovery no longer depends on this copy.
@@ -548,10 +447,7 @@ impl ClientConn {
             self.pool.remove(pid);
         }
         net::control_round_trip(&self.meter);
-        match &self.wire {
-            Wire::Direct => self.server.abort(txn)?,
-            Wire::Reactor(port) => expect_unit("abort", port.call(Request::Abort { txn }))?,
-        }
+        self.server.abort(txn)?;
         self.txn = None;
         self.pages_logged.clear();
         self.scheme = None;
@@ -598,7 +494,6 @@ mod tests {
             pool_shards: 1,
             group_commit: false,
             restart: crate::server::RestartConfig::default(),
-            runtime: crate::runtime::RuntimeConfig::default(),
         };
         let meter = Meter::new();
         let server = Arc::new(Server::format(cfg, Arc::clone(&meter)).unwrap());
@@ -676,7 +571,6 @@ mod tests {
             pool_shards: 1,
             group_commit: false,
             restart: crate::server::RestartConfig::default(),
-            runtime: crate::runtime::RuntimeConfig::default(),
         };
         let s2 = Server::restart(server, cfg, Meter::new()).unwrap();
         let page = s2.read_page_for_test(pid).unwrap();

@@ -2,8 +2,7 @@
 //! no committing client does.
 //!
 //! Once [`crate::server::Server::start_flusher`] has been called, a commit
-//! (or the reactor's committer) that finds the log past its high watermark
-//! only queues a wakeup here; the pass itself — a checkpoint, or WPL
+//! that finds the log past its high watermark only queues a wakeup here; the pass itself — a checkpoint, or WPL
 //! reclaim — runs on this thread. The checkpoint it runs is the same one
 //! an inline caller runs (`server/maint.rs`): its drain claims batches of
 //! dirty pages shard by shard (pinning them under only that shard's lock),

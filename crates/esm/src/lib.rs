@@ -40,7 +40,6 @@ pub mod lock;
 pub mod net;
 pub mod protocol;
 pub mod restart;
-pub mod runtime;
 pub mod server;
 pub mod shard;
 pub mod tower;
@@ -50,9 +49,8 @@ pub mod wpl;
 pub use buffer::{BufferPool, Evicted, PoolSlot};
 pub use client::ClientConn;
 pub use gate::VolumeGate;
-pub use lock::{AsyncLockOutcome, LockEvents, LockManager, LockMode, Resource};
+pub use lock::{LockManager, LockMode, Resource};
 pub use protocol::{FlavorFacts, Protocol, RecoveryFlavor};
-pub use runtime::{ClientPort, Reactor, Request, Response, RuntimeConfig, RuntimeStats};
 pub use server::{RestartConfig, Server, ServerConfig, StableParts};
 pub use shard::ShardedPool;
 pub use tower::LogTower;

@@ -26,7 +26,6 @@
 use qs_types::sync::{Condvar, Mutex};
 use qs_types::{PageId, QsError, QsResult, TxnId};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 
 /// Lock modes. `S` for reads, `X` for updates; `IS`/`IX` are page-level
 /// intention modes taken on behalf of record-level `S`/`X` locks.
@@ -115,44 +114,12 @@ impl From<PageId> for Resource {
     }
 }
 
-/// Outcome of a non-blocking queued acquire ([`LockManager::lock_async`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AsyncLockOutcome {
-    /// Granted immediately; the caller may proceed.
-    Granted,
-    /// Conflicts with a current holder: the request joined the FIFO wait
-    /// queue and the registered [`LockEvents`] sink will be told when it
-    /// resolves (grant or deadlock abort).
-    Queued,
-}
-
-/// Receiver for deferred async-lock resolutions. The reactor runtime
-/// registers one so a queued request parks a *message*, not a thread.
-/// Callbacks fire outside the lock-table mutex; a grant callback may
-/// re-enter the lock manager.
-pub trait LockEvents: Send + Sync {
-    /// `txn`'s queued request on `resource` resolved: `Ok` means the lock
-    /// is now held, `Err(LockConflict)` means waiting would have
-    /// deadlocked and the request was aborted instead. For a record
-    /// request whose *intention* lock queued, the resource reported is
-    /// the page — the waiter re-runs its request and the completed
-    /// intention step re-grants re-entrantly.
-    fn lock_done(&self, txn: TxnId, resource: Resource, result: QsResult<()>);
-}
-
-/// How a queued waiter learns about its grant: a blocked thread on the
-/// condvar (`Sync`) or the registered [`LockEvents`] sink (`Async`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WaiterKind {
-    Sync,
-    Async,
-}
-
+/// A blocked request: the thread that made it sleeps on the manager's
+/// condvar until it reaches the queue head.
 #[derive(Debug, Clone, Copy)]
 struct Waiter {
     txn: TxnId,
     mode: LockMode,
-    kind: WaiterKind,
 }
 
 #[derive(Debug, Default)]
@@ -206,16 +173,10 @@ impl LockTables {
     }
 }
 
-/// One deferred resolution to deliver once the table mutex is dropped.
-type Resolution = (TxnId, Resource, QsResult<()>);
-
 /// The server's lock manager.
 pub struct LockManager {
     tables: Mutex<LockTables>,
     wakeup: Condvar,
-    /// Sink for async-waiter resolutions (reactor runtime). Behind its
-    /// own mutex, taken only after `tables` is released.
-    events: Mutex<Option<Arc<dyn LockEvents>>>,
 }
 
 impl Default for LockManager {
@@ -226,179 +187,7 @@ impl Default for LockManager {
 
 impl LockManager {
     pub fn new() -> LockManager {
-        LockManager {
-            tables: Mutex::new(LockTables::default()),
-            wakeup: Condvar::new(),
-            events: Mutex::new(None),
-        }
-    }
-
-    /// Install (or clear) the sink notified when async waiters resolve.
-    pub fn set_events(&self, events: Option<Arc<dyn LockEvents>>) {
-        *self.events.lock() = events;
-    }
-
-    /// Deliver deferred resolutions to the registered sink. Must be
-    /// called with the table mutex already released: a grant callback may
-    /// call straight back into the lock manager.
-    fn deliver(&self, resolutions: Vec<Resolution>) {
-        if resolutions.is_empty() {
-            return;
-        }
-        let sink = self.events.lock().clone();
-        if let Some(sink) = sink {
-            for (txn, res, result) in resolutions {
-                sink.lock_done(txn, res, result);
-            }
-        }
-    }
-
-    /// Promote grantable *async* waiters at the head of `res`'s queue.
-    /// Stops at the first sync waiter (the condvar broadcast serves it —
-    /// FIFO order across both kinds is preserved) or the first async
-    /// waiter that still conflicts. A conflicting async head gets its
-    /// waits-for edges refreshed against the current holders and a cycle
-    /// check; a deadlocked one is aborted on the spot (it has no blocked
-    /// thread to run its own check).
-    fn promote_async(t: &mut LockTables, res: Resource, out: &mut Vec<Resolution>) {
-        loop {
-            let Some(entry) = t.locks.get_mut(&res) else { return };
-            let Some(&head) = entry.waiters.front() else {
-                if entry.holders.is_empty() {
-                    t.locks.remove(&res);
-                }
-                return;
-            };
-            if head.kind == WaiterKind::Sync {
-                return;
-            }
-            let goal = match entry.holders.get(&head.txn) {
-                // Queued upgrade: grantable once co-holders allow the
-                // combined mode (or the request turned out to be
-                // satisfied already).
-                Some(&held) => {
-                    let goal = held.combine(head.mode);
-                    if !entry.upgradable(head.txn, held, goal) {
-                        None
-                    } else {
-                        Some((goal, goal != held))
-                    }
-                }
-                None => entry.grantable(head.txn, head.mode).then_some((head.mode, true)),
-            };
-            if let Some((goal, insert)) = goal {
-                entry.waiters.pop_front();
-                if insert {
-                    entry.holders.insert(head.txn, goal);
-                }
-                t.held.entry(head.txn).or_default().insert(res);
-                t.waits_for.remove(&head.txn);
-                out.push((head.txn, res, Ok(())));
-                continue;
-            }
-            // Still blocked: refresh this waiter's edges and re-check for
-            // a cycle (a sync waiter re-checks on every wakeup; an async
-            // waiter must be checked *for*).
-            let holders: Vec<TxnId> =
-                entry.holders.keys().copied().filter(|&h| h != head.txn).collect();
-            let e = t.waits_for.entry(head.txn).or_default();
-            e.clear();
-            e.extend(holders);
-            if t.would_deadlock(head.txn) {
-                t.waits_for.remove(&head.txn);
-                let entry = t.locks.get_mut(&res).expect("entry exists");
-                entry.waiters.pop_front();
-                let holder = entry.holders.keys().copied().next().unwrap_or(TxnId::INVALID);
-                out.push((
-                    head.txn,
-                    res,
-                    Err(QsError::LockConflict { page: res.page(), holder, requester: head.txn }),
-                ));
-                continue;
-            }
-            return;
-        }
-    }
-
-    /// Acquire `mode` on `res` for `txn` without ever blocking: grants
-    /// that a blocking [`LockManager::lock`] would satisfy immediately
-    /// return [`AsyncLockOutcome::Granted`]; a conflict queues the request
-    /// FIFO (alongside blocked threads) and returns
-    /// [`AsyncLockOutcome::Queued`] — the resolution arrives later through
-    /// the [`LockEvents`] sink. `Err(LockConflict)` means queueing would
-    /// deadlock right now.
-    pub fn lock_async(
-        &self,
-        txn: TxnId,
-        res: Resource,
-        mode: LockMode,
-    ) -> QsResult<AsyncLockOutcome> {
-        let mut t = self.tables.lock();
-        let entry = t.locks.entry(res).or_default();
-        if let Some(&held) = entry.holders.get(&txn) {
-            let goal = held.combine(mode);
-            if entry.upgradable(txn, held, goal) {
-                if goal != held {
-                    entry.holders.insert(txn, goal);
-                }
-                return Ok(AsyncLockOutcome::Granted);
-            }
-        } else {
-            let may_pass = match entry.waiters.front() {
-                None => true,
-                Some(&head) => {
-                    head.txn == txn || entry.waiters.iter().all(|w| w.mode.compatible(mode))
-                }
-            };
-            if entry.grantable(txn, mode) && may_pass {
-                entry.holders.insert(txn, mode);
-                t.held.entry(txn).or_default().insert(res);
-                return Ok(AsyncLockOutcome::Granted);
-            }
-        }
-        // Conflict: queue (FIFO, same queue as blocked threads), record
-        // waits-for edges, and run the same eager cycle check the
-        // blocking path runs at block time.
-        t.locks.get_mut(&res).expect("entry exists").waiters.push_back(Waiter {
-            txn,
-            mode,
-            kind: WaiterKind::Async,
-        });
-        let holders: Vec<TxnId> =
-            t.locks[&res].holders.keys().copied().filter(|&h| h != txn).collect();
-        t.waits_for.entry(txn).or_default().extend(holders);
-        if t.would_deadlock(txn) {
-            t.waits_for.remove(&txn);
-            if let Some(e) = t.locks.get_mut(&res) {
-                e.waiters.retain(|w| w.txn != txn);
-            }
-            let holder = t.locks[&res].holders.keys().copied().next().unwrap_or(TxnId::INVALID);
-            drop(t);
-            self.wakeup.notify_all();
-            return Err(QsError::LockConflict { page: res.page(), holder, requester: txn });
-        }
-        Ok(AsyncLockOutcome::Queued)
-    }
-
-    /// [`LockManager::lock_async`] for a possibly record-granularity
-    /// resource: a record request first acquires the intention mode on
-    /// its page, then the record lock itself. A queued intention step
-    /// reports `Queued` immediately; when the grant arrives the caller
-    /// re-issues the whole request and the completed step re-grants
-    /// re-entrantly.
-    pub fn lock_resource_async(
-        &self,
-        txn: TxnId,
-        res: Resource,
-        mode: LockMode,
-    ) -> QsResult<AsyncLockOutcome> {
-        if let Resource::Record(pid, _) = res {
-            match self.lock_async(txn, Resource::Page(pid), mode.intent())? {
-                AsyncLockOutcome::Queued => return Ok(AsyncLockOutcome::Queued),
-                AsyncLockOutcome::Granted => {}
-            }
-        }
-        self.lock_async(txn, res, mode)
+        LockManager { tables: Mutex::new(LockTables::default()), wakeup: Condvar::new() }
     }
 
     /// Acquire `mode` on `res` for `txn`, blocking until granted.
@@ -446,11 +235,6 @@ impl LockManager {
                         entry.waiters.retain(|w| w.txn != txn);
                     }
                     t.waits_for.remove(&txn);
-                    // Our departure from the queue may expose a runnable
-                    // async head (e.g. a reader queued behind this one).
-                    let resolutions = Self::drain_promotions(&mut t, res, queued);
-                    drop(t);
-                    self.deliver(resolutions);
                     return Ok(queued);
                 }
             } else {
@@ -467,10 +251,6 @@ impl LockManager {
                     entry.holders.insert(txn, mode);
                     t.held.entry(txn).or_default().insert(res);
                     t.waits_for.remove(&txn);
-                    // A compatible async reader may sit right behind us.
-                    let resolutions = Self::drain_promotions(&mut t, res, queued);
-                    drop(t);
-                    self.deliver(resolutions);
                     return Ok(queued);
                 }
             }
@@ -478,11 +258,7 @@ impl LockManager {
             // Must wait. Queue up once, record waits-for edges, check for a
             // cycle; edges are rebuilt fresh on every wakeup.
             if !queued {
-                t.locks.entry(res).or_default().waiters.push_back(Waiter {
-                    txn,
-                    mode,
-                    kind: WaiterKind::Sync,
-                });
+                t.locks.entry(res).or_default().waiters.push_back(Waiter { txn, mode });
                 queued = true;
             }
             let holders: Vec<TxnId> =
@@ -494,28 +270,14 @@ impl LockManager {
                     e.waiters.retain(|w| w.txn != txn);
                 }
                 let holder = t.locks[&res].holders.keys().copied().next().unwrap_or(TxnId::INVALID);
-                // Our departure may have promoted a runnable new head —
-                // sync (condvar broadcast) or async (promotion walk).
-                let mut resolutions = Vec::new();
-                Self::promote_async(&mut t, res, &mut resolutions);
+                // Our departure may have made the next waiter the head.
                 drop(t);
                 self.wakeup.notify_all();
-                self.deliver(resolutions);
                 return Err(QsError::LockConflict { page: res.page(), holder, requester: txn });
             }
             self.wakeup.wait(&mut t);
             t.waits_for.remove(&txn);
         }
-    }
-
-    /// Run the async promotion walk over `res` if this thread's exit
-    /// from the wait queue could have changed its head (`was_queued`).
-    fn drain_promotions(t: &mut LockTables, res: Resource, was_queued: bool) -> Vec<Resolution> {
-        let mut resolutions = Vec::new();
-        if was_queued {
-            Self::promote_async(t, res, &mut resolutions);
-        }
-        resolutions
     }
 
     /// Non-blocking acquire; `Err(LockConflict)` on any conflict.
@@ -550,21 +312,16 @@ impl LockManager {
         }
     }
 
-    /// Release every lock `txn` holds (commit/abort — strict 2PL).
-    /// Blocked threads are woken through the condvar; queued async
-    /// waiters at a freed queue's head are granted (or deadlock-aborted)
-    /// here and notified through the [`LockEvents`] sink.
+    /// Release every lock `txn` holds (commit/abort — strict 2PL) and wake
+    /// the blocked threads: each re-checks its own request.
     pub fn release_all(&self, txn: TxnId) {
         let mut t = self.tables.lock();
-        let mut resolutions = Vec::new();
         if let Some(resources) = t.held.remove(&txn) {
             for res in resources {
                 if let Some(e) = t.locks.get_mut(&res) {
                     e.holders.remove(&txn);
                     if e.holders.is_empty() && e.waiters.is_empty() {
                         t.locks.remove(&res);
-                    } else {
-                        Self::promote_async(&mut t, res, &mut resolutions);
                     }
                 }
             }
@@ -572,7 +329,12 @@ impl LockManager {
         t.waits_for.remove(&txn);
         drop(t);
         self.wakeup.notify_all();
-        self.deliver(resolutions);
+    }
+
+    /// Requests queued behind a conflicting holder, over every resource
+    /// (test hook: a test polls it to know a thread is blocked).
+    pub fn queued_waiters(&self) -> usize {
+        self.tables.lock().locks.values().map(|e| e.waiters.len()).sum()
     }
 
     /// Number of resources (pages and records) currently locked by anyone
@@ -762,130 +524,6 @@ mod tests {
             r1.is_err() || r2.is_err(),
             "page/record cycle must be detected on at least one side"
         );
-    }
-
-    /// Records every async resolution it sees.
-    #[derive(Default)]
-    struct Collect {
-        got: std::sync::Mutex<Vec<(TxnId, Resource, bool)>>,
-    }
-
-    impl LockEvents for Collect {
-        fn lock_done(&self, txn: TxnId, res: Resource, result: QsResult<()>) {
-            self.got.lock().unwrap().push((txn, res, result.is_ok()));
-        }
-    }
-
-    #[test]
-    fn async_immediate_grant_and_upgrade() {
-        let lm = LockManager::new();
-        assert_eq!(lm.lock_async(TxnId(1), P, LockMode::S).unwrap(), AsyncLockOutcome::Granted);
-        // Sole-holder upgrade grants immediately too.
-        assert_eq!(lm.lock_async(TxnId(1), P, LockMode::X).unwrap(), AsyncLockOutcome::Granted);
-        assert!(lm.holds(TxnId(1), P, LockMode::X));
-    }
-
-    #[test]
-    fn async_waiter_granted_on_release() {
-        let lm = LockManager::new();
-        let sink = Arc::new(Collect::default());
-        lm.set_events(Some(sink.clone()));
-        lm.lock(TxnId(1), P, LockMode::X).unwrap();
-        assert_eq!(lm.lock_async(TxnId(2), P, LockMode::X).unwrap(), AsyncLockOutcome::Queued);
-        assert!(sink.got.lock().unwrap().is_empty(), "no grant while held");
-        lm.release_all(TxnId(1));
-        assert_eq!(*sink.got.lock().unwrap(), vec![(TxnId(2), P, true)]);
-        assert!(lm.holds(TxnId(2), P, LockMode::X));
-        lm.release_all(TxnId(2));
-        assert_eq!(lm.locked_resources(), 0);
-    }
-
-    #[test]
-    fn async_record_lock_two_step() {
-        // Intention queued behind a page X: the request parks once; after
-        // the page frees, re-issuing the request completes both steps.
-        let lm = LockManager::new();
-        let sink = Arc::new(Collect::default());
-        lm.set_events(Some(sink.clone()));
-        let r = Resource::Record(PageId(1), 4);
-        lm.lock(TxnId(1), P, LockMode::X).unwrap();
-        assert_eq!(
-            lm.lock_resource_async(TxnId(2), r, LockMode::X).unwrap(),
-            AsyncLockOutcome::Queued
-        );
-        lm.release_all(TxnId(1));
-        // The *intention* grant is what resolves; the waiter re-runs.
-        assert_eq!(*sink.got.lock().unwrap(), vec![(TxnId(2), P, true)]);
-        assert_eq!(
-            lm.lock_resource_async(TxnId(2), r, LockMode::X).unwrap(),
-            AsyncLockOutcome::Granted
-        );
-        assert!(lm.holds(TxnId(2), P, LockMode::IX));
-        assert!(lm.holds(TxnId(2), r, LockMode::X));
-    }
-
-    #[test]
-    fn async_compatible_readers_promoted_together() {
-        let lm = LockManager::new();
-        let sink = Arc::new(Collect::default());
-        lm.set_events(Some(sink.clone()));
-        lm.lock(TxnId(1), P, LockMode::X).unwrap();
-        assert_eq!(lm.lock_async(TxnId(2), P, LockMode::S).unwrap(), AsyncLockOutcome::Queued);
-        assert_eq!(lm.lock_async(TxnId(3), P, LockMode::S).unwrap(), AsyncLockOutcome::Queued);
-        lm.release_all(TxnId(1));
-        assert_eq!(
-            *sink.got.lock().unwrap(),
-            vec![(TxnId(2), P, true), (TxnId(3), P, true)],
-            "both queued readers granted FIFO in one promotion walk"
-        );
-    }
-
-    #[test]
-    fn async_deadlock_detected_at_queue_time() {
-        let lm = LockManager::new();
-        let sink = Arc::new(Collect::default());
-        lm.set_events(Some(sink.clone()));
-        let (pa, pb) = (Resource::Page(PageId(10)), Resource::Page(PageId(11)));
-        lm.lock(TxnId(1), pa, LockMode::X).unwrap();
-        lm.lock(TxnId(2), pb, LockMode::X).unwrap();
-        // T1 queues on pb: edge T1 → T2.
-        assert_eq!(lm.lock_async(TxnId(1), pb, LockMode::X).unwrap(), AsyncLockOutcome::Queued);
-        // T2 → pa would close the cycle: refused synchronously.
-        assert!(matches!(
-            lm.lock_async(TxnId(2), pa, LockMode::X),
-            Err(QsError::LockConflict { .. })
-        ));
-        // T2 commits; T1's queued request is granted via the sink.
-        lm.release_all(TxnId(2));
-        assert_eq!(*sink.got.lock().unwrap(), vec![(TxnId(1), pb, true)]);
-    }
-
-    #[test]
-    fn async_waiter_survives_sync_side_deadlock_abort() {
-        // A parked async waiter is part of a cycle closed by a *blocked
-        // thread*: the thread's eager check aborts the sync side, and the
-        // async waiter must then be granted normally on release.
-        let lm = Arc::new(LockManager::new());
-        let sink = Arc::new(Collect::default());
-        lm.set_events(Some(sink.clone()));
-        let (pa, pb) = (Resource::Page(PageId(20)), Resource::Page(PageId(21)));
-        lm.lock(TxnId(3), pa, LockMode::X).unwrap();
-        lm.lock(TxnId(1), pb, LockMode::X).unwrap();
-        assert_eq!(lm.lock_async(TxnId(1), pa, LockMode::X).unwrap(), AsyncLockOutcome::Queued);
-        // T3 blocks on pb (held by T1) from a thread: edge T3 → T1; with
-        // T1 → T3 already present one side must abort. The sync side
-        // detects it at block time and departs; T1's queued request is
-        // then granted when T3 finally releases pa.
-        let lm2 = Arc::clone(&lm);
-        let h = std::thread::spawn(move || {
-            let r = lm2.lock(TxnId(3), pb, LockMode::X);
-            lm2.release_all(TxnId(3));
-            r
-        });
-        let r3 = h.join().unwrap();
-        assert!(matches!(r3, Err(QsError::LockConflict { .. })), "sync side sees the cycle");
-        assert_eq!(*sink.got.lock().unwrap(), vec![(TxnId(1), pa, true)]);
-        assert!(lm.holds(TxnId(1), pa, LockMode::X));
     }
 
     #[test]

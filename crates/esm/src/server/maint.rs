@@ -123,9 +123,9 @@ impl Server {
     }
 
     /// The outcome of a maintenance `pass` run on behalf of nobody: the
-    /// committing client (its commit is already durable and acknowledged),
-    /// the reactor's committer and the flusher thread have no one to return
-    /// a failure to. It is traced, and the next watermark crossing retries.
+    /// committing client (its commit is already durable and acknowledged)
+    /// and the flusher thread have no one to return a failure to. It is
+    /// traced, and the next watermark crossing retries.
     pub(crate) fn background_maintenance(&self, pass: QsResult<()>) {
         if pass.is_err() {
             self.tracer.event(TraceCat::Checkpoint, "maintain_error", 0, 0);

@@ -68,7 +68,6 @@ use crate::flusher::FlusherHandle;
 use crate::gate::VolumeGate;
 use crate::lock::LockManager;
 use crate::protocol::{FlavorFacts, Protocol};
-use crate::runtime::RuntimeConfig;
 use crate::shard::ShardedPool;
 use crate::tower::LogTower;
 use crate::txn::TxnTable;
@@ -107,12 +106,6 @@ pub struct ServerConfig {
     pub group_commit: bool,
     /// Restart-engine knobs (see [`RestartConfig`]).
     pub restart: RestartConfig,
-    /// Event-driven runtime knobs (see [`RuntimeConfig`]). The default is
-    /// inert: clients built with `ClientConn::new` keep calling the
-    /// server directly on their own thread, so every committed figure
-    /// stays byte-identical. Only `crate::runtime::Reactor::start` reads
-    /// these.
-    pub runtime: RuntimeConfig,
 }
 
 /// Restart-engine configuration.
@@ -149,7 +142,6 @@ impl ServerConfig {
             pool_shards: 1,
             group_commit: false,
             restart: RestartConfig::default(),
-            runtime: RuntimeConfig::default(),
         }
     }
 
@@ -180,16 +172,6 @@ impl ServerConfig {
 
     pub fn with_redo_workers(mut self, workers: usize) -> ServerConfig {
         self.restart.redo_workers = workers.max(1);
-        self
-    }
-
-    pub fn with_runtime(mut self, runtime: RuntimeConfig) -> ServerConfig {
-        self.runtime = runtime;
-        self
-    }
-
-    pub fn with_runtime_workers(mut self, workers: usize) -> ServerConfig {
-        self.runtime.workers = workers.max(1);
         self
     }
 }

@@ -14,7 +14,6 @@ fn small_cfg(flavor: RecoveryFlavor) -> ServerConfig {
         pool_shards: 1,
         group_commit: false,
         restart: RestartConfig::default(),
-        runtime: RuntimeConfig::default(),
     }
 }
 
@@ -450,7 +449,7 @@ fn a_checkpoint_inside_a_wpl_commit_lists_its_images_committed() {
     server.receive_dirty_page(txn, pid, page).unwrap();
     let lsn = server.commit_append(txn).unwrap();
     server.checkpoint().unwrap();
-    server.commit_force_batch(lsn, 1).unwrap();
+    server.commit_force(lsn).unwrap();
     server.commit_finish(txn).unwrap();
     let cfg = server.config().clone();
     let server = Server::restart(server.crash(), cfg, Meter::new()).unwrap();
@@ -941,7 +940,7 @@ fn a_checkpoint_inside_a_no_steal_commit_keeps_its_records() {
 
         let lsn = server.commit_append(txn).unwrap();
         server.checkpoint().unwrap();
-        server.commit_force_batch(lsn, 1).unwrap();
+        server.commit_force(lsn).unwrap();
         server.commit_finish(txn).unwrap();
         let page = server.read_page_for_test(pid).unwrap();
         assert_eq!(page.object(pid, 0).unwrap(), &[9u8; 64][..], "{flavor:?}: applied at commit");
@@ -1126,7 +1125,7 @@ fn a_client_that_waited_out_a_maintenance_pass_does_not_run_its_own() {
     };
     server.receive_log_records(txn, (0..16).map(update).collect()).unwrap();
     let lsn = server.commit_append(txn).unwrap();
-    server.commit_force_batch(lsn, 1).unwrap();
+    server.commit_force(lsn).unwrap();
     server.commit_finish(txn).unwrap();
     assert!(server.past_high_watermark(), "retune: {} bytes logged", server.log_used_bytes());
 
@@ -1219,11 +1218,11 @@ fn a_group_commit_follower_waits_for_the_leaders_sync() {
 
     log.hold_syncs();
     let (acknowledged, crashed) = std::thread::scope(|s| {
-        let leading = s.spawn(|| server.commit_force_batch(leader_lsn, 1).unwrap());
+        let leading = s.spawn(|| server.commit_force(leader_lsn).unwrap());
         log.await_parked_sync();
         // The leader's force wrote both commit records; its sync is parked.
         let following = s.spawn(|| {
-            server.commit_force_batch(follower_lsn, 1).unwrap();
+            server.commit_force(follower_lsn).unwrap();
             server.commit_finish(follower).unwrap();
         });
         let acknowledged =

@@ -5,7 +5,7 @@
 
 use super::pages::apply_after_image;
 use super::Server;
-use crate::lock::{AsyncLockOutcome, LockManager, LockMode, Resource};
+use crate::lock::{LockMode, Resource};
 use crate::protocol::Protocol;
 use crate::txn::TxnStatus;
 use qs_storage::Page;
@@ -77,35 +77,10 @@ impl Server {
         Ok(())
     }
 
-    /// Non-blocking variant of [`Server::lock_resource`] for reactor
-    /// workers: either the lock is granted now (metered exactly like a
-    /// no-wait `lock_resource`) or the request parks and the grant arrives
-    /// later via the [`crate::lock::LockEvents`] sink — the worker thread
-    /// never blocks. Queue-time deadlocks surface as `Err(LockConflict)`.
-    pub(crate) fn lock_resource_async(
-        &self,
-        txn: TxnId,
-        res: Resource,
-        mode: LockMode,
-    ) -> QsResult<AsyncLockOutcome> {
-        let outcome = self.locks.lock_resource_async(txn, res, mode)?;
-        if outcome == AsyncLockOutcome::Granted {
-            self.meter.locks_acquired.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(outcome)
-    }
-
-    /// Meter a parked async lock request whose grant just arrived — the
-    /// same trace event and counter bump a blocking `lock_resource`
-    /// performs when its wait ends.
-    pub(crate) fn note_async_lock_granted(&self, txn: TxnId, res: Resource) {
-        self.tracer.event(TraceCat::LockWait, "granted", txn.0, res.trace_code());
-        self.meter.locks_acquired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The lock manager, for the reactor to install its grant sink.
-    pub(crate) fn locks(&self) -> &LockManager {
-        &self.locks
+    /// Lock requests blocked behind a conflicting holder right now (test
+    /// hook: a test polls it to know a client thread is waiting).
+    pub fn queued_lock_waiters(&self) -> usize {
+        self.locks.queued_waiters()
     }
 
     /// Allocate a page inside a transaction (logged, recoverable).
@@ -358,22 +333,19 @@ impl Server {
     /// scheme election without an extra round trip.
     pub fn commit(&self, txn: TxnId) -> QsResult<LogPressure> {
         let lsn = self.commit_append(txn)?;
-        let stats = self.log.commit_force(lsn, &self.tracer)?;
-        self.meter_force(stats);
+        self.commit_force(lsn)?;
         let pressure = self.commit_finish(txn)?;
-        // Watermark maintenance rides on the committing client only on
-        // the direct path (the reactor's committer triggers it once per
-        // batch instead). The commit is durable and acknowledged whatever
-        // maintenance does: its failure is not this transaction's.
+        // Watermark maintenance rides on the committing client. The commit
+        // is durable and acknowledged whatever maintenance does: its
+        // failure is not this transaction's.
         self.background_maintenance(self.maybe_maintain());
         Ok(pressure)
     }
 
-    /// First half of [`Server::commit`]: append the commit record and
-    /// return its LSN. The force and the post-force bookkeeping are left to
-    /// the caller so the reactor's committer can batch one force over many
-    /// appended commit records.
-    pub(crate) fn commit_append(&self, txn: TxnId) -> QsResult<Lsn> {
+    /// First step of [`Server::commit`]: append the commit record and
+    /// return its LSN. Commit's three steps are separate functions so the
+    /// server tests can land a checkpoint, or a crash, between them.
+    pub(super) fn commit_append(&self, txn: TxnId) -> QsResult<Lsn> {
         let mut txns = self.txns.lock(&self.tracer);
         let prev = txns.active_mut(txn)?.last_lsn;
         let lsn = self.log.wal().append_with(|w| w.commit(txn, prev))?;
@@ -391,24 +363,17 @@ impl Server {
         Ok(lsn)
     }
 
-    /// Force the log through `max_lsn` on behalf of a batch of `batch`
-    /// appended commit records and meter it the way `batch` sequential
-    /// direct commits would have: one real force (or one no-op if the tail
-    /// is already durable) plus `batch - 1` no-op forces for the riders.
-    /// That keeps `log_forces + log_forces_noop == commits` — the same
-    /// invariant the group-commit leader/follower path maintains.
-    pub(crate) fn commit_force_batch(&self, max_lsn: Lsn, batch: usize) -> QsResult<()> {
-        let stats = self.log.commit_force(max_lsn, &self.tracer)?;
+    /// Second step of [`Server::commit`]: force the log through `lsn`
+    /// (through the group committer when it is on) and meter the force.
+    pub(super) fn commit_force(&self, lsn: Lsn) -> QsResult<()> {
+        let stats = self.log.commit_force(lsn, &self.tracer)?;
         self.meter_force(stats);
-        for _ in 1..batch {
-            self.meter.log_forces_noop.fetch_add(1, Ordering::Relaxed);
-        }
         Ok(())
     }
 
-    /// Second half of [`Server::commit`]: everything after the force.
+    /// Last step of [`Server::commit`]: everything after the force.
     /// Returns the post-commit [`LogPressure`] for the reply piggyback.
-    pub(crate) fn commit_finish(&self, txn: TxnId) -> QsResult<LogPressure> {
+    pub(super) fn commit_finish(&self, txn: TxnId) -> QsResult<LogPressure> {
         let mut txns = self.txns.lock(&self.tracer);
         // `get_mut`, not `active_mut`: `commit_append` already flipped the
         // status to Committed.

@@ -27,11 +27,6 @@ pub enum TraceCat {
     Checkpoint,
     /// Restart-recovery phase marker (`a`/`b` phase-specific).
     Restart,
-    /// Reactor run-queue activity (`a` = worker, `b` = queue depth).
-    Queue,
-    /// Admission control shed a request (`a` = client, `b` = the load
-    /// figure that tripped the shed: in-flight count or queue depth).
-    Shed,
     /// Background flusher activity (`a`/`b` label-specific: batch pages
     /// written, or nanoseconds stalled claiming a shard).
     Flusher,
@@ -51,8 +46,6 @@ impl TraceCat {
             TraceCat::WalForce => "wal_force",
             TraceCat::Checkpoint => "checkpoint",
             TraceCat::Restart => "restart",
-            TraceCat::Queue => "queue",
-            TraceCat::Shed => "shed",
             TraceCat::Flusher => "flusher",
         }
     }

@@ -12,13 +12,13 @@
 //! 2. **Slot independence** — record locks on *distinct* slots of one
 //!    page never conflict and never wait, under any interleaving.
 //! 3. **Mixed-granularity deadlocks** — a waits-for cycle spanning page
-//!    and record resources is detected at queue time and the cycle
-//!    closer is denied with `LockConflict`.
+//!    and record resources is detected when the closing request would
+//!    block, and the cycle closer is denied with `LockConflict`.
 //!
 //! No external crates: randomness is a hand-rolled LCG (same constants
 //! as `qs-prng`), so every failure reproduces from its printed seed.
 
-use qs_repro::esm::{AsyncLockOutcome, LockManager, LockMode, Resource};
+use qs_repro::esm::{LockManager, LockMode, Resource};
 use qs_repro::types::{PageId, QsError, TxnId};
 use std::collections::HashMap;
 
@@ -223,24 +223,26 @@ fn mixed_granularity_deadlock_closer_is_denied() {
 
         assert!(!lm.lock_resource(t1, r1, LockMode::X).unwrap());
         assert!(!lm.lock_resource(t2, r2, LockMode::X).unwrap());
-        // T1 queues behind T2 (async, so one thread can build the cycle).
-        assert_eq!(
-            lm.lock_resource_async(t1, r2, LockMode::X).unwrap(),
-            AsyncLockOutcome::Queued,
-            "seed {seed}: X vs X must queue ({r1:?} / {r2:?})"
-        );
-        // T2 closing the cycle on r1 must be denied, not queued: the
-        // waits-for graph is keyed by transaction, so the page/record mix
-        // is invisible to the cycle check.
-        assert!(
-            matches!(
-                lm.lock_resource_async(t2, r1, LockMode::X),
-                Err(QsError::LockConflict { .. })
-            ),
-            "seed {seed}: cycle closer was not denied ({r1:?} / {r2:?})"
-        );
-        // The survivor's queued request is granted once T2 releases.
-        lm.release_all(t2);
+        std::thread::scope(|s| {
+            // T1 blocks behind T2 on its own thread.
+            let survivor = s.spawn(|| lm.lock_resource(t1, r2, LockMode::X));
+            while lm.queued_waiters() == 0 {
+                std::thread::yield_now();
+            }
+            // T2 closing the cycle on r1 must be denied, not queued: the
+            // waits-for graph is keyed by transaction, so the page/record
+            // mix is invisible to the cycle check.
+            assert!(
+                matches!(lm.lock_resource(t2, r1, LockMode::X), Err(QsError::LockConflict { .. })),
+                "seed {seed}: cycle closer was not denied ({r1:?} / {r2:?})"
+            );
+            // The survivor is granted once T2 releases.
+            lm.release_all(t2);
+            assert!(
+                survivor.join().unwrap().unwrap(),
+                "seed {seed}: X vs X must wait ({r1:?} / {r2:?})"
+            );
+        });
         lm.release_all(t1);
         assert_eq!(lm.locked_resources(), 0, "seed {seed}: table did not drain");
     }

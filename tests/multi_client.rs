@@ -6,7 +6,7 @@ use qs_repro::core::{Store, SystemConfig};
 use qs_repro::esm::{ClientConn, LockMode, RecoveryFlavor, Server, ServerConfig};
 use qs_repro::sim::Meter;
 use qs_repro::storage::Page;
-use qs_repro::types::{ClientId, Oid, PageId, TxnId};
+use qs_repro::types::{ClientId, Oid, PageId, QsError, TxnId};
 use std::sync::Arc;
 
 fn make_server(flavor: RecoveryFlavor, pages: usize) -> (Arc<Server>, Vec<Oid>) {
@@ -151,4 +151,41 @@ fn reader_blocks_until_writer_commits() {
     // Commit the writer (no updates — just releases the lock).
     server.commit(writer).unwrap();
     assert_eq!(reader.join().unwrap(), 0);
+}
+
+#[test]
+fn deadlock_closer_is_denied_and_the_survivor_commits() {
+    // A holds p1 and B holds p2. A blocks on p2; B asking for p1 closes the
+    // cycle and is denied with `LockConflict`. B aborts, and A is granted
+    // and commits.
+    let (server, oids) = make_server(RecoveryFlavor::EsmAries, 2);
+    let (p1, p2) = (oids[0].page, oids[4].page);
+    assert_ne!(p1, p2);
+    let client = |id: u16| ClientConn::new(ClientId(id), Arc::clone(&server), 8, Meter::new());
+    let (mut a, mut b) = (client(0), client(1));
+    a.begin().unwrap();
+    b.begin().unwrap();
+    a.fetch_page(p1, LockMode::X).unwrap();
+    b.fetch_page(p2, LockMode::X).unwrap();
+
+    std::thread::scope(|s| {
+        let survivor = s.spawn(move || {
+            a.fetch_page(p2, LockMode::X)?;
+            a.finish_commit()
+        });
+        while server.queued_lock_waiters() == 0 {
+            assert!(!survivor.is_finished(), "A was granted p2 while B held it");
+            std::thread::yield_now();
+        }
+        match b.fetch_page(p1, LockMode::X) {
+            Err(QsError::LockConflict { requester, .. }) => {
+                assert_eq!(requester, b.txn().unwrap(), "the cycle closer is the one denied");
+            }
+            other => panic!("expected LockConflict for the cycle closer, got {other:?}"),
+        }
+        b.abort().unwrap();
+        survivor.join().unwrap().expect("A is granted p2 and commits once B aborts");
+    });
+    assert_eq!(server.queued_lock_waiters(), 0);
+    assert_eq!(server.active_txns(), 0);
 }

@@ -1,18 +1,21 @@
-//! Record- vs page-granularity locking under real contention: two reactor
-//! clients repeatedly update *distinct records of the same page*. With
-//! page locks their exclusive locks collide every round; with record
+//! Record- vs page-granularity locking under real contention: two client
+//! threads repeatedly update *distinct records of the same page*. Each
+//! round, a client that got its lock keeps it until the other client has
+//! its own lock too or is queued behind it, so with page locks their
+//! exclusive locks collide every round, whatever the scheduler does; with record
 //! locks the page carries only compatible `IX` intents, so neither client
 //! ever waits. Asserted via the tracer's `TraceCat::LockWait` events
 //! (one is emitted per transaction-lock request that had to queue),
 //! the same instrument `shard_independence.rs` uses for subsystem locks.
 
 use qs_repro::core::SystemConfig;
-use qs_repro::esm::{ClientConn, Reactor, RecoveryFlavor, Server, ServerConfig};
+use qs_repro::esm::{ClientConn, RecoveryFlavor, Server, ServerConfig};
 use qs_repro::sim::{HardwareModel, Meter};
 use qs_repro::storage::Page;
 use qs_repro::trace::{TraceCat, Tracer};
 use qs_repro::types::{ClientId, Lsn, PageId};
 use qs_repro::wal::LogRecord;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Barrier};
 
 const ROUNDS: u8 = 50;
@@ -25,8 +28,7 @@ fn contended_updates(record_locks: bool) -> (u64, Page, PageId, [u16; 2]) {
     let scfg = ServerConfig::new(RecoveryFlavor::RedoLogical)
         .with_pool_mb(1.0)
         .with_volume_pages(64)
-        .with_log_mb(8.0)
-        .with_runtime_workers(2);
+        .with_log_mb(8.0);
     let meter = Meter::new();
     let tracer = Tracer::flight(Arc::clone(&meter), HardwareModel::paper_1995(), RING);
     let server =
@@ -39,27 +41,37 @@ fn contended_updates(record_locks: bool) -> (u64, Page, PageId, [u16; 2]) {
     server.bulk_write(pid, &p).unwrap();
     server.bulk_sync().unwrap();
 
-    let reactor = Reactor::start(&server);
     let pool_pages = SystemConfig::pd_rlog().with_memory(1.0, 0.25).client_pool_pages();
     // Released together at the top of every round, the two clients race
     // to lock the same page at the same moment, round after round.
     let barrier = Barrier::new(2);
+    // The last round in which each client held its lock.
+    let locked = [AtomicU8::new(0), AtomicU8::new(0)];
 
     std::thread::scope(|s| {
         for (c, &slot) in slots.iter().enumerate() {
-            let reactor = &reactor;
-            let barrier = &barrier;
-            let server = &server;
+            let (barrier, locked) = (&barrier, &locked);
+            let server = Arc::clone(&server);
             s.spawn(move || {
-                let mut client =
-                    ClientConn::via_reactor(ClientId(c as u16), reactor, pool_pages, Meter::new());
-                for _ in 0..ROUNDS {
+                let mut client = ClientConn::new(
+                    ClientId(c as u16),
+                    Arc::clone(&server),
+                    pool_pages,
+                    Meter::new(),
+                );
+                for round in 1..=ROUNDS {
                     barrier.wait();
                     let txn = client.begin().unwrap();
                     if record_locks {
                         client.x_lock_record(pid, slot).unwrap();
                     } else {
                         client.x_lock(pid).unwrap();
+                    }
+                    locked[c].store(round, Ordering::Release);
+                    while locked[1 - c].load(Ordering::Acquire) < round
+                        && server.queued_lock_waiters() == 0
+                    {
+                        std::thread::yield_now();
                     }
                     // A logical after-image for this client's own record
                     // (RLOG: the server defers it until commit).
@@ -78,11 +90,9 @@ fn contended_updates(record_locks: bool) -> (u64, Page, PageId, [u16; 2]) {
                         .unwrap();
                     client.finish_commit().unwrap();
                 }
-                let _ = server;
             });
         }
     });
-    reactor.stop();
 
     let waits =
         tracer.flight_snapshot(RING).iter().filter(|e| e.cat == TraceCat::LockWait).count() as u64;
@@ -98,6 +108,7 @@ fn distinct_record_updates_on_one_page_proceed_without_waits() {
     // Page granularity: the two clients' X locks on the shared page
     // collide — the tracer must have seen queued lock requests.
     assert!(page_waits > 0, "page-granularity clients never contended on the shared page");
+    assert_eq!(page_waits, ROUNDS as u64, "one client waited per round");
     // Record granularity: IX intents coexist and the slots are distinct,
     // so not a single lock request may queue.
     assert_eq!(record_waits, 0, "record-granularity clients waited despite distinct slots");
