@@ -39,6 +39,8 @@ const EXPECTED_NAMES: &[&str] = &[
     "kernel/diff_clean_page",
     "kernel/diff_clean_page_scalar",
     "kernel/diff_sparse_oo7",
+    "kernel/diff_rewritten_page",
+    "kernel/diff_striped_page",
     "kernel/commit_log_generation",
     "diff/page/1_regions",
     "diff/page/16_regions",
@@ -205,6 +207,24 @@ fn bench_kernels(h: &mut Harness) {
         }
         black_box(runs.len());
     });
+
+    // Dense pages, as ADAPT's pricing pass meets them on `oo7_mixed_adapt`:
+    // every byte rewritten (the bulk manual rewrite), and 160 of every 512
+    // bytes rewritten (the striped manual edit).
+    let rewritten: Vec<u8> = before.iter().map(|b| !b).collect();
+    let mut striped = before.clone();
+    for s in (64..PAGE_SIZE - 160).step_by(512) {
+        striped[s..s + 160].fill(!0x5A);
+    }
+    for (name, after) in
+        [("kernel/diff_rewritten_page", &rewritten), ("kernel/diff_striped_page", &striped)]
+    {
+        h.bench(name, 20_000, || {
+            runs.clear();
+            diff::append_modified_runs(black_box(&before), black_box(after), 0, &mut runs);
+            black_box(runs.len());
+        });
+    }
 
     // Full log generation for one dirty page: diff, combine under the
     // header threshold, serialize one update record per region into a

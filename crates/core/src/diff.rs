@@ -82,6 +82,17 @@ fn diff_byte_mask(x: u64) -> u32 {
     (m.wrapping_mul(0x0102_0408_1020_4080) >> 56) as u32
 }
 
+/// True iff no byte of `x` is zero — i.e. iff all 8 bytes of the two
+/// compared words differ. The classic zero-byte test: a zero byte is the
+/// only byte whose `x - 0x01` borrows into a set top bit where `x`'s own
+/// top bit is clear, and the lowest zero byte always does, so the word
+/// test is exact (only the per-byte flags above a real zero byte can be
+/// false positives, and they do not change whether the word has one).
+#[inline]
+fn all_bytes_differ(x: u64) -> bool {
+    x.wrapping_sub(0x0101_0101_0101_0101) & !x & 0x8080_8080_8080_8080 == 0
+}
+
 /// The u64 diff kernel: append the maximal modified runs of
 /// `before[..] != after[..]` to `out`, shifting every offset by `base`
 /// (run coordinates are `base + i`). If the first new run starts exactly
@@ -91,10 +102,12 @@ fn diff_byte_mask(x: u64) -> u32 {
 ///
 /// Strategy: compare 8 bytes at a time via XOR (`u64::from_le_bytes`
 /// performs an unaligned load, so the slices may start anywhere), skip
-/// clean words in 32-byte gulps, and resolve exact byte boundaries inside
-/// a dirty word with `trailing_zeros` on the XOR word's byte-collapse
-/// mask ([`diff_byte_mask`]). The scalar tail handles the last
-/// `len % 8` bytes. Output is exactly [`raw_modified_runs_scalar`]'s.
+/// clean words in 32-byte gulps, consume a stretch of fully changed words
+/// ([`all_bytes_differ`]) in one tight loop and push it as one run, and
+/// resolve exact byte boundaries inside any other dirty word with
+/// `trailing_zeros` on the XOR word's byte-collapse mask
+/// ([`diff_byte_mask`]). The scalar tail handles the last `len % 8`
+/// bytes. Output is exactly [`raw_modified_runs_scalar`]'s.
 pub fn append_modified_runs(before: &[u8], after: &[u8], base: usize, out: &mut Vec<Region>) {
     debug_assert_eq!(before.len(), after.len());
     let n = before.len();
@@ -114,14 +127,14 @@ pub fn append_modified_runs(before: &[u8], after: &[u8], base: usize, out: &mut 
         let a = u64::from_le_bytes(after[i..i + 8].try_into().unwrap());
         a ^ b
     }
+    // One length for both slices, so no word read is checked twice.
+    let after = &after[..n];
     let mut i = 0;
     while i + 8 <= n {
-        // Bulk-skip: four clean words at a time.
-        while i + 32 <= n {
-            let any = xor_at(before, after, i)
-                | xor_at(before, after, i + 8)
-                | xor_at(before, after, i + 16)
-                | xor_at(before, after, i + 24);
+        // Bulk-skip: four clean words at a time, read from one 32-byte
+        // window of each slice (one bounds check per window, not per word).
+        while let (Some(b), Some(a)) = (before.get(i..i + 32), after.get(i..i + 32)) {
+            let any = xor_at(b, a, 0) | xor_at(b, a, 8) | xor_at(b, a, 16) | xor_at(b, a, 24);
             if any != 0 {
                 break;
             }
@@ -131,6 +144,17 @@ pub fn append_modified_runs(before: &[u8], after: &[u8], base: usize, out: &mut 
             break;
         }
         let x = xor_at(before, after, i);
+        if all_bytes_differ(x) {
+            // A fully changed word: it and every fully changed word after
+            // it are one run (the bulk manual rewrite is pages of them).
+            let start = i;
+            i += 8;
+            while i + 8 <= n && all_bytes_differ(xor_at(before, after, i)) {
+                i += 8;
+            }
+            push(out, base + start, base + i);
+            continue;
+        }
         if x != 0 {
             // Walk the 1-runs of the byte mask: each is a maximal run of
             // differing bytes inside this word.
@@ -429,6 +453,30 @@ mod tests {
         let b = vec![2u8; 8192];
         assert_eq!(raw_modified_runs(&a, &b), raw_modified_runs_scalar(&a, &b));
         assert_eq!(raw_modified_runs(&a, &a), Vec::new());
+    }
+
+    #[test]
+    fn all_bytes_differ_is_the_bytewise_definition() {
+        // Every zero/non-zero pattern of a word's 8 bytes, the non-zero
+        // bytes drawn from the values at the test's borrow and top-bit
+        // edges: all one value, then mixed so each byte meets each value.
+        let values = [0x01u8, 0x7F, 0x80, 0xFF];
+        let n = values.len();
+        for pattern in 0..=255u32 {
+            for pick in 0..2 * n {
+                let bytes: [u8; 8] = std::array::from_fn(|k| match pattern & (1 << k) {
+                    0 => 0,
+                    _ if pick < n => values[pick],
+                    _ => values[(k + pick) % n],
+                });
+                let x = u64::from_le_bytes(bytes);
+                assert_eq!(
+                    all_bytes_differ(x),
+                    bytes.iter().all(|&b| b != 0),
+                    "pattern {pattern:#04x} pick {pick}: {x:#018x}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -74,6 +74,9 @@ struct PricedDiffs {
     pages: Vec<(PageId, usize, usize)>,
     /// True only between a pricing pass and the end of its event.
     valid: bool,
+    /// The `pages` entry the next lookup tries first: the one after the
+    /// last page found.
+    cursor: usize,
 }
 
 impl PricedDiffs {
@@ -81,14 +84,26 @@ impl PricedDiffs {
         self.flat.clear();
         self.pages.clear();
         self.valid = false;
+        self.cursor = 0;
     }
 
-    /// The `flat` range priced for `pid`, if this event priced it.
-    fn lookup(&self, pid: PageId) -> Option<(usize, usize)> {
+    /// The `flat` range priced for `pid`, if this event priced it. A
+    /// commit prices its pages in the order its emission walks them, so
+    /// each lookup finds its page at the cursor. An eviction (its page
+    /// priced first) or an overflow (its victims, in the recovery
+    /// buffer's FIFO order, against the pool's unsorted dirty list) can
+    /// ask out of order and pays a scan — for the one or two pages such an
+    /// event emits.
+    fn lookup(&mut self, pid: PageId) -> Option<(usize, usize)> {
         if !self.valid {
             return None;
         }
-        self.pages.iter().find(|e| e.0 == pid).map(|e| (e.1, e.2))
+        let at = match self.pages.get(self.cursor) {
+            Some(e) if e.0 == pid => self.cursor,
+            _ => self.pages.iter().position(|e| e.0 == pid)?,
+        };
+        self.cursor = at + 1;
+        Some((self.pages[at].1, self.pages[at].2))
     }
 }
 
@@ -857,7 +872,7 @@ impl Store {
             created: &mut self.created,
             alloc_cursor: &mut self.alloc_cursor,
             scratch: &mut self.scratch,
-            priced: &self.priced,
+            priced: &mut self.priced,
             sd_block: self.elector.as_ref().map_or(SystemConfig::DEFAULT_BLOCK, |e| e.block),
             meter: self.client.meter(),
             tracer: self.client.tracer(),
@@ -882,7 +897,7 @@ struct RecordGen<'a> {
     created: &'a mut IdSet<PageId>,
     alloc_cursor: &'a mut Option<PageId>,
     scratch: &'a mut CommitScratch,
-    priced: &'a PricedDiffs,
+    priced: &'a mut PricedDiffs,
     /// Block size an `Sd`-elected adaptive transaction rounds spans out to.
     sd_block: usize,
     meter: &'a Meter,

@@ -279,6 +279,11 @@ fn adaptive_store_elects_at_its_first_overflow_and_at_a_dirty_eviction() {
         let m = store.meter().snapshot();
         m.txns_pd + m.txns_sd + m.txns_wpl + m.txns_rlog
     };
+    // The electing event diffs each page once: pricing diffs the two dirty
+    // pages, and the page it emits finds its priced regions.
+    let diffed_once = |store: &Store| {
+        assert_eq!(store.meter().snapshot().bytes_diffed, 2 * (OBJ * OBJS_PER_PAGE) as u64);
+    };
 
     // Overflow: a 2-page recovery buffer under a roomy pool.
     let (mut stores, oids) = setup(6, &[adaptive(8, 2)]);
@@ -292,6 +297,7 @@ fn adaptive_store_elects_at_its_first_overflow_and_at_a_dirty_eviction() {
     let elected = store.client.elected_scheme();
     assert!(elected.is_some(), "the first overflow elects, pricing pages 0 and 1");
     assert_eq!((store.recovery_buffer_overflows(), elections(store)), (1, 1));
+    diffed_once(store);
     // Later overflows generate records under the scheme that stuck.
     for i in 3..6 {
         store.modify(first_of(&oids, i), 0, &[i as u8 + 1; 8]).unwrap();
@@ -314,12 +320,49 @@ fn adaptive_store_elects_at_its_first_overflow_and_at_a_dirty_eviction() {
     store.read(first_of(&oids, 2)).unwrap();
     assert!(store.client.elected_scheme().is_some(), "a dirty page left the pool");
     assert_eq!((store.recovery_buffer_overflows(), elections(store)), (0, 1));
+    diffed_once(store);
     store.read(first_of(&oids, 3)).unwrap();
     assert_eq!(elections(store), 1);
     store.commit().unwrap();
     for i in 0..2 {
         assert_eq!(store_read(store, first_of(&oids, i))[..8], [i as u8 + 1; 8]);
     }
+}
+
+/// Pricing lays pages out in the order it walked them; an eviction prices
+/// its page (`extra`) first and then the pool's unsorted dirty list, an
+/// overflow emits its victims in FIFO order. Whatever order an event asks
+/// in, every priced page is found with its own regions, and a page the
+/// event did not price is not.
+#[test]
+fn priced_lookup_finds_every_page_whatever_the_order() {
+    let walked: Vec<PageId> = [17u32, 3, 40, 8, 25, 1].map(PageId).into();
+    let mut priced = PricedDiffs::default();
+    for (k, &pid) in walked.iter().enumerate() {
+        let start = priced.flat.len();
+        for r in 0..k {
+            let region = diff::Region { start: r, end: r + 1 };
+            priced.flat.push((pid.0 as u16, region));
+        }
+        priced.pages.push((pid, start, priced.flat.len()));
+    }
+    priced.valid = true;
+    let mut sorted = walked.clone();
+    sorted.sort();
+    let reversed: Vec<PageId> = walked.iter().rev().copied().collect();
+    let victims = [walked[3], walked[1], walked[4]];
+    for order in [&walked[..], &sorted, &reversed, &victims, &[walked[0]]] {
+        priced.cursor = 0;
+        for &pid in order {
+            let (s, e) = priced.lookup(pid).unwrap_or_else(|| panic!("{pid} not found"));
+            let k = walked.iter().position(|&p| p == pid).unwrap();
+            assert_eq!(e - s, k, "{pid}");
+            assert!(priced.flat[s..e].iter().all(|&(slot, _)| slot == pid.0 as u16), "{pid}");
+        }
+        assert_eq!(priced.lookup(PageId(99)), None);
+    }
+    priced.clear();
+    assert_eq!(priced.lookup(walked[0]), None, "a cleared pricing pass answers nothing");
 }
 
 /// Read `oid` in a transaction of its own.

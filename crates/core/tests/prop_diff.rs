@@ -204,6 +204,92 @@ fn kernel_matches_scalar_sparse_word_patterns() {
     }
 }
 
+/// `before` with every byte of `range` changed (inverted, so none lands
+/// equal).
+fn rewritten(before: &[u8], range: std::ops::Range<usize>) -> Vec<u8> {
+    let mut after = before.to_vec();
+    for b in &mut after[range] {
+        *b = !*b;
+    }
+    after
+}
+
+#[test]
+fn kernel_matches_scalar_on_fully_changed_stretches() {
+    // A stretch of every length 0..=64 starting at every offset 0..8 of the
+    // word grid, ending anywhere from the middle of a word to the scalar
+    // tail; alone, then with a changed byte touching each end (the dense
+    // run must merge with the runs the other loops push) and with a clean
+    // byte between.
+    let mut rng = Prng::seed_from_u64(0x5EED_D1FF_0007);
+    for align in 0..8 {
+        for len in 0..=64 {
+            for tail in 0..=9 {
+                let (start, end) = (8 + align, 8 + align + len);
+                let before = rng.bytes(end + tail + 2);
+                let n = end + tail;
+                let ctx = format!("stretch {start}..{end} of {n}");
+                let after = rewritten(&before, start..end);
+                assert_kernel_matches(&before[..n], &after[..n], &ctx);
+                for gap in [1usize, 2] {
+                    let mut edged = after.clone();
+                    edged[start - gap] ^= 0x01;
+                    edged[end + gap - 1] ^= 0x80;
+                    assert_kernel_matches(&before[..n], &edged[..n], &format!("{ctx}, gap {gap}"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn kernel_matches_scalar_on_words_with_one_equal_byte() {
+    // A fully changed 64-byte stretch in which one word keeps exactly one
+    // byte equal: that word must leave the dense loop and split the run
+    // there — for every byte position, in the first, a middle and the last
+    // word of the stretch, at every word alignment.
+    let mut rng = Prng::seed_from_u64(0x5EED_D1FF_0008);
+    for align in 0..8 {
+        let before = rng.bytes(64 + 24);
+        let start = 8 + align;
+        let after = rewritten(&before, start..start + 64);
+        for word in [0usize, 3, 7] {
+            for pos in 0..8 {
+                let at = start + 8 * word + pos;
+                let mut one_equal = after.clone();
+                one_equal[at] = before[at];
+                assert_kernel_matches(
+                    &before,
+                    &one_equal,
+                    &format!("align {align} word {word} byte {pos}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn kernel_matches_scalar_on_striped_pages() {
+    // The striped manual edit: 160 of every 512 bytes changed, stripes
+    // starting at every offset of the word grid so they cross word
+    // boundaries at both ends; rewritten whole, and rewritten with random
+    // bytes (some of which land equal and break the stripe up).
+    let mut rng = Prng::seed_from_u64(0x5EED_D1FF_0009);
+    for shift in 0..8 {
+        let before = rng.bytes(PAGE_SIZE);
+        let mut inverted = before.clone();
+        let mut random = before.clone();
+        for s in (64 + shift..PAGE_SIZE - 160).step_by(512) {
+            for i in s..s + 160 {
+                inverted[i] = !before[i];
+                random[i] = (rng.next_u32() & 0xFF) as u8;
+            }
+        }
+        assert_kernel_matches(&before, &inverted, &format!("inverted stripes, shift {shift}"));
+        assert_kernel_matches(&before, &random, &format!("random stripes, shift {shift}"));
+    }
+}
+
 #[test]
 fn regions_sorted_and_disjoint() {
     let mut rng = Prng::seed_from_u64(0x5EED_D1FF_0004);

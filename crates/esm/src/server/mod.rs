@@ -76,9 +76,8 @@ use qs_sim::{HardwareModel, Meter};
 use qs_storage::{MemDisk, Page, StableMedia, Volume};
 use qs_trace::{FlightRecording, PhaseStat, RestartReport, TraceCat, TracedMutex, Tracer};
 use qs_types::sync::Mutex;
-use qs_types::{PageId, QsResult, TxnId, PAGE_SIZE};
+use qs_types::{PageId, QsResult, PAGE_SIZE};
 use qs_wal::LogManager;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -210,10 +209,11 @@ pub struct Server {
     /// WPL table, behind its own small lock.
     pub(crate) wpl: TracedMutex<WplTable>,
     /// Deferred (not-yet-applied) operations of uncommitted `NoSteal`
-    /// transactions, txn → ops in log order. Never nested inside any
-    /// other subsystem lock: every path takes it alone and releases it
-    /// before touching the pool, txn table, or volume.
-    pending: TracedMutex<HashMap<TxnId, Vec<txn::PendingOp>>>,
+    /// transactions: one arena of frames per transaction, in log order.
+    /// Never nested inside any other subsystem lock: every path takes it
+    /// alone and releases it before touching the pool, txn table, or
+    /// volume.
+    pending: TracedMutex<txn::Pending>,
     locks: LockManager,
     meter: Arc<Meter>,
     data_media: Arc<dyn StableMedia>,
@@ -296,7 +296,7 @@ impl Server {
             txns: TracedMutex::new("txns", TxnTable::new()),
             dpt: TracedMutex::new("dpt", DirtyPages::default()),
             wpl: TracedMutex::new("wpl", WplTable::new()),
-            pending: TracedMutex::new("pending", HashMap::new()),
+            pending: TracedMutex::new("pending", txn::Pending::default()),
             locks: LockManager::new(),
             meter,
             data_media: parts.data_media,

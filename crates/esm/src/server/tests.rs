@@ -1,6 +1,6 @@
 use super::*;
 use crate::lock::{LockMode, Resource};
-use qs_types::{Lsn, QsError};
+use qs_types::{Lsn, QsError, TxnId};
 use qs_wal::{LogRecord, SchemeCode};
 
 fn small_cfg(flavor: RecoveryFlavor) -> ServerConfig {
@@ -680,8 +680,8 @@ fn received(server: &Server, txn: TxnId, pids: &[PageId]) -> Received {
         shipped.sort();
         (t.first_lsn, t.last_lsn, t.protocol, shipped)
     });
-    let pending = server.pending.lock(&server.tracer).get(&txn).map_or_else(Vec::new, |ops| {
-        ops.iter().map(|op| (op.page, op.frame.clone(), op.lsn)).collect()
+    let pending = server.pending.lock(&server.tracer).get(txn).map_or_else(Vec::new, |stashed| {
+        stashed.frames().map(|(page, frame, lsn)| (page, frame.to_vec(), lsn)).collect()
     });
     let pool = pids
         .iter()
@@ -1058,6 +1058,37 @@ fn an_op_applied_below_the_page_lsn_is_listed_again() {
     server.redo_onto_pool(pid, [(&frame[..], late)]).unwrap();
     assert_eq!(server.dpt.lock(&server.tracer).snapshot(), [(pid, late)]);
     assert_eq!(server.read_page_for_test(pid).unwrap().lsn(), page_lsn, "no move back");
+}
+
+/// A no-steal commit regroups the frames it stashed in shipping order:
+/// pages are applied in ascending page-id order, each page's frames in log
+/// order (of two frames on the same bytes, the later wins). With room for
+/// two pages in the pool, the first page applied is the one the third
+/// pushes out.
+#[test]
+fn a_no_steal_commit_applies_pages_in_ascending_order_and_frames_in_log_order() {
+    let cfg = ServerConfig { pool_pages: 2, ..small_cfg(RecoveryFlavor::RedoLogical) };
+    let server = Server::format(cfg, Meter::new()).unwrap();
+    let pids = server.bulk_allocate(3).unwrap();
+    for &pid in &pids {
+        let mut p = Page::new();
+        p.insert(pid, &[0u8; 64]).unwrap();
+        server.bulk_write(pid, &p).unwrap();
+    }
+    server.bulk_sync().unwrap();
+    let txn = server.begin();
+    let shipped = [(2, 1), (0, 1), (1, 1), (0, 3), (2, 2)];
+    let records = shipped.iter().map(|&(k, val)| logical(txn, pids[k], 0, val)).collect();
+    server.receive_log_records(txn, records).unwrap();
+    server.commit(txn).unwrap();
+
+    let resident: Vec<bool> =
+        pids.iter().map(|&pid| server.pool.lock(pid, &server.tracer).contains(pid)).collect();
+    assert_eq!(resident, [false, true, true], "{:?} applied last", &pids[1..]);
+    for (pid, val) in pids.into_iter().zip([3u8, 1, 2]) {
+        let page = server.read_page_for_test(pid).unwrap();
+        assert_eq!(page.object(pid, 0).unwrap(), &[val; 64][..], "{pid}");
+    }
 }
 
 /// Undo walks past a created page's records: no CLR, so no image of the

@@ -13,19 +13,81 @@ use qs_trace::TraceCat;
 use qs_types::{Lsn, PageId, QsError, QsResult, TxnId};
 use qs_wal::record::{self, tag};
 use qs_wal::{LogPressure, LogRecord};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
-/// One deferred operation of an uncommitted `NoSteal` transaction: the
-/// shipped frame of a slot-level logical after-image (`UpdateLogical`) or
-/// of a whole-page image (newly created pages, §3.6 treatment), and where
-/// it sits in the log. Stashed at receive time and applied to the pool
-/// only after the commit force, so the pool (and therefore the volume)
-/// only ever holds committed data.
-pub(super) struct PendingOp {
-    pub(super) page: PageId,
-    pub(super) frame: Vec<u8>,
-    pub(super) lsn: Lsn,
+/// The deferred operations of one uncommitted `NoSteal` transaction: the
+/// shipped frames of slot-level logical after-images (`UpdateLogical`) and
+/// of whole-page images (newly created pages, §3.6 treatment), stashed at
+/// receive time and applied to the pool only after the commit force, so
+/// the pool (and therefore the volume) only ever holds committed data.
+///
+/// One arena per transaction: the frames sit back to back in `bytes`, in
+/// log order, and `index` holds one `(page, offset, lsn)` entry per frame.
+/// [`Pending`] recycles both buffers, so stashing a frame is two copies
+/// into warm memory, not an allocation.
+#[derive(Default)]
+pub(super) struct StashedFrames {
+    bytes: Vec<u8>,
+    index: Vec<(PageId, usize, Lsn)>,
+}
+
+impl StashedFrames {
+    fn push(&mut self, page: PageId, frame: &[u8], lsn: Lsn) {
+        self.index.push((page, self.bytes.len(), lsn));
+        self.bytes.extend_from_slice(frame);
+    }
+
+    /// The frame stashed at `offset` of `bytes`.
+    fn frame(&self, offset: usize) -> &[u8] {
+        let rest = &self.bytes[offset..];
+        &rest[..record::frame_len(rest).expect("stashed frames were verified on receipt")]
+    }
+
+    /// Every stashed frame with its page and LSN, in log order.
+    pub(super) fn frames(&self) -> impl Iterator<Item = (PageId, &[u8], Lsn)> {
+        self.index.iter().map(|&(page, at, lsn)| (page, self.frame(at), lsn))
+    }
+}
+
+/// The no-steal pending map: each uncommitted `NoSteal` transaction's
+/// [`StashedFrames`], and the emptied arenas of finished ones, which the
+/// next transactions to stash reuse.
+#[derive(Default)]
+pub(super) struct Pending {
+    live: HashMap<TxnId, StashedFrames>,
+    spare: Vec<StashedFrames>,
+}
+
+impl Pending {
+    /// `txn`'s stashed frames, if it stashed any.
+    pub(super) fn get(&self, txn: TxnId) -> Option<&StashedFrames> {
+        self.live.get(&txn)
+    }
+
+    /// `txn`'s arena, a recycled one on its first stash.
+    fn arena(&mut self, txn: TxnId) -> &mut StashedFrames {
+        let spare = &mut self.spare;
+        self.live.entry(txn).or_insert_with(|| spare.pop().unwrap_or_default())
+    }
+
+    fn take(&mut self, txn: TxnId) -> Option<StashedFrames> {
+        self.live.remove(&txn)
+    }
+
+    /// Empty `frames` and keep its buffers for the next transaction.
+    fn recycle(&mut self, mut frames: StashedFrames) {
+        frames.bytes.clear();
+        frames.index.clear();
+        self.spare.push(frames);
+    }
+
+    /// Drop `txn`'s stashed frames (its abort), keeping the buffers.
+    fn discard(&mut self, txn: TxnId) {
+        if let Some(frames) = self.take(txn) {
+            self.recycle(frames);
+        }
+    }
 }
 
 fn protocol_error(detail: &str) -> QsError {
@@ -215,10 +277,10 @@ impl Server {
         Ok(())
     }
 
-    /// Stash the received records of one run of a `NoSteal` transaction as
-    /// deferred ops. Nothing touches the pool or the DPT here — that
-    /// happens after the commit force in [`Server::apply_pending_committed`].
-    /// Only logical updates and whole-page images carry deferred work
+    /// Stash the received records of one run of a `NoSteal` transaction in
+    /// its arena. Nothing touches the pool or the DPT here — that happens
+    /// after the commit force in [`Server::apply_pending_committed`]. Only
+    /// logical updates and whole-page images carry deferred work
     /// (`PageAlloc`: the volume allocation already happened in
     /// `allocate_page`).
     fn stash_pending<'a>(
@@ -227,14 +289,17 @@ impl Server {
         page: PageId,
         frames: impl Iterator<Item = (&'a [u8], Lsn)>,
     ) {
-        let mut ops = frames
+        let mut frames = frames
             .filter(|(f, _)| {
                 matches!(record::frame_tag(f), Ok(tag::UPDATE_LOGICAL | tag::WHOLE_PAGE))
             })
-            .map(|(f, lsn)| PendingOp { page, frame: f.to_vec(), lsn })
             .peekable();
-        if ops.peek().is_some() {
-            self.pending.lock(&self.tracer).entry(txn).or_default().extend(ops);
+        if frames.peek().is_some() {
+            let mut pending = self.pending.lock(&self.tracer);
+            let arena = pending.arena(txn);
+            for (frame, lsn) in frames {
+                arena.push(page, frame, lsn);
+            }
         }
     }
 
@@ -242,9 +307,9 @@ impl Server {
     /// `pid` to a served page copy.
     pub(super) fn overlay_pending(&self, txn: TxnId, pid: PageId, page: &mut Page) -> QsResult<()> {
         let pending = self.pending.lock(&self.tracer);
-        let Some(ops) = pending.get(&txn) else { return Ok(()) };
-        for op in ops.iter().filter(|op| op.page == pid) {
-            apply_after_image(page, pid, record::frame_tag(&op.frame)?, &op.frame, op.lsn)?;
+        let Some(stashed) = pending.get(txn) else { return Ok(()) };
+        for (_, frame, lsn) in stashed.frames().filter(|&(p, ..)| p == pid) {
+            apply_after_image(page, pid, record::frame_tag(frame)?, frame, lsn)?;
         }
         Ok(())
     }
@@ -258,23 +323,31 @@ impl Server {
     /// first and last op, so a flush racing the apply cannot retire it on
     /// an older image ([`Server::redo_onto_pool`] covers ops that land
     /// below the pageLSN) — and the caller keeps the transaction in the
-    /// table, pinning the log, until this returns.
+    /// table, pinning the log, until this returns. The emptied arena goes
+    /// back to the pending map's spares.
     fn apply_pending_committed(&self, txn: TxnId) -> QsResult<()> {
-        let ops = self.pending.lock(&self.tracer).remove(&txn).unwrap_or_default();
-        let mut by_page: BTreeMap<PageId, Vec<PendingOp>> = BTreeMap::new();
-        for op in ops {
-            by_page.entry(op.page).or_default().push(op);
-        }
+        let Some(mut stashed) = self.pending.lock(&self.tracer).take(txn) else {
+            return Ok(());
+        };
+        // Offsets are unique and grow in log order, so ordering the index
+        // by (page, offset) is the stable sort by page — pages ascending,
+        // each page's frames in log order — without a stable sort's
+        // scratch buffer. Frames usually arrive grouped by page in
+        // ascending order already, which the sort sees in one pass.
+        stashed.index.sort_unstable_by_key(|&(page, at, _)| (page, at));
+        let runs = || stashed.index.chunk_by(|a, b| a.0 == b.0);
         {
             let mut dpt = self.dpt.lock(&self.tracer);
-            for (&pid, ops) in &by_page {
+            for run in runs() {
                 // In log order, and never empty.
-                dpt.logged_span(pid, ops[0].lsn, ops[ops.len() - 1].lsn);
+                dpt.logged_span(run[0].0, run[0].2, run[run.len() - 1].2);
             }
         }
-        for (pid, ops) in by_page {
-            self.redo_onto_pool(pid, ops.iter().map(|op| (&op.frame[..], op.lsn)))?;
+        for run in runs() {
+            let frames = run.iter().map(|&(_, at, lsn)| (stashed.frame(at), lsn));
+            self.redo_onto_pool(run[0].0, frames)?;
         }
+        self.pending.lock(&self.tracer).recycle(stashed);
         Ok(())
     }
 
@@ -431,7 +504,7 @@ impl Server {
         match protocol {
             Protocol::PageLog => self.wpl_abort(txn)?,
             Protocol::NoSteal => {
-                self.pending.lock(&self.tracer).remove(&txn);
+                self.pending.lock(&self.tracer).discard(txn);
                 self.log_abort(txn)?;
             }
             Protocol::Steal => {

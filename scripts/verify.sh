@@ -175,15 +175,29 @@ if [ -n "$scans" ]; then
     exit 1
 fi
 
+echo "== no-steal frames wait in one arena per transaction =="
+# A no-steal transaction's deferred frames sit back to back in one recycled
+# arena (`StashedFrames`, crates/esm/src/server/txn.rs), regrouped at commit
+# by sorting its index. The per-frame `PendingOp` copy and the `BTreeMap`
+# that regrouped them may not come back.
+if grep -rn 'PendingOp' crates tests examples \
+        || grep -n 'BTreeMap' crates/esm/src/server/txn.rs; then
+    echo "FAIL: the per-frame no-steal stash (PendingOp / BTreeMap regroup)" \
+         "is named again"
+    exit 1
+fi
+
 echo "== cargo test -q --offline =="
 cargo test -q --offline --workspace
 
 echo "== allocation-free paths, release profile too =="
 # The counting-allocator tests hold "no allocation per log record, per
-# force, per recovery-buffer overflow"; the optimizer decides what gets
-# boxed or inlined, so the profile that ships is checked as well.
+# force, per recovery-buffer overflow, per no-steal frame"; the optimizer
+# decides what gets boxed or inlined, so the profile that ships is checked
+# as well.
 cargo test -q --release --offline -p qs-wal --test alloc_free_append
 cargo test -q --release --offline -p quickstore --test alloc_free_commit
+cargo test -q --release --offline -p qs-esm --test alloc_free_nosteal
 
 echo "== dependency audit: path-only =="
 # Any bare `name = "x.y"` or `{ version = ... }` entry in a [dependencies]
