@@ -64,7 +64,8 @@ pub(crate) enum CheckpointRule {
     None,
 }
 
-/// Which transaction protocols a flavor's log can hold (restart).
+/// Which transaction protocols a flavor's log can hold, and so what its
+/// restart's one replay does with each frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Holds {
     /// Steal + WAL + CLR undo: the report carries an undo phase.
@@ -78,6 +79,10 @@ pub(crate) struct Holds {
     /// unapplied: a committed transaction stays in the table until its
     /// deferred ops are in the pool and its pages in the DPT.
     pub(crate) logical: bool,
+    /// Whole-page logging: its transactions' frames wait for their fate,
+    /// like logical ones', and restart restores WPL-table versions — the
+    /// newest committed image of each page — instead of pages (§3.4.3).
+    pub(crate) page_log: bool,
 }
 
 /// The per-flavor facts the code branches on.
@@ -98,8 +103,7 @@ pub struct FlavorFacts {
     /// the page on receipt (§3.5).
     pub redo_on_receive: bool,
     pub(crate) checkpoint: CheckpointRule,
-    /// `None`: restart rebuilds the WPL table instead of replaying.
-    pub(crate) restart: Option<Holds>,
+    pub(crate) restart: Holds,
 }
 
 impl RecoveryFlavor {
@@ -114,7 +118,7 @@ impl RecoveryFlavor {
     }
 
     pub fn facts(self) -> FlavorFacts {
-        const PHYSICAL: Option<Holds> = Some(Holds { physical: true, logical: false });
+        const PHYSICAL: Holds = Holds { physical: true, logical: false, page_log: false };
         let esm = FlavorFacts {
             base: Protocol::Steal,
             ships_records: true,
@@ -135,7 +139,7 @@ impl RecoveryFlavor {
                 ships_records: false,
                 physical_update: false,
                 checkpoint: CheckpointRule::None,
-                restart: None,
+                restart: Holds { physical: false, logical: false, page_log: true },
                 ..esm
             },
             RecoveryFlavor::RedoLogical => FlavorFacts {
@@ -143,12 +147,12 @@ impl RecoveryFlavor {
                 ships_pages: false,
                 physical_update: false,
                 checkpoint: CheckpointRule::Aged,
-                restart: Some(Holds { physical: false, logical: true }),
+                restart: Holds { physical: false, logical: true, page_log: false },
                 ..esm
             },
             RecoveryFlavor::Adaptive => FlavorFacts {
                 txn_scheme: true,
-                restart: Some(Holds { physical: true, logical: true }),
+                restart: Holds { physical: true, logical: true, page_log: false },
                 ..esm
             },
         }
@@ -180,14 +184,14 @@ mod tests {
     fn flavor_by_mark_table_is_pinned() {
         // (flavor, name, [no mark, Pd, Sd, Wpl, Rlog], records, pages,
         //  Update legal, TxnScheme legal, redo on receive, checkpoint,
-        //  restart holds (physical, logical))
+        //  restart holds (physical, logical, page log))
         type Row = (
             RecoveryFlavor,
             &'static str,
             [Protocol; 5],
             [bool; 5],
             CheckpointRule,
-            Option<(bool, bool)>,
+            (bool, bool, bool),
         );
         let table: [Row; 5] = [
             (
@@ -196,7 +200,7 @@ mod tests {
                 [Steal; 5],
                 [true, true, true, false, false],
                 Sharp,
-                Some((true, false)),
+                (true, false, false),
             ),
             (
                 RecoveryFlavor::RedoAtServer,
@@ -204,7 +208,7 @@ mod tests {
                 [Steal; 5],
                 [true, false, true, false, true],
                 Sharp,
-                Some((true, false)),
+                (true, false, false),
             ),
             (
                 RecoveryFlavor::Wpl,
@@ -212,7 +216,7 @@ mod tests {
                 [PageLog; 5],
                 [false, true, false, false, false],
                 CheckpointRule::None,
-                None,
+                (false, false, true),
             ),
             (
                 RecoveryFlavor::RedoLogical,
@@ -220,7 +224,7 @@ mod tests {
                 [NoSteal; 5],
                 [true, false, false, false, false],
                 Aged,
-                Some((false, true)),
+                (false, true, false),
             ),
             (
                 RecoveryFlavor::Adaptive,
@@ -228,7 +232,7 @@ mod tests {
                 [Steal, Steal, Steal, NoSteal, NoSteal],
                 [true, true, true, true, false],
                 Sharp,
-                Some((true, true)),
+                (true, true, false),
             ),
         ];
         let marks = [None, Some(Pd), Some(Sd), Some(Wpl), Some(Rlog)];
@@ -251,7 +255,8 @@ mod tests {
                 "{name}: records / pages / Update / TxnScheme / redo-on-receive"
             );
             assert_eq!(f.checkpoint, checkpoint, "{name}");
-            assert_eq!(f.restart.map(|h| (h.physical, h.logical)), holds, "{name}");
+            let h = f.restart;
+            assert_eq!((h.physical, h.logical, h.page_log), holds, "{name}");
         }
     }
 }

@@ -1,57 +1,46 @@
-//! Restart recovery: one streamed, page-partitioned engine for every
-//! flavor. `RestartConfig::redo_workers` only sizes the worker pool — one
-//! worker runs the same reader → router → worker [`pipelined`] scan as
-//! eight, and a scan too short to gain from a pipeline
+//! Restart recovery: one streamed, page-partitioned replay for every
+//! flavor ([`replay`]). `RestartConfig::redo_workers` only sizes the worker
+//! pool — one worker runs the same reader → router → worker [`pipelined`]
+//! scan as eight, and a scan too short to gain from a pipeline
 //! ([`PIPELINE_MIN_CHUNKS`]) runs the same three roles [`inline`].
 //!
-//! The log-replaying flavors share analysis → redo → undo ([Frank92]'s
-//! client-server adaptation of ARIES [Mohan92]); what differs per flavor
-//! is only which transaction *protocols* its log can hold ([`Holds`]):
-//! physical transactions steal pages and are undone with CLRs, logical
-//! ones are deferred-apply / no-steal and are either replayed whole (if
-//! committed) or dropped. A log without `TxnScheme` marks is a log in
-//! which every transaction "elected" the flavor's one protocol. Because
-//! the diffing schemes log *after-images*, redo is idempotent; the
-//! pageLSN test merely avoids wasted work. WPL rebuilds its table from
-//! the whole-page images of committed writers instead (§3.4.3).
+//! What differs per flavor is which transaction *protocols* its log can
+//! hold ([`Holds`]), and so the rule a page's frames follow. Physical
+//! transactions steal pages: analysis → redo → undo ([Frank92]'s
+//! client-server ARIES [Mohan92]), redo idempotent because the diffing
+//! schemes log *after-images*. Logical ones are no-steal: replayed whole if
+//! committed, else dropped. Page-log (WPL) ones restore the WPL table: the
+//! newest committed image of each page wins (§3.4.3), kept as its LSN and
+//! transaction, and no page is read. A log without `TxnScheme` marks is a
+//! log in which every transaction "elected" the flavor's one protocol.
 //!
-//! Per-page work is partitioned by page id with the buffer pool's
-//! Fibonacci hash: every record touching a page goes to exactly one
-//! worker, which sees that page's records in log order — all after-image
-//! redo needs, since records for *different* pages commute (DESIGN.md §6c).
-//! Every scan runs through one scaffold ([`fan_out`]) of three roles:
-//!
-//! 1. the reader streams the log in large aligned chunks
-//!    ([`qs_wal::ChunkedScanner`]) — one media pass per chunk;
-//! 2. the router walks each chunk's frames with the cheap frame accessors
-//!    — no decoding — keeps the bookkeeping that is sequential by nature
-//!    (the transaction table) and fans page-bearing frames out to workers;
-//! 3. the workers do the per-page work straight out of the shared chunk
-//!    buffer — the analysis step (checksum, dirty-page table) and the redo
-//!    step (apply to privately-owned page images) — with no `LogRecord`
-//!    materialization and no per-record allocation.
-//!
-//! Every replayed log is read **once** ([`replay`]): one worker step
-//! ([`RedoShard::step`]) runs analysis and redo on each frame, finding the
-//! page's recLSN and image with one page-table probe per run of frames
-//! naming the page. A frame whose transaction's fate is still open — a
-//! no-steal one's, or an unmarked one's that may yet prove a logical abort
-//! ([`Fates`]) — is *parked* ([`Parked`]) until the broadcast commit or
-//! abort reaches the worker, and every later frame of its page queues
-//! behind it, so each page still sees its frames in LSN order. A
-//! physical-only log never parks. The [`PhaseStat`]s price the paper's two
-//! passes.
+//! Every record touching a page goes to the one worker that owns the page
+//! (the buffer pool's Fibonacci hash), in log order — all after-image redo
+//! needs, since records for *different* pages commute (DESIGN.md §6c).
+//! The reader streams the log in large aligned chunks
+//! ([`qs_wal::ChunkedScanner`]); the router walks each chunk's frames with
+//! the cheap frame accessors, keeps the transaction table and fans
+//! page-bearing frames out; the workers run one step ([`RedoShard::step`])
+//! per frame straight out of the shared chunk buffer — analysis (checksum,
+//! DPT) and redo, one page-table probe per run of frames naming the page,
+//! no `LogRecord` and no allocation per record. The log is read **once**.
+//! A frame whose transaction's fate is still open — a no-steal or page-log
+//! one's, or an unmarked one's that may yet prove a logical abort
+//! ([`Fates`]) — is *parked* until the broadcast commit or abort reaches
+//! the worker; a redone page's later frames queue behind it ([`Parked`]),
+//! so each page still sees its frames in LSN order. A physical-only log
+//! never parks. The [`PhaseStat`]s price the paper's passes.
 //!
 //! Verify-once is the checksum policy: every frame restart *uses* is
 //! checksummed exactly once before its result is used — page-bearing
 //! small frames by the page's worker in the analysis step (or in the redo
 //! step when they lie below the anchor), page-less frames by the router,
-//! whole-page frames where redo applies them, where they park or where a
-//! WPL image wins its page — and every frame it merely walks has its
-//! framing checked.
+//! whole-page frames where redo applies them, where they park, or, a WPL
+//! image, where it is installed as its page's winner — and every frame it
+//! merely walks has its framing checked.
 //!
 //! Workers return their results in worker-index order and pages are
-//! installed page-sorted, so the recovered volume, the restart report and
+//! installed page-sorted, so the recovered state, the restart report and
 //! everything downstream are byte-identical for any worker count and any
 //! chunk size (`tests/restart_equivalence.rs`).
 
@@ -67,7 +56,7 @@ use qs_types::{IdMap, IdSet, Lsn, PageId, QsResult, TxnId, PAGE_SIZE};
 use qs_wal::record::{self, tag};
 use qs_wal::{
     stream_chunks_timed, CheckpointBody, ChunkedScanner, FrameChunk, FrameRef, LogManager,
-    LogReadCache, SchemeCode,
+    LogReadCache, SchemeCode, WplCheckpointEntry,
 };
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver};
@@ -91,13 +80,14 @@ const PIPELINE_MIN_CHUNKS: u64 = 64;
 /// (unpriced) per-phase work counts for the restart report, and where
 /// the host's wall-clock time went.
 pub(crate) fn run(server: &Server) -> QsResult<(Vec<PhaseStat>, RestartWall)> {
-    let mut wall = RestartWall::default();
-    let Some(holds) = server.facts().restart else {
-        return Ok((wpl_restart(server, &mut wall)?, wall));
-    };
+    let holds = server.facts().restart;
     let cfg = server.config().restart;
-    let mut ph_analysis = phase("analysis");
-    let mut ph_redo = phase("redo");
+    let mut wall = RestartWall::default();
+    // WPL's phases keep the paper's backward-scan vocabulary, which the
+    // report and `results/` are keyed on.
+    let names =
+        if holds.page_log { ["backward_scan", "table_rebuild"] } else { ["analysis", "redo"] };
+    let (mut ph_analysis, mut ph_redo) = (phase(names[0]), phase(names[1]));
     // The redo workers read the volume; nothing else runs yet.
     let volume = server.volume.lock(&server.tracer);
     let log = server.log.wal();
@@ -107,8 +97,16 @@ pub(crate) fn run(server: &Server) -> QsResult<(Vec<PhaseStat>, RestartWall)> {
     let merge = Instant::now();
     install(server, &a, redone, &mut ph_redo)?;
     wall.scans.last_mut().expect("replay scans the log").end_merge(merge);
-    let ph_undo = undo_and_finish(server, a.att, a.max_txn, &mut wall)?;
     let mut phases = vec![ph_analysis, ph_redo];
+    if holds.page_log {
+        // The paper's backward scan reads each record with one random
+        // log-page read; bill the meter the same total. Nothing is undone
+        // and no checkpoint is taken.
+        server.meter().log_pages_read.fetch_add(phases[0].records, Ordering::Relaxed);
+        *server.txns.lock(&server.tracer) = TxnTable::resuming_after(a.max_txn);
+        return Ok((phases, wall));
+    }
+    let ph_undo = undo_and_finish(server, a.att, a.max_txn, &mut wall)?;
     if holds.physical {
         phases.push(ph_undo);
     }
@@ -175,13 +173,14 @@ impl Marks {
 }
 
 /// The fate of every transaction whose end the router has seen, in a log
-/// that can hold logical ones: a commit applies its frames, an abort drops
-/// them — unless the transaction is unmarked and logged a CLR, which makes
-/// it physical, so history is repeated. (A physical abort writes a CLR for
-/// every `Update`: an unmarked abort without one was logical, its mark
-/// truncated, or physical with only created pages left. Its pages are still
-/// listed.) Only the router sees every CLR. It enters a fate before it
-/// routes the end record, usually chunks before a worker reaches it.
+/// of fate-gated (logical or page-log) ones: a commit applies its frames,
+/// an abort drops them — unless the transaction is unmarked and logged a
+/// CLR, which makes it physical, so history is repeated. (A physical abort
+/// writes a CLR for every `Update`: an unmarked abort without one was
+/// logical, its mark truncated, or physical with only created pages left.
+/// Its pages are still listed.) Only the router sees every CLR. It enters a
+/// fate before it routes the end record, usually chunks before a worker
+/// reaches it.
 type Fates = Mutex<IdMap<TxnId, Fate>>;
 
 /// What analysis learned from the log: the router's transaction half
@@ -199,6 +198,8 @@ struct Analysis {
     max_txn: TxnId,
     /// Highest page id + 1 implied by the log.
     max_alloc: u64,
+    /// Where analysis starts ([`Analysis::anchor`]).
+    anchor: Lsn,
     /// The run of consecutive records of one transaction the router is
     /// in: the transaction and, if it is a physical one, its latest LSN —
     /// written to `att` when the run ends, not once per record.
@@ -215,27 +216,34 @@ impl Analysis {
             dpt: IdMap::default(),
             max_txn: TxnId::INVALID,
             max_alloc: 0,
+            anchor: Lsn::NULL,
             run: (TxnId::INVALID, None),
         }
     }
 
     /// The restart anchor — where analysis and the analysis step's frame
-    /// verification start — and the DPT's seed. Logical work may precede
-    /// any checkpoint, so a log that can hold it is anchored at its start;
-    /// a physical-only log at the checkpoint the log header names, if any
-    /// (one the crash interrupted is one more record of the scan). All
-    /// older work is on disk or in its body, whose transactions enter the
-    /// ATT here and whose dirty pages are the seed.
-    fn anchor(&mut self, log: &LogManager, holds: Holds) -> QsResult<(Lsn, IdMap<PageId, Lsn>)> {
+    /// verification start — and the seeds of the workers' page tables.
+    /// Logical work may precede any checkpoint, so a log that can hold it
+    /// is anchored at its start; any other at the checkpoint the log
+    /// header names, if any (one the crash interrupted is one more record
+    /// of the scan). All older work is on disk or in its body, whose
+    /// transactions enter the ATT here and whose dirty pages (a physical
+    /// log's) and WPL-table entries (a page-log one's) are the seeds.
+    fn anchor(&mut self, log: &LogManager, holds: Holds) -> QsResult<CheckpointBody> {
         let ck = log.checkpoint_lsn();
         if holds.logical || ck.is_null() {
-            return Ok((log.start_lsn(), IdMap::default()));
+            self.anchor = log.start_lsn();
+            return Ok(CheckpointBody::default());
         }
-        let body = record::frame_checkpoint_body(&log.read_frame(ck)?)?;
-        self.att.extend(body.active_txns);
+        self.anchor = ck;
+        let mut body = record::frame_checkpoint_body(&log.read_frame(ck)?)?;
+        self.att.extend(body.active_txns.drain(..));
+        let pages = body.wpl_entries.iter().map(|e| e.page.0 as u64 + 1);
+        self.max_alloc = pages.fold(self.max_alloc, u64::max);
         // A body is snapshotted before its record is appended, so a listed
         // recLSN never exceeds the anchor; holding it to that makes it final.
-        Ok((ck, body.dirty_pages.into_iter().map(|(page, lsn)| (page, lsn.min(ck))).collect()))
+        body.dirty_pages.iter_mut().for_each(|(_, lsn)| *lsn = (*lsn).min(ck));
+        Ok(body)
     }
 
     /// Where a redo pass starts: the DPT's earliest recLSN, or `None` if
@@ -273,8 +281,8 @@ impl Analysis {
     /// its transaction's page records, so forward order classifies every
     /// record correctly at first sight), verify the page-less frames —
     /// nobody else reads them — and say which worker(s) need the frame: in
-    /// a log that can hold logical transactions (`fates` is `Some`), every
-    /// worker needs every mark, commit and abort.
+    /// a log of fate-gated transactions (`fates` is `Some`), every worker
+    /// needs every mark, commit and abort.
     fn route(&mut self, lsn: Lsn, bytes: &[u8], fates: Option<&Fates>) -> QsResult<Route> {
         let txn = record::frame_txn(bytes)?;
         if let Some(page) = record::frame_page(bytes)? {
@@ -319,15 +327,6 @@ impl Analysis {
     }
 }
 
-/// Fold page → first-LSN entries into a dirty-page table: the earliest
-/// LSN per page is its recLSN.
-fn merge_min(dpt: &mut IdMap<PageId, Lsn>, pages: impl IntoIterator<Item = (PageId, Lsn)>) {
-    for (page, lsn) in pages {
-        let rec_lsn = dpt.entry(page).or_insert(lsn);
-        *rec_lsn = lsn.min(*rec_lsn);
-    }
-}
-
 /// What every worker of a scan reads: nobody changes it, except the
 /// router, which fills `fates`.
 struct Shared<'a> {
@@ -337,17 +336,22 @@ struct Shared<'a> {
     anchor: Lsn,
     /// The anchor body's recLSNs (a physical-only log's checkpoint).
     seed: IdMap<PageId, Lsn>,
-    /// `Some` when the log can hold logical transactions.
+    /// The anchor body's WPL-table entries (a page-log log's checkpoint).
+    listed: Vec<WplCheckpointEntry>,
+    /// `Some` when the log holds fate-gated transactions.
     fates: Option<Fates>,
 }
 
-/// Analysis and redo of `log` against the pages on `volume` in one
-/// [`fan_out`] scan of `[min(seeded recLSNs, anchor), tail)`, each worker's
-/// shard handed to `finish` once its share of the DPT is merged. Below the
-/// anchor only redo reads, page-bearing frames. That is exact: a seeded
-/// page's recLSN is the seed's (≤ anchor), any other's its first listed
-/// frame at or above the anchor, which the step records before it redoes
-/// the frame.
+/// Analysis and redo of `log` against the pages on `volume` in one scan
+/// of `[min(seeded recLSNs, anchor), tail)`, each worker's shard handed to
+/// `finish` once its share of the DPT is merged. Below the anchor only
+/// redo reads, page-bearing frames. That is exact: a seeded page's recLSN
+/// is the seed's (≤ anchor), any other's its first listed frame at or
+/// above the anchor, which the step records before it redoes the frame.
+/// A scan of at least [`PIPELINE_MIN_CHUNKS`] chunks is [`pipelined`] over
+/// the pool, a shorter one runs [`inline`] as one worker; either way the
+/// router sees every frame on the calling thread and each worker its
+/// share of each chunk's frames, sharing the chunk's buffer.
 fn replay<T>(
     log: &LogManager,
     volume: &Volume,
@@ -358,12 +362,14 @@ fn replay<T>(
     mut finish: impl FnMut(RedoShard) -> T,
 ) -> QsResult<(Analysis, Vec<T>)> {
     let mut a = Analysis::new(!holds.physical);
-    let (anchor, seed) = a.anchor(log, holds)?;
-    let fates = holds.logical.then(Fates::default);
-    let shared = Shared { volume, holds, anchor, seed, fates };
+    let body = a.anchor(log, holds)?;
+    let (anchor, seed, listed) =
+        (a.anchor, body.dirty_pages.into_iter().collect(), body.wpl_entries);
+    let fates = (holds.logical || holds.page_log).then(Fates::default);
+    let shared = Shared { volume, holds, anchor, seed, listed, fates };
     // The analysis pass is priced from the anchor, wherever the scan starts.
-    ph.pages_read = log_pages(anchor, log.tail_lsn());
-    let from = shared.seed.values().copied().fold(anchor, Lsn::min);
+    let (from, end) = (shared.seed.values().copied().fold(anchor, Lsn::min), log.tail_lsn());
+    ph.pages_read = log_pages(anchor, end);
     let route = |lsn: Lsn, bytes: &[u8]| {
         if lsn < anchor {
             return Ok(record::frame_page(bytes)?.map_or(Route::Nowhere, Route::Page));
@@ -372,25 +378,35 @@ fn replay<T>(
         a.route(lsn, bytes, shared.fates.as_ref())
     };
     let work = |inbox: &mut Batches| {
-        let mut shard = RedoShard::new(&shared);
+        let mut shard = RedoShard::new(&shared, inbox.part);
         for batch in inbox {
             shard.take(&batch)?;
         }
         shard.end_scan()?;
         Ok(shard)
     };
-    let (shards, mut scan) =
-        fan_out("analysis+redo", log, (from, log.tail_lsn()), cfg, route, work)?;
+    let started = Instant::now();
+    let span = end.0.saturating_sub(from.0.max(log.start_lsn().0));
+    let (shards, mut scan) = if span < PIPELINE_MIN_CHUNKS * cfg.chunk_bytes as u64 {
+        inline(log, (from, end), cfg, route, work)?
+    } else {
+        pipelined(log, (from, end), cfg, route, work)?
+    };
+    scan.name = if holds.page_log { "backward_scan" } else { "analysis+redo" };
+    scan.wall_ns = ns_since(started);
     let merge = Instant::now();
     a.end_run();
     // The workers' shares of the DPT are disjoint by page. Every seeded
-    // page a worker saw kept its seed; the rest are the seed's.
+    // page a worker saw kept its seed or an earlier recLSN; the rest are
+    // the seed's.
     let mut out = Vec::with_capacity(shards.len());
     for shard in shards {
-        merge_min(&mut a.dpt, shard.dpt());
+        a.dpt.extend(shard.dpt());
         out.push(finish(shard));
     }
-    merge_min(&mut a.dpt, shared.seed);
+    for (page, rec_lsn) in shared.seed {
+        a.dpt.entry(page).or_insert(rec_lsn);
+    }
     scan.end_merge(merge);
     wall.scans.push(scan);
     volume.ensure_allocated(a.max_alloc as usize)?;
@@ -411,6 +427,9 @@ enum Route {
 struct Batches<'a> {
     source: Source<'a>,
     clock: StageClock,
+    /// The pages it carries: those [`shard_index`] sends to worker `.0` of
+    /// `.1`.
+    part: (usize, usize),
 }
 
 /// Where a worker's batches come from.
@@ -434,34 +453,6 @@ impl Iterator for Batches<'_> {
         self.clock.blocked();
         batch
     }
-}
-
-/// The scaffold every scan shares. Streams `[from, end)`; `route` sees
-/// every frame on the calling thread (so it needs no synchronization) and
-/// says which workers should get it; each worker runs `work` over its
-/// batches (its share of each chunk's frames, sharing the chunk's buffer).
-/// Returns the workers' results in worker-index order, and the stages'
-/// wall-clock accounting. A scan of at least [`PIPELINE_MIN_CHUNKS`]
-/// chunks is [`pipelined`] over `cfg.redo_workers` workers, a shorter one
-/// runs [`inline`] as one worker.
-fn fan_out<T: Send>(
-    name: &'static str,
-    log: &LogManager,
-    (from, end): (Lsn, Lsn),
-    cfg: RestartConfig,
-    route: impl FnMut(Lsn, &[u8]) -> QsResult<Route>,
-    work: impl Fn(&mut Batches) -> QsResult<T> + Sync,
-) -> QsResult<(Vec<T>, ScanWall)> {
-    let started = Instant::now();
-    let span = end.0.saturating_sub(from.0.max(log.start_lsn().0));
-    let (outs, mut scan) = if span < PIPELINE_MIN_CHUNKS * cfg.chunk_bytes as u64 {
-        inline(log, (from, end), cfg, route, work)?
-    } else {
-        pipelined(log, (from, end), cfg, route, work)?
-    };
-    scan.name = name;
-    scan.wall_ns = ns_since(started);
-    Ok((outs, scan))
 }
 
 /// A scan on the calling thread: the one worker pulls each batch by
@@ -507,13 +498,14 @@ fn inline<T>(
             return Some(FrameChunk { buf: chunk.buf, frames });
         }
     };
-    let mut inbox = Batches { source: Source::Inline(&mut next_batch), clock: StageClock::start() };
+    let source = Source::Inline(&mut next_batch);
+    let mut inbox = Batches { source, clock: StageClock::start(), part: (0, 1) };
     let out = work(&mut inbox);
     inbox.clock.busy();
     // What the inbox's clock calls blocked is the reading and routing above.
     let worked = inbox.clock.wall().busy_ns;
     scan.workers.push(StageWall { busy_ns: worked, blocked_ns: 0 });
-    scan.log_bytes_read = scanner.bytes_read();
+    (scan.log_bytes_read, scan.chunk_buffers) = (scanner.bytes_read(), scanner.buffers());
     // As in the pipeline, a worker's error is reported before the router's.
     let out = out?;
     failed.map_or(Ok((vec![out], scan)), Err)
@@ -534,12 +526,13 @@ fn pipelined<T: Send>(
     std::thread::scope(|s| {
         let mut txs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
+        for i in 0..workers {
             let (tx, rx) = sync_channel::<FrameChunk>(DEPTH);
             txs.push(tx);
             let work = &work;
             handles.push(s.spawn(move || {
-                let mut inbox = Batches { source: Source::Channel(rx), clock: StageClock::start() };
+                let (source, clock) = (Source::Channel(rx), StageClock::start());
+                let mut inbox = Batches { source, clock, part: (i, workers) };
                 let out = work(&mut inbox);
                 inbox.clock.busy();
                 (out, inbox.clock.wall())
@@ -584,7 +577,8 @@ fn pipelined<T: Send>(
             scan.workers.push(stage);
             outs.push(out);
         }
-        (scan.reader, scan.log_bytes_read) = reader.join().expect("log reader panicked");
+        let read = reader.join().expect("log reader panicked");
+        (scan.reader, scan.log_bytes_read, scan.chunk_buffers) = read;
         clock.blocked();
         scan.router = clock.wall();
         let outs = outs.into_iter().collect::<QsResult<Vec<T>>>()?;
@@ -592,11 +586,30 @@ fn pipelined<T: Send>(
     })
 }
 
-/// Redo's epilogue: price the pass and install the workers' redone pages
-/// into the pool as dirty, so undo sees them and the closing checkpoint
-/// flushes them. One shard at a time, under shard → DPT → volume.
+/// The replay's epilogue. A page-log log's: rebuild the WPL table from
+/// the workers' versions (§3.4.3). An image the scan found is the only
+/// frame of its page restart uses, so it is read back and verified here,
+/// once, whether it won at sight or at its commit; one only the anchor's
+/// body lists is trusted as the body is. Restored pages are served
+/// straight from the log, as in normal running. Any other log's: price
+/// the redo pass and install the workers' redone pages into the pool as
+/// dirty, so undo sees them and the closing checkpoint flushes them — one
+/// shard at a time, under shard → DPT → volume.
 fn install(server: &Server, a: &Analysis, redone: Vec<Redone>, ph: &mut PhaseStat) -> QsResult<()> {
     let log = server.log.wal();
+    let (mut resident, mut versions) = (Vec::new(), Vec::new());
+    for (stats, pages, newest) in redone {
+        ph.absorb(&stats);
+        resident.extend(pages);
+        versions.extend(newest);
+    }
+    versions.sort_unstable_by_key(|&(pid, _)| pid.0);
+    for (pid, (lsn, txn)) in versions {
+        if lsn >= a.anchor {
+            log.read_frame(lsn)?;
+        }
+        server.wpl.lock(&server.tracer).insert_restored(pid, lsn, txn);
+    }
     let Some(redo_from) = a.redo_from(log) else {
         return Ok(());
     };
@@ -606,11 +619,6 @@ fn install(server: &Server, a: &Analysis, redone: Vec<Redone>, ph: &mut PhaseSta
     ph.pages_read = log_pages(redo_from, log.tail_lsn());
     // Install page-sorted within each shard so pool state and eviction
     // write-backs are identical for every worker count.
-    let mut resident: Vec<(PageId, Page)> = Vec::new();
-    for (stats, pages) in redone {
-        ph.absorb(&stats);
-        resident.extend(pages);
-    }
     let (pool, tracer) = (&server.pool, &server.tracer);
     resident.sort_by_key(|&(pid, _)| (pool.shard_of(pid), pid.0));
     let mut resident = resident.into_iter().peekable();
@@ -649,7 +657,7 @@ struct PageEntry {
 
 /// What becomes of a transaction's frames: applied, dropped, or — until
 /// its commit or abort — open. An unmarked transaction still open at the
-/// scan's end is physical (applied, then undone), a logical one a loser.
+/// scan's end is physical (applied, then undone), any other a loser.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Fate {
     Apply,
@@ -657,8 +665,9 @@ enum Fate {
     Open,
 }
 
-/// One worker's tallies and its redone pages.
-type Redone = (PhaseStat, Vec<(PageId, Page)>);
+/// One worker's tallies, its redone pages and its pages' newest committed
+/// images (a page-log log's).
+type Redone = (PhaseStat, Vec<(PageId, Page)>, IdMap<PageId, (Lsn, TxnId)>);
 
 /// One worker: the fused analysis + redo step over its partition's frames,
 /// the page table that finds its pages, and its parked frames.
@@ -680,21 +689,38 @@ struct RedoShard<'a> {
     /// The last frame's transaction and [`RedoShard::sight`]'s answer.
     txn_run: Option<(TxnId, bool, Fate)>,
     parked: Parked,
+    /// A page-log log's rule and what it keeps, in place of redo.
+    versions: Option<Versions>,
 }
 
 impl<'a> RedoShard<'a> {
-    fn new(shared: &'a Shared<'a>) -> RedoShard<'a> {
+    /// The worker of `part`, its share of the anchor's WPL-table entries
+    /// seeded, one record each: a committed one is its page's version, any
+    /// other waits for its transaction's commit, which the scan broadcasts,
+    /// or is dropped at the scan's end.
+    fn new(shared: &'a Shared<'a>, (index, workers): (usize, usize)) -> RedoShard<'a> {
+        let mut stats = phase("redo");
+        let versions = shared.holds.page_log.then(|| {
+            let mut versions = Versions::default();
+            for e in shared.listed.iter().filter(|e| shard_index(e.page, workers) == index) {
+                let fate = if e.committed { Fate::Apply } else { Fate::Open };
+                versions.saw(e.page, e.lsn, e.txn, fate);
+                stats.records += 1;
+            }
+            versions
+        });
         RedoShard {
             shared,
             anchor: shared.anchor,
             parks: shared.fates.is_some(),
-            stats: phase("redo"),
+            stats,
             marks: Marks { default_logical: !shared.holds.physical, ..Marks::default() },
             pages: Vec::new(),
             index: IdMap::default(),
             run: None,
             txn_run: None,
             parked: Parked::default(),
+            versions,
         }
     }
 
@@ -728,6 +754,8 @@ impl<'a> RedoShard<'a> {
         let (txn, listed, fate) = if !self.parks {
             // A physical-only log: every frame lists its page and is redone.
             (TxnId::INVALID, true, Fate::Apply)
+        } else if self.versions.is_some() {
+            return self.version(pid, lsn, bytes);
         } else {
             self.sight(record::frame_txn(bytes)?)
         };
@@ -763,6 +791,16 @@ impl<'a> RedoShard<'a> {
         let fates = self.shared.fates.as_ref().expect("a broadcast end record");
         let fate = fates.lock()[&txn];
         self.settle(txn, fate)
+    }
+
+    /// A page-log frame: only its LSN and transaction are kept, by the rule
+    /// that the newest committed image of a page wins (§3.4.3). Nothing is
+    /// copied and no page is read; [`install`] verifies the winner.
+    #[inline(never)]
+    fn version(&mut self, pid: PageId, lsn: Lsn, bytes: &[u8]) -> QsResult<()> {
+        let (txn, _, fate) = self.sight(record::frame_txn(bytes)?);
+        self.versions.as_mut().expect("a page-log scan").saw(pid, lsn, txn, fate);
+        Ok(())
     }
 
     /// `pid`'s index in the page table, entered at its first frame with the
@@ -869,6 +907,10 @@ impl<'a> RedoShard<'a> {
     /// head of its queue through every decided frame, in LSN order; an
     /// applied frame lists its page. Once nothing waits the arena is cleared.
     fn settle(&mut self, txn: TxnId, fate: Fate) -> QsResult<()> {
+        if let Some(versions) = &mut self.versions {
+            versions.settle(txn, fate);
+            return Ok(());
+        }
         let Some((open, pages)) = self.parked.txns.get_mut(&txn) else {
             return Ok(());
         };
@@ -914,8 +956,8 @@ impl<'a> RedoShard<'a> {
     }
 
     /// The scan's end: settle what is still open — an unmarked transaction
-    /// is physical, applied now and rolled back by undo; a logical one is a
-    /// loser, dropped. No frame stays parked.
+    /// is physical, applied now and rolled back by undo; a logical or
+    /// page-log one is a loser, dropped. No frame stays parked.
     fn end_scan(&mut self) -> QsResult<()> {
         let txns = &self.parked.txns;
         let open: Vec<TxnId> = txns.keys().filter(|t| txns[t].0 == Fate::Open).copied().collect();
@@ -934,7 +976,37 @@ impl<'a> RedoShard<'a> {
 
     fn finish(self) -> Redone {
         let resident = self.pages.into_iter().filter_map(|(pid, e)| Some((pid, e.page?)));
-        (self.stats, resident.collect())
+        (self.stats, resident.collect(), self.versions.unwrap_or_default().newest)
+    }
+}
+
+/// A page-log worker's WPL-table versions: per page, the newest image
+/// known committed; per open transaction, the images it logged, waiting
+/// for its fate. An image is its frame's LSN and transaction, never its
+/// bytes.
+#[derive(Default)]
+struct Versions {
+    newest: IdMap<PageId, (Lsn, TxnId)>,
+    open: IdMap<TxnId, Vec<(PageId, Lsn)>>,
+}
+
+impl Versions {
+    /// An image of `pid` at `lsn` by `txn`, whose fate is `fate`.
+    fn saw(&mut self, pid: PageId, lsn: Lsn, txn: TxnId, fate: Fate) {
+        match fate {
+            Fate::Apply => {
+                let newest = self.newest.entry(pid).or_insert((lsn, txn));
+                *newest = (*newest).max((lsn, txn));
+            }
+            Fate::Drop => {}
+            Fate::Open => self.open.entry(txn).or_default().push((pid, lsn)),
+        }
+    }
+
+    fn settle(&mut self, txn: TxnId, fate: Fate) {
+        for (pid, lsn) in self.open.remove(&txn).unwrap_or_default() {
+            self.saw(pid, lsn, txn, fate);
+        }
     }
 }
 
@@ -1011,150 +1083,20 @@ fn undo_and_finish(
     Ok(ph)
 }
 
-/// One whole-page image sighting: where it is (a shared chunk buffer
-/// keeps the frame bytes alive) and who wrote it. Checksum verification
-/// is deferred until the candidate actually wins its page.
-struct ImageCandidate {
-    pid: PageId,
-    txn: TxnId,
-    buf: Arc<Vec<u8>>,
-    frame: FrameRef,
-}
-
-/// WPL restart (§3.4.3): rebuild the WPL table from one forward streamed
-/// pass over `[checkpoint, durable)`. The router collects the
-/// committed-transactions list and the body of the checkpoint the log
-/// header names (the scan's first record); workers report image
-/// candidates; the merge keeps the newest committed image per page — a
-/// transaction's commit record always follows its page images, so the
-/// list is complete by merge time — checksums only those winners, and
-/// fills in from the body the pages the scan saw no committed image of.
-/// The phase names keep the paper's backward-scan vocabulary, which the
-/// report and `results/` are keyed on.
-fn wpl_restart(server: &Server, wall: &mut RestartWall) -> QsResult<Vec<PhaseStat>> {
-    let mut scan = phase("backward_scan");
-    let mut rebuild = phase("table_rebuild");
-    let cfg = server.config().restart;
-    let log = server.log.wal();
-    let end = log.durable_lsn();
-    let ck = log.checkpoint_lsn();
-    let stop = if ck.is_null() { log.start_lsn() } else { ck };
-    scan.pages_read = log_pages(stop, end);
-
-    let mut ctl: IdSet<TxnId> = IdSet::default();
-    let mut max_txn = TxnId::INVALID;
-    // The restart anchor is the checkpoint the header names, the first
-    // record of the scan; one the crash interrupted before the header
-    // named it sits later and is ignored.
-    let mut anchor: Option<CheckpointBody> = None;
-    let route = |lsn, bytes: &[u8]| {
-        scan.records += 1;
-        let t = record::frame_tag(bytes)?;
-        if t == tag::WHOLE_PAGE {
-            return Ok(record::frame_page(bytes)?.map_or(Route::Nowhere, Route::Page));
-        }
-        record::frame_verify(bytes)?;
-        let txn = record::frame_txn(bytes)?;
-        note_txn(&mut max_txn, txn);
-        if t == tag::COMMIT {
-            ctl.insert(txn);
-        } else if t == tag::CHECKPOINT && lsn == ck {
-            anchor = Some(record::frame_checkpoint_body(bytes)?);
-        }
-        Ok(Route::Nowhere)
-    };
-    let (outcomes, mut stages) =
-        fan_out("backward_scan", log, (stop, end), cfg, route, image_worker)?;
-    let merge = Instant::now();
-
-    // The paper's backward scan reads each record with one random
-    // log-page read; bill the meter the same total.
-    server.meter().log_pages_read.fetch_add(scan.records, Ordering::Relaxed);
-
-    let mut max_page = 0u32;
-    let mut newest: IdMap<PageId, ImageCandidate> = IdMap::default();
-    for cand in outcomes.into_iter().flatten() {
-        note_txn(&mut max_txn, cand.txn);
-        max_page = max_page.max(cand.pid.0 + 1);
-        if ctl.contains(&cand.txn)
-            && newest.get(&cand.pid).is_none_or(|best| cand.frame.lsn > best.frame.lsn)
-        {
-            newest.insert(cand.pid, cand);
-        }
-    }
-    let mut restored: Vec<ImageCandidate> = newest.into_values().collect();
-    restored.sort_by_key(|c| c.pid.0);
-    let mut claimed: IdSet<PageId> = IdSet::default();
-    let mut wpl = server.wpl.lock(&server.tracer);
-    for c in restored {
-        let f = c.frame;
-        record::frame_verify(&c.buf[f.offset as usize..(f.offset + f.len) as usize])?;
-        claimed.insert(c.pid);
-        wpl.insert_restored(c.pid, f.lsn, c.txn);
-    }
-
-    // A checkpoint record sits exactly at `stop`, inside the scan, so
-    // the streamed pass normally found the anchor already.
-    if !ck.is_null() && anchor.is_none() {
-        anchor = Some(record::frame_checkpoint_body(&log.read_frame(ck)?)?);
-        server.meter().log_pages_read.fetch_add(1, Ordering::Relaxed);
-        rebuild.pages_read += 1;
-    }
-    let volume = server.volume.lock(&server.tracer);
-    if let Some(body) = anchor {
-        for e in &body.wpl_entries {
-            // A scanned image is newer than any listed one; among the
-            // listed versions of a page `insert_restored` keeps the
-            // newest (a committed one can sit under the image of a
-            // transaction that committed after the checkpoint).
-            if (e.committed || ctl.contains(&e.txn)) && !claimed.contains(&e.page) {
-                wpl.insert_restored(e.page, e.lsn, e.txn);
-            }
-            rebuild.records += 1;
-            max_page = max_page.max(e.page.0 + 1);
-        }
-        volume.ensure_allocated(body.allocated_pages as usize)?;
-    }
-    volume.ensure_allocated(max_page as usize)?;
-    drop((wpl, volume));
-    *server.txns.lock(&server.tracer) = TxnTable::resuming_after(max_txn);
-    stages.end_merge(merge);
-    wall.scans.push(stages);
-    Ok(vec![scan, rebuild])
-}
-
-/// One WPL image worker: run each routed whole-page frame through the
-/// boundary check (the trailer echo catches torn frames) and report it as
-/// an [`ImageCandidate`] without materializing or checksumming the 8 KB
-/// body; the merge verifies the winners. Restored pages are served
-/// straight from the log by the WPL table, exactly as in normal running.
-fn image_worker(inbox: &mut Batches) -> QsResult<Vec<ImageCandidate>> {
-    let mut images = Vec::new();
-    for batch in inbox {
-        for &frame in &batch.frames {
-            let bytes = batch.frame(&frame);
-            images.push(ImageCandidate {
-                pid: record::frame_page(bytes)?.expect("whole-page frame"),
-                txn: record::frame_txn(bytes)?,
-                buf: Arc::clone(&batch.buf),
-                frame,
-            });
-        }
-    }
-    Ok(images)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::StableParts;
+    use crate::{RecoveryFlavor, ServerConfig};
     use qs_storage::{MemDisk, StableMedia};
     use qs_types::QsError;
     use qs_wal::LogRecord;
     use std::collections::BTreeMap;
 
-    const PHYSICAL: Holds = Holds { physical: true, logical: false };
-    const LOGICAL: Holds = Holds { physical: false, logical: true };
-    const MIXED: Holds = Holds { physical: true, logical: true };
+    const PHYSICAL: Holds = Holds { physical: true, logical: false, page_log: false };
+    const LOGICAL: Holds = Holds { physical: false, logical: true, page_log: false };
+    const MIXED: Holds = Holds { physical: true, logical: true, page_log: false };
+    const PAGE_LOG: Holds = Holds { physical: false, logical: false, page_log: true };
 
     /// Pages on the test volume, each holding two 64-byte objects: under
     /// record locks two transactions update one page, an object each.
@@ -1217,7 +1159,7 @@ mod tests {
 
     fn whole_page(txn: u64, page: u32) -> LogRecord {
         let mut image = blank_page(PageId(page));
-        image.object_mut(PageId(page), 0).unwrap().fill(0xA0 + txn as u8);
+        image.object_mut(PageId(page), 0).unwrap().fill(0xA0u8.wrapping_add(txn as u8));
         LogRecord::WholePage {
             txn: TxnId(txn),
             prev: Lsn::NULL,
@@ -1267,6 +1209,8 @@ mod tests {
         redo: (u64, u64),
         /// The redone pages, page-sorted.
         pages: Vec<(PageId, Image)>,
+        /// A page-log log's WPL-table versions, page-sorted.
+        versions: Vec<(PageId, Lsn, TxnId)>,
     }
 
     /// What `replay` learns and redoes — in one scan, with no frame left
@@ -1296,12 +1240,14 @@ mod tests {
             assert_eq!(arena, 0, "a physical-only log parked a frame");
         }
         let mut redo = phase("redo");
-        let mut pages = Vec::new();
-        for (stats, resident) in redone {
+        let (mut pages, mut versions) = (Vec::new(), Vec::new());
+        for (stats, resident, newest) in redone {
             redo.absorb(&stats);
             pages.extend(resident.into_iter().map(|(pid, p)| (pid, Image(p.bytes().to_vec()))));
+            versions.extend(newest.into_iter().map(|(pid, (lsn, txn))| (pid, lsn, txn)));
         }
         pages.sort_by_key(|&(pid, _)| pid.0);
+        versions.sort_by_key(|&(pid, ..)| pid.0);
         let l = Learned {
             att: a.att,
             dpt: a.dpt,
@@ -1310,13 +1256,16 @@ mod tests {
             records: ph.records,
             redo: (redo.records, redo.data_reads),
             pages,
+            versions,
         };
         (l, arena)
     }
 
     /// The serial, decode-every-record restart the engine replaced: one
     /// analysis loop from the anchor, every table updated per record,
-    /// then one redo loop from the DPT's minimum.
+    /// then one redo loop from the DPT's minimum — or, for a page-log log,
+    /// the newest committed image per page among the anchor body's entries
+    /// and the images the loop saw.
     fn reference(log: &LogManager, volume: &Volume, holds: Holds) -> Learned {
         let default_logical = !holds.physical;
         let mut marks: IdMap<TxnId, SchemeCode> = IdMap::default();
@@ -1333,15 +1282,24 @@ mod tests {
             records: 0,
             redo: (0, 0),
             pages: Vec::new(),
+            versions: Vec::new(),
         };
         let ck = log.checkpoint_lsn();
         let mut from = log.start_lsn();
+        // A page-log log's images: (page, LSN, transaction, listed committed).
+        let mut images: Vec<(PageId, Lsn, TxnId, bool)> = Vec::new();
         if !(holds.logical || ck.is_null()) {
             let LogRecord::Checkpoint { body } = log.read_record(ck).unwrap().0 else {
                 panic!("anchor is not a checkpoint");
             };
             l.att.extend(body.active_txns);
             l.dpt.extend(body.dirty_pages);
+            // Each listed entry is a record of the table rebuild.
+            for e in body.wpl_entries {
+                l.max_alloc = l.max_alloc.max(e.page.0 as u64 + 1);
+                l.redo.0 += 1;
+                images.push((e.page, e.lsn, e.txn, e.committed));
+            }
             from = ck;
         }
         for item in log.scan_forward(from) {
@@ -1365,7 +1323,7 @@ mod tests {
                 }
                 LogRecord::Commit { .. } => {
                     l.att.remove(&txn);
-                    if is_logical {
+                    if is_logical || holds.page_log {
                         committed.insert(txn);
                         for (p, first) in pending.remove(&txn).unwrap_or_default() {
                             let e = l.dpt.entry(p).or_insert(first);
@@ -1390,7 +1348,9 @@ mod tests {
                     }
                     if let Some(page) = rec.page() {
                         l.max_alloc = l.max_alloc.max(page.0 as u64 + 1);
-                        if is_logical {
+                        if holds.page_log {
+                            images.push((page, lsn, txn, false));
+                        } else if is_logical {
                             pending.entry(txn).or_default().entry(page).or_insert(lsn);
                         } else {
                             l.dpt.entry(page).or_insert(lsn);
@@ -1400,6 +1360,18 @@ mod tests {
             }
         }
 
+        if holds.page_log {
+            let mut newest: BTreeMap<PageId, (Lsn, TxnId)> = BTreeMap::new();
+            for (page, lsn, txn, listed) in images {
+                if (listed || committed.contains(&txn))
+                    && newest.get(&page).is_none_or(|v| lsn > v.0)
+                {
+                    newest.insert(page, (lsn, txn));
+                }
+            }
+            l.versions = newest.into_iter().map(|(page, (lsn, txn))| (page, lsn, txn)).collect();
+            return l;
+        }
         let Some(&redo_from) = l.dpt.values().min() else {
             return l;
         };
@@ -1772,7 +1744,7 @@ mod tests {
     }
 
     /// Run one worker function over every frame of `log`, as a one-worker
-    /// pipelined `fan_out` would route them.
+    /// pipelined scan would route them.
     fn run_worker<T>(log: &LogManager, work: impl FnOnce(&mut Batches) -> T) -> T {
         let (tx, rx) = sync_channel(DEPTH);
         let mut scanner = ChunkedScanner::new(log, log.start_lsn(), log.tail_lsn(), 8192);
@@ -1782,7 +1754,11 @@ mod tests {
                     tx.send(chunk).unwrap();
                 }
             });
-            work(&mut Batches { source: Source::Channel(rx), clock: StageClock::start() })
+            work(&mut Batches {
+                source: Source::Channel(rx),
+                clock: StageClock::start(),
+                part: (0, 1),
+            })
         })
     }
 
@@ -1806,10 +1782,11 @@ mod tests {
             holds: PHYSICAL,
             anchor,
             seed: IdMap::default(),
+            listed: Vec::new(),
             fates: None,
         };
         let shard = run_worker(&log, |inbox| {
-            let mut shard = RedoShard::new(&shared);
+            let mut shard = RedoShard::new(&shared, inbox.part);
             for batch in inbox {
                 shard.take(&batch).unwrap();
             }
@@ -1938,5 +1915,103 @@ mod tests {
         assert_eq!(object(&l, created, 0), [0xA3; 8], "the created page's image is repeated");
         assert_eq!(object(&l, 300, 1), [4; 8], "the loser is redone, for undo to roll back");
         assert_eq!(l.att, IdMap::from_iter([(TxnId(4), in_flight)]));
+    }
+
+    /// WPL's rule, "the newest committed image of a page wins" (§3.4.3):
+    /// page 1's committed image, listed by the anchor's body, is superseded
+    /// by a newer committed one, and a still newer loser image must not
+    /// win; page 7's winner supersedes a committed image the scan saw.
+    /// Page 3's listed image is by a transaction that commits after the
+    /// checkpoint (a newer image of an in-flight one must not win); page
+    /// 5's by one that never commits. Page 2 is seen only in the body, page
+    /// 6 only by a loser. No page is read from the volume.
+    #[test]
+    fn a_page_log_restores_the_newest_committed_image_of_each_page() {
+        let (log, volume) = (fresh_log(), fresh_volume());
+        let p1_old = log.append(&whole_page(1, 1)).unwrap();
+        let p2 = log.append(&whole_page(1, 2)).unwrap();
+        log.append(&commit(1)).unwrap();
+        let p3 = log.append(&whole_page(2, 3)).unwrap();
+        let p5 = log.append(&whole_page(3, 5)).unwrap();
+        let entry = |page, lsn, txn, committed| WplCheckpointEntry {
+            page: PageId(page),
+            lsn,
+            txn: TxnId(txn),
+            committed,
+        };
+        let body = CheckpointBody {
+            active_txns: vec![(TxnId(2), p3), (TxnId(3), p5)],
+            wpl_entries: vec![
+                entry(1, p1_old, 1, true),
+                entry(2, p2, 1, true),
+                entry(3, p3, 2, false),
+                entry(5, p5, 3, false),
+            ],
+            allocated_pages: 6,
+            ..CheckpointBody::default()
+        };
+        checkpoint(&log, body);
+        log.append(&whole_page(4, 7)).unwrap();
+        let p1 = log.append(&whole_page(4, 1)).unwrap();
+        log.append(&commit(4)).unwrap();
+        log.append(&whole_page(5, 1)).unwrap();
+        log.append(&whole_page(5, 6)).unwrap();
+        let p7 = log.append(&whole_page(6, 7)).unwrap();
+        log.append(&abort(5)).unwrap();
+        log.append(&commit(2)).unwrap();
+        log.append(&whole_page(7, 3)).unwrap();
+        log.append(&commit(6)).unwrap();
+
+        let l = assert_matches_reference(&log, &volume, PAGE_LOG, "page log");
+        let want = [(1, p1, 4), (2, p2, 1), (3, p3, 2), (7, p7, 6)];
+        let want: Vec<_> = want.map(|(page, lsn, txn)| (PageId(page), lsn, TxnId(txn))).into();
+        assert_eq!(l.versions, want);
+        assert_eq!(l.redo, (4, 0), "the body's entries are rebuilt, no page is read");
+        assert!(l.pages.is_empty() && l.dpt.is_empty());
+        assert_eq!((l.max_txn, l.max_alloc), (TxnId(7), 8));
+    }
+
+    /// A worker gives each batch's chunk buffer back when it is done with
+    /// it, so a restart allocates about as many buffers as its pipeline
+    /// holds at once, not one per chunk: a WPL restart over ≥ 64 chunks
+    /// allocates no more than a physical one of the same log does, and
+    /// neither more than the pipeline's channels and stages can hold.
+    #[test]
+    fn a_page_log_restart_recycles_its_chunk_buffers() {
+        const WORKERS: usize = 2;
+        let held = (DEPTH + 2 + WORKERS * (DEPTH + 1)) as u64;
+        let buffers = |flavor: RecoveryFlavor| {
+            let body = 4 << 20;
+            let log_media: Arc<dyn StableMedia> =
+                Arc::new(MemDisk::new(LogManager::required_bytes(body)));
+            let log = LogManager::format(Arc::clone(&log_media), body).unwrap();
+            for txn in 1..=100u64 {
+                log.append(&whole_page(txn, txn as u32 % 40)).unwrap();
+                log.append(&whole_page(txn, 40 + txn as u32 % 40)).unwrap();
+                log.append(&commit(txn)).unwrap();
+            }
+            log.force(log.tail_lsn()).unwrap();
+            let data_media: Arc<dyn StableMedia> =
+                Arc::new(MemDisk::new(Volume::required_bytes(PAGES)));
+            let volume = Volume::format(Arc::clone(&data_media), PAGES).unwrap();
+            for _ in 0..PAGES {
+                let pid = volume.allocate().unwrap();
+                volume.write_page(pid, &blank_page(pid)).unwrap();
+            }
+            let mut cfg = ServerConfig::new(flavor).with_pool_mb(2.0).with_redo_workers(WORKERS);
+            cfg.restart.chunk_bytes = 2 * PAGE_SIZE;
+            let chunks = (log.tail_lsn().0 - log.start_lsn().0) / cfg.restart.chunk_bytes as u64;
+            assert!(chunks >= PIPELINE_MIN_CHUNKS, "{chunks} chunks");
+            let parts = StableParts { data_media, log_media, flight: None };
+            let server = Server::restart(parts, cfg, qs_sim::Meter::new()).unwrap();
+            let scan = server.restart_report().unwrap().wall.scans.remove(0);
+            assert_eq!(scan.workers.len(), WORKERS, "{flavor:?}: pipelined");
+            println!("{flavor:?}: {} chunk buffers over {chunks} chunks", scan.chunk_buffers);
+            scan.chunk_buffers
+        };
+        let physical = buffers(RecoveryFlavor::EsmAries);
+        assert!(physical <= held, "a physical restart allocated {physical} > {held}");
+        let wpl = buffers(RecoveryFlavor::Wpl);
+        assert!(wpl <= held, "a WPL restart allocated {wpl} > {held} (physical: {physical})");
     }
 }

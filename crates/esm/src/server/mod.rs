@@ -110,14 +110,15 @@ pub struct ServerConfig {
 /// Restart-engine configuration.
 ///
 /// `redo_workers` only sizes the worker pool of the one streamed,
-/// page-partitioned engine in [`crate::restart`], which recovers a
-/// byte-identical volume image and reports identical phase counts for any
-/// worker count and chunk size (`tests/restart_equivalence.rs` pins this).
-/// Every scan of that engine uses the pool: the name is historical.
+/// page-partitioned replay in [`crate::restart`] — every flavor's, WPL's
+/// table rebuild included — which recovers a byte-identical state and
+/// reports identical phase counts for any worker count and chunk size
+/// (`tests/restart_equivalence.rs` pins this). The name is historical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestartConfig {
-    /// Worker threads of each restart scan: ARIES analysis (checksums and
-    /// dirty-page table shards), ARIES redo, and the WPL image scan.
+    /// Worker threads of the restart scan, each owning a partition of the
+    /// pages: it verifies their frames, keeps their dirty-page table share
+    /// and redoes them, or, for WPL, keeps their newest committed images.
     pub redo_workers: usize,
     /// Bytes per streamed log read (clamped up to at least one frame).
     pub chunk_bytes: usize,

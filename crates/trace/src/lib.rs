@@ -37,5 +37,5 @@ pub use restart::{
     FlightRecording, PhaseStat, RestartReport, RestartWall, ScanWall, StageClock, StageWall,
 };
 pub use sink::{NullSink, RingSink, TraceSink};
-pub use tlock::{TracedGuard, TracedMutex};
+pub use tlock::{held_by_this_thread, TracedGuard, TracedMutex};
 pub use tracer::Tracer;

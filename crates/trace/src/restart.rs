@@ -121,6 +121,9 @@ pub struct ScanWall {
     /// Bytes the reader pulled from the log, re-reads of frames that
     /// straddle a chunk boundary included.
     pub log_bytes_read: u64,
+    /// Chunk buffers the reader allocated: a scan whose workers give each
+    /// batch's buffer back allocates about as many as its pipeline holds.
+    pub chunk_buffers: u64,
 }
 
 impl ScanWall {
@@ -174,6 +177,7 @@ impl RestartWall {
             }
             w.end_array();
             w.field_u64("merge_ns", s.merge_ns);
+            w.field_u64("chunk_buffers", s.chunk_buffers);
             w.end_object();
         }
         w.end_array();
@@ -191,14 +195,15 @@ impl RestartWall {
         for s in &self.scans {
             let workers: Vec<String> = s.workers.iter().map(stage).collect();
             out.push_str(&format!(
-                "  {:<14} wall {:>7.1} ms  busy/blocked: reader {}  router {}  workers [{}]  merge {:.1}  read {:.1} MB\n",
+                "  {:<14} wall {:>7.1} ms  busy/blocked: reader {}  router {}  workers [{}]  merge {:.1}  read {:.1} MB in {} buffers\n",
                 s.name,
                 ms(s.wall_ns),
                 stage(&s.reader),
                 stage(&s.router),
                 workers.join(" "),
                 ms(s.merge_ns),
-                s.log_bytes_read as f64 / 1e6
+                s.log_bytes_read as f64 / 1e6,
+                s.chunk_buffers
             ));
         }
         out.push_str(&format!(

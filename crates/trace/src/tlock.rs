@@ -7,11 +7,26 @@
 //! deterministic figure run uses — `lock(tracer)` is exactly a plain
 //! `Mutex::lock` plus one branch, so no wall-clock reads perturb anything.
 //! When they are on, each release records wall-clock hold (and, if the
-//! acquire contended, wait) nanoseconds via [`Tracer::record_lock`].
+//! acquire contended, wait) nanoseconds via [`Tracer::record_lock`], and
+//! each thread keeps count of the measured locks it holds
+//! ([`held_by_this_thread`]).
 
 use crate::tracer::Tracer;
 use qs_types::sync::{Mutex, MutexGuard};
+use std::cell::RefCell;
 use std::time::Instant;
+
+thread_local! {
+    /// The names of the measured locks this thread holds.
+    static HELD: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+}
+
+/// How many locks named `name` the calling thread holds, counting only
+/// locks taken while their tracer's lock stats were on: a probe for "no
+/// disk access while this lock is held" that does not time anything.
+pub fn held_by_this_thread(name: &str) -> usize {
+    HELD.with(|held| held.borrow().iter().filter(|&&n| n == name).count())
+}
 
 /// A named mutex whose guard reports hold/wait times to a [`Tracer`].
 #[derive(Debug)]
@@ -57,6 +72,7 @@ impl<T> TracedMutex<T> {
                 (g, Some(t0.elapsed().as_nanos() as u64))
             }
         };
+        HELD.with(|held| held.borrow_mut().push(self.name));
         let timing = Timing { tracer, name: self.name, acquired: Instant::now(), wait_ns };
         TracedGuard { guard, timing: Some(timing) }
     }
@@ -87,6 +103,14 @@ impl<T> Drop for TracedGuard<'_, T> {
     fn drop(&mut self) {
         if let Some(t) = self.timing.take() {
             t.tracer.record_lock(t.name, t.acquired.elapsed().as_nanos() as u64, t.wait_ns);
+            // A guard never leaves its thread, so its name is there; a
+            // drop must not panic, so nothing here insists on it.
+            let _ = HELD.try_with(|held| {
+                let mut held = held.borrow_mut();
+                if let Some(at) = held.iter().rposition(|&n| n == t.name) {
+                    held.swap_remove(at);
+                }
+            });
         }
     }
 }
@@ -105,6 +129,26 @@ mod tests {
         assert_eq!(*m.lock(&t), 2);
         assert_eq!(m.name(), "x");
         assert_eq!(m.into_inner(), 2);
+    }
+
+    #[test]
+    fn held_locks_are_counted_per_thread_while_measured() {
+        let meter = Meter::new();
+        let tracer = Tracer::flight(Arc::clone(&meter), HardwareModel::paper_1995(), 16);
+        let (a, b) = (TracedMutex::new("txns", ()), TracedMutex::new("txns", ()));
+        let unmeasured = a.lock(&tracer);
+        assert_eq!(held_by_this_thread("txns"), 0, "lock stats off: nothing counted");
+        drop(unmeasured);
+        tracer.set_lock_stats(true);
+        let (first, second) = (a.lock(&tracer), b.lock(&tracer));
+        assert_eq!(held_by_this_thread("txns"), 2);
+        std::thread::scope(|s| {
+            s.spawn(|| assert_eq!(held_by_this_thread("txns"), 0, "another thread holds none"));
+        });
+        drop(first);
+        assert_eq!((held_by_this_thread("txns"), held_by_this_thread("shard")), (1, 0));
+        drop(second);
+        assert_eq!(held_by_this_thread("txns"), 0);
     }
 
     #[test]

@@ -66,11 +66,13 @@ pub struct ChunkedScanner<'a> {
     /// Every buffer handed out so far. One whose consumers have all
     /// dropped their clones is taken back for the next chunk instead of
     /// mapping and zeroing a fresh one; a consumer that keeps chunks alive
-    /// (WPL's image candidates) simply never gives its buffers back.
+    /// simply never gives its buffers back.
     handed_out: Vec<Arc<Vec<u8>>>,
     /// Frames in the previous chunk: the next one's capacity hint.
     frames_hint: usize,
     bytes_read: u64,
+    /// Buffers allocated because none was free.
+    buffers: u64,
 }
 
 impl<'a> ChunkedScanner<'a> {
@@ -83,6 +85,7 @@ impl<'a> ChunkedScanner<'a> {
             handed_out: Vec::new(),
             frames_hint: 0,
             bytes_read: 0,
+            buffers: 0,
         }
     }
 
@@ -92,11 +95,20 @@ impl<'a> ChunkedScanner<'a> {
         self.bytes_read
     }
 
+    /// Chunk buffers allocated so far: about as many as the consumers
+    /// hold at once, if they give each back when they are done with it.
+    pub fn buffers(&self) -> u64 {
+        self.buffers
+    }
+
     /// A chunk buffer nobody else holds any more, or a new empty one.
     fn free_buffer(&mut self) -> Arc<Vec<u8>> {
         match self.handed_out.iter_mut().position(|buf| Arc::get_mut(buf).is_some()) {
             Some(free) => self.handed_out.swap_remove(free),
-            None => Arc::default(),
+            None => {
+                self.buffers += 1;
+                Arc::default()
+            }
         }
     }
 
@@ -187,10 +199,14 @@ pub fn stream_chunks<'scope, 'env>(
     stream_chunks_timed(scope, log, from, end, chunk_bytes, depth).0
 }
 
+/// A joined reader thread's wall time, log bytes read and chunk buffers
+/// allocated.
+pub type ReaderTally = (StageWall, u64, u64);
+
 /// [`stream_chunks`], also handing back the reader thread: joining it
 /// (after the receiver is dropped or drained) yields the reader's wall
 /// time, busy reading and splitting chunks vs blocked on the full channel,
-/// and the bytes it read from the log.
+/// the bytes it read from the log and the chunk buffers it allocated.
 pub fn stream_chunks_timed<'scope, 'env>(
     scope: &'scope std::thread::Scope<'scope, 'env>,
     log: &'env LogManager,
@@ -198,7 +214,7 @@ pub fn stream_chunks_timed<'scope, 'env>(
     end: Lsn,
     chunk_bytes: usize,
     depth: usize,
-) -> (Receiver<QsResult<FrameChunk>>, ScopedJoinHandle<'scope, (StageWall, u64)>) {
+) -> (Receiver<QsResult<FrameChunk>>, ScopedJoinHandle<'scope, ReaderTally>) {
     let (tx, rx) = sync_channel(depth.max(1));
     let mut scanner = ChunkedScanner::new(log, from, end, chunk_bytes);
     let reader = scope.spawn(move || {
@@ -215,7 +231,7 @@ pub fn stream_chunks_timed<'scope, 'env>(
                 break;
             }
         }
-        (clock.wall(), scanner.bytes_read())
+        (clock.wall(), scanner.bytes_read(), scanner.buffers())
     });
     (rx, reader)
 }
@@ -412,7 +428,7 @@ mod tests {
             buffers.insert(Arc::as_ptr(&c.buf));
             frames += c.frames.len();
         }
-        assert_eq!((buffers.len(), frames), (1, expect.len()));
+        assert_eq!((buffers.len(), sc.buffers(), frames), (1, 1, expect.len()));
         // A consumer that keeps its chunks keeps their bytes.
         let mut sc = ChunkedScanner::new(&lm, Lsn(0), lm.tail_lsn(), PAGE_SIZE);
         let mut held = Vec::new();

@@ -148,6 +148,17 @@ if grep -nE 'fn analyze\(|fn redo\(|PageShard' crates/esm/src/restart.rs; then
     exit 1
 fi
 
+echo "== restart has one path =="
+# WPL's table rebuild is a rule in the one replay (DESIGN.md §6c): the
+# second restart, its image candidates and their worker, and the optional
+# restart facts that forked to it are gone; their names may not come back.
+gone=$(grep -rnE 'wpl_restart|ImageCandidate|image_worker|Option<Holds>' crates/esm/src || true)
+if [ -n "$gone" ]; then
+    echo "FAIL: the deleted second restart is named again:"
+    echo "$gone" | sed 's/^/    /'
+    exit 1
+fi
+
 echo "== one pass per log record: no tail copy in force, no pool scan per overflow =="
 # `LogManager::force` detaches the prefix it writes; a `to_vec` there is
 # the 2 MB-per-commit copy coming back. `Store` scans the client pool for
