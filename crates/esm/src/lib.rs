@@ -42,6 +42,7 @@ pub mod protocol;
 pub mod restart;
 pub mod server;
 pub mod shard;
+mod stash;
 pub mod tower;
 pub mod txn;
 pub mod wpl;

@@ -24,18 +24,21 @@
 //! per frame straight out of the shared chunk buffer — analysis (checksum,
 //! DPT) and redo, one page-table probe per run of frames naming the page,
 //! no `LogRecord` and no allocation per record. The log is read **once**.
-//! A frame whose transaction's fate is still open — a no-steal or page-log
-//! one's, or an unmarked one's that may yet prove a logical abort
-//! ([`Fates`]) — is *parked* until the broadcast commit or abort reaches
-//! the worker; a redone page's later frames queue behind it ([`Parked`]),
-//! so each page still sees its frames in LSN order. A physical-only log
-//! never parks. The [`PhaseStat`]s price the paper's passes.
+//! A frame whose transaction's fate is still open — a no-steal one's, or
+//! an unmarked one's that may yet prove a logical abort ([`Fates`]) — is
+//! *stashed* in its transaction's arena (the server's deferred-frame
+//! store, [`Stash`]) until the broadcast commit or abort reaches the
+//! worker, which then settles it the way a no-steal commit does: page by
+//! page, each page's frames in log order, the pageLSN never moving back.
+//! Redo skips a frame the page held when it was read from the volume. A
+//! physical-only log never stashes. The [`PhaseStat`]s price the paper's
+//! passes.
 //!
 //! Verify-once is the checksum policy: every frame restart *uses* is
 //! checksummed exactly once before its result is used — page-bearing
 //! small frames by the page's worker in the analysis step (or in the redo
 //! step when they lie below the anchor), page-less frames by the router,
-//! whole-page frames where redo applies them, where they park, or, a WPL
+//! whole-page frames where redo applies them, where they are stashed, or, a WPL
 //! image, where it is installed as its page's winner — and every frame it
 //! merely walks has its framing checked.
 //!
@@ -48,6 +51,7 @@ use crate::protocol::Holds;
 use crate::server::pages::apply_after_image;
 use crate::server::{RestartConfig, Server};
 use crate::shard::shard_index;
+use crate::stash::Stash;
 use crate::txn::TxnTable;
 use qs_storage::{Page, Volume};
 use qs_trace::{PhaseStat, RestartWall, ScanWall, StageClock, StageWall};
@@ -651,8 +655,32 @@ struct PageEntry {
     rec_lsn: Lsn,
     /// Its image, read from the volume at the first frame redo applies.
     page: Option<Page>,
-    /// Its parked frames, first and last ([`Parked::frames`]).
-    queue: Option<(u32, u32)>,
+    /// The pageLSN the image had on the volume: redo skips every frame at
+    /// or below it, in whatever order the frames are laid.
+    read_lsn: Lsn,
+}
+
+impl PageEntry {
+    /// The page `pid` of this entry, read from the volume at its first
+    /// use, and its pageLSN there.
+    #[inline(always)]
+    fn read(
+        &mut self,
+        pid: PageId,
+        volume: &Volume,
+        stats: &mut PhaseStat,
+    ) -> QsResult<(&mut Page, Lsn)> {
+        let page = match &mut self.page {
+            Some(page) => page,
+            unread => {
+                stats.data_reads += 1;
+                let page = volume.read_page(pid)?;
+                self.read_lsn = page.lsn();
+                unread.insert(page)
+            }
+        };
+        Ok((page, self.read_lsn))
+    }
 }
 
 /// What becomes of a transaction's frames: applied, dropped, or — until
@@ -670,14 +698,14 @@ enum Fate {
 type Redone = (PhaseStat, Vec<(PageId, Page)>, IdMap<PageId, (Lsn, TxnId)>);
 
 /// One worker: the fused analysis + redo step over its partition's frames,
-/// the page table that finds its pages, and its parked frames.
+/// the page table that finds its pages, and its stashed frames.
 struct RedoShard<'a> {
     shared: &'a Shared<'a>,
     /// `shared.anchor` and whether `shared.fates` is kept, copied: the step
     /// reads them every frame, and `shared` lives beside what the router
     /// writes every frame.
     anchor: Lsn,
-    parks: bool,
+    gated: bool,
     stats: PhaseStat,
     /// Marks seen so far; they arrive by broadcast.
     marks: Marks,
@@ -688,7 +716,8 @@ struct RedoShard<'a> {
     run: Option<(PageId, usize)>,
     /// The last frame's transaction and [`RedoShard::sight`]'s answer.
     txn_run: Option<(TxnId, bool, Fate)>,
-    parked: Parked,
+    /// The frames of the transactions whose fate was open at sight.
+    stash: Stash,
     /// A page-log log's rule and what it keeps, in place of redo.
     versions: Option<Versions>,
 }
@@ -712,14 +741,14 @@ impl<'a> RedoShard<'a> {
         RedoShard {
             shared,
             anchor: shared.anchor,
-            parks: shared.fates.is_some(),
+            gated: shared.fates.is_some(),
             stats,
             marks: Marks { default_logical: !shared.holds.physical, ..Marks::default() },
             pages: Vec::new(),
             index: IdMap::default(),
             run: None,
             txn_run: None,
-            parked: Parked::default(),
+            stash: Stash::default(),
             versions,
         }
     }
@@ -735,13 +764,13 @@ impl<'a> RedoShard<'a> {
     }
 
     /// The step for one frame the router sent. A mark is noted; a commit
-    /// or an abort settles what its transaction parked. For a page's frame,
-    /// from the anchor on, the analysis step comes first: verify a small
-    /// frame (whole-page frames are verified only where redo applies them)
-    /// and, unless its transaction is logical and not known to commit, list
-    /// its page. Then redo applies the frame ([`RedoShard::target`]), or
-    /// skips it if its transaction drops it — or it parks, if its fate is
-    /// open or an older frame of the page waits.
+    /// or an abort settles what its transaction stashed. For a page's
+    /// frame, from the anchor on, the analysis step comes first: verify a
+    /// small frame (whole-page frames are verified only where redo applies
+    /// them) and, unless its transaction is logical and not known to
+    /// commit, list its page. Then redo applies the frame
+    /// ([`RedoShard::target`]), or skips it if its transaction drops it —
+    /// or stashes it in its transaction's arena, if its fate is open.
     fn step(&mut self, lsn: Lsn, bytes: &[u8]) -> QsResult<()> {
         let t = record::frame_tag(bytes)?;
         let Some(pid) = record::frame_page(bytes)? else {
@@ -751,13 +780,13 @@ impl<'a> RedoShard<'a> {
         if analyzed && t != tag::WHOLE_PAGE {
             record::frame_verify(bytes)?;
         }
-        let (txn, listed, fate) = if !self.parks {
+        let (txn, listed, fate) = if !self.gated {
             // A physical-only log: every frame lists its page and is redone.
             (TxnId::INVALID, true, Fate::Apply)
         } else if self.versions.is_some() {
             return self.version(pid, lsn, bytes);
         } else {
-            self.sight(record::frame_txn(bytes)?)
+            self.sight(record::frame_txn(bytes)?)?
         };
         let i = self.entry(pid);
         let e = &mut self.pages[i].1;
@@ -765,7 +794,7 @@ impl<'a> RedoShard<'a> {
             e.rec_lsn = lsn;
         }
         match fate {
-            Fate::Apply if e.queue.is_none() => {
+            Fate::Apply => {
                 if let Some(page) = self.target(i, lsn)? {
                     // Whole-page frames and frames below the anchor: verified here.
                     if t == tag::WHOLE_PAGE || !analyzed {
@@ -775,12 +804,18 @@ impl<'a> RedoShard<'a> {
                 }
             }
             Fate::Drop => {}
-            _ => self.park(i, (fate == Fate::Open).then_some(txn), lsn, bytes)?,
+            Fate::Open => {
+                // Only a whole-page frame's image is kept, so it is verified now.
+                if t == tag::WHOLE_PAGE {
+                    record::frame_verify(bytes)?;
+                }
+                self.stash.arena(txn).push(pid, bytes, lsn)?;
+            }
         }
         Ok(())
     }
 
-    /// A mark, commit or abort: only a log that can park broadcasts them.
+    /// A mark, commit or abort: only a log that can stash broadcasts them.
     // Out of line: a physical-only log's step never gets here.
     #[inline(never)]
     fn broadcast(&mut self, t: u8, bytes: &[u8]) -> QsResult<()> {
@@ -798,7 +833,7 @@ impl<'a> RedoShard<'a> {
     /// copied and no page is read; [`install`] verifies the winner.
     #[inline(never)]
     fn version(&mut self, pid: PageId, lsn: Lsn, bytes: &[u8]) -> QsResult<()> {
-        let (txn, _, fate) = self.sight(record::frame_txn(bytes)?);
+        let (txn, _, fate) = self.sight(record::frame_txn(bytes)?)?;
         self.versions.as_mut().expect("a page-log scan").saw(pid, lsn, txn, fate);
         Ok(())
     }
@@ -813,7 +848,7 @@ impl<'a> RedoShard<'a> {
                 let (pages, seed) = (&mut self.pages, &self.shared.seed);
                 let i = *self.index.entry(pid).or_insert_with(|| {
                     let rec_lsn = seed.get(&pid).copied().unwrap_or(Lsn::INVALID);
-                    pages.push((pid, PageEntry { rec_lsn, page: None, queue: None }));
+                    pages.push((pid, PageEntry { rec_lsn, page: None, read_lsn: Lsn::NULL }));
                     pages.len() - 1
                 });
                 self.run = Some((pid, i));
@@ -825,7 +860,7 @@ impl<'a> RedoShard<'a> {
     /// The page of entry `i` a frame at `lsn` is redone onto — read from
     /// the volume at the first frame the recLSN filter lets through — or
     /// `None` if redo skips the frame: it is below the recLSN, or its
-    /// effect is on the page already (pageLSN).
+    /// effect was on the page when it was read (pageLSN).
     // Inlined into the step: a call per frame costs physical-only logs
     // ≈ 5 % of their per-frame worker time (`micro` `restart/worker_frame`).
     #[inline(always)]
@@ -834,64 +869,24 @@ impl<'a> RedoShard<'a> {
         if lsn < e.rec_lsn {
             return Ok(None);
         }
-        let page = match &mut e.page {
-            Some(page) => page,
-            unread => {
-                self.stats.data_reads += 1;
-                unread.insert(self.shared.volume.read_page(*pid)?)
-            }
-        };
-        if page.lsn() >= lsn {
+        let (page, read_lsn) = e.read(*pid, self.shared.volume, &mut self.stats)?;
+        if lsn <= read_lsn {
             return Ok(None);
         }
         self.stats.records += 1;
         Ok(Some(page))
     }
 
-    /// Copy `bytes`, a frame of transaction `open` if it is open, into the
-    /// arena at the back of its page's queue (entry `i`).
-    fn park(&mut self, i: usize, open: Option<TxnId>, lsn: Lsn, bytes: &[u8]) -> QsResult<()> {
-        let ((pid, e), parked) = (&mut self.pages[i], &mut self.parked);
-        if let Some(txn) = open {
-            let (_, pages) = parked.txns.entry(txn).or_insert((Fate::Open, Vec::new()));
-            if pages.last() != Some(pid) {
-                pages.push(*pid);
-            }
-        }
-        let id = parked.frames.len() as u32;
-        match &mut e.queue {
-            Some((_, tail)) => {
-                parked.frames[*tail as usize].next = Some(id);
-                *tail = id;
-            }
-            None => e.queue = Some((id, id)),
-        }
-        let image = record::frame_tag(bytes)? == tag::WHOLE_PAGE;
-        let at = if image {
-            // Only the image is kept, so the frame is verified now.
-            record::frame_verify(bytes)?;
-            if parked.staged == parked.images.len() {
-                parked.images.push(Page::new());
-            }
-            let staged = parked.images[parked.staged].bytes_mut();
-            staged.copy_from_slice(record::frame_whole_page_image(bytes)?);
-            parked.staged += 1;
-            parked.staged - 1
-        } else {
-            parked.bytes.extend_from_slice(bytes);
-            parked.bytes.len() - bytes.len()
-        };
-        parked.frames.push(ParkedFrame { lsn, txn: open, at, image, next: None });
-        parked.waiting += 1;
-        Ok(())
-    }
-
     /// A frame of `txn`: the transaction, whether the frame lists its page
     /// at sight — all do but a logical transaction's not known to commit —
-    /// and its fate so far, by its mark, then by the router's [`Fates`].
-    fn sight(&mut self, txn: TxnId) -> (TxnId, bool, Fate) {
+    /// and its fate so far, by its mark, then by the router's [`Fates`]. A
+    /// frame never overtakes its own transaction's stashed ones: a
+    /// transaction whose fate was published after some of its frames were
+    /// stashed is settled before its next frame is applied (the router
+    /// runs ahead, DESIGN.md §6c).
+    fn sight(&mut self, txn: TxnId) -> QsResult<(TxnId, bool, Fate)> {
         if let Some((run, listed, fate)) = self.txn_run.filter(|&(run, ..)| run == txn) {
-            return (run, listed, fate);
+            return Ok((run, listed, fate));
         }
         let fate = match (self.marks.elected.get(&txn), &self.shared.fates) {
             (Some(s), _) if !s.is_logical() => Fate::Apply,
@@ -900,71 +895,49 @@ impl<'a> RedoShard<'a> {
         };
         let listed = fate == Fate::Apply || self.marks.physical_by_default(txn);
         self.txn_run = Some((txn, listed, fate));
-        (txn, listed, fate)
+        if fate != Fate::Open && self.stash.get(txn).is_some() {
+            self.settle(txn, fate)?;
+        }
+        Ok((txn, listed, fate))
     }
 
-    /// Give `txn` its fate and drain the pages it parked on, each from the
-    /// head of its queue through every decided frame, in LSN order; an
-    /// applied frame lists its page. Once nothing waits the arena is cleared.
+    /// Give `txn` its fate. If it applies, lay its stashed frames the way a
+    /// no-steal commit does — page by page, ascending, each page's frames
+    /// in log order, the pageLSN never moving back — but those the page
+    /// held when it was read; an applied frame lists its page at its LSN if
+    /// that is the page's earliest. The frames were verified at sight, or a
+    /// whole-page one as it was stashed. The arena is kept as a spare.
     fn settle(&mut self, txn: TxnId, fate: Fate) -> QsResult<()> {
         if let Some(versions) = &mut self.versions {
             versions.settle(txn, fate);
             return Ok(());
         }
-        let Some((open, pages)) = self.parked.txns.get_mut(&txn) else {
+        let Some(mut arena) = self.stash.take(txn) else {
             return Ok(());
         };
-        *open = fate;
-        let pages = std::mem::take(pages);
-        // Out of `self` while its frames are applied.
-        let mut parked = std::mem::take(&mut self.parked);
-        for pid in pages {
-            let i = self.index[&pid];
-            while let Some((head, tail)) = self.pages[i].1.queue {
-                let f = parked.frames[head as usize];
-                let fate = f.txn.map_or(Fate::Apply, |txn| parked.txns[&txn].0);
-                if fate == Fate::Open {
-                    break;
-                }
-                let e = &mut self.pages[i].1;
-                e.queue = f.next.map(|next| (next, tail));
-                parked.waiting -= 1;
-                if fate == Fate::Drop {
-                    continue;
-                }
-                e.rec_lsn = e.rec_lsn.min(f.lsn);
-                // Verified already: at sight, or a whole-page one as it parked.
-                let Some(page) = self.target(i, f.lsn)? else { continue };
-                if f.image {
-                    std::mem::swap(page, &mut parked.images[f.at]);
-                    page.set_lsn(f.lsn);
-                } else {
-                    let bytes = &parked.bytes[f.at..];
-                    let bytes = &bytes[..record::frame_len(bytes)?];
-                    apply_after_image(page, pid, record::frame_tag(bytes)?, bytes, f.lsn)?;
-                }
-            }
+        arena.by_page();
+        let mut next = arena.run_from(0).filter(|_| fate == Fate::Apply);
+        while let Some(run) = next {
+            let i = self.entry(run.page);
+            let (pid, e) = &mut self.pages[i];
+            e.rec_lsn = e.rec_lsn.min(run.first);
+            let (page, read_lsn) = e.read(*pid, self.shared.volume, &mut self.stats)?;
+            self.stats.records += arena.lay_run(&run, page, |lsn| lsn <= read_lsn)?.count;
+            next = arena.run_from(run.range.end);
         }
-        if parked.waiting == 0 {
-            parked.staged = 0;
-            parked.bytes.clear();
-            parked.frames.clear();
-            parked.txns.clear();
-        }
-        self.parked = parked;
+        self.stash.recycle(arena);
         Ok(())
     }
 
     /// The scan's end: settle what is still open — an unmarked transaction
     /// is physical, applied now and rolled back by undo; a logical or
-    /// page-log one is a loser, dropped. No frame stays parked.
+    /// page-log one is a loser, dropped. No arena stays open.
     fn end_scan(&mut self) -> QsResult<()> {
-        let txns = &self.parked.txns;
-        let open: Vec<TxnId> = txns.keys().filter(|t| txns[t].0 == Fate::Open).copied().collect();
-        for txn in open {
+        for txn in self.stash.open() {
             let physical = self.marks.physical_by_default(txn);
             self.settle(txn, if physical { Fate::Apply } else { Fate::Drop })?;
         }
+        debug_assert_eq!(self.stash.held().0, 0, "an arena is left open");
         Ok(())
     }
 
@@ -1008,40 +981,6 @@ impl Versions {
             self.saw(pid, lsn, txn, fate);
         }
     }
-}
-
-/// A worker's parked frames, queued on their pages: a small frame copied
-/// into one byte arena, a whole-page frame's image into a page buffer that
-/// redo swaps in. Once no frame waits all is cleared, capacity and buffers
-/// kept: a worker allocates for its deepest backlog, not per frame.
-#[derive(Default)]
-struct Parked {
-    bytes: Vec<u8>,
-    /// Page buffers: the first `staged` hold parked images, the rest are
-    /// spares.
-    images: Vec<Page>,
-    staged: usize,
-    /// One entry per parked frame, in arrival order.
-    frames: Vec<ParkedFrame>,
-    /// Each transaction that parked a frame while open: its fate and the
-    /// pages it parked on.
-    txns: IdMap<TxnId, (Fate, Vec<PageId>)>,
-    /// Frames parked and not yet drained.
-    waiting: usize,
-}
-
-#[derive(Clone, Copy)]
-struct ParkedFrame {
-    lsn: Lsn,
-    /// Its transaction, if open when the frame parked; else the frame was
-    /// known to apply and waits only behind the frames ahead of it.
-    txn: Option<TxnId>,
-    /// Where the frame starts in [`Parked::bytes`], or its image's index
-    /// in [`Parked::images`].
-    at: usize,
-    image: bool,
-    /// The next frame in its page's queue.
-    next: Option<u32>,
 }
 
 /// Undo pass plus restart epilogue: roll back the physical losers with
@@ -1147,13 +1086,18 @@ mod tests {
     }
 
     fn logical_on(txn: u64, page: u32, slot: u16) -> LogRecord {
+        logical_val(txn, page, slot, txn as u8)
+    }
+
+    /// A logical update writing `val` over object `slot` of `page`.
+    fn logical_val(txn: u64, page: u32, slot: u16, val: u8) -> LogRecord {
         LogRecord::UpdateLogical {
             txn: TxnId(txn),
             prev: Lsn::NULL,
             page: PageId(page),
             slot,
             offset: 0,
-            after: vec![txn as u8; 8],
+            after: vec![val; 8],
         }
     }
 
@@ -1213,9 +1157,9 @@ mod tests {
         versions: Vec<(PageId, Lsn, TxnId)>,
     }
 
-    /// What `replay` learns and redoes — in one scan, with no frame left
-    /// parked, and in a physical-only log none ever parked — and the bytes
-    /// of parked-frame arena its workers allocated.
+    /// What `replay` learns and redoes — in one scan, with no arena left
+    /// open, and in a physical-only log none ever filled — and the bytes of
+    /// stash its workers allocated.
     fn learned(
         log: &LogManager,
         volume: &Volume,
@@ -1226,18 +1170,18 @@ mod tests {
         let cfg = RestartConfig { redo_workers: workers, chunk_bytes };
         let mut ph = phase("analysis");
         let mut wall = RestartWall::default();
-        let mut arena = 0;
+        let (mut arenas, mut stashed) = (0, 0);
         let finish = |shard: RedoShard| {
-            let parked = &shard.parked;
-            let left = parked.frames.len() + parked.waiting + parked.txns.len() + parked.staged;
-            assert_eq!(left, 0, "a frame is left parked");
-            arena += parked.bytes.capacity() + parked.images.len() * PAGE_SIZE;
+            let (open, held, bytes) = shard.stash.held();
+            assert_eq!(open, 0, "an arena is left open");
+            arenas += held;
+            stashed += bytes;
             shard.finish()
         };
         let (a, redone) = replay(log, volume, holds, cfg, &mut ph, &mut wall, finish).unwrap();
         assert_eq!(wall.scans.len(), 1, "the log is read once");
         if !holds.logical {
-            assert_eq!(arena, 0, "a physical-only log parked a frame");
+            assert_eq!((arenas, stashed), (0, 0), "a physical-only log stashed a frame");
         }
         let mut redo = phase("redo");
         let (mut pages, mut versions) = (Vec::new(), Vec::new());
@@ -1258,7 +1202,7 @@ mod tests {
             pages,
             versions,
         };
-        (l, arena)
+        (l, stashed)
     }
 
     /// The serial, decode-every-record restart the engine replaced: one
@@ -1565,8 +1509,10 @@ mod tests {
             log.append(&update(1, page)).unwrap();
             log.append(&logical(2, page)).unwrap();
             log.append(&logical(2, page)).unwrap();
-            // Unmarked: its mark was truncated, so it is physical.
-            log.append(&update(3, page + 6)).unwrap();
+            // Unmarked: its mark was truncated, so it is physical. It
+            // shares pages 6-11 with transaction 1 while both are open, so
+            // it writes another object (record locks).
+            log.append(&update_on(3, page + 6, 1)).unwrap();
             log.append(&whole_page(4, page + 20)).unwrap();
         }
         log.append(&commit(2)).unwrap();
@@ -1703,7 +1649,7 @@ mod tests {
         }
     }
 
-    /// A parked frame is verified before anything of it is used: a small
+    /// A stashed frame is verified before anything of it is used: a small
     /// one at sight, a whole-page one when its image is kept — here the
     /// frames of a no-steal transaction that goes on to commit.
     #[test]
@@ -1809,10 +1755,12 @@ mod tests {
 
     /// Record locks let a no-steal transaction (1) and physical ones (2,
     /// then 3) update the same pages, an object each, their frames
-    /// interleaved. Transaction 1's frames park until its fate is known and
-    /// every later frame of the page queues behind them, so each page is
-    /// redone in LSN order: whether 1 commits last, aborts, or is still in
-    /// flight at the crash, exactly as the two-pass reference redoes it.
+    /// interleaved. Transaction 1's frames are stashed until its fate is
+    /// known while the others' are redone at sight; its commit then lays
+    /// them under the later frames' pageLSN, which does not move back, and
+    /// redo skips only what the page held when it was read. Whether 1
+    /// commits last, aborts, or is still in flight at the crash, each page
+    /// ends exactly as the two-pass reference redoes it.
     #[test]
     fn a_no_steal_transaction_interleaved_with_physical_ones_on_its_pages() {
         for end in ["commits last", "aborts", "is in flight"] {
@@ -1849,7 +1797,7 @@ mod tests {
 
             let what = format!("transaction 1 {end}");
             let l = assert_matches_reference(&log, &volume, MIXED, &what);
-            assert!(learned(&log, &volume, MIXED, 1, 8192).1 > 0, "{what}: nothing parked");
+            assert!(learned(&log, &volume, MIXED, 1, 8192).1 > 0, "{what}: nothing stashed");
             assert!(l.att.is_empty(), "{what}: no physical loser");
             for page in 0..16u32 {
                 assert_eq!(object(&l, page, 0), [3; 8], "{what}: page {page}");
@@ -1862,6 +1810,120 @@ mod tests {
                 assert_eq!(object(&l, page, 0), [0xA4; 8], "{what}: page {page}");
             }
         }
+    }
+
+    /// The router runs ahead: a transaction's first frames of a page can
+    /// find its fate open and be stashed, and its next frame of the same
+    /// object find the fate published. The stashed frames must land first —
+    /// the transaction is settled before the later frame is applied — or
+    /// the older value wins, and a stashed image swaps in over the later
+    /// update and takes the pageLSN back. The two batches are fed to one
+    /// worker by hand, the commit published between them.
+    #[test]
+    fn a_frame_decided_at_sight_lands_after_its_transactions_stashed_ones() {
+        let (log, volume) = (fresh_log(), fresh_volume());
+        let marked = log.append(&mark(1, SchemeCode::Rlog)).unwrap();
+        let image = log.append(&whole_page(1, 6)).unwrap();
+        let old = log.append(&logical_val(1, 5, 0, 1)).unwrap();
+        let new = log.append(&logical_val(1, 5, 0, 2)).unwrap();
+        let over = log.append(&logical_val(1, 6, 0, 3)).unwrap();
+        let end = log.append(&commit(1)).unwrap();
+        let shared = Shared {
+            volume: &volume,
+            holds: MIXED,
+            anchor: log.start_lsn(),
+            seed: IdMap::default(),
+            listed: Vec::new(),
+            fates: Some(Fates::default()),
+        };
+        let mut shard = RedoShard::new(&shared, (0, 1));
+        let step = |shard: &mut RedoShard, lsns: &[Lsn]| {
+            shard.txn_run = None;
+            for &lsn in lsns {
+                shard.step(lsn, &log.read_frame(lsn).unwrap()).unwrap();
+            }
+        };
+        step(&mut shard, &[marked, image, old]);
+        assert_eq!(shard.stash.held().0, 1, "stashed while its fate is open");
+        shared.fates.as_ref().unwrap().lock().insert(TxnId(1), Fate::Apply);
+        step(&mut shard, &[new, over, end]);
+        shard.end_scan().unwrap();
+        let (_, pages, _) = shard.finish();
+        let page = |pid| &pages.iter().find(|(p, _)| *p == PageId(pid)).expect("redone").1;
+        assert_eq!(page(5).object(PageId(5), 0).unwrap()[..8], [2; 8], "the later value");
+        assert_eq!(page(5).lsn(), new);
+        assert_eq!(page(6).object(PageId(6), 0).unwrap()[..8], [3; 8], "the update over the image");
+        assert_eq!(page(6).lsn(), over);
+    }
+
+    /// The same through the whole scan: a no-steal transaction writes 17
+    /// objects twice, an image among them, its two rounds far apart and its
+    /// commit right after the second, so at 29-byte chunks its first frames
+    /// are stashed and the router may have published its commit by the
+    /// second round. Every page ends with the second value, as the
+    /// reference's log order gives it.
+    #[test]
+    fn a_no_steal_transaction_writing_its_objects_twice_across_chunks() {
+        let (log, volume) = (fresh_log(), fresh_volume());
+        log.append(&mark(1, SchemeCode::Rlog)).unwrap();
+        log.append(&mark(2, SchemeCode::Pd)).unwrap();
+        for page in 0..16u32 {
+            log.append(&logical_val(1, page, 0, 1)).unwrap();
+        }
+        log.append(&whole_page(1, 40)).unwrap();
+        for page in 100..140u32 {
+            log.append(&update(2, page)).unwrap();
+        }
+        log.append(&commit(2)).unwrap();
+        for page in 0..16u32 {
+            log.append(&logical_val(1, page, 0, 2)).unwrap();
+        }
+        log.append(&logical_val(1, 40, 0, 3)).unwrap();
+        log.append(&commit(1)).unwrap();
+
+        let l = assert_matches_reference(&log, &volume, MIXED, "objects written twice");
+        for page in 0..16u32 {
+            assert_eq!(object(&l, page, 0), [2; 8], "page {page}");
+        }
+        assert_eq!(object(&l, 40, 0), [3; 8], "the update over the image");
+    }
+
+    /// Restart's stash recycles: 240 no-steal transactions, at most 17 open
+    /// at once (each commits after the next 16 have logged), on pages no
+    /// two open ones share, at 29-byte chunks. A worker keeps a settled
+    /// transaction's arena as a spare for the next one, so it holds no more
+    /// arenas than transactions are open at once; at one worker, where the
+    /// router cannot publish a commit some 48 frames ahead, it stashes.
+    #[test]
+    fn restart_keeps_settled_arenas_as_spares() {
+        const TXNS: u64 = 240;
+        const LAG: u64 = 16;
+        let (log, volume) = (fresh_log(), fresh_volume());
+        for t in 1..=TXNS + LAG {
+            if t <= TXNS {
+                log.append(&logical(t, (2 * t % 80) as u32)).unwrap();
+                log.append(&logical(t, (2 * t % 80) as u32 + 1)).unwrap();
+            }
+            if t > LAG {
+                log.append(&commit(t - LAG)).unwrap();
+            }
+        }
+        let most_open = LAG as usize + 1;
+        for workers in [1, 2, 4] {
+            let cfg = RestartConfig { redo_workers: workers, chunk_bytes: 29 };
+            let mut held = Vec::new();
+            let finish = |shard: RedoShard| {
+                held.push(shard.stash.held().1);
+                shard.finish()
+            };
+            let (mut ph, mut wall) = (phase("analysis"), RestartWall::default());
+            replay(&log, &volume, LOGICAL, cfg, &mut ph, &mut wall, finish).unwrap();
+            assert!(held.iter().all(|&n| n <= most_open), "{workers} workers held {held:?}");
+            if workers == 1 {
+                assert!(held[0] > 0, "nothing stashed");
+            }
+        }
+        assert_matches_reference(&log, &volume, LOGICAL, "240 transactions");
     }
 
     /// An unmarked transaction of an ADAPT log (its mark truncated) parks

@@ -69,6 +69,7 @@ use crate::gate::VolumeGate;
 use crate::lock::LockManager;
 use crate::protocol::{FlavorFacts, Protocol};
 use crate::shard::ShardedPool;
+use crate::stash::Stash;
 use crate::tower::LogTower;
 use crate::txn::TxnTable;
 use crate::wpl::WplTable;
@@ -210,11 +211,11 @@ pub struct Server {
     /// WPL table, behind its own small lock.
     pub(crate) wpl: TracedMutex<WplTable>,
     /// Deferred (not-yet-applied) operations of uncommitted `NoSteal`
-    /// transactions: one arena of frames per transaction, in log order.
-    /// Never nested inside any other subsystem lock: every path takes it
-    /// alone and releases it before touching the pool, txn table, or
-    /// volume.
-    pending: TracedMutex<txn::Pending>,
+    /// transactions: the deferred-frame store restart's workers use too,
+    /// one arena of frames per transaction, in log order. Never nested
+    /// inside any other subsystem lock: every path takes it alone and
+    /// releases it before touching the pool, txn table, or volume.
+    pending: TracedMutex<Stash>,
     locks: LockManager,
     meter: Arc<Meter>,
     data_media: Arc<dyn StableMedia>,
@@ -297,7 +298,7 @@ impl Server {
             txns: TracedMutex::new("txns", TxnTable::new()),
             dpt: TracedMutex::new("dpt", DirtyPages::default()),
             wpl: TracedMutex::new("wpl", WplTable::new()),
-            pending: TracedMutex::new("pending", txn::Pending::default()),
+            pending: TracedMutex::new("pending", Stash::default()),
             locks: LockManager::new(),
             meter,
             data_media: parts.data_media,

@@ -3,11 +3,13 @@
 //! [`Server::fault_in`], the one place a page is read from the volume into
 //! the pool and a dirty victim is stolen; every path that lays a shipped
 //! after-image onto a page — those and the restart redo workers — through
-//! [`apply_after_image`].
+//! [`apply_after_image`] (a stashed whole-page image is swapped in instead,
+//! by `stash::Arena::lay_run`).
 
 use super::Server;
 use crate::buffer::{BufferPool, Evicted};
 use crate::protocol::Protocol;
+use crate::stash::Laid;
 use qs_storage::Page;
 use qs_types::{Lsn, PageId, QsError, QsResult, TxnId};
 use qs_wal::record::{self, tag};
@@ -118,10 +120,11 @@ impl Server {
         Ok(page)
     }
 
-    /// Lay shipped after-images, in log order, onto the server's copy of
-    /// `pid` under its shard lock (faulting it in — the disk read that is
-    /// redo-at-server's Achilles heel, §3.5) and mark it dirty. The caller
-    /// has entered the page in the DPT already.
+    /// Lay after-images onto the server's copy of `pid` with `lay` (in log
+    /// order: [`Laid::frames`] or a stashed run) under its shard lock
+    /// (faulting it in — the disk read that is redo-at-server's Achilles
+    /// heel, §3.5) and mark it dirty. The caller has entered the page in
+    /// the DPT already.
     ///
     /// Under record locks an image can arrive *late* — below the pageLSN,
     /// after ops of another transaction logged later. The pageLSN does
@@ -129,28 +132,17 @@ impl Server {
     /// pageLSN covers the last LSN listed), and the op is listed again
     /// here: a flush may have retired the entry since the caller listed
     /// it, on an image without the op (DESIGN.md §6b "Late ops").
-    pub(super) fn redo_onto_pool<'a>(
+    pub(super) fn redo_onto_pool(
         &self,
         pid: PageId,
-        images: impl IntoIterator<Item = (&'a [u8], Lsn)>,
+        lay: impl FnOnce(&mut Page) -> QsResult<Laid>,
     ) -> QsResult<()> {
         let mut pool = self.pool.lock(pid, &self.tracer);
         self.fault_in(&mut pool, pid, None)?;
-        let page = pool.get_mut(pid).expect("resident after fault_in");
-        let floor = page.lsn();
-        let mut late: Option<Lsn> = None;
-        for (frame, lsn) in images {
-            apply_after_image(page, pid, record::frame_tag(frame)?, frame, lsn)?;
-            self.meter.redo_applies.fetch_add(1, Ordering::Relaxed);
-            if lsn < floor {
-                late = Some(late.map_or(lsn, |l| l.min(lsn)));
-            }
-        }
-        if page.lsn() < floor {
-            page.set_lsn(floor);
-        }
+        let laid = lay(pool.get_mut(pid).expect("resident after fault_in"))?;
+        self.meter.redo_applies.fetch_add(laid.count, Ordering::Relaxed);
         pool.mark_dirty(pid);
-        if let Some(lsn) = late {
+        if let Some(lsn) = laid.late {
             self.dpt.lock(&self.tracer).logged(pid, lsn);
         }
         Ok(())

@@ -1,5 +1,6 @@
 use super::*;
 use crate::lock::{LockMode, Resource};
+use crate::stash::{Laid, Stashed};
 use qs_types::{Lsn, QsError, TxnId};
 use qs_wal::{LogRecord, SchemeCode};
 
@@ -681,7 +682,11 @@ fn received(server: &Server, txn: TxnId, pids: &[PageId]) -> Received {
         (t.first_lsn, t.last_lsn, t.protocol, shipped)
     });
     let pending = server.pending.lock(&server.tracer).get(txn).map_or_else(Vec::new, |stashed| {
-        stashed.frames().map(|(page, frame, lsn)| (page, frame.to_vec(), lsn)).collect()
+        let bytes = |op| match op {
+            Stashed::Frame(frame) => frame.to_vec(),
+            Stashed::Image(image) => image.bytes().to_vec(),
+        };
+        stashed.frames().map(|(page, op, lsn)| (page, bytes(op), lsn)).collect()
     });
     let pool = pids
         .iter()
@@ -1055,9 +1060,43 @@ fn an_op_applied_below_the_page_lsn_is_listed_again() {
 
     let late = Lsn(page_lsn.0 - 1);
     let frame = logical(first, pid, 0, 1).encode();
-    server.redo_onto_pool(pid, [(&frame[..], late)]).unwrap();
+    server.redo_onto_pool(pid, |page| Laid::frames(page, pid, [(&frame[..], late)])).unwrap();
     assert_eq!(server.dpt.lock(&server.tracer).snapshot(), [(pid, late)]);
     assert_eq!(server.read_page_for_test(pid).unwrap().lsn(), page_lsn, "no move back");
+}
+
+/// The same pair committed out of log order, then a crash with nothing
+/// flushed: after `second`'s commit only, and after both. Restart lays
+/// `first`'s op at its commit under `second`'s later pageLSN, which must
+/// neither skip it (redo skips only what the page held on the volume) nor
+/// move back for it. Exactly the committed ops come back, and the pageLSN
+/// is the later op's, at every pool size and at chunks that split the
+/// frames from their commits (256 bytes: still one inline scan).
+#[test]
+fn no_steal_commits_out_of_log_order_on_one_page_survive_a_crash() {
+    for both in [false, true] {
+        for workers in [1, 2, 4] {
+            for chunk_bytes in [RestartConfig::default().chunk_bytes, 256, 29] {
+                let what = format!("both={both} workers={workers} chunk={chunk_bytes}");
+                let (server, pids) = loaded_server(RecoveryFlavor::RedoLogical);
+                let pid = pids[0];
+                let (first, second, slot) = two_no_steal_txns_on_one_page(&server, pid);
+                let later = server.txns.lock(&server.tracer).get(second).unwrap().last_lsn;
+                server.commit(second).unwrap();
+                if both {
+                    server.commit(first).unwrap();
+                }
+                let mut cfg = server.config().clone().with_redo_workers(workers);
+                cfg.restart.chunk_bytes = chunk_bytes;
+                let server = Server::restart(server.crash(), cfg, Meter::new()).unwrap();
+                let page = server.read_page_for_test(pid).unwrap();
+                let first_op = if both { [1u8; 64] } else { [0u8; 64] };
+                assert_eq!(page.object(pid, 0).unwrap(), &first_op[..], "{what}");
+                assert_eq!(page.object(pid, slot).unwrap(), &[2u8; 64][..], "{what}");
+                assert_eq!(page.lsn(), later, "{what}");
+            }
+        }
+    }
 }
 
 /// A no-steal commit regroups the frames it stashed in shipping order:

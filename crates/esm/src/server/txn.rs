@@ -7,88 +7,14 @@ use super::pages::apply_after_image;
 use super::Server;
 use crate::lock::{LockMode, Resource};
 use crate::protocol::Protocol;
+use crate::stash::{Laid, Stashed};
 use crate::txn::TxnStatus;
 use qs_storage::Page;
 use qs_trace::TraceCat;
 use qs_types::{Lsn, PageId, QsError, QsResult, TxnId};
 use qs_wal::record::{self, tag};
 use qs_wal::{LogPressure, LogRecord};
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-
-/// The deferred operations of one uncommitted `NoSteal` transaction: the
-/// shipped frames of slot-level logical after-images (`UpdateLogical`) and
-/// of whole-page images (newly created pages, §3.6 treatment), stashed at
-/// receive time and applied to the pool only after the commit force, so
-/// the pool (and therefore the volume) only ever holds committed data.
-///
-/// One arena per transaction: the frames sit back to back in `bytes`, in
-/// log order, and `index` holds one `(page, offset, lsn)` entry per frame.
-/// [`Pending`] recycles both buffers, so stashing a frame is two copies
-/// into warm memory, not an allocation.
-#[derive(Default)]
-pub(super) struct StashedFrames {
-    bytes: Vec<u8>,
-    index: Vec<(PageId, usize, Lsn)>,
-}
-
-impl StashedFrames {
-    fn push(&mut self, page: PageId, frame: &[u8], lsn: Lsn) {
-        self.index.push((page, self.bytes.len(), lsn));
-        self.bytes.extend_from_slice(frame);
-    }
-
-    /// The frame stashed at `offset` of `bytes`.
-    fn frame(&self, offset: usize) -> &[u8] {
-        let rest = &self.bytes[offset..];
-        &rest[..record::frame_len(rest).expect("stashed frames were verified on receipt")]
-    }
-
-    /// Every stashed frame with its page and LSN, in log order.
-    pub(super) fn frames(&self) -> impl Iterator<Item = (PageId, &[u8], Lsn)> {
-        self.index.iter().map(|&(page, at, lsn)| (page, self.frame(at), lsn))
-    }
-}
-
-/// The no-steal pending map: each uncommitted `NoSteal` transaction's
-/// [`StashedFrames`], and the emptied arenas of finished ones, which the
-/// next transactions to stash reuse.
-#[derive(Default)]
-pub(super) struct Pending {
-    live: HashMap<TxnId, StashedFrames>,
-    spare: Vec<StashedFrames>,
-}
-
-impl Pending {
-    /// `txn`'s stashed frames, if it stashed any.
-    pub(super) fn get(&self, txn: TxnId) -> Option<&StashedFrames> {
-        self.live.get(&txn)
-    }
-
-    /// `txn`'s arena, a recycled one on its first stash.
-    fn arena(&mut self, txn: TxnId) -> &mut StashedFrames {
-        let spare = &mut self.spare;
-        self.live.entry(txn).or_insert_with(|| spare.pop().unwrap_or_default())
-    }
-
-    fn take(&mut self, txn: TxnId) -> Option<StashedFrames> {
-        self.live.remove(&txn)
-    }
-
-    /// Empty `frames` and keep its buffers for the next transaction.
-    fn recycle(&mut self, mut frames: StashedFrames) {
-        frames.bytes.clear();
-        frames.index.clear();
-        self.spare.push(frames);
-    }
-
-    /// Drop `txn`'s stashed frames (its abort), keeping the buffers.
-    fn discard(&mut self, txn: TxnId) {
-        if let Some(frames) = self.take(txn) {
-            self.recycle(frames);
-        }
-    }
-}
 
 fn protocol_error(detail: &str) -> QsError {
     QsError::Protocol { detail: detail.into() }
@@ -260,13 +186,14 @@ impl Server {
                     // at commit.
                     Protocol::NoSteal => {
                         drop(txns);
-                        self.stash_pending(txn, pid, run_frames(run, first));
+                        self.stash_pending(txn, pid, run_frames(run, first))?;
                     }
                     Protocol::Steal => {
                         self.dpt.lock(&self.tracer).logged_span(pid, first, last);
                         drop(txns);
                         if self.facts.redo_on_receive {
-                            self.redo_onto_pool(pid, run_frames(run, first))?;
+                            let frames = run_frames(run, first);
+                            self.redo_onto_pool(pid, |page| Laid::frames(page, pid, frames))?;
                         }
                     }
                     Protocol::PageLog => unreachable!("PageLog flavors ship no records"),
@@ -288,7 +215,7 @@ impl Server {
         txn: TxnId,
         page: PageId,
         frames: impl Iterator<Item = (&'a [u8], Lsn)>,
-    ) {
+    ) -> QsResult<()> {
         let mut frames = frames
             .filter(|(f, _)| {
                 matches!(record::frame_tag(f), Ok(tag::UPDATE_LOGICAL | tag::WHOLE_PAGE))
@@ -298,9 +225,10 @@ impl Server {
             let mut pending = self.pending.lock(&self.tracer);
             let arena = pending.arena(txn);
             for (frame, lsn) in frames {
-                arena.push(page, frame, lsn);
+                arena.push(page, frame, lsn)?;
             }
         }
+        Ok(())
     }
 
     /// Re-apply `txn`'s own pending (deferred, uncommitted) operations on
@@ -308,8 +236,16 @@ impl Server {
     pub(super) fn overlay_pending(&self, txn: TxnId, pid: PageId, page: &mut Page) -> QsResult<()> {
         let pending = self.pending.lock(&self.tracer);
         let Some(stashed) = pending.get(txn) else { return Ok(()) };
-        for (_, frame, lsn) in stashed.frames().filter(|&(p, ..)| p == pid) {
-            apply_after_image(page, pid, record::frame_tag(frame)?, frame, lsn)?;
+        for (_, op, lsn) in stashed.frames().filter(|&(p, ..)| p == pid) {
+            match op {
+                Stashed::Frame(frame) => {
+                    apply_after_image(page, pid, record::frame_tag(frame)?, frame, lsn)?;
+                }
+                Stashed::Image(image) => {
+                    page.bytes_mut().copy_from_slice(image.bytes());
+                    page.set_lsn(lsn);
+                }
+            }
         }
         Ok(())
     }
@@ -318,36 +254,30 @@ impl Server {
     /// deferred ops into the pool. WAL holds (the commit force just made
     /// every op durable) and no-steal holds (the ops were invisible until
     /// now, and from here on they are committed data). Pages are applied
-    /// in ascending page-id order so pool state is deterministic. Each
-    /// page enters the DPT before its ops reach the pool — spanning its
-    /// first and last op, so a flush racing the apply cannot retire it on
-    /// an older image ([`Server::redo_onto_pool`] covers ops that land
-    /// below the pageLSN) — and the caller keeps the transaction in the
-    /// table, pinning the log, until this returns. The emptied arena goes
-    /// back to the pending map's spares.
+    /// in ascending page-id order so pool state is deterministic, each
+    /// page's frames in log order (`Arena::lay_run`, which restart's
+    /// settle calls too). Each page enters the DPT before its ops reach
+    /// the pool — spanning its first and last op, so a flush racing the
+    /// apply cannot retire it on an older image ([`Server::redo_onto_pool`]
+    /// covers ops that land below the pageLSN) — and the caller keeps the
+    /// transaction in the table, pinning the log, until this returns. The
+    /// emptied arena goes back to the pending map's spares.
     fn apply_pending_committed(&self, txn: TxnId) -> QsResult<()> {
-        let Some(mut stashed) = self.pending.lock(&self.tracer).take(txn) else {
+        let Some(mut arena) = self.pending.lock(&self.tracer).take(txn) else {
             return Ok(());
         };
-        // Offsets are unique and grow in log order, so ordering the index
-        // by (page, offset) is the stable sort by page — pages ascending,
-        // each page's frames in log order — without a stable sort's
-        // scratch buffer. Frames usually arrive grouped by page in
-        // ascending order already, which the sort sees in one pass.
-        stashed.index.sort_unstable_by_key(|&(page, at, _)| (page, at));
-        let runs = || stashed.index.chunk_by(|a, b| a.0 == b.0);
-        {
-            let mut dpt = self.dpt.lock(&self.tracer);
-            for run in runs() {
-                // In log order, and never empty.
-                dpt.logged_span(run[0].0, run[0].2, run[run.len() - 1].2);
-            }
+        arena.by_page();
+        let mut dpt = self.dpt.lock(&self.tracer);
+        for run in std::iter::successors(arena.run_from(0), |r| arena.run_from(r.range.end)) {
+            dpt.logged_span(run.page, run.first, run.last);
         }
-        for run in runs() {
-            let frames = run.iter().map(|&(_, at, lsn)| (stashed.frame(at), lsn));
-            self.redo_onto_pool(run[0].0, frames)?;
+        drop(dpt);
+        let mut next = arena.run_from(0);
+        while let Some(run) = next {
+            self.redo_onto_pool(run.page, |page| arena.lay_run(&run, page, |_| false))?;
+            next = arena.run_from(run.range.end);
         }
-        self.pending.lock(&self.tracer).recycle(stashed);
+        self.pending.lock(&self.tracer).recycle(arena);
         Ok(())
     }
 

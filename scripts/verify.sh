@@ -132,16 +132,20 @@ echo "== restart keys its tables on the workspace hasher =="
 # server assigned and reads back from its own checksummed log
 # (crates/types/src/hash.rs), and a worker probes its page table once per
 # page run: std's SipHash there cost oo7_t2a about a third of its restart.
-if grep -nE 'HashMap|HashSet' crates/esm/src/restart.rs; then
-    echo "FAIL: crates/esm/src/restart.rs names a std HashMap/HashSet;" \
-         "use qs_types::{IdMap, IdSet}"
+# The deferred-frame store restart's workers share with the running server
+# (crates/esm/src/stash.rs) and its no-steal path (server/txn.rs) too.
+if grep -nE 'HashMap|HashSet' crates/esm/src/restart.rs crates/esm/src/stash.rs \
+        crates/esm/src/server/txn.rs; then
+    echo "FAIL: restart.rs, stash.rs or server/txn.rs names a std" \
+         "HashMap/HashSet; use qs_types::{IdMap, IdSet}"
     exit 1
 fi
 
 echo "== restart reads every replayed log once =="
-# One scan for every log (DESIGN.md §6c): no-steal frames park per page
-# until their transaction's end, so the second scan and the analysis-only
-# worker it needed are gone; their names may not come back.
+# One scan for every log (DESIGN.md §6c): a frame whose transaction's fate
+# is open waits in that transaction's arena until its end, so the second
+# scan and the analysis-only worker it needed are gone; their names may not
+# come back.
 if grep -nE 'fn analyze\(|fn redo\(|PageShard' crates/esm/src/restart.rs; then
     echo "FAIL: crates/esm/src/restart.rs names the deleted second scan" \
          "(analyze / redo / PageShard)"
@@ -187,14 +191,17 @@ if [ -n "$scans" ]; then
 fi
 
 echo "== no-steal frames wait in one arena per transaction =="
-# A no-steal transaction's deferred frames sit back to back in one recycled
-# arena (`StashedFrames`, crates/esm/src/server/txn.rs), regrouped at commit
-# by sorting its index. The per-frame `PendingOp` copy and the `BTreeMap`
-# that regrouped them may not come back.
+# A transaction's deferred frames sit back to back in one recycled arena of
+# the one deferred-frame store (`Stash`, crates/esm/src/stash.rs), which
+# the running server's no-steal commit and restart's workers both use and
+# both settle page by page through `Arena::lay_run`. The per-frame
+# `PendingOp` copy, the `BTreeMap` that regrouped them, and restart's own
+# parking arena with its per-page queue may not come back.
 if grep -rn 'PendingOp' crates tests examples \
-        || grep -n 'BTreeMap' crates/esm/src/server/txn.rs; then
-    echo "FAIL: the per-frame no-steal stash (PendingOp / BTreeMap regroup)" \
-         "is named again"
+        || grep -n 'BTreeMap' crates/esm/src/server/txn.rs crates/esm/src/stash.rs \
+        || grep -rnE 'struct Parked|ParkedFrame' crates/esm/src; then
+    echo "FAIL: a deleted deferred-frame stash (PendingOp / BTreeMap regroup /" \
+         "Parked / ParkedFrame) is named again"
     exit 1
 fi
 
@@ -299,7 +306,7 @@ fi
 
 # The restart engine's own unit tests (crates/esm/src/restart.rs: the one
 # scan vs the serial two-pass reference at 1/2/4/8 workers and one-record
-# chunks, parked no-steal frames included) drive the same channels.
+# chunks, stashed no-steal frames included) drive the same channels.
 if ! timeout 120 cargo test -q --offline -p qs-esm --lib restart::; then
     echo "FAIL: qs-esm restart:: unit tests did not finish within 120s or failed"
     exit 1
