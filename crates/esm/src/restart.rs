@@ -9,10 +9,12 @@
 //! transactions steal pages: analysis → redo → undo ([Frank92]'s
 //! client-server ARIES [Mohan92]), redo idempotent because the diffing
 //! schemes log *after-images*. Logical ones are no-steal: replayed whole if
-//! committed, else dropped. Page-log (WPL) ones restore the WPL table: the
-//! newest committed image of each page wins (§3.4.3), kept as its LSN and
-//! transaction, and no page is read. A log without `TxnScheme` marks is a
-//! log in which every transaction "elected" the flavor's one protocol.
+//! committed, else dropped. Page-log (WPL) ones rebuild the WPL table
+//! (§3.4.3): each worker drives a [`WplTable`] of its pages with the calls
+//! the running server makes — an image frame is logged, a commit commits,
+//! an abort aborts — so the newest committed image of each page wins, and
+//! no page is read. A log without `TxnScheme` marks is a log in which
+//! every transaction "elected" the flavor's one protocol.
 //!
 //! Every record touching a page goes to the one worker that owns the page
 //! (the buffer pool's Fibonacci hash), in log order — all after-image redo
@@ -53,6 +55,7 @@ use crate::server::{RestartConfig, Server};
 use crate::shard::shard_index;
 use crate::stash::Stash;
 use crate::txn::TxnTable;
+use crate::wpl::WplTable;
 use qs_storage::{Page, Volume};
 use qs_trace::{PhaseStat, RestartWall, ScanWall, StageClock, StageWall};
 use qs_types::sync::Mutex;
@@ -177,7 +180,7 @@ impl Marks {
 }
 
 /// The fate of every transaction whose end the router has seen, in a log
-/// of fate-gated (logical or page-log) ones: a commit applies its frames,
+/// that can hold logical ones: a commit applies its frames,
 /// an abort drops them — unless the transaction is unmarked and logged a
 /// CLR, which makes it physical, so history is repeated. (A physical abort
 /// writes a CLR for every `Update`: an unmarked abort without one was
@@ -285,13 +288,13 @@ impl Analysis {
     /// its transaction's page records, so forward order classifies every
     /// record correctly at first sight), verify the page-less frames —
     /// nobody else reads them — and say which worker(s) need the frame: in
-    /// a log of fate-gated transactions (`fates` is `Some`), every worker
-    /// needs every mark, commit and abort.
-    fn route(&mut self, lsn: Lsn, bytes: &[u8], fates: Option<&Fates>) -> QsResult<Route> {
+    /// a log of logical or page-log transactions, every worker needs every
+    /// mark, commit and abort.
+    fn route(&mut self, lsn: Lsn, bytes: &[u8], shared: &Shared) -> QsResult<Route> {
         let txn = record::frame_txn(bytes)?;
         if let Some(page) = record::frame_page(bytes)? {
             self.max_alloc = self.max_alloc.max(page.0 as u64 + 1);
-            if fates.is_some() && record::frame_tag(bytes)? == tag::CLR {
+            if shared.fates.is_some() && record::frame_tag(bytes)? == tag::CLR {
                 self.compensated.insert(txn);
             }
             self.touch(txn, lsn);
@@ -314,7 +317,7 @@ impl Analysis {
             t @ (tag::COMMIT | tag::ABORT) => {
                 self.end_run();
                 self.att.remove(&txn);
-                if let Some(fates) = fates {
+                if let Some(fates) = &shared.fates {
                     let compensated = self.compensated.remove(&txn);
                     let applied =
                         t == tag::COMMIT || (compensated && self.marks.physical_by_default(txn));
@@ -327,7 +330,7 @@ impl Analysis {
             }
         }
         note_txn(&mut self.max_txn, txn);
-        Ok(if fates.is_some() { Route::All } else { Route::Nowhere })
+        Ok(if shared.holds.logical || shared.holds.page_log { Route::All } else { Route::Nowhere })
     }
 }
 
@@ -342,7 +345,7 @@ struct Shared<'a> {
     seed: IdMap<PageId, Lsn>,
     /// The anchor body's WPL-table entries (a page-log log's checkpoint).
     listed: Vec<WplCheckpointEntry>,
-    /// `Some` when the log holds fate-gated transactions.
+    /// `Some` when the log can hold logical transactions.
     fates: Option<Fates>,
 }
 
@@ -369,7 +372,7 @@ fn replay<T>(
     let body = a.anchor(log, holds)?;
     let (anchor, seed, listed) =
         (a.anchor, body.dirty_pages.into_iter().collect(), body.wpl_entries);
-    let fates = (holds.logical || holds.page_log).then(Fates::default);
+    let fates = holds.logical.then(Fates::default);
     let shared = Shared { volume, holds, anchor, seed, listed, fates };
     // The analysis pass is priced from the anchor, wherever the scan starts.
     let (from, end) = (shared.seed.values().copied().fold(anchor, Lsn::min), log.tail_lsn());
@@ -379,7 +382,7 @@ fn replay<T>(
             return Ok(record::frame_page(bytes)?.map_or(Route::Nowhere, Route::Page));
         }
         ph.records += 1;
-        a.route(lsn, bytes, shared.fates.as_ref())
+        a.route(lsn, bytes, &shared)
     };
     let work = |inbox: &mut Batches| {
         let mut shard = RedoShard::new(&shared, inbox.part);
@@ -590,30 +593,28 @@ fn pipelined<T: Send>(
     })
 }
 
-/// The replay's epilogue. A page-log log's: rebuild the WPL table from
-/// the workers' versions (§3.4.3). An image the scan found is the only
-/// frame of its page restart uses, so it is read back and verified here,
-/// once, whether it won at sight or at its commit; one only the anchor's
-/// body lists is trusted as the body is. Restored pages are served
-/// straight from the log, as in normal running. Any other log's: price
-/// the redo pass and install the workers' redone pages into the pool as
-/// dirty, so undo sees them and the closing checkpoint flushes them — one
-/// shard at a time, under shard → DPT → volume.
+/// The replay's epilogue. A page-log log's: merge the workers' WPL
+/// tables, disjoint by page, into the server's (§3.4.3). An image the scan
+/// found is the only frame of its page restart uses, so it is read back
+/// and verified here, once; one only the anchor's body lists is trusted as
+/// the body is. Restored pages are served straight from the log, as in
+/// normal running. Any other log's: price the redo pass and install the
+/// workers' redone pages into the pool as dirty, so undo sees them and the
+/// closing checkpoint flushes them — one shard at a time, under shard →
+/// DPT → volume.
 fn install(server: &Server, a: &Analysis, redone: Vec<Redone>, ph: &mut PhaseStat) -> QsResult<()> {
     let log = server.log.wal();
-    let (mut resident, mut versions) = (Vec::new(), Vec::new());
-    for (stats, pages, newest) in redone {
+    let mut resident = Vec::new();
+    let mut wpl = server.wpl.lock(&server.tracer);
+    for (stats, pages, table) in redone {
         ph.absorb(&stats);
         resident.extend(pages);
-        versions.extend(newest);
+        wpl.merge(table);
     }
-    versions.sort_unstable_by_key(|&(pid, _)| pid.0);
-    for (pid, (lsn, txn)) in versions {
-        if lsn >= a.anchor {
-            log.read_frame(lsn)?;
-        }
-        server.wpl.lock(&server.tracer).insert_restored(pid, lsn, txn);
+    for e in wpl.checkpoint_entries().iter().filter(|e| e.lsn >= a.anchor) {
+        log.read_frame(e.lsn)?;
     }
+    drop(wpl);
     let Some(redo_from) = a.redo_from(log) else {
         return Ok(());
     };
@@ -693,17 +694,18 @@ enum Fate {
     Open,
 }
 
-/// One worker's tallies, its redone pages and its pages' newest committed
-/// images (a page-log log's).
-type Redone = (PhaseStat, Vec<(PageId, Page)>, IdMap<PageId, (Lsn, TxnId)>);
+/// One worker's tallies, its redone pages and its pages' WPL table (a
+/// page-log log's; any other's is empty).
+type Redone = (PhaseStat, Vec<(PageId, Page)>, WplTable);
 
 /// One worker: the fused analysis + redo step over its partition's frames,
 /// the page table that finds its pages, and its stashed frames.
 struct RedoShard<'a> {
     shared: &'a Shared<'a>,
-    /// `shared.anchor` and whether `shared.fates` is kept, copied: the step
-    /// reads them every frame, and `shared` lives beside what the router
-    /// writes every frame.
+    /// `shared.anchor` and whether end records are broadcast (a log of
+    /// logical or page-log transactions), copied: the step reads them
+    /// every frame, and `shared` lives beside what the router writes every
+    /// frame.
     anchor: Lsn,
     gated: bool,
     stats: PhaseStat,
@@ -718,30 +720,29 @@ struct RedoShard<'a> {
     txn_run: Option<(TxnId, bool, Fate)>,
     /// The frames of the transactions whose fate was open at sight.
     stash: Stash,
-    /// A page-log log's rule and what it keeps, in place of redo.
-    versions: Option<Versions>,
+    /// A page-log log's WPL table of this worker's pages, in place of redo.
+    wpl: Option<WplTable>,
 }
 
 impl<'a> RedoShard<'a> {
-    /// The worker of `part`, its share of the anchor's WPL-table entries
-    /// seeded, one record each: a committed one is its page's version, any
-    /// other waits for its transaction's commit, which the scan broadcasts,
-    /// or is dropped at the scan's end.
+    /// The worker of `part`, its WPL table seeded with its share of the
+    /// anchor's entries, one record each: a committed one is committed
+    /// again, any other waits for its transaction's end, which the scan
+    /// broadcasts, or is aborted at the scan's end.
     fn new(shared: &'a Shared<'a>, (index, workers): (usize, usize)) -> RedoShard<'a> {
         let mut stats = phase("redo");
-        let versions = shared.holds.page_log.then(|| {
-            let mut versions = Versions::default();
+        let wpl = shared.holds.page_log.then(|| {
+            let mut wpl = WplTable::new();
             for e in shared.listed.iter().filter(|e| shard_index(e.page, workers) == index) {
-                let fate = if e.committed { Fate::Apply } else { Fate::Open };
-                versions.saw(e.page, e.lsn, e.txn, fate);
+                wpl.restore(e);
                 stats.records += 1;
             }
-            versions
+            wpl
         });
         RedoShard {
             shared,
             anchor: shared.anchor,
-            gated: shared.fates.is_some(),
+            gated: shared.holds.logical || shared.holds.page_log,
             stats,
             marks: Marks { default_logical: !shared.holds.physical, ..Marks::default() },
             pages: Vec::new(),
@@ -749,7 +750,7 @@ impl<'a> RedoShard<'a> {
             run: None,
             txn_run: None,
             stash: Stash::default(),
-            versions,
+            wpl,
         }
     }
 
@@ -783,8 +784,11 @@ impl<'a> RedoShard<'a> {
         let (txn, listed, fate) = if !self.gated {
             // A physical-only log: every frame lists its page and is redone.
             (TxnId::INVALID, true, Fate::Apply)
-        } else if self.versions.is_some() {
-            return self.version(pid, lsn, bytes);
+        } else if let Some(wpl) = &mut self.wpl {
+            // An image: only its LSN and transaction are kept, and
+            // `install` verifies it if it wins.
+            wpl.log_page(pid, lsn, record::frame_txn(bytes)?);
+            return Ok(());
         } else {
             self.sight(record::frame_txn(bytes)?)?
         };
@@ -815,7 +819,9 @@ impl<'a> RedoShard<'a> {
         Ok(())
     }
 
-    /// A mark, commit or abort: only a log that can stash broadcasts them.
+    /// A mark, commit or abort: only a gated log broadcasts them. A
+    /// page-log log's transaction commits or aborts in the WPL table as
+    /// its end record says.
     // Out of line: a physical-only log's step never gets here.
     #[inline(never)]
     fn broadcast(&mut self, t: u8, bytes: &[u8]) -> QsResult<()> {
@@ -823,19 +829,16 @@ impl<'a> RedoShard<'a> {
             return self.marks.note(bytes);
         }
         let txn = record::frame_txn(bytes)?;
+        if let Some(wpl) = &mut self.wpl {
+            match t {
+                tag::COMMIT => wpl.on_commit(txn),
+                _ => abort(wpl, txn),
+            }
+            return Ok(());
+        }
         let fates = self.shared.fates.as_ref().expect("a broadcast end record");
         let fate = fates.lock()[&txn];
         self.settle(txn, fate)
-    }
-
-    /// A page-log frame: only its LSN and transaction are kept, by the rule
-    /// that the newest committed image of a page wins (§3.4.3). Nothing is
-    /// copied and no page is read; [`install`] verifies the winner.
-    #[inline(never)]
-    fn version(&mut self, pid: PageId, lsn: Lsn, bytes: &[u8]) -> QsResult<()> {
-        let (txn, _, fate) = self.sight(record::frame_txn(bytes)?)?;
-        self.versions.as_mut().expect("a page-log scan").saw(pid, lsn, txn, fate);
-        Ok(())
     }
 
     /// `pid`'s index in the page table, entered at its first frame with the
@@ -908,10 +911,6 @@ impl<'a> RedoShard<'a> {
     /// that is the page's earliest. The frames were verified at sight, or a
     /// whole-page one as it was stashed. The arena is kept as a spare.
     fn settle(&mut self, txn: TxnId, fate: Fate) -> QsResult<()> {
-        if let Some(versions) = &mut self.versions {
-            versions.settle(txn, fate);
-            return Ok(());
-        }
         let Some(mut arena) = self.stash.take(txn) else {
             return Ok(());
         };
@@ -930,9 +929,14 @@ impl<'a> RedoShard<'a> {
     }
 
     /// The scan's end: settle what is still open — an unmarked transaction
-    /// is physical, applied now and rolled back by undo; a logical or
-    /// page-log one is a loser, dropped. No arena stays open.
+    /// is physical, applied now and rolled back by undo; a logical one is
+    /// a loser, dropped, and a page-log one aborted. No arena stays open.
     fn end_scan(&mut self) -> QsResult<()> {
+        if let Some(wpl) = &mut self.wpl {
+            for txn in wpl.open_txns() {
+                abort(wpl, txn);
+            }
+        }
         for txn in self.stash.open() {
             let physical = self.marks.physical_by_default(txn);
             self.settle(txn, if physical { Fate::Apply } else { Fate::Drop })?;
@@ -949,37 +953,14 @@ impl<'a> RedoShard<'a> {
 
     fn finish(self) -> Redone {
         let resident = self.pages.into_iter().filter_map(|(pid, e)| Some((pid, e.page?)));
-        (self.stats, resident.collect(), self.versions.unwrap_or_default().newest)
+        (self.stats, resident.collect(), self.wpl.unwrap_or_default())
     }
 }
 
-/// A page-log worker's WPL-table versions: per page, the newest image
-/// known committed; per open transaction, the images it logged, waiting
-/// for its fate. An image is its frame's LSN and transaction, never its
-/// bytes.
-#[derive(Default)]
-struct Versions {
-    newest: IdMap<PageId, (Lsn, TxnId)>,
-    open: IdMap<TxnId, Vec<(PageId, Lsn)>>,
-}
-
-impl Versions {
-    /// An image of `pid` at `lsn` by `txn`, whose fate is `fate`.
-    fn saw(&mut self, pid: PageId, lsn: Lsn, txn: TxnId, fate: Fate) {
-        match fate {
-            Fate::Apply => {
-                let newest = self.newest.entry(pid).or_insert((lsn, txn));
-                *newest = (*newest).max((lsn, txn));
-            }
-            Fate::Drop => {}
-            Fate::Open => self.open.entry(txn).or_default().push((pid, lsn)),
-        }
-    }
-
-    fn settle(&mut self, txn: TxnId, fate: Fate) {
-        for (pid, lsn) in self.open.remove(&txn).unwrap_or_default() {
-            self.saw(pid, lsn, txn, fate);
-        }
+/// A page-log transaction's abort, as [`Server::wpl_abort`] makes it.
+fn abort(wpl: &mut WplTable, txn: TxnId) {
+    for pid in wpl.take_logged(txn) {
+        wpl.on_abort(txn, pid);
     }
 }
 
@@ -1153,7 +1134,7 @@ mod tests {
         redo: (u64, u64),
         /// The redone pages, page-sorted.
         pages: Vec<(PageId, Image)>,
-        /// A page-log log's WPL-table versions, page-sorted.
+        /// A page-log log's restored WPL table, page-sorted.
         versions: Vec<(PageId, Lsn, TxnId)>,
     }
 
@@ -1185,10 +1166,14 @@ mod tests {
         }
         let mut redo = phase("redo");
         let (mut pages, mut versions) = (Vec::new(), Vec::new());
-        for (stats, resident, newest) in redone {
+        for (stats, resident, wpl) in redone {
             redo.absorb(&stats);
             pages.extend(resident.into_iter().map(|(pid, p)| (pid, Image(p.bytes().to_vec()))));
-            versions.extend(newest.into_iter().map(|(pid, (lsn, txn))| (pid, lsn, txn)));
+            assert!(wpl.open_txns().is_empty(), "a page-log transaction is left open");
+            for e in wpl.checkpoint_entries() {
+                assert!(e.committed, "an uncommitted image of {} is restored", e.page);
+                versions.push((e.page, e.lsn, e.txn));
+            }
         }
         pages.sort_by_key(|&(pid, _)| pid.0);
         versions.sort_by_key(|&(pid, ..)| pid.0);

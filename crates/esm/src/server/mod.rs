@@ -119,7 +119,7 @@ pub struct ServerConfig {
 pub struct RestartConfig {
     /// Worker threads of the restart scan, each owning a partition of the
     /// pages: it verifies their frames, keeps their dirty-page table share
-    /// and redoes them, or, for WPL, keeps their newest committed images.
+    /// and redoes them, or, for WPL, rebuilds their share of the WPL table.
     pub redo_workers: usize,
     /// Bytes per streamed log read (clamped up to at least one frame).
     pub chunk_bytes: usize,

@@ -33,7 +33,6 @@ impl Server {
         let lsn = self.log.wal().append_with(|w| w.whole_page(txn, prev, pid, page.bytes()))?;
         page.set_lsn(lsn);
         state.note_logged(lsn);
-        state.wpl_images.push(pid);
         // Inside the critical section that appended the image, like the
         // DPT publish: a checkpoint body never holds one without the other.
         self.wpl.lock(&self.tracer).log_page(pid, lsn, txn);
@@ -77,11 +76,11 @@ impl Server {
         self.wpl.lock(&self.tracer).len()
     }
 
-    /// Abort of a `PageLog` transaction: its images are garbage. Each
-    /// page's cached copy is dropped and its uncommitted version leaves
-    /// the WPL table under that page's shard lock, one shard at a time.
+    /// Abort of a `PageLog` transaction: its images are garbage. Each page
+    /// on its WPL-table list has its cached copy dropped and its version
+    /// leave the table under that page's shard lock, one at a time.
     pub(super) fn wpl_abort(&self, txn: TxnId) -> QsResult<()> {
-        let images = std::mem::take(&mut self.txns.lock(&self.tracer).active_mut(txn)?.wpl_images);
+        let images = self.wpl.lock(&self.tracer).take_logged(txn);
         for pid in images {
             let mut pool = self.pool.lock(pid, &self.tracer);
             pool.remove(pid);

@@ -486,6 +486,100 @@ fn wpl_reclaim_keeps_log_bounded() {
     assert_eq!(page.object(pids[0], 0).unwrap(), &[99u8; 64][..]);
 }
 
+/// Restart rebuilds the WPL table the crashed server had, less its
+/// uncommitted images. A seeded run commits and aborts transactions, some
+/// shipping a page twice, with a reclaim pass and then a checkpoint in
+/// mid-run: one transaction open across the checkpoint commits or aborts
+/// after it, another is still in flight at the crash, and four pages are
+/// not shipped after it, so only its body speaks for them. Every
+/// maintenance pass has finished when the server crashes. Restarts at 1,
+/// 2 and 4 workers, inline and pipelined, rebuild the same table.
+#[test]
+fn a_restarted_wpl_table_is_the_live_one_less_its_uncommitted_images() {
+    for seed in 0..4u64 {
+        let mut rng = qs_prng::Prng::seed_from_u64(seed);
+        let mut cfg = small_cfg(RecoveryFlavor::Wpl);
+        // No watermark is crossed: the passes below are the only ones.
+        (cfg.log_bytes, cfg.log_high_watermark, cfg.log_low_watermark) = (8 << 20, 0.9, 0.05);
+        let server = Server::format(cfg.clone(), Meter::new()).unwrap();
+        let pids = server.bulk_allocate(20).unwrap();
+        for &pid in &pids {
+            let mut p = Page::new();
+            p.insert(pid, &[0u8; 64]).unwrap();
+            server.bulk_write(pid, &p).unwrap();
+        }
+        server.bulk_sync().unwrap();
+        let ship = |txn: TxnId, pid: PageId, val: u8| {
+            server.lock_page(txn, pid, LockMode::X).unwrap();
+            let page = updated_page(&server, txn, pid, val);
+            server.receive_dirty_page(txn, pid, page).unwrap();
+        };
+        // The two long transactions lock pages of their own.
+        let (pages, held) = pids.split_at(16);
+        let (straddler, in_flight) = (server.begin(), server.begin());
+        for round in 0..160 {
+            match round {
+                30 => {
+                    server.maintain_now().unwrap();
+                    assert!(server.wpl_images_reclaimed() > 0, "seed {seed}: nothing reclaimed");
+                }
+                60 => {
+                    ship(straddler, held[0], 1);
+                    ship(straddler, held[1], 1);
+                    ship(in_flight, held[2], 2);
+                    server.checkpoint().unwrap();
+                }
+                80 if rng.gen_bool(0.5) => {
+                    server.commit(straddler).unwrap();
+                }
+                80 => server.abort(straddler).unwrap(),
+                _ => {}
+            }
+            let txn = server.begin();
+            let pages = if round < 60 { pages } else { &pages[..12] };
+            for _ in 0..rng.gen_range(1..4) {
+                let pid = pages[rng.gen_range(0..pages.len())];
+                ship(txn, pid, rng.next_u32() as u8);
+                if rng.gen_bool(0.25) {
+                    ship(txn, pid, rng.next_u32() as u8);
+                }
+            }
+            if rng.gen_bool(0.2) {
+                server.abort(txn).unwrap();
+            } else {
+                server.commit(txn).unwrap();
+            }
+        }
+        ship(in_flight, held[2], 3);
+        ship(in_flight, pages[0], 3);
+        let live = server.wpl.lock(&server.tracer).checkpoint_entries();
+        assert!(live.iter().any(|e| !e.committed), "seed {seed}: nothing in flight");
+        let want: Vec<_> = live.into_iter().filter(|e| e.committed).collect();
+        let anchor = server.log.wal().checkpoint_lsn();
+        assert!(want.iter().any(|e| e.lsn < anchor), "seed {seed}: no entry below the anchor");
+        let crashed = server.crash();
+        for workers in [1, 2, 4] {
+            for pipelined in [false, true] {
+                let mut cfg = cfg.clone().with_redo_workers(workers);
+                if pipelined {
+                    cfg.restart.chunk_bytes = 2 * PAGE_SIZE;
+                }
+                let parts = StableParts {
+                    data_media: copied(&*crashed.data_media),
+                    log_media: copied(&*crashed.log_media),
+                    flight: None,
+                };
+                let what = format!("seed {seed}, {workers} workers, pipelined {pipelined}");
+                let server = Server::restart(parts, cfg, Meter::new()).unwrap();
+                let scan = &server.restart_report().unwrap().wall.scans[0];
+                assert_eq!(scan.workers.len(), if pipelined { workers } else { 1 }, "{what}");
+                let got = server.wpl.lock(&server.tracer).checkpoint_entries();
+                assert_eq!(got, want, "{what}");
+            }
+        }
+    }
+}
+
 #[test]
 fn checkpoint_allows_esm_log_truncation() {
     let mut cfg = small_cfg(RecoveryFlavor::EsmAries);
@@ -1236,15 +1330,20 @@ fn crash_disk_server(cfg: ServerConfig) -> (Server, Arc<qs_storage::CrashDisk>, 
     (server, log, pids)
 }
 
+/// A copy of `media` as it is now.
+fn copied(media: &dyn StableMedia) -> Arc<dyn StableMedia> {
+    let mut bytes = vec![0u8; media.len()];
+    media.read_at(0, &mut bytes).unwrap();
+    let copy = MemDisk::new(bytes.len());
+    copy.write_at(0, &bytes).unwrap();
+    Arc::new(copy)
+}
+
 /// What a power cut now leaves of `server`'s disks: the data disk as it
 /// is, the log disk as it was last synced.
 fn power_cut(server: &Server, log: &qs_storage::CrashDisk) -> StableParts {
-    let data = server.stable_parts().data_media;
-    let mut bytes = vec![0u8; data.len()];
-    data.read_at(0, &mut bytes).unwrap();
-    let copy = MemDisk::new(bytes.len());
-    copy.write_at(0, &bytes).unwrap();
-    StableParts { data_media: Arc::new(copy), log_media: Arc::new(log.crash()), flight: None }
+    let data_media = copied(&*server.stable_parts().data_media);
+    StableParts { data_media, log_media: Arc::new(log.crash()), flight: None }
 }
 
 /// Whether `done` turns true within `patience`.

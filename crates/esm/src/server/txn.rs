@@ -391,10 +391,7 @@ impl Server {
                 self.apply_pending_committed(txn)?;
                 txns = self.txns.lock(&self.tracer);
             }
-            Protocol::PageLog => {
-                let logged = std::mem::take(&mut state.wpl_images);
-                self.wpl.lock(&self.tracer).on_commit(txn, &logged);
-            }
+            Protocol::PageLog => self.wpl.lock(&self.tracer).on_commit(txn),
         }
         txns.remove(txn);
         drop(txns);

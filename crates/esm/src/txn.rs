@@ -26,10 +26,6 @@ pub struct TxnState {
     /// base protocol from `begin`, re-resolved when a `TxnScheme` mark
     /// arrives (always before the transaction's first page record).
     pub protocol: Protocol,
-    /// `PageLog`: pages whose images this transaction had appended to the
-    /// log (the per-transaction list of §3.4.2, walked at commit to flip
-    /// WPL-table entries to committed).
-    pub wpl_images: Vec<PageId>,
     /// Log-before-page rule enforcement: pages for which this transaction
     /// has already shipped log records (or declared none needed).
     pub log_shipped: HashSet<PageId>,
@@ -43,7 +39,6 @@ impl TxnState {
             last_lsn: Lsn::NULL,
             first_lsn: Lsn::NULL,
             protocol,
-            wpl_images: Vec::new(),
             log_shipped: HashSet::new(),
         }
     }

@@ -5,7 +5,9 @@
 //! hash table whose entries carry `(PID, LSN, TID, status)` plus a pointer
 //! to the entry for a previously-logged copy of the same page; we model the
 //! pointer chain as an explicit version stack per page (oldest → newest),
-//! which is functionally identical and much easier to reason about.
+//! which is functionally identical and much easier to reason about. Beside
+//! it sits the paper's per-transaction list of logged pages. Restart
+//! rebuilds the table with the calls normal running makes (§3.4.3).
 //!
 //! Space-reuse rules implemented exactly as §3.4.2 describes:
 //! * a logged copy can be dropped once it has been read back and written to
@@ -14,9 +16,8 @@
 //!   the same page exists ("following a crash C2 will be used") — but both
 //!   must be retained until C2's transaction commits.
 
-use qs_types::{Lsn, PageId, TxnId};
+use qs_types::{IdMap, Lsn, PageId, TxnId};
 use qs_wal::WplCheckpointEntry;
-use std::collections::HashMap;
 
 /// One logged copy of a page.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,7 +34,9 @@ pub struct WplVersion {
 #[derive(Debug, Default)]
 pub struct WplTable {
     /// Versions per page, oldest first (the paper's prev-pointer chain).
-    pages: HashMap<PageId, Vec<WplVersion>>,
+    pages: IdMap<PageId, Vec<WplVersion>>,
+    /// Per open transaction, the pages it logged images of.
+    logged: IdMap<TxnId, Vec<PageId>>,
 }
 
 impl WplTable {
@@ -46,16 +49,21 @@ impl WplTable {
         let versions = self.pages.entry(page).or_default();
         // A transaction re-shipping the same page within one transaction
         // supersedes its own uncommitted image immediately: only the newest
-        // matters for both re-reads and post-commit recovery.
+        // matters for both re-reads and post-commit recovery. The page is
+        // on the transaction's list already.
+        let before = versions.len();
         versions.retain(|v| v.txn != txn || v.committed);
+        if versions.len() == before {
+            self.logged.entry(txn).or_default().push(page);
+        }
         versions.push(WplVersion { lsn, txn, committed: false });
     }
 
     /// Commit processing: walk the transaction's logged-page list, mark its
     /// versions committed, and drop versions superseded by the newly
     /// committed copies (rule C1/C2).
-    pub fn on_commit(&mut self, txn: TxnId, logged_pages: &[PageId]) {
-        for &page in logged_pages {
+    pub fn on_commit(&mut self, txn: TxnId) {
+        for page in self.logged.remove(&txn).unwrap_or_default() {
             if let Some(versions) = self.pages.get_mut(&page) {
                 for v in versions.iter_mut() {
                     if v.txn == txn {
@@ -65,6 +73,12 @@ impl WplTable {
                 Self::drop_superseded(versions);
             }
         }
+    }
+
+    /// Abort processing, first step: take the pages `txn` logged images of,
+    /// for [`WplTable::on_abort`] to drop one at a time.
+    pub fn take_logged(&mut self, txn: TxnId) -> Vec<PageId> {
+        self.logged.remove(&txn).unwrap_or_default()
     }
 
     /// Abort processing, one logged page at a time: the transaction's
@@ -174,13 +188,25 @@ impl WplTable {
         out
     }
 
-    /// Rebuild from checkpoint entries during restart (only entries whose
-    /// transactions are known committed are passed in).
-    pub fn insert_restored(&mut self, page: PageId, lsn: Lsn, txn: TxnId) {
-        let versions = self.pages.entry(page).or_default();
-        versions.push(WplVersion { lsn, txn, committed: true });
-        versions.sort_by_key(|v| v.lsn);
-        Self::drop_superseded(versions);
+    /// The inverse of [`WplTable::checkpoint_entries`], one entry at a
+    /// time and in their LSN order: the image is logged again, and a
+    /// committed one's transaction commits again.
+    pub fn restore(&mut self, e: &WplCheckpointEntry) {
+        self.log_page(e.page, e.lsn, e.txn);
+        if e.committed {
+            self.on_commit(e.txn);
+        }
+    }
+
+    /// Transactions with images logged and neither committed nor aborted.
+    pub fn open_txns(&self) -> Vec<TxnId> {
+        self.logged.keys().copied().collect()
+    }
+
+    /// Take over `other`'s pages, none of them in this table.
+    pub fn merge(&mut self, other: WplTable) {
+        debug_assert!(other.logged.is_empty(), "an open transaction's images");
+        self.pages.extend(other.pages);
     }
 
     pub fn contains(&self, page: PageId) -> bool {
@@ -193,10 +219,6 @@ impl WplTable {
 
     pub fn is_empty(&self) -> bool {
         self.pages.is_empty()
-    }
-
-    pub fn clear(&mut self) {
-        self.pages.clear();
     }
 }
 
@@ -213,7 +235,7 @@ mod tests {
         t.log_page(P, Lsn(100), TxnId(1));
         assert!(!t.newest(P).unwrap().committed);
         assert!(t.newest_committed(P).is_none());
-        t.on_commit(TxnId(1), &[P]);
+        t.on_commit(TxnId(1));
         assert!(t.newest_committed(P).is_some());
         assert_eq!(t.newest_committed(P).unwrap().lsn, Lsn(100));
     }
@@ -223,7 +245,7 @@ mod tests {
         let mut t = WplTable::new();
         t.log_page(P, Lsn(100), TxnId(1));
         t.log_page(P, Lsn(300), TxnId(1)); // evicted + re-shipped
-        t.on_commit(TxnId(1), &[P]);
+        t.on_commit(TxnId(1));
         assert_eq!(t.newest_committed(P).unwrap().lsn, Lsn(300));
         assert_eq!(t.min_needed_lsn(), Some(Lsn(300)), "old image dropped");
     }
@@ -232,11 +254,11 @@ mod tests {
     fn c1_retained_until_c2_commits() {
         let mut t = WplTable::new();
         t.log_page(P, Lsn(100), TxnId(1));
-        t.on_commit(TxnId(1), &[P]); // C1 committed
+        t.on_commit(TxnId(1)); // C1 committed
         t.log_page(P, Lsn(500), TxnId(2)); // C2 logged, uncommitted
                                            // Both needed: crash now must recover C1.
         assert_eq!(t.min_needed_lsn(), Some(Lsn(100)));
-        t.on_commit(TxnId(2), &[P]);
+        t.on_commit(TxnId(2));
         // C1 superseded by committed C2.
         assert_eq!(t.min_needed_lsn(), Some(Lsn(500)));
     }
@@ -245,9 +267,10 @@ mod tests {
     fn abort_drops_only_uncommitted() {
         let mut t = WplTable::new();
         t.log_page(P, Lsn(100), TxnId(1));
-        t.on_commit(TxnId(1), &[P]);
+        t.on_commit(TxnId(1));
         t.log_page(P, Lsn(500), TxnId(2));
         t.log_page(Q, Lsn(600), TxnId(2));
+        assert_eq!(t.take_logged(TxnId(2)), [P, Q]);
         t.on_abort(TxnId(2), P);
         t.on_abort(TxnId(2), Q);
         assert_eq!(t.newest(P).unwrap().lsn, Lsn(100));
@@ -259,7 +282,7 @@ mod tests {
         let mut t = WplTable::new();
         t.log_page(P, Lsn(100), TxnId(1));
         t.log_page(Q, Lsn(200), TxnId(1));
-        t.on_commit(TxnId(1), &[P, Q]);
+        t.on_commit(TxnId(1));
         let (page, lsn, superseded) = t.reclaim_candidate().unwrap();
         assert_eq!((page, lsn, superseded), (P, Lsn(100), false));
         t.remove_version(P, Lsn(100));
@@ -272,9 +295,9 @@ mod tests {
         let mut t = WplTable::new();
         t.log_page(P, Lsn(100), TxnId(9)); // active txn
         t.log_page(Q, Lsn(200), TxnId(1));
-        t.on_commit(TxnId(1), &[Q]);
+        t.on_commit(TxnId(1));
         assert!(t.oldest_is_uncommitted());
-        t.on_commit(TxnId(9), &[P]);
+        t.on_commit(TxnId(9));
         assert!(!t.oldest_is_uncommitted());
     }
 
@@ -282,17 +305,18 @@ mod tests {
     fn has_newer_uncommitted_tracks_in_flight_supersession() {
         let mut t = WplTable::new();
         t.log_page(P, Lsn(100), TxnId(1));
-        t.on_commit(TxnId(1), &[P]);
+        t.on_commit(TxnId(1));
         assert!(!t.has_newer_uncommitted(P, Lsn(100)), "no in-flight writer");
         t.log_page(P, Lsn(500), TxnId(2)); // newer, uncommitted
         assert!(t.has_newer_uncommitted(P, Lsn(100)), "supersession undecided");
         assert!(!t.has_newer_uncommitted(Q, Lsn(100)), "other pages unaffected");
-        t.on_commit(TxnId(2), &[P]);
+        t.on_commit(TxnId(2));
         assert!(!t.has_newer_uncommitted(P, Lsn(100)), "commit settled it");
         let mut u = WplTable::new();
         u.log_page(P, Lsn(100), TxnId(1));
-        u.on_commit(TxnId(1), &[P]);
+        u.on_commit(TxnId(1));
         u.log_page(P, Lsn(500), TxnId(2));
+        u.take_logged(TxnId(2));
         u.on_abort(TxnId(2), P);
         assert!(!u.has_newer_uncommitted(P, Lsn(100)), "abort settled it");
     }
@@ -301,7 +325,7 @@ mod tests {
     fn checkpoint_round_trip_shape() {
         let mut t = WplTable::new();
         t.log_page(P, Lsn(100), TxnId(1));
-        t.on_commit(TxnId(1), &[P]);
+        t.on_commit(TxnId(1));
         t.log_page(Q, Lsn(300), TxnId(2));
         let entries = t.checkpoint_entries();
         assert_eq!(entries.len(), 2);
@@ -309,18 +333,36 @@ mod tests {
 
         let mut r = WplTable::new();
         for e in entries.iter().filter(|e| e.committed) {
-            r.insert_restored(e.page, e.lsn, e.txn);
+            r.restore(e);
         }
         assert_eq!(r.newest_committed(P).unwrap().lsn, Lsn(100));
         assert!(!r.contains(Q));
+
+        // Every entry restored: the same table, its open transaction too.
+        let mut r = WplTable::new();
+        entries.iter().for_each(|e| r.restore(e));
+        assert_eq!(r.checkpoint_entries(), entries);
+        assert_eq!(r.open_txns(), [TxnId(2)]);
     }
 
     #[test]
-    fn insert_restored_keeps_only_newest() {
+    fn restore_keeps_only_newest() {
+        let entry = |lsn, txn| WplCheckpointEntry { page: P, lsn, txn, committed: true };
         let mut t = WplTable::new();
-        t.insert_restored(P, Lsn(500), TxnId(3));
-        t.insert_restored(P, Lsn(100), TxnId(1)); // out of order arrival
+        t.restore(&entry(Lsn(100), TxnId(1)));
+        t.restore(&entry(Lsn(500), TxnId(3)));
         assert_eq!(t.newest_committed(P).unwrap().lsn, Lsn(500));
         assert_eq!(t.min_needed_lsn(), Some(Lsn(500)));
+        assert!(t.open_txns().is_empty());
+    }
+
+    #[test]
+    fn a_reshipped_page_is_listed_once() {
+        let mut t = WplTable::new();
+        t.log_page(P, Lsn(100), TxnId(1));
+        t.log_page(Q, Lsn(200), TxnId(1));
+        t.log_page(P, Lsn(300), TxnId(1));
+        assert_eq!(t.take_logged(TxnId(1)), [P, Q]);
+        assert!(t.take_logged(TxnId(1)).is_empty(), "taken");
     }
 }

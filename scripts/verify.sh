@@ -90,9 +90,10 @@ fi
 echo "== one checkpoint procedure, one checkpoint record =="
 # The stop-the-world checkpoint body, the begin/end record pair and the
 # option that chose between two bodies are gone; none of their names may
-# come back, in code or in comments that would describe them as alive.
+# come back, in code or in comments that would describe them as alive —
+# nor in README.md or DESIGN.md, which describe the code as it is.
 gone=$(grep -rnE 'checkpoint_quiesced|checkpoint_fuzzy|BEGIN_CHECKPOINT|END_CHECKPOINT|BeginCheckpoint|EndCheckpoint|FlusherConfig|flusher\.enabled|with_background_flusher|with_flusher_batch_pages' \
-        crates src tests examples || true)
+        crates src tests examples README.md DESIGN.md || true)
 if [ -n "$gone" ]; then
     echo "FAIL: a deleted checkpoint path is named again:"
     echo "$gone" | sed 's/^/    /'
@@ -106,7 +107,7 @@ echo "== nothing stops the whole server; one lock view =="
 # fault run under either view are gone; none of their names may come
 # back, in code or in comments.
 gone=$(grep -rnE 'with_quiesced|InnerView|PoolView|DiskTables|lock_all' \
-        crates src tests examples || true)
+        crates src tests examples README.md DESIGN.md || true)
 if [ -n "$gone" ]; then
     echo "FAIL: a deleted whole-server lock path is named again:"
     echo "$gone" | sed 's/^/    /'
@@ -120,7 +121,7 @@ echo "== clients reach the server one way; one kind of lock waiter =="
 # lock manager's second (callback) kind of waiter are gone; none of their
 # names may come back, in code or in comments.
 gone=$(grep -rnE 'Reactor|RuntimeConfig|ClientPort|via_reactor|lock_async|LockEvents|WaiterKind|commit_force_batch' \
-        crates tests examples || true)
+        crates tests examples README.md DESIGN.md || true)
 if [ -n "$gone" ]; then
     echo "FAIL: a deleted client transport or lock-waiter path is named again:"
     echo "$gone" | sed 's/^/    /'
@@ -133,10 +134,11 @@ echo "== restart keys its tables on the workspace hasher =="
 # (crates/types/src/hash.rs), and a worker probes its page table once per
 # page run: std's SipHash there cost oo7_t2a about a third of its restart.
 # The deferred-frame store restart's workers share with the running server
-# (crates/esm/src/stash.rs) and its no-steal path (server/txn.rs) too.
+# (crates/esm/src/stash.rs) and its no-steal path (server/txn.rs) too, and
+# the WPL table (wpl.rs), which restart's workers rebuild.
 if grep -nE 'HashMap|HashSet' crates/esm/src/restart.rs crates/esm/src/stash.rs \
-        crates/esm/src/server/txn.rs; then
-    echo "FAIL: restart.rs, stash.rs or server/txn.rs names a std" \
+        crates/esm/src/server/txn.rs crates/esm/src/wpl.rs; then
+    echo "FAIL: restart.rs, stash.rs, server/txn.rs or wpl.rs names a std" \
          "HashMap/HashSet; use qs_types::{IdMap, IdSet}"
     exit 1
 fi
@@ -156,9 +158,24 @@ echo "== restart has one path =="
 # WPL's table rebuild is a rule in the one replay (DESIGN.md §6c): the
 # second restart, its image candidates and their worker, and the optional
 # restart facts that forked to it are gone; their names may not come back.
-gone=$(grep -rnE 'wpl_restart|ImageCandidate|image_worker|Option<Holds>' crates/esm/src || true)
+gone=$(grep -rnE 'wpl_restart|ImageCandidate|image_worker|Option<Holds>' \
+        crates/esm/src README.md DESIGN.md || true)
 if [ -n "$gone" ]; then
     echo "FAIL: the deleted second restart is named again:"
+    echo "$gone" | sed 's/^/    /'
+    exit 1
+fi
+
+echo "== one WPL table =="
+# Restart's page-log workers rebuild the server's `WplTable` with the calls
+# normal running makes, and the table keeps each transaction's logged
+# pages (DESIGN.md §6c): restart's own version table, the copy into the
+# server's and the per-transaction page list in the transaction table are
+# gone; their names may not come back.
+gone=$(grep -rnE 'struct Versions|insert_restored|\bwpl_images\b' \
+        crates/esm/src README.md DESIGN.md || true)
+if [ -n "$gone" ]; then
+    echo "FAIL: a deleted second WPL table is named again:"
     echo "$gone" | sed 's/^/    /'
     exit 1
 fi
@@ -197,9 +214,9 @@ echo "== no-steal frames wait in one arena per transaction =="
 # both settle page by page through `Arena::lay_run`. The per-frame
 # `PendingOp` copy, the `BTreeMap` that regrouped them, and restart's own
 # parking arena with its per-page queue may not come back.
-if grep -rn 'PendingOp' crates tests examples \
+if grep -rn 'PendingOp' crates tests examples README.md DESIGN.md \
         || grep -n 'BTreeMap' crates/esm/src/server/txn.rs crates/esm/src/stash.rs \
-        || grep -rnE 'struct Parked|ParkedFrame' crates/esm/src; then
+        || grep -rnE 'struct Parked|ParkedFrame' crates/esm/src README.md DESIGN.md; then
     echo "FAIL: a deleted deferred-frame stash (PendingOp / BTreeMap regroup /" \
          "Parked / ParkedFrame) is named again"
     exit 1
