@@ -60,9 +60,11 @@ const EXPECTED_NAMES: &[&str] = &[
     "wal/frame_verify_update",
     "wal/force_2mb",
     "server/recv_log_page",
+    "esm/receive_dirty_page",
     "restart/worker_frame/sparse",
     "restart/worker_frame/runs",
     "lock_manager/uncontended_x_lock_release",
+    "lock/grant_upgrade_release",
     "update_path/txn_64pages_2048_updates/PD-ESM",
     "update_path/txn_64pages_2048_updates/SD-ESM",
     "update_path/txn_64pages_2048_updates/WPL",
@@ -474,6 +476,17 @@ fn bench_receive(h: &mut Harness) {
     h.bench_staged("server/recv_log_page", 400, records as u64, stage, || {
         server.receive_log_bytes(txn.get(), black_box(&page.borrow())).unwrap();
     });
+
+    // One dirty page shipped to a server that has it resident, its log
+    // records declared: what `ClientConn::ship_cached_dirty_page` costs
+    // past the network, the server's copy into its frame included.
+    let txn = txn.get();
+    let (pid, mut image) = (pids[0], Page::new());
+    image.insert(pid, &[7u8; 64]).unwrap();
+    server.note_page_logged(txn, pid).unwrap();
+    h.bench("esm/receive_dirty_page", 20_000, || {
+        server.receive_dirty_page(txn, pid, black_box(&image)).unwrap();
+    });
 }
 
 /// Restart's worker step, in ns per frame: the busy time restart's own
@@ -547,6 +560,20 @@ fn bench_locks(h: &mut Harness) {
         if i.is_multiple_of(512) {
             lm.release_all(TxnId(1));
         }
+    });
+    // A short transaction's lock work: S on four pages, the write faults'
+    // upgrades to X, then the commit's release.
+    let lm = LockManager::new();
+    let mut txn = 0u64;
+    h.bench("lock/grant_upgrade_release", 100_000, || {
+        txn += 1;
+        for pid in 0..4 {
+            lm.lock(TxnId(txn), PageId(pid).into(), LockMode::S).unwrap();
+        }
+        for pid in 0..4 {
+            lm.lock(TxnId(txn), PageId(pid).into(), LockMode::X).unwrap();
+        }
+        lm.release_all(TxnId(txn));
     });
 }
 

@@ -23,8 +23,8 @@
 //! which is invisible to every simulated figure (see DESIGN.md).
 
 use qs_storage::Page;
-use qs_types::{PageId, PAGE_SIZE};
-use std::collections::{HashMap, VecDeque};
+use qs_types::{IdMap, PageId, PAGE_SIZE};
+use std::collections::VecDeque;
 
 /// Smallest supported block size; bounds the bitmap at `PAGE_SIZE / 8 / 64`
 /// words.
@@ -132,6 +132,14 @@ impl Copied {
             Copied::Blocks(bc) => bc.block_size * bc.count,
         }
     }
+
+    /// The page-sized buffer backing this copy.
+    fn into_buf(self) -> Box<[u8; PAGE_SIZE]> {
+        match self {
+            Copied::Full(b) => b,
+            Copied::Blocks(bc) => bc.data,
+        }
+    }
 }
 
 /// One page's copy and the stamp its FIFO entry carries.
@@ -146,7 +154,7 @@ struct Held {
 pub struct RecoveryBuffer {
     capacity: usize,
     used: usize,
-    copies: HashMap<PageId, Held>,
+    copies: IdMap<PageId, Held>,
     /// FIFO order of first copy per page, each entry stamped at insert. A
     /// removed copy's entry is not searched for: it stays behind, dead (no
     /// copy of that page carries its stamp), until it reaches the front or
@@ -165,7 +173,7 @@ impl RecoveryBuffer {
         RecoveryBuffer {
             capacity,
             used: 0,
-            copies: HashMap::new(),
+            copies: IdMap::default(),
             fifo: VecDeque::new(),
             next_stamp: 0,
             overflows: 0,
@@ -209,7 +217,7 @@ impl RecoveryBuffer {
 
     /// The copy a FIFO entry stands for, unless it has been removed.
     fn live<'a>(
-        copies: &'a HashMap<PageId, Held>,
+        copies: &'a IdMap<PageId, Held>,
         &(pid, stamp): &(PageId, u64),
     ) -> Option<&'a Copied> {
         copies.get(&pid).filter(|h| h.stamp == stamp).map(|h| &h.copied)
@@ -250,11 +258,7 @@ impl RecoveryBuffer {
     /// Return a copy's backing buffer to the free list. Call after the
     /// copy's log records have been generated.
     pub fn recycle(&mut self, copied: Copied) {
-        let buf = match copied {
-            Copied::Full(b) => b,
-            Copied::Blocks(bc) => bc.data,
-        };
-        self.free_bufs.push(buf);
+        self.free_bufs.push(copied.into_buf());
     }
 
     /// Store the full-page before-image (PD). Panics if space was not made
@@ -324,11 +328,7 @@ impl RecoveryBuffer {
     /// Drop everything (transaction boundary); backing buffers go to the
     /// free list.
     pub fn clear(&mut self) {
-        let pids: Vec<PageId> = self.copies.keys().copied().collect();
-        for pid in pids {
-            let c = self.copies.remove(&pid).unwrap();
-            self.recycle(c.copied);
-        }
+        self.free_bufs.extend(self.copies.drain().map(|(_, held)| held.copied.into_buf()));
         self.fifo.clear();
         self.used = 0;
     }

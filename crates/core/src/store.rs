@@ -58,6 +58,9 @@ struct CommitScratch {
     enc: Vec<u8>,
     /// FIFO victims of the recovery-buffer overflow being handled.
     victims: Vec<PageId>,
+    /// The dirty pages a commit ships, sorted, or the write set a
+    /// mid-transaction election prices.
+    dirty: Vec<PageId>,
 }
 
 /// Diff regions computed by the adaptive pricing pass, kept for the
@@ -258,15 +261,16 @@ impl Store {
         if self.client.elected_scheme().is_some() {
             return Ok(());
         }
-        let scanned;
+        let block = elector.block;
+        let mut scanned = std::mem::take(&mut self.scratch.dirty);
         let pages = match commit_set {
             Some(pages) => pages,
             None => {
-                scanned = self.client.dirty_pages();
+                scanned.clear();
+                scanned.extend(self.client.dirty_pages());
                 &scanned
             }
         };
-        let block = elector.block;
         let mut costs = WriteSetCosts::default();
         self.priced.clear();
         if let Some((pid, page)) = extra {
@@ -287,6 +291,7 @@ impl Store {
                 block,
             );
         }
+        self.scratch.dirty = scanned;
         // The pricing pass is THE diff for this event: emission reuses its
         // regions (`PricedDiffs`), so electing costs no second comparison.
         self.priced.valid = true;
@@ -348,8 +353,10 @@ impl Store {
     pub fn commit(&mut self) -> QsResult<()> {
         let tracer = Arc::clone(self.client.tracer());
         let t0 = tracer.now_secs();
-        let mut dirty = self.client.dirty_pages();
-        dirty.sort(); // deterministic shipping order
+        let mut dirty = std::mem::take(&mut self.scratch.dirty);
+        dirty.clear();
+        dirty.extend(self.client.dirty_pages());
+        dirty.sort_unstable(); // deterministic shipping order
         self.ensure_elected(Some(&dirty), None)?;
         let diff_t0 = tracer.now_secs();
         for &pid in &dirty {
@@ -364,6 +371,7 @@ impl Store {
         tracer.record("pages_shipped_per_txn", dirty.len() as u64);
         tracer.record_secs("commit_latency", tracer.now_secs() - t0);
         tracer.event(TraceCat::Commit, "committed", dirty.len() as u64, 0);
+        self.scratch.dirty = dirty;
         Ok(())
     }
 
@@ -534,7 +542,7 @@ impl Store {
             // is already dirty), and sticks for the rest of the transaction.
             self.ensure_elected(None, Some((pid, &ev.page)))?;
             self.flush_records_for(pid, Some(&ev.page))?;
-            self.client.ship_dirty_page(pid, ev.page)?;
+            self.client.ship_dirty_page(pid, &ev.page)?;
             if let Some(d) = self.table.get_mut(pid) {
                 // Lock stays held (strict 2PL) but recovery must be
                 // re-enabled if the page is updated again this transaction.

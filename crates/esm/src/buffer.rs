@@ -11,7 +11,7 @@
 //! WAL — all policy that lives above the pool.
 
 use qs_storage::Page;
-use qs_types::{IdMap, PageId, QsError, QsResult};
+use qs_types::{IdMap, Lsn, PageId, QsError, QsResult};
 
 /// Doubly-linked LRU list over a slab of nodes; O(1) touch/insert/remove.
 #[derive(Debug, Default)]
@@ -243,13 +243,39 @@ impl BufferPool {
     /// frame is evicted and returned; the caller must deal with it *before*
     /// using the pool again if it was dirty.
     pub fn insert(&mut self, pid: PageId, page: Page, dirty: bool) -> QsResult<Option<Evicted>> {
-        if let Some(f) = self.frames.get_mut(&pid) {
-            f.page = page;
-            f.dirty = f.dirty || dirty;
-            f.version += 1;
-            f.lru_idx = self.lru.touch(f.lru_idx);
+        if let Some(resident) = self.replace(pid, dirty) {
+            *resident = page;
             return Ok(None);
         }
+        self.insert_new(pid, page, dirty)
+    }
+
+    /// Copy `page` into `pid`'s frame as a dirty image with pageLSN `lsn`:
+    /// what [`BufferPool::insert`] of a stamped copy does, but a resident
+    /// frame is overwritten in place, and only a miss makes a new one.
+    pub fn insert_copy(&mut self, pid: PageId, page: &Page, lsn: Lsn) -> QsResult<Option<Evicted>> {
+        if let Some(resident) = self.replace(pid, true) {
+            resident.bytes_mut().copy_from_slice(page.bytes());
+            resident.set_lsn(lsn);
+            return Ok(None);
+        }
+        let mut copy = page.clone();
+        copy.set_lsn(lsn);
+        self.insert_new(pid, copy, true)
+    }
+
+    /// The resident page of `pid`, about to be replaced: it becomes the
+    /// most recently used and its version moves on.
+    fn replace(&mut self, pid: PageId, dirty: bool) -> Option<&mut Page> {
+        let f = self.frames.get_mut(&pid)?;
+        f.dirty = f.dirty || dirty;
+        f.version += 1;
+        f.lru_idx = self.lru.touch(f.lru_idx);
+        Some(&mut f.page)
+    }
+
+    /// A frame for `pid`, which is not resident.
+    fn insert_new(&mut self, pid: PageId, page: Page, dirty: bool) -> QsResult<Option<Evicted>> {
         let evicted =
             if self.frames.len() >= self.capacity { Some(self.evict_lru()?) } else { None };
         let lru_idx = self.lru.push_front(pid);
@@ -287,8 +313,13 @@ impl BufferPool {
     }
 
     /// Ids of all dirty pages (unsorted).
-    pub fn dirty_pages(&self) -> Vec<PageId> {
-        self.frames.iter().filter(|(_, f)| f.dirty).map(|(p, _)| *p).collect()
+    pub fn dirty_pages(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.frames.iter().filter(|(_, f)| f.dirty).map(|(&p, _)| p)
+    }
+
+    /// Mark every page clean.
+    pub fn clear_all_dirty(&mut self) {
+        self.frames.values_mut().for_each(|f| f.dirty = false);
     }
 
     /// Ids of all cached pages (unsorted).
@@ -399,13 +430,32 @@ mod tests {
         bp.insert(PageId(1), page_with(1), true).unwrap();
         bp.insert(PageId(2), page_with(2), false).unwrap();
         bp.insert(PageId(3), page_with(3), true).unwrap();
-        let mut d = bp.dirty_pages();
+        let mut d: Vec<PageId> = bp.dirty_pages().collect();
         d.sort();
         assert_eq!(d, vec![PageId(1), PageId(3)]);
         let ev = bp.remove(PageId(3)).unwrap();
         assert!(ev.dirty);
         assert!(!bp.contains(PageId(3)));
         assert!(bp.remove(PageId(3)).is_none());
+    }
+
+    #[test]
+    fn insert_copy_overwrites_a_resident_frame_and_fills_a_miss() {
+        let mut bp = BufferPool::new(2);
+        bp.insert(PageId(1), page_with(1), false).unwrap();
+        bp.insert(PageId(2), page_with(2), false).unwrap();
+        let v = bp.version(PageId(1)).unwrap();
+        // A hit: same frame, new bytes and pageLSN, dirty, most recent.
+        assert!(bp.insert_copy(PageId(1), &page_with(9), Lsn(40)).unwrap().is_none());
+        let p = bp.peek(PageId(1)).unwrap();
+        assert_eq!((p.object(PageId(0), 0).unwrap(), p.lsn()), (&[9u8; 16][..], Lsn(40)));
+        assert!(bp.is_dirty(PageId(1)) && bp.version(PageId(1)) == Some(v + 1));
+        assert_eq!(bp.lru_victim(), Some(PageId(2)));
+        // A miss: a new frame, pushing the LRU one out.
+        let ev = bp.insert_copy(PageId(3), &page_with(3), Lsn(50)).unwrap().unwrap();
+        assert_eq!(ev.page_id, PageId(2));
+        assert_eq!(bp.peek(PageId(3)).unwrap().lsn(), Lsn(50));
+        assert!(bp.is_dirty(PageId(3)));
     }
 
     #[test]

@@ -20,9 +20,8 @@ use crate::server::Server;
 use qs_sim::Meter;
 use qs_storage::Page;
 use qs_trace::{TraceCat, Tracer};
-use qs_types::{ClientId, Lsn, PageId, QsError, QsResult, TxnId, PAGE_SIZE};
+use qs_types::{ClientId, IdSet, Lsn, PageId, QsError, QsResult, TxnId, PAGE_SIZE};
 use qs_wal::{record, LogPressure, LogRecord, RecordWriter, SchemeCode};
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -39,7 +38,7 @@ pub struct ClientConn {
     /// commits never allocate here.
     log_buf: Vec<u8>,
     /// Pages this transaction has generated (or declared) log records for.
-    pages_logged: HashSet<PageId>,
+    pages_logged: IdSet<PageId>,
     /// Adaptive flavor: the scheme this transaction elected (its
     /// `TxnScheme` record has been queued). `None` otherwise.
     scheme: Option<SchemeCode>,
@@ -61,7 +60,7 @@ impl ClientConn {
             meter,
             txn: None,
             log_buf: Vec::new(),
-            pages_logged: HashSet::new(),
+            pages_logged: IdSet::default(),
             scheme: None,
             last_pressure: LogPressure::default(),
             tracer,
@@ -138,7 +137,8 @@ impl ClientConn {
         self.pool.is_dirty(pid)
     }
 
-    pub fn dirty_pages(&self) -> Vec<PageId> {
+    /// The cached pages that are dirty, unsorted.
+    pub fn dirty_pages(&self) -> impl Iterator<Item = PageId> + '_ {
         self.pool.dirty_pages()
     }
 
@@ -385,10 +385,30 @@ impl ClientConn {
     /// Ship a dirty page to the server (or keep it home, where pages do
     /// not travel). The page's log records must already have been
     /// generated and queued/shipped; this flushes the log buffer first so
-    /// the ordering rule holds.
-    pub fn ship_dirty_page(&mut self, pid: PageId, page: Page) -> QsResult<()> {
+    /// the ordering rule holds. The page goes by reference: the server
+    /// copies it into its own frame, the one copy the wire would make.
+    pub fn ship_dirty_page(&mut self, pid: PageId, page: &Page) -> QsResult<()> {
         let txn = self.txn()?;
         self.flush_log()?;
+        self.upload_page(txn, pid, page)
+    }
+
+    /// Ship a *still-cached* dirty page (commit path) and mark it clean in
+    /// the client cache (it stays cached across the transaction boundary).
+    pub fn ship_cached_dirty_page(&mut self, pid: PageId) -> QsResult<()> {
+        let txn = self.txn()?;
+        self.flush_log()?;
+        let page = self
+            .pool
+            .peek(pid)
+            .ok_or_else(|| QsError::Protocol { detail: format!("ship of uncached page {pid}") })?;
+        self.upload_page(txn, pid, page)?;
+        self.pool.clear_dirty(pid);
+        Ok(())
+    }
+
+    /// [`ClientConn::ship_dirty_page`] after the log flush.
+    fn upload_page(&self, txn: TxnId, pid: PageId, page: &Page) -> QsResult<()> {
         if !self.ships_pages() {
             return Ok(());
         }
@@ -396,19 +416,6 @@ impl ClientConn {
         self.meter.dirty_pages_shipped.fetch_add(1, Ordering::Relaxed);
         self.tracer.event(TraceCat::Ship, "dirty_page", txn.0, pid.0 as u64);
         self.server.receive_dirty_page(txn, pid, page)
-    }
-
-    /// Ship a *still-cached* dirty page (commit path) and mark it clean in
-    /// the client cache (it stays cached across the transaction boundary).
-    pub fn ship_cached_dirty_page(&mut self, pid: PageId) -> QsResult<()> {
-        let page = self
-            .pool
-            .peek(pid)
-            .ok_or_else(|| QsError::Protocol { detail: format!("ship of uncached page {pid}") })?
-            .clone();
-        self.ship_dirty_page(pid, page)?;
-        self.pool.clear_dirty(pid);
-        Ok(())
     }
 
     /// Finish the commit protocol: flush remaining log records, commit at
@@ -420,7 +427,7 @@ impl ClientConn {
         self.flush_log()?;
         let deferred = !self.ships_pages();
         debug_assert!(
-            self.pool.dirty_pages().is_empty() || deferred,
+            self.pool.dirty_pages().next().is_none() || deferred,
             "dirty pages remain at commit"
         );
         net::control_round_trip(&self.meter);
@@ -428,9 +435,7 @@ impl ClientConn {
         if deferred {
             // Pages were never shipped; they are clean *locally* now in the
             // sense that recovery no longer depends on this copy.
-            for pid in self.pool.dirty_pages() {
-                self.pool.clear_dirty(pid);
-            }
+            self.pool.clear_all_dirty();
         }
         self.txn = None;
         self.pages_logged.clear();
@@ -443,7 +448,8 @@ impl ClientConn {
     pub fn abort(&mut self) -> QsResult<()> {
         let txn = self.txn()?;
         self.log_buf.clear();
-        for pid in self.pool.dirty_pages() {
+        let dirty: Vec<PageId> = self.pool.dirty_pages().collect();
+        for pid in dirty {
             self.pool.remove(pid);
         }
         net::control_round_trip(&self.meter);

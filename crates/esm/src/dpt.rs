@@ -16,9 +16,8 @@
 //! are listed when they are applied, at commit; until it leaves the
 //! transaction table its first LSN pins the log instead.)
 
-use qs_types::{Lsn, PageId};
+use qs_types::{IdMap, Lsn, PageId};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy)]
 struct DirtyPage {
@@ -31,7 +30,7 @@ struct DirtyPage {
 /// Page → (recLSN, last logged LSN).
 #[derive(Debug, Default)]
 pub(crate) struct DirtyPages {
-    pages: HashMap<PageId, DirtyPage>,
+    pages: IdMap<PageId, DirtyPage>,
 }
 
 impl DirtyPages {

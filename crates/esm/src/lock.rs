@@ -24,8 +24,9 @@
 //! at commit/abort via [`LockManager::release_all`].
 
 use qs_types::sync::{Condvar, Mutex};
-use qs_types::{PageId, QsError, QsResult, TxnId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use qs_types::{IdMap, IdSet, PageId, QsError, QsResult, TxnId};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
 /// Lock modes. `S` for reads, `X` for updates; `IS`/`IX` are page-level
 /// intention modes taken on behalf of record-level `S`/`X` locks.
@@ -122,43 +123,139 @@ struct Waiter {
     mode: LockMode,
 }
 
+/// Who holds a lock, and in which mode, in grant order. Almost every
+/// entry has exactly one holder, kept inline, so making an entry costs no
+/// allocation; co-holders of a shared lock queue behind it.
+#[derive(Debug, Default)]
+struct Holders {
+    first: Option<(TxnId, LockMode)>,
+    /// Empty whenever `first` is.
+    rest: Vec<(TxnId, LockMode)>,
+}
+
+impl Holders {
+    fn iter(&self) -> impl Iterator<Item = (TxnId, LockMode)> + '_ {
+        self.first.iter().chain(&self.rest).copied()
+    }
+
+    /// Move holder `txn` to `mode`.
+    fn set(&mut self, txn: TxnId, mode: LockMode) {
+        if let Some(held) = self.first.iter_mut().chain(&mut self.rest).find(|(h, _)| *h == txn) {
+            held.1 = mode;
+        }
+    }
+
+    fn push(&mut self, txn: TxnId, mode: LockMode) {
+        match self.first {
+            None => self.first = Some((txn, mode)),
+            Some(_) => self.rest.push((txn, mode)),
+        }
+    }
+
+    fn remove(&mut self, txn: TxnId) {
+        if self.first.is_some_and(|(h, _)| h == txn) {
+            self.first = (!self.rest.is_empty()).then(|| self.rest.remove(0));
+        } else {
+            self.rest.retain(|&(h, _)| h != txn);
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct LockEntry {
-    /// Current holders and their granted mode.
-    holders: HashMap<TxnId, LockMode>,
+    holders: Holders,
     /// FIFO wait queue.
     waiters: VecDeque<Waiter>,
 }
 
 impl LockEntry {
+    /// The mode `txn` holds here, if any.
+    fn held_by(&self, txn: TxnId) -> Option<LockMode> {
+        self.holders.iter().find(|&(h, _)| h == txn).map(|(_, m)| m)
+    }
+
     /// Can a *non-holder* acquire `mode` alongside the current holders?
     fn grantable(&self, txn: TxnId, mode: LockMode) -> bool {
-        self.holders.iter().all(|(&h, &hm)| h == txn || hm.compatible(mode))
+        self.holders.iter().all(|(h, hm)| h == txn || hm.compatible(mode))
     }
 
     /// Can a holder of `held` move to `goal` (no-op included)?
     fn upgradable(&self, txn: TxnId, held: LockMode, goal: LockMode) -> bool {
-        goal == held || self.holders.iter().all(|(&h, &hm)| h == txn || hm.compatible(goal))
+        goal == held || self.grantable(txn, goal)
+    }
+
+    /// Any holder other than `txn` (the one a denial names).
+    fn other_holder(&self, txn: TxnId) -> TxnId {
+        self.holders.iter().map(|(h, _)| h).find(|&h| h != txn).unwrap_or(TxnId::INVALID)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.holders.first.is_none() && self.waiters.is_empty()
     }
 }
 
+/// The lock tables, every one keyed by an id the program assigns
+/// (`qs_types::hash`). An entry leaves its table when it empties, and the
+/// table's storage serves the next; a finished transaction's held list is
+/// kept for the next transaction. So one that never waits takes and
+/// releases its locks without touching the allocator.
 #[derive(Default)]
 struct LockTables {
-    locks: HashMap<Resource, LockEntry>,
-    /// Resources each transaction holds (for O(held) release).
-    held: HashMap<TxnId, HashSet<Resource>>,
+    locks: IdMap<Resource, LockEntry>,
+    /// Resources each transaction holds, in grant order (for O(held)
+    /// release). A resource is listed once: re-grants and upgrades find
+    /// the transaction among the holders first.
+    held: IdMap<TxnId, Vec<Resource>>,
     /// waits-for edges (waiter → holders), for deadlock detection. Keyed
     /// by transaction, so page/record (mixed-granularity) cycles are one
     /// graph.
-    waits_for: HashMap<TxnId, HashSet<TxnId>>,
+    waits_for: IdMap<TxnId, IdSet<TxnId>>,
+    /// Requests queued over every entry: the sleepers a release may have
+    /// to wake.
+    queued: usize,
+    /// Finished transactions' held lists, emptied.
+    spare_held: Vec<Vec<Resource>>,
 }
 
 impl LockTables {
+    /// `txn` was just granted `res` as a new holder.
+    fn note_held(&mut self, txn: TxnId, res: Resource) {
+        let spares = &mut self.spare_held;
+        self.held.entry(txn).or_insert_with(|| spares.pop().unwrap_or_default()).push(res);
+    }
+
+    /// Take `txn`'s queued request off `res`'s queue.
+    fn dequeue(&mut self, txn: TxnId, res: Resource) {
+        if let Some(e) = self.locks.get_mut(&res) {
+            let before = e.waiters.len();
+            e.waiters.retain(|w| w.txn != txn);
+            self.queued -= before - e.waiters.len();
+        }
+    }
+
+    /// Drop `txn` from every entry it holds, removing those it leaves
+    /// empty, and keep its held list as a spare.
+    fn release(&mut self, txn: TxnId) {
+        if let Some(mut resources) = self.held.remove(&txn) {
+            for &res in &resources {
+                if let Entry::Occupied(mut e) = self.locks.entry(res) {
+                    e.get_mut().holders.remove(txn);
+                    if e.get().is_empty() {
+                        e.remove();
+                    }
+                }
+            }
+            resources.clear();
+            self.spare_held.push(resources);
+        }
+        self.waits_for.remove(&txn);
+    }
+
     fn would_deadlock(&self, from: TxnId) -> bool {
         // DFS over waits-for edges looking for a cycle back to `from`.
         let mut stack: Vec<TxnId> =
             self.waits_for.get(&from).into_iter().flatten().copied().collect();
-        let mut seen = HashSet::new();
+        let mut seen = IdSet::default();
         while let Some(t) = stack.pop() {
             if t == from {
                 return true;
@@ -223,16 +320,14 @@ impl LockManager {
         let mut queued = false;
         loop {
             let entry = t.locks.entry(res).or_default();
-            if let Some(&held) = entry.holders.get(&txn) {
+            if let Some(held) = entry.held_by(txn) {
                 // Re-entrant / upgrade handling. Upgrades bypass the queue;
                 // an upgrade blocked by co-holders falls through and waits.
                 let goal = held.combine(mode);
                 if entry.upgradable(txn, held, goal) {
-                    if goal != held {
-                        entry.holders.insert(txn, goal);
-                    }
+                    entry.holders.set(txn, goal);
                     if queued {
-                        entry.waiters.retain(|w| w.txn != txn);
+                        t.dequeue(txn, res);
                     }
                     t.waits_for.remove(&txn);
                     return Ok(queued);
@@ -245,11 +340,11 @@ impl LockManager {
                     }
                 };
                 if entry.grantable(txn, mode) && may_pass {
+                    entry.holders.push(txn, mode);
                     if queued {
-                        entry.waiters.retain(|w| w.txn != txn);
+                        t.dequeue(txn, res);
                     }
-                    entry.holders.insert(txn, mode);
-                    t.held.entry(txn).or_default().insert(res);
+                    t.note_held(txn, res);
                     t.waits_for.remove(&txn);
                     return Ok(queued);
                 }
@@ -259,20 +354,25 @@ impl LockManager {
             // cycle; edges are rebuilt fresh on every wakeup.
             if !queued {
                 t.locks.entry(res).or_default().waiters.push_back(Waiter { txn, mode });
+                t.queued += 1;
                 queued = true;
             }
             let holders: Vec<TxnId> =
-                t.locks[&res].holders.keys().copied().filter(|&h| h != txn).collect();
+                t.locks[&res].holders.iter().map(|(h, _)| h).filter(|&h| h != txn).collect();
             t.waits_for.entry(txn).or_default().extend(holders);
             if t.would_deadlock(txn) {
                 t.waits_for.remove(&txn);
-                if let Some(e) = t.locks.get_mut(&res) {
-                    e.waiters.retain(|w| w.txn != txn);
+                t.dequeue(txn, res);
+                let holder = t.locks[&res].other_holder(txn);
+                if t.locks[&res].is_empty() {
+                    t.locks.remove(&res);
                 }
-                let holder = t.locks[&res].holders.keys().copied().next().unwrap_or(TxnId::INVALID);
                 // Our departure may have made the next waiter the head.
+                let wake = t.queued > 0;
                 drop(t);
-                self.wakeup.notify_all();
+                if wake {
+                    self.wakeup.notify_all();
+                }
                 return Err(QsError::LockConflict { page: res.page(), holder, requester: txn });
             }
             self.wakeup.wait(&mut t);
@@ -284,21 +384,18 @@ impl LockManager {
     pub fn try_lock(&self, txn: TxnId, res: Resource, mode: LockMode) -> QsResult<()> {
         let mut t = self.tables.lock();
         let entry = t.locks.entry(res).or_default();
-        if let Some(&held) = entry.holders.get(&txn) {
+        if let Some(held) = entry.held_by(txn) {
             let goal = held.combine(mode);
-            if goal == held {
-                return Ok(());
-            }
             if entry.upgradable(txn, held, goal) {
-                entry.holders.insert(txn, goal);
+                entry.holders.set(txn, goal);
                 return Ok(());
             }
         } else if entry.grantable(txn, mode) && entry.waiters.is_empty() {
-            entry.holders.insert(txn, mode);
-            t.held.entry(txn).or_default().insert(res);
+            entry.holders.push(txn, mode);
+            t.note_held(txn, res);
             return Ok(());
         }
-        let holder = entry.holders.keys().copied().next().unwrap_or(TxnId::INVALID);
+        let holder = entry.other_holder(txn);
         Err(QsError::LockConflict { page: res.page(), holder, requester: txn })
     }
 
@@ -306,48 +403,37 @@ impl LockManager {
     /// implies everything, `S` and `IX` each imply `IS`.)
     pub fn holds(&self, txn: TxnId, res: Resource, mode: LockMode) -> bool {
         let t = self.tables.lock();
-        match t.locks.get(&res).and_then(|e| e.holders.get(&txn)) {
-            Some(&held) => held.covers(mode),
+        match t.locks.get(&res).and_then(|e| e.held_by(txn)) {
+            Some(held) => held.covers(mode),
             None => false,
         }
     }
 
-    /// Release every lock `txn` holds (commit/abort — strict 2PL) and wake
-    /// the blocked threads: each re-checks its own request.
+    /// Release every lock `txn` holds (commit/abort — strict 2PL); its held
+    /// list goes back to the spares. If any request is queued the blocked
+    /// threads are woken, each to re-check its own request; with none, no
+    /// wakeup is made (std's condvar makes one system call per
+    /// `notify_all`, sleeper or not).
     pub fn release_all(&self, txn: TxnId) {
         let mut t = self.tables.lock();
-        if let Some(resources) = t.held.remove(&txn) {
-            for res in resources {
-                if let Some(e) = t.locks.get_mut(&res) {
-                    e.holders.remove(&txn);
-                    if e.holders.is_empty() && e.waiters.is_empty() {
-                        t.locks.remove(&res);
-                    }
-                }
-            }
-        }
-        t.waits_for.remove(&txn);
+        t.release(txn);
+        let wake = t.queued > 0;
         drop(t);
-        self.wakeup.notify_all();
+        if wake {
+            self.wakeup.notify_all();
+        }
     }
 
     /// Requests queued behind a conflicting holder, over every resource
     /// (test hook: a test polls it to know a thread is blocked).
     pub fn queued_waiters(&self) -> usize {
-        self.tables.lock().locks.values().map(|e| e.waiters.len()).sum()
+        self.tables.lock().queued
     }
 
     /// Number of resources (pages and records) currently locked by anyone
     /// (test hook).
     pub fn locked_resources(&self) -> usize {
         self.tables.lock().locks.len()
-    }
-
-    /// Renamed: a "page" count stopped being accurate once record
-    /// resources joined the table.
-    #[deprecated(note = "renamed to locked_resources")]
-    pub fn locked_pages(&self) -> usize {
-        self.locked_resources()
     }
 }
 
@@ -524,6 +610,45 @@ mod tests {
             r1.is_err() || r2.is_err(),
             "page/record cycle must be detected on at least one side"
         );
+    }
+
+    #[test]
+    fn a_seeded_history_drains_the_tables_and_reuses_their_storage() {
+        // 10 000 steps over four transactions, eight pages and four slots
+        // each: grants, upgrades and releases, page and record resources
+        // mixed. `try_lock` never blocks, so one thread drives it all.
+        let lm = LockManager::new();
+        let mut rng = qs_prng::Prng::seed_from_u64(47);
+        let mut peak = 0usize;
+        for _ in 0..10_000 {
+            let txn = TxnId(1 + rng.gen_below(4));
+            let pid = PageId(rng.gen_below(8) as u32);
+            match rng.gen_below(8) {
+                0 => lm.release_all(txn),
+                1..=3 => {
+                    let _ = lm.try_lock(txn, Resource::Page(pid), LockMode::S);
+                    let _ = lm.try_lock(txn, Resource::Page(pid), LockMode::X);
+                }
+                _ => {
+                    let rec = Resource::Record(pid, rng.gen_below(4) as u16);
+                    let mode = if rng.gen_bool(0.5) { LockMode::S } else { LockMode::X };
+                    if lm.try_lock(txn, Resource::Page(pid), mode.intent()).is_ok() {
+                        let _ = lm.try_lock(txn, rec, mode);
+                    }
+                }
+            }
+            peak = peak.max(lm.locked_resources());
+        }
+        for txn in 1..=4 {
+            lm.release_all(TxnId(txn));
+        }
+        assert_eq!(lm.locked_resources(), 0);
+        assert_eq!(lm.queued_waiters(), 0);
+        let t = lm.tables.lock();
+        assert!(t.held.is_empty() && t.waits_for.is_empty());
+        // Each transaction's held list was handed on, not dropped.
+        assert!(peak > 8, "the history must lock records as well as pages");
+        assert!(t.spare_held.len() <= 4 && t.spare_held.iter().all(|h| h.capacity() > 0));
     }
 
     #[test]

@@ -24,21 +24,20 @@ fn page_image_from_log(log: &LogManager, lsn: Lsn, pid: PageId) -> QsResult<Page
 
 impl Server {
     /// Receive a dirty page: append the whole page to the log, track it in
-    /// the WPL table, cache it. Its permanent location stays untouched
-    /// until after commit (§3.4.2).
-    pub(super) fn wpl_receive_page(&self, txn: TxnId, pid: PageId, mut page: Page) -> QsResult<()> {
+    /// the WPL table, copy it into the pool stamped with the record's LSN.
+    /// Its permanent location stays untouched until after commit (§3.4.2).
+    pub(super) fn wpl_receive_page(&self, txn: TxnId, pid: PageId, page: &Page) -> QsResult<()> {
         let mut txns = self.txns.lock(&self.tracer);
         let state = txns.active_mut(txn)?;
         let prev = state.last_lsn;
         let lsn = self.log.wal().append_with(|w| w.whole_page(txn, prev, pid, page.bytes()))?;
-        page.set_lsn(lsn);
         state.note_logged(lsn);
         // Inside the critical section that appended the image, like the
         // DPT publish: a checkpoint body never holds one without the other.
         self.wpl.lock(&self.tracer).log_page(pid, lsn, txn);
         drop(txns);
         let mut pool = self.pool.lock(pid, &self.tracer);
-        let evicted = pool.insert(pid, page, true)?;
+        let evicted = pool.insert_copy(pid, page, lsn)?;
         self.steal(evicted)
     }
 

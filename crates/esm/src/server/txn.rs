@@ -14,6 +14,7 @@ use qs_trace::TraceCat;
 use qs_types::{Lsn, PageId, QsError, QsResult, TxnId};
 use qs_wal::record::{self, tag};
 use qs_wal::{LogPressure, LogRecord};
+use std::borrow::Borrow;
 use std::sync::atomic::Ordering;
 
 fn protocol_error(detail: &str) -> QsError {
@@ -289,14 +290,23 @@ impl Server {
         Ok(())
     }
 
-    /// Receive a dirty page from a client.
-    pub fn receive_dirty_page(&self, txn: TxnId, pid: PageId, mut page: Page) -> QsResult<()> {
+    /// Receive a dirty page from a client: the server copies it into its
+    /// resident frame (a new one only on a pool miss) and stamps the
+    /// pageLSN there — the one copy the network transfer makes. An owned
+    /// page is taken too, and dropped after the copy.
+    pub fn receive_dirty_page(
+        &self,
+        txn: TxnId,
+        pid: PageId,
+        page: impl Borrow<Page>,
+    ) -> QsResult<()> {
+        let page = page.borrow();
         let mut txns = self.txns.lock(&self.tracer);
         let state = txns.active_mut(txn)?;
         if !self.facts.ships_pages {
             return Err(protocol_error("clients of this flavor do not ship dirty pages"));
         }
-        match state.protocol {
+        let lsn = match state.protocol {
             // Its updates live only in the pending map until commit.
             Protocol::NoSteal => {
                 return Err(protocol_error("no-steal transactions do not ship dirty pages"));
@@ -311,13 +321,13 @@ impl Server {
                 if !state.log_shipped.contains(&pid) {
                     return Err(QsError::LogBeforePageViolation(pid));
                 }
-                page.set_lsn(state.last_lsn);
+                state.last_lsn
             }
-        }
+        };
         drop(txns);
         let rec_lsn = self.log.wal().tail_lsn();
         let mut pool = self.pool.lock(pid, &self.tracer);
-        let evicted = pool.insert(pid, page, true)?;
+        let evicted = pool.insert_copy(pid, page, lsn)?;
         self.dpt.lock(&self.tracer).dirtied(pid, rec_lsn);
         self.steal(evicted)
     }

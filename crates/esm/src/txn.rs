@@ -1,8 +1,7 @@
 //! The server's transaction table.
 
 use crate::protocol::Protocol;
-use qs_types::{Lsn, PageId, QsError, QsResult, TxnId};
-use std::collections::{HashMap, HashSet};
+use qs_types::{IdMap, IdSet, Lsn, PageId, QsError, QsResult, TxnId};
 
 /// Lifecycle of a transaction at the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,19 +26,20 @@ pub struct TxnState {
     /// arrives (always before the transaction's first page record).
     pub protocol: Protocol,
     /// Log-before-page rule enforcement: pages for which this transaction
-    /// has already shipped log records (or declared none needed).
-    pub log_shipped: HashSet<PageId>,
+    /// has already shipped log records (or declared none needed). Its
+    /// storage came from a finished transaction ([`TxnTable::remove`]).
+    pub log_shipped: IdSet<PageId>,
 }
 
 impl TxnState {
-    fn new(id: TxnId, protocol: Protocol) -> TxnState {
+    fn new(id: TxnId, protocol: Protocol, log_shipped: IdSet<PageId>) -> TxnState {
         TxnState {
             id,
             status: TxnStatus::Active,
             last_lsn: Lsn::NULL,
             first_lsn: Lsn::NULL,
             protocol,
-            log_shipped: HashSet::new(),
+            log_shipped,
         }
     }
 
@@ -52,28 +52,33 @@ impl TxnState {
     }
 }
 
-/// The transaction table: id assignment plus per-transaction state.
+/// The transaction table: id assignment plus per-transaction state. A
+/// finished transaction's `log_shipped` set is emptied and handed to the
+/// next one to begin, so steady-state transactions allocate nothing here.
 #[derive(Debug, Default)]
 pub struct TxnTable {
     next_id: u64,
-    txns: HashMap<TxnId, TxnState>,
+    txns: IdMap<TxnId, TxnState>,
+    /// Emptied `log_shipped` sets of finished transactions.
+    spare_shipped: Vec<IdSet<PageId>>,
 }
 
 impl TxnTable {
     pub fn new() -> TxnTable {
-        TxnTable { next_id: 1, txns: HashMap::new() }
+        TxnTable::resuming_after(TxnId::INVALID)
     }
 
     /// Restart constructor: id assignment resumes above anything in the log.
     pub fn resuming_after(max_seen: TxnId) -> TxnTable {
         let next = if max_seen == TxnId::INVALID { 1 } else { max_seen.0 + 1 };
-        TxnTable { next_id: next, txns: HashMap::new() }
+        TxnTable { next_id: next, ..TxnTable::default() }
     }
 
     pub fn begin(&mut self, protocol: Protocol) -> TxnId {
         let id = TxnId(self.next_id);
         self.next_id += 1;
-        self.txns.insert(id, TxnState::new(id, protocol));
+        let shipped = self.spare_shipped.pop().unwrap_or_default();
+        self.txns.insert(id, TxnState::new(id, protocol, shipped));
         id
     }
 
@@ -81,7 +86,7 @@ impl TxnTable {
     /// ordinary undo machinery can roll it back (only `Steal` transactions
     /// are ever undone).
     pub fn restore(&mut self, id: TxnId, last_lsn: Lsn) {
-        let mut t = TxnState::new(id, Protocol::Steal);
+        let mut t = TxnState::new(id, Protocol::Steal, IdSet::default());
         t.last_lsn = last_lsn;
         self.txns.insert(id, t);
         self.next_id = self.next_id.max(id.0 + 1);
@@ -104,9 +109,13 @@ impl TxnTable {
         Ok(t)
     }
 
-    /// Drop a finished transaction's state.
+    /// Drop a finished transaction's state, keeping its `log_shipped`
+    /// storage for the next transaction.
     pub fn remove(&mut self, id: TxnId) {
-        self.txns.remove(&id);
+        if let Some(mut t) = self.txns.remove(&id) {
+            t.log_shipped.clear();
+            self.spare_shipped.push(t.log_shipped);
+        }
     }
 
     /// All currently active transactions.
@@ -179,6 +188,18 @@ mod tests {
         assert_eq!(tt.min_first_lsn(), Some(Lsn(200)));
         tt.remove(b);
         assert_eq!(tt.min_first_lsn(), Some(Lsn(300)));
+    }
+
+    #[test]
+    fn a_finished_transaction_hands_its_log_shipped_storage_on() {
+        let mut tt = TxnTable::new();
+        let a = tt.begin(Protocol::Steal);
+        tt.active_mut(a).unwrap().log_shipped.extend((0..64).map(PageId));
+        tt.remove(a);
+        let b = tt.begin(Protocol::Steal);
+        let shipped = &tt.get(b).unwrap().log_shipped;
+        assert!(shipped.is_empty(), "handed on empty");
+        assert!(shipped.capacity() >= 64, "with the storage the last one grew");
     }
 
     #[test]

@@ -8,6 +8,15 @@
 //! access path looks a page up in two maps per object dereference). Maps
 //! keyed by anything that arrives from outside keep the default hasher.
 //!
+//! Every table a transaction touches from `begin` to the end of `commit`
+//! is one of these, and keeps its storage from one transaction to the
+//! next: on the server the lock manager's entries, held lists and
+//! waits-for graph (`qs_esm::lock`), the transaction table and each
+//! transaction's log-before-page set (`qs_esm::txn`), the dirty-page table
+//! (`qs_esm::dpt`) and the buffer pool's frames; on the client its pool,
+//! the pages it has logged (`qs_esm::client`) and the recovery buffer's
+//! copies (`quickstore::recovery_buffer`).
+//!
 //! Ids restart reads back from the log still count as the program's own
 //! (its page and transaction tables hash them once per run of records):
 //! this server assigned them, wrote every frame that carries one — a
@@ -99,14 +108,13 @@ mod tests {
         BuildHasherDefault::<IdHasher>::default().hash_one(key)
     }
 
-    /// How 4096 keys spread over a hashbrown-sized table: the fullest of
-    /// the 8192 index buckets (low bits) and the number of distinct 7-bit
-    /// control tags (top bits).
-    fn spread(keys: impl Iterator<Item = u32>) -> (usize, usize) {
+    /// How 4096 keys' hashes spread over a hashbrown-sized table: the
+    /// fullest of the 8192 index buckets (low bits) and the number of
+    /// distinct 7-bit control tags (top bits).
+    fn spread(hashes: impl Iterator<Item = u64>) -> (usize, usize) {
         let mut buckets = vec![0usize; 8192];
         let mut tags = [false; 128];
-        for k in keys {
-            let h = hash_of(PageId(k));
+        for h in hashes {
             buckets[(h & 8191) as usize] += 1;
             tags[(h >> 57) as usize] = true;
         }
@@ -116,7 +124,7 @@ mod tests {
     #[test]
     fn dense_and_strided_page_ids_do_not_cluster() {
         for stride in [1u32, 8, 1024] {
-            let (fullest, tags) = spread((0..4096).map(|i| i * stride));
+            let (fullest, tags) = spread((0..4096).map(|i| hash_of(PageId(i * stride))));
             // A uniform hash puts ~ln n / ln ln n keys in the fullest
             // bucket; a multiplier that ignores the stride's zero low bits
             // puts hundreds there.
@@ -149,6 +157,33 @@ mod tests {
         let slots: IdSet<u64> = (0..512u16).map(|s| hash_of(Oid::new(PageId(7), s))).collect();
         let pages: IdSet<u64> = (0..512u32).map(|p| hash_of(Oid::new(PageId(p), 3))).collect();
         assert_eq!((slots.len(), pages.len()), (512, 512));
+    }
+
+    /// The lock manager's key: the same shape and derived `Hash` as
+    /// `qs_esm::lock::Resource` (this crate sits below that one).
+    #[derive(Hash)]
+    #[allow(dead_code)]
+    enum Resource {
+        Page(PageId),
+        Record(PageId, u16),
+    }
+
+    #[test]
+    fn page_and_record_resources_on_dense_pages_spread() {
+        // 1024 dense pages, each as a whole page and as three of its
+        // records: 4096 keys.
+        let hashes: Vec<u64> = (0..1024u32)
+            .flat_map(|p| {
+                let records = (0..3u16).map(move |s| Resource::Record(PageId(p), s));
+                std::iter::once(Resource::Page(PageId(p))).chain(records)
+            })
+            .map(hash_of)
+            .collect();
+        let distinct: IdSet<u64> = hashes.iter().copied().collect();
+        assert_eq!(distinct.len(), 4096, "Page(p) and Record(p, s) must not collide");
+        let (fullest, tags) = spread(hashes.into_iter());
+        assert!(fullest <= 8, "{fullest} resources share one bucket");
+        assert!(tags >= 120, "only {tags} of 128 control tags used");
     }
 
     #[test]

@@ -128,18 +128,25 @@ if [ -n "$gone" ]; then
     exit 1
 fi
 
-echo "== restart keys its tables on the workspace hasher =="
+echo "== restart and the transaction path key their tables on the workspace hasher =="
 # Every table restart keeps is keyed by a page or transaction id this
 # server assigned and reads back from its own checksummed log
 # (crates/types/src/hash.rs), and a worker probes its page table once per
 # page run: std's SipHash there cost oo7_t2a about a third of its restart.
 # The deferred-frame store restart's workers share with the running server
 # (crates/esm/src/stash.rs) and its no-steal path (server/txn.rs) too, and
-# the WPL table (wpl.rs), which restart's workers rebuild.
+# the WPL table (wpl.rs), which restart's workers rebuild. So does every
+# per-transaction table, probed on each lock, record run and shipped page
+# from begin to commit: the lock manager's (lock.rs), the transaction
+# table (txn.rs), the dirty-page table (dpt.rs), the client's logged-page
+# set (client.rs) and the recovery buffer (core's recovery_buffer.rs).
 if grep -nE 'HashMap|HashSet' crates/esm/src/restart.rs crates/esm/src/stash.rs \
-        crates/esm/src/server/txn.rs crates/esm/src/wpl.rs; then
-    echo "FAIL: restart.rs, stash.rs, server/txn.rs or wpl.rs names a std" \
-         "HashMap/HashSet; use qs_types::{IdMap, IdSet}"
+        crates/esm/src/server/txn.rs crates/esm/src/wpl.rs crates/esm/src/lock.rs \
+        crates/esm/src/txn.rs crates/esm/src/dpt.rs crates/esm/src/client.rs \
+        crates/core/src/recovery_buffer.rs; then
+    echo "FAIL: a restart or per-transaction table (restart.rs, stash.rs," \
+         "server/txn.rs, wpl.rs, lock.rs, txn.rs, dpt.rs, client.rs," \
+         "recovery_buffer.rs) names a std HashMap/HashSet; use qs_types::{IdMap, IdSet}"
     exit 1
 fi
 
