@@ -52,6 +52,7 @@ const EXPECTED_NAMES: &[&str] = &[
     "store/read_hit",
     "store/view_hit",
     "store/write_hit",
+    "store/view_two_pages",
     "oo7/t1_visit",
     "wal/append_update_record",
     "wal/encode_decode_round_trip",
@@ -359,6 +360,15 @@ fn bench_access_path(h: &mut Harness) {
     h.bench("store/write_hit", 200_000, || {
         let k = next();
         store.write(oids[k], 8, &[k as u8; 8]).unwrap();
+    });
+    // Views that alternate between two pages: the shape of an OO7 visit
+    // (an atomic part, then its connections), which the access path's
+    // two-entry translation memo serves without a lookup.
+    let two = [oids[0], oids[32]];
+    let mut k = 0usize;
+    h.bench("store/view_two_pages", 200_000, || {
+        k ^= 1;
+        black_box(store.with_object(two[k], |b| b[0]).unwrap());
     });
     store.commit().unwrap();
 

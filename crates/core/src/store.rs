@@ -9,8 +9,9 @@
 //! and map on a mapping fault; enable recovery on a write-protection fault
 //! — §3.2.1's sequence: descriptor search in the AVL table, page copy into
 //! the recovery buffer, exclusive lock, enable write access). An access
-//! that does not fault costs one descriptor lookup, one pool lookup and the
-//! protection check (DESIGN.md "client access path").
+//! that does not fault on a recently used page hashes nothing: a two-entry
+//! memo gives its frame and pool slot, the protection check admits it, and
+//! the slot is read by index (DESIGN.md "client access path").
 //!
 //! Updates take one of two routes, matching the paper's two detection
 //! strategies:
@@ -36,10 +37,11 @@ use qs_sim::Meter;
 use qs_storage::Page;
 use qs_trace::{TraceCat, Tracer};
 use qs_types::{
-    IdSet, Lsn, Oid, PageId, QsError, QsResult, TxnId, VAddr, LOG_HEADER_SIZE, PAGE_SIZE,
+    FrameId, IdSet, Lsn, Oid, PageId, QsError, QsResult, TxnId, VAddr, LOG_HEADER_SIZE, PAGE_SIZE,
 };
 use qs_vmem::{AccessFault, Mmu, Prot};
 use qs_wal::{RecordWriter, SchemeCode};
+use std::cell::Cell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -110,6 +112,49 @@ impl PricedDiffs {
     }
 }
 
+/// The access path's memo of its two most recent translations: page →
+/// (frame, client pool slot). It is never invalidated, because every entry
+/// is checked where it is used. The frame binding is permanent (the
+/// descriptor table never unbinds a page); the frame's protection is the
+/// gate a memo hit passes like any access, so a page that lost its lock or
+/// its residency still faults; and the pool reads the slot only if it still
+/// holds the page. A stale slot costs one retranslation.
+#[derive(Default)]
+struct Memo {
+    /// Most recent first.
+    recent: [Option<(PageId, FrameId, u32)>; 2],
+}
+
+impl Memo {
+    #[inline]
+    fn find(&self, pid: PageId) -> Option<(FrameId, u32)> {
+        self.recent.iter().flatten().find(|e| e.0 == pid).map(|&(_, frame, at)| (frame, at))
+    }
+
+    fn remember(&mut self, pid: PageId, frame: FrameId, at: u32) {
+        self.recent = [Some((pid, frame, at)), self.recent[0]];
+    }
+
+    fn forget(&mut self, pid: PageId) {
+        for e in &mut self.recent {
+            if e.is_some_and(|e| e.0 == pid) {
+                *e = None;
+            }
+        }
+    }
+}
+
+/// Visits and raw updates counted since they last reached the meter.
+/// Trace timestamps are priced from the meter, so the counts are handed
+/// over ([`Store::flush_counts`]) before anything that can read it or emit
+/// an event: every fault, server call, commit, abort and allocation, and
+/// every read of [`Store::meter`].
+#[derive(Default)]
+struct PendingCounts {
+    visits: Cell<u64>,
+    updates: Cell<u64>,
+}
+
 /// Which bytes of an object an access covers.
 #[derive(Clone, Copy)]
 enum Span {
@@ -131,12 +176,14 @@ struct Hit<'a> {
 }
 
 impl<'a> Hit<'a> {
+    #[inline]
     fn bytes(&self) -> &[u8] {
         &self.slot.page().bytes()[self.start..self.start + self.len]
     }
 
     /// The bytes for an in-place store: the page becomes dirty and
     /// most-recently used.
+    #[inline]
     fn bytes_mut(self) -> &'a mut [u8] {
         &mut self.slot.update().bytes_mut()[self.start..self.start + self.len]
     }
@@ -165,6 +212,10 @@ pub struct Store {
     /// Regions from the elector's pricing pass, reused by record emission
     /// within the same event (empty and inert under the fixed schemes).
     priced: PricedDiffs,
+    /// Recent translations for the access path.
+    memo: Memo,
+    /// Counts not yet handed to the meter.
+    pending: PendingCounts,
 }
 
 impl Store {
@@ -198,6 +249,8 @@ impl Store {
             scratch: CommitScratch::default(),
             elector,
             priced: PricedDiffs::default(),
+            memo: Memo::default(),
+            pending: PendingCounts::default(),
         })
     }
 
@@ -209,8 +262,27 @@ impl Store {
         &self.cfg
     }
 
+    /// The meter this store counts into, brought up to date first (see
+    /// [`Store::flush_counts`]).
     pub fn meter(&self) -> &Arc<Meter> {
+        self.flush_counts();
         self.client.meter()
+    }
+
+    /// Hand the visits and raw updates counted since the last flush to the
+    /// meter. The store does this itself before anything can read the
+    /// meter or emit a trace event; a caller that keeps its own handle on
+    /// the meter and reads it mid-transaction calls it first.
+    pub fn flush_counts(&self) {
+        let m = self.client.meter();
+        let visits = self.pending.visits.take();
+        if visits != 0 {
+            m.visits.fetch_add(visits, Ordering::Relaxed);
+        }
+        let updates = self.pending.updates.take();
+        if updates != 0 {
+            m.updates.fetch_add(updates, Ordering::Relaxed);
+        }
     }
 
     pub fn client(&self) -> &ClientConn {
@@ -340,6 +412,7 @@ impl Store {
     // ---------------------------------------------------------------------
 
     pub fn begin(&mut self) -> QsResult<TxnId> {
+        self.flush_counts();
         self.client.begin()
     }
 
@@ -351,6 +424,7 @@ impl Store {
     /// drops back to read-only — locks are gone, so the next update must
     /// re-enable recovery.
     pub fn commit(&mut self) -> QsResult<()> {
+        self.flush_counts();
         let tracer = Arc::clone(self.client.tracer());
         let t0 = tracer.now_secs();
         let mut dirty = std::mem::take(&mut self.scratch.dirty);
@@ -377,6 +451,7 @@ impl Store {
 
     /// Abort: discard local uncommitted state and roll back at the server.
     pub fn abort(&mut self) -> QsResult<()> {
+        self.flush_counts();
         // Every page this transaction X-locked may hold uncommitted bytes:
         // unmap it and drop it from the cache. Going by the lock rather
         // than the pool's dirty bit matters for a page that was evicted
@@ -643,10 +718,11 @@ impl Store {
     // ---------------------------------------------------------------------
 
     /// The one translation step every object access goes through, and the
-    /// one fault loop. On the path that does not fault it costs one
-    /// descriptor lookup (`oid.page` → frame), the protection gate, one
-    /// pool lookup (→ the cached page), the slot-directory read and the
-    /// MMU check of the exact byte range; `hit` then gets the bytes.
+    /// one fault loop. On the path that does not fault it costs the memo
+    /// probe (`oid.page` → frame and pool slot; on a miss, one descriptor
+    /// lookup and one pool lookup refill it), the protection gate, the slot
+    /// read by index, the slot-directory read and the range check; `hit`
+    /// then gets the bytes.
     ///
     /// The gate reads the frame's protection instead of asking "is the
     /// page cached, is it locked": a frame with any access maps a page
@@ -655,7 +731,8 @@ impl Store {
     /// bound, evicted, or left unmapped by the last commit or abort — takes
     /// the mapping fault; a write to a read-only frame takes the
     /// write-protection fault; either handler runs and the access restarts,
-    /// as a faulting instruction would.
+    /// as a faulting instruction would. For a read the gate *is* the
+    /// hardware check, so only a write asks the MMU again.
     fn access<R>(
         &mut self,
         oid: Oid,
@@ -665,14 +742,37 @@ impl Store {
     ) -> QsResult<R> {
         let pid = oid.page;
         loop {
-            let frame = self.table.get(pid).map(|d| d.frame);
-            let Some(frame) = frame.filter(|&f| self.mmu.prot(f) != Prot::None) else {
+            let memo = self.memo.find(pid);
+            let frame = match memo {
+                Some((frame, _)) => Some(frame),
+                None => self.table.get(pid).map(|d| d.frame),
+            };
+            let prot = frame.map_or(Prot::None, |f| self.mmu.prot(f));
+            let Some(frame) = frame.filter(|_| prot != Prot::None) else {
                 self.map_fault(pid)?;
                 continue;
             };
-            let slot = self.client.slot(pid).ok_or_else(|| QsError::Protocol {
-                detail: format!("{pid} is mapped but not resident"),
-            })?;
+            if write && prot != Prot::ReadWrite {
+                // The MMU traces the write fault it is about to raise.
+                self.flush_counts();
+            }
+            let slot = match memo {
+                Some((_, at)) => match self.client.slot_at(at, pid) {
+                    Some(slot) => slot,
+                    None => {
+                        // The page left that slot and came back to another.
+                        self.memo.forget(pid);
+                        continue;
+                    }
+                },
+                None => {
+                    let slot = self.client.slot(pid).ok_or_else(|| QsError::Protocol {
+                        detail: format!("{pid} is mapped but not resident"),
+                    })?;
+                    self.memo.remember(pid, frame, slot.index());
+                    slot
+                }
+            };
             let (obj_off, obj_len) = slot.page().object_offset(pid, oid.slot)?;
             let (offset, len) = match span {
                 Span::Object => (0, obj_len),
@@ -688,14 +788,20 @@ impl Store {
                     ),
                 });
             }
+            // What the MMU refuses whatever the protection: an empty access
+            // and one that leaves the frame.
+            if len == 0 || len > PAGE_SIZE {
+                return Err(QsError::UnmappedAddress { detail: format!("access of {len} bytes") });
+            }
             let start = obj_off + offset;
+            if start + len > PAGE_SIZE {
+                return Err(QsError::CrossesFrameBoundary);
+            }
             let va = VAddr::new(frame, start);
-            let checked = if write {
-                self.mmu.check_write(va, len)?
-            } else {
-                self.mmu.check_read(va, len)?
-            };
-            match checked {
+            if !write {
+                return Ok(hit(Hit { va, start, len, slot }));
+            }
+            match self.mmu.check_write(va, len)? {
                 Ok(_) => return Ok(hit(Hit { va, start, len, slot })),
                 Err(AccessFault::WriteProtected(_)) => self.write_fault(va)?,
                 Err(AccessFault::Unmapped(_)) => self.map_fault(pid)?,
@@ -721,6 +827,14 @@ impl Store {
         self.access(oid, Span::Object, false, |hit| f(hit.bytes()))
     }
 
+    /// A traversal's visit: [`Store::with_object`], counted as one object
+    /// visit (the meter's `visits`, priced as the application's per-object
+    /// work).
+    pub fn visit<R>(&mut self, oid: Oid, f: impl FnOnce(&[u8]) -> R) -> QsResult<R> {
+        self.pending.visits.set(self.pending.visits.get() + 1);
+        self.with_object(oid, f)
+    }
+
     /// Read a whole object into a fresh buffer.
     pub fn read(&mut self, oid: Oid) -> QsResult<Vec<u8>> {
         self.with_object(oid, <[u8]>::to_vec)
@@ -737,7 +851,7 @@ impl Store {
         self.access(oid, Span::Bytes { offset, len: data.len() }, true, |hit| {
             hit.bytes_mut().copy_from_slice(data)
         })?;
-        self.meter().updates.fetch_add(1, Ordering::Relaxed);
+        self.pending.updates.set(self.pending.updates.get() + 1);
         Ok(())
     }
 
@@ -751,7 +865,8 @@ impl Store {
             detail: format!("Store::update under {} (hardware scheme)", self.cfg.name()),
         })?;
         let span = Span::Bytes { offset, len: data.len() };
-        let (va, start) = self.access(oid, span, false, |hit| (hit.va, hit.start))?;
+        let (va, start, at) =
+            self.access(oid, span, false, |hit| (hit.va, hit.start, hit.slot.index()))?;
         self.meter().update_fn_calls.fetch_add(1, Ordering::Relaxed);
         let (pid, x_locked) = {
             let d = self.table.lookup_vaddr(va)?;
@@ -765,7 +880,8 @@ impl Store {
             d.s_locked = true;
         }
         // Copy every touched, not-yet-copied block (cheap index arithmetic
-        // on the faulting address, as the paper stresses).
+        // on the faulting address, as the paper stresses). Neither the lock
+        // nor a recovery-buffer overflow moves the page out of its slot.
         if !self.created.contains(&pid) {
             let end = start + data.len();
             let first = (start / block) as u16;
@@ -779,13 +895,13 @@ impl Store {
                         pid,
                         block,
                         idx,
-                        &self.client.peek(pid).expect("mapped").bytes()[b0..b0 + block],
+                        &self.client.peek_at(at, pid).expect("mapped").bytes()[b0..b0 + block],
                     );
                 }
             }
         }
         self.table.get_mut(pid).expect("descriptor").recovery_enabled = true;
-        let page = self.client.slot(pid).expect("mapped").update();
+        let page = self.client.slot_at(at, pid).expect("mapped").update();
         page.bytes_mut()[start..start + data.len()].copy_from_slice(data);
         self.meter().updates.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -809,6 +925,7 @@ impl Store {
     /// Allocate a new persistent object. New objects go to pages created by
     /// this transaction (flushed as whole-page images at commit).
     pub fn allocate(&mut self, data: &[u8]) -> QsResult<Oid> {
+        self.flush_counts();
         if let Some(pid) = self.alloc_cursor {
             let room = self.client.slot(pid).filter(|s| s.page().free_space() >= data.len() + 8);
             if let Some(cursor) = room {

@@ -143,6 +143,30 @@ fn evicted_page_faults_and_returns_the_servers_bytes() {
 }
 
 #[test]
+fn a_page_that_returns_to_another_pool_slot_is_read_from_there() {
+    // A three-page pool holds a, b and c; reads peek, so a stays the LRU
+    // victim while it is also the access path's latest translation. d then
+    // takes a's pool slot, and a comes back in b's, while the access path
+    // still remembers a in its old slot.
+    let (mut stores, oids) = setup(4, &[pd(3, 4), pd(8, 4)]);
+    let (store, other) = stores.split_at_mut(1);
+    let (store, other) = (&mut store[0], &mut other[0]);
+    let [a, b, c, d] = [0, 1, 2, 3].map(|i| first_of(&oids, i));
+    for (oid, value) in [(a, 0xA1), (b, 0xB2), (c, 0xC3), (d, 0xD4)] {
+        overwrite_elsewhere(other, oid, value);
+    }
+    store.begin().unwrap();
+    for (oid, value) in [(a, 0xA1), (b, 0xB2), (c, 0xC3), (a, 0xA1), (d, 0xD4)] {
+        assert_eq!(store.read(oid).unwrap(), vec![value; OBJ]);
+    }
+    assert!(!store.client().cached(a.page), "page a was the LRU victim");
+    assert_eq!(metered_read(store, a), (vec![0xA1; OBJ], 1, 1, 1));
+    assert_eq!(store.read(d).unwrap(), vec![0xD4; OBJ]);
+    assert_invariants(store);
+    store.commit().unwrap();
+}
+
+#[test]
 fn aborted_page_faults_and_returns_the_servers_bytes() {
     let (mut stores, oids) = setup(2, &[pd(8, 4)]);
     let store = &mut stores[0];

@@ -14,8 +14,7 @@
 //! This file holds exactly one test so no sibling test thread can
 //! pollute the process-wide allocation counter mid-measurement.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use qs_testkit::CountingAlloc;
 use std::sync::Arc;
 
 use qs_esm::{ClientConn, Server, ServerConfig};
@@ -25,28 +24,6 @@ use qs_types::{ClientId, Lsn, Oid, PageId, TxnId, LOG_HEADER_SIZE, PAGE_SIZE};
 use qs_wal::RecordWriter;
 use quickstore::diff::{append_modified_runs, combine_regions_into, Region};
 use quickstore::{Store, SystemConfig};
-
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -109,12 +86,12 @@ fn steady_state_commit_path_is_allocation_free() {
     // counts) vanishes on a retry.
     let mut allocs = usize::MAX;
     for _ in 0..5 {
-        let start = ALLOC_CALLS.load(Ordering::SeqCst);
+        let start = CountingAlloc::calls();
         let mut total_records = 0usize;
         for _ in 0..1_000 {
             total_records += commit_pass(&before, &after, &mut runs, &mut regions, &mut enc);
         }
-        allocs = ALLOC_CALLS.load(Ordering::SeqCst) - start;
+        allocs = CountingAlloc::calls() - start;
         assert_eq!(total_records, 4_000);
         if allocs == 0 {
             break;
@@ -146,13 +123,13 @@ fn loaded_store(cfg: SystemConfig, pages: usize) -> (Store, Vec<Oid>) {
 /// Allocations made by one transaction, `begin` through the return of
 /// `commit`, that writes `data` at offset `lane` of each object in `oids`.
 fn txn_allocs(store: &mut Store, oids: &[Oid], lane: usize, data: &[u8]) -> usize {
-    let start = ALLOC_CALLS.load(Ordering::SeqCst);
+    let start = CountingAlloc::calls();
     store.begin().unwrap();
     for &oid in oids {
         store.modify(oid, lane, data).unwrap();
     }
     store.commit().unwrap();
-    ALLOC_CALLS.load(Ordering::SeqCst) - start
+    CountingAlloc::calls() - start
 }
 
 /// Two PD-ESM transaction shapes, each after two warm-up transactions:
@@ -223,11 +200,11 @@ fn recovery_buffer_overflows_are_allocation_free() {
         store.begin().unwrap();
         for round in 0..ROUNDS {
             let overflows = store.recovery_buffer_overflows();
-            let start = ALLOC_CALLS.load(Ordering::SeqCst);
+            let start = CountingAlloc::calls();
             for &oid in &oids {
                 store.modify(oid, 0, &[1 + txn * ROUNDS + round; 8]).unwrap();
             }
-            let allocs = ALLOC_CALLS.load(Ordering::SeqCst) - start;
+            let allocs = CountingAlloc::calls() - start;
             let overflows = store.recovery_buffer_overflows() - overflows;
             if round > 0 {
                 assert_eq!(overflows, PAGES as u64, "every write of a later round overflows");

@@ -14,6 +14,7 @@ use qs_storage::Page;
 use qs_types::{IdMap, Lsn, PageId, QsError, QsResult};
 
 /// Doubly-linked LRU list over a slab of nodes; O(1) touch/insert/remove.
+/// A node names the pool slot it tracks.
 #[derive(Debug, Default)]
 struct LruList {
     nodes: Vec<LruNode>,
@@ -24,14 +25,14 @@ struct LruList {
 
 #[derive(Debug, Clone, Copy)]
 struct LruNode {
-    page: PageId,
+    slot: u32,
     prev: Option<usize>,
     next: Option<usize>,
 }
 
 impl LruList {
-    fn push_front(&mut self, page: PageId) -> usize {
-        let node = LruNode { page, prev: None, next: self.head };
+    fn push_front(&mut self, slot: u32) -> usize {
+        let node = LruNode { slot, prev: None, next: self.head };
         let idx = match self.free.pop() {
             Some(i) => {
                 self.nodes[i] = node;
@@ -69,17 +70,17 @@ impl LruList {
         if self.head == Some(idx) {
             return idx; // already most-recently used
         }
-        let page = self.nodes[idx].page;
+        let slot = self.nodes[idx].slot;
         self.unlink(idx);
-        self.push_front(page)
+        self.push_front(slot)
     }
 
-    /// Walk from the LRU end, returning the first node accepted by `f`.
-    fn lru_find(&self, mut f: impl FnMut(PageId) -> bool) -> Option<usize> {
+    /// Walk from the LRU end, returning the first slot accepted by `f`.
+    fn lru_find(&self, mut f: impl FnMut(u32) -> bool) -> Option<u32> {
         let mut cur = self.tail;
         while let Some(i) = cur {
-            if f(self.nodes[i].page) {
-                return Some(i);
+            if f(self.nodes[i].slot) {
+                return Some(self.nodes[i].slot);
             }
             cur = self.nodes[i].prev;
         }
@@ -90,6 +91,7 @@ impl LruList {
 /// One cached page.
 #[derive(Debug)]
 struct Frame {
+    page_id: PageId,
     page: Page,
     dirty: bool,
     /// Bumped every time the page is marked dirty or replaced: what tells
@@ -108,19 +110,29 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-/// A cached page found by one lookup ([`BufferPool::slot`]): inspect it,
-/// then either drop the handle (a peek — recency untouched) or commit to an
-/// in-place update with [`PoolSlot::update`]. This is what lets an object
-/// access validate its range against the page *before* the access counts
-/// as a use, without looking the page up a second time.
+/// A cached page found by one lookup ([`BufferPool::slot`] or
+/// [`BufferPool::slot_at`]): inspect it, then either drop the handle (a
+/// peek — recency untouched) or commit to an in-place update with
+/// [`PoolSlot::update`]. This is what lets an object access validate its
+/// range against the page *before* the access counts as a use, without
+/// looking the page up a second time.
 pub struct PoolSlot<'a> {
     frame: &'a mut Frame,
     lru: &'a mut LruList,
+    at: u32,
 }
 
 impl<'a> PoolSlot<'a> {
+    #[inline]
     pub fn page(&self) -> &Page {
         &self.frame.page
+    }
+
+    /// The slot's index: [`BufferPool::slot_at`] finds the page there for
+    /// as long as it stays resident.
+    #[inline]
+    pub fn index(&self) -> u32 {
+        self.at
     }
 
     /// The page for an in-place update: refreshes its recency and marks it
@@ -134,9 +146,20 @@ impl<'a> PoolSlot<'a> {
 }
 
 /// Fixed-capacity page cache with LRU replacement.
+///
+/// Frames live in a slab: a page keeps its slot for as long as it stays
+/// resident, so a caller that remembered the slot ([`PoolSlot::index`])
+/// reads the page back by index ([`BufferPool::slot_at`],
+/// [`BufferPool::peek_at`]), with no hash probe. Those calls check that
+/// the slot still holds the page they name, so a remembered slot can go
+/// stale but never reads another page.
 pub struct BufferPool {
     capacity: usize,
-    frames: IdMap<PageId, Frame>,
+    /// Page → its slot in `slab`.
+    index: IdMap<PageId, u32>,
+    /// The frames; `None` is a free slot, listed in `free`.
+    slab: Vec<Option<Frame>>,
+    free: Vec<u32>,
     lru: LruList,
     evictions: u64,
 }
@@ -147,7 +170,9 @@ impl BufferPool {
         assert!(capacity > 0, "buffer pool must hold at least one page");
         BufferPool {
             capacity,
-            frames: IdMap::with_capacity_and_hasher(capacity, Default::default()),
+            index: IdMap::with_capacity_and_hasher(capacity, Default::default()),
+            slab: Vec::with_capacity(capacity),
+            free: Vec::new(),
             lru: LruList::default(),
             evictions: 0,
         }
@@ -158,11 +183,11 @@ impl BufferPool {
     }
 
     pub fn len(&self) -> usize {
-        self.frames.len()
+        self.index.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+        self.index.is_empty()
     }
 
     /// Total evictions since construction.
@@ -171,21 +196,30 @@ impl BufferPool {
     }
 
     pub fn contains(&self, pid: PageId) -> bool {
-        self.frames.contains_key(&pid)
+        self.index.contains_key(&pid)
+    }
+
+    fn frame(&self, pid: PageId) -> Option<&Frame> {
+        let &at = self.index.get(&pid)?;
+        self.slab[at as usize].as_ref()
+    }
+
+    fn frame_mut(&mut self, pid: PageId) -> Option<&mut Frame> {
+        let &at = self.index.get(&pid)?;
+        self.slab[at as usize].as_mut()
     }
 
     /// Borrow a cached page, refreshing its recency.
     pub fn get(&mut self, pid: PageId) -> Option<&Page> {
-        let f = self.frames.get_mut(&pid)?;
-        f.lru_idx = self.lru.touch(f.lru_idx);
-        Some(&f.page)
+        self.get_mut(pid).map(|p| &*p)
     }
 
     /// Borrow a cached page mutably (does not set the dirty bit — callers
     /// mark dirtiness explicitly, because "dirty" means *must be recovered*,
     /// not merely *was touched*).
     pub fn get_mut(&mut self, pid: PageId) -> Option<&mut Page> {
-        let f = self.frames.get_mut(&pid)?;
+        let &at = self.index.get(&pid)?;
+        let f = self.slab[at as usize].as_mut()?;
         f.lru_idx = self.lru.touch(f.lru_idx);
         Some(&mut f.page)
     }
@@ -193,23 +227,39 @@ impl BufferPool {
     /// Look a cached page up once, without touching recency (see
     /// [`PoolSlot`]).
     pub fn slot(&mut self, pid: PageId) -> Option<PoolSlot<'_>> {
-        let frame = self.frames.get_mut(&pid)?;
-        Some(PoolSlot { frame, lru: &mut self.lru })
+        let &at = self.index.get(&pid)?;
+        self.slot_at(at, pid)
+    }
+
+    /// [`BufferPool::slot`] by slot index: `None` unless slot `at` holds
+    /// `pid`.
+    #[inline]
+    pub fn slot_at(&mut self, at: u32, pid: PageId) -> Option<PoolSlot<'_>> {
+        let frame = self.slab.get_mut(at as usize)?.as_mut().filter(|f| f.page_id == pid)?;
+        Some(PoolSlot { frame, lru: &mut self.lru, at })
     }
 
     /// Peek without touching recency (used by diff/ship passes that must
     /// not perturb replacement behaviour).
     pub fn peek(&self, pid: PageId) -> Option<&Page> {
-        self.frames.get(&pid).map(|f| &f.page)
+        self.frame(pid).map(|f| &f.page)
+    }
+
+    /// [`BufferPool::peek`] by slot index: `None` unless slot `at` holds
+    /// `pid`.
+    #[inline]
+    pub fn peek_at(&self, at: u32, pid: PageId) -> Option<&Page> {
+        let f = self.slab.get(at as usize)?.as_ref().filter(|f| f.page_id == pid)?;
+        Some(&f.page)
     }
 
     pub fn is_dirty(&self, pid: PageId) -> bool {
-        self.frames.get(&pid).map(|f| f.dirty).unwrap_or(false)
+        self.frame(pid).map(|f| f.dirty).unwrap_or(false)
     }
 
     /// The caller changed the page (under the same hold of the pool).
     pub fn mark_dirty(&mut self, pid: PageId) {
-        if let Some(f) = self.frames.get_mut(&pid) {
+        if let Some(f) = self.frame_mut(pid) {
             f.dirty = true;
             f.version += 1;
         }
@@ -217,23 +267,23 @@ impl BufferPool {
 
     /// How many times a cached page has been marked dirty or replaced.
     pub fn version(&self, pid: PageId) -> Option<u64> {
-        self.frames.get(&pid).map(|f| f.version)
+        self.frame(pid).map(|f| f.version)
     }
 
     pub fn clear_dirty(&mut self, pid: PageId) {
-        if let Some(f) = self.frames.get_mut(&pid) {
+        if let Some(f) = self.frame_mut(pid) {
             f.dirty = false;
         }
     }
 
     pub fn pin(&mut self, pid: PageId) {
-        if let Some(f) = self.frames.get_mut(&pid) {
+        if let Some(f) = self.frame_mut(pid) {
             f.pins += 1;
         }
     }
 
     pub fn unpin(&mut self, pid: PageId) {
-        if let Some(f) = self.frames.get_mut(&pid) {
+        if let Some(f) = self.frame_mut(pid) {
             debug_assert!(f.pins > 0, "unpin of unpinned page {pid}");
             f.pins = f.pins.saturating_sub(1);
         }
@@ -267,7 +317,8 @@ impl BufferPool {
     /// The resident page of `pid`, about to be replaced: it becomes the
     /// most recently used and its version moves on.
     fn replace(&mut self, pid: PageId, dirty: bool) -> Option<&mut Page> {
-        let f = self.frames.get_mut(&pid)?;
+        let &at = self.index.get(&pid)?;
+        let f = self.slab[at as usize].as_mut()?;
         f.dirty = f.dirty || dirty;
         f.version += 1;
         f.lru_idx = self.lru.touch(f.lru_idx);
@@ -277,54 +328,71 @@ impl BufferPool {
     /// A frame for `pid`, which is not resident.
     fn insert_new(&mut self, pid: PageId, page: Page, dirty: bool) -> QsResult<Option<Evicted>> {
         let evicted =
-            if self.frames.len() >= self.capacity { Some(self.evict_lru()?) } else { None };
-        let lru_idx = self.lru.push_front(pid);
-        self.frames.insert(pid, Frame { page, dirty, version: 0, pins: 0, lru_idx });
+            if self.index.len() >= self.capacity { Some(self.evict_lru()?) } else { None };
+        let at = match self.free.pop() {
+            Some(at) => at,
+            None => {
+                self.slab.push(None);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        let lru_idx = self.lru.push_front(at);
+        self.slab[at as usize] =
+            Some(Frame { page_id: pid, page, dirty, version: 0, pins: 0, lru_idx });
+        self.index.insert(pid, at);
         Ok(evicted)
     }
 
+    /// Empty slot `at` (its page leaves the pool).
+    fn take_slot(&mut self, at: u32) -> Evicted {
+        let f = self.slab[at as usize].take().expect("slot in use");
+        self.index.remove(&f.page_id);
+        self.lru.unlink(f.lru_idx);
+        self.free.push(at);
+        Evicted { page_id: f.page_id, page: f.page, dirty: f.dirty }
+    }
+
+    /// The slot the LRU policy would evict next: the first unpinned from
+    /// the cold end.
+    fn lru_victim_slot(&self) -> Option<u32> {
+        let slab = &self.slab;
+        self.lru.lru_find(|at| slab[at as usize].as_ref().is_some_and(|f| f.pins == 0))
+    }
+
     fn evict_lru(&mut self) -> QsResult<Evicted> {
-        let frames = &self.frames;
-        let idx = self
-            .lru
-            .lru_find(|pid| frames.get(&pid).map(|f| f.pins == 0).unwrap_or(false))
+        let at = self
+            .lru_victim_slot()
             .ok_or(QsError::BufferPoolExhausted { capacity: self.capacity })?;
-        let pid = self.lru.nodes[idx].page;
-        self.lru.unlink(idx);
-        let f = self.frames.remove(&pid).expect("LRU node without frame");
         self.evictions += 1;
-        Ok(Evicted { page_id: pid, page: f.page, dirty: f.dirty })
+        Ok(self.take_slot(at))
     }
 
     /// The page the LRU policy would evict next (first unpinned from the
     /// cold end), without removing it.
     pub fn lru_victim(&self) -> Option<PageId> {
-        let frames = &self.frames;
-        let idx =
-            self.lru.lru_find(|pid| frames.get(&pid).map(|f| f.pins == 0).unwrap_or(false))?;
-        Some(self.lru.nodes[idx].page)
+        let at = self.lru_victim_slot()?;
+        self.slab[at as usize].as_ref().map(|f| f.page_id)
     }
 
     /// Remove a specific page from the pool (e.g. abort invalidation).
     pub fn remove(&mut self, pid: PageId) -> Option<Evicted> {
-        let f = self.frames.remove(&pid)?;
-        self.lru.unlink(f.lru_idx);
-        Some(Evicted { page_id: pid, page: f.page, dirty: f.dirty })
+        let &at = self.index.get(&pid)?;
+        Some(self.take_slot(at))
     }
 
     /// Ids of all dirty pages (unsorted).
     pub fn dirty_pages(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.frames.iter().filter(|(_, f)| f.dirty).map(|(&p, _)| p)
+        self.slab.iter().flatten().filter(|f| f.dirty).map(|f| f.page_id)
     }
 
     /// Mark every page clean.
     pub fn clear_all_dirty(&mut self) {
-        self.frames.values_mut().for_each(|f| f.dirty = false);
+        self.slab.iter_mut().flatten().for_each(|f| f.dirty = false);
     }
 
     /// Ids of all cached pages (unsorted).
     pub fn cached_pages(&self) -> Vec<PageId> {
-        self.frames.keys().copied().collect()
+        self.slab.iter().flatten().map(|f| f.page_id).collect()
     }
 
     /// Change the pool's capacity (the §7 future-work extension: shifting
@@ -334,7 +402,7 @@ impl BufferPool {
     pub fn set_capacity(&mut self, capacity: usize) -> QsResult<Vec<Evicted>> {
         assert!(capacity > 0);
         let mut out = Vec::new();
-        while self.frames.len() > capacity {
+        while self.index.len() > capacity {
             out.push(self.evict_lru()?);
         }
         self.capacity = capacity;
@@ -343,7 +411,9 @@ impl BufferPool {
 
     /// Drop every frame (client cache flush in tests).
     pub fn clear(&mut self) {
-        self.frames.clear();
+        self.index.clear();
+        self.slab.clear();
+        self.free.clear();
         self.lru = LruList::default();
     }
 }
@@ -483,6 +553,21 @@ mod tests {
         assert!(bp.is_dirty(PageId(1)));
         assert_eq!(bp.lru_victim(), Some(PageId(2)));
         assert_eq!(bp.peek(PageId(1)).unwrap().object(PageId(0), 0).unwrap(), &[7u8; 16]);
+    }
+
+    #[test]
+    fn a_slot_index_reads_its_page_until_the_page_leaves() {
+        let mut bp = BufferPool::new(2);
+        bp.insert(PageId(1), page_with(1), false).unwrap();
+        bp.insert(PageId(2), page_with(2), false).unwrap();
+        let at = bp.slot(PageId(1)).unwrap().index();
+        assert!(bp.slot_at(at, PageId(2)).is_none(), "the slot holds page 1");
+        assert_eq!(bp.peek_at(at, PageId(1)).unwrap().object(PageId(0), 0).unwrap(), &[1u8; 16]);
+        bp.get(PageId(2)); // 1 becomes LRU and its slot goes to page 3
+        bp.insert(PageId(3), page_with(3), false).unwrap();
+        assert!(bp.slot_at(at, PageId(1)).is_none() && bp.peek_at(at, PageId(1)).is_none());
+        assert_eq!(bp.slot(PageId(3)).unwrap().index(), at);
+        assert!(bp.peek_at(u32::MAX, PageId(3)).is_none());
     }
 
     #[test]

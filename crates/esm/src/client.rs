@@ -129,6 +129,20 @@ impl ClientConn {
         self.pool.slot(pid)
     }
 
+    /// [`ClientConn::slot`] by the pool slot index a previous lookup
+    /// returned ([`PoolSlot::index`]): `None` unless slot `at` still holds
+    /// `pid`.
+    #[inline]
+    pub fn slot_at(&mut self, at: u32, pid: PageId) -> Option<PoolSlot<'_>> {
+        self.pool.slot_at(at, pid)
+    }
+
+    /// [`ClientConn::peek`] by pool slot index (see [`ClientConn::slot_at`]).
+    #[inline]
+    pub fn peek_at(&self, at: u32, pid: PageId) -> Option<&Page> {
+        self.pool.peek_at(at, pid)
+    }
+
     pub fn mark_dirty(&mut self, pid: PageId) {
         self.pool.mark_dirty(pid);
     }

@@ -8,36 +8,12 @@
 //! This file holds exactly one test so no sibling test thread can
 //! pollute the process-wide allocation counter mid-measurement.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use qs_esm::{RecoveryFlavor, Server, ServerConfig};
 use qs_sim::Meter;
 use qs_storage::Page;
+use qs_testkit::CountingAlloc;
 use qs_types::{Lsn, PageId, TxnId, PAGE_SIZE};
 use qs_wal::RecordWriter;
-
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -67,12 +43,12 @@ fn batch(txn: TxnId, pids: &[PageId], full: bool, buf: &mut Vec<u8>) -> usize {
 /// Allocations made by one transaction that ships `batch(.., full)` and
 /// commits.
 fn allocs_per_round(server: &Server, pids: &[PageId], full: bool, buf: &mut Vec<u8>) -> usize {
-    let start = ALLOC_CALLS.load(Ordering::SeqCst);
+    let start = CountingAlloc::calls();
     let txn = server.begin();
     batch(txn, pids, full, buf);
     server.receive_log_bytes(txn, buf).unwrap();
     server.commit(txn).unwrap();
-    ALLOC_CALLS.load(Ordering::SeqCst) - start
+    CountingAlloc::calls() - start
 }
 
 #[test]

@@ -21,7 +21,7 @@ use crate::gen::ModuleHandle;
 use crate::schema::{assembly, atomic, composite, connection};
 use qs_types::{IdSet, Oid, QsResult};
 use quickstore::Store;
-use std::sync::atomic::Ordering;
+use std::cell::RefCell;
 
 /// Which T2 variant to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,16 +54,34 @@ pub fn t2(store: &mut Store, module: &ModuleHandle, mode: T2Mode) -> QsResult<u6
     traverse(store, module, Some(mode))
 }
 
+/// The search state of a traversal, kept between traversals on the same
+/// thread: once grown to a module's largest atomic-part graph, a traversal
+/// allocates nothing.
+#[derive(Default)]
+struct Scratch {
+    seen: IdSet<Oid>,
+    stack: Vec<Oid>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
 fn traverse(store: &mut Store, module: &ModuleHandle, mode: Option<T2Mode>) -> QsResult<u64> {
-    let mut walk = Walk { store, mode, count: 0, seen: IdSet::default(), stack: Vec::new() };
-    walk.assembly(module.root_assembly)?;
-    Ok(walk.count)
+    let Scratch { seen, stack } = SCRATCH.take();
+    let mut walk = Walk { store, mode, count: 0, seen, stack };
+    let walked = walk.assembly(module.root_assembly);
+    // A traversal's visits reach the meter as one batch, so a caller that
+    // reads its own meter handle afterwards sees them.
+    walk.store.flush_counts();
+    SCRATCH.set(Scratch { seen: walk.seen, stack: walk.stack });
+    walked.map(|()| walk.count)
 }
 
 /// One traversal in progress. Objects are dereferenced in place
-/// ([`Store::with_object`]): a visit copies out only the references and
-/// fields it follows, and the per-composite search state is reused, so a
-/// visit that does not fault allocates nothing.
+/// ([`Store::visit`]): a visit copies out only the references and fields
+/// it follows, and the search state is reused within and across
+/// traversals, so a visit that does not fault allocates nothing.
 struct Walk<'a> {
     store: &'a mut Store,
     mode: Option<T2Mode>,
@@ -76,13 +94,8 @@ struct Walk<'a> {
 }
 
 impl Walk<'_> {
-    fn visit<R>(&mut self, oid: Oid, f: impl FnOnce(&[u8]) -> R) -> QsResult<R> {
-        self.store.meter().visits.fetch_add(1, Ordering::Relaxed);
-        self.store.with_object(oid, f)
-    }
-
     fn assembly(&mut self, oid: Oid) -> QsResult<()> {
-        let (complex, children) = self.visit(oid, |b| {
+        let (complex, children) = self.store.visit(oid, |b| {
             let complex = assembly::is_complex(b);
             (complex, if complex { assembly::subs(b) } else { assembly::comps(b) })
         })?;
@@ -97,7 +110,7 @@ impl Walk<'_> {
     }
 
     fn composite(&mut self, comp: Oid) -> QsResult<()> {
-        let root = self.visit(comp, composite::root_part)?;
+        let root = self.store.visit(comp, composite::root_part)?;
         // Depth-first search of the atomic graph, per composite-part visit.
         self.seen.clear();
         self.stack.clear();
@@ -105,7 +118,7 @@ impl Walk<'_> {
         self.stack.push(root);
         let mut first = true;
         while let Some(part) = self.stack.pop() {
-            let (xy, conns) = self.visit(part, |b| (atomic::xy(b), atomic::to_conns(b)))?;
+            let (xy, conns) = self.store.visit(part, |b| (atomic::xy(b), atomic::to_conns(b)))?;
             match self.mode {
                 Some(T2Mode::A) if first => self.update_xy(part, xy, 1)?,
                 Some(T2Mode::B) => self.update_xy(part, xy, 1)?,
@@ -115,7 +128,7 @@ impl Walk<'_> {
             }
             first = false;
             for conn in conns {
-                let target = self.visit(conn, connection::to_atomic)?;
+                let target = self.store.visit(conn, connection::to_atomic)?;
                 if self.seen.insert(target) {
                     self.stack.push(target);
                 }

@@ -9,8 +9,8 @@
 //! the system while a force waits on the disk, and to crash it there.
 //!
 //! This is the first piece of a fault-injecting medium. The server's own
-//! media are [`crate::MemDisk`] (a disk that keeps every write at once,
-//! which the contract allows) and [`crate::FileDisk`].
+//! medium is [`crate::MemDisk`] (a disk that keeps every write at once,
+//! which the contract allows).
 
 use crate::stable::{check_bounds, StableMedia};
 use qs_types::sync::{Condvar, Mutex};

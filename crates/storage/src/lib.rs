@@ -16,5 +16,5 @@ pub mod volume;
 
 pub use crash::CrashDisk;
 pub use page::{Page, MAX_OBJECT_SIZE, PAGE_HEADER_SIZE};
-pub use stable::{FileDisk, MemDisk, StableMedia};
+pub use stable::{MemDisk, StableMedia};
 pub use volume::Volume;

@@ -104,6 +104,7 @@ impl Page {
         self.buf[OFF_LSN..OFF_LSN + 8].copy_from_slice(&lsn.0.to_le_bytes());
     }
 
+    #[inline]
     pub fn num_slots(&self) -> u16 {
         self.get_u16(OFF_NSLOTS)
     }
@@ -123,6 +124,7 @@ impl Page {
 
     // -- slot directory ------------------------------------------------------
 
+    #[inline]
     fn slot_entry(&self, slot: u16) -> Option<(usize, usize)> {
         if slot >= self.num_slots() {
             return None;
@@ -194,6 +196,7 @@ impl Page {
 
     /// Byte offset of an object within the page (for virtual-address
     /// computation when the page is mapped into a frame).
+    #[inline]
     pub fn object_offset(&self, page_id: PageId, slot: u16) -> QsResult<(usize, usize)> {
         self.slot_entry(slot).ok_or(QsError::NoSuchObject(qs_types::Oid::new(page_id, slot)))
     }
@@ -256,6 +259,7 @@ impl Page {
 
     // -- little-endian helpers ----------------------------------------------
 
+    #[inline]
     fn get_u16(&self, at: usize) -> u16 {
         u16::from_le_bytes([self.buf[at], self.buf[at + 1]])
     }

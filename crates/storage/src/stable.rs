@@ -6,15 +6,11 @@
 //! every in-memory structure *except* the media, then hands the same media
 //! to a freshly constructed server — exactly what a reboot does.
 //!
-//! [`MemDisk`] is the default (deterministic, fast). [`FileDisk`] backs the
-//! same interface with a real file for the examples that want durable state
-//! across process runs.
+//! [`MemDisk`] is the medium every server runs on (deterministic, fast);
+//! [`crate::CrashDisk`] adds a volatile write cache for crash tests.
 
-use qs_types::sync::{Mutex, RwLock};
+use qs_types::sync::RwLock;
 use qs_types::{QsError, QsResult};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
 
 /// A crash-surviving, randomly addressable byte device.
 pub trait StableMedia: Send + Sync {
@@ -118,55 +114,6 @@ impl StableMedia for MemDisk {
     }
 }
 
-/// File-backed stable medium (for examples that persist across processes).
-pub struct FileDisk {
-    file: Mutex<File>,
-    len: usize,
-}
-
-impl FileDisk {
-    /// Create or open `path`, sized to exactly `len` bytes.
-    pub fn open(path: &Path, len: usize) -> QsResult<FileDisk> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)
-            .map_err(io_err)?;
-        file.set_len(len as u64).map_err(io_err)?;
-        Ok(FileDisk { file: Mutex::new(file), len })
-    }
-}
-
-fn io_err(e: std::io::Error) -> QsError {
-    QsError::Protocol { detail: format!("io error: {e}") }
-}
-
-impl StableMedia for FileDisk {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn read_at(&self, off: usize, buf: &mut [u8]) -> QsResult<()> {
-        check_bounds(self.len, off, buf.len())?;
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(off as u64)).map_err(io_err)?;
-        f.read_exact(buf).map_err(io_err)
-    }
-
-    fn write_at(&self, off: usize, buf: &[u8]) -> QsResult<()> {
-        check_bounds(self.len, off, buf.len())?;
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(off as u64)).map_err(io_err)?;
-        f.write_all(buf).map_err(io_err)
-    }
-
-    fn sync(&self) -> QsResult<()> {
-        self.file.lock().sync_data().map_err(io_err)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,25 +167,6 @@ mod tests {
         let mut buf = [9u8; 32];
         d.read_at(0, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 32]);
-    }
-
-    #[test]
-    fn filedisk_round_trip() {
-        let dir = std::env::temp_dir().join(format!("qs-filedisk-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("disk.bin");
-        {
-            let d = FileDisk::open(&path, 128).unwrap();
-            d.write_at(100, b"persist").unwrap();
-            d.sync().unwrap();
-        }
-        {
-            let d = FileDisk::open(&path, 128).unwrap();
-            let mut buf = [0u8; 7];
-            d.read_at(100, &mut buf).unwrap();
-            assert_eq!(&buf, b"persist");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -8,14 +8,16 @@
 //!
 //! * an address space of frames, each [`qs_types::PAGE_SIZE`] bytes;
 //! * per-frame protection bits ([`Prot`]);
-//! * access *checks* ([`Mmu::check_read`] / [`Mmu::check_write`]) that
-//!   classify an access exactly the way the MMU + signal machinery would:
-//!   fine, mapping fault, or write-protection fault.
+//! * the write *check* ([`Mmu::check_write`]) that classifies a store
+//!   exactly the way the MMU + signal machinery would: fine, mapping fault,
+//!   or write-protection fault.
 //!
-//! The store layered above performs the check before every object access
-//! and runs its fault handler on a fault — the same control flow as
-//! hardware delivery, minus the signal trampoline (whose CPU cost is
-//! carried by the performance model's `fault_overhead_instr`).
+//! The store layered above reads a frame's protection ([`Mmu::prot`])
+//! before every object access — for a read that is the whole check: any
+//! access but [`Prot::None`] admits it — and checks every store, running
+//! its fault handler on a fault: the same control flow as hardware
+//! delivery, minus the signal trampoline (whose CPU cost is carried by the
+//! performance model's `fault_overhead_instr`).
 //!
 //! Substitution note (DESIGN.md §2): using real `mmap`/`mprotect` would add
 //! nothing to the algorithms under study and would make the crash tests
@@ -115,6 +117,7 @@ impl Mmu {
         Ok(())
     }
 
+    #[inline]
     pub fn prot(&self, frame: FrameId) -> Prot {
         self.prot.get(frame.index()).copied().unwrap_or(Prot::None)
     }
@@ -134,20 +137,8 @@ impl Mmu {
         Ok(first)
     }
 
-    /// Classify a read access: `Ok(frame)` if it would succeed, a fault
+    /// Classify a write access: `Ok(frame)` if it would succeed, a fault
     /// otherwise. Errors are genuine program errors (wild pointers).
-    pub fn check_read(&self, va: VAddr, len: usize) -> QsResult<Result<FrameId, AccessFault>> {
-        let frame = self.frame_of_access(va, len)?;
-        Ok(match self.prot(frame) {
-            Prot::None => {
-                self.tracer.event(TraceCat::Fault, "read_unmapped", frame.index() as u64, 0);
-                Err(AccessFault::Unmapped(frame))
-            }
-            Prot::Read | Prot::ReadWrite => Ok(frame),
-        })
-    }
-
-    /// Classify a write access.
     pub fn check_write(&self, va: VAddr, len: usize) -> QsResult<Result<FrameId, AccessFault>> {
         let frame = self.frame_of_access(va, len)?;
         Ok(match self.prot(frame) {
@@ -173,13 +164,12 @@ mod tests {
         let mut mmu = Mmu::new();
         let f = mmu.alloc_frame();
         let va = VAddr::new(f, 100);
-        // Unmapped: both accesses fault.
-        assert_eq!(mmu.check_read(va, 4).unwrap(), Err(AccessFault::Unmapped(f)));
+        // Unmapped: a write faults (and a read: the frame admits nothing).
+        assert_eq!(mmu.prot(f), Prot::None);
         assert_eq!(mmu.check_write(va, 4).unwrap(), Err(AccessFault::Unmapped(f)));
-        // Read-only: reads pass, writes raise a protection fault. This is
-        // the paper's recovery-interception hook.
+        // Read-only: writes raise a protection fault. This is the paper's
+        // recovery-interception hook.
         mmu.protect(f, Prot::Read).unwrap();
-        assert_eq!(mmu.check_read(va, 4).unwrap(), Ok(f));
         assert_eq!(mmu.check_write(va, 4).unwrap(), Err(AccessFault::WriteProtected(f)));
         // Read-write: everything passes.
         mmu.protect(f, Prot::ReadWrite).unwrap();
@@ -205,19 +195,19 @@ mod tests {
         let f = mmu.alloc_frame();
         let _g = mmu.alloc_frame();
         let near_end = VAddr::new(f, PAGE_SIZE - 2);
-        assert!(matches!(mmu.check_read(near_end, 4), Err(QsError::CrossesFrameBoundary)));
+        assert!(matches!(mmu.check_write(near_end, 4), Err(QsError::CrossesFrameBoundary)));
         // Exactly to the end is fine.
-        assert!(mmu.check_read(near_end, 2).is_ok());
+        assert!(mmu.check_write(near_end, 2).is_ok());
     }
 
     #[test]
     fn wild_addresses_are_errors_not_faults() {
         let mmu = Mmu::new();
         let va = VAddr::new(FrameId(99), 0);
-        assert!(matches!(mmu.check_read(va, 4), Err(QsError::UnmappedAddress { .. })));
+        assert!(matches!(mmu.check_write(va, 4), Err(QsError::UnmappedAddress { .. })));
         let mut mmu = Mmu::new();
         let f = mmu.alloc_frame();
-        assert!(mmu.check_read(VAddr::new(f, 0), 0).is_err(), "zero-length access");
+        assert!(mmu.check_write(VAddr::new(f, 0), 0).is_err(), "zero-length access");
         assert!(mmu.protect(FrameId(5), Prot::Read).is_err());
     }
 

@@ -203,6 +203,7 @@ impl LogManager {
         let start = Lsn(u64::from_le_bytes(hdr[16..24].try_into().unwrap()));
         let written = Lsn(u64::from_le_bytes(hdr[24..32].try_into().unwrap()));
         let checkpoint = Lsn(u64::from_le_bytes(hdr[32..40].try_into().unwrap()));
+        Self::check_header(media.len(), body_capacity, start, written, checkpoint)?;
         Ok(LogManager {
             media,
             body_capacity,
@@ -220,6 +221,35 @@ impl LogManager {
             force_serial: Mutex::new(()),
             tracer: Tracer::disabled(),
         })
+    }
+
+    /// The header's fields must describe a log that fits its medium: a
+    /// window `[start, written)` no longer than a non-zero body that the
+    /// medium holds, and a checkpoint that is absent or inside the window.
+    /// Anything else is a corrupt header, refused before a body offset is
+    /// computed from it.
+    fn check_header(
+        media_len: usize,
+        body_capacity: usize,
+        start: Lsn,
+        written: Lsn,
+        checkpoint: Lsn,
+    ) -> QsResult<()> {
+        let fault = if body_capacity == 0 {
+            Some("a body capacity of 0".to_string())
+        } else if body_capacity.checked_add(PAGE_SIZE).is_none_or(|need| need > media_len) {
+            Some(format!("a body capacity of {body_capacity} on a {media_len}-byte medium"))
+        } else if start > written || written.0 - start.0 > body_capacity as u64 {
+            Some(format!("a window [{start}, {written}) over a {body_capacity}-byte body"))
+        } else if !(checkpoint.is_null() || (start..written).contains(&checkpoint)) {
+            Some(format!("a checkpoint at {checkpoint} outside the window [{start}, {written})"))
+        } else {
+            None
+        };
+        match fault {
+            Some(fault) => Err(QsError::LogCorrupt { detail: format!("log header names {fault}") }),
+            None => Ok(()),
+        }
     }
 
     /// Install a tracer (the server wires its own through right after
@@ -990,6 +1020,73 @@ mod tests {
         media.write_at(0, &[0xAB; 8]).unwrap();
         let Err(err) = LogManager::open(media) else { panic!("opened garbage") };
         assert!(err.to_string().contains("magic mismatch"), "{err}");
+    }
+
+    /// A 64 KB log of 49 forced commits (a 72 KB medium) whose header
+    /// fields at the given byte offsets are then rewritten: what `open` and
+    /// a scan of the reopened log make of it.
+    fn reopen_with_header(fields: &[(usize, u64)]) -> QsResult<usize> {
+        let (media, lm) = fresh(1 << 16);
+        for t in 0..49 {
+            lm.append(&commit(t)).unwrap();
+        }
+        lm.force(lm.tail_lsn()).unwrap();
+        drop(lm);
+        for &(at, value) in fields {
+            media.write_at(at, &value.to_le_bytes()).unwrap();
+        }
+        let lm = LogManager::open(media)?;
+        let scanned = lm.scan_forward(lm.start_lsn()).collect::<QsResult<Vec<_>>>()?;
+        Ok(scanned.len())
+    }
+
+    /// Byte offsets of the header fields.
+    const CAPACITY_AT: usize = 8;
+    const START_AT: usize = 16;
+    const WRITTEN_AT: usize = 24;
+    const CHECKPOINT_AT: usize = 32;
+
+    fn assert_corrupt(fields: &[(usize, u64)]) {
+        match reopen_with_header(fields) {
+            Err(QsError::LogCorrupt { .. }) => {}
+            other => panic!("{fields:?}: {other:?}, not a LogCorrupt error"),
+        }
+    }
+
+    #[test]
+    fn an_unaltered_header_reopens_and_scans_every_record() {
+        assert_eq!(reopen_with_header(&[]).unwrap(), 49);
+    }
+
+    #[test]
+    fn a_header_with_a_body_capacity_of_zero_is_corrupt() {
+        assert_corrupt(&[(CAPACITY_AT, 0)]);
+    }
+
+    #[test]
+    fn a_header_whose_start_passes_written_is_corrupt() {
+        assert_corrupt(&[(START_AT, 1000), (WRITTEN_AT, 10)]);
+    }
+
+    #[test]
+    fn a_header_capacity_past_the_medium_is_corrupt() {
+        assert_corrupt(&[(CAPACITY_AT, 1 << 40)]);
+        assert_corrupt(&[(CAPACITY_AT, u64::MAX)]);
+    }
+
+    #[test]
+    fn a_header_checkpoint_outside_the_window_is_corrupt() {
+        assert_corrupt(&[(CHECKPOINT_AT, 1 << 50)]);
+    }
+
+    #[test]
+    fn a_flipped_bit_in_the_header_start_is_corrupt() {
+        // The 49 records start at the origin, LSN 8192: bit 0 names the
+        // middle of the first frame, which the scan refuses; bit 40 a start
+        // past `written`, which `open` refuses.
+        for bit in [0, 40] {
+            assert_corrupt(&[(START_AT, PAGE_SIZE as u64 ^ (1 << bit))]);
+        }
     }
 
     #[test]

@@ -9,37 +9,12 @@
 //! This file holds exactly one test so no sibling test thread can
 //! pollute the process-wide allocation counter mid-measurement.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use qs_testkit::CountingAlloc;
 use std::sync::Arc;
 
 use qs_storage::{MemDisk, StableMedia};
 use qs_types::{Lsn, PageId, TxnId};
 use qs_wal::{LogManager, LogRecord};
-
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -53,11 +28,11 @@ fn steady_state_append_of_a_commit_record_is_allocation_free() {
     // One round: a batch of appends, counted, then the force that empties
     // the tail buffer (counted in the second half, below).
     let round = || {
-        let start = ALLOC_CALLS.load(Ordering::SeqCst);
+        let start = CountingAlloc::calls();
         for _ in 0..BATCH {
             log.append(&commit).unwrap();
         }
-        let allocs = ALLOC_CALLS.load(Ordering::SeqCst) - start;
+        let allocs = CountingAlloc::calls() - start;
         log.force(log.tail_lsn()).unwrap();
         log.truncate_to(log.durable_lsn()).unwrap();
         allocs
@@ -97,13 +72,13 @@ fn steady_state_force_of_a_large_tail_is_allocation_free() {
     .encode();
     let run = frame.repeat(8192 / frame.len());
     let round = || {
-        let start = ALLOC_CALLS.load(Ordering::SeqCst);
+        let start = CountingAlloc::calls();
         let mut prev = Lsn::NULL;
         for _ in 0..RUNS {
             prev = log.append_rechained_run(&run, prev).unwrap().1;
         }
         assert!(log.force(log.tail_lsn()).unwrap().wrote);
-        let allocs = ALLOC_CALLS.load(Ordering::SeqCst) - start;
+        let allocs = CountingAlloc::calls() - start;
         log.truncate_to(log.durable_lsn()).unwrap();
         allocs
     };

@@ -214,6 +214,43 @@ if [ -n "$scans" ]; then
     exit 1
 fi
 
+echo "== one kind of medium: the file-backed disk stays deleted =="
+# Every medium lives in memory: MemDisk, and CrashDisk for crash tests.
+# The file-backed medium no example or test used is gone; its name may not
+# come back.
+gone=$(grep -rn 'FileDisk' crates src tests examples README.md DESIGN.md || true)
+if [ -n "$gone" ]; then
+    echo "FAIL: the deleted file-backed medium is named again:"
+    echo "$gone" | sed 's/^/    /'
+    exit 1
+fi
+
+echo "== an object visit ticks no atomic; the product has no unsafe =="
+# OO7 visits reach the meter in batches through `Store::visit` (DESIGN.md
+# §3c): a `fetch_add` in the traversal is the per-visit atomic coming
+# back. And the product is safe Rust: outside test modules, no source
+# under crates/ says `unsafe` — the counting allocator lives in the
+# dev-only crates/testkit, which no [dependencies] table may name (the
+# audit below checks that).
+if grep -n 'fetch_add' crates/oo7/src/traversal.rs; then
+    echo "FAIL: crates/oo7/src/traversal.rs ticks the meter per visit;" \
+         "visit through Store::visit"
+    exit 1
+fi
+unsafe_sites=$(find crates/*/src ! -path 'crates/testkit/*' -name '*.rs' ! -name tests.rs \
+        -exec awk '
+    FNR == 1 { in_tests = 0; pending = 0 }
+    pending { if ($0 ~ /mod [a-z_]+ *\{/) in_tests = 1; pending = 0 }
+    /^[ \t]*#\[cfg\(test\)\]/ { pending = 1 }
+    !in_tests && $0 !~ /^[ \t]*\/\// && /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ {
+        print "    " FILENAME ":" FNR ": " $0
+    }' {} +)
+if [ -n "$unsafe_sites" ]; then
+    echo "FAIL: non-test source under crates/ uses unsafe:"
+    echo "$unsafe_sites"
+    exit 1
+fi
+
 echo "== no-steal frames wait in one arena per transaction =="
 # A transaction's deferred frames sit back to back in one recycled arena of
 # the one deferred-frame store (`Stash`, crates/esm/src/stash.rs), which
@@ -234,12 +271,14 @@ cargo test -q --offline --workspace
 
 echo "== allocation-free paths, release profile too =="
 # The counting-allocator tests hold "no allocation per log record, per
-# force, per recovery-buffer overflow, per no-steal frame"; the optimizer
+# force, per recovery-buffer overflow, per no-steal frame, per warm OO7
+# transaction"; the optimizer
 # decides what gets boxed or inlined, so the profile that ships is checked
 # as well.
 cargo test -q --release --offline -p qs-wal --test alloc_free_append
 cargo test -q --release --offline -p quickstore --test alloc_free_commit
 cargo test -q --release --offline -p qs-esm --test alloc_free_nosteal
+cargo test -q --release --offline -p qs-oo7 --test alloc_free_traversal
 
 echo "== dependency audit: path-only =="
 # Any bare `name = "x.y"` or `{ version = ... }` entry in a [dependencies]
@@ -261,6 +300,18 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
     ' "$manifest")
     if [ -n "$bad" ]; then
         echo "FAIL: non-path dependency in $manifest:"
+        echo "$bad" | sed 's/^/    /'
+        audit_failed=1
+    fi
+    # The test-support crate is a dev-dependency only (the root manifest
+    # declares its path for the members to inherit).
+    bad=$(awk '
+        /^\[/ { section = $0 }
+        /^qs-testkit([ \t]*=|\.)/ && section != "[dev-dependencies]" &&
+            section != "[workspace.dependencies]" { print section ": " $0 }
+    ' "$manifest")
+    if [ -n "$bad" ]; then
+        echo "FAIL: $manifest names qs-testkit outside [dev-dependencies]:"
         echo "$bad" | sed 's/^/    /'
         audit_failed=1
     fi
